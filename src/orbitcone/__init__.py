@@ -7,7 +7,7 @@ critical points of the associated linear functionals behave as predicted.
 """
 from .harness import (CheckResult, ConfigError, IoError, Report,
                       VerificationConfig, config_from_mapping, emit_report,
-                      run, verify_gk, verify_limits, verify_main)
+                      run)
 from .matrixgrp import Realization, h_pq, iwasawa, realization
 from .parabolic import PositiveSystem, from_chamber, h_extremize
 from .polyhedra import Cone, PolyhedralSet, gamma_cone, omega
@@ -17,7 +17,6 @@ __all__ = [
     "PositiveSystem", "Realization", "Report", "VerificationConfig",
     "config_from_mapping", "emit_report", "from_chamber", "gamma_cone",
     "h_extremize", "h_pq", "iwasawa", "omega", "realization", "run",
-    "verify_gk", "verify_limits", "verify_main",
 ]
 
 __version__ = "0.1.0"

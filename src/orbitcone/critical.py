@@ -15,9 +15,10 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .matrixgrp import Realization, a_matrix, h_pq, iwasawa, root_entry
+from .matrixgrp import (Realization, a_matrix, h_pq, iwasawa, root_matrix,
+                        sample_span)
 from .parabolic import PositiveSystem, plus_minus, sigma_classification
-from .polyhedra import Cone, PolyhedralSet, gamma_aq, omega
+from .polyhedra import PolyhedralSet, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
 
 SV_TOL = 1e-7
@@ -125,9 +126,7 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
         sa = rz.datum.sigma_root(alpha)
         seen.add(alpha)
         seen.add(sa)
-        i, j = root_entry(alpha)
-        E = np.zeros((rz.dim, rz.dim))
-        E[i, j] = 1.0
+        E = root_matrix(rz.dim, alpha)
         sE = rz.sigma_alg(E)
         if sa == alpha:
             if np.abs(sE - E).max() < 1e-12:
@@ -362,7 +361,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     d = rz.datum
     _, minus = plus_minus(P)
     cut = sorted(a for a in minus if ex.dot(a, X) == 0)
-    gam = gamma_aq(cut, d) if cut else Cone((), ambient=rz.dim)
+    gam = gamma_aq(cut, d)
     vanishing = frozenset(lam for lam in rz.restricted.plus_set
                           if ex.dot(lam, X) == 0)
     W_X = weyl_group(vanishing, d.gram)
@@ -376,22 +375,10 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seed: int) -> np.ndarray:
     """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    coords = h_x_coords(rz, X)
-    if coords:
-        C = np.array([[float(c) for c in row] for row in coords])
-        basis = np.einsum("kd,dij->kij", C, np.stack(rz.h_basis))
-        coef = rng.normal(0.0, radius / 2.0 if radius > 0 else 0.0,
-                          size=(count, len(coords)))
-        Y = np.einsum("ck,kij->cij", coef, basis)
-        norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        scale = np.where(norms > radius,
-                         radius / np.maximum(norms, 1e-300), 1.0)
-        Y = Y * scale[:, None, None]
-    else:
-        Y = np.zeros((count, rz.dim, rz.dim))
-    zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ expm(Y)
+    C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)])
+    basis = np.einsum("kd,dij->kij", C.reshape(-1, len(rz.h_basis)),
+                      np.stack(rz.h_basis))
+    return sample_span(rz, basis, radius, count, seed)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem | None = None,

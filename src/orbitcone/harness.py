@@ -2,13 +2,18 @@
 
 Each check draws seeded samples on a preset realization, tests the predicted
 polyhedral geometry within a tolerance, and records coverage metrics plus the
-first few failing witnesses.  Reports serialize deterministically: identical
-configuration gives byte-identical JSON and CSV output, so wall-clock runtime
-is kept on the in-memory report only.
+first few failing witnesses.  ``run`` is the one entry point: it runs the
+configured checks of the ``CHECKS`` registry in registry order.  The
+tolerance is a Euclidean distance: a projected point passes when it lies at
+most ``tol`` outside every facet hyperplane of the predicted set.  Reports
+serialize deterministically: identical configuration gives byte-identical
+JSON and CSV output, so wall-clock runtime is kept on the in-memory report
+only.
 """
 from __future__ import annotations
 
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -23,12 +28,11 @@ from .critical import (F, NotRegular, critical_value, ensure_regular, hessian,
                        kernel_dim, omega_X, predicted_signature, sample_H_X,
                        sample_NPH, transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, a_matrix, h_pq, iwasawa, realization,
-                        root_entry, sample_H)
+                        root_matrix, sample_H)
 from .parabolic import (PositiveSystem, all_positive_systems, from_chamber,
                         sigma_classification)
-from .polyhedra import (Cone, PolyhedralSet, contains_line, coroot, gamma_aq,
-                        gamma_cone, gk_cone, is_pointed, omega,
-                        pointedness_certificate)
+from .polyhedra import (contains_line, coroot, gamma_aq, gamma_cone, gk_cone,
+                        is_pointed, omega, pointedness_certificate)
 from .rootsys import weyl_orbit
 
 
@@ -40,8 +44,6 @@ class IoError(OSError):
     pass
 
 
-CHECK_NAMES = frozenset({"main", "kostant", "gk", "hessian", "critical_image",
-                         "inclusion_cone", "no_line", "limits"})
 FORMATS = ("json", "csv", "svg")
 
 _DEFAULT_A_LOG = {
@@ -51,13 +53,10 @@ _DEFAULT_A_LOG = {
     "group_sl2": ("1", "-1", "-1", "1"),
 }
 
-# per-preset coverage thresholds: (vertex distance, generator angle in rad)
-_COVERAGE = {
-    "kostant_sl2": (1e-2, 0.05),
-    "sl2_so11": (1e-2, 0.05),
-    "sl3_so21": (1e-2, 0.05),
-    "group_sl2": (1e-2, 0.05),
-}
+# coverage thresholds on every preset: the largest distance from a vertex to
+# its nearest sample, and the largest angle (rad) from a generator to the
+# nearest displacement of a sample from its nearest vertex
+VERTEX_TOL, GAP_TOL = 1e-2, 0.05
 
 MAX_WITNESSES = 10
 MIN_DISPLACEMENT = 0.5
@@ -66,8 +65,29 @@ MIN_DISPLACEMENT = 0.5
 def _rat_tuple(xs) -> tuple[str, ...]:
     try:
         return tuple(str(Fraction(str(x))) for x in xs)
-    except (ValueError, ZeroDivisionError) as e:
+    except (TypeError, ValueError, ZeroDivisionError) as e:
         raise ConfigError(f"not a rational vector: {xs!r}") from e
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_finite_positive(x) -> bool:
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool) and math.isfinite(x) and x > 0)
+
+
+def _number(value, kind: type, what: str):
+    """value converted by kind (int or float); bools, and floats where an
+    integer is wanted, are rejected rather than truncated."""
+    err = ConfigError(f"{what} must be {'an integer' if kind is int else 'a number'}")
+    if isinstance(value, bool) or (kind is int and isinstance(value, float)):
+        raise err
+    try:
+        return kind(value)
+    except (TypeError, ValueError) as e:
+        raise err from e
 
 
 @dataclass(frozen=True)
@@ -77,21 +97,30 @@ class VerificationConfig:
     a_log: tuple[str, ...] | None = None
     samples: int = 2000
     radii: tuple[float, ...] = (1.0, 2.0, 4.0)
-    tol: float = 1e-7
+    tol: float = 1e-7          # Euclidean distance outside a facet hyperplane
     seed: int = 0
     checks: frozenset[str] = frozenset({"main"})
     out: str | None = None
     format: str = "json"
 
     def __post_init__(self):
-        if self.samples <= 0:
-            raise ConfigError("sample count must be positive")
-        if not self.radii or any(r <= 0 for r in self.radii):
-            raise ConfigError("radii must be positive")
+        if not isinstance(self.preset, str) or self.preset not in _DEFAULT_A_LOG:
+            raise ConfigError(f"unknown preset {self.preset!r}; "
+                              f"choices: {sorted(_DEFAULT_A_LOG)}")
+        dim = len(_DEFAULT_A_LOG[self.preset])
+        for key in ("chamber", "a_log"):
+            if getattr(self, key) is not None and len(getattr(self, key)) != dim:
+                raise ConfigError(f"{key} needs {dim} coordinates on {self.preset}")
+        if not _is_int(self.samples) or self.samples <= 0:
+            raise ConfigError("sample count must be a positive integer")
+        if not _is_int(self.seed) or self.seed < 0:
+            raise ConfigError("seed must be a non-negative integer")
+        if not self.radii or not all(_is_finite_positive(r) for r in self.radii):
+            raise ConfigError("radii must be finite and positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigError("radii must be strictly increasing")
-        if self.tol <= 0:
-            raise ConfigError("tolerance must be positive")
+        if not _is_finite_positive(self.tol):
+            raise ConfigError("tolerance must be finite and positive")
         bad = self.checks - CHECK_NAMES
         if bad:
             raise ConfigError(f"unknown checks: {sorted(bad)}")
@@ -141,33 +170,29 @@ def config_from_mapping(data: Mapping, **overrides) -> VerificationConfig:
             merged[k] = v
     if "preset" not in merged:
         raise ConfigError("a preset name is required")
-    preset = merged["preset"]
-    if preset not in _DEFAULT_A_LOG:
-        raise ConfigError(f"unknown preset {preset!r}; "
-                          f"choices: {sorted(_DEFAULT_A_LOG)}")
-    kw: dict = {"preset": preset}
+    kw: dict = {"preset": merged["preset"]}
     if merged.get("chamber") is not None:
         kw["chamber"] = _rat_tuple(merged["chamber"])
     if merged.get("a_log") is not None:
         kw["a_log"] = _rat_tuple(merged["a_log"])
     if merged.get("samples") is not None:
-        try:
-            kw["samples"] = int(merged["samples"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError("samples must be an integer") from e
+        kw["samples"] = _number(merged["samples"], int, "samples")
     if merged.get("radii") is not None:
-        try:
-            kw["radii"] = tuple(float(r) for r in merged["radii"])
-        except (TypeError, ValueError) as e:
-            raise ConfigError("radii must be numbers") from e
+        radii = merged["radii"]
+        if not isinstance(radii, (list, tuple)):
+            raise ConfigError("radii must be a list of numbers")
+        kw["radii"] = tuple(_number(r, float, "radii") for r in radii)
     if merged.get("tol") is not None:
-        kw["tol"] = float(merged["tol"])
+        kw["tol"] = _number(merged["tol"], float, "tol")
     if merged.get("seed") is not None:
-        kw["seed"] = int(merged["seed"])
+        kw["seed"] = _number(merged["seed"], int, "seed")
     if merged.get("checks") is not None:
         cs = merged["checks"]
         if isinstance(cs, str):
             cs = [c.strip() for c in cs.split(",") if c.strip()]
+        if not isinstance(cs, (list, tuple, set, frozenset)) \
+                or not all(isinstance(c, str) for c in cs):
+            raise ConfigError("checks must be a list of check names")
         kw["checks"] = frozenset(cs)
     if merged.get("out") is not None:
         kw["out"] = str(merged["out"])
@@ -186,6 +211,9 @@ class CheckResult:
     generator_gaps: tuple[float, ...] | None = None
     witnesses: tuple[tuple, ...] = ()
     detail: dict = field(default_factory=dict)
+    # main check only, for csv/svg; not serialized
+    samples: np.ndarray | None = field(default=None, repr=False, compare=False)
+    geometry: dict | None = field(default=None, repr=False, compare=False)
 
     def to_dict(self) -> dict:
         return {
@@ -207,8 +235,16 @@ class Report:
     config: dict
     results: tuple[CheckResult, ...]
     runtime: float = 0.0                      # excluded from serialization
-    samples: np.ndarray | None = None         # main-check values, for csv/svg
-    geometry: dict | None = None              # vertices/generators, for svg
+
+    @property
+    def samples(self) -> np.ndarray | None:
+        """Main-check projections, for csv/svg."""
+        return next((r.samples for r in self.results if r.samples is not None), None)
+
+    @property
+    def geometry(self) -> dict | None:
+        """Main-check vertices and generators, for svg."""
+        return next((r.geometry for r in self.results if r.geometry is not None), None)
 
     @property
     def passed(self) -> bool:
@@ -225,18 +261,8 @@ class Report:
 
 # --- shared numeric helpers -------------------------------------------------
 
-def _hrep_arrays(obj) -> tuple[np.ndarray, np.ndarray]:
-    rows = obj.hrep
-    n = len(obj.vertices[0]) if isinstance(obj, PolyhedralSet) else obj.dim_ambient
-    if not rows:
-        return np.zeros((0, n)), np.zeros(0)
-    A = np.array([[float(c) for c in a] for a, _ in rows])
-    b = np.array([float(r) for _, r in rows])
-    return A, b
-
-
-def _float_rows(vs) -> np.ndarray:
-    return np.array([[float(c) for c in v] for v in vs])
+def _float_rows(vs, n: int) -> np.ndarray:
+    return np.array([[float(c) for c in v] for v in vs]).reshape(-1, n)
 
 
 class _Coverage:
@@ -268,10 +294,35 @@ class _Coverage:
             self.gaps[i] = min(self.gaps[i], float(np.arccos(cos).min()))
 
 
-def _min_slack(A: np.ndarray, b: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    if len(A) == 0:
-        return np.zeros(len(vals))
-    return (vals @ A.T - b[None, :]).min(axis=1)
+class Tally:
+    """Projected points judged against predicted sets: the count, the worst
+    slack, the first MAX_WITNESSES points more than tol outside, and the
+    coverage when one is attached."""
+
+    def __init__(self, tol: float, coverage: _Coverage | None = None):
+        self.tol = tol
+        self.coverage = coverage
+        self.count = 0
+        self.worst = np.inf
+        self.witnesses: list[tuple] = []
+
+    def feed(self, region, vals: np.ndarray) -> None:
+        """Judge the points vals (m, n) against region (a Cone or a
+        PolyhedralSet)."""
+        sl = region.slack(vals)
+        self.count += len(vals)
+        self.worst = min(self.worst, float(sl.min()))
+        room = MAX_WITNESSES - len(self.witnesses)
+        for i in np.nonzero(sl < -self.tol)[0][:room]:
+            self.witnesses.append(tuple(round(float(x), 12) for x in vals[i]))
+        if self.coverage is not None:
+            self.coverage.update(vals)
+
+    def result(self, name: str, passed: bool = True, **kw) -> CheckResult:
+        """The check passes when it has no witness and passed holds."""
+        return CheckResult(name=name, passed=passed and not self.witnesses,
+                           count=self.count, worst_slack=float(self.worst),
+                           witnesses=tuple(self.witnesses), **kw)
 
 
 def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
@@ -281,9 +332,7 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     ray_dirs = []
     cls = sigma_classification(P)
     for alpha in sorted(cls.minus_part):
-        i, j = root_entry(alpha)
-        E = np.zeros((rz.dim, rz.dim))
-        E[i, j] = 1.0
+        E = root_matrix(rz.dim, alpha)
         ray_dirs.append(E + rz.sigma_alg(E))
     for xw in rz.weyl_reps.values():
         for z in rz.z_reps:
@@ -296,6 +345,8 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
 
 
 # --- individual checks ------------------------------------------------------
+#
+# Every check has the signature fn(rz, P, cfg) -> CheckResult.
 
 def _require_regular(rz: Realization, cfg: VerificationConfig):
     try:
@@ -307,34 +358,21 @@ def _require_regular(rz: Realization, cfg: VerificationConfig):
 
 
 def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
-                ) -> tuple[CheckResult, np.ndarray, dict]:
+                ) -> CheckResult:
     a_exact = _require_regular(rz, cfg)
-    orbit = weyl_orbit(rz.small_weyl, a_exact)
-    gamma = gamma_cone(P)
-    om = omega(a_exact, orbit, gamma)
-    A, b = _hrep_arrays(om)
-    verts = _float_rows(om.vertices)
-    gens = _float_rows(om.cone.generators) if om.cone.generators else np.zeros((0, rz.dim))
+    om = omega(a_exact, weyl_orbit(rz.small_weyl, a_exact), gamma_cone(P))
+    verts = _float_rows(om.vertices, rz.dim)
+    gens = _float_rows(om.cone.generators, rz.dim)
     cover = _Coverage(verts, gens)
-    a = a_matrix(np.exp(_float_rows([a_exact])[0]))
-
-    witnesses: list[tuple] = []
-    worst = np.inf
-    count = 0
+    tally = Tally(cfg.tol, cover)
+    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
     history = []
     collected = []
 
     def feed(hs: np.ndarray) -> None:
-        nonlocal worst, count
         vals = h_pq(rz, a @ hs, P)
         collected.append(vals)
-        count += len(vals)
-        sl = _min_slack(A, b, vals)
-        worst = min(worst, float(sl.min()))
-        for i in np.nonzero(sl < -cfg.tol)[0]:
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(tuple(round(float(x), 12) for x in vals[i]))
-        cover.update(vals)
+        tally.feed(om, vals)
 
     feed(_h_probes(rz, P, cfg.radii))
     for k, r in enumerate(cfg.radii):
@@ -344,18 +382,15 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                         "max_generator_gap":
                             float(cover.gaps.max()) if len(gens) else 0.0})
 
-    v_tol, g_tol = _COVERAGE[rz.name]
-    passed = (not witnesses and worst >= -cfg.tol
-              and bool(cover.vdist.max() <= v_tol)
-              and (len(gens) == 0 or bool(cover.gaps.max() <= g_tol)))
-    geometry = {"vertices": verts.tolist(), "generators": gens.tolist()}
-    res = CheckResult(
-        name="main", passed=passed, count=count, worst_slack=float(worst),
+    covered = (bool(cover.vdist.max() <= VERTEX_TOL)
+               and (len(gens) == 0 or bool(cover.gaps.max() <= GAP_TOL)))
+    return tally.result(
+        "main", covered,
         vertex_distances=tuple(float(x) for x in cover.vdist),
-        generator_gaps=tuple(float(x) for x in cover.gaps) if len(gens) else (),
-        witnesses=tuple(witnesses),
-        detail={"radius_history": history, "coverage_thresholds": [v_tol, g_tol]})
-    return res, np.concatenate(collected, axis=0), geometry
+        generator_gaps=tuple(float(x) for x in cover.gaps),
+        detail={"radius_history": history, "coverage_thresholds": [VERTEX_TOL, GAP_TOL]},
+        samples=np.concatenate(collected, axis=0),
+        geometry={"vertices": verts.tolist(), "generators": gens.tolist()})
 
 
 def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
@@ -400,38 +435,25 @@ def _check_no_line(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
 
 def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
                           cfg: VerificationConfig) -> CheckResult:
-    cls = sigma_classification(P)
-    cone = gamma_aq(sorted(cls.sigmatheta_part), rz.datum) \
-        if cls.sigmatheta_part else Cone((), ambient=rz.dim)
-    A, b = _hrep_arrays(cone)
-    worst = np.inf
-    witnesses: list[tuple] = []
-    count = 0
+    cone = gamma_aq(sorted(sigma_classification(P).sigmatheta_part), rz.datum)
+    tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
         hs = sample_H(rz, r, cfg.samples, cfg.seed + 104729 * (k + 1))
-        vals = h_pq(rz, hs, P)
-        count += len(vals)
-        sl = _min_slack(A, b, vals)
-        worst = min(worst, float(sl.min()))
-        for i in np.nonzero(sl < -cfg.tol)[0]:
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(tuple(round(float(x), 12) for x in vals[i]))
-    return CheckResult(name="inclusion_cone", passed=not witnesses,
-                       count=count, worst_slack=float(worst),
-                       witnesses=tuple(witnesses))
+        tally.feed(cone, h_pq(rz, hs, P))
+    return tally.result("inclusion_cone")
 
 
 def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                    ) -> CheckResult:
     a_exact = _require_regular(rz, cfg)
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 31))
-    aq = _float_rows(rz.datum.aq_basis)
+    n_aq = len(rz.datum.aq_basis)
     worst_rel = 0.0
     witnesses: list[tuple] = []
     count = 0
     for _ in range(cfg.samples):
         coords = [Fraction(c).limit_denominator(40)
-                  for c in rng.normal(size=len(aq))]
+                  for c in rng.normal(size=n_aq)]
         X = ex.zeros(rz.dim)
         for c, bvec in zip(coords, rz.datum.aq_basis):
             X = ex.add(X, ex.scale(c, bvec))
@@ -462,29 +484,19 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
     pats = vanishing_patterns(rz, per_pattern=10, seed=cfg.seed + 47)
     n_per = max(8, cfg.samples // 50)
     radius = cfg.radii[-1]
-    a = a_matrix(np.exp(_float_rows([a_exact])[0]))
-    worst = np.inf
-    witnesses: list[tuple] = []
-    count = 0
+    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
+    tally = Tally(cfg.tol)
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
         for xi, X in enumerate(wits):
             oms = omega_X(rz, a_exact, X, P)
-            Xf = _float_rows([X])[0]
+            Xf = _float_rows([X], rz.dim)[0]
             for wi, (w, om) in enumerate(sorted(oms.items())):
-                A, b = _hrep_arrays(om)
                 xw = rz.weyl_reps[w]
                 seed = cfg.seed + 1009 * pi + 101 * xi + wi
                 hx = sample_H_X(rz, X, radius, n_per, seed)
                 nh = sample_NPH(rz, P, radius, n_per, seed + 1)
-                vals = h_pq(rz, a @ xw @ hx @ nh, P)
-                count += len(vals)
-                sl = _min_slack(A, b, vals)
-                worst = min(worst, float(sl.min()))
-                for i in np.nonzero(sl < -cfg.tol)[0]:
-                    if len(witnesses) < MAX_WITNESSES:
-                        witnesses.append(tuple(round(float(x), 12)
-                                               for x in vals[i]))
+                tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
                 # combinatorial layer: the critical value is the exact level
                 # of <X, .> on the predicted image
                 lv = critical_value(rz, a_exact, X, w)
@@ -496,58 +508,35 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
                 fv = float(F(rz, a_exact, Xf, xw, P))
                 if abs(fv - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
                     exact_fail += 1
-    passed = not witnesses and exact_fail == 0
-    return CheckResult(name="critical_image", passed=passed, count=count,
-                       worst_slack=float(worst), witnesses=tuple(witnesses),
-                       detail={"patterns": len(pats),
-                               "exact_level_failures": exact_fail})
+    return tally.result("critical_image", exact_fail == 0,
+                        detail={"patterns": len(pats),
+                                "exact_level_failures": exact_fail})
 
 
-def _check_gk(rz: Realization, cfg: VerificationConfig) -> CheckResult:
+def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
+              ) -> CheckResult:
+    """Every pair (P, Q) of positive systems, whatever the configured one."""
     systems = all_positive_systems(rz.datum)
     rng = np.random.Generator(np.random.PCG64(cfg.seed + 59))
-    worst = np.inf
-    witnesses: list[tuple] = []
-    count = 0
+    tally = Tally(cfg.tol)
+    origin = np.zeros((1, rz.dim))
     closed_dev = 0.0
     gap_fail = 0
     for P in systems:
         for Q in systems:
             support = sorted(Q.positive & P.negative)
             cone = gk_cone(P, Q)
-            A, b = _hrep_arrays(cone)
-            gens = _float_rows(cone.generators) if cone.generators \
-                else np.zeros((0, rz.dim))
-            gaps = np.full(len(gens), np.inf)
+            gens = _float_rows(cone.generators, rz.dim)
+            # generator gaps are measured from the cone's single vertex 0
+            tally.coverage = _Coverage(origin, gens)
 
             def feed(xs: np.ndarray) -> None:
-                nonlocal worst, count
-                vals = iwasawa(rz, xs, P).H
-                count += len(vals)
-                sl = _min_slack(A, b, vals)
-                worst = min(worst, float(sl.min()))
-                for i in np.nonzero(sl < -cfg.tol)[0]:
-                    if len(witnesses) < MAX_WITNESSES:
-                        witnesses.append(tuple(round(float(x), 12)
-                                               for x in vals[i]))
-                nd = np.linalg.norm(vals, axis=-1)
-                ok = nd >= MIN_DISPLACEMENT
-                if ok.any():
-                    for i, g in enumerate(gens):
-                        gu = g / np.linalg.norm(g)
-                        cos = np.clip((vals[ok] @ gu) / nd[ok], -1.0, 1.0)
-                        gaps[i] = min(gaps[i], float(np.arccos(cos).min()))
+                tally.feed(cone, iwasawa(rz, xs, P).H)
 
             if not support:
                 feed(np.eye(rz.dim)[None])
                 continue
-            basis = []
-            for alpha in support:
-                i, j = root_entry(alpha)
-                E = np.zeros((rz.dim, rz.dim))
-                E[i, j] = 1.0
-                basis.append(E)
-            basis = np.stack(basis)
+            basis = np.stack([root_matrix(rz.dim, alpha) for alpha in support])
             # rank-one probes hit each generator direction exactly
             for E in basis:
                 for s in (1.0, 3.0):
@@ -555,21 +544,19 @@ def _check_gk(rz: Realization, cfg: VerificationConfig) -> CheckResult:
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
             coef = rng.normal(0.0, 1.0, size=(n, len(basis)))
             feed(expm(np.einsum("ck,kij->cij", coef * cfg.radii[-1] / 2, basis)))
-            if len(gens) and gaps.max() > 0.05:
+            if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
             # rank-one closed form, exact in the embedded A1
             for E, alpha in zip(basis, support):
                 x = 1.7
                 val = iwasawa(rz, np.eye(rz.dim) + x * E, P).H
                 h_neg = coroot(ex.neg(alpha), rz.datum.gram).h_alpha
-                want = 0.5 * np.log(1 + x * x) * _float_rows([h_neg])[0]
+                want = 0.5 * np.log(1 + x * x) * _float_rows([h_neg], rz.dim)[0]
                 closed_dev = max(closed_dev, float(np.abs(val - want).max()))
-    passed = (not witnesses and gap_fail == 0 and closed_dev <= 1e-12)
-    return CheckResult(name="gk", passed=passed, count=count,
-                       worst_slack=float(worst), witnesses=tuple(witnesses),
-                       detail={"closed_form_deviation": closed_dev,
-                               "pairs": len(systems) ** 2,
-                               "generator_gap_failures": gap_fail})
+    return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,
+                        detail={"closed_form_deviation": closed_dev,
+                                "pairs": len(systems) ** 2,
+                                "generator_gap_failures": gap_fail})
 
 
 def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
@@ -594,102 +581,44 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         aj = ex.add(a_exact, ex.scale(t, dirv))
         if all(ex.dot(lam, aj) != 0 for lam in rz.restricted.roots_q):
             steps.append(aj)
-    worst = np.inf
-    witnesses: list[tuple] = []
-    count = 0
+    tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)
     for idx, point in enumerate(steps + [a_exact]):
-        orbit = weyl_orbit(rz.small_weyl, point)
-        om = omega(point, orbit, gamma)
-        A, b = _hrep_arrays(om)
-        a = a_matrix(np.exp(_float_rows([point])[0]))
+        om = omega(point, weyl_orbit(rz.small_weyl, point), gamma)
+        a = a_matrix(np.exp(_float_rows([point], rz.dim)[0]))
         hs = np.concatenate([
             _h_probes(rz, P, cfg.radii[-1:]),
             sample_H(rz, cfg.radii[-1], n_bulk, cfg.seed + 733 * idx)])
-        vals = h_pq(rz, a @ hs, P)
-        count += len(vals)
-        sl = _min_slack(A, b, vals)
-        worst = min(worst, float(sl.min()))
-        for i in np.nonzero(sl < -cfg.tol)[0]:
-            if len(witnesses) < MAX_WITNESSES:
-                witnesses.append(tuple(round(float(x), 12) for x in vals[i]))
-    return CheckResult(name="limits", passed=not witnesses, count=count,
-                       worst_slack=float(worst), witnesses=tuple(witnesses),
-                       detail={"sequence_length": len(steps)})
+        tally.feed(om, h_pq(rz, a @ hs, P))
+    return tally.result("limits", detail={"sequence_length": len(steps)})
 
 
-# --- entry points -----------------------------------------------------------
+# --- entry point ------------------------------------------------------------
 
-def verify_main(cfg: VerificationConfig) -> Report:
-    """Main-theorem inclusion and coverage, plus the coupled exact checks."""
-    t0 = time.perf_counter()
-    rz = realization(cfg.preset)
-    P = cfg.positive_system(rz)
-    wanted = cfg.checks & {"main", "kostant", "no_line", "inclusion_cone"} \
-        or {"main"}
-    results = []
-    samples = None
-    geometry = None
-    if "main" in wanted:
-        res, samples, geometry = _check_main(rz, P, cfg)
-        results.append(res)
-    if "kostant" in wanted:
-        results.append(_check_kostant(rz, P, cfg))
-    if "no_line" in wanted:
-        results.append(_check_no_line(rz, P, cfg))
-    if "inclusion_cone" in wanted:
-        results.append(_check_inclusion_cone(rz, P, cfg))
-    return Report(config=cfg.to_dict(), results=tuple(results),
-                  runtime=time.perf_counter() - t0,
-                  samples=samples, geometry=geometry)
-
-
-def verify_limits(cfg: VerificationConfig) -> Report:
-    t0 = time.perf_counter()
-    rz = realization(cfg.preset)
-    P = cfg.positive_system(rz)
-    res = _check_limits(rz, P, cfg)
-    return Report(config=cfg.to_dict(), results=(res,),
-                  runtime=time.perf_counter() - t0)
-
-
-def verify_gk(cfg: VerificationConfig) -> Report:
-    t0 = time.perf_counter()
-    rz = realization(cfg.preset)
-    res = _check_gk(rz, cfg)
-    return Report(config=cfg.to_dict(), results=(res,),
-                  runtime=time.perf_counter() - t0)
+# registry order is report order
+CHECKS = {
+    "main": _check_main,
+    "kostant": _check_kostant,
+    "no_line": _check_no_line,
+    "inclusion_cone": _check_inclusion_cone,
+    "gk": _check_gk,
+    "hessian": _check_hessian,
+    "critical_image": _check_critical_image,
+    "limits": _check_limits,
+}
+CHECK_NAMES = frozenset(CHECKS)
 
 
 def run(cfg: VerificationConfig) -> Report:
-    """Dispatch every configured check and merge into one report."""
+    """Run every configured check and merge the results into one report."""
     t0 = time.perf_counter()
     rz = realization(cfg.preset)
     P = cfg.positive_system(rz)
-    results: list[CheckResult] = []
-    samples = None
-    geometry = None
-    if "main" in cfg.checks:
-        res, samples, geometry = _check_main(rz, P, cfg)
-        results.append(res)
-    if "kostant" in cfg.checks:
-        results.append(_check_kostant(rz, P, cfg))
-    if "no_line" in cfg.checks:
-        results.append(_check_no_line(rz, P, cfg))
-    if "inclusion_cone" in cfg.checks:
-        results.append(_check_inclusion_cone(rz, P, cfg))
-    if "gk" in cfg.checks:
-        results.append(_check_gk(rz, cfg))
-    if "hessian" in cfg.checks:
-        results.append(_check_hessian(rz, P, cfg))
-    if "critical_image" in cfg.checks:
-        results.append(_check_critical_image(rz, P, cfg))
-    if "limits" in cfg.checks:
-        results.append(_check_limits(rz, P, cfg))
-    return Report(config=cfg.to_dict(), results=tuple(results),
-                  runtime=time.perf_counter() - t0,
-                  samples=samples, geometry=geometry)
+    results = tuple(check(rz, P, cfg) for name, check in CHECKS.items()
+                    if name in cfg.checks)
+    return Report(config=cfg.to_dict(), results=results,
+                  runtime=time.perf_counter() - t0)
 
 
 # --- emission ---------------------------------------------------------------

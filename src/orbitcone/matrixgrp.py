@@ -25,14 +25,7 @@ from .parabolic import PositiveSystem, from_chamber, sigma_classification
 from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
                       restricted_roots, weyl_group)
 
-COND_LIMIT = 1e8
-
-
 class SingularInput(ValueError):
-    pass
-
-
-class IllConditioned(ValueError):
     pass
 
 
@@ -61,7 +54,6 @@ class IwasawaTriple:
     k: np.ndarray
     H: np.ndarray          # log of the A-part, ambient diagonal coordinates
     n: np.ndarray
-    ill_conditioned: np.ndarray | bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,14 +81,8 @@ class Realization:
     def theta_alg(self, Y: np.ndarray) -> np.ndarray:
         return -np.swapaxes(Y, -1, -2)
 
-    def theta_grp(self, g: np.ndarray) -> np.ndarray:
-        return np.swapaxes(np.linalg.inv(g), -1, -2)
-
     def pi_h(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * (Y + self.sigma_alg(Y))
-
-    def killing(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        return self.kappa * np.trace(Y @ Z, axis1=-2, axis2=-1)
 
     def inner(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
         """<Y,Z> = -B(Y, theta Z) = kappa * tr(Y Z^T)."""
@@ -168,6 +154,13 @@ def root_entry(alpha: Vec) -> tuple[int, int]:
     if i is None or j is None:
         raise ValueError("root is not of the form e_i - e_j")
     return i, j
+
+
+def root_matrix(n: int, alpha: Vec) -> np.ndarray:
+    """Unit matrix spanning the root space of alpha = e_i - e_j."""
+    E = np.zeros((n, n))
+    E[root_entry(alpha)] = 1.0
+    return E
 
 
 # --- preset registry -------------------------------------------------------
@@ -316,8 +309,7 @@ def _is_base(rz: Realization, P: PositiveSystem | None) -> bool:
 
 # --- Iwasawa decomposition -------------------------------------------------
 
-def iwasawa(rz: Realization, g, P: PositiveSystem | None = None,
-            strict: bool = False) -> IwasawaTriple:
+def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> IwasawaTriple:
     """K A N_P factorization by permuted QR; accepts stacked input (..., n, n)."""
     g = np.asarray(g, dtype=float)
     single = g.ndim == 2
@@ -340,42 +332,45 @@ def iwasawa(rz: Realization, g, P: PositiveSystem | None = None,
     dpos = np.diagonal(r, axis1=-2, axis2=-1)
     H0 = np.log(dpos)
     n0 = r / dpos[..., :, None]
-    sv = np.linalg.svd(Gp, compute_uv=False)
-    ill = sv[..., 0] / sv[..., -1] > COND_LIMIT
-    if strict and np.any(ill):
-        raise IllConditioned("condition number exceeds the trust threshold")
     if not base:
         q = w @ q @ w.T
         n0 = w @ n0 @ w.T
         H0 = H0 @ w.T
     if single:
-        return IwasawaTriple(q[0], H0[0], n0[0], bool(ill[0]))
-    return IwasawaTriple(q, H0, n0, ill)
+        return IwasawaTriple(q[0], H0[0], n0[0])
+    return IwasawaTriple(q, H0, n0)
 
 
-def h_pq(rz: Realization, g, P: PositiveSystem | None = None,
-         strict: bool = False) -> np.ndarray:
+def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
     """Projection of the Iwasawa log onto a_q, ambient coordinates."""
-    tri = iwasawa(rz, g, P, strict)
-    return tri.H @ rz.q_proj_np.T
+    return iwasawa(rz, g, P).H @ rz.q_proj_np.T
 
 
 # --- sampling --------------------------------------------------------------
 
-def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarray:
-    """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
+def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
+                seed: int) -> np.ndarray:
+    """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
+    clipped to |Y| <= radius, z a uniform center component.  No Gaussian is
+    drawn when the span is zero."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
-    dh = len(rz.h_basis)
-    coef = rng.normal(0.0, radius / 2.0 if radius > 0 else 0.0, size=(count, dh))
-    basis = np.stack(rz.h_basis)
-    Y = np.einsum("cd,dij->cij", coef, basis)
-    norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-    scale = np.where(norms > radius, np.where(norms > 0, radius / np.maximum(norms, 1e-300), 1.0), 1.0)
-    Y = Y * scale[:, None, None]
+    if len(basis):
+        coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+        Y = np.einsum("cd,dij->cij", coef, basis)
+        norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+        Y = Y * scale[:, None, None]
+    else:
+        Y = np.zeros((count, rz.dim, rz.dim))
     zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
     return zs @ expm(Y)
+
+
+def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarray:
+    """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
+    return sample_span(rz, np.stack(rz.h_basis), radius, count, seed)
 
 
 # --- unipotent factorizations ----------------------------------------------
@@ -432,8 +427,7 @@ def _split_ops(rz: Realization, P: PositiveSystem, z_q: Vec):
     for alpha in sorted(P.positive):
         i, j = root_entry(alpha)
         col = i * n + j
-        E = np.zeros((n, n))
-        E[i, j] = 1.0
+        E = root_matrix(n, alpha)
         sgn = ex.dot(alpha, z_q)
         if sgn > 0:
             U_op[col, col] = 1.0

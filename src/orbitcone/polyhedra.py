@@ -1,9 +1,10 @@
 """Exact polyhedral geometry for the orbit-polytope-plus-cone sets.
 
-V-representations (vertices, cone generators) are primary; H-representations
-are derived once per object by exact Fourier-Motzkin elimination and memoized.
-Membership, pointedness and properness are decided by inequality slacks and by
-exact LP feasibility, and the two routes are cross-checked.
+V-representations (vertices, cone generators) are primary; a cone is the set
+with the single vertex 0.  H-representations are derived once per object by
+exact Fourier-Motzkin elimination and memoized.  Membership is decided on the
+H-representation, exactly or by Euclidean facet slacks; pointedness and
+properness by exact LP feasibility.
 """
 from __future__ import annotations
 
@@ -45,10 +46,6 @@ def coroot(alpha: Root, gram: Mat) -> CorootVector:
     denom = ex.dot(alpha, dual)
     return CorootVector(h_alpha=ex.scale(Fraction(2) / denom, dual),
                         h_alpha_check=dual)
-
-
-def restricted_coroot(datum: SymmetricPairDatum, lam: Root) -> CorootVector:
-    return coroot(lam, datum.gram)
 
 
 # --- exact Fourier-Motzkin projection --------------------------------------
@@ -165,8 +162,83 @@ def _implied(row, others, n: int) -> bool:
 
 # --- cones and polyhedral sets ---------------------------------------------
 
+def _hrep(V: Sequence[Vec], G: Sequence[Vec]) -> tuple[Ineq, ...]:
+    """H-representation of conv(V) + cone(G) by projecting
+    {(x, lambda, mu) : x = V^T lambda + G^T mu, sum lambda = 1,
+    lambda, mu >= 0} onto x."""
+    n = len(V[0])
+    G = [g for g in G if not ex.is_zero(g)]
+    if not G and tuple(V) == (ex.zeros(n),):
+        # the origin: +-x_i >= 0, without the projection's redundancy LPs
+        return tuple(row for e in ex.identity(n)
+                     for row in ((e, Fraction(0)), (ex.neg(e), Fraction(0))))
+    cols = list(V) + G
+    nvar = n + len(cols)
+    eqs = []
+    for i in range(n):
+        row = [Fraction(0)] * nvar
+        row[i] = Fraction(1)
+        for k, c in enumerate(cols):
+            row[n + k] = -c[i]
+        eqs.append((row, Fraction(0)))
+    srow = [Fraction(0)] * nvar
+    for k in range(len(V)):
+        srow[n + k] = Fraction(1)
+    eqs.append((srow, Fraction(1)))
+    ineqs = []
+    for k in range(len(cols)):
+        row = [Fraction(0)] * nvar
+        row[n + k] = Fraction(1)
+        ineqs.append((row, Fraction(0)))
+    return tuple(project_polyhedron(eqs, ineqs, n))
+
+
+class _VRep:
+    """Membership for a set given by vertices and cone generators.
+
+    The H-representation is derived once and memoized.  Float membership is
+    judged by the slack: the signed Euclidean distance from a point to the
+    facet hyperplanes, so a tolerance ``tol`` admits points at most ``tol``
+    outside any facet hyperplane.
+    """
+
+    def _vrep(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
+        raise NotImplementedError
+
+    @cached_property
+    def hrep(self) -> tuple[Ineq, ...]:
+        return _hrep(*self._vrep())
+
+    @cached_property
+    def _unit_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        n = len(self._vrep()[0][0])
+        A = np.array([[float(c) for c in a] for a, _ in self.hrep]).reshape(-1, n)
+        b = np.array([float(r) for _, r in self.hrep])
+        return A, b, np.linalg.norm(A, axis=1)
+
+    def slack(self, x):
+        """Min over facets a.x >= r of (a.x - r) / |a|: the distance to the
+        nearest facet hyperplane inside, minus the largest distance outside
+        one; batched over the leading axes of x, +inf with no facets."""
+        A, b, norm = self._unit_facets
+        x = np.asarray(x, dtype=float)
+        return ((x @ A.T - b) / norm).min(axis=-1, initial=np.inf)
+
+    def contains_exact(self, x: Vec) -> bool:
+        x = ex.vec(x)
+        return all(ex.dot(a, x) >= r for a, r in self.hrep)
+
+    def contains(self, x, tol: float = 1e-7) -> bool:
+        """Membership up to Euclidean distance tol outside every facet
+        hyperplane; exact when tol == 0."""
+        if tol == 0:
+            return self.contains_exact(x)
+        return bool(self.slack(x) >= -tol)
+
+
 @dataclass(frozen=True)
-class Cone:
+class Cone(_VRep):
+    """cone(generators): the polyhedral set with the single vertex 0."""
     generators: tuple[Vec, ...]
     ambient: int | None = None
 
@@ -182,70 +254,12 @@ class Cone:
     def dim_ambient(self) -> int:
         return self.ambient
 
-    @cached_property
-    def hrep(self) -> tuple[Ineq, ...]:
-        gens = [g for g in self.generators if not ex.is_zero(g)]
-        if not gens:
-            n = self.dim_ambient
-            rows = []
-            for i in range(n):
-                e = [Fraction(0)] * n
-                e[i] = Fraction(1)
-                rows.append((tuple(e), Fraction(0)))
-                rows.append((tuple(ex.neg(tuple(e))), Fraction(0)))
-            return tuple(rows)
-        n = len(gens[0])
-        m = len(gens)
-        # variables (x, nu): x - sum nu_i g_i = 0, nu >= 0
-        eqs = []
-        for i in range(n):
-            row = [Fraction(0)] * (n + m)
-            row[i] = Fraction(1)
-            for k, g in enumerate(gens):
-                row[n + k] = -g[i]
-            eqs.append((row, Fraction(0)))
-        ineqs = []
-        for k in range(m):
-            row = [Fraction(0)] * (n + m)
-            row[n + k] = Fraction(1)
-            ineqs.append((row, Fraction(0)))
-        return tuple(project_polyhedron(eqs, ineqs, n))
-
-    def contains_exact(self, x: Vec) -> bool:
-        x = ex.vec(x)
-        gens = [g for g in self.generators if not ex.is_zero(g)]
-        if not gens:
-            lp = ex.is_zero(x)
-        else:
-            A = tuple(tuple(g[i] for g in gens) for i in range(len(x)))
-            lp = ex.feasible(A, x)
-        hr = all(ex.dot(a, x) >= r for a, r in self.hrep)
-        if lp != hr:
-            raise AssertionError("LP and H-representation disagree on a cone point")
-        return lp
-
-    def slack(self, x) -> float:
-        return _min_slack(self.hrep, x)
-
-    def contains(self, x, tol: float = 1e-7) -> bool:
-        if tol == 0:
-            return self.contains_exact(ex.vec(x))
-        return self.slack(x) >= -tol
-
-
-def _min_slack(hrep, x) -> float:
-    x = np.asarray(x, dtype=float)
-    if not hrep:
-        return float("inf")
-    worst = float("inf")
-    for a, r in hrep:
-        av = np.array([float(c) for c in a])
-        worst = min(worst, (av @ x - float(r)) / np.linalg.norm(av))
-    return worst
+    def _vrep(self):
+        return (ex.zeros(self.ambient),), self.generators
 
 
 @dataclass(frozen=True)
-class PolyhedralSet:
+class PolyhedralSet(_VRep):
     vertices: tuple[Vec, ...]
     cone: Cone
 
@@ -253,92 +267,8 @@ class PolyhedralSet:
         object.__setattr__(self, "vertices",
                            tuple(sorted(ex.vec(v) for v in self.vertices)))
 
-    @cached_property
-    def hrep(self) -> tuple[Ineq, ...]:
-        V = self.vertices
-        G = [g for g in self.cone.generators if not ex.is_zero(g)]
-        n = len(V[0])
-        nv, ng = len(V), len(G)
-        # variables (x, lambda, mu): x = V^T lambda + G^T mu, sum lambda = 1
-        eqs = []
-        for i in range(n):
-            row = [Fraction(0)] * (n + nv + ng)
-            row[i] = Fraction(1)
-            for k, v in enumerate(V):
-                row[n + k] = -v[i]
-            for k, g in enumerate(G):
-                row[n + nv + k] = -g[i]
-            eqs.append((row, Fraction(0)))
-        srow = [Fraction(0)] * (n + nv + ng)
-        for k in range(nv):
-            srow[n + k] = Fraction(1)
-        eqs.append((srow, Fraction(1)))
-        ineqs = []
-        for k in range(nv + ng):
-            row = [Fraction(0)] * (n + nv + ng)
-            row[n + k] = Fraction(1)
-            ineqs.append((row, Fraction(0)))
-        return tuple(project_polyhedron(eqs, ineqs, n))
-
-    def contains_exact(self, x: Vec) -> bool:
-        x = ex.vec(x)
-        V = self.vertices
-        G = [g for g in self.cone.generators if not ex.is_zero(g)]
-        n = len(x)
-        cols = list(V) + list(G)
-        A = [tuple(c[i] for c in cols) for i in range(n)]
-        A.append(tuple([Fraction(1)] * len(V) + [Fraction(0)] * len(G)))
-        lp = ex.feasible(tuple(A), tuple(list(x) + [Fraction(1)]))
-        hr = all(ex.dot(a, x) >= r for a, r in self.hrep)
-        if lp != hr:
-            raise AssertionError("LP and H-representation disagree on a point")
-        return lp
-
-    def slack(self, x) -> float:
-        return _min_slack(self.hrep, x)
-
-    def contains(self, x, tol: float = 1e-7) -> bool:
-        if tol == 0:
-            return self.contains_exact(ex.vec(x))
-        return self.slack(x) >= -tol
-
-
-def contains(obj, x, tol: float = 0.0) -> bool:
-    """Membership with tolerance; exact when tol == 0 and x is rational."""
-    return obj.contains(x, tol)
-
-
-def contains_lp_float(obj: PolyhedralSet, x, tol: float = 1e-7) -> bool:
-    """Independent float route: LP feasibility of the V-representation with
-    an infinity-norm residual budget, via scipy."""
-    from scipy.optimize import linprog
-    x = np.asarray(x, dtype=float)
-    V = np.array([[float(c) for c in v] for v in obj.vertices])
-    G = [g for g in obj.cone.generators if not ex.is_zero(g)]
-    G = np.array([[float(c) for c in g] for g in G]) if G else np.zeros((0, len(x)))
-    n = len(x)
-    nv, ng = len(V), len(G)
-    # min t  s.t.  |V^T l + G^T m - x|_inf <= t, sum l = 1, l,m >= 0
-    nvar = nv + ng + 1
-    A_ub, b_ub = [], []
-    M = np.vstack([V, G]).T if ng else V.T
-    for i in range(n):
-        row = np.zeros(nvar)
-        row[:nv + ng] = M[i]
-        row[-1] = -1.0
-        A_ub.append(row.copy())
-        b_ub.append(x[i])
-        row2 = -row
-        row2[-1] = -1.0
-        A_ub.append(row2)
-        b_ub.append(-x[i])
-    A_eq = np.zeros((1, nvar))
-    A_eq[0, :nv] = 1.0
-    res = linprog(np.eye(nvar)[-1], A_ub=np.array(A_ub), b_ub=np.array(b_ub),
-                  A_eq=A_eq, b_eq=[1.0], bounds=[(0, None)] * (nvar - 1) + [(None, None)])
-    if not res.success:
-        return False
-    return res.x[-1] <= tol
+    def _vrep(self):
+        return self.vertices, self.cone.generators
 
 
 # --- cone predicates -------------------------------------------------------
@@ -437,7 +367,7 @@ def upsilon_cone(P: PositiveSystem) -> Cone:
     delta_plus = {d.restrict(a) for a in c.sigmatheta_part}
     delta_plus.discard(ex.zeros(len(d.gram)))
     delta_minus = sorted(lam for lam in delta_plus if lam in rest.minus_set)
-    ups = Cone(tuple(restricted_coroot(d, lam).h_alpha for lam in delta_minus),
+    ups = Cone(tuple(coroot(lam, d.gram).h_alpha for lam in delta_minus),
                ambient=len(d.gram))
     gam = gamma_cone(P)
     for g in ups.generators:
@@ -468,30 +398,29 @@ def _frac_str(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
 
 
-def _frac_parse(s: str) -> Fraction:
-    return Fraction(s)
+def _ineqs_to_dict(rows) -> list[dict]:
+    return [{"normal": [_frac_str(x) for x in a], "rhs": _frac_str(r)}
+            for a, r in rows]
 
 
 def cone_to_dict(c: Cone) -> dict:
     return {"ambient": c.dim_ambient,
             "generators": [[_frac_str(x) for x in g] for g in c.generators],
-            "inequalities": [{"normal": [_frac_str(x) for x in a],
-                              "rhs": _frac_str(r)} for a, r in c.hrep]}
+            "inequalities": _ineqs_to_dict(c.hrep)}
 
 
 def set_to_dict(s: PolyhedralSet) -> dict:
     return {"vertices": [[_frac_str(x) for x in v] for v in s.vertices],
             "cone": cone_to_dict(s.cone),
-            "inequalities": [{"normal": [_frac_str(x) for x in a],
-                              "rhs": _frac_str(r)} for a, r in s.hrep]}
+            "inequalities": _ineqs_to_dict(s.hrep)}
 
 
 def cone_from_dict(d: dict) -> Cone:
-    return Cone(tuple(tuple(_frac_parse(x) for x in g) for g in d["generators"]),
+    return Cone(tuple(tuple(Fraction(x) for x in g) for g in d["generators"]),
                 ambient=d.get("ambient"))
 
 
 def set_from_dict(d: dict) -> PolyhedralSet:
     return PolyhedralSet(
-        vertices=tuple(tuple(_frac_parse(x) for x in v) for v in d["vertices"]),
+        vertices=tuple(tuple(Fraction(x) for x in v) for v in d["vertices"]),
         cone=cone_from_dict(d["cone"]))

@@ -10,7 +10,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.harness import VerificationConfig, run, verify_main
+from orbitcone.harness import VerificationConfig, run
 from orbitcone.matrixgrp import (default_z_q, factor_nilpotent, iwasawa,
                                  realization, root_entry)
 from orbitcone.parabolic import (all_positive_systems, h_extremize,
@@ -81,7 +81,7 @@ def test_03_rank_two_hull_and_cone_coverage():
     t0 = time.perf_counter()
     cfg = VerificationConfig(preset="sl3_so21", samples=100000, radii=(4.0,),
                              tol=1e-7, seed=0)
-    rep = verify_main(cfg)
+    rep = run(cfg)
     r = rep.results[0]
     ok = (r.passed and r.count >= 100000 and r.worst_slack >= -1e-7
           and len(r.vertex_distances) == 2

@@ -43,6 +43,30 @@ def test_bad_samples(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,config", [
+    (["--tol", "nan", "--checks", "inclusion_cone"], None),
+    (["--tol", "inf"], None),
+    (["--radius", "1,nan"], None),
+    (["--seed", "-1"], None),
+    ([], {"tol": "abc"}),
+    ([], {"samples": 1.5}),
+    ([], {"samples": True}),
+], ids=["tol-nan", "tol-inf", "radius-nan", "seed-negative", "tol-text",
+        "samples-float", "samples-bool"])
+def test_bad_input_exits_2(tmp_path, capsys, flags, config):
+    argv = ["verify", "--preset", "sl3_so21", *flags]
+    if config is not None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        argv += ["--config", str(path)]
+    rc = main(argv)
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS" not in captured.out
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/no/such/file.json"])
     assert rc == 2

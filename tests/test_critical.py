@@ -218,6 +218,13 @@ def test_sample_H_X_centralizes(rz):
     assert np.array_equal(hs, sample_H_X(rz, X, 1.0, 16, seed=4))
 
 
+@pytest.mark.parametrize("radius", [0.0, 1.5, 4.0])
+def test_sample_H_X_at_zero_is_sample_H(rz, radius):
+    # the centralizer of 0 is all of H, drawn from the same stream
+    hs = sample_H_X(rz, ex.zeros(rz.dim), radius, 64, seed=11)
+    assert np.array_equal(hs, sample_H(rz, radius, 64, seed=11))
+
+
 def test_sample_NPH_shape(rz):
     ns = sample_NPH(rz, count=8, seed=6)
     assert ns.shape == (8, rz.dim, rz.dim)

@@ -1,13 +1,17 @@
 import json
+from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitcone.harness import (CHECK_NAMES, ConfigError, IoError, Report,
-                               VerificationConfig, config_from_mapping,
-                               emit_report, report_csv, report_json,
-                               report_svg, run, verify_gk, verify_limits,
-                               verify_main)
+from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
+                               Report, Tally, VerificationConfig,
+                               config_from_mapping, emit_report, report_csv,
+                               report_json, report_svg, run)
+from orbitcone.matrixgrp import realization
+from orbitcone.polyhedra import gamma_cone, omega
+from orbitcone.rootsys import weyl_orbit
 
 PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")
 
@@ -29,6 +33,13 @@ def test_config_validation():
         VerificationConfig(preset="sl3_so21", checks=frozenset())
     with pytest.raises(ConfigError):
         VerificationConfig(preset="sl3_so21", format="yaml")
+    for bad in ({"samples": True}, {"samples": 1.5}, {"seed": -1},
+                {"tol": float("nan")}, {"tol": float("inf")}, {"tol": True},
+                {"radii": (1.0, float("nan"))}, {"a_log": ("1", "2")},
+                {"chamber": ("3", "2", "1", "0")},
+                {"preset": "nope"}):
+        with pytest.raises(ConfigError):
+            VerificationConfig(**{"preset": "sl3_so21", **bad})
 
 
 def test_config_from_mapping():
@@ -50,12 +61,17 @@ def test_config_from_mapping():
         config_from_mapping({"preset": "sl2_so11", "bogus": 1})
     with pytest.raises(ConfigError):
         config_from_mapping({"preset": "sl2_so11", "samples": "many"})
+    for bad in ({"tol": "abc"}, {"samples": 1.5}, {"samples": True},
+                {"seed": 2.0}, {"radii": "1,2"}, {"radii": [1, None]},
+                {"checks": 3}, {"preset": ["sl2_so11"]}, {"a_log": 5}):
+        with pytest.raises(ConfigError):
+            config_from_mapping({"preset": "sl2_so11", **bad})
 
 
 @pytest.mark.parametrize("preset", PRESETS)
 def test_verify_main_all_presets(preset):
     cfg = VerificationConfig(preset=preset, samples=200, seed=1)
-    rep = verify_main(cfg)
+    rep = run(cfg)
     assert rep.passed
     r = rep.results[0]
     assert r.name == "main"
@@ -80,8 +96,10 @@ def test_kostant_check():
 
 
 def test_gk_and_limits():
-    assert verify_gk(VerificationConfig(preset="sl3_so21", samples=300)).passed
-    assert verify_limits(VerificationConfig(preset="sl3_so21", samples=100)).passed
+    assert run(VerificationConfig(preset="sl3_so21", samples=300,
+                                  checks=frozenset({"gk"}))).passed
+    assert run(VerificationConfig(preset="sl3_so21", samples=100,
+                                  checks=frozenset({"limits"}))).passed
 
 
 def test_all_checks_run():
@@ -90,19 +108,40 @@ def test_all_checks_run():
     rep = run(cfg)
     assert rep.passed
     assert {r.name for r in rep.results} == CHECK_NAMES - {"kostant"}
+    # results come in registry order
+    assert [r.name for r in rep.results] == [n for n in CHECKS if n in cfg.checks]
+
+
+def test_tally_and_contains_share_the_tolerance_unit():
+    # 1.2e-7 outside the sqrt(3)-norm facet x1 + x2 + x3 >= 0 in raw units is
+    # 6.9e-8 in Euclidean distance: inside at tol 1e-7 for both judges
+    rz = realization("sl3_so21")
+    a_log = tuple(Fraction(c) for c in (2, 1, -3))
+    om = omega(a_log, weyl_orbit(rz.small_weyl, a_log),
+               gamma_cone(rz.base_parabolic))
+    assert ((1, 1, 1), 0) in om.hrep
+    x = np.array([2.5, 2.5, -5.0]) - 0.4e-7
+    assert x.sum() == pytest.approx(-1.2e-7, rel=1e-6)
+    assert om.slack(x) == pytest.approx(-1.2e-7 / np.sqrt(3), rel=1e-6)
+    for tol, inside in ((1e-7, True), (5e-8, False)):
+        tally = Tally(tol)
+        tally.feed(om, x[None])
+        assert om.contains(x, tol) is inside
+        assert tally.result("main").passed is inside
+        assert len(tally.witnesses) == (0 if inside else 1)
 
 
 def test_singular_base_point():
     cfg = VerificationConfig(preset="sl3_so21", samples=50, a_log=("1", "1", "-2"))
     with pytest.raises(ConfigError):
-        verify_main(cfg)
+        run(cfg)
     # the limit check is the supported path for singular base points
-    assert verify_limits(cfg).passed
+    assert run(replace(cfg, checks=frozenset({"limits"}))).passed
 
 
 def test_forced_failure_collects_witnesses():
     cfg = VerificationConfig(preset="sl2_so11", samples=200, tol=1e-300, seed=0)
-    rep = verify_main(cfg)
+    rep = run(cfg)
     assert not rep.passed
     r = rep.results[0]
     assert not r.passed

@@ -1,19 +1,77 @@
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from orbitcone import exactlin as ex
 from orbitcone.parabolic import all_positive_systems, is_q_extreme
-from orbitcone.polyhedra import (Cone, NotQExtreme, ZeroRoot, cone_from_dict,
-                                 cone_to_dict, contains, contains_line,
-                                 contains_lp_float, coroot, gamma_a, gamma_aq,
-                                 gamma_cone, gk_cone, is_pointed, omega,
-                                 pointedness_certificate, proper_on_cone,
-                                 set_from_dict, set_to_dict, upsilon_cone)
+from orbitcone.polyhedra import (Cone, NotQExtreme, PolyhedralSet, ZeroRoot,
+                                 cone_from_dict, cone_to_dict, contains_line,
+                                 coroot, gamma_a, gamma_aq, gamma_cone,
+                                 gk_cone, is_pointed, omega,
+                                 pointedness_certificate, project_polyhedron,
+                                 proper_on_cone, set_from_dict, set_to_dict,
+                                 upsilon_cone)
 from orbitcone.rootsys import weyl_orbit
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
+
+
+# --- independent membership routes -----------------------------------------
+
+def lp_member(vertices, generators, x) -> bool:
+    """Exact LP route: x = V^T lambda + G^T mu, sum lambda = 1, lambda, mu >= 0."""
+    cols = list(vertices) + [g for g in generators if not ex.is_zero(g)]
+    A = [tuple(c[i] for c in cols) for i in range(len(x))]
+    A.append(tuple([Fraction(1)] * len(vertices)
+                   + [Fraction(0)] * (len(cols) - len(vertices))))
+    return ex.feasible(tuple(A), tuple(ex.vec(x)) + (Fraction(1),))
+
+
+def contains_lp_float(obj: PolyhedralSet, x, tol: float = 1e-7) -> bool:
+    """Float route: LP feasibility of the V-representation with an
+    infinity-norm residual budget, via scipy."""
+    from scipy.optimize import linprog
+    x = np.asarray(x, dtype=float)
+    V = np.array([[float(c) for c in v] for v in obj.vertices])
+    G = [g for g in obj.cone.generators if not ex.is_zero(g)]
+    G = np.array([[float(c) for c in g] for g in G]) if G else np.zeros((0, len(x)))
+    n = len(x)
+    nv, ng = len(V), len(G)
+    # min t  s.t.  |V^T l + G^T m - x|_inf <= t, sum l = 1, l,m >= 0
+    nvar = nv + ng + 1
+    A_ub, b_ub = [], []
+    M = np.vstack([V, G]).T if ng else V.T
+    for i in range(n):
+        row = np.zeros(nvar)
+        row[:nv + ng] = M[i]
+        row[-1] = -1.0
+        A_ub.append(row.copy())
+        b_ub.append(x[i])
+        row2 = -row
+        row2[-1] = -1.0
+        A_ub.append(row2)
+        b_ub.append(-x[i])
+    A_eq = np.zeros((1, nvar))
+    A_eq[0, :nv] = 1.0
+    res = linprog(np.eye(nvar)[-1], A_ub=np.array(A_ub), b_ub=np.array(b_ub),
+                  A_eq=A_eq, b_eq=[1.0], bounds=[(0, None)] * (nvar - 1) + [(None, None)])
+    if not res.success:
+        return False
+    return res.x[-1] <= tol
+
+
+def cone_hrep_reference(cone: Cone) -> set:
+    """H-rep rows of the cone projected from its own lift
+    {(x, nu) : x = G^T nu, nu >= 0}, with no vertex variable."""
+    gens = [g for g in cone.generators if not ex.is_zero(g)]
+    n, m = cone.dim_ambient, len(gens)
+    eqs = [([Fraction(int(j == i)) for j in range(n)] + [-g[i] for g in gens],
+            Fraction(0)) for i in range(n)]
+    ineqs = [([Fraction(0)] * n + [Fraction(int(j == k)) for j in range(m)],
+              Fraction(0)) for k in range(m)]
+    return set(project_polyhedron(eqs, ineqs, n))
 
 
 def test_oracle_sanity():
@@ -89,19 +147,46 @@ def test_empty_cone_is_origin():
 
 
 def test_random_cone_hrep_agrees_with_lp():
-    # contains_exact cross-validates the H-representation against the exact
-    # LP on every call; drive it over a batch of points
+    # the H-representation against the exact LP on the V-representation
     rng = random.Random(17)
     for cone in random_cones(12, seed=6):
         n = cone.dim_ambient
+        origin = (ex.zeros(n),)
         for _ in range(8):
             x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(n))
-            cone.contains_exact(x)
+            assert cone.contains_exact(x) == lp_member(origin, cone.generators, x)
         combo = ex.zeros(n)
         for g in cone.generators:
             combo = ex.add(combo, ex.scale(Fraction(rng.randint(0, 3)), g))
         assert cone.contains_exact(combo)
+        assert lp_member(origin, cone.generators, combo)
+
+
+def test_cone_hrep_is_the_vertex_zero_hrep(rz):
+    # every gamma, gk and empty cone of the preset: the cone's own lift, the
+    # cone and the polyhedral set with the single vertex 0 give the same rows
+    systems = all_positive_systems(rz.datum)
+    cones = ([gamma_cone(P) for P in systems]
+             + [gk_cone(P, Q) for P in systems for Q in systems]
+             + [Cone((), ambient=rz.dim)])
+    origin = (ex.zeros(rz.dim),)
+    for cone in cones:
+        want = cone_hrep_reference(cone)
+        assert set(cone.hrep) == want
+        assert set(PolyhedralSet(origin, cone).hrep) == want
+
+
+def test_slack_is_euclidean_distance():
+    # rows x >= 0 (norm 1) and x + y >= 1 (norm sqrt 2)
+    c = Cone(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
+    s = PolyhedralSet(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), c)
+    assert s.slack((0.5, 0.5)) == pytest.approx(0.0, abs=1e-15)
+    assert s.slack((0.0, 0.0)) == pytest.approx(-1 / np.sqrt(2))
+    assert s.slack((-2.0, 4.0)) == pytest.approx(-2.0)
+    pts = np.array([[0.5, 0.5], [0.0, 0.0], [-2.0, 4.0], [3.0, 3.0]])
+    assert np.allclose(s.slack(pts), [0.0, -1 / np.sqrt(2), -2.0, 3.0])
+    assert s.contains((0.0, 0.0), tol=0.71) and not s.contains((0.0, 0.0), tol=0.7)
 
 
 def test_polyhedral_set_membership(rz_sl3):
@@ -111,17 +196,25 @@ def test_polyhedral_set_membership(rz_sl3):
     om = omega(a_log, orbit, gamma_cone(P))
     assert om.vertices == tuple(sorted(orbit))
     for v in om.vertices:
-        assert contains(om, v, tol=0)
+        assert om.contains(v, tol=0)
         for g in om.cone.generators:
             shifted = ex.add(v, ex.scale(Fraction(3), g))
-            assert contains(om, shifted, tol=0)
+            assert om.contains(shifted, tol=0)
             assert contains_lp_float(om, [float(x) for x in shifted])
     mid = ex.scale(Fraction(1, 2), ex.add(om.vertices[0], om.vertices[1]))
-    assert contains(om, mid, tol=0)
+    assert om.contains(mid, tol=0)
     # moving against the cone direction exits the set
     up = ex.add(mid, (Fraction(0), Fraction(0), Fraction(10)))
-    assert not contains(om, up, tol=0)
+    assert not om.contains(up, tol=0)
     assert not contains_lp_float(om, [float(x) for x in up])
+    # the H-representation against the exact LP on the V-representation
+    rng = random.Random(23)
+    for _ in range(20):
+        x = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 2))
+                  for _ in range(3))
+        x = rz_sl3.datum.pr_q(x) if rng.random() < 0.5 else x
+        assert om.contains_exact(x) == lp_member(om.vertices,
+                                                 om.cone.generators, x)
 
 
 def test_gamma_cones(rz):
