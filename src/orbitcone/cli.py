@@ -9,8 +9,8 @@ import argparse
 import json
 import sys
 
-from .harness import (CheckResult, ConfigError, IoError, Report,
-                      config_from_mapping, emit_report, run)
+from .harness import (ConfigError, IoError, Report, config_from_mapping,
+                      emit_report, run)
 from .matrixgrp import realization
 from .parabolic import h_extremize, is_h_extreme, is_q_extreme
 

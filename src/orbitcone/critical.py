@@ -15,8 +15,8 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .matrixgrp import (Realization, a_matrix, h_pq, iwasawa, root_matrix,
-                        sample_span)
+from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
+                        root_matrix, sample_span)
 from .parabolic import PositiveSystem, plus_minus, sigma_classification
 from .polyhedra import PolyhedralSet, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
@@ -391,7 +391,7 @@ def sample_NPH(rz: Realization, P: PositiveSystem | None = None,
         return np.tile(np.eye(rz.dim), (count, 1, 1))
     coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
     Y = np.einsum("ck,kij->cij", coef, np.stack(basis))
-    return expm(Y)
+    return exp_nilpotent(Y)
 
 
 # --- vanishing patterns -----------------------------------------------------

@@ -8,11 +8,13 @@ matrix J or conjugation by the block swap.
 
 Decompositions use one QR kernel for the upper-triangular base system;
 every other positive system is handled by exact permutation bookkeeping.
+Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -51,9 +53,32 @@ def _np_mat(m) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class IwasawaTriple:
-    k: np.ndarray
+    """H is computed eagerly from R alone; k and n come from one full QR of
+    the stored base-system input on first access.  On the base system that
+    input is the caller's array itself, not a copy."""
     H: np.ndarray          # log of the A-part, ambient diagonal coordinates
-    n: np.ndarray
+    base_input: np.ndarray  # input conjugated into the base system, (..., n, n)
+    inverse: np.ndarray | None  # index permutation back to P, None on the base
+    single: bool
+
+    @cached_property
+    def _kn(self) -> tuple[np.ndarray, np.ndarray]:
+        q, r = np.linalg.qr(self.base_input)
+        s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+        q = q * s[..., None, :]
+        r = r * s[..., :, None]
+        n0 = r / np.diagonal(r, axis1=-2, axis2=-1)[..., :, None]
+        if self.inverse is not None:
+            q, n0 = (_conjugate(x, self.inverse) for x in (q, n0))
+        return (q[0], n0[0]) if self.single else (q, n0)
+
+    @property
+    def k(self) -> np.ndarray:
+        return self._kn[0]
+
+    @property
+    def n(self) -> np.ndarray:
+        return self._kn[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -307,38 +332,32 @@ def _is_base(rz: Realization, P: PositiveSystem | None) -> bool:
     return P is None or P.positive == rz.base_parabolic.positive
 
 
+def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """w^T x w for the permutation matrix w with w[p[c], c] = 1; batched."""
+    return x[..., p, :][..., :, p]
+
+
 # --- Iwasawa decomposition -------------------------------------------------
 
 def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> IwasawaTriple:
-    """K A N_P factorization by permuted QR; accepts stacked input (..., n, n)."""
+    """K A N_P factorization by permuted QR; accepts stacked input (..., n, n).
+    Only R is computed here: H is log|diag R|, and k and n wait for access."""
     g = np.asarray(g, dtype=float)
     single = g.ndim == 2
     G = g[None] if single else g
     if not np.all(np.isfinite(G)):
         raise SingularInput("input matrix has non-finite entries")
-    base = _is_base(rz, P)
-    if not base:
-        w = chamber_perm(rz, P)
-        Gp = w.T @ G @ w
-    else:
-        Gp = G
-    q, r = np.linalg.qr(Gp)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    if np.min(np.abs(d)) < 1e-250:
+    inverse = None
+    if not _is_base(rz, P):
+        perm = np.argmax(chamber_perm(rz, P), axis=0)
+        G, inverse = _conjugate(G, perm), np.argsort(perm)
+    d = np.abs(np.diagonal(np.linalg.qr(G, mode="r"), axis1=-2, axis2=-1))
+    if np.min(d) < 1e-250:
         raise SingularInput("matrix is numerically singular")
-    s = np.sign(d)
-    q = q * s[..., None, :]
-    r = r * s[..., :, None]
-    dpos = np.diagonal(r, axis1=-2, axis2=-1)
-    H0 = np.log(dpos)
-    n0 = r / dpos[..., :, None]
-    if not base:
-        q = w @ q @ w.T
-        n0 = w @ n0 @ w.T
-        H0 = H0 @ w.T
-    if single:
-        return IwasawaTriple(q[0], H0[0], n0[0])
-    return IwasawaTriple(q, H0, n0)
+    H = np.log(d)
+    if inverse is not None:
+        H = H[..., inverse]
+    return IwasawaTriple(H[0] if single else H, G, inverse, single)
 
 
 def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
@@ -365,7 +384,7 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
     else:
         Y = np.zeros((count, rz.dim, rz.dim))
     zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ expm(Y)
+    return zs @ expm(Y)     # Y is not nilpotent in general
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarray:
@@ -374,6 +393,22 @@ def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarra
 
 
 # --- unipotent factorizations ----------------------------------------------
+
+def exp_nilpotent(N) -> np.ndarray:
+    """Finite exponential series; exact for nilpotent input, batched.  Raises
+    NotUnipotent when N^n is not negligible, like unipotent_log."""
+    N = np.asarray(N, dtype=float)
+    n = N.shape[-1]
+    power = N
+    out = np.eye(n) + N
+    for k in range(2, n):
+        power = power @ N
+        out = out + power / math.factorial(k)
+    tail = np.abs(power @ N).max()
+    if tail > 1e-9 * (1.0 + np.abs(N).max() ** n):
+        raise NotUnipotent("matrix is not nilpotent")
+    return out
+
 
 def unipotent_log(rz: Realization, m) -> np.ndarray:
     """Finite Mercator series; exact for unipotent input, batched."""
@@ -458,7 +493,7 @@ def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None,
     v = (flat @ V_op.T).reshape(L.shape)
     tol = 1e-14 * (1.0 + np.abs(L).max())
     for _ in range(80):
-        resid = unipotent_log(rz, expm(u) @ expm(v)) - L
+        resid = unipotent_log(rz, exp_nilpotent(u) @ exp_nilpotent(v)) - L
         if np.abs(resid).max() <= tol:
             break
         rflat = resid.reshape(L.shape[:-2] + (n * n,))
@@ -466,7 +501,7 @@ def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None,
         v = v - (rflat @ V_op.T).reshape(L.shape)
     else:
         raise ArithmeticError("nilpotent factorization did not converge")
-    return expm(u), expm(v)
+    return exp_nilpotent(u), exp_nilpotent(v)
 
 
 def check_PH_split(rz: Realization, p, P: PositiveSystem | None = None

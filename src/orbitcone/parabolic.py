@@ -7,13 +7,13 @@ system to an h-extreme one.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .rootsys import (Root, SymmetricPairDatum, WeylGroup, indivisible,
-                      reflection_matrix, weyl_group)
+from .rootsys import (Root, SymmetricPairDatum, indivisible, reflection_matrix,
+                      weyl_group)
 
 
 class NoSimpleRootFound(RuntimeError):

@@ -67,6 +67,17 @@ def test_bad_input_exits_2(tmp_path, capsys, flags, config):
     assert "PASS" not in captured.out
 
 
+def test_gk_rejects_a_chamber(capsys):
+    rc = main(["gk", "--preset", "sl3_so21", "--chamber", "1,3,2",
+               "--samples", "300"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert "every pair of positive systems" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS" not in captured.out
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/no/such/file.json"])
     assert rc == 2

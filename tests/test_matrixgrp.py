@@ -5,11 +5,14 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.matrixgrp import (NotInNP, NotInPH, Realization, a_matrix,
+from orbitcone.critical import nph_basis
+from orbitcone.matrixgrp import (NotInNP, NotInPH, NotUnipotent, Realization,
+                                 SingularInput, a_matrix, chamber_perm,
                                  check_PH_split, default_z_q, ek_projection,
-                                 factor_nilpotent, gk_sample, h_pq, iwasawa,
-                                 realization, root_entry, sample_H,
-                                 unipotent_log, validate_realization, weyl_rep)
+                                 exp_nilpotent, factor_nilpotent, gk_sample,
+                                 h_pq, iwasawa, realization, root_entry,
+                                 root_matrix, sample_H, unipotent_log,
+                                 validate_realization, weyl_rep)
 from orbitcone.parabolic import all_positive_systems, sigma_classification
 
 
@@ -56,6 +59,92 @@ def test_iwasawa_batch_matches_loop(rz_sl3):
     for i in range(7):
         ti = iwasawa(rz_sl3, g[i])
         assert np.abs(ti.H - tri.H[i]).max() < 1e-12
+
+
+def _iwasawa_by_matmul(rz, g, P):
+    """Reference K A N_P factorization: full QR, conjugated by permutation
+    matrices, all three factors computed at once."""
+    g = np.asarray(g, dtype=float)
+    single = g.ndim == 2
+    G = g[None] if single else g
+    w = chamber_perm(rz, P)
+    q, r = np.linalg.qr(w.T @ G @ w)
+    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
+    q = q * s[..., None, :]
+    r = r * s[..., :, None]
+    dpos = np.diagonal(r, axis1=-2, axis2=-1)
+    H, n = np.log(dpos) @ w.T, w @ (r / dpos[..., :, None]) @ w.T
+    k = w @ q @ w.T
+    return (k[0], H[0], n[0]) if single else (k, H, n)
+
+
+def test_iwasawa_equals_the_matmul_reference(rz):
+    rng = np.random.Generator(np.random.PCG64(31))
+    n = rz.dim
+    g = expm(0.5 * rng.normal(size=(25, n, n)))
+    for P in all_positive_systems(rz.datum):
+        for x in (g, g[3]):
+            tri = iwasawa(rz, x, P)
+            k, H, nn = _iwasawa_by_matmul(rz, x, P)
+            assert np.array_equal(tri.H, H)
+            assert np.array_equal(tri.k, k)
+            assert np.array_equal(tri.n, nn)
+            assert tri.k is tri.k and tri.n is tri.n
+            assert np.array_equal(h_pq(rz, x, P), H @ rz.q_proj_np.T)
+
+
+def test_iwasawa_rejects_bad_input(rz_sl3):
+    P = all_positive_systems(rz_sl3.datum)[-1]
+    bad = np.eye(3)
+    bad[1, 2] = np.nan
+    singular = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 1.0]])
+    for x in (bad, singular, np.stack([np.eye(3), singular])):
+        for Q in (None, P):
+            with pytest.raises(SingularInput):
+                iwasawa(rz_sl3, x, Q)
+
+
+def test_exp_nilpotent_matches_expm_on_triangular_batches():
+    rng = np.random.Generator(np.random.PCG64(40))
+    for n in (3, 4):
+        N = np.triu(rng.normal(size=(500, n, n)), 1)
+        assert np.abs(exp_nilpotent(N) - expm(N)).max() < 1e-14
+        assert np.abs(exp_nilpotent(N[0]) - expm(N[0])).max() < 1e-14
+
+
+def test_exp_nilpotent_matches_expm_on_the_checked_supports(rz):
+    """The sigma-fixed nilpotent radicals sampled by sample_NPH and the
+    N_Q cap bar-N_P supports of the gk check, at the scales they use."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    systems = all_positive_systems(rz.datum)
+    bases = []
+    for P in systems:
+        bases.append(nph_basis(rz, P))
+        for Q in systems:
+            bases.append([root_matrix(rz.dim, a)
+                          for a in sorted(Q.positive & P.negative)])
+    bases = [np.stack(b) for b in bases if len(b)]
+    assert bases
+    for B in bases:
+        Y = np.einsum("ck,kij->cij", rng.normal(0.0, 2.0, size=(100, len(B))), B)
+        assert np.abs(exp_nilpotent(Y) - expm(Y)).max() < 1e-14
+
+
+def test_exp_nilpotent_is_exact_at_zero_and_rejects_non_nilpotent():
+    for n in (2, 3, 4):
+        assert np.array_equal(exp_nilpotent(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(exp_nilpotent(np.zeros((5, n, n))),
+                              np.broadcast_to(np.eye(n), (5, n, n)))
+    with pytest.raises(NotUnipotent):
+        exp_nilpotent(np.diag([1.0, -1.0, 0.0]))
+    with pytest.raises(NotUnipotent):
+        exp_nilpotent(np.stack([np.zeros((3, 3)), np.diag([1.0, -1.0, 0.0])]))
+
+
+def test_exp_nilpotent_inverts_unipotent_log(rz_sl3):
+    rng = np.random.Generator(np.random.PCG64(42))
+    N = np.triu(rng.normal(size=(200, 3, 3)), 1)
+    assert np.abs(unipotent_log(rz_sl3, exp_nilpotent(N)) - N).max() < 1e-14
 
 
 def test_h_pq_is_projected_H(rz_group):
@@ -189,7 +278,6 @@ def test_ek_projection_properties(rz_sl3):
         K = ek_projection(rz_sl3, V, P)
         # the k part is antisymmetric and the difference is upper triangular
         assert np.abs(K + np.swapaxes(K, -1, -2)).max() < 1e-12
-        from orbitcone.matrixgrp import chamber_perm
         w = chamber_perm(rz_sl3, P)
         rest = w.T @ (V - K) @ w
         assert np.abs(np.tril(rest, -1)).max() < 1e-12
