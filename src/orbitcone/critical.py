@@ -2,8 +2,8 @@
 
 The combinatorial layer (critical values, predicted Hessian signature,
 predicted critical image) is exact rational arithmetic; the numeric layer
-(gradients, finite-difference Hessians) runs on the matrix models and is
-compared against it in the tests.
+(the functional and its finite-difference Hessians) runs on the matrix
+models and is compared against it.
 """
 from __future__ import annotations
 
@@ -15,9 +15,9 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
-                        root_matrix, sample_span)
-from .parabolic import PositiveSystem, plus_minus, sigma_classification
+from .matrixgrp import (Realization, a_matrix, ek_projection, exp_nilpotent,
+                        h_pq, root_matrix, sample_span)
+from .parabolic import PositiveSystem
 from .polyhedra import PolyhedralSet, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
 
@@ -25,10 +25,6 @@ SV_TOL = 1e-7
 
 
 class NotRegular(ValueError):
-    pass
-
-
-class NotALocalMin(ValueError):
     pass
 
 
@@ -59,7 +55,7 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
     return a_log
 
 
-# --- scalar functional and gradient ----------------------------------------
+# --- scalar functional -----------------------------------------------------
 
 def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over h."""
@@ -68,23 +64,6 @@ def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarr
     v = h_pq(rz, a @ np.asarray(h, dtype=float), P)
     G = np.array([[float(x) for x in row] for row in rz.datum.gram])
     return v @ (G @ Xf)
-
-
-def grad_F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarray:
-    """Components B(U_i, Ad(n^{-1})X) over the h-basis, n the unipotent part."""
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    Xm = a_matrix(np.asarray(X, dtype=float))
-    tri = iwasawa(rz, a @ np.asarray(h, dtype=float), P)
-    nn = tri.n
-    adX = np.linalg.inv(nn) @ Xm @ nn
-    basis = np.stack(rz.h_basis)
-    return rz.kappa * np.einsum("dij,...ji->...d", basis, adX)
-
-
-def critical_reps(rz: Realization, a_log) -> list[tuple[Mat, np.ndarray]]:
-    """One representative x_w per small-Weyl element; needs a_log regular."""
-    ensure_regular(rz, a_log)
-    return [(w, rz.weyl_reps[w]) for w in rz.small_weyl.elements]
 
 
 def critical_value(rz: Realization, a_log, X, w: Mat) -> Fraction:
@@ -117,10 +96,9 @@ def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
 def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndarray, ...]:
     """Basis of the sigma-fixed part of the nilpotent radical."""
     P = P if P is not None else rz.base_parabolic
-    cls = sigma_classification(P)
     out = []
     seen = set()
-    for alpha in sorted(cls.sigma_part):
+    for alpha in sorted(P.classification.sigma_part):
         if alpha in seen:
             continue
         sa = rz.datum.sigma_root(alpha)
@@ -165,7 +143,6 @@ class HessianReport:
 def analytic_hessian(rz: Realization, a_log, X, w: Mat,
                      P: PositiveSystem | None = None) -> np.ndarray:
     """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
-    from .matrixgrp import ek_projection
     xw = rz.weyl_reps[w]
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
     aw = xw.T @ a @ xw
@@ -285,10 +262,9 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
     X = _exact_vec(X)
     d = rz.datum
     wln = ex.mat_vec(rz.small_weyl.inverse(w), a_exact)
-    plus, minus = plus_minus(P)
-    cls_sigma = sigma_classification(P).sigma_part
-    posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in plus)
-              and all(ex.dot(a, X) >= 0 for a in minus))
+    parts = P.classification
+    posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
+              and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
     certs = []
     for cls in _orbit_classes(P):
         alpha = min(cls)
@@ -301,7 +277,7 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
         decay = float(np.exp(-2.0 * float(awl)))
         if aX == 0:
             entry.update(case="a", transversal_dim=0, eigenvalues=[], positive=True)
-        elif alpha in cls_sigma:
+        elif alpha in parts.sigma_part:
             scalar = 0.5 * float(aX) * (decay - 1.0 / decay)
             entry.update(case="b.1", transversal_dim=dim_full,
                          eigenvalues=[scalar], positive=bool(aX * awl < 0))
@@ -327,29 +303,6 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
     return posdef, tuple(certs)
 
 
-def local_min_halfspace_check(rz: Realization, a_log, X, w: Mat,
-                              om: PolyhedralSet | None = None,
-                              P: PositiveSystem | None = None) -> bool:
-    """All of the predicted image sits on the upper side of the level plane."""
-    P = P if P is not None else rz.base_parabolic
-    posdef, certs = predicted_signature(rz, a_log, X, w, P)
-    if not posdef:
-        raise NotALocalMin("a transversal direction has negative curvature")
-    a_exact = _exact_vec(a_log)
-    X = _exact_vec(X)
-    if om is None:
-        orbit = weyl_orbit(rz.small_weyl, a_exact)
-        _, minus = plus_minus(P)
-        om = omega(a_exact, orbit, gamma_aq(sorted(minus), rz.datum))
-    gX = ex.mat_vec(rz.datum.gram, X)
-    level = ex.dot(gX, ex.mat_vec(rz.small_weyl.inverse(w), a_exact))
-    if any(ex.dot(gX, u) < level for u in om.vertices):
-        return False
-    if any(ex.dot(gX, g) < 0 for g in om.cone.generators):
-        return False
-    return True
-
-
 # --- the predicted critical image ------------------------------------------
 
 def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
@@ -359,8 +312,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     a_exact = _exact_vec(a_log)
     X = _exact_vec(X)
     d = rz.datum
-    _, minus = plus_minus(P)
-    cut = sorted(a for a in minus if ex.dot(a, X) == 0)
+    cut = sorted(a for a in P.classification.minus_part if ex.dot(a, X) == 0)
     gam = gamma_aq(cut, d)
     vanishing = frozenset(lam for lam in rz.restricted.plus_set
                           if ex.dot(lam, X) == 0)

@@ -65,10 +65,6 @@ def mat_sub(a: Mat, b: Mat) -> Mat:
     return tuple(sub(ra, rb) for ra, rb in zip(a, b, strict=True))
 
 
-def mat_eq(a: Mat, b: Mat) -> bool:
-    return a == b
-
-
 def is_zero(x: Vec) -> bool:
     return all(a == 0 for a in x)
 
@@ -99,10 +95,6 @@ def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
     return [tuple(row) for row in rows[:r]], pivots
 
 
-def rank(m: Sequence[Vec]) -> int:
-    return len(rref(m)[0])
-
-
 def nullspace(m: Sequence[Vec]) -> list[Vec]:
     """Basis of {x : m x = 0}."""
     if not m:
@@ -127,28 +119,6 @@ def mat_inv(m: Mat) -> Mat:
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
-
-
-def solve(m: Mat, b: Vec) -> Vec | None:
-    """One solution of m x = b, or None if inconsistent."""
-    n = len(m[0]) if m else 0
-    aug = [list(r) + [bv] for r, bv in zip(m, b, strict=True)]
-    rows, pivots = rref(aug)
-    for row, p in zip(rows, pivots):
-        if p == n:
-            return None
-    x = [Fraction(0)] * n
-    for row, p in zip(rows, pivots):
-        x[p] = row[-1]
-    return tuple(x)
-
-
-def span_contains(basis: Sequence[Vec], x: Vec) -> bool:
-    if is_zero(x):
-        return True
-    if not basis:
-        return False
-    return rank(list(basis) + [x]) == rank(basis)
 
 
 # --- simplex ---------------------------------------------------------------

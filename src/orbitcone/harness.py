@@ -7,14 +7,12 @@ configured checks of the ``CHECKS`` registry in registry order.  The
 tolerance is a Euclidean distance: a projected point passes when it lies at
 most ``tol`` outside every facet hyperplane of the predicted set.  Reports
 serialize deterministically: identical configuration gives byte-identical
-JSON and CSV output, so wall-clock runtime is kept on the in-memory report
-only.
+JSON and CSV output, and no wall-clock time is recorded.
 """
 from __future__ import annotations
 
 import json
 import math
-import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -29,8 +27,7 @@ from .critical import (F, NotRegular, critical_value, ensure_regular, hessian,
                        sample_NPH, transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
                         realization, root_matrix, sample_H)
-from .parabolic import (PositiveSystem, all_positive_systems, from_chamber,
-                        sigma_classification)
+from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (coroot, gamma_aq, gamma_cone, gk_cone, is_pointed,
                         omega, pointedness_certificate)
 from .rootsys import weyl_orbit
@@ -63,6 +60,9 @@ MIN_DISPLACEMENT = 0.5
 
 
 def _rat_tuple(xs) -> tuple[str, ...]:
+    """Exact rationals from a list, or from a comma separated string."""
+    if isinstance(xs, str):
+        xs = [x.strip() for x in xs.split(",") if x.strip()]
     try:
         return tuple(str(Fraction(str(x))) for x in xs)
     except (TypeError, ValueError, ZeroDivisionError) as e:
@@ -234,7 +234,6 @@ class CheckResult:
 class Report:
     config: dict
     results: tuple[CheckResult, ...]
-    runtime: float = 0.0                      # excluded from serialization
 
     @property
     def samples(self) -> np.ndarray | None:
@@ -330,8 +329,7 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     rank-one rays from every vertex along every cone-generator root."""
     mats = [np.eye(rz.dim)]
     ray_dirs = []
-    cls = sigma_classification(P)
-    for alpha in sorted(cls.minus_part):
+    for alpha in sorted(P.classification.minus_part):
         E = root_matrix(rz.dim, alpha)
         ray_dirs.append(E + rz.sigma_alg(E))
     for xw in rz.weyl_reps.values():
@@ -434,7 +432,7 @@ def _check_no_line(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
 
 def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
                           cfg: VerificationConfig) -> CheckResult:
-    cone = gamma_aq(sorted(sigma_classification(P).sigmatheta_part), rz.datum)
+    cone = gamma_aq(sorted(P.classification.sigmatheta_part), rz.datum)
     tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
         hs = sample_H(rz, r, cfg.samples, cfg.seed + 104729 * (k + 1))
@@ -530,7 +528,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             tally.coverage = _Coverage(origin, gens)
 
             def feed(xs: np.ndarray) -> None:
-                tally.feed(cone, iwasawa(rz, xs, P).H)
+                tally.feed(cone, iwasawa(rz, xs, P))
 
             if not support:
                 feed(np.eye(rz.dim)[None])
@@ -549,7 +547,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             # rank-one closed form, exact in the embedded A1
             for E, alpha in zip(basis, support):
                 x = 1.7
-                val = iwasawa(rz, np.eye(rz.dim) + x * E, P).H
+                val = iwasawa(rz, np.eye(rz.dim) + x * E, P)
                 h_neg = coroot(ex.neg(alpha), rz.datum.gram).h_alpha
                 want = 0.5 * np.log(1 + x * x) * _float_rows([h_neg], rz.dim)[0]
                 closed_dev = max(closed_dev, float(np.abs(val - want).max()))
@@ -615,13 +613,11 @@ def run(cfg: VerificationConfig) -> Report:
     if cfg.chamber is not None and cfg.checks == {"gk"}:
         raise ConfigError("gk covers every pair of positive systems; "
                           "it takes no chamber")
-    t0 = time.perf_counter()
     rz = realization(cfg.preset)
     P = cfg.positive_system(rz)
     results = tuple(check(rz, P, cfg) for name, check in CHECKS.items()
                     if name in cfg.checks)
-    return Report(config=cfg.to_dict(), results=results,
-                  runtime=time.perf_counter() - t0)
+    return Report(config=cfg.to_dict(), results=results)
 
 
 # --- emission ---------------------------------------------------------------
@@ -653,10 +649,6 @@ def report_csv(report: Report) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def _project_2d(points: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    return points @ basis.T
-
-
 def report_svg(report: Report) -> bytes:
     """2D section of the predicted set with a sample scatter."""
     geom = report.geometry or {"vertices": [], "generators": []}
@@ -678,9 +670,9 @@ def report_svg(report: Report) -> bytes:
         frame[0, 0] = 1.0
         if amb > 1:
             frame[1, 1] = 1.0
-    V2 = _project_2d(verts, frame) if len(verts) else np.zeros((0, 2))
-    P2 = _project_2d(pts, frame) if len(pts) else np.zeros((0, 2))
-    G2 = _project_2d(gens, frame) if len(gens) else np.zeros((0, 2))
+    V2 = verts @ frame.T if len(verts) else np.zeros((0, 2))
+    P2 = pts @ frame.T if len(pts) else np.zeros((0, 2))
+    G2 = gens @ frame.T if len(gens) else np.zeros((0, 2))
     allp = np.concatenate([V2, P2], axis=0) if len(V2) or len(P2) else np.zeros((1, 2))
     lo = allp.min(axis=0) - 1.0
     hi = allp.max(axis=0) + 1.0

@@ -6,8 +6,9 @@ realized block-diagonally in SL(4,R).  The Cartan involution is always
 Y -> -Y^T; the second involution is either Y -> -J Y^T J for a signature
 matrix J or conjugation by the block swap.
 
-Decompositions use one QR kernel for the upper-triangular base system;
-every other positive system is handled by exact permutation bookkeeping.
+The Iwasawa log comes from one QR kernel for the upper-triangular base
+system; every other positive system is conjugated into it by an index
+permutation.
 Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``.
 """
 from __future__ import annotations
@@ -23,7 +24,7 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .parabolic import PositiveSystem, from_chamber, sigma_classification
+from .parabolic import PositiveSystem, from_chamber
 from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
                       restricted_roots, weyl_group)
 
@@ -37,48 +38,6 @@ class NotUnipotent(ValueError):
 
 class NotInNP(ValueError):
     pass
-
-
-class NotInPH(ValueError):
-    pass
-
-
-def _np_vec(v) -> np.ndarray:
-    return np.array([float(x) for x in v])
-
-
-def _np_mat(m) -> np.ndarray:
-    return np.array([[float(x) for x in row] for row in m])
-
-
-@dataclass(frozen=True, eq=False)
-class IwasawaTriple:
-    """H is computed eagerly from R alone; k and n come from one full QR of
-    the stored base-system input on first access.  On the base system that
-    input is the caller's array itself, not a copy."""
-    H: np.ndarray          # log of the A-part, ambient diagonal coordinates
-    base_input: np.ndarray  # input conjugated into the base system, (..., n, n)
-    inverse: np.ndarray | None  # index permutation back to P, None on the base
-    single: bool
-
-    @cached_property
-    def _kn(self) -> tuple[np.ndarray, np.ndarray]:
-        q, r = np.linalg.qr(self.base_input)
-        s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-        q = q * s[..., None, :]
-        r = r * s[..., :, None]
-        n0 = r / np.diagonal(r, axis1=-2, axis2=-1)[..., :, None]
-        if self.inverse is not None:
-            q, n0 = (_conjugate(x, self.inverse) for x in (q, n0))
-        return (q[0], n0[0]) if self.single else (q, n0)
-
-    @property
-    def k(self) -> np.ndarray:
-        return self._kn[0]
-
-    @property
-    def n(self) -> np.ndarray:
-        return self._kn[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,9 +61,6 @@ class Realization:
         if self.kind == "J":
             return self.inv_np @ np.swapaxes(np.linalg.inv(g), -1, -2) @ self.inv_np
         return self.inv_np @ g @ self.inv_np
-
-    def theta_alg(self, Y: np.ndarray) -> np.ndarray:
-        return -np.swapaxes(Y, -1, -2)
 
     def pi_h(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * (Y + self.sigma_alg(Y))
@@ -150,11 +106,7 @@ class Realization:
 
     @cached_property
     def q_proj_np(self) -> np.ndarray:
-        return _np_mat(self.datum.q_projector)
-
-    @cached_property
-    def aq_basis_np(self) -> tuple[np.ndarray, ...]:
-        return tuple(_np_vec(v) for v in self.datum.aq_basis)
+        return np.array([[float(x) for x in row] for row in self.datum.q_projector])
 
 
 def a_matrix(v) -> np.ndarray:
@@ -312,24 +264,28 @@ _PERM_CACHE: dict[tuple[str, tuple], np.ndarray] = {}
 
 
 def chamber_perm(rz: Realization, P: PositiveSystem) -> np.ndarray:
-    """Permutation matrix w with w(Sigma(base)) = Sigma(P)."""
+    """Index permutation p such that the permutation matrix w with
+    w[p[c], c] = 1 maps Sigma(base) onto Sigma(P)."""
     key = (rz.name, P.key())
-    if key in _PERM_CACHE:
-        return _PERM_CACHE[key]
-    n = rz.dim
-    base_pos = rz.base_parabolic.positive
-    target = P.positive
-    for perm in itertools.permutations(range(n)):
-        w = tuple(tuple(Fraction(1) if perm[c] == r else Fraction(0)
-                        for c in range(n)) for r in range(n))
-        if frozenset(ex.mat_vec(w, a) for a in base_pos) == target:
-            _PERM_CACHE[key] = _np_mat(w)
-            return _PERM_CACHE[key]
-    raise ValueError("positive system is not a coordinate permutation of the base")
+    if key not in _PERM_CACHE:
+        base_pos = rz.base_parabolic.positive
+        for perm in itertools.permutations(range(rz.dim)):
+            moved = frozenset(tuple(a[perm.index(r)] for r in range(rz.dim))
+                              for a in base_pos)
+            if moved == P.positive:
+                _PERM_CACHE[key] = np.array(perm)
+                break
+        else:
+            raise ValueError("positive system is not a coordinate permutation "
+                             "of the base")
+    return _PERM_CACHE[key]
 
 
-def _is_base(rz: Realization, P: PositiveSystem | None) -> bool:
-    return P is None or P.positive == rz.base_parabolic.positive
+def _base_perm(rz: Realization, P: PositiveSystem | None) -> np.ndarray | None:
+    """chamber_perm of P, or None when P is the base system."""
+    if P is None or P.positive == rz.base_parabolic.positive:
+        return None
+    return chamber_perm(rz, P)
 
 
 def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -339,30 +295,26 @@ def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # --- Iwasawa decomposition -------------------------------------------------
 
-def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> IwasawaTriple:
-    """K A N_P factorization by permuted QR; accepts stacked input (..., n, n).
-    Only R is computed here: H is log|diag R|, and k and n wait for access."""
+def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
+    """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
+    coordinates; accepts stacked input (..., n, n).  g is conjugated into the
+    base system by chamber_perm, and H is log|diag R| of its QR."""
     g = np.asarray(g, dtype=float)
-    single = g.ndim == 2
-    G = g[None] if single else g
-    if not np.all(np.isfinite(G)):
+    if not np.all(np.isfinite(g)):
         raise SingularInput("input matrix has non-finite entries")
-    inverse = None
-    if not _is_base(rz, P):
-        perm = np.argmax(chamber_perm(rz, P), axis=0)
-        G, inverse = _conjugate(G, perm), np.argsort(perm)
-    d = np.abs(np.diagonal(np.linalg.qr(G, mode="r"), axis1=-2, axis2=-1))
+    perm = _base_perm(rz, P)
+    if perm is not None:
+        g = _conjugate(g, perm)
+    d = np.abs(np.diagonal(np.linalg.qr(g, mode="r"), axis1=-2, axis2=-1))
     if np.min(d) < 1e-250:
         raise SingularInput("matrix is numerically singular")
     H = np.log(d)
-    if inverse is not None:
-        H = H[..., inverse]
-    return IwasawaTriple(H[0] if single else H, G, inverse, single)
+    return H if perm is None else H[..., np.argsort(perm)]
 
 
 def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
     """Projection of the Iwasawa log onto a_q, ambient coordinates."""
-    return iwasawa(rz, g, P).H @ rz.q_proj_np.T
+    return iwasawa(rz, g, P) @ rz.q_proj_np.T
 
 
 # --- sampling --------------------------------------------------------------
@@ -438,7 +390,7 @@ def default_z_q(rz: Realization, P: PositiveSystem | None = None) -> Vec:
     P = P if P is not None else rz.base_parabolic
     d = rz.datum
     pos = sorted(P.positive)
-    st_part = sigma_classification(P).sigmatheta_part
+    st_part = P.classification.sigmatheta_part
     for prime in (97, 991, 9973, 99991):
         z_p = ex.zeros(rz.dim)
         for k, alpha in enumerate(pos):
@@ -504,93 +456,12 @@ def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None,
     return exp_nilpotent(u), exp_nilpotent(v)
 
 
-def check_PH_split(rz: Realization, p, P: PositiveSystem | None = None
-                   ) -> tuple[np.ndarray, np.ndarray]:
-    """Split p in P cap H as (diagonal Levi part, unipotent part), both in H."""
-    p = np.asarray(p, dtype=float)
-    scale = 1.0 + np.abs(p).max()
-    if np.abs(rz.sigma_grp(p) - p).max() > 1e-9 * scale:
-        raise NotInPH("matrix is not fixed by the involution")
-    base = _is_base(rz, P)
-    w = None if base else chamber_perm(rz, P)
-    pp = p if base else w.T @ p @ w
-    if np.abs(np.tril(pp, -1)).max() > 1e-9 * scale:
-        raise NotInPH("matrix is not in the parabolic")
-    dg = np.diagonal(pp)
-    if np.min(np.abs(dg)) < 1e-250:
-        raise SingularInput("matrix is numerically singular")
-    l0 = np.diag(dg)
-    n0 = np.diag(1.0 / dg) @ pp
-    if base:
-        return l0, n0
-    return w @ l0 @ w.T, w @ n0 @ w.T
-
-
-def gk_sample(rz: Realization, P: PositiveSystem, Q: PositiveSystem, x) -> np.ndarray:
-    """Iwasawa log H_P of x in N_Q cap bar-N_P."""
-    x = np.asarray(x, dtype=float)
-    inter = Q.positive & P.negative
-    L = unipotent_log(rz, x)
-    mask = _support_mask(rz, inter)
-    if np.abs(np.where(mask, 0.0, L)).max() > 1e-9 * (1.0 + np.abs(L).max()):
-        raise NotInNP("log is not supported on the required root spaces")
-    return iwasawa(rz, x, P).H
-
-
 # --- Lie-algebra projections used by the Hessian layer ---------------------
 
 def ek_projection(rz: Realization, V, P: PositiveSystem | None = None) -> np.ndarray:
     """Component in k of the decomposition g = k + a + n_P; batched."""
     V = np.asarray(V, dtype=float)
-    base = _is_base(rz, P)
-    Vp = V if base else None
-    if not base:
-        w = chamber_perm(rz, P)
-        Vp = w.T @ V @ w
-    low = np.tril(Vp, -1)
+    perm = _base_perm(rz, P)
+    low = np.tril(V if perm is None else _conjugate(V, perm), -1)
     k0 = low - np.swapaxes(low, -1, -2)
-    if base:
-        return k0
-    return w @ k0 @ w.T
-
-
-def weyl_rep(rz: Realization, w: Mat) -> np.ndarray:
-    try:
-        return rz.weyl_reps[w]
-    except KeyError:
-        raise KeyError("matrix is not an element of the small Weyl group") from None
-
-
-def validate_realization(rz: Realization, seed: int = 0) -> dict[str, float]:
-    """Max deviations of the structural invariants; all should be tiny."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    n = rz.dim
-    Y = rng.normal(size=(1000, n, n))
-    errs = {}
-    errs["involutions_commute"] = float(
-        np.abs(rz.sigma_alg(rz.theta_alg(Y)) - rz.theta_alg(rz.sigma_alg(Y))).max())
-    errs["sigma_squared"] = float(np.abs(rz.sigma_alg(rz.sigma_alg(Y)) - Y).max())
-    errs["h_basis_fixed"] = max(
-        float(np.abs(rz.sigma_alg(b) - b).max()) for b in rz.h_basis)
-    sig_a = _np_mat(rz.datum.sigma_on_a)
-    errs["sigma_on_a_matches"] = max(
-        (float(np.abs(np.diagonal(rz.sigma_alg(a_matrix(_np_vec(v))))
-                      - sig_a @ _np_vec(v)).max()) for v in rz.datum.a_basis),
-        default=0.0)
-    werr = 0.0
-    for w, xw in rz.weyl_reps.items():
-        werr = max(werr, float(np.abs(xw.T @ xw - np.eye(n)).max()))
-        werr = max(werr, float(np.abs(rz.sigma_grp(xw) - xw).max()))
-        wf = _np_mat(w)
-        for v in rz.aq_basis_np:
-            lhs = xw @ a_matrix(v) @ xw.T
-            werr = max(werr, float(np.abs(lhs - a_matrix(wf @ v)).max()))
-    errs["weyl_reps"] = werr
-    zerr = 0.0
-    for z in rz.z_reps:
-        zerr = max(zerr, float(np.abs(z.T @ z - np.eye(n)).max()))
-        zerr = max(zerr, float(np.abs(rz.sigma_grp(z) - z).max()))
-        for v in rz.aq_basis_np:
-            zerr = max(zerr, float(np.abs(z @ a_matrix(v) @ z.T - a_matrix(v)).max()))
-    errs["z_reps"] = zerr
-    return errs
+    return k0 if perm is None else _conjugate(k0, np.argsort(perm))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
@@ -48,9 +49,10 @@ class PositiveSystem:
     def negative(self) -> frozenset[Root]:
         return frozenset(ex.neg(a) for a in self.positive)
 
-    def opposite(self) -> "PositiveSystem":
-        return PositiveSystem(self.datum, self.negative,
-                              ex.neg(self.chamber_vector))
+    @cached_property
+    def classification(self) -> SigmaClassification:
+        """sigma_classification(self), computed once."""
+        return sigma_classification(self)
 
     def simple_roots(self) -> frozenset[Root]:
         indiv = indivisible(self.positive)
@@ -105,21 +107,14 @@ def _plus_minus(P: PositiveSystem, sigmatheta_part: frozenset[Root]):
     return frozenset(plus), frozenset(minus)
 
 
-def plus_minus(P: PositiveSystem) -> tuple[frozenset[Root], frozenset[Root]]:
-    c = sigma_classification(P)
-    return c.plus_part, c.minus_part
-
-
 def is_h_extreme(P: PositiveSystem) -> bool:
-    c = sigma_classification(P)
     target = frozenset(a for a in P.positive if not P.datum.in_aq_star(a))
-    return c.sigma_part == target
+    return P.classification.sigma_part == target
 
 
 def is_q_extreme(P: PositiveSystem) -> bool:
-    c = sigma_classification(P)
     target = frozenset(a for a in P.positive if not P.datum.in_ah_star(a))
-    return c.sigmatheta_part == target
+    return P.classification.sigmatheta_part == target
 
 
 def reflect_system(P: PositiveSystem, alpha: Root) -> PositiveSystem:
@@ -137,19 +132,19 @@ def h_extremize(P: PositiveSystem) -> tuple[PositiveSystem, tuple[Root, ...]]:
     trace: list[Root] = []
     current = P
     limit = len(P.positive)
-    prev_sigma = sigma_classification(current).sigma_part
+    prev_sigma = current.classification.sigma_part
     while not is_h_extreme(current):
         if len(trace) >= limit:
             raise NoSimpleRootFound("walk exceeded the step bound")
-        c = sigma_classification(current)
         cands = [a for a in current.simple_roots()
-                 if a in c.sigmatheta_part and not current.datum.in_aq_star(a)]
+                 if a in current.classification.sigmatheta_part
+                 and not current.datum.in_aq_star(a)]
         if not cands:
             raise NoSimpleRootFound("no admissible simple root")
         alpha = min(cands)
         current = reflect_system(current, alpha)
         trace.append(alpha)
-        new_sigma = sigma_classification(current).sigma_part
+        new_sigma = current.classification.sigma_part
         if not prev_sigma < new_sigma:
             raise NoSimpleRootFound("sigma part failed to grow strictly")
         prev_sigma = new_sigma

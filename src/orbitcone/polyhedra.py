@@ -17,7 +17,7 @@ import numpy as np
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .parabolic import PositiveSystem, is_q_extreme, sigma_classification
+from .parabolic import PositiveSystem, is_q_extreme
 from .rootsys import Root, SymmetricPairDatum, restricted_roots
 
 Ineq = tuple[Vec, Fraction]     # (a, r) meaning a.x >= r
@@ -250,10 +250,6 @@ class Cone(_VRep):
                 raise ValueError("a cone with no generators needs an explicit ambient dimension")
             object.__setattr__(self, "ambient", len(gens[0]))
 
-    @property
-    def dim_ambient(self) -> int:
-        return self.ambient
-
     def _vrep(self):
         return (ex.zeros(self.ambient),), self.generators
 
@@ -307,16 +303,11 @@ def proper_on_cone(p: Mat, cone: Cone) -> bool:
     return True
 
 
-def contains_line(obj) -> bool:
-    cone = obj.cone if isinstance(obj, PolyhedralSet) else obj
-    return not is_pointed(cone)
-
-
 def pointedness_certificate(cone: Cone) -> Vec | None:
     """An exact functional xi with xi.g > 0 for every nonzero generator, or
     None when the cone is not pointed."""
     gens = [g for g in cone.generators if not ex.is_zero(g)]
-    n = cone.dim_ambient
+    n = cone.ambient
     if not gens:
         return tuple([Fraction(0)] * n)
     # find xi with xi.g >= 1 for all g: feasibility with free xi
@@ -352,8 +343,7 @@ def gamma_aq(roots: Sequence[Root], datum: SymmetricPairDatum) -> Cone:
 
 def gamma_cone(P: PositiveSystem) -> Cone:
     """Generators pr_q(H_alpha) over Sigma(P)_-."""
-    c = sigma_classification(P)
-    return gamma_aq(sorted(c.minus_part), P.datum)
+    return gamma_aq(sorted(P.classification.minus_part), P.datum)
 
 
 def upsilon_cone(P: PositiveSystem) -> Cone:
@@ -362,9 +352,8 @@ def upsilon_cone(P: PositiveSystem) -> Cone:
     if not is_q_extreme(P):
         raise NotQExtreme("upsilon cone needs a q-extreme positive system")
     d = P.datum
-    c = sigma_classification(P)
     rest = restricted_roots(d)
-    delta_plus = {d.restrict(a) for a in c.sigmatheta_part}
+    delta_plus = {d.restrict(a) for a in P.classification.sigmatheta_part}
     delta_plus.discard(ex.zeros(len(d.gram)))
     delta_minus = sorted(lam for lam in delta_plus if lam in rest.minus_set)
     return Cone(tuple(coroot(lam, d.gram).h_alpha for lam in delta_minus),
@@ -382,37 +371,3 @@ def gk_cone(P: PositiveSystem, Q: PositiveSystem) -> Cone:
     """Gamma_a over Sigma(P) intersect Sigma(Q-bar): unprojected coroots."""
     inter = sorted(P.positive & Q.negative)
     return gamma_a(inter, P.datum.gram)
-
-
-# --- serialization ---------------------------------------------------------
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
-
-def _ineqs_to_dict(rows) -> list[dict]:
-    return [{"normal": [_frac_str(x) for x in a], "rhs": _frac_str(r)}
-            for a, r in rows]
-
-
-def cone_to_dict(c: Cone) -> dict:
-    return {"ambient": c.dim_ambient,
-            "generators": [[_frac_str(x) for x in g] for g in c.generators],
-            "inequalities": _ineqs_to_dict(c.hrep)}
-
-
-def set_to_dict(s: PolyhedralSet) -> dict:
-    return {"vertices": [[_frac_str(x) for x in v] for v in s.vertices],
-            "cone": cone_to_dict(s.cone),
-            "inequalities": _ineqs_to_dict(s.hrep)}
-
-
-def cone_from_dict(d: dict) -> Cone:
-    return Cone(tuple(tuple(Fraction(x) for x in g) for g in d["generators"]),
-                ambient=d.get("ambient"))
-
-
-def set_from_dict(d: dict) -> PolyhedralSet:
-    return PolyhedralSet(
-        vertices=tuple(tuple(Fraction(x) for x in v) for v in d["vertices"]),
-        cone=cone_from_dict(d["cone"]))

@@ -53,7 +53,6 @@ class SymmetricPairDatum:
     sigma_on_a: Mat
     mult_table: Mapping[Root, Mult]
     q_projector: Mat = field(init=False)
-    gram_inv: Mat = field(init=False)
     a_basis: tuple[Vec, ...] = field(init=False)
     ah_basis: tuple[Vec, ...] = field(init=False)
     aq_basis: tuple[Vec, ...] = field(init=False)
@@ -64,7 +63,6 @@ class SymmetricPairDatum:
         prq = tuple(tuple((i - s) / 2 for i, s in zip(ri, rs))
                     for ri, rs in zip(ident, self.sigma_on_a))
         object.__setattr__(self, "q_projector", prq)
-        object.__setattr__(self, "gram_inv", ex.mat_inv(self.gram))
         a_rows, _ = ex.rref(sorted(self.roots))
         object.__setattr__(self, "a_basis", tuple(a_rows))
         sig = self.sigma_on_a
@@ -103,10 +101,6 @@ class SymmetricPairDatum:
     def restrict(self, alpha: Root) -> Root:
         """alpha|_{a_q} as a covector (composition with pr_q)."""
         return ex.mat_vec(ex.transpose(self.q_projector), alpha)
-
-    def root_inner(self, alpha: Root, beta: Root) -> Fraction:
-        """Inner product on a^* induced by the Gram matrix."""
-        return ex.dot(alpha, ex.mat_vec(self.gram_inv, beta))
 
     def pr_q(self, v: Vec) -> Vec:
         return ex.mat_vec(self.q_projector, v)
@@ -211,9 +205,6 @@ class WeylGroup:
     @property
     def order(self) -> int:
         return len(self.elements)
-
-    def covector_action(self, w: Mat) -> Mat:
-        return ex.transpose(ex.mat_inv(w))
 
     def inverse(self, w: Mat) -> Mat:
         return ex.mat_inv(w)

@@ -51,8 +51,9 @@ def test_bad_samples(capsys):
     ([], {"tol": "abc"}),
     ([], {"samples": 1.5}),
     ([], {"samples": True}),
+    ([], {"a_log": "213"}),
 ], ids=["tol-nan", "tol-inf", "radius-nan", "seed-negative", "tol-text",
-        "samples-float", "samples-bool"])
+        "samples-float", "samples-bool", "a_log-digits"])
 def test_bad_input_exits_2(tmp_path, capsys, flags, config):
     argv = ["verify", "--preset", "sl3_so21", *flags]
     if config is not None:

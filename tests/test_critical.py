@@ -5,16 +5,17 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import (F, NotALocalMin, NotRegular, critical_reps,
-                                critical_value, ensure_regular, grad_F,
-                                hessian, kernel_dim, local_min_halfspace_check,
-                                omega_X, predicted_signature, sample_H_X,
-                                sample_NPH, transversal_signature,
-                                vanishing_patterns)
+from orbitcone import parabolic
+from orbitcone.critical import (F, NotRegular, critical_value,
+                                ensure_regular, hessian, kernel_dim, omega_X,
+                                predicted_signature, sample_H_X, sample_NPH,
+                                transversal_signature, vanishing_patterns)
+from orbitcone.harness import VerificationConfig, run
 from orbitcone.matrixgrp import a_matrix, sample_H
-from orbitcone.parabolic import plus_minus
 from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
+
+from iwasawa_reference import iwasawa_by_matmul
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -26,6 +27,43 @@ A_LOGS = {
 
 def _a_log(rz):
     return tuple(Fraction(c) for c in A_LOGS[rz.name])
+
+
+class NotALocalMin(ValueError):
+    pass
+
+
+def grad_F(rz, a_log, X, h) -> np.ndarray:
+    """Components B(U_i, Ad(n^{-1})X) over the h-basis, n the unipotent part
+    for the base system."""
+    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
+    Xm = a_matrix(np.asarray(X, dtype=float))
+    _, _, nn = iwasawa_by_matmul(rz, a @ np.asarray(h, dtype=float),
+                                 rz.base_parabolic)
+    adX = np.linalg.inv(nn) @ Xm @ nn
+    basis = np.stack(rz.h_basis)
+    return rz.kappa * np.einsum("dij,...ji->...d", basis, adX)
+
+
+def local_min_halfspace_check(rz, a_log, X, w) -> bool:
+    """All of the predicted image sits on the upper side of the level plane,
+    for the base system."""
+    P = rz.base_parabolic
+    posdef, _ = predicted_signature(rz, a_log, X, w, P)
+    if not posdef:
+        raise NotALocalMin("a transversal direction has negative curvature")
+    a_exact = tuple(Fraction(c) for c in a_log)
+    X = tuple(Fraction(c) for c in X)
+    orbit = weyl_orbit(rz.small_weyl, a_exact)
+    om = omega(a_exact, orbit,
+               gamma_aq(sorted(P.classification.minus_part), rz.datum))
+    gX = ex.mat_vec(rz.datum.gram, X)
+    level = ex.dot(gX, ex.mat_vec(rz.small_weyl.inverse(w), a_exact))
+    if any(ex.dot(gX, u) < level for u in om.vertices):
+        return False
+    if any(ex.dot(gX, g) < 0 for g in om.cone.generators):
+        return False
+    return True
 
 
 def _identity_w(rz):
@@ -41,8 +79,6 @@ def test_ensure_regular(rz):
 def test_ensure_regular_rejects_wall(rz_sl3):
     with pytest.raises(NotRegular):
         ensure_regular(rz_sl3, (1, 1, -2))
-    with pytest.raises(NotRegular):
-        critical_reps(rz_sl3, (1, 1, -2))
 
 
 def test_ensure_regular_rejects_off_aq(rz_group):
@@ -54,7 +90,9 @@ def test_ensure_regular_rejects_off_aq(rz_group):
 def test_reps_are_critical_points(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
-    for w, xw in critical_reps(rz, a_log):
+    ensure_regular(rz, a_log)
+    for w in rz.small_weyl.elements:
+        xw = rz.weyl_reps[w]
         val = float(critical_value(rz, a_log, X, w))
         assert abs(float(F(rz, a_log, X, xw)) - val) < 1e-9
         g = grad_F(rz, a_log, X, xw)
@@ -178,7 +216,7 @@ def test_halfspace_check_kostant(rz_kostant):
 
 def test_omega_X_at_zero_is_full_hull(rz):
     a_log = ensure_regular(rz, _a_log(rz))
-    _, minus = plus_minus(rz.base_parabolic)
+    minus = rz.base_parabolic.classification.minus_part
     full = omega(a_log, weyl_orbit(rz.small_weyl, a_log),
                  gamma_aq(sorted(minus), rz.datum))
     out = omega_X(rz, a_log, ex.zeros(rz.dim))
@@ -255,3 +293,17 @@ def test_vanishing_patterns(rz):
                     assert ex.dot(lam, X) != 0
     assert frozenset() in seen
     assert frozenset(pos) in seen
+
+
+def test_critical_image_classifies_its_system_once(monkeypatch):
+    # a fresh positive system: the classification is computed on first use,
+    # one classify call each for sigma and sigma-theta, and then cached
+    calls = []
+    real = parabolic.classify
+    monkeypatch.setattr(parabolic, "classify",
+                        lambda P, tau: calls.append(P) or real(P, tau))
+    cfg = VerificationConfig(preset="sl3_so21", samples=100,
+                             chamber=("3", "2", "1"),
+                             checks=frozenset({"critical_image"}))
+    assert run(cfg).passed
+    assert len(calls) == 2

@@ -35,7 +35,7 @@ def test_identity_and_mat_ops():
     assert ex.mat_mul(m, i3) == m
     assert ex.mat_vec(m, (1, 1, 1)) == (3, 1, 1)
     assert ex.transpose(ex.transpose(m)) == m
-    assert ex.mat_eq(ex.mat_sub(m, m), ex.mat([[0] * 3] * 3))
+    assert ex.mat_sub(m, m) == ex.mat([[0] * 3] * 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -49,21 +49,7 @@ def test_nullspace_annihilates(m):
 @settings(max_examples=60, deadline=None)
 @given(mat_strat(3, 4))
 def test_rank_nullity(m):
-    assert ex.rank(m) + len(ex.nullspace(m)) == 4
-
-
-@settings(max_examples=60, deadline=None)
-@given(mat_strat(3, 3), vec_strat(3))
-def test_solve_round_trip(m, x):
-    b = ex.mat_vec(m, x)
-    got = ex.solve(m, b)
-    assert got is not None
-    assert ex.mat_vec(m, got) == b
-
-
-def test_solve_inconsistent():
-    m = ex.mat([[1, 0], [1, 0]])
-    assert ex.solve(m, (0, 1)) is None
+    assert len(ex.rref(m)[0]) + len(ex.nullspace(m)) == 4
 
 
 @settings(max_examples=40, deadline=None)
@@ -85,12 +71,6 @@ def test_rref_pivots():
     assert len(rows) == len(piv) == 2
     for r, p in zip(rows, piv):
         assert r[p] == 1
-
-
-def test_span_contains():
-    basis = [(1, 0, 1), (0, 1, 0)]
-    assert ex.span_contains(basis, (2, 3, 2))
-    assert not ex.span_contains(basis, (1, 0, 0))
 
 
 @settings(max_examples=60, deadline=None)

@@ -53,6 +53,11 @@ def test_config_from_mapping():
     cfg2 = config_from_mapping({"preset": "sl2_so11", "samples": 50},
                                samples=75, checks=["main"])
     assert cfg2.samples == 75
+    # a string vector is a comma separated list, as on the command line
+    cfg3 = config_from_mapping({"preset": "sl3_so21", "a_log": "2,1,-3",
+                                "chamber": "3, 2, 1"})
+    assert cfg3.a_log == ("2", "1", "-3")
+    assert cfg3.chamber == ("3", "2", "1")
     with pytest.raises(ConfigError):
         config_from_mapping({})
     with pytest.raises(ConfigError):
@@ -63,7 +68,8 @@ def test_config_from_mapping():
         config_from_mapping({"preset": "sl2_so11", "samples": "many"})
     for bad in ({"tol": "abc"}, {"samples": 1.5}, {"samples": True},
                 {"seed": 2.0}, {"radii": "1,2"}, {"radii": [1, None]},
-                {"checks": 3}, {"preset": ["sl2_so11"]}, {"a_log": 5}):
+                {"checks": 3}, {"preset": ["sl2_so11"]}, {"a_log": 5},
+                {"a_log": "21"}, {"chamber": "32"}):
         with pytest.raises(ConfigError):
             config_from_mapping({"preset": "sl2_so11", **bad})
 

@@ -6,14 +6,63 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import nph_basis
-from orbitcone.matrixgrp import (NotInNP, NotInPH, NotUnipotent, Realization,
+from orbitcone.matrixgrp import (NotInNP, NotUnipotent, Realization,
                                  SingularInput, a_matrix, chamber_perm,
-                                 check_PH_split, default_z_q, ek_projection,
-                                 exp_nilpotent, factor_nilpotent, gk_sample,
-                                 h_pq, iwasawa, realization, root_entry,
-                                 root_matrix, sample_H, unipotent_log,
-                                 validate_realization, weyl_rep)
-from orbitcone.parabolic import all_positive_systems, sigma_classification
+                                 default_z_q, ek_projection, exp_nilpotent,
+                                 factor_nilpotent, h_pq, iwasawa, realization,
+                                 root_entry, root_matrix, sample_H,
+                                 unipotent_log)
+from orbitcone.parabolic import all_positive_systems
+
+from iwasawa_reference import iwasawa_by_matmul
+
+
+def _np_vec(v) -> np.ndarray:
+    return np.array([float(x) for x in v])
+
+
+def _np_mat(m) -> np.ndarray:
+    return np.array([[float(x) for x in row] for row in m])
+
+
+def validate_realization(rz: Realization) -> dict[str, float]:
+    """Max deviations of the structural invariants; all should be tiny."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    n = rz.dim
+    Y = rng.normal(size=(1000, n, n))
+    errs = {}
+
+    def theta_alg(Z):
+        return -np.swapaxes(Z, -1, -2)
+
+    aq_basis_np = tuple(_np_vec(v) for v in rz.datum.aq_basis)
+    errs["involutions_commute"] = float(
+        np.abs(rz.sigma_alg(theta_alg(Y)) - theta_alg(rz.sigma_alg(Y))).max())
+    errs["sigma_squared"] = float(np.abs(rz.sigma_alg(rz.sigma_alg(Y)) - Y).max())
+    errs["h_basis_fixed"] = max(
+        float(np.abs(rz.sigma_alg(b) - b).max()) for b in rz.h_basis)
+    sig_a = _np_mat(rz.datum.sigma_on_a)
+    errs["sigma_on_a_matches"] = max(
+        (float(np.abs(np.diagonal(rz.sigma_alg(a_matrix(_np_vec(v))))
+                      - sig_a @ _np_vec(v)).max()) for v in rz.datum.a_basis),
+        default=0.0)
+    werr = 0.0
+    for w, xw in rz.weyl_reps.items():
+        werr = max(werr, float(np.abs(xw.T @ xw - np.eye(n)).max()))
+        werr = max(werr, float(np.abs(rz.sigma_grp(xw) - xw).max()))
+        wf = _np_mat(w)
+        for v in aq_basis_np:
+            lhs = xw @ a_matrix(v) @ xw.T
+            werr = max(werr, float(np.abs(lhs - a_matrix(wf @ v)).max()))
+    errs["weyl_reps"] = werr
+    zerr = 0.0
+    for z in rz.z_reps:
+        zerr = max(zerr, float(np.abs(z.T @ z - np.eye(n)).max()))
+        zerr = max(zerr, float(np.abs(rz.sigma_grp(z) - z).max()))
+        for v in aq_basis_np:
+            zerr = max(zerr, float(np.abs(z @ a_matrix(v) @ z.T - a_matrix(v)).max()))
+    errs["z_reps"] = zerr
+    return errs
 
 
 def test_realization_registry():
@@ -43,39 +92,21 @@ def test_iwasawa_reconstructs(rz):
     n = rz.dim
     for P in all_positive_systems(rz.datum):
         g = expm(0.3 * rng.normal(size=(40, n, n)))
-        tri = iwasawa(rz, g, P)
-        a = a_matrix(np.exp(tri.H))
-        rec = tri.k @ a @ tri.n
+        k, H, nn = iwasawa_by_matmul(rz, g, P)
+        assert np.array_equal(iwasawa(rz, g, P), H)
+        rec = k @ a_matrix(np.exp(H)) @ nn
         assert np.abs(rec - g).max() < 1e-10
         # k orthogonal, n unipotent with unit diagonal
-        assert np.abs(np.swapaxes(tri.k, -1, -2) @ tri.k - np.eye(n)).max() < 1e-10
-        assert np.abs(np.diagonal(tri.n, axis1=-2, axis2=-1) - 1.0).max() < 1e-10
+        assert np.abs(np.swapaxes(k, -1, -2) @ k - np.eye(n)).max() < 1e-10
+        assert np.abs(np.diagonal(nn, axis1=-2, axis2=-1) - 1.0).max() < 1e-10
 
 
 def test_iwasawa_batch_matches_loop(rz_sl3):
     rng = np.random.Generator(np.random.PCG64(5))
     g = expm(0.4 * rng.normal(size=(7, 3, 3)))
-    tri = iwasawa(rz_sl3, g)
+    H = iwasawa(rz_sl3, g)
     for i in range(7):
-        ti = iwasawa(rz_sl3, g[i])
-        assert np.abs(ti.H - tri.H[i]).max() < 1e-12
-
-
-def _iwasawa_by_matmul(rz, g, P):
-    """Reference K A N_P factorization: full QR, conjugated by permutation
-    matrices, all three factors computed at once."""
-    g = np.asarray(g, dtype=float)
-    single = g.ndim == 2
-    G = g[None] if single else g
-    w = chamber_perm(rz, P)
-    q, r = np.linalg.qr(w.T @ G @ w)
-    s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
-    q = q * s[..., None, :]
-    r = r * s[..., :, None]
-    dpos = np.diagonal(r, axis1=-2, axis2=-1)
-    H, n = np.log(dpos) @ w.T, w @ (r / dpos[..., :, None]) @ w.T
-    k = w @ q @ w.T
-    return (k[0], H[0], n[0]) if single else (k, H, n)
+        assert np.abs(iwasawa(rz_sl3, g[i]) - H[i]).max() < 1e-12
 
 
 def test_iwasawa_equals_the_matmul_reference(rz):
@@ -84,12 +115,8 @@ def test_iwasawa_equals_the_matmul_reference(rz):
     g = expm(0.5 * rng.normal(size=(25, n, n)))
     for P in all_positive_systems(rz.datum):
         for x in (g, g[3]):
-            tri = iwasawa(rz, x, P)
-            k, H, nn = _iwasawa_by_matmul(rz, x, P)
-            assert np.array_equal(tri.H, H)
-            assert np.array_equal(tri.k, k)
-            assert np.array_equal(tri.n, nn)
-            assert tri.k is tri.k and tri.n is tri.n
+            _, H, _ = iwasawa_by_matmul(rz, x, P)
+            assert np.array_equal(iwasawa(rz, x, P), H)
             assert np.array_equal(h_pq(rz, x, P), H @ rz.q_proj_np.T)
 
 
@@ -150,10 +177,9 @@ def test_exp_nilpotent_inverts_unipotent_log(rz_sl3):
 def test_h_pq_is_projected_H(rz_group):
     rng = np.random.Generator(np.random.PCG64(8))
     g = expm(0.3 * rng.normal(size=(10, 4, 4)))
-    tri = iwasawa(rz_group, g)
     pr = np.array([[float(c) for c in row]
                    for row in rz_group.datum.q_projector])
-    assert np.abs(h_pq(rz_group, g) - tri.H @ pr.T).max() < 1e-12
+    assert np.abs(h_pq(rz_group, g) - iwasawa(rz_group, g) @ pr.T).max() < 1e-12
 
 
 def test_sample_H_lands_in_H(rz):
@@ -226,26 +252,6 @@ def test_factor_idempotent_on_pure_factors(rz_group):
     assert np.abs(nu2 - mu).max() < 1e-14
 
 
-def test_check_PH_split(rz_group):
-    P = rz_group.base_parabolic
-    # diagonal H-element times unipotent H-element
-    lv = a_matrix(np.exp(np.array([0.3, -0.3, 0.3, -0.3])))
-    z_q = default_z_q(rz_group, P)
-    v = np.zeros((4, 4))
-    for alpha in sorted(P.positive):
-        if ex.dot(alpha, z_q) < 0:
-            i, j = root_entry(alpha)
-            E = np.zeros((4, 4))
-            E[i, j] = 1.0
-            v += 0.5 * (E + rz_group.sigma_alg(E))
-    p = lv @ expm(v)
-    l0, n0 = check_PH_split(rz_group, p, P)
-    assert np.abs(l0 @ n0 - p).max() < 1e-12
-    assert np.abs(np.diag(np.diagonal(l0)) - l0).max() == 0.0
-    with pytest.raises(NotInPH):
-        check_PH_split(rz_group, np.eye(4) + np.diag([1.0, 0.0, 0.0], -1), P)
-
-
 def test_gk_sample_membership(rz_sl3):
     from orbitcone.polyhedra import gk_cone
     systems = all_positive_systems(rz_sl3.datum)
@@ -257,18 +263,8 @@ def test_gk_sample_membership(rz_sl3):
             for alpha in inter:
                 i, j = root_entry(alpha)
                 Z[i, j] = rng.normal()
-            x = expm(Z)
-            H = gk_sample(rz_sl3, P, Q, x)
+            H = iwasawa(rz_sl3, expm(Z), P)
             assert gk_cone(P, Q).contains(H, tol=1e-9)
-    # off-support input is rejected
-    P, Q = systems[0], systems[1]
-    bad = np.eye(3)
-    support = {root_entry(a) for a in Q.positive & P.negative}
-    i, j = next(e for e in [(0, 1), (0, 2), (1, 2), (1, 0), (2, 0), (2, 1)]
-                if e not in support)
-    bad[i, j] = 0.7
-    with pytest.raises(NotInNP):
-        gk_sample(rz_sl3, P, Q, bad)
 
 
 def test_ek_projection_properties(rz_sl3):
@@ -278,7 +274,7 @@ def test_ek_projection_properties(rz_sl3):
         K = ek_projection(rz_sl3, V, P)
         # the k part is antisymmetric and the difference is upper triangular
         assert np.abs(K + np.swapaxes(K, -1, -2)).max() < 1e-12
-        w = chamber_perm(rz_sl3, P)
+        w = np.eye(3)[:, chamber_perm(rz_sl3, P)]
         rest = w.T @ (V - K) @ w
         assert np.abs(np.tril(rest, -1)).max() < 1e-12
         # idempotent on its image
@@ -286,13 +282,10 @@ def test_ek_projection_properties(rz_sl3):
 
 
 def test_weyl_rep_lookup(rz_sl3):
+    assert set(rz_sl3.weyl_reps) == set(rz_sl3.small_weyl.elements)
     for w in rz_sl3.small_weyl.elements:
-        xw = weyl_rep(rz_sl3, w)
+        xw = rz_sl3.weyl_reps[w]
         assert np.abs(xw.T @ xw - np.eye(3)).max() < 1e-12
-    with pytest.raises(KeyError):
-        weyl_rep(rz_sl3, ((Fraction(2), Fraction(0), Fraction(0)),
-                          (Fraction(0), Fraction(1), Fraction(0)),
-                          (Fraction(0), Fraction(0), Fraction(1))))
 
 
 def test_default_z_q_properties(rz):
@@ -300,5 +293,5 @@ def test_default_z_q_properties(rz):
         z_q = default_z_q(rz, P)
         d = rz.datum
         assert d.pr_q(z_q) == z_q
-        for alpha in sigma_classification(P).sigmatheta_part:
+        for alpha in P.classification.sigmatheta_part:
             assert ex.dot(alpha, z_q) > 0

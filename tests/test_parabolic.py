@@ -5,8 +5,7 @@ import pytest
 from orbitcone import exactlin as ex
 from orbitcone.parabolic import (all_positive_systems, from_chamber,
                                  h_extremize, is_h_extreme, is_q_extreme,
-                                 plus_minus, reflect_system,
-                                 sigma_classification)
+                                 reflect_system, sigma_classification)
 
 SYSTEM_COUNTS = {"kostant_sl2": 2, "sl2_so11": 2, "sl3_so21": 6, "group_sl2": 4}
 
@@ -25,9 +24,9 @@ def test_from_chamber_rejects_wall(rz_sl3):
 
 def test_opposite_and_simple_roots(rz_sl3):
     P = rz_sl3.base_parabolic
-    Pb = P.opposite()
+    Pb = from_chamber(rz_sl3.datum, ex.neg(P.chamber_vector))
     assert Pb.positive == P.negative
-    assert Pb.opposite().positive == P.positive
+    assert Pb.negative == P.positive
     simples = P.simple_roots()
     assert simples == frozenset({(Fraction(1), Fraction(-1), Fraction(0)),
                                  (Fraction(0), Fraction(1), Fraction(-1))})
@@ -37,6 +36,8 @@ def test_classification_partition(rz):
     # every positive root is in exactly one of the sigma and sigma-theta parts
     for P in all_positive_systems(rz.datum):
         cls = sigma_classification(P)
+        assert P.classification == cls
+        assert P.classification is P.classification
         assert cls.sigma_part | cls.sigmatheta_part == P.positive
         assert not (cls.sigma_part & cls.sigmatheta_part)
         d = rz.datum
@@ -50,7 +51,7 @@ def test_plus_minus_membership_rules(rz):
     d = rz.datum
     for P in all_positive_systems(rz.datum):
         cls = sigma_classification(P)
-        plus, minus = plus_minus(P)
+        plus, minus = P.classification.plus_part, P.classification.minus_part
         assert plus <= P.positive and minus <= P.positive
         assert minus <= cls.sigmatheta_part
         for alpha in P.positive:
@@ -72,7 +73,7 @@ def test_known_sl3_sets(rz_sl3):
     a23 = (Fraction(0), Fraction(1), Fraction(-1))
     assert cls.sigma_part == frozenset()
     assert cls.sigmatheta_part == frozenset({a12, a13, a23})
-    plus, minus = plus_minus(P)
+    plus, minus = cls.plus_part, cls.minus_part
     # so(2,1) multiplicities put a12 in the + space, the long pair in the -
     assert plus == frozenset({a12})
     assert minus == frozenset({a13, a23})
@@ -84,12 +85,11 @@ def test_known_group_sets(rz_group):
     cls = sigma_classification(P)
     assert cls.sigma_part == P.positive
     assert cls.sigmatheta_part == frozenset()
-    _, minus = plus_minus(P)
-    assert minus == frozenset()
+    assert cls.minus_part == frozenset()
     # opposite chambers in the two factors: q-extreme, Gamma is a ray
     Q = from_chamber(rz_group.datum, (4, 3, 1, 2))
     assert is_q_extreme(Q)
-    _, minus_q = plus_minus(Q)
+    minus_q = Q.classification.minus_part
     assert minus_q == sigma_classification(Q).sigmatheta_part != frozenset()
 
 

@@ -1,10 +1,53 @@
 """Static checks over the package sources."""
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "orbitcone"
+
+# Top-level definitions that nothing in the package reads, kept because the
+# acceptance tests check them as claims of the paper.
+PAPER_CLAIMS = ("factor_nilpotent", "proper_on_cone", "upsilon_cone")
+
+
+def _all_names(tree: ast.Module) -> set[str]:
+    """The names listed in a module's __all__."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__"
+                for t in node.targets):
+            out |= {e.value for e in node.value.elts}
+    return out
+
+
+def _reads(node: ast.AST) -> Counter:
+    """Names loaded below node, as plain names or as attributes."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            out[n.attr] += 1
+    return out
+
+
+def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
+    """Top-level functions and classes that no module reads outside their
+    own body and no __all__ lists."""
+    reads = Counter()
+    for tree in trees.values():
+        reads += _reads(tree)
+        reads.update(_all_names(tree))
+    out = []
+    for module, tree in sorted(trees.items()):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and reads[node.name] == _reads(node)[node.name]:
+                out.append(f"{module}: {node.name}")
+    return out
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -19,11 +62,7 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             for a in node.names:
                 bound[a.asname or a.name] = node.lineno
     read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__"
-                for t in node.targets):
-            read |= {e.value for e in node.value.elts}
+    read |= _all_names(tree)
     return [f"line {line}: {name}" for name, line in sorted(bound.items())
             if name not in read]
 
@@ -36,3 +75,15 @@ def test_no_unused_imports(path):
 def test_the_scan_finds_an_unused_import():
     tree = ast.parse("import os\nfrom a import b, c\n__all__ = ['c']\n")
     assert _unused_imports(tree) == ["line 2: b", "line 1: os"]
+
+
+def test_every_definition_is_read():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    unread = {line.split(": ")[1] for line in _unread_definitions(trees)}
+    assert unread == set(PAPER_CLAIMS), sorted(unread)
+
+
+def test_the_scan_finds_an_unread_definition():
+    tree = ast.parse("def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
+                     "class C:\n    pass\n\n\nx = g\n__all__ = ['C']\n")
+    assert _unread_definitions({"m": tree}) == ["m: f"]
