@@ -3,12 +3,14 @@
 The combinatorial layer (critical values, predicted Hessian signature,
 predicted critical image) is exact rational arithmetic; the numeric layer
 (the functional and its finite-difference Hessians) runs on the matrix
-models and is compared against it.
+models and is compared against it.  The centralizer basis of X in h is
+computed once per realization and tie pattern {(i, j) : X_i = X_j}.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -81,15 +83,23 @@ def _h_basis_exact(rz: Realization) -> tuple[Mat, ...]:
 
 
 def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
-    """Coordinates (over the h-basis) of a basis of the centralizer of X in h."""
+    """Coordinates (over the h-basis) of a basis of the centralizer of X in h.
+
+    [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
+    its RREF and the basis, depends on X only through the pattern of ties
+    X_i = X_j, and the basis is cached on that pattern."""
     X = _exact_vec(X)
     n = rz.dim
-    Xm = tuple(tuple(X[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
-    cols = []
-    for U in _h_basis_exact(rz):
-        br = ex.mat_sub(ex.mat_mul(Xm, U), ex.mat_mul(U, Xm))
-        cols.append(tuple(br[i][j] for i in range(n) for j in range(n)))
-    A = tuple(tuple(col[k] for col in cols) for k in range(n * n))
+    ties = frozenset((i, j) for i in range(n) for j in range(n) if X[i] == X[j])
+    return _centralizer(rz, ties)
+
+
+@lru_cache(maxsize=None)
+def _centralizer(rz: Realization, ties: frozenset) -> tuple[Vec, ...]:
+    n = rz.dim
+    basis = _h_basis_exact(rz)
+    A = tuple(tuple(Fraction(0) if (i, j) in ties else U[i][j] for U in basis)
+              for i in range(n) for j in range(n))
     return tuple(ex.nullspace(A))
 
 

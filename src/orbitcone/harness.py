@@ -485,10 +485,12 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
     tally = Tally(cfg.tol)
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
+        # omega_X reads X only through the roots vanishing on it; for X in
+        # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
+        oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
         for xi, X in enumerate(wits):
-            oms = omega_X(rz, a_exact, X, P)
             Xf = _float_rows([X], rz.dim)[0]
-            for wi, (w, om) in enumerate(sorted(oms.items())):
+            for wi, (w, om) in enumerate(oms):
                 xw = rz.weyl_reps[w]
                 seed = cfg.seed + 1009 * pi + 101 * xi + wi
                 hx = sample_H_X(rz, X, radius, n_per, seed)

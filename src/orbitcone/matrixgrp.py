@@ -57,11 +57,6 @@ class Realization:
             return -self.inv_np @ np.swapaxes(Y, -1, -2) @ self.inv_np
         return self.inv_np @ Y @ self.inv_np
 
-    def sigma_grp(self, g: np.ndarray) -> np.ndarray:
-        if self.kind == "J":
-            return self.inv_np @ np.swapaxes(np.linalg.inv(g), -1, -2) @ self.inv_np
-        return self.inv_np @ g @ self.inv_np
-
     def pi_h(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * (Y + self.sigma_alg(Y))
 

@@ -228,13 +228,6 @@ class _VRep:
         x = ex.vec(x)
         return all(ex.dot(a, x) >= r for a, r in self.hrep)
 
-    def contains(self, x, tol: float = 1e-7) -> bool:
-        """Membership up to Euclidean distance tol outside every facet
-        hyperplane; exact when tol == 0."""
-        if tol == 0:
-            return self.contains_exact(x)
-        return bool(self.slack(x) >= -tol)
-
 
 @dataclass(frozen=True)
 class Cone(_VRep):

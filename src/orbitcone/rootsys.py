@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Mapping
 
 from . import exactlin as ex
@@ -74,9 +75,16 @@ class SymmetricPairDatum:
         object.__setattr__(self, "ah_basis", tuple(ah))
         object.__setattr__(self, "aq_basis", tuple(aq))
 
+    @cached_property
+    def _sigma_table(self) -> dict[Root, Root]:
+        return {alpha: _covector_action(self.sigma_on_a, alpha)
+                for alpha in self.roots}
+
     # involution actions on covectors
     def sigma_root(self, alpha: Root) -> Root:
-        return _covector_action(self.sigma_on_a, alpha)
+        """sigma.alpha; alpha must be a root, since sigma is tabulated on the
+        root set.  The other involution predicates below go through it."""
+        return self._sigma_table[alpha]
 
     def sigmatheta_root(self, alpha: Root) -> Root:
         return ex.neg(self.sigma_root(alpha))
@@ -206,8 +214,13 @@ class WeylGroup:
     def order(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _inverses(self) -> dict[Mat, Mat]:
+        return {w: ex.mat_inv(w) for w in self.elements}
+
     def inverse(self, w: Mat) -> Mat:
-        return ex.mat_inv(w)
+        """w^{-1} for an element w of the group, read from a table."""
+        return self._inverses[w]
 
 
 def reflection_matrix(alpha: Root, gram: Mat) -> Mat:

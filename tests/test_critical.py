@@ -5,9 +5,10 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone import parabolic
+from orbitcone import parabolic, polyhedra
 from orbitcone.critical import (F, NotRegular, critical_value,
-                                ensure_regular, hessian, kernel_dim, omega_X,
+                                ensure_regular, h_x_coords, hessian,
+                                kernel_dim, omega_X,
                                 predicted_signature, sample_H_X, sample_NPH,
                                 transversal_signature, vanishing_patterns)
 from orbitcone.harness import VerificationConfig, run
@@ -16,6 +17,7 @@ from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
 
 from iwasawa_reference import iwasawa_by_matmul
+from reference import h_x_coords_fresh, sigma_grp
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -252,7 +254,7 @@ def test_sample_H_X_centralizes(rz):
     Xm = a_matrix(np.array([float(c) for c in X]))
     hs = sample_H_X(rz, X, 1.0, 16, seed=4)
     assert np.abs(hs @ Xm - Xm @ hs).max() < 1e-9
-    assert np.abs(rz.sigma_grp(hs) - hs).max() < 1e-9
+    assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-9
     assert np.array_equal(hs, sample_H_X(rz, X, 1.0, 16, seed=4))
 
 
@@ -266,7 +268,7 @@ def test_sample_H_X_at_zero_is_sample_H(rz, radius):
 def test_sample_NPH_shape(rz):
     ns = sample_NPH(rz, count=8, seed=6)
     assert ns.shape == (8, rz.dim, rz.dim)
-    assert np.abs(rz.sigma_grp(ns) - ns).max() < 1e-10
+    assert np.abs(sigma_grp(rz, ns) - ns).max() < 1e-10
     if rz.name != "group_sl2":
         assert np.array_equal(ns, np.tile(np.eye(rz.dim), (8, 1, 1)))
     else:
@@ -307,3 +309,47 @@ def test_critical_image_classifies_its_system_once(monkeypatch):
                              checks=frozenset({"critical_image"}))
     assert run(cfg).passed
     assert len(calls) == 2
+
+
+def test_h_x_coords_matches_a_fresh_computation(rz):
+    rng = np.random.default_rng(9)
+    n = rz.dim
+    generic = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                    for _ in range(n))
+    tied = (generic[0],) + generic[:-1]
+    for X in (generic, tied, ex.zeros(n)):
+        assert h_x_coords(rz, X) == h_x_coords_fresh(rz, X)
+
+
+def test_h_x_coords_is_cached_per_tie_pattern(rz):
+    X1 = tuple(Fraction(k + 1, 3) for k in range(rz.dim))
+    X2 = tuple(Fraction(-2 * (k + 1)) for k in range(rz.dim))
+    assert h_x_coords(rz, X1) is h_x_coords(rz, X2)
+    assert h_x_coords(rz, X2) == h_x_coords_fresh(rz, X2)
+
+
+def test_omega_X_depends_only_on_the_vanishing_pattern(rz):
+    a_log = ensure_regular(rz, _a_log(rz))
+    for S, wits in vanishing_patterns(rz, per_pattern=10, seed=47):
+        first = omega_X(rz, a_log, wits[0])
+        for X in wits[1:]:
+            out = omega_X(rz, a_log, X)
+            assert out.keys() == first.keys()
+            for w, om in out.items():
+                assert om.vertices == first[w].vertices
+                assert om.cone.generators == first[w].cone.generators
+
+
+def test_critical_image_builds_one_hrep_per_pattern_and_weyl_element(monkeypatch):
+    # one Omega_X per vanishing pattern: the H-rep of each (pattern, w) is
+    # built once and serves every witness of the pattern
+    expected = {"kostant_sl2": 4, "sl2_so11": 2, "sl3_so21": 10, "group_sl2": 4}
+    real = polyhedra.project_polyhedron
+    for preset, count in expected.items():
+        calls = []
+        monkeypatch.setattr(polyhedra, "project_polyhedron",
+                            lambda *a: calls.append(a) or real(*a))
+        cfg = VerificationConfig(preset=preset, samples=2000, seed=0,
+                                 checks=frozenset({"critical_image"}))
+        assert run(cfg).passed
+        assert len(calls) == count, preset

@@ -4,7 +4,7 @@ import pytest
 
 from orbitcone import exactlin as ex
 from orbitcone.rootsys import (BadMultiplicity, NotAnInvolution,
-                               build_pair_datum, indivisible,
+                               _covector_action, build_pair_datum, indivisible,
                                reflection_matrix, restricted_roots,
                                weyl_group, weyl_orbit)
 
@@ -33,6 +33,20 @@ def test_sigma_is_involution(rz):
         assert d.pr_q(v) == v
     for v in d.ah_basis:
         assert ex.is_zero(d.pr_q(v))
+
+
+def test_sigma_root_is_the_matrix_action(rz):
+    d = rz.datum
+    for alpha in d.roots:
+        assert d.sigma_root(alpha) == _covector_action(d.sigma_on_a, alpha)
+
+
+def test_small_weyl_inverses(rz):
+    w = rz.small_weyl
+    ident = ex.identity(len(rz.datum.gram))
+    for g in w.elements:
+        assert ex.mat_mul(g, w.inverse(g)) == ident
+        assert ex.mat_mul(w.inverse(g), g) == ident
 
 
 def test_roots_sigma_stable(rz):

@@ -1,15 +1,22 @@
 """Static checks over the package sources."""
 import ast
+import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "orbitcone"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "orbitcone"
 
-# Top-level definitions that nothing in the package reads, kept because the
-# acceptance tests check them as claims of the paper.
-PAPER_CLAIMS = ("factor_nilpotent", "proper_on_cone", "upsilon_cone")
+# Definitions that nothing in the package reads, kept because the
+# acceptance tests check them as claims of the paper.  contains_exact is the
+# exact membership that test_08 reads both ways between the upsilon and gamma
+# cones, and that re-certifying a reported witness needs.
+PAPER_CLAIMS = ("factor_nilpotent", "proper_on_cone", "upsilon_cone",
+                "contains_exact")
 
 
 def _all_names(tree: ast.Module) -> set[str]:
@@ -34,20 +41,30 @@ def _reads(node: ast.AST) -> Counter:
     return out
 
 
+def _definitions(tree: ast.Module):
+    """Top-level functions and classes, and the non-dunder methods of the
+    top-level classes."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) \
+                        and not item.name.startswith("__"):
+                    yield item
+
+
 def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
-    """Top-level functions and classes that no module reads outside their
-    own body and no __all__ lists."""
+    """Definitions that no module reads outside their own body and no
+    __all__ lists."""
     reads = Counter()
     for tree in trees.values():
         reads += _reads(tree)
         reads.update(_all_names(tree))
-    out = []
-    for module, tree in sorted(trees.items()):
-        for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
-                    and reads[node.name] == _reads(node)[node.name]:
-                out.append(f"{module}: {node.name}")
-    return out
+    return [f"{module}: {node.name}"
+            for module, tree in sorted(trees.items())
+            for node in _definitions(tree)
+            if reads[node.name] == _reads(node)[node.name]]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -87,3 +104,28 @@ def test_the_scan_finds_an_unread_definition():
     tree = ast.parse("def f():\n    return f()\n\n\ndef g():\n    pass\n\n\n"
                      "class C:\n    pass\n\n\nx = g\n__all__ = ['C']\n")
     assert _unread_definitions({"m": tree}) == ["m: f"]
+
+
+def test_the_scan_finds_an_unread_method():
+    tree = ast.parse("class C:\n    def __init__(self):\n        pass\n\n"
+                     "    def read(self):\n        return self.helper()\n\n"
+                     "    def helper(self):\n        return 1\n\n"
+                     "    def unread(self):\n        return self.unread()\n\n\n"
+                     "C().read()\n")
+    assert _unread_definitions({"m": tree}) == ["m: unread"]
+
+
+def test_every_traced_layer_is_present():
+    # the benchmark's tracer rebinds each layer function where orbitcone
+    # holds it; a layer whose function left the package reports as absent.
+    # A separate interpreter keeps the rebinding out of this session.
+    code = ("import json, orbitcone, tracer\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "print(json.dumps(t.absent))\n")
+    path = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    out = subprocess.run([sys.executable, "-c",
+                          f"import sys; sys.path[:0] = {path!r}\n" + code],
+                         capture_output=True, text=True, timeout=120,
+                         check=True)
+    assert json.loads(out.stdout.splitlines()[-1]) == []
