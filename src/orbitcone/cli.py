@@ -72,12 +72,8 @@ def _load_config_file(path: str | None) -> dict:
 
 
 def _build_config(ns: argparse.Namespace, forced_checks: str | None = None):
-    base = _load_config_file(ns.config)
-    checks = forced_checks
-    if checks is None:
-        checks = getattr(ns, "checks", None)
     return config_from_mapping(
-        base,
+        _load_config_file(ns.config),
         preset=ns.preset,
         chamber=_split(ns.chamber) if ns.chamber else None,
         a_log=_split(ns.a_log) if ns.a_log else None,
@@ -87,7 +83,7 @@ def _build_config(ns: argparse.Namespace, forced_checks: str | None = None):
         seed=ns.seed,
         out=ns.out,
         format=ns.format,
-        checks=checks,
+        checks=forced_checks or getattr(ns, "checks", None),
     )
 
 
@@ -116,20 +112,15 @@ def _run_and_report(ns: argparse.Namespace, forced_checks: str | None = None,
 def main(argv=None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        if ns.command == "verify":
-            return _run_and_report(ns)
-        if ns.command == "gk":
-            return _run_and_report(ns, forced_checks="gk")
-        if ns.command == "hessian":
-            return _run_and_report(ns, forced_checks="hessian")
-        if ns.command == "report":
-            return _run_and_report(ns, always_emit=True)
         if ns.command == "extremize":
             return _cmd_extremize(ns)
+        # gk and hessian are verify with their one check forced
+        forced = ns.command if ns.command in ("gk", "hessian") else None
+        return _run_and_report(ns, forced_checks=forced,
+                               always_emit=ns.command == "report")
     except (ConfigError, IoError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    raise AssertionError("unreachable")
 
 
 def _fmt_root(alpha) -> str:

@@ -4,7 +4,9 @@ The combinatorial layer (critical values, predicted Hessian signature,
 predicted critical image) is exact rational arithmetic; the numeric layer
 (the functional and its finite-difference Hessians) runs on the matrix
 models and is compared against it.  The centralizer basis of X in h is
-computed once per realization and tie pattern {(i, j) : X_i = X_j}.
+computed once per realization and tie pattern {(i, j) : X_i = X_j}.  The
+predicted Hessian kernel is built in one place, ``_predicted_kernel``, which
+both ``kernel_dim`` and ``transversal_signature`` read.
 """
 from __future__ import annotations
 
@@ -24,6 +26,7 @@ from .polyhedra import PolyhedralSet, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
 
 SV_TOL = 1e-7
+FD_STEP = 2e-3      # finite-difference step of numeric_hessian
 
 
 class NotRegular(ValueError):
@@ -47,13 +50,17 @@ def _exact_from_float_mat(m: np.ndarray) -> Mat:
     return tuple(out)
 
 
+def is_regular(rz: Realization, v: Vec) -> bool:
+    """No restricted root vanishes on v."""
+    return all(ex.dot(lam, v) != 0 for lam in rz.restricted.roots_q)
+
+
 def ensure_regular(rz: Realization, a_log) -> Vec:
     a_log = _exact_vec(a_log)
     if ex.mat_vec(rz.datum.q_projector, a_log) != a_log:
         raise ValueError("base point must lie in a_q")
-    for lam in rz.restricted.roots_q:
-        if ex.dot(lam, a_log) == 0:
-            raise NotRegular("a restricted root vanishes on the base point")
+    if not is_regular(rz, a_log):
+        raise NotRegular("a restricted root vanishes on the base point")
     return a_log
 
 
@@ -124,20 +131,24 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
     return tuple(out)
 
 
+def _predicted_kernel(rz: Realization, X, P: PositiveSystem | None) -> np.ndarray:
+    """Spanning set of (centralizer of X in h) + (sigma-fixed nilpotent
+    part), as rows of flattened matrices; shape (k, dim * dim)."""
+    P = P if P is not None else rz.base_parabolic
+    vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))).reshape(-1)
+            for coords in h_x_coords(rz, X)]
+    vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
+    return np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
+
+
+def _rank(sv: np.ndarray) -> int:
+    """Numerical rank from singular values, relative to max(1, largest)."""
+    return int(np.sum(sv > SV_TOL * max(1.0, sv.max(initial=0.0))))
+
+
 def kernel_dim(rz: Realization, X, P: PositiveSystem | None = None) -> int:
     """dim of (centralizer of X in h) + (nilpotent part inside h)."""
-    P = P if P is not None else rz.base_parabolic
-    vecs = []
-    for coords in h_x_coords(rz, X):
-        V = sum(float(c) * b for c, b in zip(coords, rz.h_basis))
-        vecs.append(np.asarray(V).reshape(-1))
-    for B in nph_basis(rz, P):
-        vecs.append(B.reshape(-1))
-    if not vecs:
-        return 0
-    M = np.stack(vecs)
-    sv = np.linalg.svd(M, compute_uv=False)
-    return int(np.sum(sv > SV_TOL * max(1.0, sv[0])))
+    return _rank(np.linalg.svd(_predicted_kernel(rz, X, P), compute_uv=False))
 
 
 # --- Hessian ---------------------------------------------------------------
@@ -168,7 +179,7 @@ def analytic_hessian(rz: Realization, a_log, X, w: Mat,
 
 
 def numeric_hessian(rz: Realization, a_log, X, w: Mat,
-                    P: PositiveSystem | None = None, step: float = 2e-3) -> np.ndarray:
+                    P: PositiveSystem | None = None) -> np.ndarray:
     """Cross-stencil second differences of F at x_w, Richardson-extrapolated."""
     xw = rz.weyl_reps[w]
     basis = np.stack(rz.h_basis)
@@ -185,65 +196,46 @@ def numeric_hessian(rz: Realization, a_log, X, w: Mat,
         vals = vals.reshape(dh, dh, 4)
         return (vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3]) / (4 * delta * delta)
 
-    d1 = form_at(step)
-    d2 = form_at(step / 2)
+    d1 = form_at(FD_STEP)
+    d2 = form_at(FD_STEP / 2)
     out = (4.0 * d2 - d1) / 3.0
     return 0.5 * (out + out.T)
 
 
 def hessian(rz: Realization, a_log, X, w: Mat,
             P: PositiveSystem | None = None) -> HessianReport:
-    ensure_regular(rz, a_log)
+    """Numeric and analytic Hessians of F at x_w.  a_log must be a regular
+    point of a_q; ensure_regular checks it, and the caller does so once."""
     num = numeric_hessian(rz, a_log, X, w, P)
     ana = analytic_hessian(rz, a_log, X, w, P)
-    scale = max(np.abs(num).max(), 1.0)
-    ev = np.linalg.eigvalsh(num)
-    n_plus = int(np.sum(ev > SV_TOL * scale))
-    n_minus = int(np.sum(ev < -SV_TOL * scale))
-    n_zero = len(ev) - n_plus - n_minus
     return HessianReport(w=w, numeric_form=num, analytic_form=ana,
-                         signature=(n_plus, n_zero, n_minus))
+                         signature=_signature(num, num))
 
 
-def transversal_signature(rz: Realization, report: HessianReport, X,
-                          P: PositiveSystem | None = None) -> tuple[int, int, int]:
-    """Signature of the numeric form restricted to the complement of its
-    predicted kernel, orthogonal for the theta-twisted inner product."""
-    P = P if P is not None else rz.base_parabolic
-    dh = len(rz.h_basis)
-    gram_h = np.array([[float(rz.inner(bi, bj)) for bj in rz.h_basis]
-                       for bi in rz.h_basis])
-    kern = []
-    for coords in h_x_coords(rz, X):
-        kern.append(np.array([float(c) for c in coords]))
-    for B in nph_basis(rz, P):
-        coords = _coords_in_h(rz, B)
-        kern.append(coords)
-    if kern:
-        K = np.stack(kern)
-        # complement: vectors v with (K G) v = 0
-        M = K @ gram_h
-        _, sv, vt = np.linalg.svd(M)
-        rank = int(np.sum(sv > SV_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
-        T = vt[rank:].T
-    else:
-        T = np.eye(dh)
-    if T.shape[1] == 0:
-        return (0, 0, 0)
-    form = T.T @ report.numeric_form @ T
-    scale = max(np.abs(report.numeric_form).max(), 1.0)
+def _signature(form: np.ndarray, full: np.ndarray) -> tuple[int, int, int]:
+    """(n_plus, n_zero, n_minus) of a symmetric form; eigenvalues within
+    SV_TOL * max(1, largest entry of the full Hessian) of 0 count as zero."""
+    scale = max(np.abs(full).max(), 1.0)
     ev = np.linalg.eigvalsh(form)
     n_plus = int(np.sum(ev > SV_TOL * scale))
     n_minus = int(np.sum(ev < -SV_TOL * scale))
     return (n_plus, len(ev) - n_plus - n_minus, n_minus)
 
 
-def _coords_in_h(rz: Realization, V: np.ndarray) -> np.ndarray:
-    B = np.stack([b.reshape(-1) for b in rz.h_basis]).T
-    sol, res, rank, sv = np.linalg.lstsq(B, V.reshape(-1), rcond=None)
-    if np.abs(B @ sol - V.reshape(-1)).max() > 1e-9:
-        raise ValueError("matrix is not in the span of the h-basis")
-    return sol
+def transversal_signature(rz: Realization, report: HessianReport, X,
+                          P: PositiveSystem | None = None) -> tuple[int, int, int]:
+    """Signature of the numeric form restricted to the complement of its
+    predicted kernel, orthogonal for the theta-twisted inner product."""
+    K = _predicted_kernel(rz, X, P)
+    if len(K):
+        # (K B^T) v = 0 says sum_j v_j U_j is orthogonal to the kernel for
+        # <Y, Z> = kappa tr(Y Z^T); kappa does not change the null space
+        B = np.stack([b.reshape(-1) for b in rz.h_basis])
+        _, sv, vt = np.linalg.svd(K @ B.T)
+        T = vt[_rank(sv):].T
+    else:
+        T = np.eye(len(rz.h_basis))
+    return _signature(T.T @ report.numeric_form @ T, report.numeric_form)
 
 
 # --- predicted signature ----------------------------------------------------
@@ -266,9 +258,10 @@ def _orbit_classes(P: PositiveSystem) -> list[frozenset]:
 
 def predicted_signature(rz: Realization, a_log, X, w: Mat,
                         P: PositiveSystem | None = None):
-    """Exact positivity prediction plus per-orbit certificates."""
+    """Exact positivity prediction plus per-orbit certificates.  a_log must
+    be a regular point of a_q; ensure_regular checks it."""
     P = P if P is not None else rz.base_parabolic
-    a_exact = ensure_regular(rz, a_log)
+    a_exact = _exact_vec(a_log)
     X = _exact_vec(X)
     d = rz.datum
     wln = ex.mat_vec(rz.small_weyl.inverse(w), a_exact)
@@ -285,6 +278,9 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
         entry = {"root": [str(c) for c in alpha],
                  "alpha_X": str(aX), "alpha_w_log_a": str(awl)}
         decay = float(np.exp(-2.0 * float(awl)))
+        # the eigenvalue pair of a class outside Sigma(P, sigma) (cases b.2)
+        lam_p = 0.5 * float(aX) * (decay - 1.0)
+        lam_m = 0.5 * float(aX) * (decay + 1.0)
         if aX == 0:
             entry.update(case="a", transversal_dim=0, eigenvalues=[], positive=True)
         elif alpha in parts.sigma_part:
@@ -292,14 +288,10 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
             entry.update(case="b.1", transversal_dim=dim_full,
                          eigenvalues=[scalar], positive=bool(aX * awl < 0))
         elif not d.in_aq_star(alpha):
-            lam1 = 0.5 * float(aX) * (decay - 1.0)
-            lam2 = 0.5 * float(aX) * (decay + 1.0)
             entry.update(case="b.2.1", transversal_dim=2 * dim_full,
-                         eigenvalues=[lam1, lam2],
+                         eigenvalues=[lam_p, lam_m],
                          positive=bool(aX > 0 and aX * awl < 0))
         else:
-            lam_p = 0.5 * float(aX) * (decay - 1.0)
-            lam_m = 0.5 * float(aX) * (decay + 1.0)
             eigs, ok = [], True
             if mp:
                 eigs.append(lam_p)
@@ -372,11 +364,7 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed: int = 0
         for s_tuple in it.combinations(pos, r):
             S = frozenset(s_tuple)
             rows = tuple(tuple(ex.dot(lam, b) for b in aq) for lam in sorted(S))
-            if rows:
-                null = ex.nullspace(rows)
-            else:
-                null = tuple(tuple(Fraction(1) if i == k else Fraction(0)
-                                   for i in range(len(aq))) for k in range(len(aq)))
+            null = ex.nullspace(rows) if rows else ex.identity(len(aq))
             if not null:
                 if S == frozenset(pos):
                     out.append((S, (ex.zeros(rz.dim),)))
@@ -390,12 +378,8 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed: int = 0
                 attempts += 1
                 cs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
                       for _ in null]
-                t = ex.zeros(len(aq))
-                for c, nv in zip(cs, null):
-                    t = ex.add(t, ex.scale(c, nv))
-                Xv = ex.zeros(rz.dim)
-                for c, b in zip(t, aq):
-                    Xv = ex.add(Xv, ex.scale(c, b))
+                t = ex.combination(cs, null, len(aq))
+                Xv = ex.combination(t, aq, rz.dim)
                 if any(ex.dot(row, t) == 0 for row in lam_rows.values()):
                     continue
                 wits.append(Xv)

@@ -44,6 +44,15 @@ def neg(x: Vec) -> Vec:
     return tuple(-a for a in x)
 
 
+def combination(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
+    """sum_k coeffs[k] * vecs[k] in Q^n, exactly; zeros(n) over no vectors.
+    Raises ValueError when the lengths do not match."""
+    out = zeros(n)
+    for c, v in zip(coeffs, vecs, strict=True):
+        out = add(out, scale(c, v))
+    return out
+
+
 def dot(x: Vec, y: Vec) -> Fraction:
     return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
 

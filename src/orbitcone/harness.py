@@ -23,14 +23,15 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .critical import (F, NotRegular, critical_value, ensure_regular, hessian,
-                       kernel_dim, omega_X, predicted_signature, sample_H_X,
-                       sample_NPH, transversal_signature, vanishing_patterns)
+                       is_regular, kernel_dim, omega_X, predicted_signature,
+                       sample_H_X, sample_NPH, transversal_signature,
+                       vanishing_patterns)
 from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
                         realization, root_matrix, sample_H)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
-from .polyhedra import (coroot, gamma_aq, gamma_cone, gk_cone, is_pointed,
-                        omega, pointedness_certificate)
-from .rootsys import weyl_orbit
+from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
+                        pointedness_certificate)
+from .rootsys import coroot, weyl_orbit
 
 
 class ConfigError(ValueError):
@@ -155,14 +156,42 @@ class VerificationConfig:
         }
 
 
-_CONFIG_KEYS = {"preset", "chamber", "a_log", "samples", "radii", "tol",
-                "seed", "checks", "out", "format"}
+def _radii(radii) -> tuple[float, ...]:
+    if not isinstance(radii, (list, tuple)):
+        raise ConfigError("radii must be a list of numbers")
+    return tuple(_number(r, float, "radii") for r in radii)
+
+
+def _checks(cs) -> frozenset[str]:
+    """Check names from a list, or from a comma separated string."""
+    if isinstance(cs, str):
+        cs = [c.strip() for c in cs.split(",") if c.strip()]
+    if not isinstance(cs, (list, tuple, set, frozenset)) \
+            or not all(isinstance(c, str) for c in cs):
+        raise ConfigError("checks must be a list of check names")
+    return frozenset(cs)
+
+
+# every config key, with the converter from its JSON value to the field;
+# keys convert in this order, so the first bad one names the error
+_CONFIG_KEYS = {
+    "preset": lambda v: v,
+    "chamber": _rat_tuple,
+    "a_log": _rat_tuple,
+    "samples": lambda v: _number(v, int, "samples"),
+    "radii": _radii,
+    "tol": lambda v: _number(v, float, "tol"),
+    "seed": lambda v: _number(v, int, "seed"),
+    "checks": _checks,
+    "out": str,
+    "format": str,
+}
 
 
 def config_from_mapping(data: Mapping, **overrides) -> VerificationConfig:
     """Build a config from a JSON-style mapping; keyword overrides win."""
     merged = dict(data)
-    unknown = set(merged) - _CONFIG_KEYS
+    unknown = set(merged) - set(_CONFIG_KEYS)
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     for k, v in overrides.items():
@@ -170,34 +199,10 @@ def config_from_mapping(data: Mapping, **overrides) -> VerificationConfig:
             merged[k] = v
     if "preset" not in merged:
         raise ConfigError("a preset name is required")
-    kw: dict = {"preset": merged["preset"]}
-    if merged.get("chamber") is not None:
-        kw["chamber"] = _rat_tuple(merged["chamber"])
-    if merged.get("a_log") is not None:
-        kw["a_log"] = _rat_tuple(merged["a_log"])
-    if merged.get("samples") is not None:
-        kw["samples"] = _number(merged["samples"], int, "samples")
-    if merged.get("radii") is not None:
-        radii = merged["radii"]
-        if not isinstance(radii, (list, tuple)):
-            raise ConfigError("radii must be a list of numbers")
-        kw["radii"] = tuple(_number(r, float, "radii") for r in radii)
-    if merged.get("tol") is not None:
-        kw["tol"] = _number(merged["tol"], float, "tol")
-    if merged.get("seed") is not None:
-        kw["seed"] = _number(merged["seed"], int, "seed")
-    if merged.get("checks") is not None:
-        cs = merged["checks"]
-        if isinstance(cs, str):
-            cs = [c.strip() for c in cs.split(",") if c.strip()]
-        if not isinstance(cs, (list, tuple, set, frozenset)) \
-                or not all(isinstance(c, str) for c in cs):
-            raise ConfigError("checks must be a list of check names")
-        kw["checks"] = frozenset(cs)
-    if merged.get("out") is not None:
-        kw["out"] = str(merged["out"])
-    if merged.get("format") is not None:
-        kw["format"] = str(merged["format"])
+    # the preset goes through even when None, so that the config names it
+    kw = {"preset": merged["preset"]}
+    kw.update((k, convert(merged[k])) for k, convert in _CONFIG_KEYS.items()
+              if merged.get(k) is not None)
     return VerificationConfig(**kw)
 
 
@@ -421,8 +426,10 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
 def _check_no_line(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                    ) -> CheckResult:
     gamma = gamma_cone(P)
-    pointed = is_pointed(gamma)      # a cone contains a line iff it is not pointed
-    cert = pointedness_certificate(gamma) if pointed else None
+    # one LP: the certificate exists exactly when gamma is pointed, and a
+    # cone contains a line exactly when it is not pointed
+    cert = pointedness_certificate(gamma)
+    pointed = cert is not None
     return CheckResult(
         name="no_line", passed=pointed,
         count=len(gamma.generators),
@@ -451,9 +458,7 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     for _ in range(cfg.samples):
         coords = [Fraction(c).limit_denominator(40)
                   for c in rng.normal(size=n_aq)]
-        X = ex.zeros(rz.dim)
-        for c, bvec in zip(coords, rz.datum.aq_basis):
-            X = ex.add(X, ex.scale(c, bvec))
+        X = ex.combination(coords, rz.datum.aq_basis, rz.dim)
         kd = kernel_dim(rz, X, P)
         for w in rz.small_weyl.elements:
             count += 1
@@ -550,7 +555,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             for E, alpha in zip(basis, support):
                 x = 1.7
                 val = iwasawa(rz, np.eye(rz.dim) + x * E, P)
-                h_neg = coroot(ex.neg(alpha), rz.datum.gram).h_alpha
+                h_neg = coroot(ex.neg(alpha), rz.datum.gram)
                 want = 0.5 * np.log(1 + x * x) * _float_rows([h_neg], rz.dim)[0]
                 closed_dev = max(closed_dev, float(np.abs(val - want).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,
@@ -565,22 +570,14 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     if ex.mat_vec(rz.datum.q_projector, a_exact) != a_exact:
         raise ConfigError("base point must lie in a_q")
     # a regular rational direction in a_q
-    dirv = None
-    for p in (97, 991, 9973):
-        cand = ex.zeros(rz.dim)
-        for k, bvec in enumerate(rz.datum.aq_basis):
-            cand = ex.add(cand, ex.scale(Fraction(p + k + 1, p), bvec))
-        if all(ex.dot(lam, cand) != 0 for lam in rz.restricted.roots_q):
-            dirv = cand
-            break
+    aq = rz.datum.aq_basis
+    dirs = (ex.combination([Fraction(p + k + 1, p) for k in range(len(aq))], aq, rz.dim)
+            for p in (97, 991, 9973))
+    dirv = next((d for d in dirs if is_regular(rz, d)), None)
     if dirv is None:
         raise ConfigError("no regular direction found")
-    steps = []
-    for j in range(1, 5):
-        t = Fraction(1, 4 ** j)
-        aj = ex.add(a_exact, ex.scale(t, dirv))
-        if all(ex.dot(lam, aj) != 0 for lam in rz.restricted.roots_q):
-            steps.append(aj)
+    steps = [aj for aj in (ex.add(a_exact, ex.scale(Fraction(1, 4 ** j), dirv))
+                           for j in range(1, 5)) if is_regular(rz, aj)]
     tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)

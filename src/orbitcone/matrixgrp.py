@@ -60,10 +60,6 @@ class Realization:
     def pi_h(self, Y: np.ndarray) -> np.ndarray:
         return 0.5 * (Y + self.sigma_alg(Y))
 
-    def inner(self, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
-        """<Y,Z> = -B(Y, theta Z) = kappa * tr(Y Z^T)."""
-        return self.kappa * np.trace(Y @ np.swapaxes(Z, -1, -2), axis1=-2, axis2=-1)
-
     @cached_property
     def base_parabolic(self) -> PositiveSystem:
         cham = tuple(Fraction(self.dim - i) for i in range(self.dim))
@@ -387,9 +383,8 @@ def default_z_q(rz: Realization, P: PositiveSystem | None = None) -> Vec:
     pos = sorted(P.positive)
     st_part = P.classification.sigmatheta_part
     for prime in (97, 991, 9973, 99991):
-        z_p = ex.zeros(rz.dim)
-        for k, alpha in enumerate(pos):
-            z_p = ex.add(z_p, ex.scale(Fraction(prime + k, prime), alpha))
+        z_p = ex.combination([Fraction(prime + k, prime) for k in range(len(pos))],
+                             pos, rz.dim)
         if any(ex.dot(a, z_p) <= 0 for a in pos):
             continue
         z_q = ex.sub(z_p, ex.mat_vec(d.sigma_on_a, z_p))
@@ -422,8 +417,8 @@ def _split_ops(rz: Realization, P: PositiveSystem, z_q: Vec):
     return U_op, V_op
 
 
-def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None,
-                     z_q: Vec | None = None) -> tuple[np.ndarray, np.ndarray]:
+def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None
+                     ) -> tuple[np.ndarray, np.ndarray]:
     """Split n in N_P as n_plus * n_H; accepts stacked input (..., n, n)."""
     P = P if P is not None else rz.base_parabolic
     m = np.asarray(m, dtype=float)
@@ -432,8 +427,7 @@ def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None,
     off = np.abs(np.where(mask, 0.0, L)).max()
     if off > 1e-9 * (1.0 + np.abs(L).max()):
         raise NotInNP("log is not supported on the positive root spaces")
-    z_q = z_q if z_q is not None else default_z_q(rz, P)
-    U_op, V_op = _split_ops(rz, P, z_q)
+    U_op, V_op = _split_ops(rz, P, default_z_q(rz, P))
     n = rz.dim
     flat = L.reshape(L.shape[:-2] + (n * n,))
     u = (flat @ U_op.T).reshape(L.shape)

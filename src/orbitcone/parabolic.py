@@ -151,11 +151,9 @@ def h_extremize(P: PositiveSystem) -> tuple[PositiveSystem, tuple[Root, ...]]:
     return current, tuple(trace)
 
 
-def all_positive_systems(datum: SymmetricPairDatum,
-                         base: PositiveSystem | None = None) -> list[PositiveSystem]:
+def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
     """Every positive system, enumerated via the Weyl action on a base one."""
-    if base is None:
-        base = _default_base(datum)
+    base = _default_base(datum)
     W = weyl_group(datum.roots, datum.gram)
     seen: dict[tuple, PositiveSystem] = {}
     for w in W.elements:
@@ -175,13 +173,7 @@ def _default_base(datum: SymmetricPairDatum) -> PositiveSystem:
 
 def _generic_vectors(datum: SymmetricPairDatum):
     basis = datum.a_basis
-    n = len(basis)
-    weights = [Fraction(1)]
-    for i in range(1, n):
-        weights.append(weights[-1] / 97)
-    yield tuple(sum(w * b[i] for w, b in zip(weights, basis))
-                for i in range(len(basis[0])))
+    n, dim = len(basis), len(basis[0])
+    yield ex.combination([Fraction(1, 97 ** i) for i in range(n)], basis, dim)
     for k in range(2, 50):
-        weights = [Fraction(1, k ** i + i) for i in range(n)]
-        yield tuple(sum(w * b[i] for w, b in zip(weights, basis))
-                    for i in range(len(basis[0])))
+        yield ex.combination([Fraction(1, k ** i + i) for i in range(n)], basis, dim)

@@ -18,34 +18,13 @@ import numpy as np
 from . import exactlin as ex
 from .exactlin import Mat, Vec
 from .parabolic import PositiveSystem, is_q_extreme
-from .rootsys import Root, SymmetricPairDatum, restricted_roots
+from .rootsys import Root, SymmetricPairDatum, coroot, restricted_roots
 
 Ineq = tuple[Vec, Fraction]     # (a, r) meaning a.x >= r
 
 
-class ZeroRoot(ValueError):
-    pass
-
-
 class NotQExtreme(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class CorootVector:
-    h_alpha: Vec          # alpha(H_alpha) = 2, B-orthogonal to ker alpha
-    h_alpha_check: Vec    # <H_check, X>_B = alpha(X)
-
-
-def coroot(alpha: Root, gram: Mat) -> CorootVector:
-    alpha = ex.vec(alpha)
-    if ex.is_zero(alpha):
-        raise ZeroRoot("coroot of the zero functional")
-    ginv = ex.mat_inv(ex.mat(gram))
-    dual = ex.mat_vec(ginv, alpha)          # B(dual, .) = alpha
-    denom = ex.dot(alpha, dual)
-    return CorootVector(h_alpha=ex.scale(Fraction(2) / denom, dual),
-                        h_alpha_check=dual)
 
 
 # --- exact Fourier-Motzkin projection --------------------------------------
@@ -262,17 +241,6 @@ class PolyhedralSet(_VRep):
 
 # --- cone predicates -------------------------------------------------------
 
-def is_pointed(cone: Cone) -> bool:
-    """No line: there is no nonzero nonnegative combination summing to zero."""
-    gens = [g for g in cone.generators if not ex.is_zero(g)]
-    if not gens:
-        return True
-    n, m = len(gens[0]), len(gens)
-    A = [tuple(g[i] for g in gens) for i in range(n)]
-    A.append(tuple([Fraction(1)] * m))
-    return not ex.feasible(tuple(A), tuple([Fraction(0)] * n + [Fraction(1)]))
-
-
 def proper_on_cone(p: Mat, cone: Cone) -> bool:
     """ker p meets the cone only at 0."""
     gens = [g for g in cone.generators if not ex.is_zero(g)]
@@ -298,7 +266,8 @@ def proper_on_cone(p: Mat, cone: Cone) -> bool:
 
 def pointedness_certificate(cone: Cone) -> Vec | None:
     """An exact functional xi with xi.g > 0 for every nonzero generator, or
-    None when the cone is not pointed."""
+    None when the cone is not pointed: by Gordan's alternative, xi exists
+    exactly when no nonzero nonnegative combination of generators is 0."""
     gens = [g for g in cone.generators if not ex.is_zero(g)]
     n = cone.ambient
     if not gens:
@@ -323,13 +292,13 @@ def pointedness_certificate(cone: Cone) -> Vec | None:
 
 def gamma_a(roots: Sequence[Root], gram: Mat) -> Cone:
     """Cone generated by the coroots H_alpha over the given roots."""
-    gens = tuple(coroot(a, gram).h_alpha for a in sorted(set(map(ex.vec, roots))))
+    gens = tuple(coroot(a, gram) for a in sorted(set(map(ex.vec, roots))))
     return Cone(gens, ambient=len(gram))
 
 
 def gamma_aq(roots: Sequence[Root], datum: SymmetricPairDatum) -> Cone:
     """pr_q of gamma_a: generators pr_q(H_alpha)."""
-    gens = tuple(datum.pr_q(coroot(a, datum.gram).h_alpha)
+    gens = tuple(datum.pr_q(coroot(a, datum.gram))
                  for a in sorted(set(map(ex.vec, roots))))
     return Cone(gens, ambient=len(datum.gram))
 
@@ -349,7 +318,7 @@ def upsilon_cone(P: PositiveSystem) -> Cone:
     delta_plus = {d.restrict(a) for a in P.classification.sigmatheta_part}
     delta_plus.discard(ex.zeros(len(d.gram)))
     delta_minus = sorted(lam for lam in delta_plus if lam in rest.minus_set)
-    return Cone(tuple(coroot(lam, d.gram).h_alpha for lam in delta_minus),
+    return Cone(tuple(coroot(lam, d.gram) for lam in delta_minus),
                 ambient=len(d.gram))
 
 

@@ -36,10 +36,17 @@ class MissingMultiplicity(KeyError):
     """A sigma-theta-fixed root was used without its +/- dimensions."""
 
 
+class ZeroRoot(ValueError):
+    pass
+
+
 Root = Vec
 # (dim g_alpha, dim g_{alpha,+}, dim g_{alpha,-}); the last two are None
 # exactly when sigma*theta does not fix alpha
 Mult = tuple[int, int | None, int | None]
+
+# largest Weyl group weyl_group closes before it raises ClosureTooLarge
+WEYL_ORDER_CAP = 4096
 
 
 def _covector_action(m: Mat, alpha: Root) -> Root:
@@ -223,18 +230,24 @@ class WeylGroup:
         return self._inverses[w]
 
 
+def coroot(alpha: Root, gram: Mat) -> Vec:
+    """H_alpha: alpha(H_alpha) = 2, and H_alpha is B-orthogonal to ker alpha."""
+    alpha = ex.vec(alpha)
+    if ex.is_zero(alpha):
+        raise ZeroRoot("coroot of the zero functional")
+    dual = ex.mat_vec(ex.mat_inv(ex.mat(gram)), alpha)     # B(dual, .) = alpha
+    return ex.scale(Fraction(2) / ex.dot(alpha, dual), dual)
+
+
 def reflection_matrix(alpha: Root, gram: Mat) -> Mat:
-    """s_alpha on a: H -> H - alpha(H) H_alpha, with alpha(H_alpha) = 2."""
-    ginv = ex.mat_inv(gram)
-    dual = ex.mat_vec(ginv, alpha)
-    denom = ex.dot(alpha, dual)
-    h_alpha = ex.scale(Fraction(2) / denom, dual)
+    """s_alpha on a: H -> H - alpha(H) H_alpha."""
+    h_alpha = coroot(alpha, gram)
     n = len(gram)
     return tuple(tuple((Fraction(1) if i == j else Fraction(0)) - h_alpha[i] * alpha[j]
                        for j in range(n)) for i in range(n))
 
 
-def weyl_group(root_set: Iterable[Root], gram: Mat, max_order: int = 4096) -> WeylGroup:
+def weyl_group(root_set: Iterable[Root], gram: Mat) -> WeylGroup:
     roots = sorted({ex.vec(r) for r in root_set})
     if not roots:
         n = len(gram)
@@ -246,7 +259,7 @@ def weyl_group(root_set: Iterable[Root], gram: Mat, max_order: int = 4096) -> We
         if key in seen_dirs:
             continue
         seen_dirs.add(key)
-        gens.append(reflection_matrix(alpha, ex.mat(gram)))
+        gens.append(reflection_matrix(alpha, gram))
     ident = ex.identity(len(gram))
     elements = {ident}
     frontier = [ident]
@@ -256,9 +269,9 @@ def weyl_group(root_set: Iterable[Root], gram: Mat, max_order: int = 4096) -> We
             for s in gens:
                 ws = ex.mat_mul(s, w)
                 if ws not in elements:
-                    if len(elements) >= max_order:
+                    if len(elements) >= WEYL_ORDER_CAP:
                         raise ClosureTooLarge(
-                            f"Weyl closure exceeded cap {max_order}")
+                            f"Weyl closure exceeded cap {WEYL_ORDER_CAP}")
                     elements.add(ws)
                     nxt.append(ws)
         frontier = nxt

@@ -4,13 +4,18 @@
 involution on the group and membership up to a slack.  ``h_x_coords_fresh``
 is the centralizer computation without the per-tie-pattern cache of
 ``critical.h_x_coords``; the tests require both to agree exactly.
+``transversal_signature_lstsq`` builds the predicted Hessian kernel in
+h-coordinates, the nilpotent part by least squares, where
+``critical.transversal_signature`` pairs flattened matrices; the tests
+require equal signatures.
 """
 from fractions import Fraction
 
 import numpy as np
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import _exact_vec, _h_basis_exact
+from orbitcone.critical import (SV_TOL, _exact_vec, _h_basis_exact,
+                                h_x_coords, nph_basis)
 
 
 def sigma_grp(rz, g):
@@ -40,3 +45,35 @@ def h_x_coords_fresh(rz, X):
         cols.append(tuple(br[i][j] for i in range(n) for j in range(n)))
     A = tuple(tuple(col[k] for col in cols) for k in range(n * n))
     return tuple(ex.nullspace(A))
+
+
+def transversal_signature_lstsq(rz, report, X, P=None):
+    """Signature of report.numeric_form on the complement of the predicted
+    kernel, orthogonal for <Y, Z> = kappa tr(Y Z^T), with the kernel in
+    coordinates over the h-basis."""
+    P = P if P is not None else rz.base_parabolic
+    dh = len(rz.h_basis)
+    gram_h = np.array([[rz.kappa * np.trace(bi @ bj.T) for bj in rz.h_basis]
+                       for bi in rz.h_basis])
+    kern = [np.array([float(c) for c in coords]) for coords in h_x_coords(rz, X)]
+    B = np.stack([b.reshape(-1) for b in rz.h_basis]).T
+    for V in nph_basis(rz, P):
+        sol = np.linalg.lstsq(B, V.reshape(-1), rcond=None)[0]
+        if np.abs(B @ sol - V.reshape(-1)).max() > 1e-9:
+            raise ValueError("matrix is not in the span of the h-basis")
+        kern.append(sol)
+    if kern:
+        # complement: vectors v with (K G) v = 0
+        _, sv, vt = np.linalg.svd(np.stack(kern) @ gram_h)
+        rank = int(np.sum(sv > SV_TOL * max(1.0, sv[0] if len(sv) else 1.0)))
+        T = vt[rank:].T
+    else:
+        T = np.eye(dh)
+    if T.shape[1] == 0:
+        return (0, 0, 0)
+    form = T.T @ report.numeric_form @ T
+    scale = max(np.abs(report.numeric_form).max(), 1.0)
+    ev = np.linalg.eigvalsh(form)
+    n_plus = int(np.sum(ev > SV_TOL * scale))
+    n_minus = int(np.sum(ev < -SV_TOL * scale))
+    return (n_plus, len(ev) - n_plus - n_minus, n_minus)

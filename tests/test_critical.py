@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone import parabolic, polyhedra
+from orbitcone import critical, harness, parabolic, polyhedra
 from orbitcone.critical import (F, NotRegular, critical_value,
                                 ensure_regular, h_x_coords, hessian,
                                 kernel_dim, omega_X,
@@ -17,7 +17,7 @@ from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
 
 from iwasawa_reference import iwasawa_by_matmul
-from reference import h_x_coords_fresh, sigma_grp
+from reference import h_x_coords_fresh, sigma_grp, transversal_signature_lstsq
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -353,3 +353,32 @@ def test_critical_image_builds_one_hrep_per_pattern_and_weyl_element(monkeypatch
                                  checks=frozenset({"critical_image"}))
         assert run(cfg).passed
         assert len(calls) == count, preset
+
+
+def test_hessian_check_validates_its_base_point_once(monkeypatch):
+    # the check validates a_log once; hessian and predicted_signature take
+    # it as given for every (sample, w)
+    real = critical.ensure_regular
+    for preset in ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2"):
+        calls = []
+        for module in (critical, harness):
+            monkeypatch.setattr(module, "ensure_regular",
+                                lambda rz, a: calls.append(a) or real(rz, a))
+        cfg = VerificationConfig(preset=preset, samples=5,
+                                 checks=frozenset({"hessian"}))
+        assert run(cfg).passed
+        assert len(calls) == 1, preset
+
+
+def test_transversal_signature_matches_reference(rz):
+    # the kernel as flattened matrices paired with the h-basis, against the
+    # kernel in h-coordinates with the nilpotent part by least squares
+    a_log = _a_log(rz)
+    rng = np.random.Generator(np.random.PCG64(13))
+    tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=5)
+            if S]
+    for X in [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]:
+        for w in rz.small_weyl.elements:
+            rep = hessian(rz, a_log, X, w)
+            assert transversal_signature(rz, rep, X) \
+                == transversal_signature_lstsq(rz, rep, X)

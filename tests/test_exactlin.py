@@ -29,6 +29,18 @@ def test_basic_ops():
     assert not ex.is_zero(x)
 
 
+def test_combination():
+    x = ex.vec([1, 2, 3])
+    y = ex.vec([Fraction(1, 2), 0, -1])
+    assert ex.combination((2, Fraction(-1, 3)), (x, y), 3) \
+        == ex.add(ex.scale(2, x), ex.scale(Fraction(-1, 3), y))
+    assert ex.combination((), (), 4) == ex.zeros(4)
+    with pytest.raises(ValueError):
+        ex.combination((1, 2), (x,), 3)
+    with pytest.raises(ValueError):
+        ex.combination((1,), (x,), 2)
+
+
 def test_identity_and_mat_ops():
     i3 = ex.identity(3)
     m = ex.mat([[1, 2, 0], [0, 1, 0], [0, 0, 1]])

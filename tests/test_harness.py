@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitcone import exactlin
 from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
@@ -216,3 +217,16 @@ def test_emit_report(tmp_path):
         os.chdir(old)
     with pytest.raises(IoError):
         emit_report(rep, out=tmp_path / "missing" / "deep" / "r.json")
+
+
+def test_no_line_solves_one_lp(monkeypatch):
+    # the pointedness certificate is the verdict: one LP where gamma has
+    # generators, none where it is the origin
+    expected = {"kostant_sl2": 0, "sl2_so11": 1, "sl3_so21": 1, "group_sl2": 0}
+    real = exactlin.lp_solve
+    for preset, count in expected.items():
+        calls = []
+        monkeypatch.setattr(exactlin, "lp_solve",
+                            lambda *a: calls.append(a) or real(*a))
+        run(VerificationConfig(preset=preset, checks=frozenset({"no_line"})))
+        assert len(calls) == count, preset

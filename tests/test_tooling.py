@@ -14,9 +14,10 @@ SRC = ROOT / "src" / "orbitcone"
 # Definitions that nothing in the package reads, kept because the
 # acceptance tests check them as claims of the paper.  contains_exact is the
 # exact membership that test_08 reads both ways between the upsilon and gamma
-# cones, and that re-certifying a reported witness needs.
+# cones, and that re-certifying a reported witness needs.  ah_basis is the
+# a_h half of the split a = a_h + a_q, which the tests read next to aq_basis.
 PAPER_CLAIMS = ("factor_nilpotent", "proper_on_cone", "upsilon_cone",
-                "contains_exact")
+                "contains_exact", "ah_basis")
 
 
 def _all_names(tree: ast.Module) -> set[str]:
@@ -42,29 +43,33 @@ def _reads(node: ast.AST) -> Counter:
 
 
 def _definitions(tree: ast.Module):
-    """Top-level functions and classes, and the non-dunder methods of the
-    top-level classes."""
+    """(name, node) of the top-level functions and classes, and of the
+    non-dunder methods and annotated fields of the top-level classes."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node
+            yield node.name, node
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
                         and not item.name.startswith("__"):
-                    yield item
+                    yield item.name, item
+                elif isinstance(item, ast.AnnAssign) \
+                        and isinstance(item.target, ast.Name):
+                    yield item.target.id, item
 
 
 def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """Definitions that no module reads outside their own body and no
-    __all__ lists."""
+    __all__ lists.  A keyword argument is not a read, so building an object
+    does not count as reading its fields."""
     reads = Counter()
     for tree in trees.values():
         reads += _reads(tree)
         reads.update(_all_names(tree))
-    return [f"{module}: {node.name}"
+    return [f"{module}: {name}"
             for module, tree in sorted(trees.items())
-            for node in _definitions(tree)
-            if reads[node.name] == _reads(node)[node.name]]
+            for name, node in _definitions(tree)
+            if reads[name] == _reads(node)[name]]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -113,6 +118,13 @@ def test_the_scan_finds_an_unread_method():
                      "    def unread(self):\n        return self.unread()\n\n\n"
                      "C().read()\n")
     assert _unread_definitions({"m": tree}) == ["m: unread"]
+
+
+def test_the_scan_finds_an_unread_field():
+    tree = ast.parse("class C:\n    read: int\n    built: int\n"
+                     "    counter: int = 0\n\n\n"
+                     "c = C(read=1, built=2)\nprint(c.read, C.counter)\n")
+    assert _unread_definitions({"m": tree}) == ["m: built"]
 
 
 def test_every_traced_layer_is_present():
