@@ -37,19 +37,6 @@ def _exact_vec(v) -> Vec:
     return tuple(Fraction(str(x)) if not isinstance(x, Fraction) else x for x in v)
 
 
-def _exact_from_float_mat(m: np.ndarray) -> Mat:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            q = Fraction(round(float(x) * 2 ** 20), 2 ** 20)
-            if abs(float(q) - float(x)) > 1e-9:
-                raise ValueError("matrix entry is not recognizably rational")
-            r.append(q)
-        out.append(tuple(r))
-    return tuple(out)
-
-
 def is_regular(rz: Realization, v: Vec) -> bool:
     """No restricted root vanishes on v."""
     return all(ex.dot(lam, v) != 0 for lam in rz.restricted.roots_q)
@@ -86,7 +73,8 @@ def critical_value(rz: Realization, a_log, X, w: Mat) -> Fraction:
 # --- subspaces of h --------------------------------------------------------
 
 def _h_basis_exact(rz: Realization) -> tuple[Mat, ...]:
-    return tuple(_exact_from_float_mat(b) for b in rz.h_basis)
+    """The h-basis as Fractions; Fraction(float) is exact."""
+    return tuple(ex.mat(b) for b in rz.h_basis)
 
 
 def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:

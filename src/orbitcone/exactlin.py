@@ -78,6 +78,24 @@ def is_zero(x: Vec) -> bool:
     return all(a == 0 for a in x)
 
 
+def unit_lead(x: Sequence[Fraction]) -> Vec:
+    """x divided by the absolute value of its first nonzero entry: equal for
+    x and every positive multiple of it.  x must be nonzero."""
+    s = Fraction(1) / abs(next(a for a in x if a != 0))
+    return tuple(s * a for a in x)
+
+
+def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
+    """One Gauss-Jordan step: scale row r to T[r][c] = 1 and clear column c
+    from every other row."""
+    inv = Fraction(1) / T[r][c]
+    T[r] = [x * inv for x in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][c] != 0:
+            f = T[i][c]
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+
+
 def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
     """Reduced row echelon form; returns (rows, pivot column indices)."""
     rows = [list(r) for r in m]
@@ -91,12 +109,7 @@ def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -135,16 +148,6 @@ def mat_inv(m: Mat) -> Mat:
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
-def _pivot(T: list[list[Fraction]], basis: list[int], r: int, c: int) -> None:
-    inv = Fraction(1) / T[r][c]
-    T[r] = [x * inv for x in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-    basis[r] = c
-
-
 def _simplex_core(T: list[list[Fraction]], basis: list[int], ncols: int) -> str:
     # maximizes the objective stored in the last tableau row; Bland's rule
     while True:
@@ -160,7 +163,8 @@ def _simplex_core(T: list[list[Fraction]], basis: list[int], ncols: int) -> str:
                     best, r = ratio, i
         if r is None:
             return UNBOUNDED
-        _pivot(T, basis, r, c)
+        _pivot(T, r, c)
+        basis[r] = c
 
 
 def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
@@ -193,29 +197,26 @@ def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
         if basis[i] >= n:
             cidx = next((j for j in range(n) if T[i][j] != 0), None)
             if cidx is not None:
-                _pivot(T, basis, i, cidx)
+                _pivot(T, i, cidx)
+                basis[i] = cidx
     keep = [i for i in range(m) if basis[i] < n]
     T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    if c is None:
-        x = [Fraction(0)] * n
+    status, value = OPTIMAL, Fraction(0)
+    if c is not None:
+        # phase 2
+        obj = [-Fraction(ci) for ci in c] + [Fraction(0)]
         for i, bi in enumerate(basis):
-            x[bi] = T[i][-1]
-        return OPTIMAL, tuple(x), Fraction(0)
-    # phase 2
-    obj = [-Fraction(ci) for ci in c] + [Fraction(0)]
-    for i, bi in enumerate(basis):
-        if obj[bi] != 0:
-            f = obj[bi]
-            obj = [x - f * y for x, y in zip(obj, T[i])]
-    T.append(obj)
-    status = _simplex_core(T, basis, n)
+            if obj[bi] != 0:
+                f = obj[bi]
+                obj = [x - f * y for x, y in zip(obj, T[i])]
+        T.append(obj)
+        status = _simplex_core(T, basis, n)
+        value = T[-1][-1] if status == OPTIMAL else None
     x = [Fraction(0)] * n
     for i, bi in enumerate(basis):
         x[bi] = T[i][-1]
-    if status == UNBOUNDED:
-        return UNBOUNDED, tuple(x), None
-    return OPTIMAL, tuple(x), T[-1][-1]
+    return status, tuple(x), value
 
 
 def feasible(A: Sequence[Vec], b: Vec) -> bool:

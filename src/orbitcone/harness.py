@@ -650,13 +650,13 @@ def report_csv(report: Report) -> bytes:
 
 def report_svg(report: Report) -> bytes:
     """2D section of the predicted set with a sample scatter."""
+    # the main check gives vertices and samples together, or neither
+    pts = report.samples if report.samples is not None else np.zeros((0, 2))
+    amb = pts.shape[1]
     geom = report.geometry or {"vertices": [], "generators": []}
-    verts = np.array(geom["vertices"]) if geom["vertices"] else np.zeros((0, 2))
-    gens = np.array(geom["generators"]) if geom["generators"] else np.zeros((0, verts.shape[1] if len(verts) else 2))
-    pts = report.samples if report.samples is not None else np.zeros((0, verts.shape[1] if len(verts) else 2))
-    amb = verts.shape[1] if len(verts) else (pts.shape[1] if len(pts) else 2)
-    src = np.concatenate([verts, pts], axis=0) if len(verts) or len(pts) \
-        else np.zeros((0, amb))
+    verts = np.array(geom["vertices"], dtype=float).reshape(-1, amb)
+    gens = np.array(geom["generators"], dtype=float).reshape(-1, amb)
+    src = np.concatenate([verts, pts], axis=0)
     # orthonormal 2D frame spanning the data
     if len(src) > 1:
         centered = src - src.mean(axis=0)
@@ -669,9 +669,7 @@ def report_svg(report: Report) -> bytes:
         frame[0, 0] = 1.0
         if amb > 1:
             frame[1, 1] = 1.0
-    V2 = verts @ frame.T if len(verts) else np.zeros((0, 2))
-    P2 = pts @ frame.T if len(pts) else np.zeros((0, 2))
-    G2 = gens @ frame.T if len(gens) else np.zeros((0, 2))
+    V2, P2, G2 = verts @ frame.T, pts @ frame.T, gens @ frame.T
     allp = np.concatenate([V2, P2], axis=0) if len(V2) or len(P2) else np.zeros((1, 2))
     lo = allp.min(axis=0) - 1.0
     hi = allp.max(axis=0) + 1.0

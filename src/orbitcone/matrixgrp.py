@@ -149,18 +149,24 @@ def _gl_roots(n, pairs=None):
     return out
 
 
+def _pair_datum(roots, kappa: int, sigma_on_a: Mat, mult) -> SymmetricPairDatum:
+    """The datum with Gram matrix kappa * I: B(Y, Z) = kappa tr(YZ) on the
+    diagonal matrices."""
+    return build_pair_datum(roots, _diag_frac([kappa] * len(roots[0])),
+                            sigma_on_a, mult)
+
+
 def _rot90():
     return np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _build_kostant_sl2() -> Realization:
     roots = _gl_roots(2)
-    gram = _diag_frac([4, 4])
     sig = _diag_frac([-1, -1])
     mult = {r: (1, 1, 0) for r in roots}
-    datum = build_pair_datum(roots, gram, sig, mult)
+    datum = _pair_datum(roots, 4, sig, mult)
     lam = roots[0]
-    gen = reflection_matrix(lam, gram)
+    gen = reflection_matrix(lam, datum.gram)
     return Realization(
         name="kostant_sl2", dim=2, kappa=4, datum=datum,
         kind="J", inv_np=np.eye(2),
@@ -171,10 +177,9 @@ def _build_kostant_sl2() -> Realization:
 
 def _build_sl2_so11() -> Realization:
     roots = _gl_roots(2)
-    gram = _diag_frac([4, 4])
     sig = _diag_frac([-1, -1])
     mult = {r: (1, 0, 1) for r in roots}
-    datum = build_pair_datum(roots, gram, sig, mult)
+    datum = _pair_datum(roots, 4, sig, mult)
     return Realization(
         name="sl2_so11", dim=2, kappa=4, datum=datum,
         kind="J", inv_np=np.diag([1.0, -1.0]),
@@ -185,15 +190,14 @@ def _build_sl2_so11() -> Realization:
 
 def _build_sl3_so21() -> Realization:
     roots = _gl_roots(3)
-    gram = _diag_frac([6, 6, 6])
     sig = _diag_frac([-1, -1, -1])
     mult = {}
     for r in roots:
         fixed_pair = r[2] == 0           # +-(e1 - e2) stays inside so(2) x so(1)
         mult[r] = (1, 1, 0) if fixed_pair else (1, 0, 1)
-    datum = build_pair_datum(roots, gram, sig, mult)
+    datum = _pair_datum(roots, 6, sig, mult)
     lam = next(r for r in roots if r[0] == 1 and r[1] == -1)
-    gen = reflection_matrix(lam, gram)
+    gen = reflection_matrix(lam, datum.gram)
     s12 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     zs = (np.diag([1.0, 1.0, 1.0]), np.diag([-1.0, -1.0, 1.0]),
           np.diag([-1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0]))
@@ -209,14 +213,13 @@ def _build_sl3_so21() -> Realization:
 
 def _build_group_sl2() -> Realization:
     roots = _gl_roots(4, pairs=[(0, 1), (1, 0), (2, 3), (3, 2)])
-    gram = _diag_frac([4, 4, 4, 4])
     swap = tuple(tuple(Fraction(1) if (i + 2) % 4 == j else Fraction(0)
                        for j in range(4)) for i in range(4))
     mult = {r: (1, None, None) for r in roots}
-    datum = build_pair_datum(roots, gram, swap, mult)
+    datum = _pair_datum(roots, 4, swap, mult)
     rest = restricted_roots(datum)
     lam = max(rest.plus_set)
-    gen = reflection_matrix(lam, gram)
+    gen = reflection_matrix(lam, datum.gram)
     rot2 = np.zeros((4, 4))
     rot2[:2, :2] = _rot90()
     rot2[2:, 2:] = _rot90()
@@ -337,36 +340,31 @@ def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarra
 
 # --- unipotent factorizations ----------------------------------------------
 
-def exp_nilpotent(N) -> np.ndarray:
-    """Finite exponential series; exact for nilpotent input, batched.  Raises
-    NotUnipotent when N^n is not negligible, like unipotent_log."""
-    N = np.asarray(N, dtype=float)
+def _nilpotent_series(N: np.ndarray, start: np.ndarray, term) -> np.ndarray:
+    """start + sum of term(k, N^k) over 2 <= k < n for (..., n, n) input N;
+    exact when N is nilpotent.  Raises NotUnipotent when N^n is not
+    negligible."""
     n = N.shape[-1]
-    power = N
-    out = np.eye(n) + N
+    power, out = N, start
     for k in range(2, n):
         power = power @ N
-        out = out + power / math.factorial(k)
-    tail = np.abs(power @ N).max()
-    if tail > 1e-9 * (1.0 + np.abs(N).max() ** n):
-        raise NotUnipotent("matrix is not nilpotent")
+        out = out + term(k, power)
+    if np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n):
+        raise NotUnipotent("series argument is not nilpotent")
     return out
+
+
+def exp_nilpotent(N) -> np.ndarray:
+    """Finite exponential series; exact for nilpotent input, batched."""
+    N = np.asarray(N, dtype=float)
+    return _nilpotent_series(N, np.eye(N.shape[-1]) + N,
+                             lambda k, power: power / math.factorial(k))
 
 
 def unipotent_log(rz: Realization, m) -> np.ndarray:
-    """Finite Mercator series; exact for unipotent input, batched."""
-    m = np.asarray(m, dtype=float)
-    n = rz.dim
-    M = m - np.eye(n)
-    power = M.copy()
-    out = M.copy()
-    for k in range(2, n):
-        power = power @ M
-        out = out + ((-1) ** (k + 1) / k) * power
-    tail = np.abs(power @ M).max() if n > 1 else 0.0
-    if tail > 1e-9 * (1.0 + np.abs(M).max() ** n):
-        raise NotUnipotent("matrix is not unipotent")
-    return out
+    """Finite Mercator series in m - I; exact for unipotent input, batched."""
+    M = np.asarray(m, dtype=float) - np.eye(rz.dim)
+    return _nilpotent_series(M, M, lambda k, power: ((-1) ** (k + 1) / k) * power)
 
 
 def _support_mask(rz: Realization, alphas) -> np.ndarray:

@@ -12,9 +12,9 @@ from fractions import Fraction
 from functools import cached_property
 
 from . import exactlin as ex
-from .exactlin import Mat, Vec
-from .rootsys import (Root, SymmetricPairDatum, indivisible, reflection_matrix,
-                      weyl_group)
+from .exactlin import Vec
+from .rootsys import (Root, SymmetricPairDatum, covector_action, indivisible,
+                      reflection_matrix, weyl_group)
 
 
 class NoSimpleRootFound(RuntimeError):
@@ -71,18 +71,13 @@ def from_chamber(datum: SymmetricPairDatum, chamber: Vec) -> PositiveSystem:
     return PositiveSystem(datum, pos, chamber)
 
 
-def classify(P: PositiveSystem, tau: Mat) -> frozenset[Root]:
-    """Sigma(P, tau) = {alpha in Sigma(P) : tau.alpha in Sigma(P)}."""
-    tau_t = ex.transpose(ex.mat(tau))
-    return frozenset(a for a in P.positive
-                     if ex.mat_vec(tau_t, a) in P.positive)
-
-
 def sigma_classification(P: PositiveSystem) -> SigmaClassification:
+    """Sigma(P, tau) = {alpha in Sigma(P) : tau.alpha in Sigma(P)} for tau
+    = sigma and sigma*theta, read from the datum's table of sigma on roots."""
     d = P.datum
-    sigma_part = classify(P, d.sigma_on_a)
-    neg_sigma = tuple(ex.neg(row) for row in d.sigma_on_a)
-    sigmatheta_part = classify(P, neg_sigma)
+    sigma_part = frozenset(a for a in P.positive if d.sigma_root(a) in P.positive)
+    sigmatheta_part = frozenset(a for a in P.positive
+                                if d.sigmatheta_root(a) in P.positive)
     plus, minus = _plus_minus(P, sigmatheta_part)
     return SigmaClassification(sigma_part=sigma_part,
                                sigmatheta_part=sigmatheta_part,
@@ -120,8 +115,7 @@ def is_q_extreme(P: PositiveSystem) -> bool:
 def reflect_system(P: PositiveSystem, alpha: Root) -> PositiveSystem:
     """s_alpha(P); alpha must be simple in P."""
     s = reflection_matrix(alpha, P.datum.gram)
-    s_cov = ex.transpose(s)  # reflections are gram-symmetric but stay explicit
-    new_pos = frozenset(ex.mat_vec(s_cov, b) for b in P.positive)
+    new_pos = frozenset(covector_action(s, b) for b in P.positive)
     return PositiveSystem(P.datum, new_pos, ex.mat_vec(s, P.chamber_vector))
 
 

@@ -29,14 +29,6 @@ class NotQExtreme(ValueError):
 
 # --- exact Fourier-Motzkin projection --------------------------------------
 
-def _normalize(a: Sequence[Fraction], r: Fraction) -> Ineq:
-    lead = next((x for x in a if x != 0), None)
-    if lead is None:
-        return tuple(a), r
-    s = Fraction(1) / abs(lead)
-    return tuple(s * x for x in a), s * r
-
-
 def _prune(rows):
     seen, out = set(), []
     for a, r in rows:
@@ -44,10 +36,11 @@ def _prune(rows):
             if r > 0:
                 raise ValueError("projection produced an infeasible row")
             continue
-        key = _normalize(a, r)
+        # a != 0, so the lead that scales the row comes from a
+        key = ex.unit_lead(tuple(a) + (r,))
         if key not in seen:
             seen.add(key)
-            out.append((list(key[0]), key[1]))
+            out.append((list(key[:-1]), key[-1]))
     return out
 
 
@@ -121,19 +114,25 @@ def _drop_implied(rows, n: int):
     return rows
 
 
+def _free_lp(rows, n: int, c: Vec | None = None):
+    """lp_solve of max c.x subject to a[:n].x >= r for (a, r) in rows, x
+    free, in the standard form x = u - v, u, v >= 0, one surplus per row;
+    x comes back as u - v.  c=None asks for feasibility only."""
+    m = len(rows)
+    A = tuple(tuple(a[:n]) + ex.neg(a[:n])
+              + tuple(Fraction(-1) if t == k else Fraction(0) for t in range(m))
+              for k, (a, _) in enumerate(rows))
+    b = tuple(Fraction(r) for _, r in rows)
+    if c is not None:
+        c = tuple(c) + ex.neg(c) + ex.zeros(m)
+    status, x, val = ex.lp_solve(A, b, c)
+    return status, (None if x is None else ex.sub(x[:n], x[n:2 * n])), val
+
+
 def _implied(row, others, n: int) -> bool:
     a_i, r_i = row
-    # min a_i.x subject to others, x free; x = u - v, slack per constraint
-    m = len(others)
-    A, b = [], []
-    for k, (a_k, r_k) in enumerate(others):
-        coef = [Fraction(x) for x in a_k[:n]] + [-Fraction(x) for x in a_k[:n]]
-        coef += [Fraction(-1) if t == k else Fraction(0) for t in range(m)]
-        A.append(tuple(coef))
-        b.append(Fraction(r_k))
-    c = [-Fraction(x) for x in a_i[:n]] + [Fraction(x) for x in a_i[:n]]
-    c += [Fraction(0)] * m
-    status, _, val = ex.lp_solve(tuple(A), tuple(b), tuple(c))
+    # min a_i.x subject to the others, as max of -a_i.x
+    status, _, val = _free_lp(others, n, ex.neg(a_i[:n]))
     if status != ex.OPTIMAL:
         return False
     return -val >= r_i
@@ -273,17 +272,9 @@ def pointedness_certificate(cone: Cone) -> Vec | None:
     if not gens:
         return tuple([Fraction(0)] * n)
     # find xi with xi.g >= 1 for all g: feasibility with free xi
-    m = len(gens)
-    A, b = [], []
-    for k, g in enumerate(gens):
-        row = list(g) + [-x for x in g]
-        row += [Fraction(-1) if t == k else Fraction(0) for t in range(m)]
-        A.append(tuple(row))
-        b.append(Fraction(1))
-    st, x, _ = ex.lp_solve(tuple(A), tuple(b), None)
+    st, xi, _ = _free_lp([(g, Fraction(1)) for g in gens], n)
     if st != ex.OPTIMAL:
         return None
-    xi = tuple(u - v for u, v in zip(x[:n], x[n:2 * n]))
     assert all(ex.dot(xi, g) > 0 for g in gens)
     return xi
 

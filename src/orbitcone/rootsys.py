@@ -49,8 +49,8 @@ Mult = tuple[int, int | None, int | None]
 WEYL_ORDER_CAP = 4096
 
 
-def _covector_action(m: Mat, alpha: Root) -> Root:
-    # (m.alpha)(H) = alpha(m H) for an involution m
+def covector_action(m: Mat, alpha: Root) -> Root:
+    """The covector H -> alpha(m H); for an involution m this is m.alpha."""
     return ex.mat_vec(ex.transpose(m), alpha)
 
 
@@ -84,7 +84,7 @@ class SymmetricPairDatum:
 
     @cached_property
     def _sigma_table(self) -> dict[Root, Root]:
-        return {alpha: _covector_action(self.sigma_on_a, alpha)
+        return {alpha: covector_action(self.sigma_on_a, alpha)
                 for alpha in self.roots}
 
     # involution actions on covectors
@@ -115,7 +115,7 @@ class SymmetricPairDatum:
 
     def restrict(self, alpha: Root) -> Root:
         """alpha|_{a_q} as a covector (composition with pr_q)."""
-        return ex.mat_vec(ex.transpose(self.q_projector), alpha)
+        return covector_action(self.q_projector, alpha)
 
     def pr_q(self, v: Vec) -> Vec:
         return ex.mat_vec(self.q_projector, v)
@@ -143,13 +143,12 @@ def build_pair_datum(roots: Iterable[Root], gram: Mat, sigma_on_a: Mat,
     gs = ex.mat_mul(ex.transpose(sigma_on_a), ex.mat_mul(gram, sigma_on_a))
     if gs != gram:
         raise NotAnInvolution("sigma_on_a does not preserve the Gram matrix")
-    sig_t = ex.transpose(sigma_on_a)
     for alpha in roots:
         if ex.is_zero(alpha):
             raise RootSetNotSigmaStable("zero root")
         if ex.neg(alpha) not in roots:
             raise RootSetNotSigmaStable(f"negative of {alpha} missing")
-        if ex.mat_vec(sig_t, alpha) not in roots:
+        if covector_action(sigma_on_a, alpha) not in roots:
             raise RootSetNotSigmaStable(f"sigma does not preserve {alpha}")
     table: dict[Root, Mult] = {}
     for alpha in roots:
@@ -249,13 +248,10 @@ def reflection_matrix(alpha: Root, gram: Mat) -> Mat:
 
 def weyl_group(root_set: Iterable[Root], gram: Mat) -> WeylGroup:
     roots = sorted({ex.vec(r) for r in root_set})
-    if not roots:
-        n = len(gram)
-        return WeylGroup(generators=(), elements=(ex.identity(n),))
     gens = []
     seen_dirs = set()
     for alpha in roots:
-        key = _direction_key(alpha)
+        key = ex.unit_lead(alpha)
         if key in seen_dirs:
             continue
         seen_dirs.add(key)
@@ -276,11 +272,6 @@ def weyl_group(root_set: Iterable[Root], gram: Mat) -> WeylGroup:
                     nxt.append(ws)
         frontier = nxt
     return WeylGroup(generators=tuple(gens), elements=tuple(sorted(elements)))
-
-
-def _direction_key(alpha: Root) -> tuple:
-    lead = next(a for a in alpha if a != 0)
-    return tuple(a / abs(lead) for a in alpha)
 
 
 def weyl_orbit(w_group: WeylGroup, point: Vec) -> frozenset[Vec]:

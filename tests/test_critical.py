@@ -299,16 +299,16 @@ def test_vanishing_patterns(rz):
 
 def test_critical_image_classifies_its_system_once(monkeypatch):
     # a fresh positive system: the classification is computed on first use,
-    # one classify call each for sigma and sigma-theta, and then cached
+    # in one sigma_classification call, and then cached
     calls = []
-    real = parabolic.classify
-    monkeypatch.setattr(parabolic, "classify",
-                        lambda P, tau: calls.append(P) or real(P, tau))
+    real = parabolic.sigma_classification
+    monkeypatch.setattr(parabolic, "sigma_classification",
+                        lambda P: calls.append(P) or real(P))
     cfg = VerificationConfig(preset="sl3_so21", samples=100,
                              chamber=("3", "2", "1"),
                              checks=frozenset({"critical_image"}))
     assert run(cfg).passed
-    assert len(calls) == 2
+    assert len(calls) == 1
 
 
 def test_h_x_coords_matches_a_fresh_computation(rz):

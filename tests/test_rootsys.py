@@ -4,7 +4,7 @@ import pytest
 
 from orbitcone import exactlin as ex
 from orbitcone.rootsys import (BadMultiplicity, NotAnInvolution,
-                               _covector_action, build_pair_datum, indivisible,
+                               build_pair_datum, covector_action, indivisible,
                                reflection_matrix, restricted_roots,
                                weyl_group, weyl_orbit)
 
@@ -38,7 +38,7 @@ def test_sigma_is_involution(rz):
 def test_sigma_root_is_the_matrix_action(rz):
     d = rz.datum
     for alpha in d.roots:
-        assert d.sigma_root(alpha) == _covector_action(d.sigma_on_a, alpha)
+        assert d.sigma_root(alpha) == covector_action(d.sigma_on_a, alpha)
 
 
 def test_small_weyl_inverses(rz):
