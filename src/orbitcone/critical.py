@@ -42,10 +42,18 @@ def is_regular(rz: Realization, v: Vec) -> bool:
     return all(ex.dot(lam, v) != 0 for lam in rz.restricted.roots_q)
 
 
-def ensure_regular(rz: Realization, a_log) -> Vec:
+def ensure_in_aq(rz: Realization, a_log) -> Vec:
+    """a_log as an exact vector; ValueError unless it lies in a_q =
+    span(aq_basis), which pr_q alone does not decide off a = span(roots)."""
     a_log = _exact_vec(a_log)
-    if ex.mat_vec(rz.datum.q_projector, a_log) != a_log:
+    aq = rz.datum.aq_basis
+    if len(ex.rref(aq + (a_log,))[0]) != len(aq):
         raise ValueError("base point must lie in a_q")
+    return a_log
+
+
+def ensure_regular(rz: Realization, a_log) -> Vec:
+    a_log = ensure_in_aq(rz, a_log)
     if not is_regular(rz, a_log):
         raise NotRegular("a restricted root vanishes on the base point")
     return a_log

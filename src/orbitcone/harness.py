@@ -22,10 +22,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from . import exactlin as ex
-from .critical import (F, NotRegular, critical_value, ensure_regular, hessian,
-                       is_regular, kernel_dim, omega_X, predicted_signature,
-                       sample_H_X, sample_NPH, transversal_signature,
-                       vanishing_patterns)
+from .critical import (F, NotRegular, critical_value, ensure_in_aq,
+                       ensure_regular, hessian, is_regular, kernel_dim, omega_X,
+                       predicted_signature, sample_H_X, sample_NPH,
+                       transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
                         realization, root_matrix, sample_H)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
@@ -566,9 +566,10 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
 
 def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                   ) -> CheckResult:
-    a_exact = cfg.a_log_exact()
-    if ex.mat_vec(rz.datum.q_projector, a_exact) != a_exact:
-        raise ConfigError("base point must lie in a_q")
+    try:
+        a_exact = ensure_in_aq(rz, cfg.a_log_exact())
+    except ValueError as e:
+        raise ConfigError(str(e)) from e
     # a regular rational direction in a_q
     aq = rz.datum.aq_basis
     dirs = (ex.combination([Fraction(p + k + 1, p) for k in range(len(aq))], aq, rz.dim)

@@ -68,6 +68,21 @@ def test_bad_input_exits_2(tmp_path, capsys, flags, config):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("argv", [
+    ["--preset", "sl3_so21", "--a-log", "3,1,-3"],
+    ["--preset", "sl2_so11", "--a-log", "2,1"],
+    ["--preset", "group_sl2", "--a-log", "1,0,-1,0"],
+    ["--preset", "sl3_so21", "--a-log", "3,1,-3", "--checks", "limits"],
+], ids=["sl3_so21", "sl2_so11", "group_sl2", "sl3_so21-limits"])
+def test_base_point_off_aq_exits_2(capsys, argv):
+    # on each preset q_projector fixes the point, but it is off span(roots)
+    rc = main(["verify", *argv, "--samples", "20"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: base point must lie in a_q" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_gk_rejects_a_chamber(capsys):
     rc = main(["gk", "--preset", "sl3_so21", "--chamber", "1,3,2",
                "--samples", "300"])

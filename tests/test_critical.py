@@ -89,6 +89,20 @@ def test_ensure_regular_rejects_off_aq(rz_group):
         ensure_regular(rz_group, (1, -1, 1, -1))
 
 
+def test_ensure_in_aq_accepts_every_default_base_point(rz):
+    a = critical.ensure_in_aq(rz, harness._DEFAULT_A_LOG[rz.name])
+    assert a == tuple(Fraction(c) for c in harness._DEFAULT_A_LOG[rz.name])
+
+
+def test_ensure_in_aq_rejects_a_point_off_the_span_of_the_roots(rz):
+    # (I - sigma)/2 fixes the all-ones direction on the J-presets, but no
+    # root sum reaches it: it is off a, hence off a_q
+    ones = (1,) * rz.dim
+    with pytest.raises(ValueError, match="base point must lie in a_q"):
+        critical.ensure_in_aq(rz, ex.add(ex.vec(harness._DEFAULT_A_LOG[rz.name]),
+                                         ex.vec(ones)))
+
+
 def test_reps_are_critical_points(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
