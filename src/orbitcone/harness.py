@@ -26,8 +26,8 @@ from .critical import (F, NotRegular, critical_value, ensure_in_aq,
                        ensure_regular, hessian, is_regular, kernel_dim, omega_X,
                        predicted_signature, sample_H_X, sample_NPH,
                        transversal_signature, vanishing_patterns)
-from .matrixgrp import (Realization, a_matrix, exp_nilpotent, h_pq, iwasawa,
-                        realization, root_matrix, sample_H)
+from .matrixgrp import (Realization, SingularInput, a_matrix, exp_nilpotent,
+                        h_pq, iwasawa, realization, root_matrix, sample_H)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -615,8 +615,12 @@ def run(cfg: VerificationConfig) -> Report:
                           "it takes no chamber")
     rz = realization(cfg.preset)
     P = cfg.positive_system(rz)
-    results = tuple(check(rz, P, cfg) for name, check in CHECKS.items()
-                    if name in cfg.checks)
+    try:
+        results = tuple(check(rz, P, cfg) for name, check in CHECKS.items()
+                        if name in cfg.checks)
+    except (SingularInput, OverflowError) as e:
+        # exp(a_log) or exp(radius * Y) left double range: bad input
+        raise ConfigError(f"a_log or radii out of floating-point range: {e}") from e
     return Report(config=cfg.to_dict(), results=results)
 
 

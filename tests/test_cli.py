@@ -83,6 +83,17 @@ def test_base_point_off_aq_exits_2(capsys, argv):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("flag", ["--a-log=1e400,-1e400", "--a-log=-25,25",
+                                  "--radius=1e300"],
+                         ids=["a_log-overflow", "a_log-singular", "radius-overflow"])
+def test_input_past_double_range_exits_2(capsys, flag):
+    rc = main(["verify", "--preset", "sl2_so11", flag, "--samples", "20"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error: a_log or radii out of floating-point range" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_gk_rejects_a_chamber(capsys):
     rc = main(["gk", "--preset", "sl3_so21", "--chamber", "1,3,2",
                "--samples", "300"])
