@@ -19,8 +19,8 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .matrixgrp import (Realization, a_matrix, ek_projection, exp_nilpotent,
-                        h_pq, root_matrix, sample_span)
+from .matrixgrp import (Realization, a_matrix, ek_projection, h_pq, root_matrix,
+                        sample_span, sample_unipotent)
 from .parabolic import PositiveSystem
 from .polyhedra import PolyhedralSet, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
@@ -323,7 +323,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     return out
 
 
-def sample_H_X(rz: Realization, X, radius: float, count: int, seed: int) -> np.ndarray:
+def sample_H_X(rz: Realization, X, radius: float, count: int, seed) -> np.ndarray:
     """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra."""
     C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)])
     basis = np.einsum("kd,dij->kij", C.reshape(-1, len(rz.h_basis)),
@@ -332,21 +332,18 @@ def sample_H_X(rz: Realization, X, radius: float, count: int, seed: int) -> np.n
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem | None = None,
-               radius: float = 1.0, count: int = 1, seed: int = 0) -> np.ndarray:
+               radius: float = 1.0, count: int = 1, seed=0) -> np.ndarray:
     """Draw unipotent elements fixed by the involution."""
     P = P if P is not None else rz.base_parabolic
-    rng = np.random.Generator(np.random.PCG64(seed))
     basis = nph_basis(rz, P)
     if not basis:
         return np.tile(np.eye(rz.dim), (count, 1, 1))
-    coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-    Y = np.einsum("ck,kij->cij", coef, np.stack(basis))
-    return exp_nilpotent(Y)
+    return sample_unipotent(np.stack(basis), radius, count, seed)
 
 
 # --- vanishing patterns -----------------------------------------------------
 
-def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed: int = 0
+def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
                        ) -> list[tuple[frozenset, tuple[Vec, ...]]]:
     """Realizable zero-sets of restricted roots, with exact witnesses in a_q."""
     import itertools as it
@@ -354,7 +351,7 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed: int = 0
     pos = sorted({lam for lam in rz.restricted.roots_q
                   if lam > ex.neg(lam)})
     aq = d.aq_basis
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     out = []
     for r in range(len(pos) + 1):
         for s_tuple in it.combinations(pos, r):

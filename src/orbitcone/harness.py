@@ -27,7 +27,8 @@ from .critical import (F, NotRegular, critical_value, ensure_in_aq,
                        predicted_signature, sample_H_X, sample_NPH,
                        transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, SingularInput, a_matrix, exp_nilpotent,
-                        h_pq, iwasawa, realization, root_matrix, sample_H)
+                        h_pq, iwasawa, realization, root_matrix, sample_H,
+                        sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -347,6 +348,14 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     return np.stack(mats)
 
 
+def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:
+    """The seed of one draw of one check: cfg.seed with the spawn key (index
+    of check in CHECKS, *draw).  Distinct (seed, key) pairs give independent
+    streams; a spawn key, unlike longer entropy, is not zero-padded."""
+    return np.random.SeedSequence(cfg.seed,
+                                  spawn_key=(list(CHECKS).index(check), *draw))
+
+
 # --- individual checks ------------------------------------------------------
 #
 # Every check has the signature fn(rz, P, cfg) -> CheckResult.
@@ -379,7 +388,7 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
 
     feed(_h_probes(rz, P, cfg.radii))
     for k, r in enumerate(cfg.radii):
-        feed(sample_H(rz, r, cfg.samples, cfg.seed + 7919 * k))
+        feed(sample_H(rz, r, cfg.samples, _stream(cfg, "main", k)))
         history.append({"radius": r,
                         "max_vertex_distance": float(cover.vdist.max()),
                         "max_generator_gap":
@@ -442,7 +451,7 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
     cone = gamma_aq(sorted(P.classification.sigmatheta_part), rz.datum)
     tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
-        hs = sample_H(rz, r, cfg.samples, cfg.seed + 104729 * (k + 1))
+        hs = sample_H(rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k))
         tally.feed(cone, h_pq(rz, hs, P))
     return tally.result("inclusion_cone")
 
@@ -450,7 +459,7 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
 def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                    ) -> CheckResult:
     a_exact = _require_regular(rz, cfg)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed + 31))
+    rng = np.random.default_rng(_stream(cfg, "hessian"))
     n_aq = len(rz.datum.aq_basis)
     worst_rel = 0.0
     witnesses: list[tuple] = []
@@ -483,7 +492,8 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
 def _check_critical_image(rz: Realization, P: PositiveSystem,
                           cfg: VerificationConfig) -> CheckResult:
     a_exact = _require_regular(rz, cfg)
-    pats = vanishing_patterns(rz, per_pattern=10, seed=cfg.seed + 47)
+    pats = vanishing_patterns(rz, per_pattern=10,
+                              seed=_stream(cfg, "critical_image", 0))
     n_per = max(8, cfg.samples // 50)
     radius = cfg.radii[-1]
     a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
@@ -497,9 +507,11 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
             Xf = _float_rows([X], rz.dim)[0]
             for wi, (w, om) in enumerate(oms):
                 xw = rz.weyl_reps[w]
-                seed = cfg.seed + 1009 * pi + 101 * xi + wi
-                hx = sample_H_X(rz, X, radius, n_per, seed)
-                nh = sample_NPH(rz, P, radius, n_per, seed + 1)
+                draw = (pi, xi, wi)
+                hx = sample_H_X(rz, X, radius, n_per,
+                                _stream(cfg, "critical_image", 1, *draw))
+                nh = sample_NPH(rz, P, radius, n_per,
+                                _stream(cfg, "critical_image", 2, *draw))
                 tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
                 # combinatorial layer: the critical value is the exact level
                 # of <X, .> on the predicted image
@@ -521,13 +533,12 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
               ) -> CheckResult:
     """Every pair (P, Q) of positive systems, whatever the configured one."""
     systems = all_positive_systems(rz.datum)
-    rng = np.random.Generator(np.random.PCG64(cfg.seed + 59))
     tally = Tally(cfg.tol)
     origin = np.zeros((1, rz.dim))
     closed_dev = 0.0
     gap_fail = 0
-    for P in systems:
-        for Q in systems:
+    for pi, P in enumerate(systems):
+        for qi, Q in enumerate(systems):
             support = sorted(Q.positive & P.negative)
             cone = gk_cone(P, Q)
             gens = _float_rows(cone.generators, rz.dim)
@@ -546,9 +557,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
                 for s in (1.0, 3.0):
                     feed(exp_nilpotent(s * E)[None])
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
-            coef = rng.normal(0.0, 1.0, size=(n, len(basis)))
-            feed(exp_nilpotent(np.einsum("ck,kij->cij", coef * cfg.radii[-1] / 2,
-                                         basis)))
+            feed(sample_unipotent(basis, cfg.radii[-1], n, _stream(cfg, "gk", pi, qi)))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
             # rank-one closed form, exact in the embedded A1
@@ -587,7 +596,7 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         a = a_matrix(np.exp(_float_rows([point], rz.dim)[0]))
         hs = np.concatenate([
             _h_probes(rz, P, cfg.radii[-1:]),
-            sample_H(rz, cfg.radii[-1], n_bulk, cfg.seed + 733 * idx)])
+            sample_H(rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))])
         tally.feed(om, h_pq(rz, a @ hs, P))
     return tally.result("limits", detail={"sequence_length": len(steps)})
 

@@ -314,13 +314,14 @@ def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
 # --- sampling --------------------------------------------------------------
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seed: int) -> np.ndarray:
+                seed) -> np.ndarray:
     """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
     clipped to |Y| <= radius, z a uniform center component.  No Gaussian is
-    drawn when the span is zero."""
+    drawn when the span is zero.  seed is anything np.random.default_rng
+    takes; an int gives the stream of PCG64(seed)."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    rng = np.random.Generator(np.random.PCG64(seed))
+    rng = np.random.default_rng(seed)
     if len(basis):
         coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
         Y = np.einsum("cd,dij->cij", coef, basis)
@@ -333,7 +334,7 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
     return zs @ expm(Y)     # Y is not nilpotent in general
 
 
-def sample_H(rz: Realization, radius: float, count: int, seed: int) -> np.ndarray:
+def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
     """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
     return sample_span(rz, np.stack(rz.h_basis), radius, count, seed)
 
@@ -365,6 +366,16 @@ def unipotent_log(rz: Realization, m) -> np.ndarray:
     """Finite Mercator series in m - I; exact for unipotent input, batched."""
     M = np.asarray(m, dtype=float) - np.eye(rz.dim)
     return _nilpotent_series(M, M, lambda k, power: ((-1) ** (k + 1) / k) * power)
+
+
+def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
+                     ) -> np.ndarray:
+    """Draw count elements exp(Y), Y = sum_k c_k basis[k] over nilpotent
+    matrices basis (k, n, n), the c_k Gaussian with deviation radius / 2;
+    seed as in sample_span."""
+    coef = np.random.default_rng(seed).normal(0.0, radius / 2.0,
+                                              size=(count, len(basis)))
+    return exp_nilpotent(np.einsum("ck,kij->cij", coef, basis))
 
 
 def _support_mask(rz: Realization, alphas) -> np.ndarray:

@@ -1,3 +1,4 @@
+import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
@@ -5,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from orbitcone import exactlin
+from orbitcone import exactlin, harness
 from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
@@ -230,3 +231,58 @@ def test_no_line_solves_one_lp(monkeypatch):
                             lambda *a: calls.append(a) or real(*a))
         run(VerificationConfig(preset=preset, checks=frozenset({"no_line"})))
         assert len(calls) == count, preset
+
+
+def _recorded_streams(monkeypatch, cfg):
+    """Run cfg and return the seed of every draw: (sampler, seed) for the
+    samplers the checks call, ("rng", seed) for a check's own generator."""
+    seen = []
+    for name in ("sample_H", "sample_H_X", "sample_NPH", "sample_unipotent",
+                 "vanishing_patterns"):
+        real = getattr(harness, name)
+
+        def sampler(*args, _real=real, _name=name, **kwargs):
+            bound = inspect.signature(_real).bind(*args, **kwargs)
+            seen.append((_name, bound.arguments["seed"]))
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(harness, name, sampler)
+    real_rng = np.random.default_rng
+    monkeypatch.setattr(harness.np.random, "default_rng",
+                        lambda seed=None: seen.append(("rng", seed)) or real_rng(seed))
+    run(cfg)
+    monkeypatch.undo()
+    # the samplers call default_rng on the seed they were given
+    return [(name, s) for name, s in seen
+            if name != "rng" or not any(s is t for n, t in seen if n != "rng")]
+
+
+@pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
+def test_every_draw_has_its_own_stream(monkeypatch, preset):
+    cfg = VerificationConfig(preset=preset, samples=10, seed=3,
+                             checks=CHECK_NAMES - {"kostant"})
+    seen = _recorded_streams(monkeypatch, cfg)
+    assert {name for name, _ in seen} >= {"sample_H", "sample_H_X", "sample_NPH",
+                                          "sample_unipotent", "vanishing_patterns",
+                                          "rng"}
+    assert all(isinstance(s, np.random.SeedSequence) for _, s in seen)
+    keys = [(s.entropy, s.spawn_key) for _, s in seen]
+    assert len(set(keys)) == len(keys)
+    # and the streams differ from the first draw on
+    heads = {np.random.default_rng(s).standard_normal(4).tobytes() for _, s in seen}
+    assert len(heads) == len(seen)
+
+
+def test_the_former_stream_overlaps_are_gone(monkeypatch):
+    # seed s + 7919 replayed radius #1 of seed s, the limits check's step 0
+    # replayed main's radius #0, and in critical_image the N-cap-H draw for
+    # w_i replayed the H_X draw for w_(i+1)
+    def heads(seed, checks):
+        cfg = VerificationConfig(preset="group_sl2", samples=10, seed=seed,
+                                 checks=frozenset(checks))
+        return [np.random.default_rng(s).standard_normal(4).tobytes()
+                for _, s in _recorded_streams(monkeypatch, cfg)]
+    main_0 = heads(0, {"main"})
+    assert not set(heads(7919, {"main"})) & set(main_0)
+    assert not set(heads(0, {"limits"})) & set(main_0)
+    critical = heads(0, {"critical_image"})
+    assert len(set(critical)) == len(critical)
