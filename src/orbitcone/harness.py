@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Mapping
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import exactlin as ex
 from .critical import (F, NotRegular, critical_value, ensure_in_aq,
                        ensure_regular, hessian, is_regular, kernel_dim, omega_X,
                        predicted_signature, sample_H_X, sample_NPH,
                        transversal_signature, vanishing_patterns)
-from .matrixgrp import (Realization, SingularInput, a_matrix, exp_nilpotent,
-                        h_pq, iwasawa, realization, root_matrix, sample_H,
-                        sample_unipotent)
+from .matrixgrp import (Realization, SingularInput, a_matrix, exp_h,
+                        exp_nilpotent, h_pq, iwasawa, realization, root_matrix,
+                        sample_H, sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -333,19 +332,17 @@ class Tally:
 def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     """Deterministic probes: Weyl representatives, center components, and
     rank-one rays from every vertex along every cone-generator root."""
-    mats = [np.eye(rz.dim)]
-    ray_dirs = []
+    rays = []
     for alpha in sorted(P.classification.minus_part):
         E = root_matrix(rz.dim, alpha)
-        ray_dirs.append(E + rz.sigma_alg(E))
+        U = E + rz.sigma_alg(E)
+        rays.extend(t * U for r in radii for t in (r, -r))
+    rays = exp_h(np.array(rays).reshape(-1, rz.dim, rz.dim))
+    mats = [np.eye(rz.dim)[None]]
     for xw in rz.weyl_reps.values():
-        for z in rz.z_reps:
-            mats.append(xw @ z)
-        for U in ray_dirs:
-            for r in radii:
-                mats.append(xw @ expm(r * U))
-                mats.append(xw @ expm(-r * U))
-    return np.stack(mats)
+        mats.append(xw @ np.stack(rz.z_reps))
+        mats.append(xw @ rays)
+    return np.concatenate(mats)
 
 
 def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:

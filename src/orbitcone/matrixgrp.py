@@ -9,7 +9,8 @@ matrix J or conjugation by the block swap.
 The Iwasawa log comes from one QR kernel for the upper-triangular base
 system; every other positive system is conjugated into it by an index
 permutation.
-Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``.
+Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``;
+exponentials of elements of h are the closed form ``exp_h``.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
@@ -37,6 +37,10 @@ class NotUnipotent(ValueError):
 
 
 class NotInNP(ValueError):
+    pass
+
+
+class NotCubic(ValueError):
     pass
 
 
@@ -311,27 +315,102 @@ def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
     return iwasawa(rz, g, P) @ rz.q_proj_np.T
 
 
+# --- exponential of h ------------------------------------------------------
+
+# exp_h works through its input this many matrices at a time, so that its
+# temporaries stay a few blocks in size whatever the batch
+EXP_H_BLOCK = 4096
+# below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
+_SERIES_C = 1e-6
+
+
+def exp_h(Y) -> np.ndarray:
+    """exp Y = I + f1(c) Y + f2(c) Y^2 for Y with Y^3 = c Y, batched over
+    (..., n, n): f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c with s = sqrt(c),
+    sin in place of sinh when c < 0.  Every element of h on the presets has
+    this form (the hyperbolic Rodrigues formula), and so has every N with
+    N^3 = 0, where the result is exactly I + N + N^2/2.  Zero gives exactly
+    the identity.  Raises SingularInput when Y or its exponential is not
+    finite in double precision, NotCubic when |Y^3 - c Y| is not negligible
+    against |Y|^3, with c = <Y^3, Y>/<Y, Y>."""
+    Y = np.asarray(Y, dtype=float)
+    if not np.all(np.isfinite(Y)):
+        raise SingularInput("exponent has non-finite entries")
+    n = Y.shape[-1]
+    flat = Y.reshape(-1, n, n)
+    out = np.empty(flat.shape)
+    for start in range(0, len(flat), EXP_H_BLOCK):
+        stop = start + EXP_H_BLOCK
+        _exp_h_block(flat[start:stop], out[start:stop])
+    return out.reshape(Y.shape)
+
+
+def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
+    """exp_h of a stack (k, n, n) of finite matrices, written into out."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        Y2 = Y @ Y
+        Y3 = Y2 @ Y
+        yy = np.einsum("kij,kij->k", Y, Y)
+        c = np.einsum("kij,kij->k", Y3, Y) / np.where(yy > 0, yy, 1.0)
+        resid = np.abs(Y3 - c[:, None, None] * Y).max(axis=(-2, -1))
+        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(resid))):
+            raise SingularInput("exponent overflows double precision")
+        if np.any(resid > 1e-10 * np.abs(Y).max(axis=(-2, -1)) ** 3):
+            raise NotCubic("exponent does not satisfy Y^3 = c Y")
+        small = np.abs(c) < _SERIES_C
+        s2 = np.where(small, 1.0, np.abs(c))       # s^2; 1 where unused
+        s = np.sqrt(s2)
+        hyper = c > 0
+        half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
+        f1 = np.where(small, 1.0 + c / 6.0 + c * c / 120.0,
+                      np.where(hyper, np.sinh(s), np.sin(s)) / s)
+        f2 = np.where(small, 0.5 + c / 24.0 + c * c / 720.0, 2.0 * half * half / s2)
+        np.multiply(f1[:, None, None], Y, out=out)
+        out += np.eye(Y.shape[-1])
+        out += f2[:, None, None] * Y2
+    if not np.all(np.isfinite(out)):
+        raise SingularInput("exponential overflows double precision")
+
+
 # --- sampling --------------------------------------------------------------
+
+def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
+    """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
+    radius when it is longer, in place, and return Y.  A norm whose plain sum
+    of squares overflows is taken after dividing by the largest entry; other
+    norms are the plain sum, so that their bits do not depend on the others."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+        big = np.isinf(norms)
+        if np.any(big):
+            peak = np.abs(Y[big]).max(axis=(-2, -1))
+            unit = Y[big] / peak[:, None, None]
+            scale[big] = np.minimum(
+                radius / peak / np.sqrt(np.sum(unit * unit, axis=(-2, -1))), 1.0)
+        Y *= scale[:, None, None]
+    return Y
+
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
                 seed) -> np.ndarray:
     """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
-    clipped to |Y| <= radius, z a uniform center component.  No Gaussian is
-    drawn when the span is zero.  seed is anything np.random.default_rng
-    takes; an int gives the stream of PCG64(seed)."""
+    clipped to |Y| <= radius, z a uniform center component.  The span lies
+    in h, so exp is exp_h.  No Gaussian is drawn when the span is zero.  seed
+    is anything np.random.default_rng takes; an int gives the stream of
+    PCG64(seed).  Raises SingularInput when the draw leaves double range."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = np.random.default_rng(seed)
     if len(basis):
         coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-        Y = np.einsum("cd,dij->cij", coef, basis)
-        norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-        Y = Y * scale[:, None, None]
+        Y = _clip(np.einsum("cd,dij->cij", coef, basis), radius)
     else:
         Y = np.zeros((count, rz.dim, rz.dim))
+    E = exp_h(Y)
+    del Y       # freed before zs and the product are allocated
     zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ expm(Y)     # Y is not nilpotent in general
+    return zs @ E
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:

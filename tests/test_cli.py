@@ -83,11 +83,21 @@ def test_base_point_off_aq_exits_2(capsys, argv):
     assert "PASS" not in captured.out
 
 
-@pytest.mark.parametrize("flag", ["--a-log=1e400,-1e400", "--a-log=-25,25",
-                                  "--radius=1e300"],
-                         ids=["a_log-overflow", "a_log-singular", "radius-overflow"])
-def test_input_past_double_range_exits_2(capsys, flag):
-    rc = main(["verify", "--preset", "sl2_so11", flag, "--samples", "20"])
+# a huge radius once overflowed the clip norm of sample_span, collapsed
+# every draw to a center element and passed with worst_slack 0
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset,flag", [
+    ("sl2_so11", "--a-log=1e400,-1e400"), ("sl2_so11", "--a-log=-25,25"),
+    ("sl2_so11", "--radius=1e300"), ("kostant_sl2", "--radius=1e300"),
+    ("sl3_so21", "--radius=1e300"), ("group_sl2", "--radius=1e300"),
+    ("kostant_sl2", "--radius=1e160"), ("kostant_sl2", "--radius=1e200"),
+    ("group_sl2", "--radius=1e200"),
+], ids=["a_log-overflow", "a_log-singular", "radius-overflow",
+        "radius-overflow-kostant_sl2", "radius-overflow-sl3_so21",
+        "radius-overflow-group_sl2", "radius-1e160-kostant_sl2",
+        "radius-1e200-kostant_sl2", "radius-1e200-group_sl2"])
+def test_input_past_double_range_exits_2(capsys, preset, flag):
+    rc = main(["verify", "--preset", preset, flag, "--samples", "20"])
     captured = capsys.readouterr()
     assert rc == 2
     assert "error: a_log or radii out of floating-point range" in captured.err

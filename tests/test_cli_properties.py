@@ -132,6 +132,9 @@ def _in_aq(preset: str, point: list) -> bool:
           None))
 @example((["verify", "--preset=sl2_so11", "--a-log=-25,25", "--samples=5"], None))
 @example((["verify", "--preset=sl2_so11", "--radius=1e300", "--samples=5"], None))
+@example((["verify", "--preset=kostant_sl2", "--radius=1e300", "--samples=5"], None))
+@example((["verify", "--preset=sl3_so21", "--radius=1e300", "--samples=5"], None))
+@example((["verify", "--preset=group_sl2", "--radius=1e300", "--samples=5"], None))
 def test_cli_exits_0_1_or_2_and_passes_only_what_it_judged(invocation):
     argv, config = invocation
     out, err = io.StringIO(), io.StringIO()

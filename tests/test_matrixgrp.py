@@ -1,3 +1,5 @@
+import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -6,12 +8,12 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import nph_basis
-from orbitcone.matrixgrp import (NotInNP, NotUnipotent, Realization,
-                                 SingularInput, a_matrix, chamber_perm,
-                                 default_z_q, ek_projection, exp_nilpotent,
-                                 factor_nilpotent, h_pq, iwasawa, realization,
-                                 root_entry, root_matrix, sample_H,
-                                 unipotent_log)
+from orbitcone.matrixgrp import (EXP_H_BLOCK, NotCubic, NotInNP, NotUnipotent,
+                                 Realization, SingularInput, _clip, a_matrix,
+                                 chamber_perm, default_z_q, ek_projection,
+                                 exp_h, exp_nilpotent, factor_nilpotent, h_pq,
+                                 iwasawa, realization, root_entry, root_matrix,
+                                 sample_H, unipotent_log)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import iwasawa_by_matmul
@@ -167,6 +169,147 @@ def test_exp_nilpotent_is_exact_at_zero_and_rejects_non_nilpotent():
         exp_nilpotent(np.diag([1.0, -1.0, 0.0]))
     with pytest.raises(NotUnipotent):
         exp_nilpotent(np.stack([np.zeros((3, 3)), np.diag([1.0, -1.0, 0.0])]))
+
+
+def _h_elements(rz: Realization, radius: float, count: int, seed: int
+                ) -> np.ndarray:
+    """count elements of h of Frobenius norm radius, in random directions."""
+    basis = np.stack(rz.h_basis)
+    coef = np.random.default_rng(seed).normal(size=(count, len(basis)))
+    Y = np.einsum("ck,kij->cij", coef, basis)
+    return radius * Y / np.sqrt(np.sum(Y * Y, axis=(-2, -1)))[:, None, None]
+
+
+def _relative_deviation(A: np.ndarray, B: np.ndarray) -> float:
+    """Largest entry of |A - B| over the largest entry of |B|, per matrix."""
+    return float((np.abs(A - B).max(axis=(-2, -1))
+                  / np.abs(B).max(axis=(-2, -1))).max())
+
+
+@pytest.mark.parametrize("radius", [1e-3, 1.0, 2.0, 4.0, 8.0])
+def test_exp_h_matches_expm_on_h(rz, radius):
+    Y = _h_elements(rz, radius, 300, seed=43)
+    assert _relative_deviation(exp_h(Y), expm(Y)) <= 1e-11
+    assert _relative_deviation(exp_h(Y[0]), expm(Y[0])) <= 1e-11
+
+
+def test_exp_h_on_compact_light_like_and_near_zero_c(rz_sl3, rz_group,
+                                                      rz_kostant):
+    rot, boost1, boost2 = rz_sl3.h_basis
+    H, e, f = rz_group.h_basis
+    cases = {
+        "c < 0, so(2)": 3.0 * rot,
+        "c < 0, kostant": 5.0 * rz_kostant.h_basis[0],
+        "c = 0, so(2,1) light-like": rot + boost1,
+        "c = 0, so(2,1) light-like, scaled": 2.5 * (rot - boost2),
+        "c = 0, diagonal sl2 light-like": H + e - f,
+        "c = 0, nilpotent e": 3.0 * e,
+    }
+    for s in (0.5e-3, 0.999e-3, 1e-3, 1.001e-3, 2e-3):
+        cases[f"c = {s * s:.3g}"] = s * boost1
+        cases[f"c = -{s * s:.3g}"] = s * rot
+        cases[f"c = {s * s:.3g}, mixed"] = s * (rot + np.sqrt(2.0) * boost2)
+    for label, Y in cases.items():
+        assert _relative_deviation(exp_h(Y), expm(Y)) <= 1e-14, label
+    # a light-like Y has Y^3 = 0, so exp Y = I + Y + Y^2/2 with no rounding
+    for Y in (rot + boost1, H + e - f):
+        assert np.array_equal(exp_h(Y), np.eye(len(Y)) + Y + Y @ Y / 2)
+
+
+def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
+    for n in (2, 3, 4):
+        assert np.array_equal(exp_h(np.zeros((n, n))), np.eye(n))
+        assert np.array_equal(exp_h(np.zeros((5, n, n))),
+                              np.broadcast_to(np.eye(n), (5, n, n)))
+    assert exp_h(np.zeros((0, 3, 3))).shape == (0, 3, 3)
+    N = np.triu(np.random.default_rng(44).normal(size=(100, 3, 3)), 1)
+    assert np.array_equal(exp_h(N), exp_nilpotent(N))
+
+
+def test_exp_h_rejects_matrices_outside_the_class():
+    generic = np.random.default_rng(45).normal(size=(3, 3))
+    with pytest.raises(NotCubic):
+        exp_h(generic)
+    # one bad matrix in a batch of good ones, and a small one
+    with pytest.raises(NotCubic):
+        exp_h(np.stack([np.zeros((3, 3)), 1e-3 * generic]))
+    N = np.triu(np.ones((4, 4)), 1)          # N^3 != 0
+    with pytest.raises(NotCubic):
+        exp_h(N)
+
+
+def test_exp_h_inverse_is_exp_h_of_minus(rz):
+    for radius in (1.0, 4.0):
+        Y = _h_elements(rz, radius, 200, seed=46)
+        prod = exp_h(Y) @ exp_h(-Y)
+        bound = 1e-14 * np.exp(2.0 * radius)
+        assert np.abs(prod - np.eye(rz.dim)).max() <= bound
+
+
+def test_exp_h_blocks_match_one_matrix_at_a_time(rz_sl3):
+    Y = _h_elements(rz_sl3, 3.0, 2 * EXP_H_BLOCK + 1, seed=47)
+    batch = exp_h(Y)
+    assert np.array_equal(batch, np.stack([exp_h(y) for y in Y]))
+    assert np.array_equal(exp_h(Y.reshape(3, -1, 3, 3)),
+                          batch.reshape(3, -1, 3, 3))
+
+
+def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
+    """Temporaries live one block at a time: the peak of twice the batch
+    exceeds the smaller peak by the extra output, not by a few copies."""
+    Y = _h_elements(rz_sl3, 4.0, 100_000, seed=48)
+    peaks = []
+    for k in (50_000, 100_000):
+        tracemalloc.start()
+        try:
+            exp_h(Y[:k])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    extra_output = 50_000 * 9 * 8
+    assert peaks[1] - peaks[0] <= 1.25 * extra_output
+
+
+@pytest.mark.filterwarnings("error")
+def test_exp_h_raises_singular_input_outside_double_range(rz):
+    basis0 = rz.h_basis[0]
+    for Y in (np.full_like(basis0, np.nan), np.where(basis0 != 0, np.inf, 0.0),
+              1e200 * basis0, 1e300 * basis0):
+        with pytest.raises(SingularInput):
+            exp_h(np.stack([np.zeros_like(Y), Y]))
+    # a hyperbolic element: a finite exponent, an exponential past double range
+    hyperbolic = [b for b in rz.h_basis if np.abs(b @ b @ b - b).max() == 0]
+    for b in hyperbolic:
+        assert np.all(np.isfinite(exp_h(700.0 * b)))
+        with pytest.raises(SingularInput):
+            exp_h(np.stack([b, 720.0 * b]))
+
+
+def test_clip_scales_long_matrices_to_the_radius_without_overflow(rz):
+    lengths = np.array([0.5, 3.0, 1e150, 1e200, 1e300, 1.5e308])
+    Y = _h_elements(rz, 1.0, len(lengths), seed=50) * lengths[:, None, None]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for radius in (2.0, 1e250):
+            clipped = _clip(Y.copy(), radius)
+            unit = clipped / radius
+            norms = np.sqrt(np.sum(unit * unit, axis=(-2, -1)))
+            long = lengths > radius
+            assert np.allclose(norms[long], 1.0, rtol=1e-14, atol=0.0)
+            assert np.array_equal(clipped[~long], Y[~long])
+    # a norm that does not overflow keeps the plain formula's bits
+    plain = np.sqrt(np.sum(Y[:3] * Y[:3], axis=(-2, -1)))
+    expected = Y[:3] * np.where(plain > 2.0, 2.0 / plain, 1.0)[:, None, None]
+    assert np.array_equal(_clip(Y.copy(), 2.0)[:3], expected)
+
+
+@pytest.mark.filterwarnings("error")
+def test_sample_H_past_double_range_raises(rz):
+    """A norm that overflowed once clipped every draw to zero, so that all
+    samples were central and the main check passed vacuously."""
+    for radius in (1e160, 1e200, 1e300):
+        with pytest.raises(SingularInput):
+            sample_H(rz, radius, 8, seed=3)
 
 
 def test_exp_nilpotent_inverts_unipotent_log(rz_sl3):
