@@ -322,6 +322,10 @@ def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
 EXP_H_BLOCK = 4096
 # below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
 _SERIES_C = 1e-6
+# a matrix whose largest entry lies outside this range is divided by it
+# before Y^3 and c are formed, so that they neither underflow nor overflow;
+# inside it the arithmetic is the plain one
+_UNSCALED = (1e-60, 1e60)
 
 
 def exp_h(Y) -> np.ndarray:
@@ -331,8 +335,8 @@ def exp_h(Y) -> np.ndarray:
     this form (the hyperbolic Rodrigues formula), and so has every N with
     N^3 = 0, where the result is exactly I + N + N^2/2.  Zero gives exactly
     the identity.  Raises SingularInput when Y or its exponential is not
-    finite in double precision, NotCubic when |Y^3 - c Y| is not negligible
-    against |Y|^3, with c = <Y^3, Y>/<Y, Y>."""
+    finite in double precision, NotCubic when |U^3 - c U| is not negligible
+    against |U|^3 for U = Y / max|Y|, with c = <Y^3, Y>/<Y, Y>."""
     Y = np.asarray(Y, dtype=float)
     if not np.all(np.isfinite(Y)):
         raise SingularInput("exponent has non-finite entries")
@@ -346,28 +350,35 @@ def exp_h(Y) -> np.ndarray:
 
 
 def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
-    """exp_h of a stack (k, n, n) of finite matrices, written into out."""
+    """exp_h of a stack (k, n, n) of finite matrices, written into out.
+    Works on U = Y / m with m = max|Y| where m leaves _UNSCALED (m = 1
+    elsewhere), as exp Y = I + (m f1) U + (m^2 f2) U^2."""
+    peak = np.abs(Y).max(axis=(-2, -1))
+    m = np.where((peak < _UNSCALED[0]) & (peak > 0) | (peak > _UNSCALED[1]),
+                 peak, 1.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        Y2 = Y @ Y
-        Y3 = Y2 @ Y
-        yy = np.einsum("kij,kij->k", Y, Y)
-        c = np.einsum("kij,kij->k", Y3, Y) / np.where(yy > 0, yy, 1.0)
-        resid = np.abs(Y3 - c[:, None, None] * Y).max(axis=(-2, -1))
-        if not (np.all(np.isfinite(c)) and np.all(np.isfinite(resid))):
-            raise SingularInput("exponent overflows double precision")
-        if np.any(resid > 1e-10 * np.abs(Y).max(axis=(-2, -1)) ** 3):
+        U = Y / m[:, None, None]
+        U2 = U @ U
+        U3 = U2 @ U
+        uu = np.einsum("kij,kij->k", U, U)
+        cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
+        resid = np.abs(U3 - cu[:, None, None] * U).max(axis=(-2, -1))
+        if np.any(resid > 1e-10 * (peak / m) ** 3):
             raise NotCubic("exponent does not satisfy Y^3 = c Y")
+        c = cu * m * m
         small = np.abs(c) < _SERIES_C
-        s2 = np.where(small, 1.0, np.abs(c))       # s^2; 1 where unused
-        s = np.sqrt(s2)
+        su2 = np.where(small, 1.0, np.abs(cu))      # s^2 / m^2; 1 where unused
+        su = np.sqrt(su2)
+        s = su * m
         hyper = c > 0
         half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
-        f1 = np.where(small, 1.0 + c / 6.0 + c * c / 120.0,
-                      np.where(hyper, np.sinh(s), np.sin(s)) / s)
-        f2 = np.where(small, 0.5 + c / 24.0 + c * c / 720.0, 2.0 * half * half / s2)
-        np.multiply(f1[:, None, None], Y, out=out)
+        g1 = np.where(small, (1.0 + c / 6.0 + c * c / 120.0) * m,
+                      np.where(hyper, np.sinh(s), np.sin(s)) / su)
+        g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
+                      2.0 * half * half / su2)
+        np.multiply(g1[:, None, None], U, out=out)
         out += np.eye(Y.shape[-1])
-        out += f2[:, None, None] * Y2
+        out += g2[:, None, None] * U2
     if not np.all(np.isfinite(out)):
         raise SingularInput("exponential overflows double precision")
 
@@ -376,19 +387,14 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
 
 def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
-    radius when it is longer, in place, and return Y.  A norm whose plain sum
-    of squares overflows is taken after dividing by the largest entry; other
-    norms are the plain sum, so that their bits do not depend on the others."""
-    with np.errstate(over="ignore", invalid="ignore"):
+    radius when it is longer, in place, and return Y.  Raises SingularInput
+    when a norm overflows double precision."""
+    with np.errstate(over="ignore"):
         norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-        big = np.isinf(norms)
-        if np.any(big):
-            peak = np.abs(Y[big]).max(axis=(-2, -1))
-            unit = Y[big] / peak[:, None, None]
-            scale[big] = np.minimum(
-                radius / peak / np.sqrt(np.sum(unit * unit, axis=(-2, -1))), 1.0)
-        Y *= scale[:, None, None]
+    if not np.all(np.isfinite(norms)):
+        raise SingularInput("exponent overflows double precision")
+    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    Y *= scale[:, None, None]
     return Y
 
 

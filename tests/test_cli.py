@@ -104,6 +104,22 @@ def test_input_past_double_range_exits_2(capsys, preset, flag):
     assert "PASS" not in captured.out
 
 
+# Y^3 and c of exp_h once underflowed at such a radius and raised NotCubic.
+# The samples stay within 1e-80 of a center element, so they never reach
+# the generators of Gamma(P) on sl2_so11 and sl3_so21: there main fails the
+# coverage test with no witness, as it did with scipy's expm.
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("preset,rc_expected", [
+    ("kostant_sl2", 0), ("group_sl2", 0), ("sl2_so11", 1), ("sl3_so21", 1)])
+def test_tiny_radius_runs_to_a_verdict(capsys, preset, rc_expected):
+    rc = main(["verify", "--preset", preset, "--radius", "1e-80",
+               "--samples", "20"])
+    out = capsys.readouterr().out
+    assert rc == rc_expected
+    assert "main count=" in out and "worst_slack=0.000e+00" in out
+    assert "witness" not in out
+
+
 def test_gk_rejects_a_chamber(capsys):
     rc = main(["gk", "--preset", "sl3_so21", "--chamber", "1,3,2",
                "--samples", "300"])

@@ -1,5 +1,4 @@
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -271,36 +270,47 @@ def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
 
 
 @pytest.mark.filterwarnings("error")
+def test_exp_h_is_scale_free_far_below_one(rz):
+    """c and the class test are formed on Y / max|Y|: on the raw entries
+    <Y^3, Y> is subnormal at 1e-80 and zero at 1e-200."""
+    basis = np.stack(rz.h_basis)
+    mixed = np.einsum("cd,dij->cij",
+                      np.random.default_rng(51).normal(size=(20, len(basis))), basis)
+    for scale in (1e-59, 1e-61, 1e-80, 1e-120, 1e-200, 1e-300):
+        for Y in (scale * basis, scale * mixed):
+            E = exp_h(Y)
+            assert _relative_deviation(E, expm(Y)) <= 1e-15, scale
+            assert np.abs(E - np.eye(rz.dim)).max() <= 4.0 * scale
+
+
+@pytest.mark.filterwarnings("error")
 def test_exp_h_raises_singular_input_outside_double_range(rz):
     basis0 = rz.h_basis[0]
-    for Y in (np.full_like(basis0, np.nan), np.where(basis0 != 0, np.inf, 0.0),
-              1e200 * basis0, 1e300 * basis0):
+    for Y in (np.full_like(basis0, np.nan), np.where(basis0 != 0, np.inf, 0.0)):
         with pytest.raises(SingularInput):
             exp_h(np.stack([np.zeros_like(Y), Y]))
     # a hyperbolic element: a finite exponent, an exponential past double range
     hyperbolic = [b for b in rz.h_basis if np.abs(b @ b @ b - b).max() == 0]
     for b in hyperbolic:
         assert np.all(np.isfinite(exp_h(700.0 * b)))
-        with pytest.raises(SingularInput):
-            exp_h(np.stack([b, 720.0 * b]))
+        for big in (720.0, 1e100, 1e200, 1e300):
+            with pytest.raises(SingularInput):
+                exp_h(np.stack([b, big * b]))
+    # a compact element: a rotation at every finite scale
+    compact = [b for b in rz.h_basis if np.abs(b @ b @ b + b).max() == 0]
+    for b in compact:
+        for big in (1e70, 1e100, 1e300):
+            E = exp_h(big * b)
+            assert np.abs(E @ E.T - np.eye(rz.dim)).max() <= 1e-15
 
 
-def test_clip_scales_long_matrices_to_the_radius_without_overflow(rz):
-    lengths = np.array([0.5, 3.0, 1e150, 1e200, 1e300, 1.5e308])
+def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
+    lengths = np.array([0.5, 3.0, 1e-80, 40.0, 1e100])
     Y = _h_elements(rz, 1.0, len(lengths), seed=50) * lengths[:, None, None]
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        for radius in (2.0, 1e250):
-            clipped = _clip(Y.copy(), radius)
-            unit = clipped / radius
-            norms = np.sqrt(np.sum(unit * unit, axis=(-2, -1)))
-            long = lengths > radius
-            assert np.allclose(norms[long], 1.0, rtol=1e-14, atol=0.0)
-            assert np.array_equal(clipped[~long], Y[~long])
-    # a norm that does not overflow keeps the plain formula's bits
-    plain = np.sqrt(np.sum(Y[:3] * Y[:3], axis=(-2, -1)))
-    expected = Y[:3] * np.where(plain > 2.0, 2.0 / plain, 1.0)[:, None, None]
-    assert np.array_equal(_clip(Y.copy(), 2.0)[:3], expected)
+    for radius in (2.0, 1e-90, 1e120):
+        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        expected = Y * np.where(plain > radius, radius / plain, 1.0)[:, None, None]
+        assert np.array_equal(_clip(Y.copy(), radius), expected)
 
 
 @pytest.mark.filterwarnings("error")
