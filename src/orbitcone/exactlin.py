@@ -218,7 +218,3 @@ def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
         x[bi] = T[i][-1]
     return status, tuple(x), value
 
-
-def feasible(A: Sequence[Vec], b: Vec) -> bool:
-    """Exact feasibility of {A x = b, x >= 0}."""
-    return lp_solve(A, b, None)[0] == OPTIMAL

@@ -376,6 +376,8 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
                       np.where(hyper, np.sinh(s), np.sin(s)) / su)
         g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
                       2.0 * half * half / su2)
+        # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
+        g2 = np.where(np.any(U2, axis=(-2, -1)), g2, 0.0)
         np.multiply(g1[:, None, None], U, out=out)
         out += np.eye(Y.shape[-1])
         out += g2[:, None, None] * U2
@@ -435,7 +437,9 @@ def _nilpotent_series(N: np.ndarray, start: np.ndarray, term) -> np.ndarray:
     for k in range(2, n):
         power = power @ N
         out = out + term(k, power)
-    if np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n):
+    with np.errstate(over="ignore"):
+        tail = np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n)
+    if tail:
         raise NotUnipotent("series argument is not nilpotent")
     return out
 

@@ -2,9 +2,11 @@
 
 V-representations (vertices, cone generators) are primary; a cone is the set
 with the single vertex 0.  H-representations are derived once per object by
-exact Fourier-Motzkin elimination and memoized.  Membership is decided on the
-H-representation, exactly or by Euclidean facet slacks; pointedness and
-properness by exact LP feasibility.
+exact Fourier-Motzkin elimination and memoized.  Redundant rows are removed
+by incidence rank: a row stays when the vertices and generators it is tight
+on span a facet, or when it is an implicit equality.  Membership is decided
+on the H-representation, exactly or by Euclidean facet slacks; pointedness
+by exact LP feasibility, the one LP left.
 """
 from __future__ import annotations
 
@@ -17,14 +19,10 @@ import numpy as np
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .parabolic import PositiveSystem, is_q_extreme
-from .rootsys import Root, SymmetricPairDatum, coroot, restricted_roots
+from .parabolic import PositiveSystem
+from .rootsys import Root, SymmetricPairDatum, coroot
 
 Ineq = tuple[Vec, Fraction]     # (a, r) meaning a.x >= r
-
-
-class NotQExtreme(ValueError):
-    pass
 
 
 # --- exact Fourier-Motzkin projection --------------------------------------
@@ -59,10 +57,12 @@ def _fm_eliminate(rows, j):
     return out
 
 
-def project_polyhedron(eqs, ineqs, n_keep: int) -> list[Ineq]:
+def _eliminate(eqs, ineqs, n_keep: int) -> list[tuple[list, Fraction]]:
     """Project {z : eq rows hold with equality, ineq rows with >=} onto the
     first n_keep coordinates.  Equalities are solved out first; remaining
-    eliminated variables go through Fourier-Motzkin."""
+    eliminated variables go through Fourier-Motzkin.  Every row comes back
+    zero past n_keep and distinct up to positive scaling; an equality left
+    over comes back as two opposite rows.  Redundant rows stay."""
     work_eqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in eqs]
     work_ineqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in ineqs]
     nvar = len((work_eqs + work_ineqs)[0][0])
@@ -95,62 +95,15 @@ def project_polyhedron(eqs, ineqs, n_keep: int) -> list[Ineq]:
         elim.remove(j)
     for j in elim:
         work_ineqs = _prune(_fm_eliminate(work_ineqs, j))
-    rows = work_ineqs + kept_eqs + [([-x for x in a], -r) for a, r in kept_eqs]
-    rows = _prune(rows)
-    rows = _drop_implied(rows, n_keep)
-    return sorted((tuple(a[:n_keep]), r) for a, r in rows)
+    return _prune(work_ineqs + kept_eqs + [([-x for x in a], -r) for a, r in kept_eqs])
 
 
-def _drop_implied(rows, n: int):
-    """Remove inequalities implied by the others (exact LP per row)."""
-    rows = list(rows)
-    i = 0
-    while i < len(rows):
-        others = rows[:i] + rows[i + 1:]
-        if others and _implied(rows[i], others, n):
-            rows.pop(i)
-        else:
-            i += 1
-    return rows
-
-
-def _free_lp(rows, n: int, c: Vec | None = None):
-    """lp_solve of max c.x subject to a[:n].x >= r for (a, r) in rows, x
-    free, in the standard form x = u - v, u, v >= 0, one surplus per row;
-    x comes back as u - v.  c=None asks for feasibility only."""
-    m = len(rows)
-    A = tuple(tuple(a[:n]) + ex.neg(a[:n])
-              + tuple(Fraction(-1) if t == k else Fraction(0) for t in range(m))
-              for k, (a, _) in enumerate(rows))
-    b = tuple(Fraction(r) for _, r in rows)
-    if c is not None:
-        c = tuple(c) + ex.neg(c) + ex.zeros(m)
-    status, x, val = ex.lp_solve(A, b, c)
-    return status, (None if x is None else ex.sub(x[:n], x[n:2 * n])), val
-
-
-def _implied(row, others, n: int) -> bool:
-    a_i, r_i = row
-    # min a_i.x subject to the others, as max of -a_i.x
-    status, _, val = _free_lp(others, n, ex.neg(a_i[:n]))
-    if status != ex.OPTIMAL:
-        return False
-    return -val >= r_i
-
-
-# --- cones and polyhedral sets ---------------------------------------------
-
-def _hrep(V: Sequence[Vec], G: Sequence[Vec]) -> tuple[Ineq, ...]:
-    """H-representation of conv(V) + cone(G) by projecting
-    {(x, lambda, mu) : x = V^T lambda + G^T mu, sum lambda = 1,
-    lambda, mu >= 0} onto x."""
+def _lift(V: Sequence[Vec], G: Sequence[Vec]):
+    """(eqs, ineqs) of {(x, lambda, mu) : x = V^T lambda + G^T mu,
+    sum lambda = 1, lambda, mu >= 0}, whose projection onto x is
+    conv(V) + cone(G)."""
     n = len(V[0])
-    G = [g for g in G if not ex.is_zero(g)]
-    if not G and tuple(V) == (ex.zeros(n),):
-        # the origin: +-x_i >= 0, without the projection's redundancy LPs
-        return tuple(row for e in ex.identity(n)
-                     for row in ((e, Fraction(0)), (ex.neg(e), Fraction(0))))
-    cols = list(V) + G
+    cols = list(V) + list(G)
     nvar = n + len(cols)
     eqs = []
     for i in range(n):
@@ -168,7 +121,55 @@ def _hrep(V: Sequence[Vec], G: Sequence[Vec]) -> tuple[Ineq, ...]:
         row = [Fraction(0)] * nvar
         row[n + k] = Fraction(1)
         ineqs.append((row, Fraction(0)))
-    return tuple(project_polyhedron(eqs, ineqs, n))
+    return eqs, ineqs
+
+
+def _facets(rows, V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
+    """The rows, valid for P = conv(V) + cone(G), that an irredundant system
+    keeps: every implicit equality (tight on all of V and G), and for each
+    facet the last row inducing it.  A row a.x >= r is tight on the face
+    conv(V_t) + cone(G_t), where V_t = {v : a.v = r} and G_t = {g : a.g = 0};
+    the face is a facet when the rank of {v - v_0 : v in V_t} and G_t is
+    one less than that of V and G.  With no tight vertex the row supports
+    no face and is dropped.  Two rows of _eliminate never share a facet,
+    as each is one combination of the lift's inequalities up to scale;
+    others can only where P is not full-dimensional."""
+    n = len(V[0])
+
+    def dim(vs, gs):
+        return len(ex.rref([ex.sub(v, vs[0]) for v in vs[1:]] + list(gs))[1])
+
+    d = dim(V, G)
+    equalities, facets = [], {}
+    for a, r in rows:
+        a = tuple(a[:n])
+        tv = tuple(k for k, v in enumerate(V) if ex.dot(a, v) == r)
+        tg = tuple(k for k, g in enumerate(G) if ex.dot(a, g) == 0)
+        if len(tv) == len(V) and len(tg) == len(G):
+            equalities.append((a, r))
+        elif tv and dim([V[k] for k in tv], [G[k] for k in tg]) == d - 1:
+            facets[tv, tg] = (a, r)
+    return equalities + list(facets.values())
+
+
+def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
+    """Sorted H-representation of conv(V) + cone(G): its lift through
+    _eliminate, pruned to the facets and implicit equalities by _facets."""
+    rows = _eliminate(*_lift(V, G), len(V[0]))
+    return sorted(_facets(rows, V, G))
+
+
+# --- cones and polyhedral sets ---------------------------------------------
+
+def _hrep(V: Sequence[Vec], G: Sequence[Vec]) -> tuple[Ineq, ...]:
+    """H-representation of conv(V) + cone(G); zero generators drop out."""
+    n = len(V[0])
+    G = [g for g in G if not ex.is_zero(g)]
+    if not G and tuple(V) == (ex.zeros(n),):
+        # the origin: +-x_i >= 0, without the projection
+        return tuple(row for e in ex.identity(n)
+                     for row in ((e, Fraction(0)), (ex.neg(e), Fraction(0))))
+    return tuple(project_polyhedron(V, G))
 
 
 class _VRep:
@@ -240,27 +241,19 @@ class PolyhedralSet(_VRep):
 
 # --- cone predicates -------------------------------------------------------
 
-def proper_on_cone(p: Mat, cone: Cone) -> bool:
-    """ker p meets the cone only at 0."""
-    gens = [g for g in cone.generators if not ex.is_zero(g)]
-    if not gens:
-        return True
-    p = ex.mat(p)
-    n, m = len(gens[0]), len(gens)
-    pg = [ex.mat_vec(p, g) for g in gens]
-    # K = {nu >= 0, sum nu = 1, (p g) nu = 0}; proper iff G nu = 0 on all of K
-    A = [tuple(v[i] for v in pg) for i in range(len(pg[0]))]
-    A.append(tuple([Fraction(1)] * m))
-    b = tuple([Fraction(0)] * len(pg[0]) + [Fraction(1)])
-    if not ex.feasible(A, b):
-        return True
-    for i in range(n):
-        c = tuple(g[i] for g in gens)
-        for sign in (1, -1):
-            status, _, val = ex.lp_solve(A, b, ex.scale(sign, c))
-            if status == ex.OPTIMAL and val > 0:
-                return False
-    return True
+def _free_lp(rows, n: int, c: Vec | None = None):
+    """lp_solve of max c.x subject to a[:n].x >= r for (a, r) in rows, x
+    free, in the standard form x = u - v, u, v >= 0, one surplus per row;
+    x comes back as u - v.  c=None asks for feasibility only."""
+    m = len(rows)
+    A = tuple(tuple(a[:n]) + ex.neg(a[:n])
+              + tuple(Fraction(-1) if t == k else Fraction(0) for t in range(m))
+              for k, (a, _) in enumerate(rows))
+    b = tuple(Fraction(r) for _, r in rows)
+    if c is not None:
+        c = tuple(c) + ex.neg(c) + ex.zeros(m)
+    status, x, val = ex.lp_solve(A, b, c)
+    return status, (None if x is None else ex.sub(x[:n], x[n:2 * n])), val
 
 
 def pointedness_certificate(cone: Cone) -> Vec | None:
@@ -297,20 +290,6 @@ def gamma_aq(roots: Sequence[Root], datum: SymmetricPairDatum) -> Cone:
 def gamma_cone(P: PositiveSystem) -> Cone:
     """Generators pr_q(H_alpha) over Sigma(P)_-."""
     return gamma_aq(sorted(P.classification.minus_part), P.datum)
-
-
-def upsilon_cone(P: PositiveSystem) -> Cone:
-    """Restricted-coroot cone over Delta^+_-; q-extreme systems only.  It
-    equals gamma_cone(P) there, which the tests check exactly both ways."""
-    if not is_q_extreme(P):
-        raise NotQExtreme("upsilon cone needs a q-extreme positive system")
-    d = P.datum
-    rest = restricted_roots(d)
-    delta_plus = {d.restrict(a) for a in P.classification.sigmatheta_part}
-    delta_plus.discard(ex.zeros(len(d.gram)))
-    delta_minus = sorted(lam for lam in delta_plus if lam in rest.minus_set)
-    return Cone(tuple(coroot(lam, d.gram) for lam in delta_minus),
-                ambient=len(d.gram))
 
 
 def omega(a_log: Vec, w_orbit, gamma: Cone) -> PolyhedralSet:

@@ -7,7 +7,10 @@ is the centralizer computation without the per-tie-pattern cache of
 ``transversal_signature_lstsq`` builds the predicted Hessian kernel in
 h-coordinates, the nilpotent part by least squares, where
 ``critical.transversal_signature`` pairs flattened matrices; the tests
-require equal signatures.
+require equal signatures.  ``lp_project`` is the projection of
+``polyhedra._eliminate`` pruned by one exact LP per row, the pass that the
+incidence-rank facet test of ``polyhedra._facets`` replaced; the tests
+require both to give the same rows.
 """
 from fractions import Fraction
 
@@ -16,6 +19,7 @@ import numpy as np
 from orbitcone import exactlin as ex
 from orbitcone.critical import (SV_TOL, _exact_vec, _h_basis_exact,
                                 h_x_coords, nph_basis)
+from orbitcone.polyhedra import _eliminate, _free_lp
 
 
 def sigma_grp(rz, g):
@@ -31,6 +35,28 @@ def contains(region, x, tol: float = 1e-7) -> bool:
     if tol == 0:
         return region.contains_exact(x)
     return bool(region.slack(x) >= -tol)
+
+
+def _implied(row, others, n: int) -> bool:
+    a_i, r_i = row
+    # min a_i.x subject to the others, as max of -a_i.x
+    status, _, val = _free_lp(others, n, ex.neg(a_i[:n]))
+    return status == ex.OPTIMAL and -val >= r_i
+
+
+def lp_project(eqs, ineqs, n_keep: int) -> list:
+    """Sorted projection of {eq rows with equality, ineq rows with >=} onto
+    the first n_keep coordinates: the rows of _eliminate, each in turn
+    dropped when the rows still kept imply it (one exact LP per row)."""
+    rows = _eliminate(eqs, ineqs, n_keep)
+    i = 0
+    while i < len(rows):
+        others = rows[:i] + rows[i + 1:]
+        if others and _implied(rows[i], others, n_keep):
+            rows.pop(i)
+        else:
+            i += 1
+    return sorted((tuple(a[:n_keep]), r) for a, r in rows)
 
 
 def h_x_coords_fresh(rz, X):

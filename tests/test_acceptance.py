@@ -16,10 +16,10 @@ from orbitcone.matrixgrp import (default_z_q, factor_nilpotent, iwasawa,
 from orbitcone.parabolic import (all_positive_systems, h_extremize,
                                  is_h_extreme, is_q_extreme, reflect_system,
                                  sigma_classification)
-from orbitcone.polyhedra import (gamma_cone, pointedness_certificate,
-                                 proper_on_cone, upsilon_cone)
+from orbitcone.polyhedra import gamma_cone, pointedness_certificate
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
+from paper_claims import proper_on_cone, upsilon_cone
 from reference import sigma_grp
 
 PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")

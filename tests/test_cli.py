@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -102,6 +106,20 @@ def test_input_past_double_range_exits_2(capsys, preset, flag):
     assert rc == 2
     assert "error: a_log or radii out of floating-point range" in captured.err
     assert "PASS" not in captured.out
+
+
+def test_gk_past_double_range_exits_2_under_warnings_as_errors():
+    # the tail guard of the nilpotent series once leaked an overflow warning
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "orbitcone.cli", "verify",
+         "--preset", "sl3_so21", "--checks", "gk", "--radius", "1e300",
+         "--samples", "20"],
+        capture_output=True, text=True, timeout=120, env=env)
+    assert out.returncode == 2
+    assert "Traceback" not in out.stderr and "Warning" not in out.stderr
+    assert "error: a_log or radii out of floating-point range" in out.stderr
 
 
 # Y^3 and c of exp_h once underflowed at such a radius and raised NotCubic.

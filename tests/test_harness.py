@@ -233,6 +233,21 @@ def test_no_line_solves_one_lp(monkeypatch):
         assert len(calls) == count, preset
 
 
+def test_hrep_builds_solve_no_lp(monkeypatch):
+    # facets are kept by incidence rank, so main, gk and critical_image
+    # solve no LP; beside them no_line solves its pointedness certificate's
+    expected = {"kostant_sl2": 0, "sl2_so11": 1, "sl3_so21": 1, "group_sl2": 0}
+    real = exactlin.lp_solve
+    for preset, count in expected.items():
+        calls = []
+        monkeypatch.setattr(exactlin, "lp_solve",
+                            lambda *a: calls.append(a) or real(*a))
+        checks = frozenset({"main", "gk", "critical_image", "no_line"})
+        rep = run(VerificationConfig(preset=preset, samples=50, checks=checks))
+        assert len(rep.results) == 4
+        assert len(calls) == count, preset
+
+
 def _recorded_streams(monkeypatch, cfg):
     """Run cfg and return the seed of every draw: (sampler, seed) for the
     samplers the checks call, ("rng", seed) for a check's own generator."""

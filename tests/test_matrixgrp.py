@@ -225,6 +225,17 @@ def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
     assert np.array_equal(exp_h(N), exp_nilpotent(N))
 
 
+@pytest.mark.filterwarnings("error")
+def test_exp_h_of_a_huge_square_zero_matrix_is_one_plus_it():
+    # there m^2 f2 overflows, and its product with U^2 = 0 once gave nan
+    for n in (2, 3):
+        N = np.zeros((n, n))
+        N[0, n - 1] = 1e200
+        assert np.array_equal(exp_h(N), np.eye(n) + N)
+        assert np.array_equal(exp_h(np.stack([N, -N, np.zeros((n, n))])),
+                              np.stack([np.eye(n) + N, np.eye(n) - N, np.eye(n)]))
+
+
 def test_exp_h_rejects_matrices_outside_the_class():
     generic = np.random.default_rng(45).normal(size=(3, 3))
     with pytest.raises(NotCubic):

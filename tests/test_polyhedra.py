@@ -5,15 +5,17 @@ import numpy as np
 import pytest
 
 from orbitcone import exactlin as ex
+from orbitcone import polyhedra
+from orbitcone.harness import VerificationConfig, run
 from orbitcone.parabolic import all_positive_systems, is_q_extreme
-from orbitcone.polyhedra import (Cone, NotQExtreme, PolyhedralSet, gamma_a,
-                                 gamma_aq, gamma_cone, gk_cone, omega,
-                                 pointedness_certificate, project_polyhedron,
-                                 proper_on_cone, upsilon_cone)
+from orbitcone.polyhedra import (Cone, PolyhedralSet, _lift, gamma_a, gamma_aq,
+                                 gamma_cone, gk_cone, omega,
+                                 pointedness_certificate, project_polyhedron)
 from orbitcone.rootsys import ZeroRoot, coroot, weyl_orbit
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
-from reference import contains
+from paper_claims import NotQExtreme, feasible, proper_on_cone, upsilon_cone
+from reference import contains, lp_project
 
 
 # --- independent membership routes -----------------------------------------
@@ -24,7 +26,7 @@ def lp_member(vertices, generators, x) -> bool:
     A = [tuple(c[i] for c in cols) for i in range(len(x))]
     A.append(tuple([Fraction(1)] * len(vertices)
                    + [Fraction(0)] * (len(cols) - len(vertices))))
-    return ex.feasible(tuple(A), tuple(ex.vec(x)) + (Fraction(1),))
+    return feasible(tuple(A), tuple(ex.vec(x)) + (Fraction(1),))
 
 
 def contains_lp_float(obj: PolyhedralSet, x, tol: float = 1e-7) -> bool:
@@ -69,7 +71,7 @@ def cone_hrep_reference(cone: Cone) -> set:
             Fraction(0)) for i in range(n)]
     ineqs = [([Fraction(0)] * n + [Fraction(int(j == k)) for j in range(m)],
               Fraction(0)) for k in range(m)]
-    return set(project_polyhedron(eqs, ineqs, n))
+    return set(lp_project(eqs, ineqs, n))
 
 
 def test_oracle_sanity():
@@ -168,6 +170,85 @@ def test_cone_hrep_is_the_vertex_zero_hrep(rz):
         want = cone_hrep_reference(cone)
         assert set(cone.hrep) == want
         assert set(PolyhedralSet(origin, cone).hrep) == want
+
+
+# --- facets by incidence rank against the LP pass ---------------------------
+
+def _same_as_lp_pass(V, G):
+    V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G if not ex.is_zero(g)]
+    return project_polyhedron(V, G) == lp_project(*_lift(V, G), len(V[0]))
+
+
+def _hulls_plus_cones(count, seed):
+    """Seeded (V, G) in dimension 2 and 3; every third pair lies in a random
+    affine subspace of lower dimension, possibly a point."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        n = rng.choice((2, 3))
+        k = rng.randint(0, n - 1) if i % 3 == 0 else n
+        basis = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        shift = [rng.randint(-2, 2) for _ in range(n)]
+
+        def image(u, offset):
+            return tuple(o + sum(b * c for b, c in zip(row, u))
+                         for row, o in zip(basis, offset))
+        V = [image([rng.randint(-3, 3) for _ in range(k)], shift)
+             for _ in range(rng.randint(1, 4))]
+        G = [image([rng.randint(-3, 3) for _ in range(k)], [0] * n)
+             for _ in range(rng.randint(0, 3))]
+        out.append((V, G))
+    return out
+
+
+def test_facets_match_the_lp_pass_on_the_presets(rz, monkeypatch):
+    # every Gamma, gk, Omega and Omega_X cone or set the preset builds: the
+    # ones the checks project, and the gamma cone and Omega of every system
+    sets = []
+    real = polyhedra.project_polyhedron
+    monkeypatch.setattr(polyhedra, "project_polyhedron",
+                        lambda *a: sets.append(a) or real(*a))
+    cfg = VerificationConfig(preset=rz.name, samples=20, seed=0,
+                             checks=frozenset({"main", "gk", "critical_image"}))
+    run(cfg)
+    monkeypatch.undo()
+    a = cfg.a_log_exact()
+    origin = (ex.zeros(rz.dim),)
+    for P in all_positive_systems(rz.datum):
+        om = omega(a, weyl_orbit(rz.small_weyl, a), gamma_cone(P))
+        sets += [(origin, om.cone.generators), (om.vertices, om.cone.generators)]
+    assert len(sets) > 4
+    for V, G in {(tuple(V), tuple(G)) for V, G in sets}:
+        assert _same_as_lp_pass(V, G), (V, G)
+
+
+def test_facets_match_the_lp_pass_on_random_sets():
+    # random cones, and random hulls plus cones, a third of them lower-dimensional
+    for cone in random_cones(75, seed=11):
+        assert _same_as_lp_pass((ex.zeros(cone.ambient),), cone.generators)
+    for V, G in _hulls_plus_cones(150, seed=12):
+        assert _same_as_lp_pass(V, G), (V, G)
+
+
+def test_facets_of_a_set_with_346_eliminated_rows():
+    # 5 vertices and 3 rays in Q^3 leave 346 Fourier-Motzkin rows, too many
+    # for the LP pass; 9 of them are facets
+    V = [ex.vec(v) for v in ((-2, -2, 0), (1, 3, 0), (-3, -2, 3), (2, 2, -1),
+                             (-2, 1, 2))]
+    G = [ex.vec(g) for g in ((-2, 3, -3), (-3, -1, -1), (2, -3, -1))]
+    assert len(polyhedra._eliminate(*_lift(V, G), 3)) == 346
+    hrep = project_polyhedron(V, G)
+    assert len(hrep) == 9
+    s = PolyhedralSet(V, Cone(G))
+    assert s.hrep == tuple(hrep)
+    rng = random.Random(29)
+    for _ in range(60):
+        x = tuple(Fraction(rng.randint(-30, 30), rng.randint(1, 4))
+                  for _ in range(3))
+        assert s.contains_exact(x) == lp_member(V, G, x)
+    for v in V:
+        for g in G:
+            assert s.contains_exact(ex.add(v, ex.scale(Fraction(1, 2), g)))
 
 
 def test_slack_is_euclidean_distance():
