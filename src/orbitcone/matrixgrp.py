@@ -6,9 +6,10 @@ realized block-diagonally in SL(4,R).  The Cartan involution is always
 Y -> -Y^T; the second involution is either Y -> -J Y^T J for a signature
 matrix J or conjugation by the block swap.
 
-The Iwasawa log comes from one QR kernel for the upper-triangular base
-system; every other positive system is conjugated into it by an index
-permutation.
+The Iwasawa log is log|R_kk| of g = QR for the upper-triangular base
+system, from one vectorised Gram-Schmidt kernel that forms no Q and no
+off-diagonal R; every other positive system is conjugated into the base
+system by an index permutation, applied in the kernel's one layout copy.
 Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``;
 exponentials of elements of h are the closed form ``exp_h``.
 """
@@ -293,21 +294,88 @@ def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # --- Iwasawa decomposition -------------------------------------------------
 
+# iwasawa and exp_h work through their input this many matrices at a time, so
+# that their temporaries stay a few blocks in size whatever the batch
+BLOCK = 4096
+# a matrix whose largest entry lies outside this range is divided by it, so
+# that nothing underflows or overflows: by exp_h always, by iwasawa in a
+# block where some R_kk leaves the range; inside it the arithmetic is the
+# plain one
+_UNSCALED = (1e-60, 1e60)
+# an R_kk below 1e-250 makes the input numerically singular
+_LOG_TINY = math.log(1e-250)
+
+
+def _scales(peak: np.ndarray) -> np.ndarray:
+    """Per-matrix divisor: the largest entry |peak| where it is nonzero and
+    leaves _UNSCALED, 1 elsewhere."""
+    return np.where((peak < _UNSCALED[0]) & (peak > 0) | (peak > _UNSCALED[1]),
+                    peak, 1.0)
+
+
 def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
     """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
     coordinates; accepts stacked input (..., n, n).  g is conjugated into the
-    base system by chamber_perm, and H is log|diag R| of its QR."""
+    base system by chamber_perm, and H is log|diag R| of its QR, from the
+    Gram-Schmidt kernel _log_r_block.  Raises SingularInput when g has
+    non-finite entries or is numerically singular: some |R_kk| < 1e-250,
+    or |R_kk|^2 underflows to 0 in the kernel."""
     g = np.asarray(g, dtype=float)
-    if not np.all(np.isfinite(g)):
-        raise SingularInput("input matrix has non-finite entries")
+    n = g.shape[-1]
     perm = _base_perm(rz, P)
-    if perm is not None:
-        g = _conjugate(g, perm)
-    d = np.abs(np.diagonal(np.linalg.qr(g, mode="r"), axis1=-2, axis2=-1))
-    if np.min(d) < 1e-250:
+    p = np.arange(n) if perm is None else perm
+    flat = g.reshape(-1, n, n)
+    H = np.empty((len(flat), n))
+    # the plain pass may overflow or divide 0 by 0; _log_r_block redoes or
+    # rejects the blocks where it did
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        for start in range(0, len(flat), BLOCK):
+            _log_r_block(flat[start:start + BLOCK], p, H[start:start + BLOCK])
+    return H.reshape(g.shape[:-1])
+
+
+def _log_r_block(g: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """log|R_kk| of the QR of each x = g[:, p][:, :, p] in the stack
+    (m, n, n), written into out[:, p[k]], which maps it back to ambient
+    coordinates.  The arithmetic is the plain one while every R_kk lies in
+    _UNSCALED.  Otherwise the block is done again with each matrix whose
+    largest entry leaves _UNSCALED divided by that entry, as in exp_h."""
+    C = g.transpose(2, 1, 0)[p[:, None], p]
+    _gram_schmidt(C, p, out)
+    if _UNSCALED[0] ** 2 <= out.min() and out.max() <= _UNSCALED[1] ** 2:
+        np.log(out, out=out)
+        out *= 0.5
+        return
+    C = g.transpose(2, 1, 0)[p[:, None], p]
+    peak = np.abs(C).max(axis=(0, 1))
+    if not np.all(np.isfinite(peak)):
+        raise SingularInput("input matrix has non-finite entries")
+    m = _scales(peak)
+    C /= m
+    _gram_schmidt(C, p, out)
+    np.log(out, out=out)
+    out *= 0.5
+    out += np.log(m)[:, None]
+    if not out.min() >= _LOG_TINY:
         raise SingularInput("matrix is numerically singular")
-    H = np.log(d)
-    return H if perm is None else H[..., np.argsort(perm)]
+
+
+def _gram_schmidt(C: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
+    """Modified Gram-Schmidt on the columns C[j] (rows i, matrices last) of
+    a stack (n, n, m), in place; writes |R_kk|^2 into out[:, p[k]].  Each
+    step is one array operation over the whole stack.  Each column is
+    projected off the later ones twice: one pass leaves rounding of order
+    eps |x| along it, which swamps R_kk on row-graded input such as a h with
+    a = exp(-25, 25).  The sums are ufunc reductions, which add in the same
+    order at every stack size (einsum does not on one matrix), so a matrix
+    gets the same bits alone and in a batch."""
+    for k in range(len(C)):
+        q = C[k]
+        ss = np.add.reduce(q * q, axis=0, out=out[:, p[k]])
+        if k + 1 < len(C):
+            rest, t = C[k + 1:], q / ss
+            for _ in range(2):
+                rest -= np.add.reduce(rest * q, axis=1, keepdims=True) * t
 
 
 def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
@@ -317,15 +385,8 @@ def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
 
 # --- exponential of h ------------------------------------------------------
 
-# exp_h works through its input this many matrices at a time, so that its
-# temporaries stay a few blocks in size whatever the batch
-EXP_H_BLOCK = 4096
 # below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
 _SERIES_C = 1e-6
-# a matrix whose largest entry lies outside this range is divided by it
-# before Y^3 and c are formed, so that they neither underflow nor overflow;
-# inside it the arithmetic is the plain one
-_UNSCALED = (1e-60, 1e60)
 
 
 def exp_h(Y) -> np.ndarray:
@@ -343,8 +404,8 @@ def exp_h(Y) -> np.ndarray:
     n = Y.shape[-1]
     flat = Y.reshape(-1, n, n)
     out = np.empty(flat.shape)
-    for start in range(0, len(flat), EXP_H_BLOCK):
-        stop = start + EXP_H_BLOCK
+    for start in range(0, len(flat), BLOCK):
+        stop = start + BLOCK
         _exp_h_block(flat[start:stop], out[start:stop])
     return out.reshape(Y.shape)
 
@@ -354,8 +415,7 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
     Works on U = Y / m with m = max|Y| where m leaves _UNSCALED (m = 1
     elsewhere), as exp Y = I + (m f1) U + (m^2 f2) U^2."""
     peak = np.abs(Y).max(axis=(-2, -1))
-    m = np.where((peak < _UNSCALED[0]) & (peak > 0) | (peak > _UNSCALED[1]),
-                 peak, 1.0)
+    m = _scales(peak)
     with np.errstate(over="ignore", invalid="ignore"):
         U = Y / m[:, None, None]
         U2 = U @ U

@@ -3,8 +3,12 @@
 One full QR of the input conjugated by the permutation matrix of
 chamber_perm gives all three factors at once.  The library computes only
 the Iwasawa log H, from R alone; the tests compare it with this reference
-and take the unipotent factor n from here.
+and take the unipotent factor n from here.  iwasawa_exact gives H of the
+base system to 60 digits, for judging the accuracy of both.
 """
+from fractions import Fraction
+
+import mpmath
 import numpy as np
 
 from orbitcone.matrixgrp import chamber_perm
@@ -25,3 +29,40 @@ def iwasawa_by_matmul(rz, g, P):
     H, n = np.log(dpos) @ w.T, w @ (r / dpos[..., :, None]) @ w.T
     k = w @ q @ w.T
     return (k[0], H[0], n[0]) if single else (k, H, n)
+
+
+def _det(rows) -> Fraction:
+    """Determinant of a square matrix of Fractions by exact elimination."""
+    a = [list(r) for r in rows]
+    det = Fraction(1)
+    for k in range(len(a)):
+        piv = next((i for i in range(k, len(a)) if a[i][k] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            det = -det
+        det *= a[k][k]
+        for i in range(k + 1, len(a)):
+            f = a[i][k] / a[k][k]
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+    return det
+
+
+def iwasawa_exact(g) -> np.ndarray:
+    """log|R_kk| of the QR of each matrix of the stack g (m, n, n), as
+    (log D_k - log D_{k-1}) / 2 with D_k the leading k x k minor of g^T g.
+    The minors are exact in the binary rationals of g, and only the
+    logarithms round, at 60 digits."""
+    out = []
+    with mpmath.workdps(60):
+        for x in np.asarray(g, dtype=float):
+            cols = [[Fraction(v) for v in col] for col in x.T]
+            gram = [[sum(a * b for a, b in zip(ci, cj)) for cj in cols]
+                    for ci in cols]
+            logs = [mpmath.mpf(0)] + [
+                mpmath.log(mpmath.mpf(d.numerator) / d.denominator)
+                for d in (_det([r[:k] for r in gram[:k]])
+                          for k in range(1, len(cols) + 1))]
+            out.append([float((hi - lo) / 2) for lo, hi in zip(logs, logs[1:])])
+    return np.array(out)

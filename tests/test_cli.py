@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,7 +92,7 @@ def test_base_point_off_aq_exits_2(capsys, argv):
 # every draw to a center element and passed with worst_slack 0
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("preset,flag", [
-    ("sl2_so11", "--a-log=1e400,-1e400"), ("sl2_so11", "--a-log=-25,25"),
+    ("sl2_so11", "--a-log=1e400,-1e400"), ("sl2_so11", "--a-log=-600,600"),
     ("sl2_so11", "--radius=1e300"), ("kostant_sl2", "--radius=1e300"),
     ("sl3_so21", "--radius=1e300"), ("group_sl2", "--radius=1e300"),
     ("kostant_sl2", "--radius=1e160"), ("kostant_sl2", "--radius=1e200"),
@@ -106,6 +107,15 @@ def test_input_past_double_range_exits_2(capsys, preset, flag):
     assert rc == 2
     assert "error: a_log or radii out of floating-point range" in captured.err
     assert "PASS" not in captured.out
+
+
+@pytest.mark.filterwarnings("error")
+def test_row_graded_base_point_passes(capsys):
+    # exp(-25, 25) h is regular; the Iwasawa QR once rounded its R_22 to 0
+    rc = main(["verify", "--preset", "sl2_so11", "--a-log=-25,25", "--samples", "200"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert re.search(r"^PASS main count=\d+ worst_slack=", captured.out, re.M)
 
 
 def test_gk_past_double_range_exits_2_under_warnings_as_errors():

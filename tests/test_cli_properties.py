@@ -131,6 +131,7 @@ def _in_aq(preset: str, point: list) -> bool:
 @example((["verify", "--preset=sl2_so11", "--a-log=1e400,-1e400", "--samples=5"],
           None))
 @example((["verify", "--preset=sl2_so11", "--a-log=-25,25", "--samples=5"], None))
+@example((["verify", "--preset=sl2_so11", "--a-log=-600,600", "--samples=5"], None))
 @example((["verify", "--preset=sl2_so11", "--radius=1e300", "--samples=5"], None))
 @example((["verify", "--preset=kostant_sl2", "--radius=1e300", "--samples=5"], None))
 @example((["verify", "--preset=sl3_so21", "--radius=1e300", "--samples=5"], None))

@@ -7,7 +7,8 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import nph_basis
-from orbitcone.matrixgrp import (EXP_H_BLOCK, NotCubic, NotInNP, NotUnipotent,
+from orbitcone.harness import _DEFAULT_A_LOG
+from orbitcone.matrixgrp import (BLOCK, NotCubic, NotInNP, NotUnipotent,
                                  Realization, SingularInput, _clip, a_matrix,
                                  chamber_perm, default_z_q, ek_projection,
                                  exp_h, exp_nilpotent, factor_nilpotent, h_pq,
@@ -15,7 +16,7 @@ from orbitcone.matrixgrp import (EXP_H_BLOCK, NotCubic, NotInNP, NotUnipotent,
                                  sample_H, unipotent_log)
 from orbitcone.parabolic import all_positive_systems
 
-from iwasawa_reference import iwasawa_by_matmul
+from iwasawa_reference import iwasawa_by_matmul, iwasawa_exact
 from reference import contains, sigma_grp
 
 
@@ -95,7 +96,7 @@ def test_iwasawa_reconstructs(rz):
     for P in all_positive_systems(rz.datum):
         g = expm(0.3 * rng.normal(size=(40, n, n)))
         k, H, nn = iwasawa_by_matmul(rz, g, P)
-        assert np.array_equal(iwasawa(rz, g, P), H)
+        assert np.abs(iwasawa(rz, g, P) - H).max() <= 1e-13
         rec = k @ a_matrix(np.exp(H)) @ nn
         assert np.abs(rec - g).max() < 1e-10
         # k orthogonal, n unipotent with unit diagonal
@@ -118,8 +119,56 @@ def test_iwasawa_equals_the_matmul_reference(rz):
     for P in all_positive_systems(rz.datum):
         for x in (g, g[3]):
             _, H, _ = iwasawa_by_matmul(rz, x, P)
-            assert np.array_equal(iwasawa(rz, x, P), H)
-            assert np.array_equal(h_pq(rz, x, P), H @ rz.q_proj_np.T)
+            assert np.abs(iwasawa(rz, x, P) - H).max() <= 1e-13
+            assert np.abs(h_pq(rz, x, P) - H @ rz.q_proj_np.T).max() <= 1e-13
+
+
+@pytest.mark.parametrize("preset", ["sl2_so11", "sl3_so21", "group_sl2"])
+def test_iwasawa_is_as_accurate_as_the_qr(preset):
+    """On the 40 worst-conditioned of 2,000 main-check draws a h: within
+    1e-13 of the exact H at radius 4, and no worse than LAPACK's QR at
+    radius 12, where conditioning costs both about five digits."""
+    rz = realization(preset)
+    a = a_matrix(np.exp([float(c) for c in _DEFAULT_A_LOG[preset]]))
+    for radius in (4.0, 12.0):
+        g = a @ sample_H(rz, radius, 2000, seed=60)
+        g = g[np.argsort(np.linalg.cond(g))[-40:]]
+        exact = iwasawa_exact(g)
+        err = np.abs(iwasawa(rz, g) - exact).max()
+        err_qr = np.abs(iwasawa_by_matmul(rz, g, rz.base_parabolic)[1] - exact).max()
+        assert err <= (1e-13 if radius == 4.0 else err_qr), (radius, err, err_qr)
+
+
+def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
+    """a h with a = exp(-25, 25): R_22 ~ e^-25 / |h_21| lies far below
+    eps |a h|, and LAPACK's QR rounds it to 0.  Gram-Schmidt with a second
+    projection pass keeps it to working accuracy."""
+    a = a_matrix(np.exp([-25.0, 25.0]))
+    g = a @ sample_H(rz_so11, 4.0, 200, seed=61)
+    assert np.abs(iwasawa(rz_so11, g) - iwasawa_exact(g)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
+def test_iwasawa_blocks_match_one_matrix_at_a_time(preset):
+    rz = realization(preset)
+    g = sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62)
+    for P in (None, all_positive_systems(rz.datum)[-1]):
+        batch = iwasawa(rz, g, P)
+        assert np.array_equal(batch, np.stack([iwasawa(rz, x, P) for x in g]))
+
+
+@pytest.mark.filterwarnings("error")
+def test_iwasawa_is_scale_free(rz):
+    """H(s g) = H(g) + log s, also where s g leaves [1e-60, 1e60] and its
+    block is done again scaled; the plain matrices in that block keep
+    their bits."""
+    rng = np.random.Generator(np.random.PCG64(63))
+    g = expm(0.4 * rng.normal(size=(6, rz.dim, rz.dim)))
+    H = iwasawa(rz, g)
+    for s in (1e-200, 1e-70, 1e70, 1e200):
+        scaled = iwasawa(rz, np.concatenate([s * g, g]))
+        assert np.abs(scaled[:6] - (H + np.log(s))).max() <= 1e-13
+        assert np.array_equal(scaled[6:], H)
 
 
 def test_iwasawa_rejects_bad_input(rz_sl3):
@@ -257,7 +306,7 @@ def test_exp_h_inverse_is_exp_h_of_minus(rz):
 
 
 def test_exp_h_blocks_match_one_matrix_at_a_time(rz_sl3):
-    Y = _h_elements(rz_sl3, 3.0, 2 * EXP_H_BLOCK + 1, seed=47)
+    Y = _h_elements(rz_sl3, 3.0, 2 * BLOCK + 1, seed=47)
     batch = exp_h(Y)
     assert np.array_equal(batch, np.stack([exp_h(y) for y in Y]))
     assert np.array_equal(exp_h(Y.reshape(3, -1, 3, 3)),
