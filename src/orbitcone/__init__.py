@@ -10,11 +10,11 @@ from .harness import (CheckResult, ConfigError, IoError, Report,
                       run)
 from .matrixgrp import Realization, h_pq, iwasawa, realization
 from .parabolic import PositiveSystem, from_chamber, h_extremize
-from .polyhedra import Cone, PolyhedralSet, gamma_cone, omega
+from .polyhedra import Polyhedron, gamma_cone, omega
 
 __all__ = [
-    "CheckResult", "ConfigError", "Cone", "IoError", "PolyhedralSet",
-    "PositiveSystem", "Realization", "Report", "VerificationConfig",
+    "CheckResult", "ConfigError", "IoError", "Polyhedron", "PositiveSystem",
+    "Realization", "Report", "VerificationConfig",
     "config_from_mapping", "emit_report", "from_chamber", "gamma_cone",
     "h_extremize", "h_pq", "iwasawa", "omega", "realization", "run",
 ]

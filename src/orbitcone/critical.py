@@ -22,7 +22,7 @@ from .exactlin import Mat, Vec
 from .matrixgrp import (Realization, a_matrix, ek_projection, h_pq, root_matrix,
                         sample_span, sample_unipotent)
 from .parabolic import PositiveSystem
-from .polyhedra import PolyhedralSet, gamma_aq, omega
+from .polyhedra import Polyhedron, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
 
 SV_TOL = 1e-7
@@ -302,7 +302,7 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
 # --- the predicted critical image ------------------------------------------
 
 def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
-            ) -> dict[Mat, PolyhedralSet]:
+            ) -> dict[Mat, Polyhedron]:
     """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone."""
     P = P if P is not None else rz.base_parabolic
     a_exact = _exact_vec(a_log)
@@ -316,8 +316,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     out = {}
     for w in rz.small_weyl.elements:
         wln = ex.mat_vec(rz.small_weyl.inverse(w), a_exact)
-        orbit = weyl_orbit(W_X, wln)
-        out[w] = omega(wln, orbit, gam)
+        out[w] = omega(weyl_orbit(W_X, wln), gam)
     return out
 
 

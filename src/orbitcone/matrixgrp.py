@@ -37,10 +37,6 @@ class NotUnipotent(ValueError):
     pass
 
 
-class NotInNP(ValueError):
-    pass
-
-
 class NotCubic(ValueError):
     pass
 
@@ -486,35 +482,23 @@ def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
     return sample_span(rz, np.stack(rz.h_basis), radius, count, seed)
 
 
-# --- unipotent factorizations ----------------------------------------------
+# --- unipotent exponentials ------------------------------------------------
 
-def _nilpotent_series(N: np.ndarray, start: np.ndarray, term) -> np.ndarray:
-    """start + sum of term(k, N^k) over 2 <= k < n for (..., n, n) input N;
-    exact when N is nilpotent.  Raises NotUnipotent when N^n is not
+def exp_nilpotent(N) -> np.ndarray:
+    """Finite exponential series I + N + ... + N^(n-1)/(n-1)! for (..., n, n)
+    input N; exact for nilpotent N.  Raises NotUnipotent when N^n is not
     negligible."""
+    N = np.asarray(N, dtype=float)
     n = N.shape[-1]
-    power, out = N, start
+    power, out = N, np.eye(n) + N
     for k in range(2, n):
         power = power @ N
-        out = out + term(k, power)
+        out = out + power / math.factorial(k)
     with np.errstate(over="ignore"):
         tail = np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n)
     if tail:
         raise NotUnipotent("series argument is not nilpotent")
     return out
-
-
-def exp_nilpotent(N) -> np.ndarray:
-    """Finite exponential series; exact for nilpotent input, batched."""
-    N = np.asarray(N, dtype=float)
-    return _nilpotent_series(N, np.eye(N.shape[-1]) + N,
-                             lambda k, power: power / math.factorial(k))
-
-
-def unipotent_log(rz: Realization, m) -> np.ndarray:
-    """Finite Mercator series in m - I; exact for unipotent input, batched."""
-    M = np.asarray(m, dtype=float) - np.eye(rz.dim)
-    return _nilpotent_series(M, M, lambda k, power: ((-1) ** (k + 1) / k) * power)
 
 
 def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
@@ -525,82 +509,6 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
     coef = np.random.default_rng(seed).normal(0.0, radius / 2.0,
                                               size=(count, len(basis)))
     return exp_nilpotent(np.einsum("ck,kij->cij", coef, basis))
-
-
-def _support_mask(rz: Realization, alphas) -> np.ndarray:
-    mask = np.zeros((rz.dim, rz.dim), dtype=bool)
-    for a in alphas:
-        mask[root_entry(a)] = True
-    return mask
-
-
-def default_z_q(rz: Realization, P: PositiveSystem | None = None) -> Vec:
-    """Exact element of a_q, positive on Sigma(P, sigma-theta) and regular."""
-    P = P if P is not None else rz.base_parabolic
-    d = rz.datum
-    pos = sorted(P.positive)
-    st_part = P.classification.sigmatheta_part
-    for prime in (97, 991, 9973, 99991):
-        z_p = ex.combination([Fraction(prime + k, prime) for k in range(len(pos))],
-                             pos, rz.dim)
-        if any(ex.dot(a, z_p) <= 0 for a in pos):
-            continue
-        z_q = ex.sub(z_p, ex.mat_vec(d.sigma_on_a, z_p))
-        if any(ex.dot(a, z_q) <= 0 for a in st_part):
-            continue
-        if any(ex.dot(a, z_q) == 0 and not d.in_ah_star(a) for a in d.roots):
-            continue
-        return z_q
-    raise ArithmeticError("no valid splitting element found")
-
-
-def _split_ops(rz: Realization, P: PositiveSystem, z_q: Vec):
-    """Linear maps (flattened) sending supported log matrices to (u, v) parts."""
-    n = rz.dim
-    U_op = np.zeros((n * n, n * n))
-    V_op = np.zeros((n * n, n * n))
-    for alpha in sorted(P.positive):
-        i, j = root_entry(alpha)
-        col = i * n + j
-        E = root_matrix(n, alpha)
-        sgn = ex.dot(alpha, z_q)
-        if sgn > 0:
-            U_op[col, col] = 1.0
-        elif sgn == 0:
-            V_op[:, col] = E.reshape(-1)        # root space already inside h
-        else:
-            sE = rz.sigma_alg(E)
-            V_op[:, col] = (E + sE).reshape(-1)
-            U_op[:, col] = (-sE).reshape(-1)
-    return U_op, V_op
-
-
-def factor_nilpotent(rz: Realization, m, P: PositiveSystem | None = None
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Split n in N_P as n_plus * n_H; accepts stacked input (..., n, n)."""
-    P = P if P is not None else rz.base_parabolic
-    m = np.asarray(m, dtype=float)
-    L = unipotent_log(rz, m)
-    mask = _support_mask(rz, P.positive)
-    off = np.abs(np.where(mask, 0.0, L)).max()
-    if off > 1e-9 * (1.0 + np.abs(L).max()):
-        raise NotInNP("log is not supported on the positive root spaces")
-    U_op, V_op = _split_ops(rz, P, default_z_q(rz, P))
-    n = rz.dim
-    flat = L.reshape(L.shape[:-2] + (n * n,))
-    u = (flat @ U_op.T).reshape(L.shape)
-    v = (flat @ V_op.T).reshape(L.shape)
-    tol = 1e-14 * (1.0 + np.abs(L).max())
-    for _ in range(80):
-        resid = unipotent_log(rz, exp_nilpotent(u) @ exp_nilpotent(v)) - L
-        if np.abs(resid).max() <= tol:
-            break
-        rflat = resid.reshape(L.shape[:-2] + (n * n,))
-        u = u - (rflat @ U_op.T).reshape(L.shape)
-        v = v - (rflat @ V_op.T).reshape(L.shape)
-    else:
-        raise ArithmeticError("nilpotent factorization did not converge")
-    return exp_nilpotent(u), exp_nilpotent(v)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

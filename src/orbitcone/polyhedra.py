@@ -1,8 +1,9 @@
 """Exact polyhedral geometry for the orbit-polytope-plus-cone sets.
 
-V-representations (vertices, cone generators) are primary; a cone is the set
-with the single vertex 0.  H-representations are derived once per object by
-exact Fourier-Motzkin elimination and memoized.  Redundant rows are removed
+One type, ``Polyhedron``, holds conv(V) + cone(G) by its V-representation;
+a cone is the polyhedron with the single vertex 0.  The H-representation
+is derived once per object by exact Fourier-Motzkin elimination and
+memoized, for the origin and zero generators too.  Redundant rows are removed
 by incidence rank: a row stays when the vertices and generators it is tight
 on span a facet, or when it is an implicit equality.  Membership is decided
 on the H-representation, exactly or by Euclidean facet slacks; pointedness
@@ -159,39 +160,38 @@ def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
     return sorted(_facets(rows, V, G))
 
 
-# --- cones and polyhedral sets ---------------------------------------------
+# --- polyhedra -------------------------------------------------------------
 
-def _hrep(V: Sequence[Vec], G: Sequence[Vec]) -> tuple[Ineq, ...]:
-    """H-representation of conv(V) + cone(G); zero generators drop out."""
-    n = len(V[0])
-    G = [g for g in G if not ex.is_zero(g)]
-    if not G and tuple(V) == (ex.zeros(n),):
-        # the origin: +-x_i >= 0, without the projection
-        return tuple(row for e in ex.identity(n)
-                     for row in ((e, Fraction(0)), (ex.neg(e), Fraction(0))))
-    return tuple(project_polyhedron(V, G))
-
-
-class _VRep:
-    """Membership for a set given by vertices and cone generators.
+@dataclass(frozen=True)
+class Polyhedron:
+    """conv(vertices) + cone(generators).
 
     The H-representation is derived once and memoized.  Float membership is
     judged by the slack: the signed Euclidean distance from a point to the
     facet hyperplanes, so a tolerance ``tol`` admits points at most ``tol``
     outside any facet hyperplane.
     """
+    vertices: tuple[Vec, ...]
+    generators: tuple[Vec, ...] = ()
 
-    def _vrep(self) -> tuple[tuple[Vec, ...], tuple[Vec, ...]]:
-        raise NotImplementedError
+    def __post_init__(self):
+        object.__setattr__(self, "vertices",
+                           tuple(sorted(ex.vec(v) for v in self.vertices)))
+        object.__setattr__(self, "generators",
+                           tuple(ex.vec(g) for g in self.generators))
+
+    @property
+    def ambient(self) -> int:
+        return len(self.vertices[0])
 
     @cached_property
     def hrep(self) -> tuple[Ineq, ...]:
-        return _hrep(*self._vrep())
+        return tuple(project_polyhedron(self.vertices, self.generators))
 
     @cached_property
     def _unit_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        n = len(self._vrep()[0][0])
-        A = np.array([[float(c) for c in a] for a, _ in self.hrep]).reshape(-1, n)
+        A = np.array([[float(c) for c in a] for a, _ in self.hrep]
+                     ).reshape(-1, self.ambient)
         b = np.array([float(r) for _, r in self.hrep])
         return A, b, np.linalg.norm(A, axis=1)
 
@@ -208,35 +208,9 @@ class _VRep:
         return all(ex.dot(a, x) >= r for a, r in self.hrep)
 
 
-@dataclass(frozen=True)
-class Cone(_VRep):
-    """cone(generators): the polyhedral set with the single vertex 0."""
-    generators: tuple[Vec, ...]
-    ambient: int | None = None
-
-    def __post_init__(self):
-        gens = tuple(ex.vec(g) for g in self.generators)
-        object.__setattr__(self, "generators", gens)
-        if self.ambient is None:
-            if not gens:
-                raise ValueError("a cone with no generators needs an explicit ambient dimension")
-            object.__setattr__(self, "ambient", len(gens[0]))
-
-    def _vrep(self):
-        return (ex.zeros(self.ambient),), self.generators
-
-
-@dataclass(frozen=True)
-class PolyhedralSet(_VRep):
-    vertices: tuple[Vec, ...]
-    cone: Cone
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           tuple(sorted(ex.vec(v) for v in self.vertices)))
-
-    def _vrep(self):
-        return self.vertices, self.cone.generators
+def cone(generators: Sequence[Vec], n: int) -> Polyhedron:
+    """cone(generators) in Q^n: the polyhedron with the single vertex 0."""
+    return Polyhedron((ex.zeros(n),), tuple(generators))
 
 
 # --- cone predicates -------------------------------------------------------
@@ -256,12 +230,13 @@ def _free_lp(rows, n: int, c: Vec | None = None):
     return status, (None if x is None else ex.sub(x[:n], x[n:2 * n])), val
 
 
-def pointedness_certificate(cone: Cone) -> Vec | None:
-    """An exact functional xi with xi.g > 0 for every nonzero generator, or
-    None when the cone is not pointed: by Gordan's alternative, xi exists
-    exactly when no nonzero nonnegative combination of generators is 0."""
-    gens = [g for g in cone.generators if not ex.is_zero(g)]
-    n = cone.ambient
+def pointedness_certificate(c: Polyhedron) -> Vec | None:
+    """An exact functional xi with xi.g > 0 for every nonzero generator of
+    the cone c, or None when c is not pointed: by Gordan's alternative, xi
+    exists exactly when no nonzero nonnegative combination of generators
+    is 0."""
+    gens = [g for g in c.generators if not ex.is_zero(g)]
+    n = c.ambient
     if not gens:
         return tuple([Fraction(0)] * n)
     # find xi with xi.g >= 1 for all g: feasibility with free xi
@@ -274,32 +249,31 @@ def pointedness_certificate(cone: Cone) -> Vec | None:
 
 # --- the cones of the theory ----------------------------------------------
 
-def gamma_a(roots: Sequence[Root], gram: Mat) -> Cone:
+def gamma_a(roots: Sequence[Root], gram: Mat) -> Polyhedron:
     """Cone generated by the coroots H_alpha over the given roots."""
-    gens = tuple(coroot(a, gram) for a in sorted(set(map(ex.vec, roots))))
-    return Cone(gens, ambient=len(gram))
+    gens = [coroot(a, gram) for a in sorted(set(map(ex.vec, roots)))]
+    return cone(gens, len(gram))
 
 
-def gamma_aq(roots: Sequence[Root], datum: SymmetricPairDatum) -> Cone:
+def gamma_aq(roots: Sequence[Root], datum: SymmetricPairDatum) -> Polyhedron:
     """pr_q of gamma_a: generators pr_q(H_alpha)."""
-    gens = tuple(datum.pr_q(coroot(a, datum.gram))
-                 for a in sorted(set(map(ex.vec, roots))))
-    return Cone(gens, ambient=len(datum.gram))
+    gens = [datum.pr_q(coroot(a, datum.gram))
+            for a in sorted(set(map(ex.vec, roots)))]
+    return cone(gens, len(datum.gram))
 
 
-def gamma_cone(P: PositiveSystem) -> Cone:
+def gamma_cone(P: PositiveSystem) -> Polyhedron:
     """Generators pr_q(H_alpha) over Sigma(P)_-."""
     return gamma_aq(sorted(P.classification.minus_part), P.datum)
 
 
-def omega(a_log: Vec, w_orbit, gamma: Cone) -> PolyhedralSet:
-    """conv(orbit of a_log) + gamma.  Pass the orbit as an iterable of points
-    (or a WeylGroup-producing caller can use rootsys.weyl_orbit first)."""
-    pts = tuple(sorted(set(map(ex.vec, w_orbit)))) if w_orbit else (ex.vec(a_log),)
-    return PolyhedralSet(vertices=pts, cone=gamma)
+def omega(w_orbit, gamma: Polyhedron) -> Polyhedron:
+    """conv(w_orbit) + gamma, for the orbit as points, such as
+    rootsys.weyl_orbit gives."""
+    return Polyhedron(tuple(set(map(ex.vec, w_orbit))), gamma.generators)
 
 
-def gk_cone(P: PositiveSystem, Q: PositiveSystem) -> Cone:
+def gk_cone(P: PositiveSystem, Q: PositiveSystem) -> Polyhedron:
     """Gamma_a over Sigma(P) intersect Sigma(Q-bar): unprojected coroots."""
     inter = sorted(P.positive & Q.negative)
     return gamma_a(inter, P.datum.gram)

@@ -10,7 +10,7 @@ import random
 from fractions import Fraction
 
 from orbitcone import exactlin as ex
-from orbitcone.polyhedra import Cone
+from orbitcone.polyhedra import cone
 
 
 def _null_basis(rows, ncols):
@@ -100,5 +100,5 @@ def random_cones(count, seed=0):
             gens.append(g)
         if all(ex.is_zero(g) for g in gens):
             gens[0] = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
-        out.append(Cone(tuple(gens), ambient=n))
+        out.append(cone(gens, n))
     return out

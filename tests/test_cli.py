@@ -159,6 +159,19 @@ def test_gk_rejects_a_chamber(capsys):
     assert "PASS" not in captured.out
 
 
+def test_kostant_rejects_a_chamber(capsys):
+    # kostant projects onto the base system alone, so a chamber with only
+    # chamberless checks is a configuration error, not a silent PASS
+    rc = main(["verify", "--preset", "kostant_sl2", "--checks", "kostant",
+               "--chamber", "1,2"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "error:" in captured.err
+    assert "base system" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS" not in captured.out
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/no/such/file.json"])
     assert rc == 2

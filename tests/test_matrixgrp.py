@@ -8,15 +8,16 @@ from scipy.linalg import expm
 from orbitcone import exactlin as ex
 from orbitcone.critical import nph_basis
 from orbitcone.harness import _DEFAULT_A_LOG
-from orbitcone.matrixgrp import (BLOCK, NotCubic, NotInNP, NotUnipotent,
-                                 Realization, SingularInput, _clip, a_matrix,
-                                 chamber_perm, default_z_q, ek_projection,
-                                 exp_h, exp_nilpotent, factor_nilpotent, h_pq,
+from orbitcone.matrixgrp import (BLOCK, NotCubic, NotUnipotent, Realization,
+                                 SingularInput, _clip, a_matrix, chamber_perm,
+                                 ek_projection, exp_h, exp_nilpotent, h_pq,
                                  iwasawa, realization, root_entry, root_matrix,
-                                 sample_H, unipotent_log)
+                                 sample_H)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import iwasawa_by_matmul, iwasawa_exact
+from paper_claims import (NotInNP, default_z_q, factor_nilpotent,
+                          unipotent_log)
 from reference import contains, sigma_grp
 
 

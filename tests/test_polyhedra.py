@@ -8,7 +8,7 @@ from orbitcone import exactlin as ex
 from orbitcone import polyhedra
 from orbitcone.harness import VerificationConfig, run
 from orbitcone.parabolic import all_positive_systems, is_q_extreme
-from orbitcone.polyhedra import (Cone, PolyhedralSet, _lift, gamma_a, gamma_aq,
+from orbitcone.polyhedra import (Polyhedron, _lift, cone, gamma_a, gamma_aq,
                                  gamma_cone, gk_cone, omega,
                                  pointedness_certificate, project_polyhedron)
 from orbitcone.rootsys import ZeroRoot, coroot, weyl_orbit
@@ -29,13 +29,13 @@ def lp_member(vertices, generators, x) -> bool:
     return feasible(tuple(A), tuple(ex.vec(x)) + (Fraction(1),))
 
 
-def contains_lp_float(obj: PolyhedralSet, x, tol: float = 1e-7) -> bool:
+def contains_lp_float(obj: Polyhedron, x, tol: float = 1e-7) -> bool:
     """Float route: LP feasibility of the V-representation with an
     infinity-norm residual budget, via scipy."""
     from scipy.optimize import linprog
     x = np.asarray(x, dtype=float)
     V = np.array([[float(c) for c in v] for v in obj.vertices])
-    G = [g for g in obj.cone.generators if not ex.is_zero(g)]
+    G = [g for g in obj.generators if not ex.is_zero(g)]
     G = np.array([[float(c) for c in g] for g in G]) if G else np.zeros((0, len(x)))
     n = len(x)
     nv, ng = len(V), len(G)
@@ -62,11 +62,11 @@ def contains_lp_float(obj: PolyhedralSet, x, tol: float = 1e-7) -> bool:
     return res.x[-1] <= tol
 
 
-def cone_hrep_reference(cone: Cone) -> set:
-    """H-rep rows of the cone projected from its own lift
+def cone_hrep_reference(c: Polyhedron) -> set:
+    """H-rep rows of the cone c projected from its own lift
     {(x, nu) : x = G^T nu, nu >= 0}, with no vertex variable."""
-    gens = [g for g in cone.generators if not ex.is_zero(g)]
-    n, m = cone.ambient, len(gens)
+    gens = [g for g in c.generators if not ex.is_zero(g)]
+    n, m = c.ambient, len(gens)
     eqs = [([Fraction(int(j == i)) for j in range(n)] + [-g[i] for g in gens],
             Fraction(0)) for i in range(n)]
     ineqs = [([Fraction(0)] * n + [Fraction(int(j == k)) for j in range(m)],
@@ -88,12 +88,12 @@ def test_oracle_sanity():
 
 
 def test_predicates_match_oracle():
-    for cone in random_cones(25, seed=4):
-        want = oracle_pointed(cone.generators)
-        cert = pointedness_certificate(cone)
+    for c in random_cones(25, seed=4):
+        want = oracle_pointed(c.generators)
+        cert = pointedness_certificate(c)
         if want:
             assert cert is not None
-            for g in cone.generators:
+            for g in c.generators:
                 if not ex.is_zero(g):
                     assert ex.dot(cert, g) > 0
         else:
@@ -102,12 +102,12 @@ def test_predicates_match_oracle():
 
 def test_proper_on_cone_matches_oracle():
     rng = random.Random(9)
-    for cone in random_cones(15, seed=5):
-        n = cone.ambient
+    for c in random_cones(15, seed=5):
+        n = c.ambient
         k = rng.randint(1, n)
         p = tuple(tuple(Fraction(rng.randint(-2, 2)) for _ in range(n))
                   for _ in range(k))
-        assert proper_on_cone(p, cone) == oracle_proper(p, cone.generators)
+        assert proper_on_cone(p, c) == oracle_proper(p, c.generators)
 
 
 # --- constructions ----------------------------------------------------------
@@ -125,7 +125,7 @@ def test_coroot_normalization():
 
 
 def test_cone_membership_exact_vs_float():
-    c = Cone(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))))
+    c = cone(((Fraction(1), Fraction(0)), (Fraction(1), Fraction(1))), 2)
     assert c.contains_exact((Fraction(2), Fraction(1)))
     assert not c.contains_exact((Fraction(-1), Fraction(0)))
     assert contains(c, (2.0, 1.0))
@@ -135,7 +135,7 @@ def test_cone_membership_exact_vs_float():
 
 
 def test_empty_cone_is_origin():
-    c = Cone((), ambient=3)
+    c = cone((), 3)
     assert c.contains_exact(ex.zeros(3))
     assert not c.contains_exact((Fraction(1), Fraction(0), Fraction(0)))
     assert pointedness_certificate(c) == ex.zeros(3)
@@ -144,39 +144,42 @@ def test_empty_cone_is_origin():
 def test_random_cone_hrep_agrees_with_lp():
     # the H-representation against the exact LP on the V-representation
     rng = random.Random(17)
-    for cone in random_cones(12, seed=6):
-        n = cone.ambient
+    for c in random_cones(12, seed=6):
+        n = c.ambient
         origin = (ex.zeros(n),)
         for _ in range(8):
             x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(n))
-            assert cone.contains_exact(x) == lp_member(origin, cone.generators, x)
+            assert c.contains_exact(x) == lp_member(origin, c.generators, x)
         combo = ex.zeros(n)
-        for g in cone.generators:
+        for g in c.generators:
             combo = ex.add(combo, ex.scale(Fraction(rng.randint(0, 3)), g))
-        assert cone.contains_exact(combo)
-        assert lp_member(origin, cone.generators, combo)
+        assert c.contains_exact(combo)
+        assert lp_member(origin, c.generators, combo)
 
 
 def test_cone_hrep_is_the_vertex_zero_hrep(rz):
     # every gamma, gk and empty cone of the preset: the cone's own lift, the
-    # cone and the polyhedral set with the single vertex 0 give the same rows
+    # cone and the polyhedron with the single vertex 0 give the same rows;
+    # the empty cone is the origin, which goes through the elimination too
     systems = all_positive_systems(rz.datum)
     cones = ([gamma_cone(P) for P in systems]
              + [gk_cone(P, Q) for P in systems for Q in systems]
-             + [Cone((), ambient=rz.dim)])
+             + [cone((), rz.dim)])
     origin = (ex.zeros(rz.dim),)
-    for cone in cones:
-        want = cone_hrep_reference(cone)
-        assert set(cone.hrep) == want
-        assert set(PolyhedralSet(origin, cone).hrep) == want
+    for c in cones:
+        want = cone_hrep_reference(c)
+        assert set(c.hrep) == want
+        assert set(Polyhedron(origin, c.generators).hrep) == want
 
 
 # --- facets by incidence rank against the LP pass ---------------------------
 
 def _same_as_lp_pass(V, G):
-    V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G if not ex.is_zero(g)]
-    return project_polyhedron(V, G) == lp_project(*_lift(V, G), len(V[0]))
+    # zero generators reach the elimination; the LP pass gets them filtered
+    V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G]
+    nonzero = [g for g in G if not ex.is_zero(g)]
+    return project_polyhedron(V, G) == lp_project(*_lift(V, nonzero), len(V[0]))
 
 
 def _hulls_plus_cones(count, seed):
@@ -215,8 +218,8 @@ def test_facets_match_the_lp_pass_on_the_presets(rz, monkeypatch):
     a = cfg.a_log_exact()
     origin = (ex.zeros(rz.dim),)
     for P in all_positive_systems(rz.datum):
-        om = omega(a, weyl_orbit(rz.small_weyl, a), gamma_cone(P))
-        sets += [(origin, om.cone.generators), (om.vertices, om.cone.generators)]
+        om = omega(weyl_orbit(rz.small_weyl, a), gamma_cone(P))
+        sets += [(origin, om.generators), (om.vertices, om.generators)]
     assert len(sets) > 4
     for V, G in {(tuple(V), tuple(G)) for V, G in sets}:
         assert _same_as_lp_pass(V, G), (V, G)
@@ -224,8 +227,8 @@ def test_facets_match_the_lp_pass_on_the_presets(rz, monkeypatch):
 
 def test_facets_match_the_lp_pass_on_random_sets():
     # random cones, and random hulls plus cones, a third of them lower-dimensional
-    for cone in random_cones(75, seed=11):
-        assert _same_as_lp_pass((ex.zeros(cone.ambient),), cone.generators)
+    for c in random_cones(75, seed=11):
+        assert _same_as_lp_pass((ex.zeros(c.ambient),), c.generators)
     for V, G in _hulls_plus_cones(150, seed=12):
         assert _same_as_lp_pass(V, G), (V, G)
 
@@ -239,7 +242,7 @@ def test_facets_of_a_set_with_346_eliminated_rows():
     assert len(polyhedra._eliminate(*_lift(V, G), 3)) == 346
     hrep = project_polyhedron(V, G)
     assert len(hrep) == 9
-    s = PolyhedralSet(V, Cone(G))
+    s = Polyhedron(V, G)
     assert s.hrep == tuple(hrep)
     rng = random.Random(29)
     for _ in range(60):
@@ -253,8 +256,8 @@ def test_facets_of_a_set_with_346_eliminated_rows():
 
 def test_slack_is_euclidean_distance():
     # rows x >= 0 (norm 1) and x + y >= 1 (norm sqrt 2)
-    c = Cone(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))))
-    s = PolyhedralSet(((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))), c)
+    e = ((Fraction(1), Fraction(0)), (Fraction(0), Fraction(1)))
+    s = Polyhedron(e, e)
     assert s.slack((0.5, 0.5)) == pytest.approx(0.0, abs=1e-15)
     assert s.slack((0.0, 0.0)) == pytest.approx(-1 / np.sqrt(2))
     assert s.slack((-2.0, 4.0)) == pytest.approx(-2.0)
@@ -267,11 +270,11 @@ def test_polyhedral_set_membership(rz_sl3):
     a_log = (Fraction(2), Fraction(1), Fraction(-3))
     P = rz_sl3.base_parabolic
     orbit = weyl_orbit(rz_sl3.small_weyl, a_log)
-    om = omega(a_log, orbit, gamma_cone(P))
+    om = omega(orbit, gamma_cone(P))
     assert om.vertices == tuple(sorted(orbit))
     for v in om.vertices:
         assert contains(om, v, tol=0)
-        for g in om.cone.generators:
+        for g in om.generators:
             shifted = ex.add(v, ex.scale(Fraction(3), g))
             assert contains(om, shifted, tol=0)
             assert contains_lp_float(om, [float(x) for x in shifted])
@@ -287,8 +290,7 @@ def test_polyhedral_set_membership(rz_sl3):
         x = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 2))
                   for _ in range(3))
         x = rz_sl3.datum.pr_q(x) if rng.random() < 0.5 else x
-        assert om.contains_exact(x) == lp_member(om.vertices,
-                                                 om.cone.generators, x)
+        assert om.contains_exact(x) == lp_member(om.vertices, om.generators, x)
 
 
 def test_gamma_cones(rz):
@@ -324,9 +326,9 @@ def test_upsilon_equals_gamma_on_q_extreme(rz):
 def test_gk_cone_definition(rz_sl3):
     systems = all_positive_systems(rz_sl3.datum)
     P, Q = systems[0], systems[1]
-    cone = gk_cone(P, Q)
+    gk = gk_cone(P, Q)
     inter = P.positive & Q.negative
     want = gamma_a(sorted(inter), rz_sl3.datum.gram)
-    assert set(cone.generators) == set(want.generators)
+    assert set(gk.generators) == set(want.generators)
     assert gk_cone(P, P).generators == ()
 

@@ -12,14 +12,16 @@ ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orbitcone"
 
 # Definitions that nothing in the package reads, kept because the
-# acceptance tests check them as claims of the paper.  contains_exact is the
-# exact membership that test_08 reads both ways between the upsilon and gamma
-# cones, and that re-certifying a reported witness needs.  ah_basis is the
-# a_h half of the split a = a_h + a_q, which the tests read next to aq_basis.
-# minus_set holds the restricted roots with m_- > 0, over which the upsilon
-# cone of tests/paper_claims.py is built; the claims that need no state of
-# the package live in that file.
-PAPER_CLAIMS = ("factor_nilpotent", "contains_exact", "ah_basis", "minus_set")
+# acceptance tests check them as claims of the paper.  Each is a method or
+# field of a package type, so it stays with that type; the claims that
+# need no state of the package live in tests/paper_claims.py.
+# contains_exact is the exact membership of a Polyhedron, which test_08
+# reads both ways between the upsilon and gamma cones, and which
+# re-certifying a reported witness needs.  ah_basis is the a_h half of the
+# split a = a_h + a_q of SymmetricPairDatum, which the tests read next to
+# aq_basis.  minus_set holds the restricted roots with m_- > 0, over which
+# the upsilon cone of tests/paper_claims.py is built.
+PAPER_CLAIMS = ("contains_exact", "ah_basis", "minus_set")
 
 
 def _all_names(tree: ast.Module) -> set[str]:
