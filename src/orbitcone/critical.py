@@ -6,13 +6,21 @@ predicted critical image) is exact rational arithmetic; the numeric layer
 models and is compared against it.  The centralizer basis of X in h is
 computed once per realization and tie pattern {(i, j) : X_i = X_j}.  The
 predicted Hessian kernel is built in one place, ``_predicted_kernel``, which
-both ``kernel_dim`` and ``transversal_signature`` read.
+both ``kernel_dim`` and ``transversal_signature`` read, once per sample.
+
+The Hessian layer computes each part once per value of what it depends on.
+The exponential of numeric_hessian's stencil depends on the realization
+only.  The stencil's projected Iwasawa logs and analytic_hessian's
+transport depend on (preset, P, a_log, w) and are kept in a _WeylPoint
+under that key; only their pairing with X is per call.  w^{-1} a_log is
+kept per (realization, a_log, w), and the orbit classes of Sigma(P) are a
+cached property of P.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -27,6 +35,10 @@ from .rootsys import weyl_group, weyl_orbit
 
 SV_TOL = 1e-7
 FD_STEP = 2e-3      # finite-difference step of numeric_hessian
+# numeric_hessian's stencil: the signs of (U_i, U_j) at its four corners,
+# at each of its two steps
+_SIGNS = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+_STEPS = np.array([FD_STEP, FD_STEP / 2])
 
 
 class NotRegular(ValueError):
@@ -64,18 +76,25 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over h."""
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    Xf = np.asarray(X, dtype=float)
-    v = h_pq(rz, a @ np.asarray(h, dtype=float), P)
+    return h_pq(rz, a @ np.asarray(h, dtype=float), P) @ _dual(rz, X)
+
+
+def _dual(rz: Realization, X) -> np.ndarray:
+    """G X in floats: F is the projected Iwasawa log times this vector."""
     G = np.array([[float(x) for x in row] for row in rz.datum.gram])
-    return v @ (G @ Xf)
+    return G @ np.asarray(X, dtype=float)
+
+
+@lru_cache(maxsize=None)
+def _weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
+    """w^{-1} a_log, exact; once per realization, base point and w."""
+    return ex.mat_vec(rz.small_weyl.inverse(w), a_log)
 
 
 def critical_value(rz: Realization, a_log, X, w: Mat) -> Fraction:
     """<X, w^{-1} a_log> in the exact layer."""
-    a_log = _exact_vec(a_log)
-    X = _exact_vec(X)
-    wln = ex.mat_vec(rz.small_weyl.inverse(w), a_log)
-    return ex.dot(ex.mat_vec(rz.datum.gram, X), wln)
+    wln = _weyl_image(rz, _exact_vec(a_log), w)
+    return ex.dot(ex.mat_vec(rz.datum.gram, _exact_vec(X)), wln)
 
 
 # --- subspaces of h --------------------------------------------------------
@@ -127,14 +146,28 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
     return tuple(out)
 
 
+# the predicted kernel of the last sample, under (preset, P, X).  Here and
+# in _WEYL_POINTS, P enters a key as P.positive, the set that P.key() sorts:
+# a frozenset keeps its hash, a tuple of Fractions hashes them on every call
+_KERNEL: dict[tuple, np.ndarray] = {}
+
+
 def _predicted_kernel(rz: Realization, X, P: PositiveSystem | None) -> np.ndarray:
     """Spanning set of (centralizer of X in h) + (sigma-fixed nilpotent
-    part), as rows of flattened matrices; shape (k, dim * dim)."""
+    part), as rows of flattened matrices; shape (k, dim * dim).  The last
+    one built is kept under (preset, P, X), so that kernel_dim and the
+    transversal signature at every w of one sample share it."""
     P = P if P is not None else rz.base_parabolic
-    vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))).reshape(-1)
-            for coords in h_x_coords(rz, X)]
-    vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
-    return np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
+    key = (rz.name, P.positive, _exact_vec(X))
+    K = _KERNEL.get(key)
+    if K is None:
+        vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))
+                           ).reshape(-1) for coords in h_x_coords(rz, X)]
+        vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
+        K = np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
+        _KERNEL.clear()
+        _KERNEL[key] = K
+    return K
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -157,41 +190,90 @@ class HessianReport:
     signature: tuple[int, int, int]
 
 
+@lru_cache(maxsize=None)
+def _stencil_exp(rz: Realization) -> np.ndarray:
+    """exp Z over numeric_hessian's stencil Z = s (+-U_i +- U_j), U the
+    h-basis and s both steps; shape (2 dh^2 4, dim, dim), built on first
+    use."""
+    basis = np.stack(rz.h_basis)
+    # stencil[i, j, c] = _SIGNS[c, 0] basis[i] + _SIGNS[c, 1] basis[j]
+    stencil = (_SIGNS[:, 0, None, None] * basis[:, None, None]
+               + _SIGNS[:, 1, None, None] * basis[None, :, None])
+    return expm(np.multiply.outer(_STEPS, stencil).reshape(-1, rz.dim, rz.dim))
+
+
+@dataclass(frozen=True, eq=False)
+class _WeylPoint:
+    """The parts of F and its Hessians at x_w that do not depend on X, for
+    one realization, positive system, base point and Weyl element; each is
+    built on first use."""
+    rz: Realization
+    P: PositiveSystem
+    a_log: Vec
+    w: Mat
+
+    @cached_property
+    def a(self) -> np.ndarray:
+        """diag(exp a_log)."""
+        return a_matrix(np.exp(np.asarray(self.a_log, dtype=float)))
+
+    @cached_property
+    def stencil_values(self) -> np.ndarray:
+        """h_pq(a x_w exp Z, P) over the stencil of _stencil_exp; F there is
+        this times G X.  Shape (2 dh^2 4, dim)."""
+        xw = self.rz.weyl_reps[self.w]
+        return h_pq(self.rz, self.a @ (xw @ _stencil_exp(self.rz)), self.P)
+
+    @cached_property
+    def transport(self) -> np.ndarray:
+        """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U, with
+        a_w = x_w^T a x_w; shape (dh, dim, dim)."""
+        xw = self.rz.weyl_reps[self.w]
+        aw = xw.T @ self.a @ xw
+        aw_inv = np.linalg.inv(aw)
+        V = ek_projection(self.rz, aw @ np.stack(self.rz.h_basis) @ aw_inv,
+                          self.P)
+        return aw @ V @ aw_inv
+
+
+_WEYL_POINTS: dict[tuple, _WeylPoint] = {}
+
+
+def _weyl_point(rz: Realization, a_log, w: Mat,
+                P: PositiveSystem | None) -> _WeylPoint:
+    """The _WeylPoint of (preset, P, exact a_log, w), made once."""
+    P = P if P is not None else rz.base_parabolic
+    a_exact = _exact_vec(a_log)
+    key = (rz.name, P.positive, a_exact, w)
+    point = _WEYL_POINTS.get(key)
+    if point is None:
+        point = _WEYL_POINTS[key] = _WeylPoint(rz, P, a_exact, w)
+    return point
+
+
 def analytic_hessian(rz: Realization, a_log, X, w: Mat,
                      P: PositiveSystem | None = None) -> np.ndarray:
-    """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
-    xw = rz.weyl_reps[w]
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    aw = xw.T @ a @ xw
-    aw_inv = np.linalg.inv(aw)
+    """Form <U_i, L_w U_j> with L_w assembled from the transport operator.
+    The transport of the h-basis is computed once per (preset, P, a_log,
+    w); only its commutator with X and the pairing are per call."""
+    V = _weyl_point(rz, a_log, w, P).transport
     Xm = a_matrix(np.asarray(X, dtype=float))
-    basis = np.stack(rz.h_basis)
-    V = aw @ basis @ aw_inv
-    V = ek_projection(rz, V, P)
-    V = aw @ V @ aw_inv
-    V = Xm @ V - V @ Xm
-    LV = -rz.pi_h(V)
-    return rz.kappa * np.einsum("iab,jab->ij", basis, LV)
+    LV = -rz.pi_h(Xm @ V - V @ Xm)
+    return rz.kappa * np.einsum("iab,jab->ij", np.stack(rz.h_basis), LV)
 
 
 def numeric_hessian(rz: Realization, a_log, X, w: Mat,
                     P: PositiveSystem | None = None) -> np.ndarray:
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
-    FD_STEP / 2, Richardson-extrapolated; both stencils go through one expm
-    and one F call."""
-    xw = rz.weyl_reps[w]
-    basis = np.stack(rz.h_basis)
-    dh = len(basis)
-    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
-    steps = np.array([FD_STEP, FD_STEP / 2])
-    # stencil[i, j, c] = signs[c, 0] basis[i] + signs[c, 1] basis[j]
-    stencil = (signs[:, 0, None, None] * basis[:, None, None]
-               + signs[:, 1, None, None] * basis[None, :, None])
-    Z = np.multiply.outer(steps, stencil).reshape(-1, rz.dim, rz.dim)
-    vals = F(rz, a_log, X, xw @ expm(Z), P)
+    FD_STEP / 2, Richardson-extrapolated.  F is linear in X, so the stencil
+    values are the projected Iwasawa logs of one (preset, P, a_log, w),
+    computed once, times G X; the exponential of the stencil is computed
+    once per realization."""
+    dh = len(rz.h_basis)
+    vals = _weyl_point(rz, a_log, w, P).stencil_values @ _dual(rz, X)
     vals = vals.reshape(2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
-         / (4 * steps[:, None, None] ** 2))
+         / (4 * _STEPS[:, None, None] ** 2))
     out = (4.0 * d[1] - d[0]) / 3.0
     return 0.5 * (out + out.T)
 
@@ -234,41 +316,22 @@ def transversal_signature(rz: Realization, report: HessianReport, X,
 
 # --- predicted signature ----------------------------------------------------
 
-def _orbit_classes(P: PositiveSystem) -> list[frozenset]:
-    """Classes of Sigma(P) under the four-group generated by the involutions."""
-    d = P.datum
-    seen = set()
-    out = []
-    for alpha in sorted(P.positive):
-        if alpha in seen:
-            continue
-        orbit = {alpha, d.sigma_root(alpha), ex.neg(alpha),
-                 ex.neg(d.sigma_root(alpha))}
-        cls = frozenset(orbit & P.positive)
-        seen |= cls
-        out.append(cls)
-    return out
-
-
 def predicted_signature(rz: Realization, a_log, X, w: Mat,
                         P: PositiveSystem | None = None):
     """Exact positivity prediction plus per-orbit certificates.  a_log must
     be a regular point of a_q; ensure_regular checks it."""
     P = P if P is not None else rz.base_parabolic
-    a_exact = _exact_vec(a_log)
     X = _exact_vec(X)
-    d = rz.datum
-    wln = ex.mat_vec(rz.small_weyl.inverse(w), a_exact)
+    wln = _weyl_image(rz, _exact_vec(a_log), w)
     parts = P.classification
     posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
               and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
     certs = []
-    for cls in _orbit_classes(P):
-        alpha = min(cls)
+    for cls in P.orbit_classes:
+        alpha = cls.root
         aX = ex.dot(alpha, X)
         awl = ex.dot(alpha, wln)
-        dim_full, mp, mm = d.mult(alpha) if d.is_sigmatheta_fixed(alpha) \
-            else (d.mult(alpha)[0], None, None)
+        dim_full, mp, mm = cls.mult
         entry = {"root": [str(c) for c in alpha],
                  "alpha_X": str(aX), "alpha_w_log_a": str(awl)}
         decay = float(np.exp(-2.0 * float(awl)))
@@ -277,11 +340,11 @@ def predicted_signature(rz: Realization, a_log, X, w: Mat,
         lam_m = 0.5 * float(aX) * (decay + 1.0)
         if aX == 0:
             entry.update(case="a", transversal_dim=0, eigenvalues=[], positive=True)
-        elif alpha in parts.sigma_part:
+        elif cls.in_sigma_part:
             scalar = 0.5 * float(aX) * (decay - 1.0 / decay)
             entry.update(case="b.1", transversal_dim=dim_full,
                          eigenvalues=[scalar], positive=bool(aX * awl < 0))
-        elif not d.in_aq_star(alpha):
+        elif not cls.in_aq_star:
             entry.update(case="b.2.1", transversal_dim=2 * dim_full,
                          eigenvalues=[lam_p, lam_m],
                          positive=bool(aX > 0 and aX * awl < 0))
@@ -315,8 +378,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     W_X = weyl_group(vanishing, d.gram)
     out = {}
     for w in rz.small_weyl.elements:
-        wln = ex.mat_vec(rz.small_weyl.inverse(w), a_exact)
-        out[w] = omega(weyl_orbit(W_X, wln), gam)
+        out[w] = omega(weyl_orbit(W_X, _weyl_image(rz, a_exact, w)), gam)
     return out
 
 

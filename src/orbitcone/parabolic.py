@@ -13,8 +13,8 @@ from functools import cached_property
 
 from . import exactlin as ex
 from .exactlin import Vec
-from .rootsys import (Root, SymmetricPairDatum, covector_action, indivisible,
-                      reflection_matrix, weyl_group)
+from .rootsys import (Mult, Root, SymmetricPairDatum, covector_action,
+                      indivisible, reflection_matrix, weyl_group)
 
 
 class NoSimpleRootFound(RuntimeError):
@@ -27,6 +27,17 @@ class SigmaClassification:
     sigmatheta_part: frozenset[Root]   # Sigma(P, sigma*theta)
     plus_part: frozenset[Root]         # Sigma(P)_+
     minus_part: frozenset[Root]        # Sigma(P)_-
+
+
+@dataclass(frozen=True)
+class OrbitClass:
+    """A class of Sigma(P) under the four-group generated by sigma and -1,
+    with the root data that decide its case in the Hessian signature."""
+    root: Root                 # least root of the class
+    in_sigma_part: bool        # root in Sigma(P, sigma)
+    in_aq_star: bool
+    mult: Mult                 # (dim, m+, m-); m+, m- are None unless
+                               # sigma theta fixes root
 
 
 @dataclass(frozen=True)
@@ -53,6 +64,27 @@ class PositiveSystem:
     def classification(self) -> SigmaClassification:
         """sigma_classification(self), computed once."""
         return sigma_classification(self)
+
+    @cached_property
+    def orbit_classes(self) -> tuple[OrbitClass, ...]:
+        """The classes of Sigma(P) under sigma and -1, computed once."""
+        d = self.datum
+        sigma_part = self.classification.sigma_part
+        seen = set()
+        out = []
+        for alpha in sorted(self.positive):
+            if alpha in seen:
+                continue
+            orbit = {alpha, d.sigma_root(alpha), ex.neg(alpha),
+                     ex.neg(d.sigma_root(alpha))}
+            cls = orbit & self.positive
+            seen |= cls
+            root = min(cls)
+            mult = d.mult(root) if d.is_sigmatheta_fixed(root) \
+                else (d.mult(root)[0], None, None)
+            out.append(OrbitClass(root=root, in_sigma_part=root in sigma_part,
+                                  in_aq_star=d.in_aq_star(root), mult=mult))
+        return tuple(out)
 
     def simple_roots(self) -> frozenset[Root]:
         indiv = indivisible(self.positive)

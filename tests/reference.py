@@ -10,15 +10,20 @@ h-coordinates, the nilpotent part by least squares, where
 require equal signatures.  ``lp_project`` is the projection of
 ``polyhedra._eliminate`` pruned by one exact LP per row, the pass that the
 incidence-rank facet test of ``polyhedra._facets`` replaced; the tests
-require both to give the same rows.
+require both to give the same rows.  ``numeric_hessian_fresh`` and
+``analytic_hessian_fresh`` are the Hessians of ``critical`` computed anew on
+every call, with one ``expm`` and one ``F`` per numeric form; the tests
+require the memoised forms to equal them bit for bit.
 """
 from fractions import Fraction
 
 import numpy as np
+from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import (SV_TOL, _exact_vec, _h_basis_exact,
-                                h_x_coords, nph_basis)
+from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
+                                _h_basis_exact, h_x_coords, nph_basis)
+from orbitcone.matrixgrp import a_matrix, ek_projection
 from orbitcone.polyhedra import _eliminate, _free_lp
 
 
@@ -103,3 +108,40 @@ def transversal_signature_lstsq(rz, report, X, P=None):
     n_plus = int(np.sum(ev > SV_TOL * scale))
     n_minus = int(np.sum(ev < -SV_TOL * scale))
     return (n_plus, len(ev) - n_plus - n_minus, n_minus)
+
+
+def numeric_hessian_fresh(rz, a_log, X, w, P=None):
+    """Cross-stencil second differences of F at x_w at steps FD_STEP and
+    FD_STEP / 2, Richardson-extrapolated; both stencils go through one expm
+    and one F call."""
+    xw = rz.weyl_reps[w]
+    basis = np.stack(rz.h_basis)
+    dh = len(basis)
+    signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
+    steps = np.array([FD_STEP, FD_STEP / 2])
+    # stencil[i, j, c] = signs[c, 0] basis[i] + signs[c, 1] basis[j]
+    stencil = (signs[:, 0, None, None] * basis[:, None, None]
+               + signs[:, 1, None, None] * basis[None, :, None])
+    Z = np.multiply.outer(steps, stencil).reshape(-1, rz.dim, rz.dim)
+    vals = F(rz, a_log, X, xw @ expm(Z), P)
+    vals = vals.reshape(2, dh, dh, 4)
+    d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
+         / (4 * steps[:, None, None] ** 2))
+    out = (4.0 * d[1] - d[0]) / 3.0
+    return 0.5 * (out + out.T)
+
+
+def analytic_hessian_fresh(rz, a_log, X, w, P=None):
+    """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
+    xw = rz.weyl_reps[w]
+    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
+    aw = xw.T @ a @ xw
+    aw_inv = np.linalg.inv(aw)
+    Xm = a_matrix(np.asarray(X, dtype=float))
+    basis = np.stack(rz.h_basis)
+    V = aw @ basis @ aw_inv
+    V = ek_projection(rz, V, P)
+    V = aw @ V @ aw_inv
+    V = Xm @ V - V @ Xm
+    LV = -rz.pi_h(V)
+    return rz.kappa * np.einsum("iab,jab->ij", basis, LV)

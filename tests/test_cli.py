@@ -172,6 +172,22 @@ def test_kostant_rejects_a_chamber(capsys):
     assert "PASS" not in captured.out
 
 
+def test_kostant_rejects_a_chamber_next_to_a_check_that_reads_it(capsys):
+    # main reads the chamber, but the kostant result would still be for
+    # the base system, so the chamber is an error whenever kostant runs
+    rc = main(["verify", "--preset", "kostant_sl2", "--checks", "kostant,main",
+               "--chamber", "1,2", "--samples", "50"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "base system" in captured.err
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS kostant" not in captured.out
+    rc = main(["verify", "--preset", "kostant_sl2", "--checks", "main",
+               "--chamber", "1,2", "--samples", "50"])
+    assert rc == 0
+    assert "PASS main" in capsys.readouterr().out
+
+
 def test_missing_config_file(capsys):
     rc = main(["verify", "--config", "/no/such/file.json"])
     assert rc == 2

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -6,18 +7,20 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone import critical, harness, parabolic, polyhedra
-from orbitcone.critical import (F, NotRegular, critical_value,
-                                ensure_regular, h_x_coords, hessian,
-                                kernel_dim, omega_X,
+from orbitcone.critical import (F, NotRegular, analytic_hessian,
+                                critical_value, ensure_regular, h_x_coords,
+                                hessian, kernel_dim, numeric_hessian, omega_X,
                                 predicted_signature, sample_H_X, sample_NPH,
                                 transversal_signature, vanishing_patterns)
 from orbitcone.harness import VerificationConfig, run
-from orbitcone.matrixgrp import a_matrix, sample_H
+from orbitcone.matrixgrp import a_matrix, realization, sample_H
 from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
 
 from iwasawa_reference import iwasawa_by_matmul
-from reference import h_x_coords_fresh, sigma_grp, transversal_signature_lstsq
+from reference import (analytic_hessian_fresh, h_x_coords_fresh,
+                       numeric_hessian_fresh, sigma_grp,
+                       transversal_signature_lstsq)
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -395,3 +398,95 @@ def test_transversal_signature_matches_reference(rz):
             rep = hessian(rz, a_log, X, w)
             assert transversal_signature(rz, rep, X) \
                 == transversal_signature_lstsq(rz, rep, X)
+
+
+def _systems(rz):
+    """None, the base system, and up to two other positive systems."""
+    base = rz.base_parabolic
+    others = [Q for Q in parabolic.all_positive_systems(rz.datum)
+              if Q.positive != base.positive]
+    return [None, base] + others[:2]
+
+
+def _assert_fresh(rz, a_log, X, w, P):
+    assert np.array_equal(numeric_hessian(rz, a_log, X, w, P),
+                          numeric_hessian_fresh(rz, a_log, X, w, P))
+    assert np.array_equal(analytic_hessian(rz, a_log, X, w, P),
+                          analytic_hessian_fresh(rz, a_log, X, w, P))
+
+
+def test_hessians_equal_the_fresh_reference(rz):
+    # the forms built from the memoised stencil values and transport equal,
+    # bit for bit, the forms computed anew with one expm and one F per call;
+    # the float base point shares the memo entry of the exact one
+    a_log = _a_log(rz)
+    a_float = tuple(float(c) for c in a_log)
+    rng = np.random.Generator(np.random.PCG64(31))
+    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [ex.zeros(rz.dim)]
+    for P in _systems(rz):
+        for X in Xs:
+            for w in rz.small_weyl.elements:
+                _assert_fresh(rz, a_log, X, w, P)
+                _assert_fresh(rz, a_float, X, w, P)
+
+
+def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
+    # interleaved in one session, each (preset, base point, chamber) must
+    # get its own memo entry: a key without the preset, a_log or P would
+    # hand one case the parts of an earlier one.  kostant_sl2 and sl2_so11
+    # share their base points, Weyl elements and root coordinates.
+    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
+    rng = np.random.Generator(np.random.PCG64(37))
+    cases = {}
+    for name in ("kostant_sl2", "sl2_so11", "sl3_so21"):
+        rz = realization(name)
+        a1 = _a_log(rz)
+        a2 = tuple(c / 2 for c in a1)
+        P1, P2 = _systems(rz)[1:3]
+        X = _random_exact_X(rz, rng)
+        cases[name] = [(rz, a, P, X) for a, P in
+                       ((a1, P1), (a2, P1), (a1, P2), (a1, P1))]
+    order = [cases["kostant_sl2"][0], cases["sl2_so11"][0]] + \
+        cases["kostant_sl2"][1:] + cases["sl2_so11"][1:] + cases["sl3_so21"]
+    for rz, a_log, P, X in order:
+        for w in rz.small_weyl.elements:
+            _assert_fresh(rz, a_log, X, w, P)
+            got = predicted_signature(rz, a_log, X, w, P)
+            with monkeypatch.context() as m:
+                m.setattr(critical, "_WEYL_POINTS", {})
+                assert got == predicted_signature(rz, a_log, X, w, P)
+
+
+def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
+        monkeypatch):
+    # the stencil is exponentiated once per realization and projected once
+    # per (positive system, base point, Weyl element), whatever the number
+    # of samples
+    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
+    monkeypatch.setattr(critical, "_stencil_exp",
+                        lru_cache(maxsize=None)(critical._stencil_exp.__wrapped__))
+    expm_calls, h_pq_calls = [], []
+    real_expm, real_h_pq = critical.expm, critical.h_pq
+    monkeypatch.setattr(critical, "expm",
+                        lambda Z: expm_calls.append(Z) or real_expm(Z))
+    monkeypatch.setattr(critical, "h_pq",
+                        lambda *a: h_pq_calls.append(a) or real_h_pq(*a))
+    for name in A_LOGS:
+        rz = realization(name)
+        n_expm = len(expm_calls)
+        a1 = _a_log(rz)
+        chambers = [None] + [tuple(str(c) for c in Q.chamber_vector)
+                             for Q in _systems(rz)[2:]]
+        for a_log in (a1, tuple(c / 2 for c in a1)):
+            for chamber in chambers:
+                n_h_pq = len(h_pq_calls)
+                cfg = VerificationConfig(
+                    preset=name, samples=5, a_log=tuple(str(c) for c in a_log),
+                    chamber=chamber, checks=frozenset({"hessian"}))
+                # a non-base chamber may FAIL on the finite-difference
+                # step (ROADMAP item 8); the counts are what is checked
+                assert run(cfg).results[0].count \
+                    == 5 * len(rz.small_weyl.elements)
+                made = len(h_pq_calls) - n_h_pq
+                assert 1 <= made <= len(rz.small_weyl.elements), (name, chamber)
+        assert len(expm_calls) - n_expm == 1, name
