@@ -270,7 +270,12 @@ def _float_rows(vs, n: int) -> np.ndarray:
 
 
 class _Coverage:
-    """Cumulative vertex-distance and generator-angle tracking."""
+    """Cumulative vertex-distance and generator-angle tracking.  update
+    forms one row of distances per vertex from coordinate rows of the
+    points, so that every reduction runs along the points.  The nearest
+    vertex is kept by a running strict <, so the first of equally near
+    vertices wins, as in np.argmin.  Each generator takes one arccos, of its
+    largest cosine: arccos decreases."""
 
     def __init__(self, verts: np.ndarray, gens: np.ndarray):
         self.verts = verts
@@ -279,23 +284,36 @@ class _Coverage:
         self.gaps = np.full(len(gens), np.inf)
 
     def update(self, vals: np.ndarray) -> None:
-        d = vals[:, None, :] - self.verts[None, :, :]
-        dist = np.linalg.norm(d, axis=-1)
-        self.vdist = np.minimum(self.vdist, dist.min(axis=0))
+        rows = vals.T.copy()
+        dist, tmp = np.empty(len(vals)), np.empty(len(vals))
+        near = np.full(len(vals), np.inf)
+        pick = np.zeros(len(vals), np.min_scalar_type(len(self.verts)))
+        for j, v in enumerate(self.verts):
+            np.subtract(rows[0], v[0], out=dist)
+            dist *= dist
+            for x, c in zip(rows[1:], v[1:]):
+                np.subtract(x, c, out=tmp)
+                tmp *= tmp
+                dist += tmp
+            np.sqrt(dist, out=dist)
+            self.vdist[j] = np.minimum(self.vdist[j], dist.min())
+            # j exceeds every earlier pick, so the running max takes j
+            # exactly where this vertex is strictly nearer
+            np.maximum(pick, (dist < near) * pick.dtype.type(j), out=pick)
+            np.minimum(near, dist, out=near)
         if len(self.gens) == 0:
             return
-        pick = np.argmin(dist, axis=1)
-        disp = vals - self.verts[pick]
-        nd = np.linalg.norm(disp, axis=-1)
-        ok = nd >= MIN_DISPLACEMENT
+        # the displacement from the nearest vertex has length near
+        ok = near >= MIN_DISPLACEMENT
         if not ok.any():
             return
-        disp = disp[ok]
-        nd = nd[ok]
+        disp = np.compress(ok, vals, axis=0)
+        disp -= self.verts.take(pick[ok], axis=0)
+        nd = near[ok]
         for i, g in enumerate(self.gens):
             gu = g / np.linalg.norm(g)
-            cos = np.clip((disp @ gu) / nd, -1.0, 1.0)
-            self.gaps[i] = min(self.gaps[i], float(np.arccos(cos).min()))
+            cos = np.clip(((disp @ gu) / nd).max(), -1.0, 1.0)
+            self.gaps[i] = min(self.gaps[i], float(np.arccos(cos)))
 
 
 class Tally:
@@ -314,9 +332,14 @@ class Tally:
         """Judge the points vals (m, n) against region, a Polyhedron."""
         sl = region.slack(vals)
         self.count += len(vals)
-        self.worst = min(self.worst, float(sl.min()))
+        self.worst = float(np.minimum(self.worst, sl.min()))
+        # a non-finite slack fails: with a facet, a finite point has a
+        # finite slack; with none, every slack is +inf and every point inside
+        ok = sl >= -self.tol
+        if region.hrep:
+            ok &= np.isfinite(sl)
         room = MAX_WITNESSES - len(self.witnesses)
-        for i in np.nonzero(sl < -self.tol)[0][:room]:
+        for i in np.nonzero(~ok)[0][:room]:
             self.witnesses.append(tuple(round(float(x), 12) for x in vals[i]))
         if self.coverage is not None:
             self.coverage.update(vals)
@@ -373,12 +396,14 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     gens = _float_rows(om.generators, rz.dim)
     cover = _Coverage(verts, gens)
     tally = Tally(cfg.tol, cover)
-    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
+    # a h for the diagonal a: row i of h times exp(a_log)_i, in place
+    a_rows = np.exp(_float_rows([a_exact], rz.dim)[0])[:, None]
     history = []
     collected = []
 
     def feed(hs: np.ndarray) -> None:
-        vals = h_pq(rz, a @ hs, P)
+        hs *= a_rows
+        vals = h_pq(rz, hs, P)
         collected.append(vals)
         tally.feed(om, vals)
 
@@ -592,11 +617,11 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     n_bulk = max(16, cfg.samples // 4)
     for idx, point in enumerate(steps + [a_exact]):
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
-        a = a_matrix(np.exp(_float_rows([point], rz.dim)[0]))
         hs = np.concatenate([
             _h_probes(rz, P, cfg.radii[-1:]),
             sample_H(rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))])
-        tally.feed(om, h_pq(rz, a @ hs, P))
+        hs *= np.exp(_float_rows([point], rz.dim)[0])[:, None]     # a h
+        tally.feed(om, h_pq(rz, hs, P))
     return tally.result("limits", detail={"sequence_length": len(steps)})
 
 

@@ -97,6 +97,19 @@ class Realization:
         return reps
 
     @cached_property
+    def z_signs(self) -> np.ndarray:
+        """The diagonals of the center components, one row each: z Y scales
+        row i of Y by z_ii.  Raises ValueError when some z is not a
+        diagonal sign matrix, as that product would then be wrong."""
+        zs = np.stack(self.z_reps)
+        signs = np.diagonal(zs, axis1=-2, axis2=-1).copy()
+        if not (np.array_equal(zs, a_matrix(signs))
+                and np.all(np.abs(signs) == 1.0)):
+            raise ValueError(f"{self.name}: a center component is not a "
+                             "diagonal sign matrix")
+        return signs
+
+    @cached_property
     def q_proj_np(self) -> np.ndarray:
         return np.array([[float(x) for x in row] for row in self.datum.q_projector])
 
@@ -409,17 +422,18 @@ def exp_h(Y) -> np.ndarray:
 def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
     """exp_h of a stack (k, n, n) of finite matrices, written into out.
     Works on U = Y / m with m = max|Y| where m leaves _UNSCALED (m = 1
-    elsewhere), as exp Y = I + (m f1) U + (m^2 f2) U^2."""
-    peak = np.abs(Y).max(axis=(-2, -1))
+    elsewhere), as exp Y = I + (m f1) U + (m^2 f2) U^2; a block where every
+    m is 1 takes U = Y.  Entry maxima come from _entry_max."""
+    peak = _entry_max(Y)
     m = _scales(peak)
     with np.errstate(over="ignore", invalid="ignore"):
-        U = Y / m[:, None, None]
+        U = Y if np.all(m == 1.0) else Y / m[:, None, None]
         U2 = U @ U
         U3 = U2 @ U
         uu = np.einsum("kij,kij->k", U, U)
         cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
-        resid = np.abs(U3 - cu[:, None, None] * U).max(axis=(-2, -1))
-        if np.any(resid > 1e-10 * (peak / m) ** 3):
+        U3 -= cu[:, None, None] * U
+        if np.any(_entry_max(U3) > 1e-10 * (peak / m) ** 3):
             raise NotCubic("exponent does not satisfy Y^3 = c Y")
         c = cu * m * m
         small = np.abs(c) < _SERIES_C
@@ -433,7 +447,7 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
         g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
                       2.0 * half * half / su2)
         # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
-        g2 = np.where(np.any(U2, axis=(-2, -1)), g2, 0.0)
+        g2 = np.where(_entry_max(U2) > 0, g2, 0.0)
         np.multiply(g1[:, None, None], U, out=out)
         out += np.eye(Y.shape[-1])
         out += g2[:, None, None] * U2
@@ -441,14 +455,48 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
         raise SingularInput("exponential overflows double precision")
 
 
+def _entry_max(A: np.ndarray) -> np.ndarray:
+    """max |A[k, i, j]| over (i, j) of a stack (k, n, n), from one copy of
+    |A| with the n^2 entries as rows, so that the max runs along the stack:
+    over the two short axes, np.max pays per matrix.  NaN propagates."""
+    return np.abs(A.reshape(len(A), -1).T, order="C").max(axis=0)
+
+
+def _sum_squares(A: np.ndarray) -> np.ndarray:
+    """sum of A[k, i, j]^2 over (i, j) of a stack (k, n, n), bit for bit
+    np.sum(A * A, axis=(-2, -1)), from one copy of the squares with the n^2
+    entries as rows.  The rows are added as numpy's pairwise sum adds up
+    to 128 entries (n <= 11; every preset has n <= 4): in turn below eight,
+    else into eight running sums that are added as a tree before the rest
+    follows in turn."""
+    S = np.square(A.reshape(len(A), -1).T, order="C")
+    if len(S) < 8:
+        total, rest = S[0], S[1:]
+    else:
+        top = len(S) - len(S) % 8
+        r = S[:8]
+        for j in range(8, top, 8):
+            r = r + S[j:j + 8]
+        r = r[0::2] + r[1::2]           # r0 + r1, r2 + r3, r4 + r5, r6 + r7
+        r = r[0::2] + r[1::2]
+        total, rest = r[0] + r[1], S[top:]
+    for x in rest:
+        total += x
+    return total
+
+
 # --- sampling --------------------------------------------------------------
 
 def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
-    radius when it is longer, in place, and return Y.  Raises SingularInput
-    when a norm overflows double precision."""
+    radius when it is longer, in place, and return Y.  The norms are summed
+    by _sum_squares a block at a time.  Raises SingularInput when a norm
+    overflows double precision."""
+    norms = np.empty(len(Y))
     with np.errstate(over="ignore"):
-        norms = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        for start in range(0, len(Y), BLOCK):
+            norms[start:start + BLOCK] = _sum_squares(Y[start:start + BLOCK])
+    np.sqrt(norms, out=norms)
     if not np.all(np.isfinite(norms)):
         raise SingularInput("exponent overflows double precision")
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
@@ -460,9 +508,11 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
                 seed) -> np.ndarray:
     """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
     clipped to |Y| <= radius, z a uniform center component.  The span lies
-    in h, so exp is exp_h.  No Gaussian is drawn when the span is zero.  seed
-    is anything np.random.default_rng takes; an int gives the stream of
-    PCG64(seed).  Raises SingularInput when the draw leaves double range."""
+    in h, so exp is exp_h.  z is diagonal +-1, so it is applied in place as
+    the row signs rz.z_signs.  No Gaussian is drawn when the span is zero.
+    seed is anything np.random.default_rng takes; an int gives the stream of
+    PCG64(seed).  Raises SingularInput when the draw leaves double range,
+    ValueError when a center component is not a diagonal sign matrix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -472,9 +522,9 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
     else:
         Y = np.zeros((count, rz.dim, rz.dim))
     E = exp_h(Y)
-    del Y       # freed before zs and the product are allocated
-    zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ E
+    del Y
+    E *= rz.z_signs[rng.integers(0, len(rz.z_reps), size=count)][:, :, None]
+    return E
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -198,10 +198,15 @@ class Polyhedron:
     def slack(self, x):
         """Min over facets a.x >= r of (a.x - r) / |a|: the distance to the
         nearest facet hyperplane inside, minus the largest distance outside
-        one; batched over the leading axes of x, +inf with no facets."""
+        one; batched over the leading axes of x, +inf with no facets.  The
+        slacks are formed facet-major, one row per facet, so that the min
+        runs along the points."""
         A, b, norm = self._unit_facets
         x = np.asarray(x, dtype=float)
-        return ((x @ A.T - b) / norm).min(axis=-1, initial=np.inf)
+        s = A @ x.reshape(-1, self.ambient).T
+        s -= b[:, None]
+        s /= norm[:, None]
+        return s.min(axis=0, initial=np.inf).reshape(x.shape[:-1])[()]
 
     def contains_exact(self, x: Vec) -> bool:
         x = ex.vec(x)
@@ -274,6 +279,11 @@ def omega(w_orbit, gamma: Polyhedron) -> Polyhedron:
 
 
 def gk_cone(P: PositiveSystem, Q: PositiveSystem) -> Polyhedron:
-    """Gamma_a over Sigma(P) intersect Sigma(Q-bar): unprojected coroots."""
-    inter = sorted(P.positive & Q.negative)
-    return gamma_a(inter, P.datum.gram)
+    """Gamma_a over Sigma(P) intersect Sigma(Q-bar): unprojected coroots.
+    Pairs with the same support share one object, and so one H-rep."""
+    return _gk_cone(frozenset(P.positive & Q.negative), P.datum.gram)
+
+
+@lru_cache(maxsize=None)
+def _gk_cone(support: frozenset, gram: Mat) -> Polyhedron:
+    return gamma_a(support, gram)

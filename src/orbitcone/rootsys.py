@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from . import exactlin as ex
@@ -234,8 +234,14 @@ def coroot(alpha: Root, gram: Mat) -> Vec:
     alpha = ex.vec(alpha)
     if ex.is_zero(alpha):
         raise ZeroRoot("coroot of the zero functional")
-    dual = ex.mat_vec(ex.mat_inv(ex.mat(gram)), alpha)     # B(dual, .) = alpha
+    dual = ex.mat_vec(_gram_inverse(ex.mat(gram)), alpha)  # B(dual, .) = alpha
     return ex.scale(Fraction(2) / ex.dot(alpha, dual), dual)
+
+
+@lru_cache(maxsize=None)
+def _gram_inverse(gram: Mat) -> Mat:
+    """The inverse of a Gram matrix, once per matrix."""
+    return ex.mat_inv(gram)
 
 
 def reflection_matrix(alpha: Root, gram: Mat) -> Mat:

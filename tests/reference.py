@@ -13,7 +13,11 @@ incidence-rank facet test of ``polyhedra._facets`` replaced; the tests
 require both to give the same rows.  ``numeric_hessian_fresh`` and
 ``analytic_hessian_fresh`` are the Hessians of ``critical`` computed anew on
 every call, with one ``expm`` and one ``F`` per numeric form; the tests
-require the memoised forms to equal them bit for bit.
+require the memoised forms to equal them bit for bit.  ``slack_dense``,
+``coverage_update_dense``, ``exp_h_block_dense`` and ``sample_span_dense``
+are the per-sample kernels in their dense forms, with reductions over the
+short trailing axes and the center component and base point as matrix
+products; the tests require the kernels to equal them bit for bit.
 """
 from fractions import Fraction
 
@@ -23,7 +27,9 @@ from scipy.linalg import expm
 from orbitcone import exactlin as ex
 from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
                                 _h_basis_exact, h_x_coords, nph_basis)
-from orbitcone.matrixgrp import a_matrix, ek_projection
+from orbitcone.harness import MIN_DISPLACEMENT
+from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales,
+                                 _SERIES_C, a_matrix, ek_projection, exp_h)
 from orbitcone.polyhedra import _eliminate, _free_lp
 
 
@@ -145,3 +151,82 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     V = Xm @ V - V @ Xm
     LV = -rz.pi_h(V)
     return rz.kappa * np.einsum("iab,jab->ij", basis, LV)
+
+
+def slack_dense(region, x):
+    """Polyhedron.slack with the facets along the last axis of x @ A.T."""
+    A, b, norm = region._unit_facets
+    x = np.asarray(x, dtype=float)
+    return ((x @ A.T - b) / norm).min(axis=-1, initial=np.inf)
+
+
+def coverage_update_dense(cover, vals):
+    """_Coverage.update from the (points, vertices, coordinates) array of
+    differences: norms and np.argmin over its short axes, and an arccos per
+    point and generator."""
+    d = vals[:, None, :] - cover.verts[None, :, :]
+    dist = np.linalg.norm(d, axis=-1)
+    cover.vdist = np.minimum(cover.vdist, dist.min(axis=0))
+    if len(cover.gens) == 0:
+        return
+    pick = np.argmin(dist, axis=1)
+    disp = vals - cover.verts[pick]
+    nd = np.linalg.norm(disp, axis=-1)
+    ok = nd >= MIN_DISPLACEMENT
+    if not ok.any():
+        return
+    disp = disp[ok]
+    nd = nd[ok]
+    for i, g in enumerate(cover.gens):
+        gu = g / np.linalg.norm(g)
+        cos = np.clip((disp @ gu) / nd, -1.0, 1.0)
+        cover.gaps[i] = min(cover.gaps[i], float(np.arccos(cos).min()))
+
+
+def exp_h_block_dense(Y, out):
+    """matrixgrp._exp_h_block with maxima over the two matrix axes and the
+    division by m in every block."""
+    peak = np.abs(Y).max(axis=(-2, -1))
+    m = _scales(peak)
+    with np.errstate(over="ignore", invalid="ignore"):
+        U = Y / m[:, None, None]
+        U2 = U @ U
+        U3 = U2 @ U
+        uu = np.einsum("kij,kij->k", U, U)
+        cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
+        resid = np.abs(U3 - cu[:, None, None] * U).max(axis=(-2, -1))
+        if np.any(resid > 1e-10 * (peak / m) ** 3):
+            raise NotCubic("exponent does not satisfy Y^3 = c Y")
+        c = cu * m * m
+        small = np.abs(c) < _SERIES_C
+        su2 = np.where(small, 1.0, np.abs(cu))
+        su = np.sqrt(su2)
+        s = su * m
+        hyper = c > 0
+        half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
+        g1 = np.where(small, (1.0 + c / 6.0 + c * c / 120.0) * m,
+                      np.where(hyper, np.sinh(s), np.sin(s)) / su)
+        g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
+                      2.0 * half * half / su2)
+        g2 = np.where(np.any(U2, axis=(-2, -1)), g2, 0.0)
+        np.multiply(g1[:, None, None], U, out=out)
+        out += np.eye(Y.shape[-1])
+        out += g2[:, None, None] * U2
+    if not np.all(np.isfinite(out)):
+        raise SingularInput("exponential overflows double precision")
+
+
+def sample_span_dense(rz, basis, radius, count, seed):
+    """matrixgrp.sample_span with the clip norm from np.sum and the center
+    component as the matrix product z @ exp(Y)."""
+    rng = np.random.default_rng(seed)
+    if len(basis):
+        coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+        Y = np.einsum("cd,dij->cij", coef, basis)
+        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        Y *= np.where(plain > radius, radius / np.maximum(plain, 1e-300),
+                      1.0)[:, None, None]
+    else:
+        Y = np.zeros((count, rz.dim, rz.dim))
+    zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
+    return zs @ exp_h(Y)

@@ -12,7 +12,7 @@ from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                config_from_mapping, emit_report, report_csv,
                                report_json, report_svg, run)
 from orbitcone.matrixgrp import realization
-from orbitcone.polyhedra import gamma_cone, omega
+from orbitcone.polyhedra import cone, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
 from reference import contains
@@ -138,6 +138,30 @@ def test_tally_and_contains_share_the_tolerance_unit():
         assert contains(om, x, tol) is inside
         assert tally.result("main").passed is inside
         assert len(tally.witnesses) == (0 if inside else 1)
+
+
+def test_a_non_finite_slack_is_a_witness():
+    """Python's min(inf, nan) is inf, and nan < -tol is False: a NaN point
+    once passed with worst_slack inf."""
+    quadrant = cone([(1, 0), (0, 1)], 2)
+    tally = Tally(1e-7)
+    tally.feed(quadrant, np.array([[1.0, 1.0], [np.nan, 0.5]]))
+    r = tally.result("main")
+    assert not r.passed
+    assert len(r.witnesses) == 1 and np.isnan(r.worst_slack)
+    # an infinite point has an infinite slack on the half-plane x >= 0
+    half = cone([(1, 0), (0, 1), (0, -1)], 2)
+    assert len(half.hrep) == 1
+    tally = Tally(1e-7)
+    tally.feed(half, np.array([[2.0, 3.0], [np.inf, 0.0]]))
+    r = tally.result("main")
+    assert not r.passed and r.worst_slack == 2.0 and len(r.witnesses) == 1
+    # on the whole plane, which has no facet, every slack is +inf
+    plane = cone([(1, 0), (-1, 0), (0, 1), (0, -1)], 2)
+    tally = Tally(1e-7)
+    tally.feed(plane, np.array([[1.0, 2.0]]))
+    r = tally.result("main")
+    assert r.passed and r.worst_slack == np.inf
 
 
 def test_singular_base_point():

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -372,6 +373,22 @@ def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
         plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
         expected = Y * np.where(plain > radius, radius / plain, 1.0)[:, None, None]
         assert np.array_equal(_clip(Y.copy(), radius), expected)
+
+
+def test_center_signs_are_the_diagonals_of_the_center(rz):
+    assert np.array_equal(a_matrix(rz.z_signs), np.stack(rz.z_reps))
+
+
+def test_a_center_component_that_is_not_a_diagonal_sign_is_rejected(rz_sl3):
+    """sample_span applies z as a row sign, which is z Y only for a
+    diagonal z with entries +-1."""
+    swap = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
+    for z in (swap, np.diag([2.0, 0.5, 1.0])):
+        bad = replace(rz_sl3, z_reps=rz_sl3.z_reps + (z,))
+        with pytest.raises(ValueError, match="diagonal sign"):
+            bad.z_signs
+        with pytest.raises(ValueError, match="diagonal sign"):
+            sample_H(bad, 1.0, 4, seed=0)
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from orbitcone import exactlin as ex
-from orbitcone import polyhedra
+from orbitcone import polyhedra, rootsys
 from orbitcone.harness import VerificationConfig, run
+from orbitcone.matrixgrp import realization
 from orbitcone.parabolic import all_positive_systems, is_q_extreme
 from orbitcone.polyhedra import (Polyhedron, _lift, cone, gamma_a, gamma_aq,
                                  gamma_cone, gk_cone, omega,
@@ -332,3 +333,32 @@ def test_gk_cone_definition(rz_sl3):
     assert set(gk.generators) == set(want.generators)
     assert gk_cone(P, P).generators == ()
 
+
+def test_gk_cones_are_projected_once_per_support(monkeypatch):
+    """On sl3_so21 the 36 pairs (P, Q) have 19 distinct supports P and Q-bar
+    share, and pairs with one support share one cone and one H-rep."""
+    systems = all_positive_systems(realization("sl3_so21").datum)
+    polyhedra._gk_cone.cache_clear()
+    calls = []
+    project = polyhedra.project_polyhedron
+    monkeypatch.setattr(polyhedra, "project_polyhedron",
+                        lambda V, G: calls.append(G) or project(V, G))
+    first = {}
+    for P in systems:
+        for Q in systems:
+            gk = gk_cone(P, Q)
+            assert gk.hrep == tuple(project(gk.vertices, gk.generators))
+            assert first.setdefault(P.positive & Q.negative, gk) is gk
+    assert len(first) == len(calls) == 19
+
+
+def test_coroot_inverts_each_gram_matrix_once(monkeypatch):
+    rootsys._gram_inverse.cache_clear()
+    calls = []
+    mat_inv = ex.mat_inv
+    monkeypatch.setattr(ex, "mat_inv", lambda m: calls.append(m) or mat_inv(m))
+    datum = realization("sl3_so21").datum
+    as_lists = [list(row) for row in datum.gram]
+    for alpha in sorted(datum.roots):
+        assert coroot(alpha, as_lists) == coroot(alpha, datum.gram)
+    assert calls == [datum.gram]
