@@ -25,9 +25,9 @@ from .critical import (F, NotRegular, critical_value, ensure_in_aq,
                        ensure_regular, hessian, is_regular, kernel_dim, omega_X,
                        predicted_signature, sample_H_X, sample_NPH,
                        transversal_signature, vanishing_patterns)
-from .matrixgrp import (Realization, SingularInput, a_matrix, exp_h,
-                        exp_nilpotent, h_pq, iwasawa, realization, root_matrix,
-                        sample_H, sample_unipotent)
+from .matrixgrp import (Realization, SingularInput, a_matrix, exp_span,
+                        h_pq, iwasawa, realization, root_matrix, sample_H,
+                        sample_unipotent, span_form)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -353,13 +353,12 @@ class Tally:
 
 def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     """Deterministic probes: Weyl representatives, center components, and
-    rank-one rays from every vertex along every cone-generator root."""
-    rays = []
-    for alpha in sorted(P.classification.minus_part):
-        E = root_matrix(rz.dim, alpha)
-        U = E + rz.sigma_alg(E)
-        rays.extend(t * U for r in radii for t in (r, -r))
-    rays = exp_h(np.array(rays).reshape(-1, rz.dim, rz.dim))
+    rank-one rays from every vertex along every cone-generator root: exp of
+    +-r (E + sigma E) for each radius r, one E per root."""
+    Es = [root_matrix(rz.dim, a) for a in sorted(P.classification.minus_part)]
+    basis = np.array([E + rz.sigma_alg(E) for E in Es]).reshape(-1, rz.dim, rz.dim)
+    ts = np.array([t for r in radii for t in (r, -r)])
+    rays = exp_span(np.kron(np.eye(len(basis)), ts[:, None]), basis, span_form(basis))
     mats = [np.eye(rz.dim)[None]]
     for xw in rz.weyl_reps.values():
         mats.append(xw @ np.stack(rz.z_reps))
@@ -436,11 +435,8 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     a_exact = _require_regular(rz, cfg)
     t1, t2 = float(a_exact[0]), float(a_exact[1])
     phi = np.linspace(0.0, np.pi / 2, 1000)
-    ks = np.zeros((len(phi), 2, 2))
-    ks[:, 0, 0] = np.cos(phi)
-    ks[:, 0, 1] = -np.sin(phi)
-    ks[:, 1, 0] = np.sin(phi)
-    ks[:, 1, 1] = np.cos(phi)
+    rot = np.stack(rz.h_basis)              # k = exp(phi rot) is the rotation
+    ks = exp_span(phi[:, None], rot, span_form(rot))
     a = a_matrix(np.exp(np.array([t1, t2])))
     vals = h_pq(rz, a @ ks)[:, 0]
     closed = 0.5 * np.log(np.exp(2 * t1) * np.cos(phi) ** 2
@@ -576,10 +572,8 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
                 feed(np.eye(rz.dim)[None])
                 continue
             basis = np.stack([root_matrix(rz.dim, alpha) for alpha in support])
-            # rank-one probes hit each generator direction exactly
-            for E in basis:
-                for s in (1.0, 3.0):
-                    feed(exp_nilpotent(s * E)[None])
+            # rank-one probes hit each generator direction exactly; E^2 = 0
+            feed(np.stack([np.eye(rz.dim) + s * E for E in basis for s in (1.0, 3.0)]))
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
             feed(sample_unipotent(basis, cfg.radii[-1], n, _stream(cfg, "gk", pi, qi)))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
@@ -615,11 +609,11 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)
+    probes = _h_probes(rz, P, cfg.radii[-1:])   # np.concatenate copies them
     for idx, point in enumerate(steps + [a_exact]):
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
-        hs = np.concatenate([
-            _h_probes(rz, P, cfg.radii[-1:]),
-            sample_H(rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))])
+        hs = np.concatenate([probes, sample_H(rz, cfg.radii[-1], n_bulk,
+                                              _stream(cfg, "limits", idx))])
         hs *= np.exp(_float_rows([point], rz.dim)[0])[:, None]     # a h
         tally.feed(om, h_pq(rz, hs, P))
     return tally.result("limits", detail={"sequence_length": len(steps)})

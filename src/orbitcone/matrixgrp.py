@@ -10,8 +10,8 @@ The Iwasawa log is log|R_kk| of g = QR for the upper-triangular base
 system, from one vectorised Gram-Schmidt kernel that forms no Q and no
 off-diagonal R; every other positive system is conjugated into the base
 system by an index permutation, applied in the kernel's one layout copy.
-Exponentials of nilpotent matrices are the finite series ``exp_nilpotent``;
-exponentials of elements of h are the closed form ``exp_h``.
+Every sampled span is exponentiated by one closed form, ``exp_span``, with c
+in Y^3 = c Y from the span's form, which ``span_form`` checks once per span.
 """
 from __future__ import annotations
 
@@ -30,10 +30,6 @@ from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
                       restricted_roots, weyl_group)
 
 class SingularInput(ValueError):
-    pass
-
-
-class NotUnipotent(ValueError):
     pass
 
 
@@ -303,13 +299,12 @@ def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # --- Iwasawa decomposition -------------------------------------------------
 
-# iwasawa and exp_h work through their input this many matrices at a time, so
-# that their temporaries stay a few blocks in size whatever the batch
+# iwasawa and exp_span work through their input this many matrices at a
+# time, so that their temporaries stay a few blocks in size whatever the batch
 BLOCK = 4096
 # a matrix whose largest entry lies outside this range is divided by it, so
-# that nothing underflows or overflows: by exp_h always, by iwasawa in a
-# block where some R_kk leaves the range; inside it the arithmetic is the
-# plain one
+# that nothing underflows or overflows: by exp_span, which forms c from t
+# divided by it too, and by iwasawa in a block where some R_kk leaves it
 _UNSCALED = (1e-60, 1e60)
 # an R_kk below 1e-250 makes the input numerically singular
 _LOG_TINY = math.log(1e-250)
@@ -348,7 +343,7 @@ def _log_r_block(g: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
     (m, n, n), written into out[:, p[k]], which maps it back to ambient
     coordinates.  The arithmetic is the plain one while every R_kk lies in
     _UNSCALED.  Otherwise the block is done again with each matrix whose
-    largest entry leaves _UNSCALED divided by that entry, as in exp_h."""
+    largest entry leaves _UNSCALED divided by that entry, as in exp_span."""
     C = g.transpose(2, 1, 0)[p[:, None], p]
     _gram_schmidt(C, p, out)
     if _UNSCALED[0] ** 2 <= out.min() and out.max() <= _UNSCALED[1] ** 2:
@@ -392,49 +387,84 @@ def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
     return iwasawa(rz, g, P) @ rz.q_proj_np.T
 
 
-# --- exponential of h ------------------------------------------------------
+# --- the class of a span --------------------------------------------------
+
+def span_form(basis) -> np.ndarray:
+    """The quadratic form Q, read-only, with Y^3 = (t^T Q t) Y for every
+    Y = sum_k t_k basis[k] of the span of an integer-valued basis (k, n, n):
+    Q is polarised from c(B) = <B^3, B>/<B, B>, and Sym(B_i B_j B_k) =
+    Sym(Q_ij B_k) is checked in integers.  Kept per basis.  Raises NotCubic
+    when there is no such Q, ValueError when the basis is not integers."""
+    B = np.asarray(basis, dtype=float)
+    return _span_form(B.shape, B.tobytes())
+
+
+@lru_cache(maxsize=None)
+def _span_form(shape: tuple, data: bytes) -> np.ndarray:
+    B = np.frombuffer(data).reshape(shape)
+    Bi, k = B.astype(np.int64), len(B)
+    if not np.array_equal(Bi, B):
+        raise ValueError("span basis is not integer-valued")
+
+    def c(b):               # c(b) when b^3 = c(b) b; c(2b) = 4 c(b)
+        norm = int(np.sum(b * b))
+        return Fraction(int(np.sum(b @ b @ b * b)), norm) if norm else Fraction(0)
+
+    Q = np.array([[(c(bi + bj) - c(bi) - c(bj)) / 2 for bj in Bi] for bi in Bi],
+                 dtype=object).reshape(k, k)
+    d = math.lcm(*(q.denominator for q in Q.flat))
+    dQ = (Q * d).astype(np.int64)
+    resid = (d * np.einsum("aij,bjk,ckl->abcil", Bi, Bi, Bi)
+             - np.einsum("ab,cil->abcil", dQ, Bi))
+    if sum(resid.transpose(*p, 3, 4) for p in itertools.permutations(range(3))).any():
+        raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
+    out = dQ / d
+    out.flags.writeable = False
+    return out
+
+
+# --- the exponential of a span ---------------------------------------------
 
 # below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
 _SERIES_C = 1e-6
 
 
-def exp_h(Y) -> np.ndarray:
-    """exp Y = I + f1(c) Y + f2(c) Y^2 for Y with Y^3 = c Y, batched over
-    (..., n, n): f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c with s = sqrt(c),
-    sin in place of sinh when c < 0.  Every element of h on the presets has
-    this form (the hyperbolic Rodrigues formula), and so has every N with
-    N^3 = 0, where the result is exactly I + N + N^2/2.  Zero gives exactly
-    the identity.  Raises SingularInput when Y or its exponential is not
-    finite in double precision, NotCubic when |U^3 - c U| is not negligible
-    against |U|^3 for U = Y / max|Y|, with c = <Y^3, Y>/<Y, Y>."""
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise SingularInput("exponent has non-finite entries")
-    n = Y.shape[-1]
-    flat = Y.reshape(-1, n, n)
-    out = np.empty(flat.shape)
-    for start in range(0, len(flat), BLOCK):
-        stop = start + BLOCK
-        _exp_h_block(flat[start:stop], out[start:stop])
-    return out.reshape(Y.shape)
-
-
-def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
-    """exp_h of a stack (k, n, n) of finite matrices, written into out.
-    Works on U = Y / m with m = max|Y| where m leaves _UNSCALED (m = 1
-    elsewhere), as exp Y = I + (m f1) U + (m^2 f2) U^2; a block where every
-    m is 1 takes U = Y.  Entry maxima come from _entry_max."""
-    peak = _entry_max(Y)
-    m = _scales(peak)
+def exp_span(t, basis: np.ndarray, form: np.ndarray, radius: float | None = None
+             ) -> np.ndarray:
+    """exp Y for Y = sum_k t[:, k] basis[k], one per row of t (count, k), on
+    a span with Y^3 = c Y for c = t^T form t (the form of span_form):
+    I + f1(c) Y + f2(c) Y^2 with f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c for
+    s = sqrt(c), sin for sinh when c < 0 (the hyperbolic Rodrigues formula).
+    On a span with Y^3 = 0 the form is 0, and exp Y is exactly I + Y + Y^2/2.
+    With radius, _clip first scales each Y down to norm radius, and its row
+    of t with it.  Zero gives exactly I.  Y is formed in the output, and
+    overwritten BLOCK rows at a time.  Raises SingularInput when a clip norm
+    or exp Y is not finite in double precision."""
+    t = np.asarray(t, dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
-        U = Y if np.all(m == 1.0) else Y / m[:, None, None]
+        out = np.einsum("cd,dij->cij", t, basis)
+        if radius is not None:
+            t = t * _clip(out, radius)[:, None]
+        for i in range(0, len(t), BLOCK):
+            _exp_block(out[i:i + BLOCK], t[i:i + BLOCK], form)
+    return out
+
+
+def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray) -> None:
+    """exp Y of a stack Y (k, n, n) with coefficients t (k, d), written over
+    Y.  Where the largest entry m of Y (from _entry_max) leaves _UNSCALED,
+    U = Y / m and c comes from t / m, as exp Y = I + (m f1) U + (m^2 f2) U^2."""
+    if not Q.any():
+        # Y^3 = 0: the series stops, and needs no rescale
+        Y2 = Y @ Y
+        Y += np.eye(Y.shape[-1])
+        Y += 0.5 * Y2
+    else:
+        m = _scales(_entry_max(Y))
+        U, tu = Y / m[:, None, None], t / m[:, None]
+        # t^T Q t, in the same order for a row in any stack
+        cu = sum(Q[i, j] * tu[:, i] * tu[:, j] for i, j in zip(*np.nonzero(Q)))
         U2 = U @ U
-        U3 = U2 @ U
-        uu = np.einsum("kij,kij->k", U, U)
-        cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
-        U3 -= cu[:, None, None] * U
-        if np.any(_entry_max(U3) > 1e-10 * (peak / m) ** 3):
-            raise NotCubic("exponent does not satisfy Y^3 = c Y")
         c = cu * m * m
         small = np.abs(c) < _SERIES_C
         su2 = np.where(small, 1.0, np.abs(cu))      # s^2 / m^2; 1 where unused
@@ -448,10 +478,10 @@ def _exp_h_block(Y: np.ndarray, out: np.ndarray) -> None:
                       2.0 * half * half / su2)
         # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
         g2 = np.where(_entry_max(U2) > 0, g2, 0.0)
-        np.multiply(g1[:, None, None], U, out=out)
-        out += np.eye(Y.shape[-1])
-        out += g2[:, None, None] * U2
-    if not np.all(np.isfinite(out)):
+        np.multiply(g1[:, None, None], U, out=Y)
+        Y += np.eye(Y.shape[-1])
+        Y += g2[:, None, None] * U2
+    if not np.all(np.isfinite(Y)):
         raise SingularInput("exponential overflows double precision")
 
 
@@ -489,9 +519,9 @@ def _sum_squares(A: np.ndarray) -> np.ndarray:
 
 def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
-    radius when it is longer, in place, and return Y.  The norms are summed
-    by _sum_squares a block at a time.  Raises SingularInput when a norm
-    overflows double precision."""
+    radius when it is longer, in place, and return the factors.  The norms
+    are summed by _sum_squares a block at a time.  Raises SingularInput
+    when a norm overflows double precision."""
     norms = np.empty(len(Y))
     with np.errstate(over="ignore"):
         for start in range(0, len(Y), BLOCK):
@@ -501,28 +531,25 @@ def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
         raise SingularInput("exponent overflows double precision")
     scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
     Y *= scale[:, None, None]
-    return Y
+    return scale
 
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seed) -> np.ndarray:
+                seed, form: np.ndarray | None = None) -> np.ndarray:
     """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
-    clipped to |Y| <= radius, z a uniform center component.  The span lies
-    in h, so exp is exp_h.  z is diagonal +-1, so it is applied in place as
-    the row signs rz.z_signs.  No Gaussian is drawn when the span is zero.
-    seed is anything np.random.default_rng takes; an int gives the stream of
-    PCG64(seed).  Raises SingularInput when the draw leaves double range,
+    clipped to |Y| <= radius, z a uniform center component.  exp is exp_span
+    with form, by default span_form(basis), checked before any draw.  z is
+    diagonal +-1, applied in place as the row signs rz.z_signs.  No Gaussian
+    is drawn when the span is zero.  seed is anything np.random.default_rng
+    takes; an int gives the stream of PCG64(seed).  Raises NotCubic when the
+    span has no form, SingularInput when the draw leaves double range,
     ValueError when a center component is not a diagonal sign matrix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
+    form = span_form(basis) if form is None else form
     rng = np.random.default_rng(seed)
-    if len(basis):
-        coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-        Y = _clip(np.einsum("cd,dij->cij", coef, basis), radius)
-    else:
-        Y = np.zeros((count, rz.dim, rz.dim))
-    E = exp_h(Y)
-    del Y
+    coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+    E = exp_span(coef, basis, form, radius)
     E *= rz.z_signs[rng.integers(0, len(rz.z_reps), size=count)][:, :, None]
     return E
 
@@ -532,33 +559,15 @@ def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
     return sample_span(rz, np.stack(rz.h_basis), radius, count, seed)
 
 
-# --- unipotent exponentials ------------------------------------------------
-
-def exp_nilpotent(N) -> np.ndarray:
-    """Finite exponential series I + N + ... + N^(n-1)/(n-1)! for (..., n, n)
-    input N; exact for nilpotent N.  Raises NotUnipotent when N^n is not
-    negligible."""
-    N = np.asarray(N, dtype=float)
-    n = N.shape[-1]
-    power, out = N, np.eye(n) + N
-    for k in range(2, n):
-        power = power @ N
-        out = out + power / math.factorial(k)
-    with np.errstate(over="ignore"):
-        tail = np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n)
-    if tail:
-        raise NotUnipotent("series argument is not nilpotent")
-    return out
-
-
 def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
                      ) -> np.ndarray:
-    """Draw count elements exp(Y), Y = sum_k c_k basis[k] over nilpotent
-    matrices basis (k, n, n), the c_k Gaussian with deviation radius / 2;
-    seed as in sample_span."""
-    coef = np.random.default_rng(seed).normal(0.0, radius / 2.0,
-                                              size=(count, len(basis)))
-    return exp_nilpotent(np.einsum("ck,kij->cij", coef, basis))
+    """Draw count elements exp(Y), Y = sum_k c_k basis[k] over a nilpotent
+    span (k, n, n), the c_k Gaussian with deviation radius / 2; seed as in
+    sample_span, and the span checked before any draw."""
+    form = span_form(basis)
+    rng = np.random.default_rng(seed)
+    return exp_span(rng.normal(0.0, radius / 2.0, size=(count, len(basis))),
+                    basis, form)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

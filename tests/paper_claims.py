@@ -3,7 +3,10 @@ reads: the properness of a projection on a cone, the restricted-coroot
 cone Upsilon(P), which equals Gamma(P) on q-extreme systems, and the
 factorization of N_P as N_+ (N_P intersect H) with its unipotent log and
 splitting element.  ``feasible`` is the exact LP feasibility they and the
-membership oracle of the tests rest on."""
+membership oracle of the tests rest on.  ``exp_nilpotent``, the finite
+exponential series, is the factorization's exponential; the tests hold
+``matrixgrp.exp_span`` on nilpotent spans to its bits."""
+import math
 from fractions import Fraction
 from typing import Sequence
 
@@ -11,8 +14,7 @@ import numpy as np
 
 from orbitcone import exactlin as ex
 from orbitcone.exactlin import Mat, Vec
-from orbitcone.matrixgrp import (NotUnipotent, Realization, exp_nilpotent,
-                                 root_entry, root_matrix)
+from orbitcone.matrixgrp import Realization, root_entry, root_matrix
 from orbitcone.parabolic import PositiveSystem, is_q_extreme
 from orbitcone.polyhedra import Polyhedron, cone
 from orbitcone.rootsys import coroot, restricted_roots
@@ -23,6 +25,10 @@ class NotQExtreme(ValueError):
 
 
 class NotInNP(ValueError):
+    pass
+
+
+class NotUnipotent(ValueError):
     pass
 
 
@@ -68,6 +74,23 @@ def upsilon_cone(P: PositiveSystem) -> Polyhedron:
 
 
 # --- unipotent factorizations ----------------------------------------------
+
+def exp_nilpotent(N) -> np.ndarray:
+    """Finite exponential series I + N + ... + N^(n-1)/(n-1)! for (..., n, n)
+    input N; exact for nilpotent N.  Raises NotUnipotent when N^n is not
+    negligible."""
+    N = np.asarray(N, dtype=float)
+    n = N.shape[-1]
+    power, out = N, np.eye(n) + N
+    for k in range(2, n):
+        power = power @ N
+        out = out + power / math.factorial(k)
+    with np.errstate(over="ignore"):
+        tail = np.abs(power @ N).max() > 1e-9 * (1.0 + np.abs(N).max() ** n)
+    if tail:
+        raise NotUnipotent("series argument is not nilpotent")
+    return out
+
 
 def unipotent_log(rz: Realization, m) -> np.ndarray:
     """Finite Mercator series in M = m - I, M - M^2/2 + ... for (..., n, n)

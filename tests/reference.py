@@ -14,11 +14,17 @@ require both to give the same rows.  ``numeric_hessian_fresh`` and
 ``analytic_hessian_fresh`` are the Hessians of ``critical`` computed anew on
 every call, with one ``expm`` and one ``F`` per numeric form; the tests
 require the memoised forms to equal them bit for bit.  ``slack_dense``,
-``coverage_update_dense``, ``exp_h_block_dense`` and ``sample_span_dense``
+``coverage_update_dense``, ``exp_span_dense`` and ``sample_span_dense``
 are the per-sample kernels in their dense forms, with reductions over the
 short trailing axes and the center component and base point as matrix
 products; the tests require the kernels to equal them bit for bit.
+``exp_h`` is the exponential of one element at a time, with c and the
+class test read per matrix from Y^3, and ``span_form_exact`` the class
+test of a span over Fractions; the tests hold ``matrixgrp.exp_span`` and
+``matrixgrp.span_form`` to them; ``sl2_triple`` is a span with square-zero
+elements and a nonzero form on every n.
 """
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -28,8 +34,8 @@ from orbitcone import exactlin as ex
 from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
                                 _h_basis_exact, h_x_coords, nph_basis)
 from orbitcone.harness import MIN_DISPLACEMENT
-from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales,
-                                 _SERIES_C, a_matrix, ek_projection, exp_h)
+from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales, _SERIES_C,
+                                 a_matrix, ek_projection, span_form)
 from orbitcone.polyhedra import _eliminate, _free_lp
 
 
@@ -183,50 +189,123 @@ def coverage_update_dense(cover, vals):
         cover.gaps[i] = min(cover.gaps[i], float(np.arccos(cos).min()))
 
 
-def exp_h_block_dense(Y, out):
-    """matrixgrp._exp_h_block with maxima over the two matrix axes and the
-    division by m in every block."""
-    peak = np.abs(Y).max(axis=(-2, -1))
+def _rodrigues_dense(U, cu, m):
+    """I + (m f1) U + (m^2 f2) U^2 for c = cu m^2: the closed form of
+    matrixgrp._exp_block once c is known, with the zero test of U^2 over the
+    two matrix axes.  Call under np.errstate(over="ignore",
+    invalid="ignore")."""
+    U2 = U @ U
+    c = cu * m * m
+    small = np.abs(c) < _SERIES_C
+    su2 = np.where(small, 1.0, np.abs(cu))
+    su = np.sqrt(su2)
+    s = su * m
+    hyper = c > 0
+    half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
+    g1 = np.where(small, (1.0 + c / 6.0 + c * c / 120.0) * m,
+                  np.where(hyper, np.sinh(s), np.sin(s)) / su)
+    g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
+                  2.0 * half * half / su2)
+    g2 = np.where(np.any(U2, axis=(-2, -1)), g2, 0.0)
+    out = g1[:, None, None] * U
+    out += np.eye(U.shape[-1])
+    out += g2[:, None, None] * U2
+    return out
+
+
+def _finite(out):
+    if not np.all(np.isfinite(out)):
+        raise SingularInput("exponential overflows double precision")
+    return out
+
+
+def exp_h(Y):
+    """exp Y for a stack (..., n, n) of matrices with Y^3 = c Y, with c read
+    per matrix as <U^3, U>/<U, U> for U = Y / max|Y|: the per-draw form of
+    matrixgrp.exp_span, which reads c from the span's form instead.  Raises
+    NotCubic when |U^3 - c U| is not negligible against |U|^3,
+    SingularInput when Y or exp Y is not finite in double precision."""
+    Y = np.asarray(Y, dtype=float)
+    if not np.all(np.isfinite(Y)):
+        raise SingularInput("exponent has non-finite entries")
+    n = Y.shape[-1]
+    flat = Y.reshape(-1, n, n)
+    peak = np.abs(flat).max(axis=(-2, -1))
     m = _scales(peak)
     with np.errstate(over="ignore", invalid="ignore"):
-        U = Y / m[:, None, None]
-        U2 = U @ U
-        U3 = U2 @ U
+        U = flat / m[:, None, None]
+        U3 = U @ U @ U
         uu = np.einsum("kij,kij->k", U, U)
         cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
         resid = np.abs(U3 - cu[:, None, None] * U).max(axis=(-2, -1))
         if np.any(resid > 1e-10 * (peak / m) ** 3):
             raise NotCubic("exponent does not satisfy Y^3 = c Y")
-        c = cu * m * m
-        small = np.abs(c) < _SERIES_C
-        su2 = np.where(small, 1.0, np.abs(cu))
-        su = np.sqrt(su2)
-        s = su * m
-        hyper = c > 0
-        half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
-        g1 = np.where(small, (1.0 + c / 6.0 + c * c / 120.0) * m,
-                      np.where(hyper, np.sinh(s), np.sin(s)) / su)
-        g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
-                      2.0 * half * half / su2)
-        g2 = np.where(np.any(U2, axis=(-2, -1)), g2, 0.0)
-        np.multiply(g1[:, None, None], U, out=out)
-        out += np.eye(Y.shape[-1])
-        out += g2[:, None, None] * U2
-    if not np.all(np.isfinite(out)):
-        raise SingularInput("exponential overflows double precision")
+        return _finite(_rodrigues_dense(U, cu, m)).reshape(Y.shape)
+
+
+def exp_span_dense(t, basis, Q, radius=None):
+    """matrixgrp.exp_span in one block, with the clip norm from np.sum and
+    maxima over the two matrix axes."""
+    t = np.array(t, dtype=float)
+    n = basis.shape[-1]
+    Y = np.einsum("cd,dij->cij", t, basis)
+    if radius is not None:
+        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        scale = np.where(plain > radius, radius / np.maximum(plain, 1e-300), 1.0)
+        Y *= scale[:, None, None]
+        t *= scale[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        if not Q.any():
+            return _finite(np.eye(n) + Y + 0.5 * (Y @ Y))
+        m = _scales(np.abs(Y).max(axis=(-2, -1)))
+        tu = t / m[:, None]
+        cu = sum(Q[i, j] * tu[:, i] * tu[:, j] for i, j in zip(*np.nonzero(Q)))
+        return _finite(_rodrigues_dense(Y / m[:, None, None], cu, m))
 
 
 def sample_span_dense(rz, basis, radius, count, seed):
-    """matrixgrp.sample_span with the clip norm from np.sum and the center
-    component as the matrix product z @ exp(Y)."""
+    """matrixgrp.sample_span with exp_span_dense and the center component as
+    the matrix product z @ exp(Y)."""
     rng = np.random.default_rng(seed)
-    if len(basis):
-        coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-        Y = np.einsum("cd,dij->cij", coef, basis)
-        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        Y *= np.where(plain > radius, radius / np.maximum(plain, 1e-300),
-                      1.0)[:, None, None]
-    else:
-        Y = np.zeros((count, rz.dim, rz.dim))
+    coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+    E = exp_span_dense(coef, basis, span_form(basis), radius)
     zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ exp_h(Y)
+    return zs @ E
+
+
+def sl2_triple(n: int) -> np.ndarray:
+    """diag(1, -1, 0, ...), E_01 and E_10 in gl(n): a span with form
+    t_0^2 + t_1 t_2 whose element E_01 has square zero."""
+    B = np.zeros((3, n, n))
+    B[0, 0, 0], B[0, 1, 1], B[1, 0, 1], B[2, 1, 0] = 1.0, -1.0, 1.0, 1.0
+    return B
+
+
+def span_form_exact(basis):
+    """matrixgrp.span_form over Fractions, for any rational basis (k, n, n):
+    c(B) = <B^3, B>/<B, B> polarised into Q, and Y^3 = (t^T Q t) Y checked
+    on the coefficient of each monomial t_i t_j t_k, a sum over the distinct
+    orderings of (i, j, k).  Returns Q as rows of Fractions; raises NotCubic
+    when the span has no form."""
+    B = [ex.mat(b) for b in basis]
+
+    def add(x, y):
+        return tuple(ex.add(rx, ry) for rx, ry in zip(x, y))
+
+    def cube_factor(b):
+        norm = sum(ex.dot(r, r) for r in b)
+        cube = ex.mat_mul(b, ex.mat_mul(b, b))
+        return sum(map(ex.dot, cube, b)) / norm if norm else Fraction(0)
+
+    c = [cube_factor(b) for b in B]
+    Q = [[c[i] if i == j else (cube_factor(add(B[i], B[j])) - c[i] - c[j]) / 2
+          for j in range(len(B))] for i in range(len(B))]
+    for triple in itertools.combinations_with_replacement(range(len(B)), 3):
+        total = tuple(ex.zeros(len(row)) for row in B[0])
+        for a, b, d in set(itertools.permutations(triple)):
+            total = add(total, ex.mat_sub(
+                ex.mat_mul(B[a], ex.mat_mul(B[b], B[d])),
+                tuple(ex.scale(Q[a][b], row) for row in B[d])))
+        if any(not ex.is_zero(row) for row in total):
+            raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
+    return Q

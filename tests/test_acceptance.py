@@ -18,8 +18,7 @@ from orbitcone.parabolic import (all_positive_systems, h_extremize,
 from orbitcone.polyhedra import gamma_cone, pointedness_certificate
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
-from paper_claims import (default_z_q, factor_nilpotent, proper_on_cone,
-                          upsilon_cone)
+from paper_claims import factor_nilpotent, proper_on_cone, upsilon_cone
 from reference import sigma_grp
 
 PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")

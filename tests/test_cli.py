@@ -132,7 +132,8 @@ def test_gk_past_double_range_exits_2_under_warnings_as_errors():
     assert "error: a_log or radii out of floating-point range" in out.stderr
 
 
-# Y^3 and c of exp_h once underflowed at such a radius and raised NotCubic.
+# Y^3 and c of the per-draw exponential once underflowed at such a radius and
+# raised NotCubic; exp_span tests no draw and forms c from t / max|Y|.
 # The samples stay within 1e-80 of a center element, so they never reach
 # the generators of Gamma(P) on sl2_so11 and sl3_so21: there main fails the
 # coverage test with no witness, as it did with scipy's expm.

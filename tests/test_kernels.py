@@ -1,10 +1,10 @@
 """The per-sample float kernels against their dense forms in reference.py.
 
-Polyhedron.slack, _Coverage.update, the exp_h block and the center
-component of sample_span must give the same bits as the dense forms, on
-every preset and on the edge cases of each rewrite: ties between vertices,
-displacements of exactly MIN_DISPLACEMENT, a polyhedron with no facets,
-batched shapes, and exp_h blocks that mix scaled and unscaled matrices.
+Polyhedron.slack, _Coverage.update, exp_span and the center component of
+sample_span must give the same bits as the dense forms, on every preset and
+on the edge cases of each rewrite: ties between vertices, displacements of
+exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes, and
+exp_span blocks that mix scaled and unscaled matrices.
 """
 from fractions import Fraction
 
@@ -13,13 +13,14 @@ import pytest
 
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, _Coverage,
                                _float_rows)
-from orbitcone.matrixgrp import (BLOCK, NotCubic, _entry_max, _exp_h_block,
-                                 _sum_squares, h_pq, sample_H, sample_span)
+from orbitcone.matrixgrp import (BLOCK, SingularInput, _entry_max,
+                                 _sum_squares, exp_span, h_pq, sample_H,
+                                 sample_span, span_form)
 from orbitcone.polyhedra import cone, gamma_aq, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
-from reference import (coverage_update_dense, exp_h_block_dense,
-                       sample_span_dense, slack_dense)
+from reference import (coverage_update_dense, exp_span_dense,
+                       sample_span_dense, sl2_triple, slack_dense)
 
 
 def _main_omega(rz):
@@ -117,38 +118,46 @@ def test_coverage_keeps_displacements_of_exactly_min_displacement():
     assert list(cover.vdist) == [np.nextafter(h, 0.0)]
 
 
-# --- the exp_h block ---------------------------------------------------------
-
-def _block_both(Y):
-    got, want = np.empty_like(Y), np.empty_like(Y)
-    _exp_h_block(Y, got)
-    exp_h_block_dense(Y, want)
-    assert np.array_equal(got, want)
-
+# --- exp_span ----------------------------------------------------------------
 
 def test_exp_h_block_equals_the_dense_form(rz):
     rng = np.random.default_rng(65)
-    basis = np.stack(rz.h_basis)
-    Y = np.einsum("cd,dij->cij",
-                  rng.normal(scale=2.0, size=(300, len(basis))), basis)
-    N = np.zeros((1, rz.dim, rz.dim))
-    N[0, 0, -1] = 1.0                                   # N^2 = 0
-    unit = Y[:4] / _entry_max(Y[:4])[:, None, None]     # largest entry 1
-    mixed = np.concatenate([
-        Y[:40], 1e-70 * Y[40:50], np.zeros((3, rz.dim, rz.dim)),
-        1e200 * N, 1e70 * N,
-        # on both sides of the edges of _UNSCALED
-        1e-60 * unit, np.nextafter(1e-60, 0.0) * unit, 1e60 * N,
-        np.nextafter(1e60, np.inf) * N])
-    for stack in (Y, Y[:1], mixed, mixed[40:], np.zeros((2, rz.dim, rz.dim))):
-        _block_both(stack)
+    corner = np.zeros((1, rz.dim, rz.dim))
+    corner[0, 0, -1] = 1.0                              # form 0
+    for basis in (np.stack(rz.h_basis), sl2_triple(rz.dim), corner):
+        Q = span_form(basis)
+        t = rng.normal(scale=2.0, size=(300, len(basis)))
+        Y = np.einsum("cd,dij->cij", t, basis)
+        unit = t[:4] / _entry_max(Y[:4])[:, None]        # largest entry 1
+        # the coefficients of E_01 in the triple, e in group_sl2's h and the
+        # corner: N^2 = 0 there
+        N = np.eye(len(basis))[-2:-1] if len(basis) > 1 else np.ones((1, 1))
+        small = np.concatenate([
+            t[:40], 1e-70 * t[40:50], np.zeros((3, len(basis))),
+            # on both sides of the lower edge of _UNSCALED
+            1e-60 * unit, np.nextafter(1e-60, 0.0) * unit])
+        large = np.concatenate([
+            t[:40], 1e200 * N, 1e70 * N,
+            1e60 * N, np.nextafter(1e60, np.inf) * N])
+        cases = [(rows, radius) for rows in (t, t[:1], small, small[40:])
+                 for radius in (None, 0.5, 3.0)]
+        square = np.einsum("cd,dij->cij", N, basis)[0]
+        if not (square @ square).any():
+            cases += [(large, None), (large[40:], None)]
+        for rows, radius in cases:
+            assert np.array_equal(exp_span(rows, basis, Q, radius),
+                                  exp_span_dense(rows, basis, Q, radius))
 
 
 def test_exp_h_block_and_the_dense_form_reject_the_same_input(rz_sl3):
-    generic = np.random.default_rng(66).normal(size=(2, 3, 3))
-    for block in (_exp_h_block, exp_h_block_dense):
-        with pytest.raises(NotCubic):
-            block(generic, np.empty_like(generic))
+    basis = np.stack(rz_sl3.h_basis)
+    Q = span_form(basis)
+    # a NaN coefficient, and a boost whose exponential leaves double range
+    for rows in (np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]]),
+                 np.array([[0.0, 1.0, 0.0], [0.0, 720.0, 0.0]])):
+        for exp in (exp_span, exp_span_dense):
+            with pytest.raises(SingularInput):
+                exp(rows, basis, Q)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 11])

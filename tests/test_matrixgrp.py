@@ -1,3 +1,4 @@
+import itertools
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -7,19 +8,19 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import nph_basis
+from orbitcone.critical import h_x_coords, nph_basis
 from orbitcone.harness import _DEFAULT_A_LOG
-from orbitcone.matrixgrp import (BLOCK, NotCubic, NotUnipotent, Realization,
-                                 SingularInput, _clip, a_matrix, chamber_perm,
-                                 ek_projection, exp_h, exp_nilpotent, h_pq,
-                                 iwasawa, realization, root_entry, root_matrix,
-                                 sample_H)
+from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
+                                 _clip, a_matrix, chamber_perm, ek_projection,
+                                 exp_span, h_pq, iwasawa, realization,
+                                 root_entry, root_matrix, sample_H, sample_span,
+                                 sample_unipotent, span_form)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import iwasawa_by_matmul, iwasawa_exact
-from paper_claims import (NotInNP, default_z_q, factor_nilpotent,
-                          unipotent_log)
-from reference import contains, sigma_grp
+from paper_claims import (NotInNP, NotUnipotent, default_z_q, exp_nilpotent,
+                          factor_nilpotent, unipotent_log)
+from reference import contains, exp_h, sigma_grp, sl2_triple, span_form_exact
 
 
 def _np_vec(v) -> np.ndarray:
@@ -184,6 +185,26 @@ def test_iwasawa_rejects_bad_input(rz_sl3):
                 iwasawa(rz_sl3, x, Q)
 
 
+def _nilpotent_spans(rz: Realization) -> list[np.ndarray]:
+    """The spans sample_unipotent draws from: the sigma-fixed nilpotent
+    radicals of sample_NPH and the N_Q cap bar-N_P supports of the gk
+    check, over every pair of positive systems."""
+    systems = all_positive_systems(rz.datum)
+    bases = [nph_basis(rz, P) for P in systems]
+    bases += [[root_matrix(rz.dim, a) for a in sorted(Q.positive & P.negative)]
+              for P in systems for Q in systems]
+    return [np.stack(b) for b in bases if len(b)]
+
+
+def _h_span(rz: Realization) -> tuple[np.ndarray, np.ndarray]:
+    basis = np.stack(rz.h_basis)
+    return basis, span_form(basis)
+
+
+def _combine(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    return np.einsum("ck,kij->cij", t, basis)
+
+
 def test_exp_nilpotent_matches_expm_on_triangular_batches():
     rng = np.random.Generator(np.random.PCG64(40))
     for n in (3, 4):
@@ -193,21 +214,23 @@ def test_exp_nilpotent_matches_expm_on_triangular_batches():
 
 
 def test_exp_nilpotent_matches_expm_on_the_checked_supports(rz):
-    """The sigma-fixed nilpotent radicals sampled by sample_NPH and the
-    N_Q cap bar-N_P supports of the gk check, at the scales they use."""
+    """On the spans sample_unipotent draws from, exp_span is bit for bit the
+    series I + N + N^2/2 + ..., and within 1e-14 of expm, at the scales the
+    checks use and far outside them."""
     rng = np.random.Generator(np.random.PCG64(41))
-    systems = all_positive_systems(rz.datum)
-    bases = []
-    for P in systems:
-        bases.append(nph_basis(rz, P))
-        for Q in systems:
-            bases.append([root_matrix(rz.dim, a)
-                          for a in sorted(Q.positive & P.negative)])
-    bases = [np.stack(b) for b in bases if len(b)]
-    assert bases
-    for B in bases:
-        Y = np.einsum("ck,kij->cij", rng.normal(0.0, 2.0, size=(100, len(B))), B)
-        assert np.abs(exp_nilpotent(Y) - expm(Y)).max() < 1e-14
+    spans = _nilpotent_spans(rz)
+    assert spans
+    for B in spans:
+        Q = span_form(B)
+        assert not Q.any()
+        t = rng.normal(0.0, 2.0, size=(100, len(B)))
+        N = _combine(t, B)
+        E = exp_span(t, B, Q)
+        assert np.array_equal(E, exp_nilpotent(N))
+        assert np.abs(E - expm(N)).max() < 1e-14
+        for scale in (1e-80, 1e80):
+            assert np.array_equal(exp_span(scale * t, B, Q),
+                                  exp_nilpotent(scale * N))
 
 
 def test_exp_nilpotent_is_exact_at_zero_and_rejects_non_nilpotent():
@@ -221,13 +244,14 @@ def test_exp_nilpotent_is_exact_at_zero_and_rejects_non_nilpotent():
         exp_nilpotent(np.stack([np.zeros((3, 3)), np.diag([1.0, -1.0, 0.0])]))
 
 
-def _h_elements(rz: Realization, radius: float, count: int, seed: int
-                ) -> np.ndarray:
-    """count elements of h of Frobenius norm radius, in random directions."""
+def _h_coefficients(rz: Realization, radius: float, count: int, seed: int
+                    ) -> np.ndarray:
+    """count coefficient rows over the h-basis, of elements of Frobenius norm
+    radius in random directions."""
     basis = np.stack(rz.h_basis)
-    coef = np.random.default_rng(seed).normal(size=(count, len(basis)))
-    Y = np.einsum("ck,kij->cij", coef, basis)
-    return radius * Y / np.sqrt(np.sum(Y * Y, axis=(-2, -1)))[:, None, None]
+    t = np.random.default_rng(seed).normal(size=(count, len(basis)))
+    Y = _combine(t, basis)
+    return radius * t / np.sqrt(np.sum(Y * Y, axis=(-2, -1)))[:, None]
 
 
 def _relative_deviation(A: np.ndarray, B: np.ndarray) -> float:
@@ -238,92 +262,158 @@ def _relative_deviation(A: np.ndarray, B: np.ndarray) -> float:
 
 @pytest.mark.parametrize("radius", [1e-3, 1.0, 2.0, 4.0, 8.0])
 def test_exp_h_matches_expm_on_h(rz, radius):
-    Y = _h_elements(rz, radius, 300, seed=43)
-    assert _relative_deviation(exp_h(Y), expm(Y)) <= 1e-11
-    assert _relative_deviation(exp_h(Y[0]), expm(Y[0])) <= 1e-11
+    B, Q = _h_span(rz)
+    t = _h_coefficients(rz, radius, 300, seed=43)
+    Y = _combine(t, B)
+    assert _relative_deviation(exp_span(t, B, Q), expm(Y)) <= 1e-11
+    assert _relative_deviation(exp_span(t[:1], B, Q)[0], expm(Y[0])) <= 1e-11
+
+
+def test_exp_h_matches_the_per_draw_form(rz):
+    """c from the span's form against c read from Y^3 matrix by matrix."""
+    B, Q = _h_span(rz)
+    for k, radius in enumerate((0.5, 2.0, 4.0, 8.0)):
+        t = _h_coefficients(rz, radius, 2000, seed=52 + k)
+        assert _relative_deviation(exp_span(t, B, Q),
+                                   exp_h(_combine(t, B))) <= 1e-14
+
+
+def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
+    for name in ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2"):
+        B, Q = _h_span(realization(name))
+        n = B.shape[-1]
+        eye = np.broadcast_to(np.eye(n), (5, n, n))
+        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, Q), eye)
+        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, Q, 1.0), eye)
+        assert exp_span(np.zeros((0, len(B))), B, Q).shape == (0, n, n)
+        empty = np.zeros((0, n, n))
+        assert np.array_equal(
+            exp_span(np.zeros((5, 0)), empty, span_form(empty)), eye)
+    # the strictly upper triangular span of sl(3) has Y^3 = 0
+    upper = np.eye(9)[[1, 2, 5]].reshape(3, 3, 3)      # E_01, E_02, E_12
+    t = np.random.default_rng(44).normal(size=(100, 3))
+    assert np.array_equal(exp_span(t, upper, span_form(upper)),
+                          exp_nilpotent(_combine(t, upper)))
 
 
 def test_exp_h_on_compact_light_like_and_near_zero_c(rz_sl3, rz_group,
                                                       rz_kostant):
-    rot, boost1, boost2 = rz_sl3.h_basis
-    H, e, f = rz_group.h_basis
+    # sl3_so21: rot, boost1, boost2; group_sl2: H, e, f
+    sl3, group = rz_sl3, rz_group
     cases = {
-        "c < 0, so(2)": 3.0 * rot,
-        "c < 0, kostant": 5.0 * rz_kostant.h_basis[0],
-        "c = 0, so(2,1) light-like": rot + boost1,
-        "c = 0, so(2,1) light-like, scaled": 2.5 * (rot - boost2),
-        "c = 0, diagonal sl2 light-like": H + e - f,
-        "c = 0, nilpotent e": 3.0 * e,
+        "c < 0, so(2)": (sl3, (3.0, 0.0, 0.0)),
+        "c < 0, kostant": (rz_kostant, (5.0,)),
+        "c = 0, so(2,1) light-like": (sl3, (1.0, 1.0, 0.0)),
+        "c = 0, so(2,1) light-like, scaled": (sl3, (2.5, 0.0, -2.5)),
+        "c = 0, diagonal sl2 light-like": (group, (1.0, 1.0, -1.0)),
+        "c = 0, nilpotent e": (group, (0.0, 3.0, 0.0)),
     }
     for s in (0.5e-3, 0.999e-3, 1e-3, 1.001e-3, 2e-3):
-        cases[f"c = {s * s:.3g}"] = s * boost1
-        cases[f"c = -{s * s:.3g}"] = s * rot
-        cases[f"c = {s * s:.3g}, mixed"] = s * (rot + np.sqrt(2.0) * boost2)
-    for label, Y in cases.items():
-        assert _relative_deviation(exp_h(Y), expm(Y)) <= 1e-14, label
-    # a light-like Y has Y^3 = 0, so exp Y = I + Y + Y^2/2 with no rounding
-    for Y in (rot + boost1, H + e - f):
-        assert np.array_equal(exp_h(Y), np.eye(len(Y)) + Y + Y @ Y / 2)
-
-
-def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
-    for n in (2, 3, 4):
-        assert np.array_equal(exp_h(np.zeros((n, n))), np.eye(n))
-        assert np.array_equal(exp_h(np.zeros((5, n, n))),
-                              np.broadcast_to(np.eye(n), (5, n, n)))
-    assert exp_h(np.zeros((0, 3, 3))).shape == (0, 3, 3)
-    N = np.triu(np.random.default_rng(44).normal(size=(100, 3, 3)), 1)
-    assert np.array_equal(exp_h(N), exp_nilpotent(N))
+        cases[f"c = {s * s:.3g}"] = (sl3, (0.0, s, 0.0))
+        cases[f"c = -{s * s:.3g}"] = (sl3, (s, 0.0, 0.0))
+        cases[f"c = {s * s:.3g}, mixed"] = (sl3, (s, 0.0, np.sqrt(2.0) * s))
+    for label, (rz, t) in cases.items():
+        B, Q = _h_span(rz)
+        t = np.array([t])
+        Y = _combine(t, B)[0]
+        assert _relative_deviation(exp_span(t, B, Q)[0], expm(Y)) <= 1e-14, label
+        if label.startswith("c = 0"):
+            # Y^3 = 0, so exp Y = I + Y + Y^2/2 with no rounding
+            assert np.array_equal(exp_span(t, B, Q)[0],
+                                  np.eye(len(Y)) + Y + Y @ Y / 2), label
 
 
 @pytest.mark.filterwarnings("error")
 def test_exp_h_of_a_huge_square_zero_matrix_is_one_plus_it():
     # there m^2 f2 overflows, and its product with U^2 = 0 once gave nan
-    for n in (2, 3):
-        N = np.zeros((n, n))
-        N[0, n - 1] = 1e200
-        assert np.array_equal(exp_h(N), np.eye(n) + N)
-        assert np.array_equal(exp_h(np.stack([N, -N, np.zeros((n, n))])),
-                              np.stack([np.eye(n) + N, np.eye(n) - N, np.eye(n)]))
+    for n in (2, 3, 4):
+        corner = np.zeros((1, n, n))
+        corner[0, 0, n - 1] = 1.0
+        for B, t in ((corner, np.array([[1e200], [-1e200], [0.0]])),
+                     (sl2_triple(n), np.array([[0.0, 1e200, 0.0],
+                                                [0.0, -1e200, 0.0],
+                                                [0.0, 0.0, 0.0]]))):
+            N = _combine(t, B)
+            assert np.array_equal(exp_span(t, B, span_form(B)), np.eye(n) + N)
 
 
 def test_exp_h_rejects_matrices_outside_the_class():
-    generic = np.random.default_rng(45).normal(size=(3, 3))
-    with pytest.raises(NotCubic):
-        exp_h(generic)
-    # one bad matrix in a batch of good ones, and a small one
-    with pytest.raises(NotCubic):
-        exp_h(np.stack([np.zeros((3, 3)), 1e-3 * generic]))
-    N = np.triu(np.ones((4, 4)), 1)          # N^3 != 0
-    with pytest.raises(NotCubic):
-        exp_h(N)
+    diagonal = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])])
+    upper = np.stack([root_matrix(4, a) for a in
+                      [(1, -1, 0, 0), (0, 1, -1, 0), (0, 0, 1, -1)]])
+    generic = np.random.default_rng(45).integers(-3, 4, size=(1, 3, 3))
+    for B in (diagonal, upper, generic.astype(float)):
+        with pytest.raises(NotCubic):
+            span_form(B)
+        with pytest.raises(NotCubic):
+            span_form_exact(B)
+    # each element alone is of the class; their span is not
+    assert span_form(diagonal[:1]).tolist() == [[1.0]]
+    with pytest.raises(ValueError, match="integer"):
+        span_form(0.5 * diagonal)
+
+
+def test_a_span_outside_the_class_is_rejected_before_any_draw(rz_sl3):
+    diagonal = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])])
+    draws = (lambda rng: sample_span(rz_sl3, diagonal, 1.0, 8, rng),
+             lambda rng: sample_unipotent(diagonal, 1.0, 8, rng))
+    for draw in draws:
+        rng = np.random.default_rng(70)
+        state = rng.bit_generator.state
+        with pytest.raises(NotCubic):
+            draw(rng)
+        assert rng.bit_generator.state == state
+
+
+def test_span_form_agrees_with_the_fraction_form(rz):
+    """On every span a check draws from: h, the centralizer of every tie
+    pattern in h, the nilpotent spans; and the centralizers inherit
+    C Q_h C^T from the coordinates C of h_x_coords."""
+    h, Q_h = _h_span(rz)
+    assert not Q_h.flags.writeable
+    centralizers = []
+    for X in itertools.product(range(rz.dim), repeat=rz.dim):
+        C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)]
+                     ).reshape(-1, len(h))
+        centralizers.append((_combine(C, h), C @ Q_h @ C.T))
+    spans = [(h, Q_h)] + centralizers + [(B, None) for B in _nilpotent_spans(rz)]
+    for B, inherited in spans:
+        exact = np.array([[float(q) for q in row] for row in span_form_exact(B)]
+                         ).reshape(len(B), len(B))
+        assert np.array_equal(span_form(B), exact)
+        if inherited is not None:
+            assert np.array_equal(inherited, exact)
 
 
 def test_exp_h_inverse_is_exp_h_of_minus(rz):
+    B, Q = _h_span(rz)
     for radius in (1.0, 4.0):
-        Y = _h_elements(rz, radius, 200, seed=46)
-        prod = exp_h(Y) @ exp_h(-Y)
+        t = _h_coefficients(rz, radius, 200, seed=46)
+        prod = exp_span(t, B, Q) @ exp_span(-t, B, Q)
         bound = 1e-14 * np.exp(2.0 * radius)
         assert np.abs(prod - np.eye(rz.dim)).max() <= bound
 
 
 def test_exp_h_blocks_match_one_matrix_at_a_time(rz_sl3):
-    Y = _h_elements(rz_sl3, 3.0, 2 * BLOCK + 1, seed=47)
-    batch = exp_h(Y)
-    assert np.array_equal(batch, np.stack([exp_h(y) for y in Y]))
-    assert np.array_equal(exp_h(Y.reshape(3, -1, 3, 3)),
-                          batch.reshape(3, -1, 3, 3))
+    B, Q = _h_span(rz_sl3)
+    t = _h_coefficients(rz_sl3, 3.0, 2 * BLOCK + 1, seed=47)
+    for radius in (None, 2.0):
+        batch = exp_span(t, B, Q, radius)
+        assert np.array_equal(batch, np.concatenate(
+            [exp_span(t[i:i + 1], B, Q, radius) for i in range(len(t))]))
 
 
 def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
-    """Temporaries live one block at a time: the peak of twice the batch
-    exceeds the smaller peak by the extra output, not by a few copies."""
-    Y = _h_elements(rz_sl3, 4.0, 100_000, seed=48)
+    """Y is formed in the output and the temporaries live one block at a
+    time: the peak of twice the batch exceeds the smaller peak by the extra
+    output, not by a few copies."""
+    B, Q = _h_span(rz_sl3)
+    t = _h_coefficients(rz_sl3, 4.0, 100_000, seed=48)
     peaks = []
     for k in (50_000, 100_000):
         tracemalloc.start()
         try:
-            exp_h(Y[:k])
+            exp_span(t[:k], B, Q)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -333,46 +423,51 @@ def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
 
 @pytest.mark.filterwarnings("error")
 def test_exp_h_is_scale_free_far_below_one(rz):
-    """c and the class test are formed on Y / max|Y|: on the raw entries
-    <Y^3, Y> is subnormal at 1e-80 and zero at 1e-200."""
-    basis = np.stack(rz.h_basis)
-    mixed = np.einsum("cd,dij->cij",
-                      np.random.default_rng(51).normal(size=(20, len(basis))), basis)
-    for scale in (1e-59, 1e-61, 1e-80, 1e-120, 1e-200, 1e-300):
-        for Y in (scale * basis, scale * mixed):
-            E = exp_h(Y)
+    """c is formed from t / max|Y|: from the raw t, t^T Q t is subnormal at
+    1e-160 and zero at 1e-200."""
+    B, Q = _h_span(rz)
+    mixed = np.random.default_rng(51).normal(size=(20, len(B)))
+    for scale in (1e-59, 1e-61, 1e-80, 1e-120, 1e-160, 1e-200, 1e-300):
+        for t in (scale * np.eye(len(B)), scale * mixed):
+            E = exp_span(t, B, Q)
+            Y = _combine(t, B)
             assert _relative_deviation(E, expm(Y)) <= 1e-15, scale
             assert np.abs(E - np.eye(rz.dim)).max() <= 4.0 * scale
 
 
 @pytest.mark.filterwarnings("error")
 def test_exp_h_raises_singular_input_outside_double_range(rz):
-    basis0 = rz.h_basis[0]
-    for Y in (np.full_like(basis0, np.nan), np.where(basis0 != 0, np.inf, 0.0)):
+    B, Q = _h_span(rz)
+    for bad in (np.nan, np.inf, -np.inf):
+        t = np.zeros((2, len(B)))
+        t[1, 0] = bad
         with pytest.raises(SingularInput):
-            exp_h(np.stack([np.zeros_like(Y), Y]))
+            exp_span(t, B, Q)
     # a hyperbolic element: a finite exponent, an exponential past double range
-    hyperbolic = [b for b in rz.h_basis if np.abs(b @ b @ b - b).max() == 0]
-    for b in hyperbolic:
-        assert np.all(np.isfinite(exp_h(700.0 * b)))
+    for k in np.nonzero(np.diagonal(Q) > 0)[0]:
+        unit = np.eye(len(B))[k]
+        assert np.all(np.isfinite(exp_span(700.0 * unit[None], B, Q)))
         for big in (720.0, 1e100, 1e200, 1e300):
             with pytest.raises(SingularInput):
-                exp_h(np.stack([b, big * b]))
+                exp_span(np.stack([unit, big * unit]), B, Q)
     # a compact element: a rotation at every finite scale
-    compact = [b for b in rz.h_basis if np.abs(b @ b @ b + b).max() == 0]
-    for b in compact:
-        for big in (1e70, 1e100, 1e300):
-            E = exp_h(big * b)
+    for k in np.nonzero(np.diagonal(Q) < 0)[0]:
+        unit = np.eye(len(B))[k]
+        for big in (1e70, 1e100, 1e154, 1e300):
+            E = exp_span(big * unit[None], B, Q)[0]
             assert np.abs(E @ E.T - np.eye(rz.dim)).max() <= 1e-15
 
 
 def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
     lengths = np.array([0.5, 3.0, 1e-80, 40.0, 1e100])
-    Y = _h_elements(rz, 1.0, len(lengths), seed=50) * lengths[:, None, None]
+    Y = _combine(_h_coefficients(rz, 1.0, len(lengths), seed=50),
+                 np.stack(rz.h_basis)) * lengths[:, None, None]
     for radius in (2.0, 1e-90, 1e120):
         plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        expected = Y * np.where(plain > radius, radius / plain, 1.0)[:, None, None]
-        assert np.array_equal(_clip(Y.copy(), radius), expected)
+        scale = np.where(plain > radius, radius / plain, 1.0)
+        clipped = Y.copy()
+        assert np.array_equal(_clip(clipped, radius), scale)
+        assert np.array_equal(clipped, Y * scale[:, None, None])
 
 
 def test_center_signs_are_the_diagonals_of_the_center(rz):

@@ -5,8 +5,7 @@ import pytest
 from orbitcone import exactlin as ex
 from orbitcone.rootsys import (BadMultiplicity, NotAnInvolution,
                                build_pair_datum, covector_action, indivisible,
-                               reflection_matrix, restricted_roots,
-                               weyl_group, weyl_orbit)
+                               reflection_matrix, weyl_group, weyl_orbit)
 
 A_DIMS = {"kostant_sl2": 1, "sl2_so11": 1, "sl3_so21": 2, "group_sl2": 2}
 AQ_DIMS = {"kostant_sl2": 1, "sl2_so11": 1, "sl3_so21": 2, "group_sl2": 1}

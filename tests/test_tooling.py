@@ -1,4 +1,4 @@
-"""Static checks over the package sources."""
+"""Static checks over the package sources and the tests."""
 import ast
 import json
 import subprocess
@@ -10,6 +10,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orbitcone"
+TESTS = ROOT / "tests"
 
 # Definitions that nothing in the package reads, kept because the
 # acceptance tests check them as claims of the paper.  Each is a method or
@@ -93,7 +94,8 @@ def _unused_imports(tree: ast.Module) -> list[str]:
             if name not in read]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py")),
+                         ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert _unused_imports(ast.parse(path.read_text())) == []
 
