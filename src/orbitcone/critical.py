@@ -28,7 +28,7 @@ from scipy.linalg import expm
 from . import exactlin as ex
 from .exactlin import Mat, Vec
 from .matrixgrp import (Realization, a_matrix, ek_projection, h_pq, root_matrix,
-                        sample_span, sample_unipotent, span_form)
+                        sample_span, sample_unipotent)
 from .parabolic import PositiveSystem
 from .polyhedra import Polyhedron, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
@@ -129,16 +129,20 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
     """Basis of the sigma-fixed part of the nilpotent radical."""
     P = P if P is not None else rz.base_parabolic
     out = []
+    seen = set()
     for alpha in sorted(P.classification.sigma_part):
-        sa = rz.datum.sigma_root(alpha)
-        if sa < alpha:          # sigma_part is sigma-stable: one per pair
+        if alpha in seen:
             continue
+        sa = rz.datum.sigma_root(alpha)
+        seen.add(alpha)
+        seen.add(sa)
         E = root_matrix(rz.dim, alpha)
         sE = rz.sigma_alg(E)
-        if sa != alpha:
-            out.append(E + sE)
-        elif np.abs(sE - E).max() < 1e-12:
-            out.append(E)
+        if sa == alpha:
+            if np.abs(sE - E).max() < 1e-12:
+                out.append(E)
+            continue
+        out.append(E + sE)
     return tuple(out)
 
 
@@ -379,21 +383,19 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
 
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seed) -> np.ndarray:
-    """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra
-    C h, C the coordinates of h_x_coords; its form C Q_h C^T needs no check."""
-    h = np.stack(rz.h_basis)
-    C = np.array(h_x_coords(rz, X), dtype=float).reshape(-1, len(h))
-    return sample_span(rz, np.einsum("kd,dij->kij", C, h), radius, count, seed,
-                       form=C @ span_form(h) @ C.T)
+    """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra."""
+    C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)])
+    basis = np.einsum("kd,dij->kij", C.reshape(-1, len(rz.h_basis)),
+                      np.stack(rz.h_basis))
+    return sample_span(rz, basis, radius, count, seed)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem | None = None,
                radius: float = 1.0, count: int = 1, seed=0) -> np.ndarray:
     """Draw unipotent elements fixed by the involution."""
-    basis = nph_basis(rz, P)
-    if not basis:
-        return np.tile(np.eye(rz.dim), (count, 1, 1))
-    return sample_unipotent(np.stack(basis), radius, count, seed)
+    P = P if P is not None else rz.base_parabolic
+    basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
+    return sample_unipotent(basis, radius, count, seed)
 
 
 # --- vanishing patterns -----------------------------------------------------

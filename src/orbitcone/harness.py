@@ -27,7 +27,7 @@ from .critical import (F, NotRegular, critical_value, ensure_in_aq,
                        transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, SingularInput, a_matrix, exp_span,
                         h_pq, iwasawa, realization, root_matrix, sample_H,
-                        sample_unipotent, span_form)
+                        sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -353,12 +353,14 @@ class Tally:
 
 def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     """Deterministic probes: Weyl representatives, center components, and
-    rank-one rays from every vertex along every cone-generator root: exp of
-    +-r (E + sigma E) for each radius r, one E per root."""
-    Es = [root_matrix(rz.dim, a) for a in sorted(P.classification.minus_part)]
-    basis = np.array([E + rz.sigma_alg(E) for E in Es]).reshape(-1, rz.dim, rz.dim)
-    ts = np.array([t for r in radii for t in (r, -r)])
-    rays = exp_span(np.kron(np.eye(len(basis)), ts[:, None]), basis, span_form(basis))
+    rank-one rays from every vertex along every cone-generator root."""
+    ts = np.array([[t] for r in radii for t in (r, -r)])
+    rays = [np.empty((0, rz.dim, rz.dim))]
+    for alpha in sorted(P.classification.minus_part):
+        E = root_matrix(rz.dim, alpha)
+        U = E + rz.sigma_alg(E)
+        rays.append(exp_span(ts, U[None]))
+    rays = np.concatenate(rays)
     mats = [np.eye(rz.dim)[None]]
     for xw in rz.weyl_reps.values():
         mats.append(xw @ np.stack(rz.z_reps))
@@ -435,8 +437,11 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     a_exact = _require_regular(rz, cfg)
     t1, t2 = float(a_exact[0]), float(a_exact[1])
     phi = np.linspace(0.0, np.pi / 2, 1000)
-    rot = np.stack(rz.h_basis)              # k = exp(phi rot) is the rotation
-    ks = exp_span(phi[:, None], rot, span_form(rot))
+    ks = np.zeros((len(phi), 2, 2))
+    ks[:, 0, 0] = np.cos(phi)
+    ks[:, 0, 1] = -np.sin(phi)
+    ks[:, 1, 0] = np.sin(phi)
+    ks[:, 1, 1] = np.cos(phi)
     a = a_matrix(np.exp(np.array([t1, t2])))
     vals = h_pq(rz, a @ ks)[:, 0]
     closed = 0.5 * np.log(np.exp(2 * t1) * np.cos(phi) ** 2

@@ -429,18 +429,19 @@ def _span_form(shape: tuple, data: bytes) -> np.ndarray:
 _SERIES_C = 1e-6
 
 
-def exp_span(t, basis: np.ndarray, form: np.ndarray, radius: float | None = None
-             ) -> np.ndarray:
+def exp_span(t, basis: np.ndarray, radius: float | None = None) -> np.ndarray:
     """exp Y for Y = sum_k t[:, k] basis[k], one per row of t (count, k), on
-    a span with Y^3 = c Y for c = t^T form t (the form of span_form):
+    a span with Y^3 = c Y for c = t^T Q t, Q = span_form(basis):
     I + f1(c) Y + f2(c) Y^2 with f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c for
     s = sqrt(c), sin for sinh when c < 0 (the hyperbolic Rodrigues formula).
-    On a span with Y^3 = 0 the form is 0, and exp Y is exactly I + Y + Y^2/2.
+    On a span with Y^3 = 0, Q is 0, and exp Y is exactly I + Y + Y^2/2.
     With radius, _clip first scales each Y down to norm radius, and its row
     of t with it.  Zero gives exactly I.  Y is formed in the output, and
-    overwritten BLOCK rows at a time.  Raises SingularInput when a clip norm
-    or exp Y is not finite in double precision."""
+    overwritten BLOCK rows at a time.  Raises NotCubic as span_form does,
+    SingularInput when a clip norm or exp Y is not finite in double
+    precision."""
     t = np.asarray(t, dtype=float)
+    form = span_form(basis)
     with np.errstate(over="ignore", invalid="ignore"):
         out = np.einsum("cd,dij->cij", t, basis)
         if radius is not None:
@@ -535,21 +536,21 @@ def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
 
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seed, form: np.ndarray | None = None) -> np.ndarray:
+                seed) -> np.ndarray:
     """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
-    clipped to |Y| <= radius, z a uniform center component.  exp is exp_span
-    with form, by default span_form(basis), checked before any draw.  z is
-    diagonal +-1, applied in place as the row signs rz.z_signs.  No Gaussian
-    is drawn when the span is zero.  seed is anything np.random.default_rng
-    takes; an int gives the stream of PCG64(seed).  Raises NotCubic when the
-    span has no form, SingularInput when the draw leaves double range,
-    ValueError when a center component is not a diagonal sign matrix."""
+    clipped to |Y| <= radius, z a uniform center component.  exp is exp_span,
+    the span checked by span_form before any draw.  z is diagonal +-1,
+    applied in place as the row signs rz.z_signs.  No Gaussian is drawn when
+    the span is zero.  seed is anything np.random.default_rng takes; an int
+    gives the stream of PCG64(seed).  Raises NotCubic when the span has no
+    form, SingularInput when the draw leaves double range, ValueError when a
+    center component is not a diagonal sign matrix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    form = span_form(basis) if form is None else form
+    span_form(basis)
     rng = np.random.default_rng(seed)
     coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-    E = exp_span(coef, basis, form, radius)
+    E = exp_span(coef, basis, radius)
     E *= rz.z_signs[rng.integers(0, len(rz.z_reps), size=count)][:, :, None]
     return E
 
@@ -564,10 +565,9 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
     """Draw count elements exp(Y), Y = sum_k c_k basis[k] over a nilpotent
     span (k, n, n), the c_k Gaussian with deviation radius / 2; seed as in
     sample_span, and the span checked before any draw."""
-    form = span_form(basis)
+    span_form(basis)
     rng = np.random.default_rng(seed)
-    return exp_span(rng.normal(0.0, radius / 2.0, size=(count, len(basis))),
-                    basis, form)
+    return exp_span(rng.normal(0.0, radius / 2.0, size=(count, len(basis))), basis)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

@@ -243,10 +243,11 @@ def exp_h(Y):
         return _finite(_rodrigues_dense(U, cu, m)).reshape(Y.shape)
 
 
-def exp_span_dense(t, basis, Q, radius=None):
+def exp_span_dense(t, basis, radius=None):
     """matrixgrp.exp_span in one block, with the clip norm from np.sum and
     maxima over the two matrix axes."""
     t = np.array(t, dtype=float)
+    Q = span_form(basis)
     n = basis.shape[-1]
     Y = np.einsum("cd,dij->cij", t, basis)
     if radius is not None:
@@ -268,7 +269,7 @@ def sample_span_dense(rz, basis, radius, count, seed):
     the matrix product z @ exp(Y)."""
     rng = np.random.default_rng(seed)
     coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-    E = exp_span_dense(coef, basis, span_form(basis), radius)
+    E = exp_span_dense(coef, basis, radius)
     zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
     return zs @ E
 

@@ -196,11 +196,6 @@ def _nilpotent_spans(rz: Realization) -> list[np.ndarray]:
     return [np.stack(b) for b in bases if len(b)]
 
 
-def _h_span(rz: Realization) -> tuple[np.ndarray, np.ndarray]:
-    basis = np.stack(rz.h_basis)
-    return basis, span_form(basis)
-
-
 def _combine(t: np.ndarray, basis: np.ndarray) -> np.ndarray:
     return np.einsum("ck,kij->cij", t, basis)
 
@@ -221,15 +216,14 @@ def test_exp_nilpotent_matches_expm_on_the_checked_supports(rz):
     spans = _nilpotent_spans(rz)
     assert spans
     for B in spans:
-        Q = span_form(B)
-        assert not Q.any()
+        assert not span_form(B).any()
         t = rng.normal(0.0, 2.0, size=(100, len(B)))
         N = _combine(t, B)
-        E = exp_span(t, B, Q)
+        E = exp_span(t, B)
         assert np.array_equal(E, exp_nilpotent(N))
         assert np.abs(E - expm(N)).max() < 1e-14
         for scale in (1e-80, 1e80):
-            assert np.array_equal(exp_span(scale * t, B, Q),
+            assert np.array_equal(exp_span(scale * t, B),
                                   exp_nilpotent(scale * N))
 
 
@@ -262,37 +256,35 @@ def _relative_deviation(A: np.ndarray, B: np.ndarray) -> float:
 
 @pytest.mark.parametrize("radius", [1e-3, 1.0, 2.0, 4.0, 8.0])
 def test_exp_h_matches_expm_on_h(rz, radius):
-    B, Q = _h_span(rz)
+    B = np.stack(rz.h_basis)
     t = _h_coefficients(rz, radius, 300, seed=43)
     Y = _combine(t, B)
-    assert _relative_deviation(exp_span(t, B, Q), expm(Y)) <= 1e-11
-    assert _relative_deviation(exp_span(t[:1], B, Q)[0], expm(Y[0])) <= 1e-11
+    assert _relative_deviation(exp_span(t, B), expm(Y)) <= 1e-11
+    assert _relative_deviation(exp_span(t[:1], B)[0], expm(Y[0])) <= 1e-11
 
 
 def test_exp_h_matches_the_per_draw_form(rz):
     """c from the span's form against c read from Y^3 matrix by matrix."""
-    B, Q = _h_span(rz)
+    B = np.stack(rz.h_basis)
     for k, radius in enumerate((0.5, 2.0, 4.0, 8.0)):
         t = _h_coefficients(rz, radius, 2000, seed=52 + k)
-        assert _relative_deviation(exp_span(t, B, Q),
+        assert _relative_deviation(exp_span(t, B),
                                    exp_h(_combine(t, B))) <= 1e-14
 
 
 def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
     for name in ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2"):
-        B, Q = _h_span(realization(name))
+        B = np.stack(realization(name).h_basis)
         n = B.shape[-1]
         eye = np.broadcast_to(np.eye(n), (5, n, n))
-        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, Q), eye)
-        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, Q, 1.0), eye)
-        assert exp_span(np.zeros((0, len(B))), B, Q).shape == (0, n, n)
-        empty = np.zeros((0, n, n))
-        assert np.array_equal(
-            exp_span(np.zeros((5, 0)), empty, span_form(empty)), eye)
+        assert np.array_equal(exp_span(np.zeros((5, len(B))), B), eye)
+        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, 1.0), eye)
+        assert exp_span(np.zeros((0, len(B))), B).shape == (0, n, n)
+        assert np.array_equal(exp_span(np.zeros((5, 0)), np.zeros((0, n, n))), eye)
     # the strictly upper triangular span of sl(3) has Y^3 = 0
     upper = np.eye(9)[[1, 2, 5]].reshape(3, 3, 3)      # E_01, E_02, E_12
     t = np.random.default_rng(44).normal(size=(100, 3))
-    assert np.array_equal(exp_span(t, upper, span_form(upper)),
+    assert np.array_equal(exp_span(t, upper),
                           exp_nilpotent(_combine(t, upper)))
 
 
@@ -313,13 +305,13 @@ def test_exp_h_on_compact_light_like_and_near_zero_c(rz_sl3, rz_group,
         cases[f"c = -{s * s:.3g}"] = (sl3, (s, 0.0, 0.0))
         cases[f"c = {s * s:.3g}, mixed"] = (sl3, (s, 0.0, np.sqrt(2.0) * s))
     for label, (rz, t) in cases.items():
-        B, Q = _h_span(rz)
+        B = np.stack(rz.h_basis)
         t = np.array([t])
         Y = _combine(t, B)[0]
-        assert _relative_deviation(exp_span(t, B, Q)[0], expm(Y)) <= 1e-14, label
+        assert _relative_deviation(exp_span(t, B)[0], expm(Y)) <= 1e-14, label
         if label.startswith("c = 0"):
             # Y^3 = 0, so exp Y = I + Y + Y^2/2 with no rounding
-            assert np.array_equal(exp_span(t, B, Q)[0],
+            assert np.array_equal(exp_span(t, B)[0],
                                   np.eye(len(Y)) + Y + Y @ Y / 2), label
 
 
@@ -334,7 +326,7 @@ def test_exp_h_of_a_huge_square_zero_matrix_is_one_plus_it():
                                                 [0.0, -1e200, 0.0],
                                                 [0.0, 0.0, 0.0]]))):
             N = _combine(t, B)
-            assert np.array_equal(exp_span(t, B, span_form(B)), np.eye(n) + N)
+            assert np.array_equal(exp_span(t, B), np.eye(n) + N)
 
 
 def test_exp_h_rejects_matrices_outside_the_class():
@@ -347,6 +339,8 @@ def test_exp_h_rejects_matrices_outside_the_class():
             span_form(B)
         with pytest.raises(NotCubic):
             span_form_exact(B)
+        with pytest.raises(NotCubic):
+            exp_span(np.ones((1, len(B))), B)
     # each element alone is of the class; their span is not
     assert span_form(diagonal[:1]).tolist() == [[1.0]]
     with pytest.raises(ValueError, match="integer"):
@@ -366,54 +360,50 @@ def test_a_span_outside_the_class_is_rejected_before_any_draw(rz_sl3):
 
 
 def test_span_form_agrees_with_the_fraction_form(rz):
-    """On every span a check draws from: h, the centralizer of every tie
-    pattern in h, the nilpotent spans; and the centralizers inherit
-    C Q_h C^T from the coordinates C of h_x_coords."""
-    h, Q_h = _h_span(rz)
-    assert not Q_h.flags.writeable
-    centralizers = []
+    """On every span a check draws from: h, the centralizer C h of every tie
+    pattern, C the coordinates of h_x_coords, and the nilpotent spans."""
+    h = np.stack(rz.h_basis)
+    assert not span_form(h).flags.writeable
+    spans = [h] + _nilpotent_spans(rz)
     for X in itertools.product(range(rz.dim), repeat=rz.dim):
         C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)]
                      ).reshape(-1, len(h))
-        centralizers.append((_combine(C, h), C @ Q_h @ C.T))
-    spans = [(h, Q_h)] + centralizers + [(B, None) for B in _nilpotent_spans(rz)]
-    for B, inherited in spans:
+        spans.append(_combine(C, h))
+    for B in spans:
         exact = np.array([[float(q) for q in row] for row in span_form_exact(B)]
                          ).reshape(len(B), len(B))
         assert np.array_equal(span_form(B), exact)
-        if inherited is not None:
-            assert np.array_equal(inherited, exact)
 
 
 def test_exp_h_inverse_is_exp_h_of_minus(rz):
-    B, Q = _h_span(rz)
+    B = np.stack(rz.h_basis)
     for radius in (1.0, 4.0):
         t = _h_coefficients(rz, radius, 200, seed=46)
-        prod = exp_span(t, B, Q) @ exp_span(-t, B, Q)
+        prod = exp_span(t, B) @ exp_span(-t, B)
         bound = 1e-14 * np.exp(2.0 * radius)
         assert np.abs(prod - np.eye(rz.dim)).max() <= bound
 
 
 def test_exp_h_blocks_match_one_matrix_at_a_time(rz_sl3):
-    B, Q = _h_span(rz_sl3)
+    B = np.stack(rz_sl3.h_basis)
     t = _h_coefficients(rz_sl3, 3.0, 2 * BLOCK + 1, seed=47)
     for radius in (None, 2.0):
-        batch = exp_span(t, B, Q, radius)
+        batch = exp_span(t, B, radius)
         assert np.array_equal(batch, np.concatenate(
-            [exp_span(t[i:i + 1], B, Q, radius) for i in range(len(t))]))
+            [exp_span(t[i:i + 1], B, radius) for i in range(len(t))]))
 
 
 def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
     """Y is formed in the output and the temporaries live one block at a
     time: the peak of twice the batch exceeds the smaller peak by the extra
     output, not by a few copies."""
-    B, Q = _h_span(rz_sl3)
+    B = np.stack(rz_sl3.h_basis)
     t = _h_coefficients(rz_sl3, 4.0, 100_000, seed=48)
     peaks = []
     for k in (50_000, 100_000):
         tracemalloc.start()
         try:
-            exp_span(t[:k], B, Q)
+            exp_span(t[:k], B)
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
@@ -425,11 +415,11 @@ def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
 def test_exp_h_is_scale_free_far_below_one(rz):
     """c is formed from t / max|Y|: from the raw t, t^T Q t is subnormal at
     1e-160 and zero at 1e-200."""
-    B, Q = _h_span(rz)
+    B = np.stack(rz.h_basis)
     mixed = np.random.default_rng(51).normal(size=(20, len(B)))
     for scale in (1e-59, 1e-61, 1e-80, 1e-120, 1e-160, 1e-200, 1e-300):
         for t in (scale * np.eye(len(B)), scale * mixed):
-            E = exp_span(t, B, Q)
+            E = exp_span(t, B)
             Y = _combine(t, B)
             assert _relative_deviation(E, expm(Y)) <= 1e-15, scale
             assert np.abs(E - np.eye(rz.dim)).max() <= 4.0 * scale
@@ -437,24 +427,25 @@ def test_exp_h_is_scale_free_far_below_one(rz):
 
 @pytest.mark.filterwarnings("error")
 def test_exp_h_raises_singular_input_outside_double_range(rz):
-    B, Q = _h_span(rz)
+    B = np.stack(rz.h_basis)
+    Q = span_form(B)
     for bad in (np.nan, np.inf, -np.inf):
         t = np.zeros((2, len(B)))
         t[1, 0] = bad
         with pytest.raises(SingularInput):
-            exp_span(t, B, Q)
+            exp_span(t, B)
     # a hyperbolic element: a finite exponent, an exponential past double range
     for k in np.nonzero(np.diagonal(Q) > 0)[0]:
         unit = np.eye(len(B))[k]
-        assert np.all(np.isfinite(exp_span(700.0 * unit[None], B, Q)))
+        assert np.all(np.isfinite(exp_span(700.0 * unit[None], B)))
         for big in (720.0, 1e100, 1e200, 1e300):
             with pytest.raises(SingularInput):
-                exp_span(np.stack([unit, big * unit]), B, Q)
+                exp_span(np.stack([unit, big * unit]), B)
     # a compact element: a rotation at every finite scale
     for k in np.nonzero(np.diagonal(Q) < 0)[0]:
         unit = np.eye(len(B))[k]
         for big in (1e70, 1e100, 1e154, 1e300):
-            E = exp_span(big * unit[None], B, Q)[0]
+            E = exp_span(big * unit[None], B)[0]
             assert np.abs(E @ E.T - np.eye(rz.dim)).max() <= 1e-15
 
 
