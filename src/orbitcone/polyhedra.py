@@ -2,15 +2,17 @@
 
 One type, ``Polyhedron``, holds conv(V) + cone(G) by its V-representation;
 a cone is the polyhedron with the single vertex 0.  The H-representation
-is derived once per object by exact Fourier-Motzkin elimination and
-memoized, for the origin and zero generators too.  Redundant rows are removed
-by incidence rank: a row stays when the vertices and generators it is tight
-on span a facet, or when it is an implicit equality.  Membership is decided
-on the H-representation, exactly or by Euclidean facet slacks; pointedness
-by exact LP feasibility, the one LP left.
+is enumerated once per object straight from V and G, and memoized: the
+implicit equalities of the set's affine hull, and one row per facet, whose
+normal lies in the hull's direction space.  Each row is found from a
+vertex and the vertices and generators it is tight on, by exact row
+reduction, so every kept row is a facet and no filter runs afterwards.
+Membership is decided on the H-representation, exactly or by Euclidean
+facet slacks; pointedness by exact LP feasibility, the one LP left.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -26,138 +28,49 @@ from .rootsys import Root, SymmetricPairDatum, coroot
 Ineq = tuple[Vec, Fraction]     # (a, r) meaning a.x >= r
 
 
-# --- exact Fourier-Motzkin projection --------------------------------------
+# --- facets by enumeration ---------------------------------------------------
 
-def _prune(rows):
-    seen, out = set(), []
-    for a, r in rows:
-        if all(x == 0 for x in a):
-            if r > 0:
-                raise ValueError("projection produced an infeasible row")
-            continue
-        # a != 0, so the lead that scales the row comes from a
-        key = ex.unit_lead(tuple(a) + (r,))
-        if key not in seen:
-            seen.add(key)
-            out.append((list(key[:-1]), key[-1]))
-    return out
-
-
-def _fm_eliminate(rows, j):
-    pos, neg, zero = [], [], []
-    for a, r in rows:
-        c = a[j]
-        (pos if c > 0 else neg if c < 0 else zero).append((a, r))
-    out = list(zero)
-    for ap, rp in pos:
-        for an, rn in neg:
-            cp, cn = ap[j], -an[j]
-            a = [cn * x + cp * y for x, y in zip(ap, an)]
-            a[j] = Fraction(0)
-            out.append((a, cn * rp + cp * rn))
-    return out
-
-
-def _eliminate(eqs, ineqs, n_keep: int) -> list[tuple[list, Fraction]]:
-    """Project {z : eq rows hold with equality, ineq rows with >=} onto the
-    first n_keep coordinates.  Equalities are solved out first; remaining
-    eliminated variables go through Fourier-Motzkin.  Every row comes back
-    zero past n_keep and distinct up to positive scaling; an equality left
-    over comes back as two opposite rows.  Redundant rows stay."""
-    work_eqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in eqs]
-    work_ineqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in ineqs]
-    nvar = len((work_eqs + work_ineqs)[0][0])
-    elim = list(range(n_keep, nvar))
-    kept_eqs = []
-    while work_eqs:
-        a, r = work_eqs.pop()
-        j = next((k for k in elim if a[k] != 0), None)
-        if j is None:
-            kept_eqs.append((a, r))
-            continue
-        c = a[j]
-        expr = [x / c for x in a]
-        expr[j] = Fraction(0)
-        rr = r / c          # var_j = rr - expr . z
-
-        def subst(rows):
-            out = []
-            for b, s in rows:
-                cb = b[j]
-                if cb != 0:
-                    b = [x - cb * e for x, e in zip(b, expr)]
-                    b[j] = Fraction(0)
-                    s = s - cb * rr
-                out.append((b, s))
-            return out
-
-        work_eqs = subst(work_eqs)
-        work_ineqs = subst(work_ineqs)
-        elim.remove(j)
-    for j in elim:
-        work_ineqs = _prune(_fm_eliminate(work_ineqs, j))
-    return _prune(work_ineqs + kept_eqs + [([-x for x in a], -r) for a, r in kept_eqs])
-
-
-def _lift(V: Sequence[Vec], G: Sequence[Vec]):
-    """(eqs, ineqs) of {(x, lambda, mu) : x = V^T lambda + G^T mu,
-    sum lambda = 1, lambda, mu >= 0}, whose projection onto x is
-    conv(V) + cone(G)."""
-    n = len(V[0])
-    cols = list(V) + list(G)
-    nvar = n + len(cols)
-    eqs = []
-    for i in range(n):
-        row = [Fraction(0)] * nvar
-        row[i] = Fraction(1)
-        for k, c in enumerate(cols):
-            row[n + k] = -c[i]
-        eqs.append((row, Fraction(0)))
-    srow = [Fraction(0)] * nvar
-    for k in range(len(V)):
-        srow[n + k] = Fraction(1)
-    eqs.append((srow, Fraction(1)))
-    ineqs = []
-    for k in range(len(cols)):
-        row = [Fraction(0)] * nvar
-        row[n + k] = Fraction(1)
-        ineqs.append((row, Fraction(0)))
-    return eqs, ineqs
-
-
-def _facets(rows, V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
-    """The rows, valid for P = conv(V) + cone(G), that an irredundant system
-    keeps: every implicit equality (tight on all of V and G), and for each
-    facet the last row inducing it.  A row a.x >= r is tight on the face
-    conv(V_t) + cone(G_t), where V_t = {v : a.v = r} and G_t = {g : a.g = 0};
-    the face is a facet when the rank of {v - v_0 : v in V_t} and G_t is
-    one less than that of V and G.  With no tight vertex the row supports
-    no face and is dropped.  Two rows of _eliminate never share a facet,
-    as each is one combination of the lift's inequalities up to scale;
-    others can only where P is not full-dimensional."""
-    n = len(V[0])
-
-    def dim(vs, gs):
-        return len(ex.rref([ex.sub(v, vs[0]) for v in vs[1:]] + list(gs))[1])
-
-    d = dim(V, G)
-    equalities, facets = [], {}
-    for a, r in rows:
-        a = tuple(a[:n])
-        tv = tuple(k for k, v in enumerate(V) if ex.dot(a, v) == r)
-        tg = tuple(k for k, g in enumerate(G) if ex.dot(a, g) == 0)
-        if len(tv) == len(V) and len(tg) == len(G):
-            equalities.append((a, r))
-        elif tv and dim([V[k] for k in tv], [G[k] for k in tg]) == d - 1:
-            facets[tv, tg] = (a, r)
-    return equalities + list(facets.values())
+def _unit_row(a: Vec, r: Fraction) -> Ineq:
+    # a != 0, so the lead that scales the row comes from a
+    key = ex.unit_lead(a + (r,))
+    return key[:-1], key[-1]
 
 
 def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
-    """Sorted H-representation of conv(V) + cone(G): its lift through
-    _eliminate, pruned to the facets and implicit equalities by _facets."""
-    rows = _eliminate(*_lift(V, G), len(V[0]))
-    return sorted(_facets(rows, V, G))
+    """Sorted H-representation of P = conv(V) + cone(G), each row scaled by
+    unit_lead.  The implicit equalities are e.x = e.v_0, each as two rows,
+    for e in a basis E of the vectors orthogonal to every v - v_0 and every
+    g; P spans d = n - |E| dimensions.  A facet is a valid row a.x >= a.v_b
+    at a vertex v_b that is tight on d - 1 independent vectors among the
+    v - v_b and g: a is the one normal they leave orthogonal to E, so it
+    lies in the direction space of P's affine hull.  Every such row is a
+    facet and every facet has one (Ziegler, Lectures on Polytopes, 2.1)."""
+    n = len(V[0])
+    # the nullspace of no rows comes back empty, not as all of Q^n: v_0 - v_0
+    # and the zero row below keep the rows nonempty, for a lone point (E is
+    # every e_i) and for d = n = 1 (S and E are empty)
+    zero = ex.zeros(n)
+    E = ex.nullspace([ex.sub(v, V[0]) for v in V] + list(G))
+    rows = set()
+    for e in E:
+        r = ex.dot(e, V[0])
+        rows |= {_unit_row(e, r), _unit_row(ex.neg(e), -r)}
+    d = n - len(E)
+    for vb in V if d else ():       # a point has no facets
+        spans = [ex.sub(v, vb) for v in V] + list(G)
+        spans = [c for c in dict.fromkeys(spans) if not ex.is_zero(c)]
+        for S in itertools.combinations(spans, d - 1):
+            normal = ex.nullspace([zero, *E, *S])
+            if len(normal) != 1:
+                continue
+            a, = normal
+            r = ex.dot(a, vb)
+            s = [ex.dot(a, v) - r for v in V] + [ex.dot(a, g) for g in G]
+            if min(s) >= 0:
+                rows.add(_unit_row(a, r))
+            elif max(s) <= 0:
+                rows.add(_unit_row(ex.neg(a), -r))
+    return sorted(rows)
 
 
 # --- polyhedra -------------------------------------------------------------
@@ -169,14 +82,19 @@ class Polyhedron:
     The H-representation is derived once and memoized.  Float membership is
     judged by the slack: the signed Euclidean distance from a point to the
     facet hyperplanes, so a tolerance ``tol`` admits points at most ``tol``
-    outside any facet hyperplane.
+    outside any facet hyperplane.  A facet hyperplane is taken within the
+    set's affine hull, so inside the hull the slack is the distance there;
+    a point off the hull is judged by the implicit-equality rows as well.
+    At least one vertex is required; a cone has the vertex 0.
     """
     vertices: tuple[Vec, ...]
     generators: tuple[Vec, ...] = ()
 
     def __post_init__(self):
-        object.__setattr__(self, "vertices",
-                           tuple(sorted(ex.vec(v) for v in self.vertices)))
+        vertices = tuple(sorted(ex.vec(v) for v in self.vertices))
+        if not vertices:
+            raise ValueError("a polyhedron needs at least one vertex")
+        object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "generators",
                            tuple(ex.vec(g) for g in self.generators))
 
@@ -189,7 +107,7 @@ class Polyhedron:
         return tuple(project_polyhedron(self.vertices, self.generators))
 
     @cached_property
-    def _unit_facets(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _unit_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         A = np.array([[float(c) for c in a] for a, _ in self.hrep]
                      ).reshape(-1, self.ambient)
         b = np.array([float(r) for _, r in self.hrep])
@@ -201,7 +119,7 @@ class Polyhedron:
         one; batched over the leading axes of x, +inf with no facets.  The
         slacks are formed facet-major, one row per facet, so that the min
         runs along the points."""
-        A, b, norm = self._unit_facets
+        A, b, norm = self._unit_rows
         x = np.asarray(x, dtype=float)
         s = A @ x.reshape(-1, self.ambient).T
         s -= b[:, None]

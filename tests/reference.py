@@ -7,10 +7,13 @@ is the centralizer computation without the per-tie-pattern cache of
 ``transversal_signature_lstsq`` builds the predicted Hessian kernel in
 h-coordinates, the nilpotent part by least squares, where
 ``critical.transversal_signature`` pairs flattened matrices; the tests
-require equal signatures.  ``lp_project`` is the projection of
-``polyhedra._eliminate`` pruned by one exact LP per row, the pass that the
-incidence-rank facet test of ``polyhedra._facets`` replaced; the tests
-require both to give the same rows.  ``numeric_hessian_fresh`` and
+require equal signatures.  ``lp_project`` projects a lift by exact
+Fourier-Motzkin elimination (``_lift`` builds the lift of conv(V) + cone(G)
+and ``_eliminate`` projects it) and prunes the rows by one exact LP per
+row; the tests require ``polyhedra.project_polyhedron``, which enumerates
+the facets directly, to give the same facets with each normal taken
+within the set's affine hull, and the same implicit equalities up to
+span.  ``numeric_hessian_fresh`` and
 ``analytic_hessian_fresh`` are the Hessians of ``critical`` computed anew on
 every call, with one ``expm`` and one ``F`` per numeric form; the tests
 require the memoised forms to equal them bit for bit.  ``slack_dense``,
@@ -36,7 +39,7 @@ from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
 from orbitcone.harness import MIN_DISPLACEMENT
 from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales, _SERIES_C,
                                  a_matrix, ek_projection, span_form)
-from orbitcone.polyhedra import _eliminate, _free_lp
+from orbitcone.polyhedra import _free_lp
 
 
 def sigma_grp(rz, g):
@@ -52,6 +55,103 @@ def contains(region, x, tol: float = 1e-7) -> bool:
     if tol == 0:
         return region.contains_exact(x)
     return bool(region.slack(x) >= -tol)
+
+
+def _prune(rows):
+    seen, out = set(), []
+    for a, r in rows:
+        if all(x == 0 for x in a):
+            if r > 0:
+                raise ValueError("projection produced an infeasible row")
+            continue
+        # a != 0, so the lead that scales the row comes from a
+        key = ex.unit_lead(tuple(a) + (r,))
+        if key not in seen:
+            seen.add(key)
+            out.append((list(key[:-1]), key[-1]))
+    return out
+
+
+def _fm_eliminate(rows, j):
+    pos, neg, zero = [], [], []
+    for a, r in rows:
+        c = a[j]
+        (pos if c > 0 else neg if c < 0 else zero).append((a, r))
+    out = list(zero)
+    for ap, rp in pos:
+        for an, rn in neg:
+            cp, cn = ap[j], -an[j]
+            a = [cn * x + cp * y for x, y in zip(ap, an)]
+            a[j] = Fraction(0)
+            out.append((a, cn * rp + cp * rn))
+    return out
+
+
+def _eliminate(eqs, ineqs, n_keep: int) -> list[tuple[list, Fraction]]:
+    """Project {z : eq rows hold with equality, ineq rows with >=} onto the
+    first n_keep coordinates.  Equalities are solved out first; remaining
+    eliminated variables go through Fourier-Motzkin.  Every row comes back
+    zero past n_keep and distinct up to positive scaling; an equality left
+    over comes back as two opposite rows.  Redundant rows stay."""
+    work_eqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in eqs]
+    work_ineqs = [([Fraction(x) for x in a], Fraction(r)) for a, r in ineqs]
+    nvar = len((work_eqs + work_ineqs)[0][0])
+    elim = list(range(n_keep, nvar))
+    kept_eqs = []
+    while work_eqs:
+        a, r = work_eqs.pop()
+        j = next((k for k in elim if a[k] != 0), None)
+        if j is None:
+            kept_eqs.append((a, r))
+            continue
+        c = a[j]
+        expr = [x / c for x in a]
+        expr[j] = Fraction(0)
+        rr = r / c          # var_j = rr - expr . z
+
+        def subst(rows):
+            out = []
+            for b, s in rows:
+                cb = b[j]
+                if cb != 0:
+                    b = [x - cb * e for x, e in zip(b, expr)]
+                    b[j] = Fraction(0)
+                    s = s - cb * rr
+                out.append((b, s))
+            return out
+
+        work_eqs = subst(work_eqs)
+        work_ineqs = subst(work_ineqs)
+        elim.remove(j)
+    for j in elim:
+        work_ineqs = _prune(_fm_eliminate(work_ineqs, j))
+    return _prune(work_ineqs + kept_eqs + [([-x for x in a], -r) for a, r in kept_eqs])
+
+
+def _lift(V, G):
+    """(eqs, ineqs) of {(x, lambda, mu) : x = V^T lambda + G^T mu,
+    sum lambda = 1, lambda, mu >= 0}, whose projection onto x is
+    conv(V) + cone(G)."""
+    n = len(V[0])
+    cols = list(V) + list(G)
+    nvar = n + len(cols)
+    eqs = []
+    for i in range(n):
+        row = [Fraction(0)] * nvar
+        row[i] = Fraction(1)
+        for k, c in enumerate(cols):
+            row[n + k] = -c[i]
+        eqs.append((row, Fraction(0)))
+    srow = [Fraction(0)] * nvar
+    for k in range(len(V)):
+        srow[n + k] = Fraction(1)
+    eqs.append((srow, Fraction(1)))
+    ineqs = []
+    for k in range(len(cols)):
+        row = [Fraction(0)] * nvar
+        row[n + k] = Fraction(1)
+        ineqs.append((row, Fraction(0)))
+    return eqs, ineqs
 
 
 def _implied(row, others, n: int) -> bool:
@@ -161,7 +261,7 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
 
 def slack_dense(region, x):
     """Polyhedron.slack with the facets along the last axis of x @ A.T."""
-    A, b, norm = region._unit_facets
+    A, b, norm = region._unit_rows
     x = np.asarray(x, dtype=float)
     return ((x @ A.T - b) / norm).min(axis=-1, initial=np.inf)
 

@@ -6,17 +6,17 @@ import pytest
 
 from orbitcone import exactlin as ex
 from orbitcone import polyhedra, rootsys
-from orbitcone.harness import VerificationConfig, run
+from orbitcone.harness import Tally, VerificationConfig, run
 from orbitcone.matrixgrp import realization
 from orbitcone.parabolic import all_positive_systems, is_q_extreme
-from orbitcone.polyhedra import (Polyhedron, _lift, cone, gamma_a, gamma_aq,
+from orbitcone.polyhedra import (Polyhedron, cone, gamma_a, gamma_aq,
                                  gamma_cone, gk_cone, omega,
                                  pointedness_certificate, project_polyhedron)
 from orbitcone.rootsys import ZeroRoot, coroot, weyl_orbit
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
 from paper_claims import NotQExtreme, feasible, proper_on_cone, upsilon_cone
-from reference import contains, lp_project
+from reference import _eliminate, _lift, contains, lp_project
 
 
 # --- independent membership routes -----------------------------------------
@@ -63,8 +63,8 @@ def contains_lp_float(obj: Polyhedron, x, tol: float = 1e-7) -> bool:
     return res.x[-1] <= tol
 
 
-def cone_hrep_reference(c: Polyhedron) -> set:
-    """H-rep rows of the cone c projected from its own lift
+def cone_hrep_reference(c: Polyhedron) -> list:
+    """LP-pass rows of the cone c projected from its own lift
     {(x, nu) : x = G^T nu, nu >= 0}, with no vertex variable."""
     gens = [g for g in c.generators if not ex.is_zero(g)]
     n, m = c.ambient, len(gens)
@@ -72,7 +72,7 @@ def cone_hrep_reference(c: Polyhedron) -> set:
             Fraction(0)) for i in range(n)]
     ineqs = [([Fraction(0)] * n + [Fraction(int(j == k)) for j in range(m)],
               Fraction(0)) for k in range(m)]
-    return set(lp_project(eqs, ineqs, n))
+    return lp_project(eqs, ineqs, n)
 
 
 def test_oracle_sanity():
@@ -160,27 +160,60 @@ def test_random_cone_hrep_agrees_with_lp():
 
 
 def test_cone_hrep_is_the_vertex_zero_hrep(rz):
-    # every gamma, gk and empty cone of the preset: the cone's own lift, the
-    # cone and the polyhedron with the single vertex 0 give the same rows;
-    # the empty cone is the origin, which goes through the elimination too
+    # every gamma, gk and empty cone of the preset: the cone and the
+    # polyhedron with the single vertex 0 give the same rows, and those of
+    # the cone's own lift once taken within the cone's linear hull; the
+    # empty cone is the origin, whose equalities span all of Q^n
     systems = all_positive_systems(rz.datum)
     cones = ([gamma_cone(P) for P in systems]
              + [gk_cone(P, Q) for P in systems for Q in systems]
              + [cone((), rz.dim)])
     origin = (ex.zeros(rz.dim),)
     for c in cones:
-        want = cone_hrep_reference(c)
-        assert set(c.hrep) == want
-        assert set(Polyhedron(origin, c.generators).hrep) == want
+        assert Polyhedron(origin, c.generators).hrep == c.hrep
+        assert _within_hull(c.hrep, origin, c.generators) == _lp_pass_within_hull(
+            cone_hrep_reference(c), origin, c.generators)
 
 
-# --- facets by incidence rank against the LP pass ---------------------------
+# --- enumerated facets against the LP pass ----------------------------------
+
+def _is_equality(row, V, G) -> bool:
+    a, r = row
+    return (all(ex.dot(a, v) == r for v in V)
+            and all(ex.dot(a, g) == 0 for g in G))
+
+
+def _within_hull(rows, V, G):
+    """(reduced row echelon basis of the implicit equalities of rows as
+    vectors (a, r), the other rows in order): rows of conv(V) + cone(G)
+    compared with their equalities up to span."""
+    eqs = [tuple(a) + (r,) for a, r in rows if _is_equality((a, r), V, G)]
+    return ex.rref(eqs)[0], [row for row in rows if not _is_equality(row, V, G)]
+
+
+def _lp_pass_within_hull(rows, V, G):
+    """_within_hull of the LP-pass rows with each facet row a.x >= r mapped
+    to its in-hull normal: (a, r) less the combination of the equality rows
+    that removes a's component along their normals, scaled by unit_lead and
+    sorted.  A full-dimensional set keeps its rows as they are."""
+    eqs, facets = _within_hull(rows, V, G)
+    B = [e[:-1] for e in eqs]
+    gram_inv = ex.mat_inv(tuple(tuple(ex.dot(b, c) for c in B) for b in B))
+    mapped = set()
+    for a, r in facets:
+        coef = ex.mat_vec(gram_inv, tuple(ex.dot(b, a) for b in B))
+        row = ex.unit_lead(ex.sub(tuple(a) + (r,),
+                                  ex.combination(coef, eqs, len(a) + 1)))
+        mapped.add((row[:-1], row[-1]))
+    return eqs, sorted(mapped)
+
 
 def _same_as_lp_pass(V, G):
-    # zero generators reach the elimination; the LP pass gets them filtered
+    # zero generators reach the enumeration; the LP pass gets them filtered
     V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G]
     nonzero = [g for g in G if not ex.is_zero(g)]
-    return project_polyhedron(V, G) == lp_project(*_lift(V, nonzero), len(V[0]))
+    want = _lp_pass_within_hull(lp_project(*_lift(V, nonzero), len(V[0])), V, G)
+    return _within_hull(project_polyhedron(V, G), V, G) == want
 
 
 def _hulls_plus_cones(count, seed):
@@ -234,13 +267,43 @@ def test_facets_match_the_lp_pass_on_random_sets():
         assert _same_as_lp_pass(V, G), (V, G)
 
 
+def test_facets_match_the_lp_pass_on_edge_sets():
+    # in Q^1 a facet leaves no difference vector and no equality to reduce
+    # by, and a lone point has only implicit equalities, one per coordinate
+    def q1(*xs):
+        return [(x,) for x in xs]
+    F = Fraction
+    cases = [
+        (q1(3), (), [((F(-1),), F(-3)), ((F(1),), F(3))]),
+        (q1(0, 2), (), [((F(-1),), F(-2)), ((F(1),), F(0))]),
+        (q1(0), q1(1), [((F(1),), F(0))]),
+        (q1(0), q1(1, -1), []),
+        ([(1, -2)], (), None),
+        ([(0, 1, 2)], (), None),
+    ]
+    for V, G, rows in cases:
+        V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G]
+        got = project_polyhedron(V, G)
+        assert rows is None or got == rows, (V, G, got)
+        assert _same_as_lp_pass(V, G), (V, G)
+        if len(V) == 1 and not G:
+            assert len(got) == 2 * len(V[0])
+
+
+def test_a_polyhedron_needs_a_vertex():
+    with pytest.raises(ValueError, match="vertex"):
+        Polyhedron(())
+    with pytest.raises(ValueError, match="vertex"):
+        Polyhedron((), ((Fraction(1),),))
+
+
 def test_facets_of_a_set_with_346_eliminated_rows():
     # 5 vertices and 3 rays in Q^3 leave 346 Fourier-Motzkin rows, too many
     # for the LP pass; 9 of them are facets
     V = [ex.vec(v) for v in ((-2, -2, 0), (1, 3, 0), (-3, -2, 3), (2, 2, -1),
                              (-2, 1, 2))]
     G = [ex.vec(g) for g in ((-2, 3, -3), (-3, -1, -1), (2, -3, -1))]
-    assert len(polyhedra._eliminate(*_lift(V, G), 3)) == 346
+    assert len(_eliminate(*_lift(V, G), 3)) == 346
     hrep = project_polyhedron(V, G)
     assert len(hrep) == 9
     s = Polyhedron(V, G)
@@ -265,6 +328,37 @@ def test_slack_is_euclidean_distance():
     pts = np.array([[0.5, 0.5], [0.0, 0.0], [-2.0, 4.0], [3.0, 3.0]])
     assert np.allclose(s.slack(pts), [0.0, -1 / np.sqrt(2), -2.0, 3.0])
     assert contains(s, (0.0, 0.0), tol=0.71) and not contains(s, (0.0, 0.0), tol=0.7)
+
+
+@pytest.mark.parametrize("preset, a_log", [
+    ("kostant_sl2", (1, -1)), ("group_sl2", (1, -1, -1, 1)),
+    ("sl3_so21", (2, 1, -3))])
+def test_slack_is_the_distance_within_the_affine_hull(preset, a_log):
+    # Omega of these presets is not full-dimensional: a point delta outside
+    # a facet along its normal in the hull reads slack -delta, and a tally
+    # at tol 0.9 delta records it; the relative interior point is the mean
+    # of the facet's vertices plus the sum of its generators
+    rz = realization(preset)
+    om = omega(weyl_orbit(rz.small_weyl, ex.vec(a_log)),
+               gamma_cone(rz.base_parabolic))
+    delta = 1e-7
+    facets = [row for row in om.hrep
+              if not _is_equality(row, om.vertices, om.generators)]
+    assert len(om.hrep) > len(facets) > 0
+    for a, r in facets:
+        tight = [v for v in om.vertices if ex.dot(a, v) == r]
+        inner = ex.scale(Fraction(1, len(tight)),
+                         ex.combination([1] * len(tight), tight, rz.dim))
+        for g in om.generators:
+            if ex.dot(a, g) == 0:
+                inner = ex.add(inner, g)
+        unit = np.array([float(c) for c in a])
+        unit /= np.linalg.norm(unit)
+        x = np.array([float(c) for c in inner]) - delta * unit
+        assert om.slack(x) == pytest.approx(-delta, rel=1e-6)
+        tally = Tally(0.9 * delta)
+        tally.feed(om, x[None])
+        assert len(tally.witnesses) == 1
 
 
 def test_polyhedral_set_membership(rz_sl3):
