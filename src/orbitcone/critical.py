@@ -3,24 +3,24 @@
 The combinatorial layer (critical values, predicted Hessian signature,
 predicted critical image) is exact rational arithmetic; the numeric layer
 (the functional and its finite-difference Hessians) runs on the matrix
-models and is compared against it.  The centralizer basis of X in h is
-computed once per realization and tie pattern {(i, j) : X_i = X_j}.  The
-predicted Hessian kernel is built in one place, ``_predicted_kernel``, which
-both ``kernel_dim`` and ``transversal_signature`` read, once per sample.
+models and is compared against it.
 
-The Hessian layer computes each part once per value of what it depends on.
-The exponential of numeric_hessian's stencil depends on the realization
-only.  The stencil's projected Iwasawa logs and analytic_hessian's
-transport depend on (preset, P, a_log, w) and are kept in a _WeylPoint
-under that key; only their pairing with X is per call.  w^{-1} a_log is
-kept per (realization, a_log, w), and the orbit classes of Sigma(P) are a
-cached property of P.
+The Hessian layer takes a SampleStack of samples X and computes each part
+once per value of what it depends on.  The stack keeps what depends on X
+alone: X itself (built from its a_q coordinates), X in floats, its tie
+pattern {(i, j) : X_i = X_j} and the signs of alpha(X).  The centralizer
+basis of X in h and the predicted Hessian kernel depend on X only through
+its ties and are kept per tie pattern.  The exponential of
+numeric_hessian's stencil depends on the realization only.  The stencil's
+projected Iwasawa logs, analytic_hessian's transport and the signs of
+alpha(w^{-1} a_log) depend on (preset, P, a_log, w) and are kept in a
+_WeylPoint; their pairing with the stack is one batched pass per w.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 from scipy.linalg import expm
@@ -80,9 +80,10 @@ def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarr
 
 
 def _dual(rz: Realization, X) -> np.ndarray:
-    """G X in floats: F is the projected Iwasawa log times this vector."""
+    """G X in floats, batched over X: F is the projected Iwasawa log times
+    this vector.  A stacked matmul makes one G x per X."""
     G = np.array([[float(x) for x in row] for row in rz.datum.gram])
-    return G @ np.asarray(X, dtype=float)
+    return np.matmul(G, np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
 @lru_cache(maxsize=None)
@@ -110,10 +111,14 @@ def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
     [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
     its RREF and the basis, depends on X only through the pattern of ties
     X_i = X_j, and the basis is cached on that pattern."""
-    X = _exact_vec(X)
-    n = rz.dim
-    ties = frozenset((i, j) for i in range(n) for j in range(n) if X[i] == X[j])
-    return _centralizer(rz, ties)
+    return _centralizer(rz, _stack(rz, [X]).ties[0])
+
+
+def _centralizer_basis(rz: Realization, X) -> np.ndarray:
+    """The basis of h_x_coords as matrices; shape (k, dim, dim)."""
+    C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)])
+    return np.einsum("kd,dij->kij", C.reshape(-1, len(rz.h_basis)),
+                     np.stack(rz.h_basis))
 
 
 @lru_cache(maxsize=None)
@@ -146,28 +151,84 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
     return tuple(out)
 
 
-# the predicted kernel of the last sample, under (preset, P, X).  Here and
-# in _WEYL_POINTS, P enters a key as P.positive, the set that P.key() sorts:
-# a frozenset keeps its hash, a tuple of Fractions hashes them on every call
-_KERNEL: dict[tuple, np.ndarray] = {}
+# --- the stack of samples ---------------------------------------------------
+
+@dataclass(frozen=True, eq=False)
+class SampleStack:
+    """Exact samples X in a_q with what the Hessian layer reads of X alone,
+    each built on first use by the layer function that first needs it.
+    Given a basis, the samples are X = sum_k coords_k basis_k, built so."""
+    rz: Realization
+    coords: tuple[Vec, ...]
+    basis: tuple[Vec, ...] | None = None
+
+    @cached_property
+    def X(self) -> tuple[Vec, ...]:
+        if self.basis is None:
+            return self.coords
+        # summing the scaled basis vectors skips combination's zero start
+        return tuple(reduce(ex.add, map(ex.scale, c, self.basis))
+                     for c in self.coords)
+
+    @cached_property
+    def floats(self) -> np.ndarray:
+        return np.array(self.X, dtype=float).reshape(-1, self.rz.dim)
+
+    @cached_property
+    def ties(self) -> tuple[frozenset, ...]:
+        """The tie pattern {(i, j) : X_i = X_j} of each sample."""
+        r = range(self.rz.dim)
+        return tuple(frozenset((i, j) for i in r for j in r if X[i] == X[j])
+                     for X in self.X)
+
+    @cached_property
+    def signs(self) -> dict[Vec, np.ndarray]:
+        """sign alpha(X) per sample for every root alpha; exact."""
+        out: dict[Vec, np.ndarray] = {}
+        for alpha in self.rz.datum.roots:
+            if alpha not in out:
+                s = np.sign(np.array([ex.dot(alpha, X) for X in self.X],
+                                     dtype=object)).astype(int)
+                out[alpha], out[ex.neg(alpha)] = s, -s
+        return out
 
 
-def _predicted_kernel(rz: Realization, X, P: PositiveSystem | None) -> np.ndarray:
-    """Spanning set of (centralizer of X in h) + (sigma-fixed nilpotent
-    part), as rows of flattened matrices; shape (k, dim * dim).  The last
-    one built is kept under (preset, P, X), so that kernel_dim and the
-    transversal signature at every w of one sample share it."""
+def _stack(rz: Realization, Xs) -> SampleStack:
+    """Xs as a SampleStack; a sequence of samples becomes a new one."""
+    if isinstance(Xs, SampleStack):
+        return Xs
+    return SampleStack(rz, tuple(_exact_vec(X) for X in Xs))
+
+
+# the predicted kernel per (preset, P, tie pattern).  Here and in
+# _WEYL_POINTS, P enters a key as P.positive, the set that P.key() sorts: a
+# frozenset keeps its hash, a tuple of Fractions hashes them on every call
+_KERNELS: dict[tuple, tuple[int, np.ndarray]] = {}
+
+
+def _predicted_kernels(rz: Realization, xs: SampleStack,
+                       P: PositiveSystem | None) -> list[tuple[int, np.ndarray]]:
+    """Per sample, (dim, T) of the predicted Hessian kernel K, the span of
+    (centralizer of X in h) + (sigma-fixed nilpotent part), with T a basis
+    over the h-basis of its complement for the theta-twisted inner product.
+    X enters only through its ties, so each is built once per (preset, P,
+    ties)."""
     P = P if P is not None else rz.base_parabolic
-    key = (rz.name, P.positive, _exact_vec(X))
-    K = _KERNEL.get(key)
-    if K is None:
-        vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))
-                           ).reshape(-1) for coords in h_x_coords(rz, X)]
-        vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
-        K = np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
-        _KERNEL.clear()
-        _KERNEL[key] = K
-    return K
+    n = rz.dim * rz.dim
+    out = []
+    for X, ties in zip(xs.X, xs.ties):
+        key = (rz.name, P.positive, ties)
+        if key not in _KERNELS:
+            K = np.concatenate([_centralizer_basis(rz, X).reshape(-1, n),
+                                np.reshape(nph_basis(rz, P), (-1, n))])
+            # (K B^T) v = 0 says sum_j v_j U_j is orthogonal to K for
+            # <Y, Z> = kappa tr(Y Z^T), whose kappa leaves it alone; an
+            # empty K has the identity for vt
+            _, sv, vt = np.linalg.svd(K @ np.reshape(rz.h_basis, (-1, n)).T)
+            _KERNELS[key] = (_rank(np.linalg.svd(K, compute_uv=False)),
+                             vt[_rank(sv):].T)
+        out.append(_KERNELS[key])
+    return out
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -175,19 +236,22 @@ def _rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > SV_TOL * max(1.0, sv.max(initial=0.0))))
 
 
-def kernel_dim(rz: Realization, X, P: PositiveSystem | None = None) -> int:
-    """dim of (centralizer of X in h) + (nilpotent part inside h)."""
-    return _rank(np.linalg.svd(_predicted_kernel(rz, X, P), compute_uv=False))
+def kernel_dim(rz: Realization, Xs, P: PositiveSystem | None = None
+               ) -> np.ndarray:
+    """dim of (centralizer of X in h) + (nilpotent part inside h), per
+    sample."""
+    return np.array([d for d, _ in _predicted_kernels(rz, _stack(rz, Xs), P)])
 
 
 # --- Hessian ---------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
 class HessianReport:
+    """The Hessians at x_w of a stack of m samples."""
     w: Mat
-    numeric_form: np.ndarray
-    analytic_form: np.ndarray
-    signature: tuple[int, int, int]
+    numeric_form: np.ndarray     # (m, dh, dh)
+    analytic_form: np.ndarray    # (m, dh, dh)
+    signature: np.ndarray        # (m, 3): n_plus, n_zero, n_minus
 
 
 @lru_cache(maxsize=None)
@@ -235,6 +299,12 @@ class _WeylPoint:
                           self.P)
         return aw @ V @ aw_inv
 
+    @cached_property
+    def signs(self) -> dict[Vec, int]:
+        """sign alpha(w^{-1} a_log) for every root alpha; exact."""
+        wln = _weyl_image(self.rz, self.a_log, self.w)
+        return {a: np.sign(ex.dot(a, wln)) for a in self.rz.datum.roots}
+
 
 _WEYL_POINTS: dict[tuple, _WeylPoint] = {}
 
@@ -251,115 +321,102 @@ def _weyl_point(rz: Realization, a_log, w: Mat,
     return point
 
 
-def analytic_hessian(rz: Realization, a_log, X, w: Mat,
+def analytic_hessian(rz: Realization, a_log, Xs, w: Mat,
                      P: PositiveSystem | None = None) -> np.ndarray:
-    """Form <U_i, L_w U_j> with L_w assembled from the transport operator.
-    The transport of the h-basis is computed once per (preset, P, a_log,
-    w); only its commutator with X and the pairing are per call."""
+    """Forms <U_i, L_w U_j>, one per sample, with L_w assembled from the
+    transport operator of (preset, P, a_log, w); only the commutator with
+    the stacked diagonal X and one einsum are per stack."""
     V = _weyl_point(rz, a_log, w, P).transport
-    Xm = a_matrix(np.asarray(X, dtype=float))
+    Xm = a_matrix(_stack(rz, Xs).floats)[:, None]
     LV = -rz.pi_h(Xm @ V - V @ Xm)
-    return rz.kappa * np.einsum("iab,jab->ij", np.stack(rz.h_basis), LV)
+    return rz.kappa * np.einsum("iab,mjab->mij", np.stack(rz.h_basis), LV)
 
 
-def numeric_hessian(rz: Realization, a_log, X, w: Mat,
+def numeric_hessian(rz: Realization, a_log, Xs, w: Mat,
                     P: PositiveSystem | None = None) -> np.ndarray:
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
-    FD_STEP / 2, Richardson-extrapolated.  F is linear in X, so the stencil
-    values are the projected Iwasawa logs of one (preset, P, a_log, w),
-    computed once, times G X; the exponential of the stencil is computed
-    once per realization."""
+    FD_STEP / 2, Richardson-extrapolated, one per sample.  F is linear in X:
+    the projected Iwasawa logs of the stencil, kept per (preset, P, a_log,
+    w), times the stacked G X.  A stacked matmul makes one matrix-vector
+    product per sample; one gemm over the stack would round differently."""
     dh = len(rz.h_basis)
-    vals = _weyl_point(rz, a_log, w, P).stencil_values @ _dual(rz, X)
-    vals = vals.reshape(2, dh, dh, 4)
+    D = _dual(rz, _stack(rz, Xs).floats)
+    vals = np.matmul(_weyl_point(rz, a_log, w, P).stencil_values[None],
+                     D[:, :, None]).reshape(len(D), 2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * _STEPS[:, None, None] ** 2))
-    out = (4.0 * d[1] - d[0]) / 3.0
-    return 0.5 * (out + out.T)
+    out = (4.0 * d[:, 1] - d[:, 0]) / 3.0
+    return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
-def hessian(rz: Realization, a_log, X, w: Mat,
+def hessian(rz: Realization, a_log, Xs, w: Mat,
             P: PositiveSystem | None = None) -> HessianReport:
-    """Numeric and analytic Hessians of F at x_w.  a_log must be a regular
-    point of a_q; ensure_regular checks it, and the caller does so once."""
-    num = numeric_hessian(rz, a_log, X, w, P)
-    ana = analytic_hessian(rz, a_log, X, w, P)
-    return HessianReport(w=w, numeric_form=num, analytic_form=ana,
-                         signature=_signature(num, num))
+    """Numeric and analytic Hessians of F at x_w, per sample.  a_log must be
+    a regular point of a_q; ensure_regular checks it, and the caller does so
+    once."""
+    xs = _stack(rz, Xs)
+    num = numeric_hessian(rz, a_log, xs, w, P)
+    return HessianReport(w=w, numeric_form=num, signature=_signature(num, num),
+                         analytic_form=analytic_hessian(rz, a_log, xs, w, P))
 
 
-def _signature(form: np.ndarray, full: np.ndarray) -> tuple[int, int, int]:
-    """(n_plus, n_zero, n_minus) of a symmetric form; eigenvalues within
-    SV_TOL * max(1, largest entry of the full Hessian) of 0 count as zero."""
-    scale = max(np.abs(full).max(), 1.0)
-    ev = np.linalg.eigvalsh(form)
-    n_plus = int(np.sum(ev > SV_TOL * scale))
-    n_minus = int(np.sum(ev < -SV_TOL * scale))
-    return (n_plus, len(ev) - n_plus - n_minus, n_minus)
+def _signature(forms: np.ndarray, full: np.ndarray) -> np.ndarray:
+    """Rows (n_plus, n_zero, n_minus) of a stack of symmetric forms, from one
+    batched eigvalsh; eigenvalues within SV_TOL * max(1, largest entry of
+    the full Hessian) of 0 count as zero."""
+    tol = SV_TOL * np.maximum(np.abs(full).max(axis=(1, 2)), 1.0)[:, None]
+    ev = np.linalg.eigvalsh(forms)
+    n_plus, n_minus = np.sum(ev > tol, axis=1), np.sum(ev < -tol, axis=1)
+    return np.stack([n_plus, ev.shape[1] - n_plus - n_minus, n_minus], axis=1)
 
 
-def transversal_signature(rz: Realization, report: HessianReport, X,
-                          P: PositiveSystem | None = None) -> tuple[int, int, int]:
-    """Signature of the numeric form restricted to the complement of its
-    predicted kernel, orthogonal for the theta-twisted inner product."""
-    K = _predicted_kernel(rz, X, P)
-    if len(K):
-        # (K B^T) v = 0 says sum_j v_j U_j is orthogonal to the kernel for
-        # <Y, Z> = kappa tr(Y Z^T); kappa does not change the null space
-        B = np.stack([b.reshape(-1) for b in rz.h_basis])
-        _, sv, vt = np.linalg.svd(K @ B.T)
-        T = vt[_rank(sv):].T
-    else:
-        T = np.eye(len(rz.h_basis))
-    return _signature(T.T @ report.numeric_form @ T, report.numeric_form)
+def transversal_signature(rz: Realization, report: HessianReport, Xs,
+                          P: PositiveSystem | None = None) -> np.ndarray:
+    """Signature of each numeric form restricted to the complement of its
+    predicted kernel, orthogonal for the theta-twisted inner product.  The
+    samples are grouped by the width of the complement's basis T, with one
+    T^T form T and eigvalsh per group."""
+    Ts = [T for _, T in _predicted_kernels(rz, _stack(rz, Xs), P)]
+    form = report.numeric_form
+    width = np.array([T.shape[1] for T in Ts])
+    out = np.empty((len(form), 3), dtype=int)
+    for r in np.unique(width):
+        rows = np.flatnonzero(width == r)
+        T = np.stack([Ts[i] for i in rows])
+        out[rows] = _signature(np.swapaxes(T, 1, 2) @ form[rows] @ T,
+                               form[rows])
+    return out
 
 
 # --- predicted signature ----------------------------------------------------
 
-def predicted_signature(rz: Realization, a_log, X, w: Mat,
+def predicted_signature(rz: Realization, a_log, Xs, w: Mat,
                         P: PositiveSystem | None = None):
-    """Exact positivity prediction plus per-orbit certificates.  a_log must
-    be a regular point of a_q; ensure_regular checks it."""
+    """Per sample, the exact positivity prediction and whether every orbit
+    certificate is positive.  A product alpha(X) alpha(w^{-1} a_log) is
+    tested by the signs of its factors, kept per sample and per Weyl point.
+    a_log must be a regular point of a_q; ensure_regular checks it."""
     P = P if P is not None else rz.base_parabolic
-    X = _exact_vec(X)
-    wln = _weyl_image(rz, _exact_vec(a_log), w)
-    parts = P.classification
-    posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
-              and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
-    certs = []
+    xs = _stack(rz, Xs)
+    sx, sw = xs.signs, _weyl_point(rz, a_log, w, P).signs
+    posdef = np.ones(len(xs.X), dtype=bool)
+    for a in P.classification.plus_part:
+        posdef &= sx[a] * sw[a] <= 0
+    for a in P.classification.minus_part:
+        posdef &= sx[a] >= 0
+    certified = np.ones_like(posdef)
     for cls in P.orbit_classes:
-        alpha = cls.root
-        aX = ex.dot(alpha, X)
-        awl = ex.dot(alpha, wln)
-        dim_full, mp, mm = cls.mult
-        entry = {"root": [str(c) for c in alpha],
-                 "alpha_X": str(aX), "alpha_w_log_a": str(awl)}
-        decay = float(np.exp(-2.0 * float(awl)))
-        # the eigenvalue pair of a class outside Sigma(P, sigma) (cases b.2)
-        lam_p = 0.5 * float(aX) * (decay - 1.0)
-        lam_m = 0.5 * float(aX) * (decay + 1.0)
-        if aX == 0:
-            entry.update(case="a", transversal_dim=0, eigenvalues=[], positive=True)
-        elif cls.in_sigma_part:
-            scalar = 0.5 * float(aX) * (decay - 1.0 / decay)
-            entry.update(case="b.1", transversal_dim=dim_full,
-                         eigenvalues=[scalar], positive=bool(aX * awl < 0))
-        elif not cls.in_aq_star:
-            entry.update(case="b.2.1", transversal_dim=2 * dim_full,
-                         eigenvalues=[lam_p, lam_m],
-                         positive=bool(aX > 0 and aX * awl < 0))
-        else:
-            eigs, ok = [], True
-            if mp:
-                eigs.append(lam_p)
-                ok = ok and aX * awl < 0
-            if mm:
-                eigs.append(lam_m)
-                ok = ok and aX > 0
-            entry.update(case="b.2.2", transversal_dim=(mp or 0) + (mm or 0),
-                         eigenvalues=eigs, positive=bool(ok))
-        certs.append(entry)
-    return posdef, tuple(certs)
+        aX = sx[cls.root]
+        opposed = aX * sw[cls.root] < 0
+        _, mp, mm = cls.mult
+        if cls.in_sigma_part:                                  # case b.1
+            ok = opposed
+        elif not cls.in_aq_star:                               # case b.2.1
+            ok = opposed & (aX > 0)
+        else:                                                  # case b.2.2
+            ok = (opposed | (not mp)) & ((aX > 0) | (not mm))
+        certified &= ok | (aX == 0)                            # case a
+    return posdef, certified
 
 
 # --- the predicted critical image ------------------------------------------
@@ -384,10 +441,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seed) -> np.ndarray:
     """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra."""
-    C = np.array([[float(c) for c in row] for row in h_x_coords(rz, X)])
-    basis = np.einsum("kd,dij->kij", C.reshape(-1, len(rz.h_basis)),
-                      np.stack(rz.h_basis))
-    return sample_span(rz, basis, radius, count, seed)
+    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seed)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem | None = None,

@@ -21,10 +21,10 @@ from typing import Mapping
 import numpy as np
 
 from . import exactlin as ex
-from .critical import (F, NotRegular, critical_value, ensure_in_aq,
-                       ensure_regular, hessian, is_regular, kernel_dim, omega_X,
-                       predicted_signature, sample_H_X, sample_NPH,
-                       transversal_signature, vanishing_patterns)
+from .critical import (F, NotRegular, SampleStack, critical_value,
+                       ensure_in_aq, ensure_regular, hessian, is_regular,
+                       kernel_dim, omega_X, predicted_signature, sample_H_X,
+                       sample_NPH, transversal_signature, vanishing_patterns)
 from .matrixgrp import (Realization, SingularInput, a_matrix, exp_span,
                         h_pq, iwasawa, realization, root_matrix, sample_H,
                         sample_unipotent)
@@ -485,32 +485,33 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
                    ) -> CheckResult:
     a_exact = _require_regular(rz, cfg)
     rng = np.random.default_rng(_stream(cfg, "hessian"))
-    n_aq = len(rz.datum.aq_basis)
-    worst_rel = 0.0
-    witnesses: list[tuple] = []
-    count = 0
-    for _ in range(cfg.samples):
-        coords = [Fraction(c).limit_denominator(40)
-                  for c in rng.normal(size=n_aq)]
-        X = ex.combination(coords, rz.datum.aq_basis, rz.dim)
-        kd = kernel_dim(rz, X, P)
-        for w in rz.small_weyl.elements:
-            count += 1
-            rep = hessian(rz, a_exact, X, w, P)
-            scale = max(np.abs(rep.analytic_form).max(), 1.0)
-            rel = float(np.abs(rep.numeric_form - rep.analytic_form).max() / scale)
-            worst_rel = max(worst_rel, rel)
-            n_plus, n_zero, n_minus = rep.signature
-            posdef, certs = predicted_signature(rz, a_exact, X, w, P)
-            tsig = transversal_signature(rz, rep, X, P)
-            ok = (rel <= 1e-6 and n_zero == kd
-                  and (tsig[2] == 0) == posdef and tsig[1] == 0
-                  and posdef == all(c["positive"] for c in certs))
-            if not ok and len(witnesses) < MAX_WITNESSES:
-                witnesses.append((tuple(str(c) for c in X), rel,
-                                  rep.signature, (kd,), posdef))
-    return CheckResult(name="hessian", passed=not witnesses, count=count,
-                       worst_slack=-worst_rel,
+    aq = rz.datum.aq_basis
+    xs = SampleStack(rz, tuple(
+        tuple(Fraction(c).limit_denominator(40) for c in row)
+        for row in rng.normal(size=(cfg.samples, len(aq)))), aq)
+    kd = kernel_dim(rz, xs, P)
+    ws = rz.small_weyl.elements
+    per_w = []
+    for w in ws:
+        rep = hessian(rz, a_exact, xs, w, P)
+        scale = np.maximum(np.abs(rep.analytic_form).max(axis=(1, 2)), 1.0)
+        rel = (np.abs(rep.numeric_form - rep.analytic_form).max(axis=(1, 2))
+               / scale)
+        posdef, certified = predicted_signature(rz, a_exact, xs, w, P)
+        tsig = transversal_signature(rz, rep, xs, P)
+        ok = ((rel <= 1e-6) & (rep.signature[:, 1] == kd) & (tsig[:, 1] == 0)
+              & ((tsig[:, 2] == 0) == posdef) & (posdef == certified))
+        per_w.append((ok, rel, rep.signature, posdef))
+    # (sample, Weyl element) along the first two axes; the built-in max
+    # skips a NaN, as the per-pair check did
+    ok, rel, sig, posdef = (np.stack(a, axis=1) for a in zip(*per_w))
+    worst_rel = max(0.0, *rel.ravel().tolist())
+    witnesses = tuple(
+        ([str(c) for c in xs.X[i]], [[str(c) for c in row] for row in ws[k]],
+         float(rel[i, k]), sig[i, k].tolist(), int(kd[i]), bool(posdef[i, k]))
+        for i, k in np.argwhere(~ok)[:MAX_WITNESSES])
+    return CheckResult(name="hessian", passed=bool(ok.all()), count=ok.size,
+                       worst_slack=-worst_rel, witnesses=witnesses,
                        detail={"worst_relative_error": worst_rel})
 
 

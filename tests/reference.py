@@ -15,8 +15,16 @@ the facets directly, to give the same facets with each normal taken
 within the set's affine hull, and the same implicit equalities up to
 span.  ``numeric_hessian_fresh`` and
 ``analytic_hessian_fresh`` are the Hessians of ``critical`` computed anew on
-every call, with one ``expm`` and one ``F`` per numeric form; the tests
-require the memoised forms to equal them bit for bit.  ``slack_dense``,
+every call, one sample at a time, with one ``expm`` and one ``F`` per
+numeric form; the tests require the memoised forms of a stack of samples
+to equal them bit for bit.  ``kernel_dim_per_call``,
+``signature_per_call``, ``transversal_signature_per_call`` and
+``predicted_signature_per_call`` are the Hessian layer of one sample and
+one Weyl element per call, the last with its per-orbit certificate dicts
+(case, eigenvalues, transversal dimension) and with the products
+alpha(X) alpha(w^{-1} a_log) taken of exact Fractions; the tests require
+the batched layer to give the same kernel dimensions, signatures and
+predictions.  ``slack_dense``,
 ``coverage_update_dense``, ``exp_span_dense`` and ``sample_span_dense``
 are the per-sample kernels in their dense forms, with reductions over the
 short trailing axes and the center component and base point as matrix
@@ -190,8 +198,8 @@ def h_x_coords_fresh(rz, X):
     return tuple(ex.nullspace(A))
 
 
-def transversal_signature_lstsq(rz, report, X, P=None):
-    """Signature of report.numeric_form on the complement of the predicted
+def transversal_signature_lstsq(rz, form, X, P=None):
+    """Signature of the numeric form on the complement of the predicted
     kernel, orthogonal for <Y, Z> = kappa tr(Y Z^T), with the kernel in
     coordinates over the h-basis."""
     P = P if P is not None else rz.base_parabolic
@@ -214,12 +222,97 @@ def transversal_signature_lstsq(rz, report, X, P=None):
         T = np.eye(dh)
     if T.shape[1] == 0:
         return (0, 0, 0)
-    form = T.T @ report.numeric_form @ T
-    scale = max(np.abs(report.numeric_form).max(), 1.0)
+    return signature_per_call(T.T @ form @ T, form)
+
+
+# --- the per-call Hessian layer: one sample and one Weyl element a call ----
+
+def _predicted_kernel_per_call(rz, X, P=None):
+    """Spanning set of (centralizer of X in h) + (sigma-fixed nilpotent
+    part), as rows of flattened matrices; shape (k, dim * dim)."""
+    P = P if P is not None else rz.base_parabolic
+    vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))
+                       ).reshape(-1) for coords in h_x_coords(rz, X)]
+    vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
+    return np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
+
+
+def _rank_per_call(sv):
+    return int(np.sum(sv > SV_TOL * max(1.0, sv.max(initial=0.0))))
+
+
+def kernel_dim_per_call(rz, X, P=None):
+    """dim of (centralizer of X in h) + (nilpotent part inside h)."""
+    return _rank_per_call(np.linalg.svd(_predicted_kernel_per_call(rz, X, P),
+                                        compute_uv=False))
+
+
+def signature_per_call(form, full):
+    """(n_plus, n_zero, n_minus) of one symmetric form; eigenvalues within
+    SV_TOL * max(1, largest entry of the full Hessian) of 0 count as zero."""
+    scale = max(np.abs(full).max(), 1.0)
     ev = np.linalg.eigvalsh(form)
     n_plus = int(np.sum(ev > SV_TOL * scale))
     n_minus = int(np.sum(ev < -SV_TOL * scale))
     return (n_plus, len(ev) - n_plus - n_minus, n_minus)
+
+
+def transversal_signature_per_call(rz, form, X, P=None):
+    """Signature of one numeric form restricted to the complement of its
+    predicted kernel, orthogonal for the theta-twisted inner product."""
+    K = _predicted_kernel_per_call(rz, X, P)
+    if len(K):
+        B = np.stack([b.reshape(-1) for b in rz.h_basis])
+        _, sv, vt = np.linalg.svd(K @ B.T)
+        T = vt[_rank_per_call(sv):].T
+    else:
+        T = np.eye(len(rz.h_basis))
+    return signature_per_call(T.T @ form @ T, form)
+
+
+def predicted_signature_per_call(rz, a_log, X, w, P=None):
+    """Exact positivity prediction plus per-orbit certificates, from the
+    products alpha(X) alpha(w^{-1} a_log) of exact Fractions."""
+    P = P if P is not None else rz.base_parabolic
+    X = _exact_vec(X)
+    wln = ex.mat_vec(rz.small_weyl.inverse(w), _exact_vec(a_log))
+    parts = P.classification
+    posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
+              and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
+    certs = []
+    for cls in P.orbit_classes:
+        alpha = cls.root
+        aX = ex.dot(alpha, X)
+        awl = ex.dot(alpha, wln)
+        dim_full, mp, mm = cls.mult
+        entry = {"root": [str(c) for c in alpha],
+                 "alpha_X": str(aX), "alpha_w_log_a": str(awl)}
+        decay = float(np.exp(-2.0 * float(awl)))
+        # the eigenvalue pair of a class outside Sigma(P, sigma) (cases b.2)
+        lam_p = 0.5 * float(aX) * (decay - 1.0)
+        lam_m = 0.5 * float(aX) * (decay + 1.0)
+        if aX == 0:
+            entry.update(case="a", transversal_dim=0, eigenvalues=[], positive=True)
+        elif cls.in_sigma_part:
+            scalar = 0.5 * float(aX) * (decay - 1.0 / decay)
+            entry.update(case="b.1", transversal_dim=dim_full,
+                         eigenvalues=[scalar], positive=bool(aX * awl < 0))
+        elif not cls.in_aq_star:
+            entry.update(case="b.2.1", transversal_dim=2 * dim_full,
+                         eigenvalues=[lam_p, lam_m],
+                         positive=bool(aX > 0 and aX * awl < 0))
+        else:
+            eigs, ok = [], True
+            if mp:
+                eigs.append(lam_p)
+                ok = ok and aX * awl < 0
+            if mm:
+                eigs.append(lam_m)
+                ok = ok and aX > 0
+            entry.update(case="b.2.2", transversal_dim=(mp or 0) + (mm or 0),
+                         eigenvalues=eigs, positive=bool(ok))
+        certs.append(entry)
+    return posdef, tuple(certs)
 
 
 def numeric_hessian_fresh(rz, a_log, X, w, P=None):

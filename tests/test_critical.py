@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 from functools import lru_cache
 
@@ -19,8 +20,10 @@ from orbitcone.rootsys import weyl_orbit
 
 from iwasawa_reference import iwasawa_by_matmul
 from reference import (analytic_hessian_fresh, h_x_coords_fresh,
-                       numeric_hessian_fresh, sigma_grp,
-                       transversal_signature_lstsq)
+                       kernel_dim_per_call, numeric_hessian_fresh,
+                       predicted_signature_per_call, sigma_grp,
+                       signature_per_call, transversal_signature_lstsq,
+                       transversal_signature_per_call)
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -54,8 +57,8 @@ def local_min_halfspace_check(rz, a_log, X, w) -> bool:
     """All of the predicted image sits on the upper side of the level plane,
     for the base system."""
     P = rz.base_parabolic
-    posdef, _ = predicted_signature(rz, a_log, X, w, P)
-    if not posdef:
+    posdef, _ = predicted_signature(rz, a_log, [X], w, P)
+    if not posdef[0]:
         raise NotALocalMin("a transversal direction has negative curvature")
     a_exact = tuple(Fraction(c) for c in a_log)
     X = tuple(Fraction(c) for c in X)
@@ -147,29 +150,33 @@ def _random_exact_X(rz, rng):
 def test_hessian_agreement_and_kernel(rz):
     a_log = _a_log(rz)
     rng = np.random.Generator(np.random.PCG64(29))
-    for _ in range(3):
-        X = _random_exact_X(rz, rng)
-        kd = kernel_dim(rz, X)
-        for w in rz.small_weyl.elements:
-            rep = hessian(rz, a_log, X, w)
-            scale = np.maximum(np.abs(rep.analytic_form), 1.0)
-            rel = np.abs(rep.numeric_form - rep.analytic_form) / scale
-            assert rel.max() < 1e-6
-            assert rep.signature[1] == kd
-            tsig = transversal_signature(rz, rep, X)
-            posdef, certs = predicted_signature(rz, a_log, X, w)
-            assert tsig[1] == 0
-            assert (tsig[2] == 0) == posdef
-            assert posdef == all(c["positive"] for c in certs)
+    Xs = [_random_exact_X(rz, rng) for _ in range(3)]
+    kd = kernel_dim(rz, Xs)
+    for w in rz.small_weyl.elements:
+        rep = hessian(rz, a_log, Xs, w)
+        scale = np.maximum(np.abs(rep.analytic_form), 1.0)
+        rel = np.abs(rep.numeric_form - rep.analytic_form) / scale
+        assert rel.max() < 1e-6
+        assert np.array_equal(rep.signature[:, 1], kd)
+        tsig = transversal_signature(rz, rep, Xs)
+        posdef, certified = predicted_signature(rz, a_log, Xs, w)
+        assert (tsig[:, 1] == 0).all()
+        assert np.array_equal(tsig[:, 2] == 0, posdef)
+        assert np.array_equal(posdef, certified)
+        for X, ok in zip(Xs, certified):
+            _, certs = predicted_signature_per_call(rz, a_log, X, w)
+            assert ok == all(c["positive"] for c in certs)
 
 
 def test_predicted_certificates_cover_transversal(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
     for w in rz.small_weyl.elements:
-        _, certs = predicted_signature(rz, a_log, X, w)
+        _, certs = predicted_signature_per_call(rz, a_log, X, w)
         total = sum(c["transversal_dim"] for c in certs)
-        assert total == len(rz.h_basis) - kernel_dim(rz, X)
+        assert total == len(rz.h_basis) - kernel_dim(rz, [X])[0]
+        _, certified = predicted_signature(rz, a_log, [X], w)
+        assert certified[0] == all(c["positive"] for c in certs)
         for c in certs:
             assert c["case"] in ("a", "b.1", "b.2.1", "b.2.2")
             assert len(c["eigenvalues"]) <= c["transversal_dim"]
@@ -182,10 +189,10 @@ def test_so11_hessian_closed_form(rz_so11):
                  -Fraction(t).limit_denominator(10))
         tf = float(a_log[0])
         expected = 8.0 * (1.0 + np.exp(-4.0 * tf))
-        rep = hessian(rz_so11, a_log, (1, -1), w)
-        assert abs(rep.analytic_form[0, 0] - expected) < 1e-9
-        assert abs(rep.numeric_form[0, 0] - expected) < 1e-6
-        assert rep.signature == (1, 0, 0)
+        rep = hessian(rz_so11, a_log, [(1, -1)], w)
+        assert abs(rep.analytic_form[0, 0, 0] - expected) < 1e-9
+        assert abs(rep.numeric_form[0, 0, 0] - expected) < 1e-6
+        assert rep.signature.tolist() == [[1, 0, 0]]
 
 
 def test_kostant_hessian_closed_form(rz_kostant):
@@ -198,12 +205,12 @@ def test_kostant_hessian_closed_form(rz_kostant):
         for w in rz_kostant.small_weyl.elements:
             sign = 1.0 if w == eye else -1.0
             expected = 8.0 * x * (np.exp(-4.0 * sign * t) - 1.0)
-            rep = hessian(rz_kostant, a_log, X, w)
+            rep = hessian(rz_kostant, a_log, [X], w)
             scale = max(1.0, abs(expected))
-            assert abs(rep.analytic_form[0, 0] - expected) / scale < 1e-9
-            assert abs(rep.numeric_form[0, 0] - expected) / scale < 1e-6
-            posdef, _ = predicted_signature(rz_kostant, a_log, X, w)
-            assert posdef == (x * sign * t < 0)
+            assert abs(rep.analytic_form[0, 0, 0] - expected) / scale < 1e-9
+            assert abs(rep.numeric_form[0, 0, 0] - expected) / scale < 1e-6
+            posdef, _ = predicted_signature(rz_kostant, a_log, [X], w)
+            assert posdef.tolist() == [x * sign * t < 0]
 
 
 def test_kernel_dims_frozen(rz):
@@ -215,7 +222,9 @@ def test_kernel_dims_frozen(rz):
         "group_sl2": [((1, -1, -1, 1), 2), (zero, 3)],
     }[rz.name]
     for X, kd in expected:
-        assert kernel_dim(rz, X) == kd, (rz.name, X)
+        assert kernel_dim(rz, [X]).tolist() == [kd], (rz.name, X)
+    assert kernel_dim(rz, [X for X, _ in expected]).tolist() \
+        == [kd for _, kd in expected]
 
 
 def test_halfspace_check(rz_so11):
@@ -393,11 +402,13 @@ def test_transversal_signature_matches_reference(rz):
     rng = np.random.Generator(np.random.PCG64(13))
     tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=5)
             if S]
-    for X in [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]:
-        for w in rz.small_weyl.elements:
-            rep = hessian(rz, a_log, X, w)
-            assert transversal_signature(rz, rep, X) \
-                == transversal_signature_lstsq(rz, rep, X)
+    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]
+    for w in rz.small_weyl.elements:
+        rep = hessian(rz, a_log, Xs, w)
+        got = transversal_signature(rz, rep, Xs)
+        for i, X in enumerate(Xs):
+            assert tuple(got[i]) \
+                == transversal_signature_lstsq(rz, rep.numeric_form[i], X)
 
 
 def _systems(rz):
@@ -408,11 +419,13 @@ def _systems(rz):
     return [None, base] + others[:2]
 
 
-def _assert_fresh(rz, a_log, X, w, P):
-    assert np.array_equal(numeric_hessian(rz, a_log, X, w, P),
-                          numeric_hessian_fresh(rz, a_log, X, w, P))
-    assert np.array_equal(analytic_hessian(rz, a_log, X, w, P),
-                          analytic_hessian_fresh(rz, a_log, X, w, P))
+def _assert_fresh(rz, a_log, Xs, w, P):
+    num = numeric_hessian(rz, a_log, Xs, w, P)
+    ana = analytic_hessian(rz, a_log, Xs, w, P)
+    assert num.shape == ana.shape == (len(Xs),) + (len(rz.h_basis),) * 2
+    for i, X in enumerate(Xs):
+        assert np.array_equal(num[i], numeric_hessian_fresh(rz, a_log, X, w, P))
+        assert np.array_equal(ana[i], analytic_hessian_fresh(rz, a_log, X, w, P))
 
 
 def test_hessians_equal_the_fresh_reference(rz):
@@ -424,10 +437,9 @@ def test_hessians_equal_the_fresh_reference(rz):
     rng = np.random.Generator(np.random.PCG64(31))
     Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [ex.zeros(rz.dim)]
     for P in _systems(rz):
-        for X in Xs:
-            for w in rz.small_weyl.elements:
-                _assert_fresh(rz, a_log, X, w, P)
-                _assert_fresh(rz, a_float, X, w, P)
+        for w in rz.small_weyl.elements:
+            _assert_fresh(rz, a_log, Xs, w, P)
+            _assert_fresh(rz, a_float, Xs, w, P)
 
 
 def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
@@ -450,18 +462,47 @@ def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
         cases["kostant_sl2"][1:] + cases["sl2_so11"][1:] + cases["sl3_so21"]
     for rz, a_log, P, X in order:
         for w in rz.small_weyl.elements:
-            _assert_fresh(rz, a_log, X, w, P)
-            got = predicted_signature(rz, a_log, X, w, P)
+            _assert_fresh(rz, a_log, [X], w, P)
+            got = predicted_signature(rz, a_log, [X], w, P)
             with monkeypatch.context() as m:
                 m.setattr(critical, "_WEYL_POINTS", {})
-                assert got == predicted_signature(rz, a_log, X, w, P)
+                fresh = predicted_signature(rz, a_log, [X], w, P)
+            assert np.array_equal(got, fresh)
+            assert got[0][0] == predicted_signature_per_call(rz, a_log, X, w, P)[0]
+
+
+LAYER_CALLS = ("hessian", "predicted_signature", "transversal_signature",
+               "kernel_dim")
+
+
+def _run_hessian_check(monkeypatch, cfg):
+    """Run one hessian check with a fresh kernel memo.  Returns its result,
+    the calls of each layer function, the kernel SVDs it made, and the
+    number of tie patterns of its samples, each of which takes two SVDs."""
+    args = {layer: [] for layer in LAYER_CALLS}
+    for layer in LAYER_CALLS:
+        real = getattr(critical, layer)
+        monkeypatch.setattr(harness, layer, lambda *a, _log=args[layer],
+                            _real=real: _log.append(a) or _real(*a))
+    svds = []
+    real_svd = np.linalg.svd
+    monkeypatch.setattr(critical, "_KERNELS", {})
+    monkeypatch.setattr(np.linalg, "svd",
+                        lambda *a, **k: svds.append(a) or real_svd(*a, **k))
+    result = run(cfg).results[0]
+    monkeypatch.setattr(np.linalg, "svd", real_svd)
+    (_, xs, _), = args["kernel_dim"]
+    return result, {k: len(v) for k, v in args.items()}, len(svds), \
+        len(set(xs.ties))
 
 
 def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
         monkeypatch):
     # the stencil is exponentiated once per realization and projected once
     # per (positive system, base point, Weyl element), whatever the number
-    # of samples
+    # of samples; the layer functions are called per Weyl element, not per
+    # sample, and each predicted kernel takes its two SVDs once per tie
+    # pattern
     monkeypatch.setattr(critical, "_WEYL_POINTS", {})
     monkeypatch.setattr(critical, "_stencil_exp",
                         lru_cache(maxsize=None)(critical._stencil_exp.__wrapped__))
@@ -473,6 +514,7 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
                         lambda *a: h_pq_calls.append(a) or real_h_pq(*a))
     for name in A_LOGS:
         rz = realization(name)
+        n_w = len(rz.small_weyl.elements)
         n_expm = len(expm_calls)
         a1 = _a_log(rz)
         chambers = [None] + [tuple(str(c) for c in Q.chamber_vector)
@@ -480,13 +522,117 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
         for a_log in (a1, tuple(c / 2 for c in a1)):
             for chamber in chambers:
                 n_h_pq = len(h_pq_calls)
-                cfg = VerificationConfig(
-                    preset=name, samples=5, a_log=tuple(str(c) for c in a_log),
-                    chamber=chamber, checks=frozenset({"hessian"}))
-                # a non-base chamber may FAIL on the finite-difference
-                # step (ROADMAP item 8); the counts are what is checked
-                assert run(cfg).results[0].count \
-                    == 5 * len(rz.small_weyl.elements)
-                made = len(h_pq_calls) - n_h_pq
-                assert 1 <= made <= len(rz.small_weyl.elements), (name, chamber)
+                calls = {}
+                for samples in (5, 50):
+                    cfg = VerificationConfig(
+                        preset=name, samples=samples,
+                        a_log=tuple(str(c) for c in a_log),
+                        chamber=chamber, checks=frozenset({"hessian"}))
+                    # a non-base chamber may FAIL on the finite-difference
+                    # step (ROADMAP item 8); the counts are what is checked
+                    result, calls[samples], svds, patterns = \
+                        _run_hessian_check(monkeypatch, cfg)
+                    assert result.count == samples * n_w
+                    assert svds == 2 * patterns, (name, chamber, samples)
+                    if samples == 5:
+                        made = len(h_pq_calls) - n_h_pq
+                        assert 1 <= made <= len(rz.small_weyl.elements), \
+                            (name, chamber)
+                assert len(h_pq_calls) - n_h_pq == made, (name, chamber)
+                assert calls[50] == calls[5] == {
+                    "hessian": n_w, "predicted_signature": n_w,
+                    "transversal_signature": n_w, "kernel_dim": 1}, name
         assert len(expm_calls) - n_expm == 1, name
+
+
+def _mixed_stack(rz):
+    """Generic samples, one tied sample per vanishing pattern, and X = 0."""
+    rng = np.random.Generator(np.random.PCG64(41))
+    tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=7)
+            if S]
+    return [_random_exact_X(rz, rng) for _ in range(3)] + tied \
+        + [ex.zeros(rz.dim)]
+
+
+def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
+    # generic, tied and zero samples in one stack have kernels, hence
+    # complement bases, of different shapes; every form, signature, kernel
+    # dimension and prediction equals the per-call one, at the base and two
+    # other positive systems
+    a_log = _a_log(rz)
+    Xs = _mixed_stack(rz)
+    for P in _systems(rz)[1:]:
+        kd = kernel_dim(rz, Xs, P)
+        assert kd.tolist() == [kernel_dim_per_call(rz, X, P) for X in Xs]
+        for w in rz.small_weyl.elements:
+            rep = hessian(rz, a_log, Xs, w, P)
+            tsig = transversal_signature(rz, rep, Xs, P)
+            for i, X in enumerate(Xs):
+                num = numeric_hessian_fresh(rz, a_log, X, w, P)
+                assert np.array_equal(rep.numeric_form[i], num)
+                assert np.array_equal(rep.analytic_form[i],
+                                      analytic_hessian_fresh(rz, a_log, X, w, P))
+                assert tuple(rep.signature[i]) == signature_per_call(num, num)
+                assert tuple(tsig[i]) \
+                    == transversal_signature_per_call(rz, num, X, P)
+    # the kernel shapes differ within the stack
+    assert len(set(kernel_dim(rz, Xs).tolist())) > 1
+
+
+def test_the_predictions_of_a_stack_equal_the_per_call_ones(rz):
+    # every positive system: group_sl2 has classes of case b.2.1 only at
+    # some of them
+    a_log = _a_log(rz)
+    Xs = _mixed_stack(rz)
+    for P in parabolic.all_positive_systems(rz.datum):
+        for w in rz.small_weyl.elements:
+            posdef, certified = predicted_signature(rz, a_log, Xs, w, P)
+            for i, X in enumerate(Xs):
+                one_posdef, certs = predicted_signature_per_call(
+                    rz, a_log, X, w, P)
+                assert posdef[i] == one_posdef
+                assert certified[i] == all(c["positive"] for c in certs)
+
+
+def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
+    # a flipped prediction at one Weyl element fails exactly the pairs at
+    # that element, reported in sample order with X, w, the relative
+    # error, the signature, kd and the prediction, up to MAX_WITNESSES
+    real = critical.predicted_signature
+    for name in ("kostant_sl2", "sl3_so21", "group_sl2"):
+        rz = realization(name)
+        w_bad = rz.small_weyl.elements[-1]
+
+        def flipped(rz_, a_log, Xs, w, P=None):
+            posdef, certified = real(rz_, a_log, Xs, w, P)
+            return (~posdef, ~certified) if w == w_bad else (posdef, certified)
+        monkeypatch.setattr(harness, "predicted_signature", flipped)
+        cfg = VerificationConfig(preset=name, samples=12, seed=3,
+                                 checks=frozenset({"hessian"}))
+        r = run(cfg).results[0]
+        monkeypatch.setattr(harness, "predicted_signature", real)
+        passing = run(cfg).results[0]
+        assert passing.passed and passing.witnesses == ()
+        assert not r.passed
+        assert (r.count, r.detail) == (passing.count, passing.detail)
+        assert len(r.witnesses) == harness.MAX_WITNESSES
+        json.dumps(r.to_dict())
+        for X, w, rel, sig, kd, posdef in r.witnesses:
+            assert w == [[str(c) for c in row] for row in w_bad]
+            X = tuple(Fraction(c) for c in X)
+            num = numeric_hessian_fresh(rz, _a_log(rz), X, w_bad)
+            ana = analytic_hessian_fresh(rz, _a_log(rz), X, w_bad)
+            scale = max(np.abs(ana).max(), 1.0)
+            assert rel == float(np.abs(num - ana).max() / scale) <= 1e-6
+            assert tuple(sig) == signature_per_call(num, num)
+            assert kd == kernel_dim_per_call(rz, X)
+            assert posdef == (not predicted_signature_per_call(
+                rz, _a_log(rz), X, w_bad)[0])
+        # the witnesses are the first samples drawn, in draw order
+        rng = np.random.default_rng(harness._stream(cfg, "hessian"))
+        aq = rz.datum.aq_basis
+        drawn = [ex.combination([Fraction(c).limit_denominator(40)
+                                 for c in rng.normal(size=len(aq))], aq, rz.dim)
+                 for _ in range(harness.MAX_WITNESSES)]
+        assert [w[0] for w in r.witnesses] \
+            == [[str(c) for c in X] for X in drawn]
