@@ -5,16 +5,18 @@ predicted critical image) is exact rational arithmetic; the numeric layer
 (the functional and its finite-difference Hessians) runs on the matrix
 models and is compared against it.
 
-The Hessian layer takes a SampleStack of samples X and computes each part
-once per value of what it depends on.  The stack keeps what depends on X
-alone: X itself (built from its a_q coordinates), X in floats, its tie
-pattern {(i, j) : X_i = X_j} and the signs of alpha(X).  The centralizer
-basis of X in h and the predicted Hessian kernel depend on X only through
-its ties and are kept per tie pattern.  The exponential of
-numeric_hessian's stencil depends on the realization only.  The stencil's
-projected Iwasawa logs, analytic_hessian's transport and the signs of
-alpha(w^{-1} a_log) depend on (preset, P, a_log, w) and are kept in a
-_WeylPoint; their pairing with the stack is one batched pass per w.
+The Hessian and critical-image layers take a SampleStack of samples X and
+compute each part once per value of what it depends on.  The stack keeps
+what depends on X alone: X itself (built from its a_q coordinates), X in
+floats, G X, its tie pattern {(i, j) : X_i = X_j} and the signs of
+alpha(X).  The centralizer basis of X in h and the predicted Hessian kernel
+depend on X only through its ties and are kept per tie pattern.
+critical_value gives the levels of a stack at every w, and F its values at
+every x_w from one h_pq.  The exponential of numeric_hessian's stencil
+depends on the realization only.  The stencil's projected Iwasawa logs,
+analytic_hessian's transport and the signs of alpha(w^{-1} a_log) depend
+on (preset, P, a_log, w) and are kept in a _WeylPoint; their pairing with
+the stack is one batched pass per w.
 """
 from __future__ import annotations
 
@@ -74,9 +76,11 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 # --- scalar functional -----------------------------------------------------
 
 def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarray:
-    """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over h."""
+    """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over
+    h, and over X (m, n) for one stack h (k, n, n), giving shape (m, k)."""
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    return h_pq(rz, a @ np.asarray(h, dtype=float), P) @ _dual(rz, X)
+    return np.matmul(h_pq(rz, a @ np.asarray(h, dtype=float), P),
+                     _dual(rz, X)[..., None])[..., 0]
 
 
 def _dual(rz: Realization, X) -> np.ndarray:
@@ -92,10 +96,10 @@ def _weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
     return ex.mat_vec(rz.small_weyl.inverse(w), a_log)
 
 
-def critical_value(rz: Realization, a_log, X, w: Mat) -> Fraction:
-    """<X, w^{-1} a_log> in the exact layer."""
-    wln = _weyl_image(rz, _exact_vec(a_log), w)
-    return ex.dot(ex.mat_vec(rz.datum.gram, _exact_vec(X)), wln)
+def critical_value(rz: Realization, a_log, Xs, ws) -> list[list[Fraction]]:
+    """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per w."""
+    wlns = [_weyl_image(rz, _exact_vec(a_log), w) for w in ws]
+    return [[ex.dot(gX, wln) for wln in wlns] for gX in _stack(rz, Xs).gram]
 
 
 # --- subspaces of h --------------------------------------------------------
@@ -173,6 +177,10 @@ class SampleStack:
     @cached_property
     def floats(self) -> np.ndarray:
         return np.array(self.X, dtype=float).reshape(-1, self.rz.dim)
+
+    @cached_property
+    def gram(self) -> tuple[Vec, ...]:
+        return tuple(ex.mat_vec(self.rz.datum.gram, X) for X in self.X)
 
     @cached_property
     def ties(self) -> tuple[frozenset, ...]:
@@ -439,17 +447,17 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     return out
 
 
-def sample_H_X(rz: Realization, X, radius: float, count: int, seed) -> np.ndarray:
-    """Draw from the centralizer of X in H: z * exp(Y), Y in the fixed algebra."""
-    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seed)
+def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> np.ndarray:
+    """Draw count elements z * exp(Y) per seed, Y in the centralizer of X in h."""
+    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seeds)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem | None = None,
-               radius: float = 1.0, count: int = 1, seed=0) -> np.ndarray:
-    """Draw unipotent elements fixed by the involution."""
+               radius: float = 1.0, count: int = 1, seeds=(0,)) -> np.ndarray:
+    """Draw count unipotent elements fixed by the involution per seed."""
     P = P if P is not None else rz.base_parabolic
     basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
-    return sample_unipotent(basis, radius, count, seed)
+    return sample_unipotent(basis, radius, count, seeds)
 
 
 # --- vanishing patterns -----------------------------------------------------

@@ -528,27 +528,30 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
     for pi, (S, wits) in enumerate(pats):
         # omega_X reads X only through the roots vanishing on it; for X in
         # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
-        oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
-        xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
-        for xi, X in enumerate(wits):
-            fvs = F(rz, a_exact, _float_rows([X], rz.dim)[0], xws, P)
-            for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
-                draw = (pi, xi, wi)
-                hx = sample_H_X(rz, X, radius, n_per,
-                                _stream(cfg, "critical_image", 1, *draw))
-                nh = sample_NPH(rz, P, radius, n_per,
-                                _stream(cfg, "critical_image", 2, *draw))
-                tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
-                # combinatorial layer: the critical value is the exact level
-                # of <X, .> on the predicted image
-                lv = critical_value(rz, a_exact, X, w)
-                gX = ex.mat_vec(rz.datum.gram, X)
+        ws, oms = zip(*sorted(omega_X(rz, a_exact, wits[0], P).items()))
+        xws = np.stack([rz.weyl_reps[w] for w in ws])
+        xs = SampleStack(rz, wits)
+        hx = np.empty((len(wits), len(ws), n_per, rz.dim, rz.dim))
+        for ties in dict.fromkeys(xs.ties):
+            rows = [xi for xi, t in enumerate(xs.ties) if t == ties]
+            hx[rows] = sample_H_X(rz, wits[rows[0]], radius, n_per, [
+                _stream(cfg, "critical_image", 1, pi, xi, wi)
+                for xi in rows for wi in range(len(ws))]).reshape(-1, *hx.shape[1:])
+        nh = sample_NPH(rz, P, radius, n_per, [_stream(cfg, "critical_image", 2, pi, *d)
+                                               for d in np.ndindex(hx.shape[:2])])
+        vals = h_pq(rz, (a @ xws)[:, None] @ hx @ nh.reshape(hx.shape), P)
+        # combinatorial layer: the critical value is the exact level of
+        # <X, .> on the predicted image
+        levels = critical_value(rz, a_exact, xs, ws)
+        fvs = F(rz, a_exact, xs.floats, xws, P)
+        for gX, x_vals, x_levels, x_fvs in zip(xs.gram, vals, levels, fvs):
+            for om, v, lv, fv in zip(oms, x_vals, x_levels, x_fvs):
+                tally.feed(om, v)
                 if min(ex.dot(gX, u) for u in om.vertices) != lv:
                     exact_fail += 1
                 if any(ex.dot(gX, g) < 0 for g in om.generators):
                     exact_fail += 1
-                fv = float(fvs[wi])
-                if abs(fv - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
+                if abs(float(fv) - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
                     exact_fail += 1
     return tally.result("critical_image", exact_fail == 0,
                         detail={"patterns": len(pats),
@@ -581,7 +584,8 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             # rank-one probes hit each generator direction exactly; E^2 = 0
             feed(np.stack([np.eye(rz.dim) + s * E for E in basis for s in (1.0, 3.0)]))
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
-            feed(sample_unipotent(basis, cfg.radii[-1], n, _stream(cfg, "gk", pi, qi)))
+            feed(sample_unipotent(basis, cfg.radii[-1], n,
+                                  [_stream(cfg, "gk", pi, qi)]))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
             # rank-one closed form, exact in the embedded A1

@@ -536,38 +536,46 @@ def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
 
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seed) -> np.ndarray:
-    """Draw count elements z * exp(Y): Y Gaussian in the span of basis (k, n, n)
-    clipped to |Y| <= radius, z a uniform center component.  exp is exp_span,
-    the span checked by span_form before any draw.  z is diagonal +-1,
+                seeds) -> np.ndarray:
+    """Draw count elements z * exp(Y) per seed, in seed order: Y Gaussian in
+    the span of basis (k, n, n) clipped to |Y| <= radius, z a uniform center
+    component; each stream draws Y, then z.  exp is one exp_span over every
+    stream, the span checked by span_form before any draw.  z is diagonal +-1,
     applied in place as the row signs rz.z_signs.  No Gaussian is drawn when
-    the span is zero.  seed is anything np.random.default_rng takes; an int
-    gives the stream of PCG64(seed).  Raises NotCubic when the span has no
-    form, SingularInput when the draw leaves double range, ValueError when a
-    center component is not a diagonal sign matrix."""
+    the span is zero.  A seed is anything np.random.default_rng takes; an
+    int gives the stream of PCG64(seed).  Raises NotCubic when the span has
+    no form, SingularInput when the draw leaves double range, ValueError
+    when a center component is not a diagonal sign matrix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     span_form(basis)
-    rng = np.random.default_rng(seed)
-    coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-    E = exp_span(coef, basis, radius)
-    E *= rz.z_signs[rng.integers(0, len(rz.z_reps), size=count)][:, :, None]
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    E = exp_span(_rows(rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+                       for rng in rngs), basis, radius)
+    E *= rz.z_signs[_rows(rng.integers(0, len(rz.z_reps), size=count)
+                          for rng in rngs)][:, :, None]
     return E
+
+
+def _rows(draws) -> np.ndarray:
+    """The draws of the streams in order; a single stream's draw uncopied."""
+    draws = list(draws)
+    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
     """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
-    return sample_span(rz, np.stack(rz.h_basis), radius, count, seed)
+    return sample_span(rz, np.stack(rz.h_basis), radius, count, [seed])
 
 
-def sample_unipotent(basis: np.ndarray, radius: float, count: int, seed
+def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
                      ) -> np.ndarray:
-    """Draw count elements exp(Y), Y = sum_k c_k basis[k] over a nilpotent
-    span (k, n, n), the c_k Gaussian with deviation radius / 2; seed as in
-    sample_span, and the span checked before any draw."""
+    """Draw count elements exp(Y) per seed, Y = sum_k c_k basis[k] over a
+    nilpotent span (k, n, n), the c_k Gaussian with deviation radius / 2;
+    seeds and exp_span as in sample_span, the span checked before any draw."""
     span_form(basis)
-    rng = np.random.default_rng(seed)
-    return exp_span(rng.normal(0.0, radius / 2.0, size=(count, len(basis))), basis)
+    return exp_span(_rows(np.random.default_rng(seed).normal(
+        0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds), basis)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

@@ -24,7 +24,10 @@ one Weyl element per call, the last with its per-orbit certificate dicts
 (case, eigenvalues, transversal dimension) and with the products
 alpha(X) alpha(w^{-1} a_log) taken of exact Fractions; the tests require
 the batched layer to give the same kernel dimensions, signatures and
-predictions.  ``slack_dense``,
+predictions.  ``critical_image_per_draw`` is the critical_image check
+with one sample_H_X, sample_NPH, h_pq and level per draw; the tests
+require the check, which batches per vanishing pattern, to give the same
+report.  ``slack_dense``,
 ``coverage_update_dense``, ``exp_span_dense`` and ``sample_span_dense``
 are the per-sample kernels in their dense forms, with reductions over the
 short trailing axes and the center component and base point as matrix
@@ -43,10 +46,13 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
-                                _h_basis_exact, h_x_coords, nph_basis)
-from orbitcone.harness import MIN_DISPLACEMENT
+                                _h_basis_exact, critical_value, h_x_coords,
+                                nph_basis, omega_X, sample_H_X, sample_NPH,
+                                vanishing_patterns)
+from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
+                               _require_regular, _stream)
 from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales, _SERIES_C,
-                                 a_matrix, ek_projection, span_form)
+                                 a_matrix, ek_projection, h_pq, span_form)
 from orbitcone.polyhedra import _free_lp
 
 
@@ -350,6 +356,44 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     V = Xm @ V - V @ Xm
     LV = -rz.pi_h(V)
     return rz.kappa * np.einsum("iab,jab->ij", basis, LV)
+
+
+def critical_image_per_draw(rz, P, cfg):
+    """harness._check_critical_image one draw at a time: per (witness X,
+    Weyl element w), its own sample_H_X, sample_NPH, h_pq and Tally.feed on
+    one stream each, one critical_value per (X, w) and one F per X."""
+    a_exact = _require_regular(rz, cfg)
+    pats = vanishing_patterns(rz, per_pattern=10,
+                              seed=_stream(cfg, "critical_image", 0))
+    n_per = max(8, cfg.samples // 50)
+    radius = cfg.radii[-1]
+    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
+    tally = Tally(cfg.tol)
+    exact_fail = 0
+    for pi, (S, wits) in enumerate(pats):
+        oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
+        xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
+        for xi, X in enumerate(wits):
+            fvs = F(rz, a_exact, _float_rows([X], rz.dim)[0], xws, P)
+            for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
+                draw = (pi, xi, wi)
+                hx = sample_H_X(rz, X, radius, n_per,
+                                [_stream(cfg, "critical_image", 1, *draw)])
+                nh = sample_NPH(rz, P, radius, n_per,
+                                [_stream(cfg, "critical_image", 2, *draw)])
+                tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
+                lv = critical_value(rz, a_exact, [X], [w])[0][0]
+                gX = ex.mat_vec(rz.datum.gram, X)
+                if min(ex.dot(gX, u) for u in om.vertices) != lv:
+                    exact_fail += 1
+                if any(ex.dot(gX, g) < 0 for g in om.generators):
+                    exact_fail += 1
+                fv = float(fvs[wi])
+                if abs(fv - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
+                    exact_fail += 1
+    return tally.result("critical_image", exact_fail == 0,
+                        detail={"patterns": len(pats),
+                                "exact_level_failures": exact_fail})
 
 
 def slack_dense(region, x):

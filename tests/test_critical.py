@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone import critical, harness, parabolic, polyhedra
+from orbitcone import critical, harness, matrixgrp, parabolic, polyhedra
 from orbitcone.critical import (F, NotRegular, analytic_hessian,
                                 critical_value, ensure_regular, h_x_coords,
                                 hessian, kernel_dim, numeric_hessian, omega_X,
@@ -18,8 +18,10 @@ from orbitcone.matrixgrp import a_matrix, realization, sample_H
 from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
 
+import reference
 from iwasawa_reference import iwasawa_by_matmul
-from reference import (analytic_hessian_fresh, h_x_coords_fresh,
+from reference import (analytic_hessian_fresh, critical_image_per_draw,
+                       h_x_coords_fresh,
                        kernel_dim_per_call, numeric_hessian_fresh,
                        predicted_signature_per_call, sigma_grp,
                        signature_per_call, transversal_signature_lstsq,
@@ -112,9 +114,10 @@ def test_reps_are_critical_points(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
     ensure_regular(rz, a_log)
-    for w in rz.small_weyl.elements:
+    ws = rz.small_weyl.elements
+    for w, level in zip(ws, critical_value(rz, a_log, [X], ws)[0]):
         xw = rz.weyl_reps[w]
-        val = float(critical_value(rz, a_log, X, w))
+        val = float(level)
         assert abs(float(F(rz, a_log, X, xw)) - val) < 1e-9
         g = grad_F(rz, a_log, X, xw)
         assert np.abs(g).max() < 1e-8
@@ -271,27 +274,27 @@ def test_omega_X_wall_sl3(rz_sl3):
         assert 1 <= len(om.vertices) <= 2
         assert om.generators == ()
         level = min(ex.dot(gX, u) for u in om.vertices)
-        assert level == critical_value(rz_sl3, a_log, X, w)
+        assert level == critical_value(rz_sl3, a_log, [X], [w])[0][0]
 
 
 def test_sample_H_X_centralizes(rz):
     X = _a_log(rz)
     Xm = a_matrix(np.array([float(c) for c in X]))
-    hs = sample_H_X(rz, X, 1.0, 16, seed=4)
+    hs = sample_H_X(rz, X, 1.0, 16, seeds=[4])
     assert np.abs(hs @ Xm - Xm @ hs).max() < 1e-9
     assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-9
-    assert np.array_equal(hs, sample_H_X(rz, X, 1.0, 16, seed=4))
+    assert np.array_equal(hs, sample_H_X(rz, X, 1.0, 16, seeds=[4]))
 
 
 @pytest.mark.parametrize("radius", [0.0, 1.5, 4.0])
 def test_sample_H_X_at_zero_is_sample_H(rz, radius):
     # the centralizer of 0 is all of H, drawn from the same stream
-    hs = sample_H_X(rz, ex.zeros(rz.dim), radius, 64, seed=11)
+    hs = sample_H_X(rz, ex.zeros(rz.dim), radius, 64, seeds=[11])
     assert np.array_equal(hs, sample_H(rz, radius, 64, seed=11))
 
 
 def test_sample_NPH_shape(rz):
-    ns = sample_NPH(rz, count=8, seed=6)
+    ns = sample_NPH(rz, count=8, seeds=[6])
     assert ns.shape == (8, rz.dim, rz.dim)
     assert np.abs(sigma_grp(rz, ns) - ns).max() < 1e-10
     if rz.name != "group_sl2":
@@ -378,6 +381,112 @@ def test_critical_image_builds_one_hrep_per_pattern_and_weyl_element(monkeypatch
                                  checks=frozenset({"critical_image"}))
         assert run(cfg).passed
         assert len(calls) == count, preset
+
+
+# the cases on which the batched critical_image check must give the report
+# of the per-draw oracle
+CRITICAL_IMAGE_CASES = (
+    [{"preset": p, "seed": s} for p in ("kostant_sl2", "sl2_so11", "sl3_so21",
+                                        "group_sl2") for s in (0, 5)]
+    + [{"preset": "sl3_so21", "chamber": ("3", "2", "1")},
+       {"preset": "group_sl2", "chamber": ("1", "-1", "1", "-1")},
+       {"preset": "sl3_so21", "radii": (1.0, 12.0)}])
+
+
+def _critical_image_reports(**kw):
+    """The batched check's result and the per-draw oracle's on one case."""
+    cfg = VerificationConfig(checks=frozenset({"critical_image"}), **kw)
+    rz = realization(cfg.preset)
+    P = cfg.positive_system(rz)
+    return (harness._check_critical_image(rz, P, cfg),
+            critical_image_per_draw(rz, P, cfg))
+
+
+def _same_report(got, want):
+    assert got.passed == want.passed
+    assert got.count == want.count
+    assert got.detail == want.detail
+    assert repr(got.worst_slack) == repr(want.worst_slack)
+    assert got.witnesses == want.witnesses
+
+
+@pytest.mark.parametrize("case", CRITICAL_IMAGE_CASES, ids=str)
+def test_critical_image_check_equals_the_per_draw_oracle(case):
+    got, want = _critical_image_reports(**case)
+    assert got.passed
+    _same_report(got, want)
+
+
+def _patch(monkeypatch, name, fn):
+    """Replace name in the check's module and in the oracle's."""
+    for module in (harness, reference):
+        monkeypatch.setattr(module, name, fn)
+
+
+def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
+    # Omega_X of the first Weyl element of the first pattern whose Omega_X
+    # has generators loses them: the points along the cut cone fall outside
+    real = critical.omega_X
+    chosen = []                 # the witness of the pattern that is faulted
+
+    def vertices_alone(rz, a_log, X, P=None):
+        out = real(rz, a_log, X, P)
+        with_generators = sorted(w for w, om in out.items() if om.generators)
+        if with_generators and chosen in ([], [X]):
+            chosen[:] = [X]
+            w = with_generators[0]
+            out[w] = polyhedra.Polyhedron(out[w].vertices)
+        return out
+    _patch(monkeypatch, "omega_X", vertices_alone)
+    got, want = _critical_image_reports(preset="sl3_so21")
+    assert not got.passed and got.witnesses
+    assert got.detail["exact_level_failures"] == 0
+    _same_report(got, want)
+    # every level off by one: the vertex and the F test fail on every draw
+    monkeypatch.undo()
+    real_value = critical.critical_value
+    _patch(monkeypatch, "critical_value", lambda *a: [
+        [lv + 1 for lv in row] for row in real_value(*a)])
+    got, want = _critical_image_reports(preset="sl2_so11")
+    assert not got.passed
+    draws = got.count // max(8, 2000 // 50)
+    assert got.detail["exact_level_failures"] == 2 * draws
+    _same_report(got, want)
+
+
+def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
+    # per pattern: one sample_H_X per tie pattern of its witnesses, one
+    # sample_NPH, and two Iwasawa calls (the draws and F); G X once per X
+    work = {}
+    for name, module in (("sample_H_X", harness), ("sample_NPH", harness),
+                         ("iwasawa", matrixgrp)):
+        def counted(*a, _real=getattr(module, name), _name=name, **k):
+            work[_name] = work.get(_name, 0) + 1
+            return _real(*a, **k)
+        monkeypatch.setattr(module, name, counted)
+    real_mat_vec = ex.mat_vec
+    for preset in ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2"):
+        rz = realization(preset)
+        gram_X = []
+        monkeypatch.setattr(ex, "mat_vec", lambda M, v: (
+            M is rz.datum.gram and gram_X.append(v)) or real_mat_vec(M, v))
+        counts = []
+        for samples in (100, 2000):
+            work.clear()
+            gram_X.clear()
+            cfg = VerificationConfig(preset=preset, samples=samples, seed=0,
+                                     checks=frozenset({"critical_image"}))
+            assert run(cfg).passed
+            counts.append(dict(work, gram_X=len(gram_X)))
+        pats = vanishing_patterns(rz, per_pattern=10,
+                                  seed=harness._stream(cfg, "critical_image", 0))
+        ties = sum(len({frozenset((i, j) for i in range(rz.dim)
+                                  for j in range(rz.dim) if X[i] == X[j])
+                        for X in wits}) for _, wits in pats)
+        assert counts[0] == counts[1] == {
+            "sample_H_X": ties, "sample_NPH": len(pats),
+            "iwasawa": 2 * len(pats),
+            "gram_X": sum(len(wits) for _, wits in pats)}, preset
 
 
 def test_hessian_check_validates_its_base_point_once(monkeypatch):

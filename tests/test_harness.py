@@ -273,15 +273,17 @@ def test_hrep_builds_solve_no_lp(monkeypatch):
 
 def _recorded_streams(monkeypatch, cfg):
     """Run cfg and return the seed of every draw: (sampler, seed) for the
-    samplers the checks call, ("rng", seed) for a check's own generator."""
+    samplers the checks call, one per stream of a sampler that takes a
+    sequence of seeds, and ("rng", seed) for a check's own generator."""
     seen = []
     for name in ("sample_H", "sample_H_X", "sample_NPH", "sample_unipotent",
                  "vanishing_patterns"):
         real = getattr(harness, name)
 
         def sampler(*args, _real=real, _name=name, **kwargs):
-            bound = inspect.signature(_real).bind(*args, **kwargs)
-            seen.append((_name, bound.arguments["seed"]))
+            bound = inspect.signature(_real).bind(*args, **kwargs).arguments
+            seeds = bound["seeds"] if "seeds" in bound else [bound["seed"]]
+            seen.extend((_name, seed) for seed in seeds)
             return _real(*args, **kwargs)
         monkeypatch.setattr(harness, name, sampler)
     real_rng = np.random.default_rng

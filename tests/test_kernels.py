@@ -3,8 +3,9 @@
 Polyhedron.slack, _Coverage.update, exp_span and the center component of
 sample_span must give the same bits as the dense forms, on every preset and
 on the edge cases of each rewrite: ties between vertices, displacements of
-exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes, and
-exp_span blocks that mix scaled and unscaled matrices.
+exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes,
+exp_span blocks that mix scaled and unscaled matrices, and draws over
+several streams.
 """
 from fractions import Fraction
 
@@ -15,7 +16,7 @@ from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, _Coverage,
                                _float_rows)
 from orbitcone.matrixgrp import (BLOCK, SingularInput, _entry_max,
                                  _sum_squares, exp_span, h_pq, sample_H,
-                                 sample_span)
+                                 sample_span, sample_unipotent)
 from orbitcone.polyhedra import cone, gamma_aq, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -176,8 +177,24 @@ def test_stack_reductions_equal_numpy(n):
 def test_sample_span_equals_the_dense_product(rz, seed):
     basis = np.stack(rz.h_basis)
     for radius, count in ((0.5, 7), (4.0, 2 * BLOCK + 3)):
-        got = sample_span(rz, basis, radius, count, seed)
+        got = sample_span(rz, basis, radius, count, [seed])
         assert np.array_equal(got, sample_span_dense(rz, basis, radius, count, seed))
     empty = np.zeros((0, rz.dim, rz.dim))
-    assert np.array_equal(sample_span(rz, empty, 1.0, 9, seed),
+    assert np.array_equal(sample_span(rz, empty, 1.0, 9, [seed]),
                           sample_span_dense(rz, empty, 1.0, 9, seed))
+
+
+def test_a_draw_over_several_streams_is_their_draws_in_turn(rz):
+    """sample_span and sample_unipotent exponentiate the rows of every
+    stream at once; each stream's rows are bit for bit its draw alone."""
+    seeds = [np.random.SeedSequence(69, spawn_key=(k,)) for k in range(3)]
+    basis = np.stack(rz.h_basis)
+    for radius, count in ((0.5, 7), (4.0, BLOCK + 3)):
+        want = [sample_span_dense(rz, basis, radius, count, s) for s in seeds]
+        assert np.array_equal(sample_span(rz, basis, radius, count, seeds),
+                              np.concatenate(want))
+    nilpotent = np.zeros((1, rz.dim, rz.dim))
+    nilpotent[0, 0, -1] = 1.0
+    want = [sample_unipotent(nilpotent, 2.0, 5, [s]) for s in seeds]
+    assert np.array_equal(sample_unipotent(nilpotent, 2.0, 5, seeds),
+                          np.concatenate(want))

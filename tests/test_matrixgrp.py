@@ -349,8 +349,8 @@ def test_exp_h_rejects_matrices_outside_the_class():
 
 def test_a_span_outside_the_class_is_rejected_before_any_draw(rz_sl3):
     diagonal = np.stack([np.diag([1.0, -1.0, 0.0]), np.diag([0.0, 1.0, -1.0])])
-    draws = (lambda rng: sample_span(rz_sl3, diagonal, 1.0, 8, rng),
-             lambda rng: sample_unipotent(diagonal, 1.0, 8, rng))
+    draws = (lambda rng: sample_span(rz_sl3, diagonal, 1.0, 8, [rng]),
+             lambda rng: sample_unipotent(diagonal, 1.0, 8, [rng]))
     for draw in draws:
         rng = np.random.default_rng(70)
         state = rng.bit_generator.state
