@@ -550,17 +550,12 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
         raise ValueError("radius must be nonnegative")
     span_form(basis)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    E = exp_span(_rows(rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-                       for rng in rngs), basis, radius)
-    E *= rz.z_signs[_rows(rng.integers(0, len(rz.z_reps), size=count)
-                          for rng in rngs)][:, :, None]
+    E = exp_span(np.concatenate([rng.normal(0.0, radius / 2.0,
+                                            size=(count, len(basis)))
+                                 for rng in rngs]), basis, radius)
+    E *= rz.z_signs[np.concatenate([rng.integers(0, len(rz.z_reps), size=count)
+                                    for rng in rngs])][:, :, None]
     return E
-
-
-def _rows(draws) -> np.ndarray:
-    """The draws of the streams in order; a single stream's draw uncopied."""
-    draws = list(draws)
-    return draws[0] if len(draws) == 1 else np.concatenate(draws)
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
@@ -574,8 +569,8 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
     nilpotent span (k, n, n), the c_k Gaussian with deviation radius / 2;
     seeds and exp_span as in sample_span, the span checked before any draw."""
     span_form(basis)
-    return exp_span(_rows(np.random.default_rng(seed).normal(
-        0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds), basis)
+    return exp_span(np.concatenate([np.random.default_rng(seed).normal(
+        0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds]), basis)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

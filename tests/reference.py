@@ -45,7 +45,7 @@ import numpy as np
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import (FD_STEP, SV_TOL, F, _exact_vec,
+from orbitcone.critical import (FD_STEP, SV_TOL, _dual, _exact_vec,
                                 _h_basis_exact, critical_value, h_x_coords,
                                 nph_basis, omega_X, sample_H_X, sample_NPH,
                                 vanishing_patterns)
@@ -324,7 +324,7 @@ def predicted_signature_per_call(rz, a_log, X, w, P=None):
 def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
     FD_STEP / 2, Richardson-extrapolated; both stencils go through one expm
-    and one F call."""
+    and one h_pq call, contracted with the dual of X by a gemv."""
     xw = rz.weyl_reps[w]
     basis = np.stack(rz.h_basis)
     dh = len(basis)
@@ -334,7 +334,8 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     stencil = (signs[:, 0, None, None] * basis[:, None, None]
                + signs[:, 1, None, None] * basis[None, :, None])
     Z = np.multiply.outer(steps, stencil).reshape(-1, rz.dim, rz.dim)
-    vals = F(rz, a_log, X, xw @ expm(Z), P)
+    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
+    vals = h_pq(rz, a @ (xw @ expm(Z)), P) @ _dual(rz, X)
     vals = vals.reshape(2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * steps[:, None, None] ** 2))
@@ -361,7 +362,8 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
 def critical_image_per_draw(rz, P, cfg):
     """harness._check_critical_image one draw at a time: per (witness X,
     Weyl element w), its own sample_H_X, sample_NPH, h_pq and Tally.feed on
-    one stream each, one critical_value per (X, w) and one F per X."""
+    one stream each, one critical_value per (X, w), and F's value at every
+    x_w from one h_pq per X, contracted with the dual of X by a gemv."""
     a_exact = _require_regular(rz, cfg)
     pats = vanishing_patterns(rz, per_pattern=10,
                               seed=_stream(cfg, "critical_image", 0))
@@ -374,7 +376,7 @@ def critical_image_per_draw(rz, P, cfg):
         oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
         xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
         for xi, X in enumerate(wits):
-            fvs = F(rz, a_exact, _float_rows([X], rz.dim)[0], xws, P)
+            fvs = h_pq(rz, a @ xws, P) @ _dual(rz, _float_rows([X], rz.dim)[0])
             for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
                 draw = (pi, xi, wi)
                 hx = sample_H_X(rz, X, radius, n_per,

@@ -392,6 +392,31 @@ CRITICAL_IMAGE_CASES = (
        {"preset": "group_sl2", "chamber": ("1", "-1", "1", "-1")},
        {"preset": "sl3_so21", "radii": (1.0, 12.0)}])
 
+# the worst_slack repr of the per-draw check on each case, recorded from its
+# own run (count, patterns and exact_level_failures as the oracle gives);
+# the oracle reads the library's samplers and h_pq, so a change made in both
+# shows here only
+PER_DRAW_WORST_SLACK = (
+    "-4.710277376051325e-16", "-3.9252311467094373e-16",
+    "-1.0990647210786424e-14", "-1.0990647210786424e-14",
+    "-2.7177872634221037e-14", "-3.0459793698465236e-14",
+    "-2.51214793389404e-15", "-3.14018491736755e-15",
+    "-2.7177872634221037e-14", "-2.51214793389404e-15",
+    "-2.5775240717256983e-09")
+
+# the witnesses of the per-draw check under the Omega_X fault below
+PER_DRAW_OMEGA_FAULT_WITNESSES = (
+    (1.0, 3.764691717989, -4.764691717989),
+    (1.0, 4.138789729864, -5.138789729864),
+    (1.0, 4.138789729864, -5.138789729864),
+    (1.0, 3.868082981833, -4.868082981833),
+    (1.0, 4.138789729864, -5.138789729864),
+    (1.0, 2.418467099203, -3.418467099203),
+    (1.0, 4.138789729864, -5.138789729864),
+    (1.0, 4.138789729864, -5.138789729864),
+    (1.0, 2.592151754946, -3.592151754946),
+    (1.0, 3.5901450142, -4.5901450142))
+
 
 def _critical_image_reports(**kw):
     """The batched check's result and the per-draw oracle's on one case."""
@@ -415,6 +440,20 @@ def test_critical_image_check_equals_the_per_draw_oracle(case):
     got, want = _critical_image_reports(**case)
     assert got.passed
     _same_report(got, want)
+
+
+@pytest.mark.parametrize("case, worst", zip(CRITICAL_IMAGE_CASES,
+                                            PER_DRAW_WORST_SLACK), ids=str)
+def test_critical_image_check_keeps_the_recorded_per_draw_reports(case, worst):
+    cfg = VerificationConfig(checks=frozenset({"critical_image"}), **case)
+    rz = realization(cfg.preset)
+    got = harness._check_critical_image(rz, cfg.positive_system(rz), cfg)
+    assert got.passed and not got.witnesses
+    assert repr(got.worst_slack) == worst
+    count, pats = {"kostant_sl2": (880, 2), "sl2_so11": (440, 2),
+                   "sl3_so21": (3280, 5), "group_sl2": (880, 2)}[cfg.preset]
+    assert got.count == count
+    assert got.detail == {"patterns": pats, "exact_level_failures": 0}
 
 
 def _patch(monkeypatch, name, fn):
@@ -442,6 +481,8 @@ def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
     assert not got.passed and got.witnesses
     assert got.detail["exact_level_failures"] == 0
     _same_report(got, want)
+    assert repr(got.worst_slack) == "-2.138789729864407"
+    assert got.witnesses == PER_DRAW_OMEGA_FAULT_WITNESSES
     # every level off by one: the vertex and the F test fail on every draw
     monkeypatch.undo()
     real_value = critical.critical_value
