@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -161,7 +161,8 @@ def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndar
 class SampleStack:
     """Exact samples X in a_q with what the Hessian layer reads of X alone,
     each built on first use by the layer function that first needs it.
-    Given a basis, the samples are X = sum_k coords_k basis_k, built so."""
+    Given a basis, the samples are X = sum_k coords_k basis_k, each entry one
+    exact dot of the coordinates with a basis column."""
     rz: Realization
     coords: tuple[Vec, ...]
     basis: tuple[Vec, ...] | None = None
@@ -170,9 +171,8 @@ class SampleStack:
     def X(self) -> tuple[Vec, ...]:
         if self.basis is None:
             return self.coords
-        # summing the scaled basis vectors skips combination's zero start
-        return tuple(reduce(ex.add, map(ex.scale, c, self.basis))
-                     for c in self.coords)
+        cols = ex.transpose(self.basis)
+        return tuple(ex.mat_vec(cols, c) for c in self.coords)
 
     @cached_property
     def floats(self) -> np.ndarray:

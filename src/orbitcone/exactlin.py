@@ -1,8 +1,14 @@
 """Exact rational linear algebra: vectors and matrices as tuples of Fractions,
 Gauss-Jordan kernels and inverses, and a small Bland-rule simplex for
-feasibility/optimization of {Ax = b, x >= 0}.  Internal support module."""
+feasibility/optimization of {Ax = b, x >= 0}.  Internal support module.
+
+The kernels ``dot``, ``combination`` and ``rref`` compute on Python
+integers inside and build one normalised Fraction per entry they return,
+so they reduce by a gcd once per result, not after every product and
+partial sum.  The values are those of Fraction arithmetic."""
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -45,16 +51,26 @@ def neg(x: Vec) -> Vec:
 
 
 def combination(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
-    """sum_k coeffs[k] * vecs[k] in Q^n, exactly; zeros(n) over no vectors.
+    """sum_k coeffs[k] * vecs[k] in Q^n, exactly, as one dot of the
+    coefficients with each column; zeros(n) over no vectors.
     Raises ValueError when the lengths do not match."""
-    out = zeros(n)
-    for c, v in zip(coeffs, vecs, strict=True):
-        out = add(out, scale(c, v))
-    return out
+    cols = tuple(zip(*vecs, strict=True)) if vecs else ((),) * n
+    if len(cols) != n:
+        raise ValueError(f"vectors of length {len(cols)}, expected {n}")
+    return tuple(dot(coeffs, col) for col in cols)
 
 
-def dot(x: Vec, y: Vec) -> Fraction:
-    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+def dot(x: Sequence, y: Sequence) -> Fraction:
+    """sum_k x_k y_k of rationals (Fractions or ints), exactly.  Raises
+    ValueError when the lengths do not match."""
+    n, d = 0, 1                     # the partial sum is n / d, unreduced
+    for a, b in zip(x, y, strict=True):
+        an, ad = a.as_integer_ratio()
+        bn, bd = b.as_integer_ratio()
+        e = ad * bd
+        n = n * e + an * bn * d
+        d *= e
+    return Fraction(n, d)
 
 
 def mat_vec(m: Mat, x: Vec) -> Vec:
@@ -96,9 +112,26 @@ def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
             T[i] = [x - f * y for x, y in zip(T[i], T[r])]
 
 
+def _primitive(row: list[int]) -> list[int]:
+    """row divided by the gcd of its entries (unchanged when all are 0)."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [x // g for x in row]
+
+
+def _integer_row(row: Sequence) -> list[int]:
+    """A rational row times the lcm of its denominators, made primitive."""
+    ratios = [x.as_integer_ratio() for x in row]
+    m = math.lcm(*(d for _, d in ratios))
+    return _primitive([n * (m // d) for n, d in ratios])
+
+
 def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices)."""
-    rows = [list(r) for r in m]
+    """Reduced row echelon form; returns (rows, pivot column indices).
+
+    Gauss-Jordan elimination on integer rows, each a nonzero multiple of
+    the row Fraction elimination would hold: the same pivots, and (the
+    form being unique) the same rows once divided by their pivots."""
+    rows = [_integer_row(r) for r in m]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -109,12 +142,17 @@ def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        _pivot(rows, r, c)
+        prow, p = rows[r], rows[r][c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f != 0:
+                rows[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    return [tuple(row) for row in rows[:r]], pivots
+    return [tuple(Fraction(x, row[c]) for x in row)
+            for row, c in zip(rows, pivots)], pivots
 
 
 def nullspace(m: Sequence[Vec]) -> list[Vec]:

@@ -11,6 +11,7 @@ JSON and CSV output, and no wall-clock time is recorded.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -43,6 +44,8 @@ class IoError(OSError):
 
 
 FORMATS = ("json", "csv", "svg")
+# the start of the message of every input that leaves double range
+RANGE_ERROR = "a_log or radii out of floating-point range"
 
 _DEFAULT_A_LOG = {
     "kostant_sl2": ("1", "-1"),
@@ -380,13 +383,26 @@ def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSe
 #
 # Every check has the signature fn(rz, P, cfg) -> CheckResult.
 
+def _require_finite_exp(*points: ex.Vec) -> None:
+    """ConfigError unless exp of every coordinate of every base point is a
+    finite double: a larger one would reach the checks as inf, with a numpy
+    warning."""
+    try:
+        for x in itertools.chain(*points):
+            math.exp(float(x))
+    except OverflowError as e:
+        raise ConfigError(f"{RANGE_ERROR}: exp(a_log) overflows ({e})") from e
+
+
 def _require_regular(rz: Realization, cfg: VerificationConfig):
     try:
-        return ensure_regular(rz, cfg.a_log_exact())
+        a_exact = ensure_regular(rz, cfg.a_log_exact())
     except NotRegular as e:
         raise ConfigError(f"a_log is singular ({e}); use the limits check") from e
     except ValueError as e:
         raise ConfigError(str(e)) from e
+    _require_finite_exp(a_exact)
+    return a_exact
 
 
 def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
@@ -616,6 +632,7 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         raise ConfigError("no regular direction found")
     steps = [aj for aj in (ex.add(a_exact, ex.scale(Fraction(1, 4 ** j), dirv))
                            for j in range(1, 5)) if is_regular(rz, aj)]
+    _require_finite_exp(a_exact, *steps)
     tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)
@@ -657,7 +674,7 @@ def run(cfg: VerificationConfig) -> Report:
                         if name in cfg.checks)
     except (SingularInput, OverflowError) as e:
         # exp(a_log) or exp(radius * Y) left double range: bad input
-        raise ConfigError(f"a_log or radii out of floating-point range: {e}") from e
+        raise ConfigError(f"{RANGE_ERROR}: {e}") from e
     return Report(config=cfg.to_dict(), results=results)
 
 

@@ -36,7 +36,11 @@ products; the tests require the kernels to equal them bit for bit.
 class test read per matrix from Y^3, and ``span_form_exact`` the class
 test of a span over Fractions; the tests hold ``matrixgrp.exp_span`` and
 ``matrixgrp.span_form`` to them; ``sl2_triple`` is a span with square-zero
-elements and a nonzero form on every n.
+elements and a nonzero form on every n.  ``dot_fraction``,
+``combination_fraction``, ``rref_fraction``, ``nullspace_fraction`` and
+``mat_inv_fraction`` are the exact kernels of ``exactlin`` in Fraction
+arithmetic, which reduces by a gcd after every product and sum; the tests
+require the integer kernels to return the same Fractions.
 """
 import itertools
 from fractions import Fraction
@@ -549,3 +553,58 @@ def span_form_exact(basis):
         if any(not ex.is_zero(row) for row in total):
             raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
     return Q
+
+
+def dot_fraction(x, y):
+    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+
+
+def combination_fraction(coeffs, vecs, n):
+    out = ex.zeros(n)
+    for c, v in zip(coeffs, vecs, strict=True):
+        out = ex.add(out, ex.scale(c, v))
+    return out
+
+
+def rref_fraction(m):
+    """Gauss-Jordan elimination in Fractions: (rows, pivot columns)."""
+    rows = [list(r) for r in m]
+    if not rows:
+        return [], []
+    pivots = []
+    r = 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        ex._pivot(rows, r, c)
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return [tuple(row) for row in rows[:r]], pivots
+
+
+def nullspace_fraction(m):
+    if not m:
+        return []
+    ncols = len(m[0])
+    rows, pivots = rref_fraction(m)
+    basis = []
+    for f in (c for c in range(ncols) if c not in pivots):
+        x = [Fraction(0)] * ncols
+        x[f] = Fraction(1)
+        for r, p in zip(rows, pivots):
+            x[p] = -r[f]
+        basis.append(tuple(x))
+    return basis
+
+
+def mat_inv_fraction(m):
+    n = len(m)
+    rows, pivots = rref_fraction([list(r) + [Fraction(int(i == j)) for j in range(n)]
+                                  for i, r in enumerate(m)])
+    if pivots[:n] != list(range(n)):
+        raise ValueError("singular matrix")
+    return tuple(tuple(row[n:]) for row in rows)

@@ -1,11 +1,15 @@
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orbitcone import critical, harness, matrixgrp, polyhedra, rootsys
 from orbitcone import exactlin as ex
 
+import reference
 from paper_claims import feasible
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -124,3 +128,137 @@ def test_lp_solve_orientation():
     status, x, val = ex.lp_solve(a, b, (Fraction(1), Fraction(0)))
     assert status == ex.OPTIMAL
     assert val == 3 and x[0] == 3
+
+
+# --- the integer kernels against their Fraction oracles ---------------------
+
+# ints, and Fractions with denominators up to 10^6, of either sign
+entries = st.one_of(st.just(0), st.integers(-9, 9),
+                    st.fractions(min_value=-1000, max_value=1000,
+                                 max_denominator=10 ** 6))
+
+
+@st.composite
+def rational_matrices(draw, max_rows=5, max_cols=6, square=False):
+    """Matrices with some rows zeroed, some rows repeated (as they are and
+    as multiples) and some columns zeroed."""
+    nrows = draw(st.integers(1, max_rows))
+    ncols = nrows if square else draw(st.integers(1, max_cols))
+    rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
+            for _ in range(nrows)]
+    for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
+        rows[i] = [0] * ncols
+    for i, c in draw(st.lists(st.tuples(st.integers(0, nrows - 1), entries),
+                              max_size=0 if square else 2)):
+        rows.append(list(rows[i]) if c == 0 else [c * x for x in rows[i]])
+    for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
+        for row in rows:
+            row[j] = 0
+    return tuple(tuple(row) for row in rows)
+
+
+def _same(got, want):
+    # repr tells a Fraction from an int and a tuple from a list
+    assert repr(got) == repr(want)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 6).flatmap(
+    lambda n: st.tuples(*[st.lists(entries, min_size=n, max_size=n)] * 2)))
+def test_dot_equals_the_fraction_oracle(xy):
+    x, y = xy
+    _same(ex.dot(x, y), reference.dot_fraction(x, y))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(), st.lists(entries, min_size=7, max_size=7))
+def test_combination_equals_the_fraction_oracle(m, coeffs):
+    cs = coeffs[:len(m)]
+    _same(ex.combination(cs, m, len(m[0])),
+          reference.combination_fraction(cs, m, len(m[0])))
+
+
+@settings(max_examples=100, deadline=None)
+@given(rational_matrices())
+def test_rref_and_nullspace_equal_the_fraction_oracles(m):
+    _same(ex.rref(m), reference.rref_fraction(m))
+    _same(ex.nullspace(m), reference.nullspace_fraction(m))
+
+
+@settings(max_examples=60, deadline=None)
+@given(rational_matrices(max_rows=4, square=True))
+def test_mat_inv_equals_the_fraction_oracle(m):
+    try:
+        want = reference.mat_inv_fraction(m)
+    except ValueError:
+        with pytest.raises(ValueError, match="singular"):
+            ex.mat_inv(m)
+    else:
+        _same(ex.mat_inv(m), want)
+
+
+def test_the_kernels_reject_a_length_mismatch():
+    x = (Fraction(1, 2), 3)
+    for y in ((1,), (1, 2, 3)):
+        with pytest.raises(ValueError):
+            ex.dot(x, y)
+    with pytest.raises(ValueError):
+        ex.combination((1, 2), (x, (1,)), 2)
+    _same(ex.rref([]), ([], []))
+    _same(ex.nullspace([]), [])
+
+
+# --- the same values on every report path ------------------------------------
+
+KERNEL_ORACLES = {"dot": reference.dot_fraction,
+                  "combination": reference.combination_fraction,
+                  "rref": reference.rref_fraction}
+
+
+@pytest.fixture
+def kernel_calls(monkeypatch):
+    """Check every call of an integer kernel against its oracle on the same
+    arguments, and count the calls.  Every module-level cache is replaced
+    by an empty one, so that the report paths are computed anew."""
+    calls = Counter()
+
+    def checked(name, kernel, oracle):
+        def call(*args):
+            got = kernel(*args)
+            _same(got, oracle(*args))
+            calls[name] += 1
+            return got
+        return call
+
+    for name, oracle in KERNEL_ORACLES.items():
+        monkeypatch.setattr(ex, name, checked(name, getattr(ex, name), oracle))
+    for module in (critical, harness, matrixgrp, polyhedra, rootsys):
+        for name, f in list(vars(module).items()):
+            if hasattr(f, "cache_clear"):
+                monkeypatch.setattr(module, name,
+                                    lru_cache(maxsize=None)(f.__wrapped__))
+    monkeypatch.setattr(critical, "_KERNELS", {})
+    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
+    return calls
+
+
+@pytest.mark.parametrize("preset", sorted(matrixgrp.PRESETS))
+def test_every_report_path_gets_the_oracle_values(preset, kernel_calls,
+                                                  monkeypatch):
+    # the realization (roots, Weyl groups, inverses), every check's
+    # polyhedra and exact levels at seed 0, and each SampleStack the checks
+    # build, the seed-0 hessian draw among them, with all its parts
+    stacks = []
+
+    def stack(*args):
+        stacks.append(critical.SampleStack(*args))
+        return stacks[-1]
+
+    monkeypatch.setattr(harness, "SampleStack", stack)
+    checks = [c for c in harness.CHECKS if c != "kostant" or preset == "kostant_sl2"]
+    for check in checks:
+        harness.run(harness.VerificationConfig(preset=preset,
+                                               checks=frozenset({check})))
+    for xs in stacks:
+        xs.X, xs.gram, xs.signs
+    assert stacks and all(kernel_calls[k] for k in KERNEL_ORACLES), kernel_calls
