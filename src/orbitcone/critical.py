@@ -5,18 +5,20 @@ predicted critical image) is exact rational arithmetic; the numeric layer
 (the functional and its finite-difference Hessians) runs on the matrix
 models and is compared against it.
 
-The Hessian and critical-image layers take a SampleStack of samples X and
-compute each part once per value of what it depends on.  The stack keeps
-what depends on X alone: X itself (built from its a_q coordinates), X in
-floats, G X, its tie pattern {(i, j) : X_i = X_j} and the signs of
-alpha(X).  The centralizer basis of X in h and the predicted Hessian kernel
-depend on X only through its ties and are kept per tie pattern.
-critical_value gives the levels of a stack at every w, and F its values at
-every x_w from one h_pq.  The exponential of numeric_hessian's stencil
-depends on the realization only.  The stencil's projected Iwasawa logs,
-analytic_hessian's transport and the signs of alpha(w^{-1} a_log) depend
-on (preset, P, a_log, w) and are kept in a _WeylPoint; their pairing with
-the stack is one batched pass per w.
+The Hessian and critical-image layers take a SampleStack of samples X, an
+exact base point a_log and an explicit positive system P, and compute each
+part once per value of what it depends on.  The stack keeps what depends on
+X alone: X itself (built from its a_q coordinates), X in floats, G X, its
+tie pattern {(i, j) : X_i = X_j} and the signs of alpha(X).  The
+centralizer basis of X in h and the predicted Hessian kernel depend on X
+only through its ties and are kept per tie pattern.  critical_value gives
+the levels of a stack at every w, and F its values at every x_w from one
+h_pq.  The exponential of numeric_hessian's stencil depends on the
+realization only.  The stencil's projected Iwasawa logs, analytic_hessian's
+transport and the signs of alpha(w^{-1} a_log) depend on (realization, P,
+a_log, w) and are kept in a _WeylPoint, made once for each; their pairing
+with the stack is one batched pass per w.  A positive system is equal to,
+and hashed as, its positive roots, so the memos key by P itself.
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 
 # --- scalar functional -----------------------------------------------------
 
-def F(rz: Realization, a_log, X, h, P: PositiveSystem | None = None) -> np.ndarray:
+def F(rz: Realization, a_log, X, h, P: PositiveSystem) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over
     h, and over X (m, n) for one stack h (k, n, n), giving shape (m, k)."""
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
@@ -96,10 +98,11 @@ def _weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
     return ex.mat_vec(rz.small_weyl.inverse(w), a_log)
 
 
-def critical_value(rz: Realization, a_log, Xs, ws) -> list[list[Fraction]]:
+def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
+                   ) -> list[list[Fraction]]:
     """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per w."""
-    wlns = [_weyl_image(rz, _exact_vec(a_log), w) for w in ws]
-    return [[ex.dot(gX, wln) for wln in wlns] for gX in _stack(rz, Xs).gram]
+    wlns = [_weyl_image(rz, a_log, w) for w in ws]
+    return [[ex.dot(gX, wln) for wln in wlns] for gX in xs.gram]
 
 
 # --- subspaces of h --------------------------------------------------------
@@ -115,7 +118,7 @@ def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
     [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
     its RREF and the basis, depends on X only through the pattern of ties
     X_i = X_j, and the basis is cached on that pattern."""
-    return _centralizer(rz, _stack(rz, [X]).ties[0])
+    return _centralizer(rz, SampleStack(rz, (X,)).ties[0])
 
 
 def _centralizer_basis(rz: Realization, X) -> np.ndarray:
@@ -134,9 +137,8 @@ def _centralizer(rz: Realization, ties: frozenset) -> tuple[Vec, ...]:
     return tuple(ex.nullspace(A))
 
 
-def nph_basis(rz: Realization, P: PositiveSystem | None = None) -> tuple[np.ndarray, ...]:
+def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
     """Basis of the sigma-fixed part of the nilpotent radical."""
-    P = P if P is not None else rz.base_parabolic
     out = []
     seen = set()
     for alpha in sorted(P.classification.sigma_part):
@@ -201,31 +203,22 @@ class SampleStack:
         return out
 
 
-def _stack(rz: Realization, Xs) -> SampleStack:
-    """Xs as a SampleStack; a sequence of samples becomes a new one."""
-    if isinstance(Xs, SampleStack):
-        return Xs
-    return SampleStack(rz, tuple(_exact_vec(X) for X in Xs))
-
-
-# the predicted kernel per (preset, P, tie pattern).  Here and in
-# _WEYL_POINTS, P enters a key as P.positive, the set that P.key() sorts: a
-# frozenset keeps its hash, a tuple of Fractions hashes them on every call
+# the predicted kernel per (realization, P, tie pattern); a dict, as a
+# missing one is built from a sample of the pattern
 _KERNELS: dict[tuple, tuple[int, np.ndarray]] = {}
 
 
 def _predicted_kernels(rz: Realization, xs: SampleStack,
-                       P: PositiveSystem | None) -> list[tuple[int, np.ndarray]]:
+                       P: PositiveSystem) -> list[tuple[int, np.ndarray]]:
     """Per sample, (dim, T) of the predicted Hessian kernel K, the span of
     (centralizer of X in h) + (sigma-fixed nilpotent part), with T a basis
     over the h-basis of its complement for the theta-twisted inner product.
-    X enters only through its ties, so each is built once per (preset, P,
-    ties)."""
-    P = P if P is not None else rz.base_parabolic
+    X enters only through its ties, so each is built once per (realization,
+    P, ties)."""
     n = rz.dim * rz.dim
     out = []
     for X, ties in zip(xs.X, xs.ties):
-        key = (rz.name, P.positive, ties)
+        key = (rz, P, ties)
         if key not in _KERNELS:
             K = np.concatenate([_centralizer_basis(rz, X).reshape(-1, n),
                                 np.reshape(nph_basis(rz, P), (-1, n))])
@@ -244,11 +237,11 @@ def _rank(sv: np.ndarray) -> int:
     return int(np.sum(sv > SV_TOL * max(1.0, sv.max(initial=0.0))))
 
 
-def kernel_dim(rz: Realization, Xs, P: PositiveSystem | None = None
+def kernel_dim(rz: Realization, xs: SampleStack, P: PositiveSystem
                ) -> np.ndarray:
     """dim of (centralizer of X in h) + (nilpotent part inside h), per
     sample."""
-    return np.array([d for d, _ in _predicted_kernels(rz, _stack(rz, Xs), P)])
+    return np.array([d for d, _ in _predicted_kernels(rz, xs, P)])
 
 
 # --- Hessian ---------------------------------------------------------------
@@ -274,11 +267,12 @@ def _stencil_exp(rz: Realization) -> np.ndarray:
     return expm(np.multiply.outer(_STEPS, stencil).reshape(-1, rz.dim, rz.dim))
 
 
+@lru_cache(maxsize=None)
 @dataclass(frozen=True, eq=False)
 class _WeylPoint:
     """The parts of F and its Hessians at x_w that do not depend on X, for
-    one realization, positive system, base point and Weyl element; each is
-    built on first use."""
+    one realization, positive system, exact base point and Weyl element,
+    made once for each by the lru_cache; each part is built on first use."""
     rz: Realization
     P: PositiveSystem
     a_log: Vec
@@ -314,42 +308,28 @@ class _WeylPoint:
         return {a: np.sign(ex.dot(a, wln)) for a in self.rz.datum.roots}
 
 
-_WEYL_POINTS: dict[tuple, _WeylPoint] = {}
-
-
-def _weyl_point(rz: Realization, a_log, w: Mat,
-                P: PositiveSystem | None) -> _WeylPoint:
-    """The _WeylPoint of (preset, P, exact a_log, w), made once."""
-    P = P if P is not None else rz.base_parabolic
-    a_exact = _exact_vec(a_log)
-    key = (rz.name, P.positive, a_exact, w)
-    point = _WEYL_POINTS.get(key)
-    if point is None:
-        point = _WEYL_POINTS[key] = _WeylPoint(rz, P, a_exact, w)
-    return point
-
-
-def analytic_hessian(rz: Realization, a_log, Xs, w: Mat,
-                     P: PositiveSystem | None = None) -> np.ndarray:
+def analytic_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+                     P: PositiveSystem) -> np.ndarray:
     """Forms <U_i, L_w U_j>, one per sample, with L_w assembled from the
-    transport operator of (preset, P, a_log, w); only the commutator with
-    the stacked diagonal X and one einsum are per stack."""
-    V = _weyl_point(rz, a_log, w, P).transport
-    Xm = a_matrix(_stack(rz, Xs).floats)[:, None]
+    transport operator of (realization, P, a_log, w); only the commutator
+    with the stacked diagonal X and one einsum are per stack."""
+    V = _WeylPoint(rz, P, a_log, w).transport
+    Xm = a_matrix(xs.floats)[:, None]
     LV = -rz.pi_h(Xm @ V - V @ Xm)
     return rz.kappa * np.einsum("iab,mjab->mij", np.stack(rz.h_basis), LV)
 
 
-def numeric_hessian(rz: Realization, a_log, Xs, w: Mat,
-                    P: PositiveSystem | None = None) -> np.ndarray:
+def numeric_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+                    P: PositiveSystem) -> np.ndarray:
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
     FD_STEP / 2, Richardson-extrapolated, one per sample.  F is linear in X:
-    the projected Iwasawa logs of the stencil, kept per (preset, P, a_log,
-    w), times the stacked G X.  A stacked matmul makes one matrix-vector
-    product per sample; one gemm over the stack would round differently."""
+    the projected Iwasawa logs of the stencil, kept per (realization, P,
+    a_log, w), times the stacked G X.  A stacked matmul makes one
+    matrix-vector product per sample; one gemm over the stack would round
+    differently."""
     dh = len(rz.h_basis)
-    D = _dual(rz, _stack(rz, Xs).floats)
-    vals = np.matmul(_weyl_point(rz, a_log, w, P).stencil_values[None],
+    D = _dual(rz, xs.floats)
+    vals = np.matmul(_WeylPoint(rz, P, a_log, w).stencil_values[None],
                      D[:, :, None]).reshape(len(D), 2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * _STEPS[:, None, None] ** 2))
@@ -357,12 +337,11 @@ def numeric_hessian(rz: Realization, a_log, Xs, w: Mat,
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
-def hessian(rz: Realization, a_log, Xs, w: Mat,
-            P: PositiveSystem | None = None) -> HessianReport:
+def hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+            P: PositiveSystem) -> HessianReport:
     """Numeric and analytic Hessians of F at x_w, per sample.  a_log must be
     a regular point of a_q; ensure_regular checks it, and the caller does so
     once."""
-    xs = _stack(rz, Xs)
     num = numeric_hessian(rz, a_log, xs, w, P)
     return HessianReport(w=w, numeric_form=num, signature=_signature(num, num),
                          analytic_form=analytic_hessian(rz, a_log, xs, w, P))
@@ -378,13 +357,13 @@ def _signature(forms: np.ndarray, full: np.ndarray) -> np.ndarray:
     return np.stack([n_plus, ev.shape[1] - n_plus - n_minus, n_minus], axis=1)
 
 
-def transversal_signature(rz: Realization, report: HessianReport, Xs,
-                          P: PositiveSystem | None = None) -> np.ndarray:
+def transversal_signature(rz: Realization, report: HessianReport,
+                          xs: SampleStack, P: PositiveSystem) -> np.ndarray:
     """Signature of each numeric form restricted to the complement of its
     predicted kernel, orthogonal for the theta-twisted inner product.  The
     samples are grouped by the width of the complement's basis T, with one
     T^T form T and eigvalsh per group."""
-    Ts = [T for _, T in _predicted_kernels(rz, _stack(rz, Xs), P)]
+    Ts = [T for _, T in _predicted_kernels(rz, xs, P)]
     form = report.numeric_form
     width = np.array([T.shape[1] for T in Ts])
     out = np.empty((len(form), 3), dtype=int)
@@ -398,15 +377,13 @@ def transversal_signature(rz: Realization, report: HessianReport, Xs,
 
 # --- predicted signature ----------------------------------------------------
 
-def predicted_signature(rz: Realization, a_log, Xs, w: Mat,
-                        P: PositiveSystem | None = None):
+def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+                        P: PositiveSystem):
     """Per sample, the exact positivity prediction and whether every orbit
     certificate is positive.  A product alpha(X) alpha(w^{-1} a_log) is
     tested by the signs of its factors, kept per sample and per Weyl point.
     a_log must be a regular point of a_q; ensure_regular checks it."""
-    P = P if P is not None else rz.base_parabolic
-    xs = _stack(rz, Xs)
-    sx, sw = xs.signs, _weyl_point(rz, a_log, w, P).signs
+    sx, sw = xs.signs, _WeylPoint(rz, P, a_log, w).signs
     posdef = np.ones(len(xs.X), dtype=bool)
     for a in P.classification.plus_part:
         posdef &= sx[a] * sw[a] <= 0
@@ -429,12 +406,10 @@ def predicted_signature(rz: Realization, a_log, Xs, w: Mat,
 
 # --- the predicted critical image ------------------------------------------
 
-def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
+def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
             ) -> dict[Mat, Polyhedron]:
-    """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone."""
-    P = P if P is not None else rz.base_parabolic
-    a_exact = _exact_vec(a_log)
-    X = _exact_vec(X)
+    """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone;
+    a_log and X exact."""
     d = rz.datum
     cut = sorted(a for a in P.classification.minus_part if ex.dot(a, X) == 0)
     gam = gamma_aq(cut, d)
@@ -443,7 +418,7 @@ def omega_X(rz: Realization, a_log, X, P: PositiveSystem | None = None
     W_X = weyl_group(vanishing, d.gram)
     out = {}
     for w in rz.small_weyl.elements:
-        out[w] = omega(weyl_orbit(W_X, _weyl_image(rz, a_exact, w)), gam)
+        out[w] = omega(weyl_orbit(W_X, _weyl_image(rz, a_log, w)), gam)
     return out
 
 
@@ -452,10 +427,9 @@ def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> np.ndarr
     return sample_span(rz, _centralizer_basis(rz, X), radius, count, seeds)
 
 
-def sample_NPH(rz: Realization, P: PositiveSystem | None = None,
-               radius: float = 1.0, count: int = 1, seeds=(0,)) -> np.ndarray:
+def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
+               seeds) -> np.ndarray:
     """Draw count unipotent elements fixed by the involution per seed."""
-    P = P if P is not None else rz.base_parabolic
     basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
     return sample_unipotent(basis, radius, count, seeds)
 

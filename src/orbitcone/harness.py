@@ -419,7 +419,9 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     collected = []
 
     def feed(hs: np.ndarray) -> None:
-        hs *= a_rows
+        # past double range the product is not finite, and h_pq says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs *= a_rows
         vals = h_pq(rz, hs, P)
         collected.append(vals)
         tally.feed(om, vals)
@@ -547,12 +549,13 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         ws, oms = zip(*sorted(omega_X(rz, a_exact, wits[0], P).items()))
         xws = np.stack([rz.weyl_reps[w] for w in ws])
         xs = SampleStack(rz, wits)
-        hx = np.empty((len(wits), len(ws), n_per, rz.dim, rz.dim))
-        for ties in dict.fromkeys(xs.ties):
-            rows = [xi for xi, t in enumerate(xs.ties) if t == ties]
-            hx[rows] = sample_H_X(rz, wits[rows[0]], radius, n_per, [
-                _stream(cfg, "critical_image", 1, pi, xi, wi)
-                for xi in rows for wi in range(len(ws))]).reshape(-1, *hx.shape[1:])
+        # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
+        # preset U in h is 0 off the diagonal and the root positions, where
+        # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call
+        hx = sample_H_X(rz, wits[0], radius, n_per, [
+            _stream(cfg, "critical_image", 1, pi, xi, wi)
+            for xi in range(len(wits)) for wi in range(len(ws))]
+        ).reshape(len(wits), len(ws), n_per, rz.dim, rz.dim)
         nh = sample_NPH(rz, P, radius, n_per, [_stream(cfg, "critical_image", 2, pi, *d)
                                                for d in np.ndindex(hx.shape[:2])])
         vals = h_pq(rz, (a @ xws)[:, None] @ hx @ nh.reshape(hx.shape), P)
@@ -641,7 +644,9 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
         hs = np.concatenate([probes, sample_H(rz, cfg.radii[-1], n_bulk,
                                               _stream(cfg, "limits", idx))])
-        hs *= np.exp(_float_rows([point], rz.dim)[0])[:, None]     # a h
+        # a h; past double range it is not finite, and h_pq says so
+        with np.errstate(over="ignore", invalid="ignore"):
+            hs *= np.exp(_float_rows([point], rz.dim)[0])[:, None]
         tally.feed(om, h_pq(rz, hs, P))
     return tally.result("limits", detail={"sequence_length": len(steps)})
 

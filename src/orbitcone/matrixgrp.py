@@ -264,30 +264,23 @@ def realization(name: str) -> Realization:
 
 # --- permutation bookkeeping -----------------------------------------------
 
-_PERM_CACHE: dict[tuple[str, tuple], np.ndarray] = {}
-
-
+@lru_cache(maxsize=None)
 def chamber_perm(rz: Realization, P: PositiveSystem) -> np.ndarray:
     """Index permutation p such that the permutation matrix w with
     w[p[c], c] = 1 maps Sigma(base) onto Sigma(P)."""
-    key = (rz.name, P.key())
-    if key not in _PERM_CACHE:
-        base_pos = rz.base_parabolic.positive
-        for perm in itertools.permutations(range(rz.dim)):
-            moved = frozenset(tuple(a[perm.index(r)] for r in range(rz.dim))
-                              for a in base_pos)
-            if moved == P.positive:
-                _PERM_CACHE[key] = np.array(perm)
-                break
-        else:
-            raise ValueError("positive system is not a coordinate permutation "
-                             "of the base")
-    return _PERM_CACHE[key]
+    base_pos = rz.base_parabolic.positive
+    for perm in itertools.permutations(range(rz.dim)):
+        moved = frozenset(tuple(a[perm.index(r)] for r in range(rz.dim))
+                          for a in base_pos)
+        if moved == P.positive:
+            return np.array(perm)
+    raise ValueError("positive system is not a coordinate permutation of "
+                     "the base")
 
 
 def _base_perm(rz: Realization, P: PositiveSystem | None) -> np.ndarray | None:
     """chamber_perm of P, or None when P is the base system."""
-    if P is None or P.positive == rz.base_parabolic.positive:
+    if P is None or P == rz.base_parabolic:
         return None
     return chamber_perm(rz, P)
 

@@ -40,11 +40,22 @@ class OrbitClass:
                                # sigma theta fixes root
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PositiveSystem:
+    """A positive system is its positive roots: two are equal when their
+    data and positive roots are, and the hash is that of the frozenset,
+    which keeps it.  The chamber vector only certifies the set."""
     datum: SymmetricPairDatum
     positive: frozenset[Root]
     chamber_vector: Vec
+
+    def __eq__(self, other):
+        return self is other or (isinstance(other, PositiveSystem)
+                                 and self.positive == other.positive
+                                 and self.datum == other.datum)
+
+    def __hash__(self):
+        return hash(self.positive)
 
     def __post_init__(self):
         for alpha in self.positive:
@@ -181,12 +192,10 @@ def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
     """Every positive system, enumerated via the Weyl action on a base one."""
     base = _default_base(datum)
     W = weyl_group(datum.roots, datum.gram)
-    seen: dict[tuple, PositiveSystem] = {}
-    for w in W.elements:
-        chamber = ex.mat_vec(w, base.chamber_vector)
-        Q = from_chamber(datum, chamber)
-        seen.setdefault(Q.key(), Q)
-    return [seen[k] for k in sorted(seen)]
+    # dict.fromkeys keeps the first system of each set of positive roots
+    systems = dict.fromkeys(from_chamber(datum, ex.mat_vec(w, base.chamber_vector))
+                            for w in W.elements)
+    return sorted(systems, key=PositiveSystem.key)
 
 
 def _default_base(datum: SymmetricPairDatum) -> PositiveSystem:

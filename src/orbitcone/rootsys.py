@@ -216,10 +216,6 @@ class WeylGroup:
     generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
 
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
     @cached_property
     def _inverses(self) -> dict[Mat, Mat]:
         return {w: ex.mat_inv(w) for w in self.elements}

@@ -49,10 +49,10 @@ import numpy as np
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import (FD_STEP, SV_TOL, _dual, _exact_vec,
-                                _h_basis_exact, critical_value, h_x_coords,
-                                nph_basis, omega_X, sample_H_X, sample_NPH,
-                                vanishing_patterns)
+from orbitcone.critical import (FD_STEP, SV_TOL, SampleStack, _dual,
+                                _exact_vec, _h_basis_exact, critical_value,
+                                h_x_coords, nph_basis, omega_X, sample_H_X,
+                                sample_NPH, vanishing_patterns)
 from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
                                _require_regular, _stream)
 from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales, _SERIES_C,
@@ -388,7 +388,8 @@ def critical_image_per_draw(rz, P, cfg):
                 nh = sample_NPH(rz, P, radius, n_per,
                                 [_stream(cfg, "critical_image", 2, *draw)])
                 tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
-                lv = critical_value(rz, a_exact, [X], [w])[0][0]
+                lv = critical_value(rz, a_exact, SampleStack(rz, (X,)),
+                                    [w])[0][0]
                 gX = ex.mat_vec(rz.datum.gram, X)
                 if min(ex.dot(gX, u) for u in om.vertices) != lv:
                     exact_fail += 1

@@ -104,13 +104,17 @@ def test_base_point_off_aq_exits_2(capsys, argv):
     ("sl3_so21", "--a-log=1000,1,-1001 --checks=limits"),
     ("sl2_so11", "--a-log=709.7,-709.7 --checks=limits"),
     ("kostant_sl2", "--a-log=1000,-1000 --checks=kostant"),
+    # exp(a_log) is finite, a h is not
+    ("sl2_so11", "--a-log=709,-709"),
+    ("sl2_so11", "--a-log=709,-709 --checks=limits"),
 ], ids=["a_log-overflow", "a_log-singular", "radius-overflow",
         "radius-overflow-kostant_sl2", "radius-overflow-sl3_so21",
         "radius-overflow-group_sl2", "radius-1e160-kostant_sl2",
         "radius-1e200-kostant_sl2", "radius-1e200-group_sl2",
         "exp-a_log-overflow-main", "exp-a_log-overflow-critical_image",
         "exp-a_log-overflow-hessian", "exp-a_log-overflow-limits",
-        "exp-a_log-overflow-limits-step", "exp-a_log-overflow-kostant"])
+        "exp-a_log-overflow-limits-step", "exp-a_log-overflow-kostant",
+        "a-h-overflow-main", "a-h-overflow-limits"])
 def test_input_past_double_range_exits_2(capsys, preset, flag):
     rc = main(["verify", "--preset", preset, *flag.split(), "--samples", "20"])
     captured = capsys.readouterr()

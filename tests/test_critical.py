@@ -8,7 +8,7 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone import critical, harness, matrixgrp, parabolic, polyhedra
-from orbitcone.critical import (F, NotRegular, analytic_hessian,
+from orbitcone.critical import (F, NotRegular, SampleStack, analytic_hessian,
                                 critical_value, ensure_regular, h_x_coords,
                                 hessian, kernel_dim, numeric_hessian, omega_X,
                                 predicted_signature, sample_H_X, sample_NPH,
@@ -39,6 +39,11 @@ def _a_log(rz):
     return tuple(Fraction(c) for c in A_LOGS[rz.name])
 
 
+def _stack(rz, Xs):
+    """The SampleStack of the samples Xs, made exact."""
+    return SampleStack(rz, tuple(tuple(Fraction(c) for c in X) for X in Xs))
+
+
 class NotALocalMin(ValueError):
     pass
 
@@ -59,11 +64,11 @@ def local_min_halfspace_check(rz, a_log, X, w) -> bool:
     """All of the predicted image sits on the upper side of the level plane,
     for the base system."""
     P = rz.base_parabolic
-    posdef, _ = predicted_signature(rz, a_log, [X], w, P)
-    if not posdef[0]:
-        raise NotALocalMin("a transversal direction has negative curvature")
     a_exact = tuple(Fraction(c) for c in a_log)
     X = tuple(Fraction(c) for c in X)
+    posdef, _ = predicted_signature(rz, a_exact, _stack(rz, [X]), w, P)
+    if not posdef[0]:
+        raise NotALocalMin("a transversal direction has negative curvature")
     orbit = weyl_orbit(rz.small_weyl, a_exact)
     om = omega(orbit, gamma_aq(sorted(P.classification.minus_part), rz.datum))
     gX = ex.mat_vec(rz.datum.gram, X)
@@ -115,10 +120,10 @@ def test_reps_are_critical_points(rz):
     X = _a_log(rz)
     ensure_regular(rz, a_log)
     ws = rz.small_weyl.elements
-    for w, level in zip(ws, critical_value(rz, a_log, [X], ws)[0]):
+    for w, level in zip(ws, critical_value(rz, a_log, _stack(rz, [X]), ws)[0]):
         xw = rz.weyl_reps[w]
         val = float(level)
-        assert abs(float(F(rz, a_log, X, xw)) - val) < 1e-9
+        assert abs(float(F(rz, a_log, X, xw, rz.base_parabolic)) - val) < 1e-9
         g = grad_F(rz, a_log, X, xw)
         assert np.abs(g).max() < 1e-8
 
@@ -128,11 +133,12 @@ def test_grad_matches_finite_differences(rz):
     X = _a_log(rz)
     hs = sample_H(rz, 0.8, 4, seed=11)
     basis = np.stack(rz.h_basis)
+    P = rz.base_parabolic
     g = grad_F(rz, a_log, X, hs)
 
     def fd(eps):
-        plus = F(rz, a_log, X, hs[:, None] @ expm(eps * basis)[None, :])
-        minus = F(rz, a_log, X, hs[:, None] @ expm(-eps * basis)[None, :])
+        plus = F(rz, a_log, X, hs[:, None] @ expm(eps * basis)[None, :], P)
+        minus = F(rz, a_log, X, hs[:, None] @ expm(-eps * basis)[None, :], P)
         return (plus - minus) / (2 * eps)
 
     d1, d2 = fd(1e-3), fd(5e-4)
@@ -154,15 +160,16 @@ def test_hessian_agreement_and_kernel(rz):
     a_log = _a_log(rz)
     rng = np.random.Generator(np.random.PCG64(29))
     Xs = [_random_exact_X(rz, rng) for _ in range(3)]
-    kd = kernel_dim(rz, Xs)
+    xs, P = _stack(rz, Xs), rz.base_parabolic
+    kd = kernel_dim(rz, xs, P)
     for w in rz.small_weyl.elements:
-        rep = hessian(rz, a_log, Xs, w)
+        rep = hessian(rz, a_log, xs, w, P)
         scale = np.maximum(np.abs(rep.analytic_form), 1.0)
         rel = np.abs(rep.numeric_form - rep.analytic_form) / scale
         assert rel.max() < 1e-6
         assert np.array_equal(rep.signature[:, 1], kd)
-        tsig = transversal_signature(rz, rep, Xs)
-        posdef, certified = predicted_signature(rz, a_log, Xs, w)
+        tsig = transversal_signature(rz, rep, xs, P)
+        posdef, certified = predicted_signature(rz, a_log, xs, w, P)
         assert (tsig[:, 1] == 0).all()
         assert np.array_equal(tsig[:, 2] == 0, posdef)
         assert np.array_equal(posdef, certified)
@@ -174,11 +181,12 @@ def test_hessian_agreement_and_kernel(rz):
 def test_predicted_certificates_cover_transversal(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
+    xs, P = _stack(rz, [X]), rz.base_parabolic
     for w in rz.small_weyl.elements:
         _, certs = predicted_signature_per_call(rz, a_log, X, w)
         total = sum(c["transversal_dim"] for c in certs)
-        assert total == len(rz.h_basis) - kernel_dim(rz, [X])[0]
-        _, certified = predicted_signature(rz, a_log, [X], w)
+        assert total == len(rz.h_basis) - kernel_dim(rz, xs, P)[0]
+        _, certified = predicted_signature(rz, a_log, xs, w, P)
         assert certified[0] == all(c["positive"] for c in certs)
         for c in certs:
             assert c["case"] in ("a", "b.1", "b.2.1", "b.2.2")
@@ -192,7 +200,8 @@ def test_so11_hessian_closed_form(rz_so11):
                  -Fraction(t).limit_denominator(10))
         tf = float(a_log[0])
         expected = 8.0 * (1.0 + np.exp(-4.0 * tf))
-        rep = hessian(rz_so11, a_log, [(1, -1)], w)
+        rep = hessian(rz_so11, a_log, _stack(rz_so11, [(1, -1)]), w,
+                      rz_so11.base_parabolic)
         assert abs(rep.analytic_form[0, 0, 0] - expected) < 1e-9
         assert abs(rep.numeric_form[0, 0, 0] - expected) < 1e-6
         assert rep.signature.tolist() == [[1, 0, 0]]
@@ -208,11 +217,12 @@ def test_kostant_hessian_closed_form(rz_kostant):
         for w in rz_kostant.small_weyl.elements:
             sign = 1.0 if w == eye else -1.0
             expected = 8.0 * x * (np.exp(-4.0 * sign * t) - 1.0)
-            rep = hessian(rz_kostant, a_log, [X], w)
+            xs, P = _stack(rz_kostant, [X]), rz_kostant.base_parabolic
+            rep = hessian(rz_kostant, a_log, xs, w, P)
             scale = max(1.0, abs(expected))
             assert abs(rep.analytic_form[0, 0, 0] - expected) / scale < 1e-9
             assert abs(rep.numeric_form[0, 0, 0] - expected) / scale < 1e-6
-            posdef, _ = predicted_signature(rz_kostant, a_log, [X], w)
+            posdef, _ = predicted_signature(rz_kostant, a_log, xs, w, P)
             assert posdef.tolist() == [x * sign * t < 0]
 
 
@@ -224,9 +234,10 @@ def test_kernel_dims_frozen(rz):
         "sl3_so21": [((2, 1, -3), 0), ((1, 1, -2), 1), (zero, 3)],
         "group_sl2": [((1, -1, -1, 1), 2), (zero, 3)],
     }[rz.name]
+    P = rz.base_parabolic
     for X, kd in expected:
-        assert kernel_dim(rz, [X]).tolist() == [kd], (rz.name, X)
-    assert kernel_dim(rz, [X for X, _ in expected]).tolist() \
+        assert kernel_dim(rz, _stack(rz, [X]), P).tolist() == [kd], (rz.name, X)
+    assert kernel_dim(rz, _stack(rz, [X for X, _ in expected]), P).tolist() \
         == [kd for _, kd in expected]
 
 
@@ -249,7 +260,7 @@ def test_omega_X_at_zero_is_full_hull(rz):
     minus = rz.base_parabolic.classification.minus_part
     full = omega(weyl_orbit(rz.small_weyl, a_log),
                  gamma_aq(sorted(minus), rz.datum))
-    out = omega_X(rz, a_log, ex.zeros(rz.dim))
+    out = omega_X(rz, a_log, ex.zeros(rz.dim), rz.base_parabolic)
     for w, om in out.items():
         assert om.vertices == full.vertices
         assert frozenset(om.generators) == frozenset(full.generators)
@@ -258,7 +269,7 @@ def test_omega_X_at_zero_is_full_hull(rz):
 def test_omega_X_generic_is_singleton(rz):
     a_log = ensure_regular(rz, _a_log(rz))
     X = a_log
-    out = omega_X(rz, a_log, X)
+    out = omega_X(rz, a_log, X, rz.base_parabolic)
     for w, om in out.items():
         wln = ex.mat_vec(rz.small_weyl.inverse(w), a_log)
         assert om.vertices == (wln,)
@@ -268,13 +279,14 @@ def test_omega_X_generic_is_singleton(rz):
 def test_omega_X_wall_sl3(rz_sl3):
     a_log = ensure_regular(rz_sl3, (2, 1, -3))
     X = tuple(Fraction(c) for c in (1, 1, -2))
-    out = omega_X(rz_sl3, a_log, X)
+    out = omega_X(rz_sl3, a_log, X, rz_sl3.base_parabolic)
     gX = ex.mat_vec(rz_sl3.datum.gram, X)
     for w, om in out.items():
         assert 1 <= len(om.vertices) <= 2
         assert om.generators == ()
         level = min(ex.dot(gX, u) for u in om.vertices)
-        assert level == critical_value(rz_sl3, a_log, [X], [w])[0][0]
+        assert level == critical_value(rz_sl3, a_log, _stack(rz_sl3, [X]),
+                                       [w])[0][0]
 
 
 def test_sample_H_X_centralizes(rz):
@@ -294,7 +306,7 @@ def test_sample_H_X_at_zero_is_sample_H(rz, radius):
 
 
 def test_sample_NPH_shape(rz):
-    ns = sample_NPH(rz, count=8, seeds=[6])
+    ns = sample_NPH(rz, rz.base_parabolic, 1.0, 8, [6])
     assert ns.shape == (8, rz.dim, rz.dim)
     assert np.abs(sigma_grp(rz, ns) - ns).max() < 1e-10
     if rz.name != "group_sl2":
@@ -358,10 +370,11 @@ def test_h_x_coords_is_cached_per_tie_pattern(rz):
 
 def test_omega_X_depends_only_on_the_vanishing_pattern(rz):
     a_log = ensure_regular(rz, _a_log(rz))
+    P = rz.base_parabolic
     for S, wits in vanishing_patterns(rz, per_pattern=10, seed=47):
-        first = omega_X(rz, a_log, wits[0])
+        first = omega_X(rz, a_log, wits[0], P)
         for X in wits[1:]:
-            out = omega_X(rz, a_log, X)
+            out = omega_X(rz, a_log, X, P)
             assert out.keys() == first.keys()
             for w, om in out.items():
                 assert om.vertices == first[w].vertices
@@ -468,7 +481,7 @@ def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
     real = critical.omega_X
     chosen = []                 # the witness of the pattern that is faulted
 
-    def vertices_alone(rz, a_log, X, P=None):
+    def vertices_alone(rz, a_log, X, P):
         out = real(rz, a_log, X, P)
         with_generators = sorted(w for w, om in out.items() if om.generators)
         if with_generators and chosen in ([], [X]):
@@ -496,8 +509,8 @@ def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
 
 
 def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
-    # per pattern: one sample_H_X per tie pattern of its witnesses, one
-    # sample_NPH, and two Iwasawa calls (the draws and F); G X once per X
+    # per pattern: one sample_H_X, as its witnesses share one tie pattern,
+    # one sample_NPH, and two Iwasawa calls (the draws and F); G X once per X
     work = {}
     for name, module in (("sample_H_X", harness), ("sample_NPH", harness),
                          ("iwasawa", matrixgrp)):
@@ -524,8 +537,9 @@ def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
         ties = sum(len({frozenset((i, j) for i in range(rz.dim)
                                   for j in range(rz.dim) if X[i] == X[j])
                         for X in wits}) for _, wits in pats)
+        assert ties == len(pats), preset
         assert counts[0] == counts[1] == {
-            "sample_H_X": ties, "sample_NPH": len(pats),
+            "sample_H_X": len(pats), "sample_NPH": len(pats),
             "iwasawa": 2 * len(pats),
             "gram_X": sum(len(wits) for _, wits in pats)}, preset
 
@@ -553,25 +567,25 @@ def test_transversal_signature_matches_reference(rz):
     tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=5)
             if S]
     Xs = [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]
+    xs, P = _stack(rz, Xs), rz.base_parabolic
     for w in rz.small_weyl.elements:
-        rep = hessian(rz, a_log, Xs, w)
-        got = transversal_signature(rz, rep, Xs)
+        rep = hessian(rz, a_log, xs, w, P)
+        got = transversal_signature(rz, rep, xs, P)
         for i, X in enumerate(Xs):
             assert tuple(got[i]) \
                 == transversal_signature_lstsq(rz, rep.numeric_form[i], X)
 
 
 def _systems(rz):
-    """None, the base system, and up to two other positive systems."""
+    """The base system and up to two other positive systems."""
     base = rz.base_parabolic
-    others = [Q for Q in parabolic.all_positive_systems(rz.datum)
-              if Q.positive != base.positive]
-    return [None, base] + others[:2]
+    others = [Q for Q in parabolic.all_positive_systems(rz.datum) if Q != base]
+    return [base] + others[:2]
 
 
 def _assert_fresh(rz, a_log, Xs, w, P):
-    num = numeric_hessian(rz, a_log, Xs, w, P)
-    ana = analytic_hessian(rz, a_log, Xs, w, P)
+    num = numeric_hessian(rz, a_log, _stack(rz, Xs), w, P)
+    ana = analytic_hessian(rz, a_log, _stack(rz, Xs), w, P)
     assert num.shape == ana.shape == (len(Xs),) + (len(rz.h_basis),) * 2
     for i, X in enumerate(Xs):
         assert np.array_equal(num[i], numeric_hessian_fresh(rz, a_log, X, w, P))
@@ -580,16 +594,13 @@ def _assert_fresh(rz, a_log, Xs, w, P):
 
 def test_hessians_equal_the_fresh_reference(rz):
     # the forms built from the memoised stencil values and transport equal,
-    # bit for bit, the forms computed anew with one expm and one F per call;
-    # the float base point shares the memo entry of the exact one
+    # bit for bit, the forms computed anew with one expm and one F per call
     a_log = _a_log(rz)
-    a_float = tuple(float(c) for c in a_log)
     rng = np.random.Generator(np.random.PCG64(31))
     Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [ex.zeros(rz.dim)]
     for P in _systems(rz):
         for w in rz.small_weyl.elements:
             _assert_fresh(rz, a_log, Xs, w, P)
-            _assert_fresh(rz, a_float, Xs, w, P)
 
 
 def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
@@ -597,14 +608,14 @@ def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
     # get its own memo entry: a key without the preset, a_log or P would
     # hand one case the parts of an earlier one.  kostant_sl2 and sl2_so11
     # share their base points, Weyl elements and root coordinates.
-    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
+    critical._WeylPoint.cache_clear()
     rng = np.random.Generator(np.random.PCG64(37))
     cases = {}
     for name in ("kostant_sl2", "sl2_so11", "sl3_so21"):
         rz = realization(name)
         a1 = _a_log(rz)
         a2 = tuple(c / 2 for c in a1)
-        P1, P2 = _systems(rz)[1:3]
+        P1, P2 = _systems(rz)[:2]
         X = _random_exact_X(rz, rng)
         cases[name] = [(rz, a, P, X) for a, P in
                        ((a1, P1), (a2, P1), (a1, P2), (a1, P1))]
@@ -613,10 +624,11 @@ def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
     for rz, a_log, P, X in order:
         for w in rz.small_weyl.elements:
             _assert_fresh(rz, a_log, [X], w, P)
-            got = predicted_signature(rz, a_log, [X], w, P)
+            got = predicted_signature(rz, a_log, _stack(rz, [X]), w, P)
             with monkeypatch.context() as m:
-                m.setattr(critical, "_WEYL_POINTS", {})
-                fresh = predicted_signature(rz, a_log, [X], w, P)
+                m.setattr(critical, "_WeylPoint", lru_cache(maxsize=None)(
+                    critical._WeylPoint.__wrapped__))
+                fresh = predicted_signature(rz, a_log, _stack(rz, [X]), w, P)
             assert np.array_equal(got, fresh)
             assert got[0][0] == predicted_signature_per_call(rz, a_log, X, w, P)[0]
 
@@ -653,7 +665,7 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
     # of samples; the layer functions are called per Weyl element, not per
     # sample, and each predicted kernel takes its two SVDs once per tie
     # pattern
-    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
+    critical._WeylPoint.cache_clear()
     monkeypatch.setattr(critical, "_stencil_exp",
                         lru_cache(maxsize=None)(critical._stencil_exp.__wrapped__))
     expm_calls, h_pq_calls = [], []
@@ -668,7 +680,7 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
         n_expm = len(expm_calls)
         a1 = _a_log(rz)
         chambers = [None] + [tuple(str(c) for c in Q.chamber_vector)
-                             for Q in _systems(rz)[2:]]
+                             for Q in _systems(rz)[1:]]
         for a_log in (a1, tuple(c / 2 for c in a1)):
             for chamber in chambers:
                 n_h_pq = len(h_pq_calls)
@@ -711,12 +723,13 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
     # other positive systems
     a_log = _a_log(rz)
     Xs = _mixed_stack(rz)
-    for P in _systems(rz)[1:]:
-        kd = kernel_dim(rz, Xs, P)
+    xs = _stack(rz, Xs)
+    for P in _systems(rz):
+        kd = kernel_dim(rz, xs, P)
         assert kd.tolist() == [kernel_dim_per_call(rz, X, P) for X in Xs]
         for w in rz.small_weyl.elements:
-            rep = hessian(rz, a_log, Xs, w, P)
-            tsig = transversal_signature(rz, rep, Xs, P)
+            rep = hessian(rz, a_log, xs, w, P)
+            tsig = transversal_signature(rz, rep, xs, P)
             for i, X in enumerate(Xs):
                 num = numeric_hessian_fresh(rz, a_log, X, w, P)
                 assert np.array_equal(rep.numeric_form[i], num)
@@ -726,7 +739,7 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
                 assert tuple(tsig[i]) \
                     == transversal_signature_per_call(rz, num, X, P)
     # the kernel shapes differ within the stack
-    assert len(set(kernel_dim(rz, Xs).tolist())) > 1
+    assert len(set(kernel_dim(rz, xs, rz.base_parabolic).tolist())) > 1
 
 
 def test_the_predictions_of_a_stack_equal_the_per_call_ones(rz):
@@ -736,7 +749,8 @@ def test_the_predictions_of_a_stack_equal_the_per_call_ones(rz):
     Xs = _mixed_stack(rz)
     for P in parabolic.all_positive_systems(rz.datum):
         for w in rz.small_weyl.elements:
-            posdef, certified = predicted_signature(rz, a_log, Xs, w, P)
+            posdef, certified = predicted_signature(rz, a_log, _stack(rz, Xs),
+                                                    w, P)
             for i, X in enumerate(Xs):
                 one_posdef, certs = predicted_signature_per_call(
                     rz, a_log, X, w, P)
@@ -753,8 +767,8 @@ def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
         rz = realization(name)
         w_bad = rz.small_weyl.elements[-1]
 
-        def flipped(rz_, a_log, Xs, w, P=None):
-            posdef, certified = real(rz_, a_log, Xs, w, P)
+        def flipped(rz_, a_log, xs, w, P):
+            posdef, certified = real(rz_, a_log, xs, w, P)
             return (~posdef, ~certified) if w == w_bad else (posdef, certified)
         monkeypatch.setattr(harness, "predicted_signature", flipped)
         cfg = VerificationConfig(preset=name, samples=12, seed=3,

@@ -238,7 +238,6 @@ def kernel_calls(monkeypatch):
                 monkeypatch.setattr(module, name,
                                     lru_cache(maxsize=None)(f.__wrapped__))
     monkeypatch.setattr(critical, "_KERNELS", {})
-    monkeypatch.setattr(critical, "_WEYL_POINTS", {})
     return calls
 
 

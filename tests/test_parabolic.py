@@ -2,7 +2,10 @@ from fractions import Fraction
 
 import pytest
 
+from orbitcone import critical
 from orbitcone import exactlin as ex
+from orbitcone.harness import VerificationConfig
+from orbitcone.matrixgrp import chamber_perm, realization
 from orbitcone.parabolic import (all_positive_systems, from_chamber,
                                  h_extremize, is_h_extreme, is_q_extreme,
                                  reflect_system, sigma_classification)
@@ -15,6 +18,33 @@ def test_all_positive_systems_count(rz):
     assert len(systems) == SYSTEM_COUNTS[rz.name]
     keys = {P.key() for P in systems}
     assert len(keys) == len(systems)
+
+
+def test_a_positive_system_is_its_positive_roots(rz_sl3):
+    # another chamber vector of the base chamber, as --chamber gives it:
+    # the base system, with its hash and its memo entries
+    base = rz_sl3.base_parabolic
+    P = VerificationConfig(preset="sl3_so21",
+                           chamber=("5", "2", "1")).positive_system(rz_sl3)
+    assert P is not base and P.chamber_vector != base.chamber_vector
+    assert P == base and hash(P) == hash(base)
+    assert chamber_perm(rz_sl3, P) is chamber_perm(rz_sl3, base)
+    a_log = (Fraction(2), Fraction(1), Fraction(-3))
+    for w in rz_sl3.small_weyl.elements:
+        assert critical._WeylPoint(rz_sl3, P, a_log, w) \
+            is critical._WeylPoint(rz_sl3, base, a_log, w)
+    others = [Q for Q in all_positive_systems(rz_sl3.datum)
+              if Q.positive != base.positive]
+    assert others and all(Q != base for Q in others)
+    assert len(set(others)) == len(others)
+
+
+def test_equal_positive_roots_of_two_data_are_two_systems():
+    # kostant_sl2 and sl2_so11 share their root coordinates, not their data
+    P, Q = (realization(name).base_parabolic
+            for name in ("kostant_sl2", "sl2_so11"))
+    assert P.positive == Q.positive and hash(P) == hash(Q)
+    assert P != Q
 
 
 def test_from_chamber_rejects_wall(rz_sl3):

@@ -36,45 +36,50 @@ def _all_names(tree: ast.Module) -> set[str]:
     return out
 
 
-def _reads(node: ast.AST) -> Counter:
-    """Names loaded below node, as plain names or as attributes."""
+def _reads(node: ast.AST, member: bool = False) -> Counter:
+    """Names loaded below node as attributes, and unless member also as
+    plain names."""
     out = Counter()
     for n in ast.walk(node):
-        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
-            out[n.id] += 1
-        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+        if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
             out[n.attr] += 1
+        elif not member and isinstance(n, ast.Name) \
+                and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
     return out
 
 
 def _definitions(tree: ast.Module):
-    """(name, node) of the top-level functions and classes, and of the
-    non-dunder methods and annotated fields of the top-level classes."""
+    """(name, node, member) of the top-level functions and classes, and of
+    the non-dunder methods and annotated fields of the top-level classes,
+    for which member is True."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node
+            yield node.name, node, False
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) \
                         and not item.name.startswith("__"):
-                    yield item.name, item
+                    yield item.name, item, True
                 elif isinstance(item, ast.AnnAssign) \
                         and isinstance(item.target, ast.Name):
-                    yield item.target.id, item
+                    yield item.target.id, item, True
 
 
 def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """Definitions that no module reads outside their own body and no
-    __all__ lists.  A keyword argument is not a read, so building an object
-    does not count as reading its fields."""
-    reads = Counter()
+    __all__ lists.  A method or field is read only as an attribute, so a
+    local of the same name does not read it.  A keyword argument is not a
+    read, so building an object does not count as reading its fields."""
+    reads = {False: Counter(), True: Counter()}
     for tree in trees.values():
-        reads += _reads(tree)
-        reads.update(_all_names(tree))
+        for member, counter in reads.items():
+            counter.update(_reads(tree, member))
+        reads[False].update(_all_names(tree))
     return [f"{module}: {name}"
             for module, tree in sorted(trees.items())
-            for name, node in _definitions(tree)
-            if reads[name] == _reads(node)[name]]
+            for name, node, member in _definitions(tree)
+            if reads[member][name] == _reads(node, member)[name]]
 
 
 def _unused_imports(tree: ast.Module) -> list[str]:
@@ -122,7 +127,7 @@ def test_the_scan_finds_an_unread_method():
                      "    def read(self):\n        return self.helper()\n\n"
                      "    def helper(self):\n        return 1\n\n"
                      "    def unread(self):\n        return self.unread()\n\n\n"
-                     "C().read()\n")
+                     "C().read()\nunread = 1\nprint(unread)\n")
     assert _unread_definitions({"m": tree}) == ["m: unread"]
 
 
