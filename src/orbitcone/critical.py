@@ -22,6 +22,7 @@ and hashed as, its positive roots, so the memos key by P itself.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -439,7 +440,6 @@ def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
 def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
                        ) -> list[tuple[frozenset, tuple[Vec, ...]]]:
     """Realizable zero-sets of restricted roots, with exact witnesses in a_q."""
-    import itertools as it
     d = rz.datum
     pos = sorted({lam for lam in rz.restricted.roots_q
                   if lam > ex.neg(lam)})
@@ -447,7 +447,7 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
     rng = np.random.default_rng(seed)
     out = []
     for r in range(len(pos) + 1):
-        for s_tuple in it.combinations(pos, r):
+        for s_tuple in itertools.combinations(pos, r):
             S = frozenset(s_tuple)
             rows = tuple(tuple(ex.dot(lam, b) for b in aq) for lam in sorted(S))
             null = ex.nullspace(rows) if rows else ex.identity(len(aq))

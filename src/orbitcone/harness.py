@@ -2,8 +2,11 @@
 
 Each check draws seeded samples on a preset realization, tests the predicted
 polyhedral geometry within a tolerance, and records coverage metrics plus the
-first few failing witnesses.  ``run`` is the one entry point: it runs the
-configured checks of the ``CHECKS`` registry in registry order.  The
+first few failing witnesses.  The sampling checks main, inclusion_cone and
+limits judge their draws h at a base point a through one function,
+``_judge``: it forms a h in place, projects it onto a_q at the explicit
+positive system P and feeds a ``Tally``.  ``run`` is the one entry point: it
+runs the configured checks of the ``CHECKS`` registry in registry order.  The
 tolerance is a Euclidean distance: a projected point passes when it lies at
 most ``tol`` outside every facet hyperplane of the predicted set.  Reports
 serialize deterministically: identical configuration gives byte-identical
@@ -354,6 +357,19 @@ class Tally:
                            witnesses=tuple(self.witnesses), **kw)
 
 
+def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
+           hs: np.ndarray, a_log: ex.Vec) -> np.ndarray:
+    """Feed tally the points H(a h) of the stack hs, projected onto a_q at
+    P, judged against region, and return them.  hs becomes a h in place:
+    row i of each h times exp(a_log)_i for the diagonal a = exp(a_log)."""
+    # past double range the product is not finite, and h_pq says so
+    with np.errstate(over="ignore", invalid="ignore"):
+        hs *= np.exp(_float_rows([a_log], rz.dim)[0])[:, None]
+    vals = h_pq(rz, hs, P)
+    tally.feed(region, vals)
+    return vals
+
+
 def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
     """Deterministic probes: Weyl representatives, center components, and
     rank-one rays from every vertex along every cone-generator root."""
@@ -384,14 +400,11 @@ def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSe
 # Every check has the signature fn(rz, P, cfg) -> CheckResult.
 
 def _require_finite_exp(*points: ex.Vec) -> None:
-    """ConfigError unless exp of every coordinate of every base point is a
-    finite double: a larger one would reach the checks as inf, with a numpy
-    warning."""
-    try:
-        for x in itertools.chain(*points):
-            math.exp(float(x))
-    except OverflowError as e:
-        raise ConfigError(f"{RANGE_ERROR}: exp(a_log) overflows ({e})") from e
+    """OverflowError, which run reports with the base point, unless exp of
+    every coordinate of every base point is a finite double: a larger one
+    would reach the checks as inf, with a numpy warning."""
+    for x in itertools.chain(*points):
+        math.exp(float(x))
 
 
 def _require_regular(rz: Realization, cfg: VerificationConfig):
@@ -413,22 +426,11 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     gens = _float_rows(om.generators, rz.dim)
     cover = _Coverage(verts, gens)
     tally = Tally(cfg.tol, cover)
-    # a h for the diagonal a: row i of h times exp(a_log)_i, in place
-    a_rows = np.exp(_float_rows([a_exact], rz.dim)[0])[:, None]
     history = []
-    collected = []
-
-    def feed(hs: np.ndarray) -> None:
-        # past double range the product is not finite, and h_pq says so
-        with np.errstate(over="ignore", invalid="ignore"):
-            hs *= a_rows
-        vals = h_pq(rz, hs, P)
-        collected.append(vals)
-        tally.feed(om, vals)
-
-    feed(_h_probes(rz, P, cfg.radii))
+    collected = [_judge(rz, P, tally, om, _h_probes(rz, P, cfg.radii), a_exact)]
     for k, r in enumerate(cfg.radii):
-        feed(sample_H(rz, r, cfg.samples, _stream(cfg, "main", k)))
+        collected.append(_judge(rz, P, tally, om, sample_H(
+            rz, r, cfg.samples, _stream(cfg, "main", k)), a_exact))
         history.append({"radius": r,
                         "max_vertex_distance": float(cover.vdist.max()),
                         "max_generator_gap":
@@ -455,13 +457,10 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     a_exact = _require_regular(rz, cfg)
     t1, t2 = float(a_exact[0]), float(a_exact[1])
     phi = np.linspace(0.0, np.pi / 2, 1000)
-    ks = np.zeros((len(phi), 2, 2))
-    ks[:, 0, 0] = np.cos(phi)
-    ks[:, 0, 1] = -np.sin(phi)
-    ks[:, 1, 0] = np.sin(phi)
-    ks[:, 1, 1] = np.cos(phi)
+    c, s = np.cos(phi), np.sin(phi)
+    ks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)   # rotations
     a = a_matrix(np.exp(np.array([t1, t2])))
-    vals = h_pq(rz, a @ ks)[:, 0]
+    vals = h_pq(rz, a @ ks, P)[:, 0]
     closed = 0.5 * np.log(np.exp(2 * t1) * np.cos(phi) ** 2
                           + np.exp(2 * t2) * np.sin(phi) ** 2)
     dev = float(np.abs(vals - closed).max())
@@ -495,7 +494,7 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
     tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
         hs = sample_H(rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k))
-        tally.feed(cone, h_pq(rz, hs, P))
+        _judge(rz, P, tally, cone, hs, ex.zeros(rz.dim))
     return tally.result("inclusion_cone")
 
 
@@ -583,6 +582,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
     systems = all_positive_systems(rz.datum)
     tally = Tally(cfg.tol)
     origin = np.zeros((1, rz.dim))
+    s = np.array([1.0, 3.0])            # the rank-one probes are 1 + s E
     closed_dev = 0.0
     gap_fail = 0
     for pi, P in enumerate(systems):
@@ -592,28 +592,23 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             gens = _float_rows(cone.generators, rz.dim)
             # generator gaps are measured from the cone's single vertex 0
             tally.coverage = _Coverage(origin, gens)
-
-            def feed(xs: np.ndarray) -> None:
-                tally.feed(cone, iwasawa(rz, xs, P))
-
             if not support:
-                feed(np.eye(rz.dim)[None])
+                tally.feed(cone, origin)        # H(1) = 0 exactly
                 continue
             basis = np.stack([root_matrix(rz.dim, alpha) for alpha in support])
             # rank-one probes hit each generator direction exactly; E^2 = 0
-            feed(np.stack([np.eye(rz.dim) + s * E for E in basis for s in (1.0, 3.0)]))
+            probes = iwasawa(rz, np.eye(rz.dim) + basis[:, None] * s[:, None, None], P)
+            tally.feed(cone, probes.reshape(-1, rz.dim))
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
-            feed(sample_unipotent(basis, cfg.radii[-1], n,
-                                  [_stream(cfg, "gk", pi, qi)]))
+            tally.feed(cone, iwasawa(rz, sample_unipotent(
+                basis, cfg.radii[-1], n, [_stream(cfg, "gk", pi, qi)]), P))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
-            # rank-one closed form, exact in the embedded A1
-            for E, alpha in zip(basis, support):
-                x = 1.7
-                val = iwasawa(rz, np.eye(rz.dim) + x * E, P)
-                h_neg = coroot(ex.neg(alpha), rz.datum.gram)
-                want = 0.5 * np.log(1 + x * x) * _float_rows([h_neg], rz.dim)[0]
-                closed_dev = max(closed_dev, float(np.abs(val - want).max()))
+            # the rank-one closed form, exact in the embedded A1:
+            # H(1 + s E_alpha) = log(1 + s^2) / 2 H_{-alpha}
+            h_neg = [coroot(ex.neg(alpha), rz.datum.gram) for alpha in support]
+            want = 0.5 * np.log(1 + s * s)[:, None] * _float_rows(h_neg, rz.dim)[:, None]
+            closed_dev = max(closed_dev, float(np.abs(probes - want).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,
                         detail={"closed_form_deviation": closed_dev,
                                 "pairs": len(systems) ** 2,
@@ -639,15 +634,12 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)
-    probes = _h_probes(rz, P, cfg.radii[-1:])   # np.concatenate copies them
+    probes = _h_probes(rz, P, cfg.radii[-1:])
     for idx, point in enumerate(steps + [a_exact]):
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
-        hs = np.concatenate([probes, sample_H(rz, cfg.radii[-1], n_bulk,
-                                              _stream(cfg, "limits", idx))])
-        # a h; past double range it is not finite, and h_pq says so
-        with np.errstate(over="ignore", invalid="ignore"):
-            hs *= np.exp(_float_rows([point], rz.dim)[0])[:, None]
-        tally.feed(om, h_pq(rz, hs, P))
+        # _judge scales its stack in place: np.concatenate copies the probes
+        _judge(rz, P, tally, om, np.concatenate([probes, sample_H(
+            rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))]), point)
     return tally.result("limits", detail={"sequence_length": len(steps)})
 
 
@@ -679,7 +671,9 @@ def run(cfg: VerificationConfig) -> Report:
                         if name in cfg.checks)
     except (SingularInput, OverflowError) as e:
         # exp(a_log) or exp(radius * Y) left double range: bad input
-        raise ConfigError(f"{RANGE_ERROR}: {e}") from e
+        a_log = ",".join(cfg.a_log or _DEFAULT_A_LOG[cfg.preset])
+        raise ConfigError(f"{RANGE_ERROR} at a_log={a_log}, radii="
+                          f"{','.join(map(str, cfg.radii))}: {e}") from e
     return Report(config=cfg.to_dict(), results=results)
 
 

@@ -8,8 +8,9 @@ matrix J or conjugation by the block swap.
 
 The Iwasawa log is log|R_kk| of g = QR for the upper-triangular base
 system, from one vectorised Gram-Schmidt kernel that forms no Q and no
-off-diagonal R; every other positive system is conjugated into the base
-system by an index permutation, applied in the kernel's one layout copy.
+off-diagonal R; every positive system is named explicitly and conjugated
+into the base system by an index permutation, the identity for the base
+system itself, applied in the kernel's one layout copy.
 Every sampled span is exponentiated by one closed form, ``exp_span``, with c
 in Y^3 = c Y from the span's form, which ``span_form`` checks once per span.
 """
@@ -267,7 +268,8 @@ def realization(name: str) -> Realization:
 @lru_cache(maxsize=None)
 def chamber_perm(rz: Realization, P: PositiveSystem) -> np.ndarray:
     """Index permutation p such that the permutation matrix w with
-    w[p[c], c] = 1 maps Sigma(base) onto Sigma(P)."""
+    w[p[c], c] = 1 maps Sigma(base) onto Sigma(P); the identity when P is
+    the base system, under which every conjugation is an exact copy."""
     base_pos = rz.base_parabolic.positive
     for perm in itertools.permutations(range(rz.dim)):
         moved = frozenset(tuple(a[perm.index(r)] for r in range(rz.dim))
@@ -276,13 +278,6 @@ def chamber_perm(rz: Realization, P: PositiveSystem) -> np.ndarray:
             return np.array(perm)
     raise ValueError("positive system is not a coordinate permutation of "
                      "the base")
-
-
-def _base_perm(rz: Realization, P: PositiveSystem | None) -> np.ndarray | None:
-    """chamber_perm of P, or None when P is the base system."""
-    if P is None or P == rz.base_parabolic:
-        return None
-    return chamber_perm(rz, P)
 
 
 def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -310,17 +305,17 @@ def _scales(peak: np.ndarray) -> np.ndarray:
                     peak, 1.0)
 
 
-def iwasawa(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
+def iwasawa(rz: Realization, g, P: PositiveSystem) -> np.ndarray:
     """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
-    coordinates; accepts stacked input (..., n, n).  g is conjugated into the
-    base system by chamber_perm, and H is log|diag R| of its QR, from the
+    coordinates; accepts stacked input (..., n, n).  P is required: g is
+    conjugated into the base system by chamber_perm(rz, P), the identity
+    for rz.base_parabolic, and H is log|diag R| of its QR, from the
     Gram-Schmidt kernel _log_r_block.  Raises SingularInput when g has
     non-finite entries or is numerically singular: some |R_kk| < 1e-250,
     or |R_kk|^2 underflows to 0 in the kernel."""
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
-    perm = _base_perm(rz, P)
-    p = np.arange(n) if perm is None else perm
+    p = chamber_perm(rz, P)
     flat = g.reshape(-1, n, n)
     H = np.empty((len(flat), n))
     # the plain pass may overflow or divide 0 by 0; _log_r_block redoes or
@@ -375,7 +370,7 @@ def _gram_schmidt(C: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
                 rest -= np.add.reduce(rest * q, axis=1, keepdims=True) * t
 
 
-def h_pq(rz: Realization, g, P: PositiveSystem | None = None) -> np.ndarray:
+def h_pq(rz: Realization, g, P: PositiveSystem) -> np.ndarray:
     """Projection of the Iwasawa log onto a_q, ambient coordinates."""
     return iwasawa(rz, g, P) @ rz.q_proj_np.T
 
@@ -568,10 +563,8 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------
 
-def ek_projection(rz: Realization, V, P: PositiveSystem | None = None) -> np.ndarray:
+def ek_projection(rz: Realization, V, P: PositiveSystem) -> np.ndarray:
     """Component in k of the decomposition g = k + a + n_P; batched."""
-    V = np.asarray(V, dtype=float)
-    perm = _base_perm(rz, P)
-    low = np.tril(V if perm is None else _conjugate(V, perm), -1)
-    k0 = low - np.swapaxes(low, -1, -2)
-    return k0 if perm is None else _conjugate(k0, np.argsort(perm))
+    perm = chamber_perm(rz, P)
+    low = np.tril(_conjugate(np.asarray(V, dtype=float), perm), -1)
+    return _conjugate(low - np.swapaxes(low, -1, -2), np.argsort(perm))

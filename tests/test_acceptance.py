@@ -38,7 +38,7 @@ def test_01_rotation_orbit_fills_segment():
     ks = np.zeros((1000, 2, 2))
     ks[:, 0, 0] = ks[:, 1, 1] = np.cos(phi)
     ks[:, 0, 1], ks[:, 1, 0] = -np.sin(phi), np.sin(phi)
-    H = iwasawa(rz, a @ ks)
+    H = iwasawa(rz, a @ ks, rz.base_parabolic)
     traceless = np.abs(H[:, 0] + H[:, 1]).max()
     coord = H[:, 0]
     closed = 0.5 * np.log(np.e**2 * np.cos(phi) ** 2
@@ -64,7 +64,7 @@ def test_02_hyperbolic_orbit_lower_bound():
     worst_dev = worst_bound = worst_min = 0.0
     for t in (-1.0, 0.0, 1.0):
         a = np.diag([np.exp(t), np.exp(-t)])
-        coord = iwasawa(rz, a @ hs)[:, 0]
+        coord = iwasawa(rz, a @ hs, rz.base_parabolic)[:, 0]
         closed = 0.5 * np.log(np.exp(2 * t)
                               + 2.0 * np.cosh(2 * t) * np.sinh(s) ** 2)
         worst_dev = max(worst_dev, np.abs(coord - closed).max())

@@ -124,6 +124,18 @@ def test_input_past_double_range_exits_2(capsys, preset, flag):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", ["main", "limits", "critical_image", "hessian"])
+def test_a_range_error_names_the_base_point(capsys, check):
+    # exp(a_log) is finite and a h is not; the message once named only the
+    # matrix that iwasawa rejected
+    rc = main(["verify", "--preset", "sl2_so11", "--a-log=709,-709",
+               "--checks", check, "--samples", "20"])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "out of floating-point range at a_log=709,-709, radii=" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
 def test_row_graded_base_point_passes(capsys):
     # exp(-25, 25) h is regular; the Iwasawa QR once rounded its R_22 to 0
     rc = main(["verify", "--preset", "sl2_so11", "--a-log=-25,25", "--samples", "200"])

@@ -784,8 +784,9 @@ def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
         for X, w, rel, sig, kd, posdef in r.witnesses:
             assert w == [[str(c) for c in row] for row in w_bad]
             X = tuple(Fraction(c) for c in X)
-            num = numeric_hessian_fresh(rz, _a_log(rz), X, w_bad)
-            ana = analytic_hessian_fresh(rz, _a_log(rz), X, w_bad)
+            P = rz.base_parabolic
+            num = numeric_hessian_fresh(rz, _a_log(rz), X, w_bad, P)
+            ana = analytic_hessian_fresh(rz, _a_log(rz), X, w_bad, P)
             scale = max(np.abs(ana).max(), 1.0)
             assert rel == float(np.abs(num - ana).max() / scale) <= 1e-6
             assert tuple(sig) == signature_per_call(num, num)

@@ -2,6 +2,7 @@ import inspect
 import json
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +19,14 @@ from orbitcone.rootsys import weyl_orbit
 from reference import contains
 
 PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")
+
+# Whole reports (CheckResult.to_dict) of main, inclusion_cone, limits and gk
+# on every preset at seeds 0 and 5, on sl3_so21 with chamber 3,2,1 and at
+# tol 1e-18, where every check keeps witnesses, and of hessian on the four
+# base systems, recorded from the checks' own runs before they shared one
+# judging path.  gk's closed-form deviation is left out: it is bounded.
+RECORDED_REPORTS = json.loads(
+    (Path(__file__).parent / "recorded_reports.json").read_text())
 
 
 def test_config_validation():
@@ -326,3 +335,18 @@ def test_the_former_stream_overlaps_are_gone(monkeypatch):
     assert not set(heads(0, {"limits"})) & set(main_0)
     critical = heads(0, {"critical_image"})
     assert len(set(critical)) == len(critical)
+
+
+@pytest.mark.parametrize("entry", RECORDED_REPORTS, ids=lambda e: "-".join(
+    [e["check"]] + [f"{k}={','.join(v) if isinstance(v, list) else v}"
+                    for k, v in sorted(e["case"].items())]))
+def test_checks_keep_their_recorded_reports(entry):
+    case = {k: tuple(v) if isinstance(v, list) else v
+            for k, v in entry["case"].items()}
+    got = run(VerificationConfig(checks=frozenset({entry["check"]}), **case)
+              ).results[0].to_dict()
+    if entry["check"] == "gk":
+        assert got["detail"].pop("closed_form_deviation") <= 1e-12
+    # dumped, a float is its repr: -0.0 and 0.0 differ
+    assert json.dumps(got, sort_keys=True) \
+        == json.dumps(entry["result"], sort_keys=True)

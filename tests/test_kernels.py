@@ -32,7 +32,8 @@ def _main_omega(rz):
 def _main_points(rz, count: int, seed: int) -> np.ndarray:
     """Projections a h of the main check at radii 0.5, 2 and 4."""
     a = np.exp([float(c) for c in _DEFAULT_A_LOG[rz.name]])[:, None]
-    return np.concatenate([h_pq(rz, a * sample_H(rz, r, count, seed + k))
+    return np.concatenate([h_pq(rz, a * sample_H(rz, r, count, seed + k),
+                                rz.base_parabolic)
                            for k, r in enumerate((0.5, 2.0, 4.0))])
 
 

@@ -110,9 +110,10 @@ def test_iwasawa_reconstructs(rz):
 def test_iwasawa_batch_matches_loop(rz_sl3):
     rng = np.random.Generator(np.random.PCG64(5))
     g = expm(0.4 * rng.normal(size=(7, 3, 3)))
-    H = iwasawa(rz_sl3, g)
+    P = rz_sl3.base_parabolic
+    H = iwasawa(rz_sl3, g, P)
     for i in range(7):
-        assert np.abs(iwasawa(rz_sl3, g[i]) - H[i]).max() < 1e-12
+        assert np.abs(iwasawa(rz_sl3, g[i], P) - H[i]).max() < 1e-12
 
 
 def test_iwasawa_equals_the_matmul_reference(rz):
@@ -137,7 +138,7 @@ def test_iwasawa_is_as_accurate_as_the_qr(preset):
         g = a @ sample_H(rz, radius, 2000, seed=60)
         g = g[np.argsort(np.linalg.cond(g))[-40:]]
         exact = iwasawa_exact(g)
-        err = np.abs(iwasawa(rz, g) - exact).max()
+        err = np.abs(iwasawa(rz, g, rz.base_parabolic) - exact).max()
         err_qr = np.abs(iwasawa_by_matmul(rz, g, rz.base_parabolic)[1] - exact).max()
         assert err <= (1e-13 if radius == 4.0 else err_qr), (radius, err, err_qr)
 
@@ -148,14 +149,15 @@ def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
     projection pass keeps it to working accuracy."""
     a = a_matrix(np.exp([-25.0, 25.0]))
     g = a @ sample_H(rz_so11, 4.0, 200, seed=61)
-    assert np.abs(iwasawa(rz_so11, g) - iwasawa_exact(g)).max() <= 1e-12
+    assert np.abs(iwasawa(rz_so11, g, rz_so11.base_parabolic)
+                  - iwasawa_exact(g)).max() <= 1e-12
 
 
 @pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
 def test_iwasawa_blocks_match_one_matrix_at_a_time(preset):
     rz = realization(preset)
     g = sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62)
-    for P in (None, all_positive_systems(rz.datum)[-1]):
+    for P in (rz.base_parabolic, all_positive_systems(rz.datum)[-1]):
         batch = iwasawa(rz, g, P)
         assert np.array_equal(batch, np.stack([iwasawa(rz, x, P) for x in g]))
 
@@ -167,9 +169,9 @@ def test_iwasawa_is_scale_free(rz):
     their bits."""
     rng = np.random.Generator(np.random.PCG64(63))
     g = expm(0.4 * rng.normal(size=(6, rz.dim, rz.dim)))
-    H = iwasawa(rz, g)
+    H = iwasawa(rz, g, rz.base_parabolic)
     for s in (1e-200, 1e-70, 1e70, 1e200):
-        scaled = iwasawa(rz, np.concatenate([s * g, g]))
+        scaled = iwasawa(rz, np.concatenate([s * g, g]), rz.base_parabolic)
         assert np.abs(scaled[:6] - (H + np.log(s))).max() <= 1e-13
         assert np.array_equal(scaled[6:], H)
 
@@ -180,7 +182,7 @@ def test_iwasawa_rejects_bad_input(rz_sl3):
     bad[1, 2] = np.nan
     singular = np.array([[1.0, 0.0, 2.0], [0.0, 0.0, 1.0], [3.0, 0.0, 1.0]])
     for x in (bad, singular, np.stack([np.eye(3), singular])):
-        for Q in (None, P):
+        for Q in (rz_sl3.base_parabolic, P):
             with pytest.raises(SingularInput):
                 iwasawa(rz_sl3, x, Q)
 
@@ -497,7 +499,8 @@ def test_h_pq_is_projected_H(rz_group):
     g = expm(0.3 * rng.normal(size=(10, 4, 4)))
     pr = np.array([[float(c) for c in row]
                    for row in rz_group.datum.q_projector])
-    assert np.abs(h_pq(rz_group, g) - iwasawa(rz_group, g) @ pr.T).max() < 1e-12
+    P = rz_group.base_parabolic
+    assert np.abs(h_pq(rz_group, g, P) - iwasawa(rz_group, g, P) @ pr.T).max() < 1e-12
 
 
 def test_sample_H_lands_in_H(rz):

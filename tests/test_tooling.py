@@ -110,6 +110,33 @@ def test_the_scan_finds_an_unused_import():
     assert _unused_imports(tree) == ["line 2: b", "line 1: os"]
 
 
+def _defaulted_p(tree: ast.Module) -> list[str]:
+    """Functions with a parameter named P that has a default."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            pos = a.posonlyargs + a.args
+            defaulted = pos[len(pos) - len(a.defaults):] + [
+                k for k, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(arg.arg == "P" for arg in defaulted):
+                out.append(f"line {node.lineno}: {getattr(node, 'name', 'lambda')}")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_positive_system_is_explicit(path):
+    # the theorem holds for every minimal parabolic; no layer picks one
+    assert _defaulted_p(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_finds_a_defaulted_positive_system():
+    tree = ast.parse("def f(rz, P=None):\n    pass\n\n\ndef g(rz, P, Q=1):\n"
+                     "    pass\n\n\ndef h(*, P=2):\n    pass\n\n\n"
+                     "k = lambda x, P=3: x\n")
+    assert _defaulted_p(tree) == ["line 1: f", "line 9: h", "line 13: lambda"]
+
+
 def test_every_definition_is_read():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
     unread = {line.split(": ")[1] for line in _unread_definitions(trees)}
