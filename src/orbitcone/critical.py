@@ -425,14 +425,15 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> np.ndarray:
     """Draw count elements z * exp(Y) per seed, Y in the centralizer of X in h."""
-    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seeds)
+    return sample_span(rz, _centralizer_basis(rz, X), radius, count,
+                       seeds).elements()
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
                seeds) -> np.ndarray:
     """Draw count unipotent elements fixed by the involution per seed."""
     basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
-    return sample_unipotent(basis, radius, count, seeds)
+    return sample_unipotent(basis, radius, count, seeds).elements()
 
 
 # --- vanishing patterns -----------------------------------------------------

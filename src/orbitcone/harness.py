@@ -4,13 +4,14 @@ Each check draws seeded samples on a preset realization, tests the predicted
 polyhedral geometry within a tolerance, and records coverage metrics plus the
 first few failing witnesses.  The sampling checks main, inclusion_cone and
 limits judge their draws h at a base point a through one function,
-``_judge``: it forms a h in place, projects it onto a_q at the explicit
-positive system P and feeds a ``Tally``.  ``run`` is the one entry point: it
-runs the configured checks of the ``CHECKS`` registry in registry order.  The
-tolerance is a Euclidean distance: a projected point passes when it lies at
-most ``tol`` outside every facet hyperplane of the predicted set.  Reports
-serialize deterministically: identical configuration gives byte-identical
-JSON and CSV output, and no wall-clock time is recorded.
+``_judge``: it builds a draw's elements a chunk at a time, forms a h in
+place, projects it onto a_q at the explicit positive system P and feeds a
+``Tally``.  ``run`` is the one entry point: it runs the configured checks
+of the ``CHECKS`` registry in registry order.  The tolerance is a Euclidean
+distance: a projected point passes when it lies at most ``tol`` outside
+every facet hyperplane of the predicted set.  Reports serialize
+deterministically: identical configuration gives byte-identical JSON and
+CSV output, and no wall-clock time is recorded.
 """
 from __future__ import annotations
 
@@ -29,9 +30,9 @@ from .critical import (F, NotRegular, SampleStack, critical_value,
                        ensure_in_aq, ensure_regular, hessian, is_regular,
                        kernel_dim, omega_X, predicted_signature, sample_H_X,
                        sample_NPH, transversal_signature, vanishing_patterns)
-from .matrixgrp import (Realization, SingularInput, a_matrix, exp_span,
-                        h_pq, iwasawa, realization, root_matrix, sample_H,
-                        sample_unipotent)
+from .matrixgrp import (BLOCK, Draw, Realization, SingularInput, a_matrix,
+                        exp_span, h_pq, iwasawa, realization, root_matrix,
+                        sample_H, sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -64,6 +65,9 @@ VERTEX_TOL, GAP_TOL = 1e-2, 0.05
 
 MAX_WITNESSES = 10
 MIN_DISPLACEMENT = 0.5
+
+# a Draw's rows per _judge chunk: _Coverage.update costs per call and vertex
+CHUNK = 4 * BLOCK
 
 
 def _rat_tuple(xs) -> tuple[str, ...]:
@@ -358,15 +362,26 @@ class Tally:
 
 
 def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
-           hs: np.ndarray, a_log: ex.Vec) -> np.ndarray:
-    """Feed tally the points H(a h) of the stack hs, projected onto a_q at
-    P, judged against region, and return them.  hs becomes a h in place:
-    row i of each h times exp(a_log)_i for the diagonal a = exp(a_log)."""
-    # past double range the product is not finite, and h_pq says so
-    with np.errstate(over="ignore", invalid="ignore"):
-        hs *= np.exp(_float_rows([a_log], rz.dim)[0])[:, None]
-    vals = h_pq(rz, hs, P)
-    tally.feed(region, vals)
+           parts, a_log: ex.Vec) -> np.ndarray:
+    """Feed tally the points H(a h) of the elements h of parts in turn,
+    projected onto a_q at P and judged against region, and return them; a h
+    scales row i of h by exp(a_log)_i.  A stack of matrices is one chunk,
+    scaled in place; a Draw is built CHUNK rows at a time.  Every kernel
+    treats each row alone, so chunks change no bit."""
+    scale = np.exp(_float_rows([a_log], rz.dim)[0])[:, None]
+    vals = np.empty((sum(map(len, parts)), rz.dim))
+    done = 0
+    for part in parts:
+        chunks = ((part.elements(slice(i, i + CHUNK))
+                   for i in range(0, len(part), CHUNK))
+                  if isinstance(part, Draw) else [part])
+        for hs in chunks:
+            # past double range the product is not finite, and h_pq says so
+            with np.errstate(over="ignore", invalid="ignore"):
+                hs *= scale
+            chunk, done = vals[done:done + len(hs)], done + len(hs)
+            chunk[:] = h_pq(rz, hs, P)
+            tally.feed(region, chunk)
     return vals
 
 
@@ -427,10 +442,10 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     cover = _Coverage(verts, gens)
     tally = Tally(cfg.tol, cover)
     history = []
-    collected = [_judge(rz, P, tally, om, _h_probes(rz, P, cfg.radii), a_exact)]
+    collected = [_judge(rz, P, tally, om, [_h_probes(rz, P, cfg.radii)], a_exact)]
     for k, r in enumerate(cfg.radii):
-        collected.append(_judge(rz, P, tally, om, sample_H(
-            rz, r, cfg.samples, _stream(cfg, "main", k)), a_exact))
+        collected.append(_judge(rz, P, tally, om, [sample_H(
+            rz, r, cfg.samples, _stream(cfg, "main", k))], a_exact))
         history.append({"radius": r,
                         "max_vertex_distance": float(cover.vdist.max()),
                         "max_generator_gap":
@@ -494,7 +509,7 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
     tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
         hs = sample_H(rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k))
-        _judge(rz, P, tally, cone, hs, ex.zeros(rz.dim))
+        _judge(rz, P, tally, cone, [hs], ex.zeros(rz.dim))
     return tally.result("inclusion_cone")
 
 
@@ -585,6 +600,9 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
     s = np.array([1.0, 3.0])            # the rank-one probes are 1 + s E
     closed_dev = 0.0
     gap_fail = 0
+    # H(1 + s E_alpha) = log(1 + s^2) / 2 H_{-alpha}, exact in the embedded A1
+    h_neg = {alpha: [float(c) for c in coroot(ex.neg(alpha), rz.datum.gram)]
+             for alpha in rz.datum.roots}
     for pi, P in enumerate(systems):
         for qi, Q in enumerate(systems):
             support = sorted(Q.positive & P.negative)
@@ -600,14 +618,13 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             probes = iwasawa(rz, np.eye(rz.dim) + basis[:, None] * s[:, None, None], P)
             tally.feed(cone, probes.reshape(-1, rz.dim))
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
-            tally.feed(cone, iwasawa(rz, sample_unipotent(
-                basis, cfg.radii[-1], n, [_stream(cfg, "gk", pi, qi)]), P))
+            draw = sample_unipotent(basis, cfg.radii[-1], n,
+                                    [_stream(cfg, "gk", pi, qi)])
+            tally.feed(cone, iwasawa(rz, draw.elements(), P))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
-            # the rank-one closed form, exact in the embedded A1:
-            # H(1 + s E_alpha) = log(1 + s^2) / 2 H_{-alpha}
-            h_neg = [coroot(ex.neg(alpha), rz.datum.gram) for alpha in support]
-            want = 0.5 * np.log(1 + s * s)[:, None] * _float_rows(h_neg, rz.dim)[:, None]
+            want = 0.5 * np.log(1 + s * s)[:, None] * np.array(
+                [h_neg[alpha] for alpha in support])[:, None]
             closed_dev = max(closed_dev, float(np.abs(probes - want).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,
                         detail={"closed_form_deviation": closed_dev,
@@ -637,9 +654,9 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     probes = _h_probes(rz, P, cfg.radii[-1:])
     for idx, point in enumerate(steps + [a_exact]):
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
-        # _judge scales its stack in place: np.concatenate copies the probes
-        _judge(rz, P, tally, om, np.concatenate([probes, sample_H(
-            rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))]), point)
+        # _judge scales a stack in place: each step judges a copy of the probes
+        _judge(rz, P, tally, om, [probes.copy(), sample_H(
+            rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))], point)
     return tally.result("limits", detail={"sequence_length": len(steps)})
 
 

@@ -13,6 +13,8 @@ into the base system by an index permutation, the identity for the base
 system itself, applied in the kernel's one layout copy.
 Every sampled span is exponentiated by one closed form, ``exp_span``, with c
 in Y^3 = c Y from the span's form, which ``span_form`` checks once per span.
+The samplers return a ``Draw``, which builds the elements of any rows with
+the bits of the whole stack.
 """
 from __future__ import annotations
 
@@ -523,41 +525,61 @@ def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     return scale
 
 
+@dataclass(frozen=True, eq=False)
+class Draw:
+    """Sampled elements z exp(Y) as drawn: row i has Y = sum_k t[i, k]
+    basis[k], clipped to norm radius unless that is None, and z with the
+    row signs signs[centers[i]], or z = 1 when centers is None."""
+    t: np.ndarray
+    basis: np.ndarray
+    radius: float | None = None
+    centers: np.ndarray | None = None
+    signs: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def elements(self, rows: slice = slice(None)) -> np.ndarray:
+        """The elements of rows, bit for bit those rows of the whole stack;
+        raises SingularInput as exp_span does."""
+        E = exp_span(self.t[rows], self.basis, self.radius)
+        if self.centers is not None:
+            E *= self.signs[self.centers[rows]][:, :, None]
+        return E
+
+
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seeds) -> np.ndarray:
+                seeds) -> Draw:
     """Draw count elements z * exp(Y) per seed, in seed order: Y Gaussian in
     the span of basis (k, n, n) clipped to |Y| <= radius, z a uniform center
-    component; each stream draws Y, then z.  exp is one exp_span over every
-    stream, the span checked by span_form before any draw.  z is diagonal +-1,
-    applied in place as the row signs rz.z_signs.  No Gaussian is drawn when
-    the span is zero.  A seed is anything np.random.default_rng takes; an
-    int gives the stream of PCG64(seed).  Raises NotCubic when the span has
-    no form, SingularInput when the draw leaves double range, ValueError
-    when a center component is not a diagonal sign matrix."""
+    component, applied as the row signs rz.z_signs; each stream draws Y,
+    then z, after span_form checks the span.  No Gaussian is drawn when the
+    span is zero.  A seed is anything np.random.default_rng takes; an int
+    gives the stream of PCG64(seed).  Raises NotCubic when the span has no
+    form, ValueError when a center component is not a diagonal sign matrix."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     span_form(basis)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    E = exp_span(np.concatenate([rng.normal(0.0, radius / 2.0,
-                                            size=(count, len(basis)))
-                                 for rng in rngs]), basis, radius)
-    E *= rz.z_signs[np.concatenate([rng.integers(0, len(rz.z_reps), size=count)
-                                    for rng in rngs])][:, :, None]
-    return E
+    t = np.concatenate([rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+                        for rng in rngs])
+    centers = np.concatenate([rng.integers(0, len(rz.z_reps), size=count)
+                              for rng in rngs])
+    return Draw(t, basis, radius, centers, rz.z_signs)
 
 
-def sample_H(rz: Realization, radius: float, count: int, seed) -> np.ndarray:
+def sample_H(rz: Realization, radius: float, count: int, seed) -> Draw:
     """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
     return sample_span(rz, np.stack(rz.h_basis), radius, count, [seed])
 
 
 def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
-                     ) -> np.ndarray:
+                     ) -> Draw:
     """Draw count elements exp(Y) per seed, Y = sum_k c_k basis[k] over a
     nilpotent span (k, n, n), the c_k Gaussian with deviation radius / 2;
-    seeds and exp_span as in sample_span, the span checked before any draw."""
+    seeds as in sample_span, the span checked before any draw."""
     span_form(basis)
-    return exp_span(np.concatenate([np.random.default_rng(seed).normal(
+    return Draw(np.concatenate([np.random.default_rng(seed).normal(
         0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds]), basis)
 
 

@@ -329,6 +329,7 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
     FD_STEP / 2, Richardson-extrapolated; both stencils go through one expm
     and one h_pq call, contracted with the dual of X by a gemv."""
+    P = P if P is not None else rz.base_parabolic
     xw = rz.weyl_reps[w]
     basis = np.stack(rz.h_basis)
     dh = len(basis)
@@ -349,6 +350,7 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
 
 def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
+    P = P if P is not None else rz.base_parabolic
     xw = rz.weyl_reps[w]
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
     aw = xw.T @ a @ xw

@@ -131,7 +131,7 @@ def test_reps_are_critical_points(rz):
 def test_grad_matches_finite_differences(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
-    hs = sample_H(rz, 0.8, 4, seed=11)
+    hs = sample_H(rz, 0.8, 4, seed=11).elements()
     basis = np.stack(rz.h_basis)
     P = rz.base_parabolic
     g = grad_F(rz, a_log, X, hs)
@@ -302,7 +302,7 @@ def test_sample_H_X_centralizes(rz):
 def test_sample_H_X_at_zero_is_sample_H(rz, radius):
     # the centralizer of 0 is all of H, drawn from the same stream
     hs = sample_H_X(rz, ex.zeros(rz.dim), radius, 64, seeds=[11])
-    assert np.array_equal(hs, sample_H(rz, radius, 64, seed=11))
+    assert np.array_equal(hs, sample_H(rz, radius, 64, seed=11).elements())
 
 
 def test_sample_NPH_shape(rz):
@@ -601,6 +601,17 @@ def test_hessians_equal_the_fresh_reference(rz):
     for P in _systems(rz):
         for w in rz.small_weyl.elements:
             _assert_fresh(rz, a_log, Xs, w, P)
+
+
+def test_fresh_hessians_default_to_the_base_system(rz):
+    # like the other oracles of reference.py, an omitted P is the base system
+    a_log = _a_log(rz)
+    X = _random_exact_X(rz, np.random.Generator(np.random.PCG64(38)))
+    base = rz.base_parabolic
+    for w in rz.small_weyl.elements:
+        for fresh in (numeric_hessian_fresh, analytic_hessian_fresh):
+            assert np.array_equal(fresh(rz, a_log, X, w),
+                                  fresh(rz, a_log, X, w, base))
 
 
 def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):

@@ -1,5 +1,6 @@
 import inspect
 import json
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -350,3 +351,21 @@ def test_checks_keep_their_recorded_reports(entry):
     # dumped, a float is its repr: -0.0 and 0.0 differ
     assert json.dumps(got, sort_keys=True) \
         == json.dumps(entry["result"], sort_keys=True)
+
+
+def test_main_keeps_at_most_100_bytes_per_sample():
+    """main builds and judges its draws a chunk of elements at a time, and
+    keeps per sample only the draw's coefficients and center index and the
+    projection: its peak grows by about 66 bytes per sample, where a whole
+    (count, n, n) stack of elements made it grow by 206."""
+    run(VerificationConfig(preset="sl3_so21", samples=100, radii=(4.0,)))
+    peaks = []
+    for samples in (25_000, 100_000):
+        tracemalloc.start()
+        try:
+            run(VerificationConfig(preset="sl3_so21", samples=samples,
+                                   radii=(4.0,)))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert (peaks[1] - peaks[0]) / 75_000 <= 100, peaks

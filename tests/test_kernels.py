@@ -5,15 +5,17 @@ sample_span must give the same bits as the dense forms, on every preset and
 on the edge cases of each rewrite: ties between vertices, displacements of
 exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes,
 exp_span blocks that mix scaled and unscaled matrices, and draws over
-several streams.
+several streams.  A draw judged in chunks of any size must give the bits
+of the whole draw judged at once.
 """
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, _Coverage,
-                               _float_rows)
+from orbitcone import harness
+from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
+                               _Coverage, _float_rows, _judge)
 from orbitcone.matrixgrp import (BLOCK, SingularInput, _entry_max,
                                  _sum_squares, exp_span, h_pq, sample_H,
                                  sample_span, sample_unipotent)
@@ -32,8 +34,8 @@ def _main_omega(rz):
 def _main_points(rz, count: int, seed: int) -> np.ndarray:
     """Projections a h of the main check at radii 0.5, 2 and 4."""
     a = np.exp([float(c) for c in _DEFAULT_A_LOG[rz.name]])[:, None]
-    return np.concatenate([h_pq(rz, a * sample_H(rz, r, count, seed + k),
-                                rz.base_parabolic)
+    return np.concatenate([h_pq(rz, a * sample_H(rz, r, count, seed + k)
+                                .elements(), rz.base_parabolic)
                            for k, r in enumerate((0.5, 2.0, 4.0))])
 
 
@@ -178,10 +180,10 @@ def test_stack_reductions_equal_numpy(n):
 def test_sample_span_equals_the_dense_product(rz, seed):
     basis = np.stack(rz.h_basis)
     for radius, count in ((0.5, 7), (4.0, 2 * BLOCK + 3)):
-        got = sample_span(rz, basis, radius, count, [seed])
+        got = sample_span(rz, basis, radius, count, [seed]).elements()
         assert np.array_equal(got, sample_span_dense(rz, basis, radius, count, seed))
     empty = np.zeros((0, rz.dim, rz.dim))
-    assert np.array_equal(sample_span(rz, empty, 1.0, 9, [seed]),
+    assert np.array_equal(sample_span(rz, empty, 1.0, 9, [seed]).elements(),
                           sample_span_dense(rz, empty, 1.0, 9, seed))
 
 
@@ -192,10 +194,53 @@ def test_a_draw_over_several_streams_is_their_draws_in_turn(rz):
     basis = np.stack(rz.h_basis)
     for radius, count in ((0.5, 7), (4.0, BLOCK + 3)):
         want = [sample_span_dense(rz, basis, radius, count, s) for s in seeds]
-        assert np.array_equal(sample_span(rz, basis, radius, count, seeds),
-                              np.concatenate(want))
+        got = sample_span(rz, basis, radius, count, seeds).elements()
+        assert np.array_equal(got, np.concatenate(want))
     nilpotent = np.zeros((1, rz.dim, rz.dim))
     nilpotent[0, 0, -1] = 1.0
-    want = [sample_unipotent(nilpotent, 2.0, 5, [s]) for s in seeds]
-    assert np.array_equal(sample_unipotent(nilpotent, 2.0, 5, seeds),
+    want = [sample_unipotent(nilpotent, 2.0, 5, [s]).elements() for s in seeds]
+    assert np.array_equal(sample_unipotent(nilpotent, 2.0, 5, seeds).elements(),
                           np.concatenate(want))
+
+
+# --- a draw judged in chunks -------------------------------------------------
+
+def _judged(rz, part):
+    """_judge of part() against Omega of the main base point at twice and
+    half that point, into one tally with coverage: each base point gives
+    witnesses on two presets."""
+    om = _main_omega(rz)
+    tally = Tally(1e-7, _Coverage(_float_rows(om.vertices, rz.dim),
+                                  _float_rows(om.generators, rz.dim)))
+    vals = [_judge(rz, rz.base_parabolic, tally, om, [part()],
+                   tuple(f * Fraction(c) for c in _DEFAULT_A_LOG[rz.name]))
+            for f in (Fraction(2), Fraction(1, 2))]
+    return (vals, tally.count, repr(tally.worst), tally.witnesses,
+            tally.coverage.vdist, tally.coverage.gaps)
+
+
+@pytest.mark.parametrize("chunk", [1, 7, BLOCK - 1, BLOCK + 3, 4 * BLOCK, None],
+                         ids=["1", "7", "BLOCK-1", "BLOCK+3", "4BLOCK", "whole"])
+def test_a_draw_judged_in_chunks_gives_the_whole_stacks_bits(monkeypatch, rz,
+                                                             chunk):
+    """Draw.elements of any rows are those rows of the whole stack, and
+    _judge fed the draw chunk rows at a time gives the projections, tally
+    and coverage of the whole stack judged at once.  The draw spans several
+    exp_span and iwasawa blocks; chunks of 1 and 7 rows judge a draw of 64
+    chunks and five rows, which keeps the test quick."""
+    rows = min(4 * BLOCK + 5, 64 * (chunk or BLOCK) + 5)
+    chunk = chunk or rows
+    draw = sample_H(rz, 4.0, rows, seed=71)
+    nilpotent = np.zeros((1, rz.dim, rz.dim))
+    nilpotent[0, 0, -1] = 1.0
+    for d in (draw, sample_unipotent(nilpotent, 4.0, rows, [72])):
+        whole = d.elements()
+        for start in range(0, rows, chunk):
+            assert np.array_equal(d.elements(slice(start, start + chunk)),
+                                  whole[start:start + chunk])
+    monkeypatch.setattr(harness, "CHUNK", chunk)
+    # a stack is judged as one chunk, and scaled in place: a new one per call
+    streamed, want = _judged(rz, lambda: draw), _judged(rz, draw.elements)
+    assert streamed[3], "no witness to compare"
+    for got, ref in zip(streamed, want):
+        assert np.array_equal(got, ref)

@@ -135,7 +135,7 @@ def test_iwasawa_is_as_accurate_as_the_qr(preset):
     rz = realization(preset)
     a = a_matrix(np.exp([float(c) for c in _DEFAULT_A_LOG[preset]]))
     for radius in (4.0, 12.0):
-        g = a @ sample_H(rz, radius, 2000, seed=60)
+        g = a @ sample_H(rz, radius, 2000, seed=60).elements()
         g = g[np.argsort(np.linalg.cond(g))[-40:]]
         exact = iwasawa_exact(g)
         err = np.abs(iwasawa(rz, g, rz.base_parabolic) - exact).max()
@@ -148,7 +148,7 @@ def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
     eps |a h|, and LAPACK's QR rounds it to 0.  Gram-Schmidt with a second
     projection pass keeps it to working accuracy."""
     a = a_matrix(np.exp([-25.0, 25.0]))
-    g = a @ sample_H(rz_so11, 4.0, 200, seed=61)
+    g = a @ sample_H(rz_so11, 4.0, 200, seed=61).elements()
     assert np.abs(iwasawa(rz_so11, g, rz_so11.base_parabolic)
                   - iwasawa_exact(g)).max() <= 1e-12
 
@@ -156,7 +156,7 @@ def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
 @pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
 def test_iwasawa_blocks_match_one_matrix_at_a_time(preset):
     rz = realization(preset)
-    g = sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62)
+    g = sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62).elements()
     for P in (rz.base_parabolic, all_positive_systems(rz.datum)[-1]):
         batch = iwasawa(rz, g, P)
         assert np.array_equal(batch, np.stack([iwasawa(rz, x, P) for x in g]))
@@ -485,7 +485,7 @@ def test_sample_H_past_double_range_raises(rz):
     samples were central and the main check passed vacuously."""
     for radius in (1e160, 1e200, 1e300):
         with pytest.raises(SingularInput):
-            sample_H(rz, radius, 8, seed=3)
+            sample_H(rz, radius, 8, seed=3).elements()
 
 
 def test_exp_nilpotent_inverts_unipotent_log(rz_sl3):
@@ -504,11 +504,11 @@ def test_h_pq_is_projected_H(rz_group):
 
 
 def test_sample_H_lands_in_H(rz):
-    hs = sample_H(rz, 1.5, 64, seed=2)
+    hs = sample_H(rz, 1.5, 64, seed=2).elements()
     assert hs.shape == (64, rz.dim, rz.dim)
     assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-8
-    assert np.array_equal(hs, sample_H(rz, 1.5, 64, seed=2))
-    assert not np.array_equal(hs, sample_H(rz, 1.5, 64, seed=3))
+    assert np.array_equal(hs, sample_H(rz, 1.5, 64, seed=2).elements())
+    assert not np.array_equal(hs, sample_H(rz, 1.5, 64, seed=3).elements())
 
 
 def test_unipotent_log_round_trip(rz_sl3):

@@ -179,3 +179,28 @@ def test_every_traced_layer_is_present():
                          capture_output=True, text=True, timeout=120,
                          check=True)
     assert json.loads(out.stdout.splitlines()[-1]) == []
+
+
+def test_every_traced_layer_counts_on_every_workload():
+    # the tracer's counters read arguments by name (iwasawa's g, expm's A)
+    # and raise KeyError when one is renamed; every workload's check runs
+    # traced on its presets at about 200 samples
+    code = ("import json, orbitcone, tracer, workloads\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "for wl in workloads.WORKLOADS.values():\n"
+            "    for preset in wl.presets:\n"
+            "        orbitcone.run(orbitcone.VerificationConfig(\n"
+            "            preset=preset, checks=frozenset({wl.check}),\n"
+            "            **dict(wl.options, samples=200)))\n"
+            "print(json.dumps([t.absent, t.summary()]))\n")
+    path = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    out = subprocess.run([sys.executable, "-c",
+                          f"import sys; sys.path[:0] = {path!r}\n" + code],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    absent, layers = json.loads(out.stdout.splitlines()[-1])
+    assert absent == []
+    counts = {(k, c): v[c] for k, v in layers.items()
+              for c in set(v) - {"self_s", "calls", "lp_calls"}}
+    assert counts and all(counts.values()), counts
