@@ -620,7 +620,7 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
             draw = sample_unipotent(basis, cfg.radii[-1], n,
                                     [_stream(cfg, "gk", pi, qi)])
-            tally.feed(cone, iwasawa(rz, draw.elements(), P))
+            tally.feed(cone, iwasawa(rz, draw, P))
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
             want = 0.5 * np.log(1 + s * s)[:, None] * np.array(

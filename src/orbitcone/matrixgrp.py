@@ -12,9 +12,10 @@ off-diagonal R; every positive system is named explicitly and conjugated
 into the base system by an index permutation, the identity for the base
 system itself, applied in the kernel's one layout copy.
 Every sampled span is exponentiated by one closed form, ``exp_span``, with c
-in Y^3 = c Y from the span's form, which ``span_form`` checks once per span.
-The samplers return a ``Draw``, which builds the elements of any rows with
-the bits of the whole stack.
+in Y^3 = c Y from the span's form, which ``span_form`` checks once per span,
+and I + Y where ``span_class`` finds Y^2 = 0.  The samplers return a
+``Draw``, which builds the elements of any rows with the bits of the whole
+stack; ``iwasawa`` builds a draw on a Y^2 = 0 span in its kernel's layout.
 """
 from __future__ import annotations
 
@@ -309,38 +310,52 @@ def _scales(peak: np.ndarray) -> np.ndarray:
 
 def iwasawa(rz: Realization, g, P: PositiveSystem) -> np.ndarray:
     """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
-    coordinates; accepts stacked input (..., n, n).  P is required: g is
-    conjugated into the base system by chamber_perm(rz, P), the identity
-    for rz.base_parabolic, and H is log|diag R| of its QR, from the
-    Gram-Schmidt kernel _log_r_block.  Raises SingularInput when g has
-    non-finite entries or is numerically singular: some |R_kk| < 1e-250,
-    or |R_kk|^2 underflows to 0 in the kernel."""
-    g = np.asarray(g, dtype=float)
-    n = g.shape[-1]
-    p = chamber_perm(rz, P)
-    flat = g.reshape(-1, n, n)
+    coordinates; accepts stacked input (..., n, n) or a Draw (the bits of its
+    elements).  P is required: g is conjugated into the base system by
+    chamber_perm(rz, P), the identity for rz.base_parabolic, and H is
+    log|diag R| of its QR, from the Gram-Schmidt kernel _log_r_block.  An
+    unclipped Draw of finite t and no centers on a span with Y^2 = 0 goes a
+    block at a time into the kernel's layout as I + Y, one GEMM with the
+    basis permuted to P; other Draws are built by elements().  Raises
+    SingularInput when g has non-finite entries or is numerically singular:
+    some |R_kk| < 1e-250, or |R_kk|^2 underflows to 0 in the kernel."""
+    direct = (isinstance(g, Draw) and g.radius is None and g.centers is None
+              and span_class(g.basis)[1] and np.isfinite(g.t).all())
+    if not direct:
+        g = g.elements() if isinstance(g, Draw) else np.asarray(g, dtype=float)
+    n, p = g.shape[-1], chamber_perm(rz, P)
+    flat = g if direct else g.reshape(-1, n, n)
+    stack = g.elements if direct else flat.__getitem__
     H = np.empty((len(flat), n))
+    if direct:      # M[j * n + i, d] = basis[d, p[i], p[j]]
+        M = g.basis.transpose(2, 1, 0)[p[:, None], p].reshape(n * n, len(g.basis))
     # the plain pass may overflow or divide 0 by 0; _log_r_block redoes or
     # rejects the blocks where it did
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(flat), BLOCK):
-            _log_r_block(flat[start:start + BLOCK], p, H[start:start + BLOCK])
+            rows = slice(start, start + BLOCK)
+            if direct:
+                C = M @ g.t[rows].T
+                C[::n + 1] += 1.0           # the rows j * n + j: I
+            else:
+                C = flat[rows].transpose(2, 1, 0)[p[:, None], p]
+            _log_r_block(C.reshape(n, n, -1), p, H[rows], stack, rows)
     return H.reshape(g.shape[:-1])
 
 
-def _log_r_block(g: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """log|R_kk| of the QR of each x = g[:, p][:, :, p] in the stack
-    (m, n, n), written into out[:, p[k]], which maps it back to ambient
-    coordinates.  The arithmetic is the plain one while every R_kk lies in
-    _UNSCALED.  Otherwise the block is done again with each matrix whose
-    largest entry leaves _UNSCALED divided by that entry, as in exp_span."""
-    C = g.transpose(2, 1, 0)[p[:, None], p]
+def _log_r_block(C: np.ndarray, p: np.ndarray, out: np.ndarray, stack, rows) -> None:
+    """log|R_kk| of the QR of each x = g[:, p][:, :, p] of a block g =
+    stack(rows) (m, n, n), from its layout C[j, i] = x[:, i, j], written into
+    out[:, p[k]], which maps it back to ambient coordinates.  The arithmetic
+    is the plain one while every R_kk lies in _UNSCALED.  Otherwise the block
+    is done again with each matrix of g whose largest entry leaves _UNSCALED
+    divided by that entry, as in exp_span."""
     _gram_schmidt(C, p, out)
     if _UNSCALED[0] ** 2 <= out.min() and out.max() <= _UNSCALED[1] ** 2:
         np.log(out, out=out)
         out *= 0.5
         return
-    C = g.transpose(2, 1, 0)[p[:, None], p]
+    C = stack(rows).transpose(2, 1, 0)[p[:, None], p]
     peak = np.abs(C).max(axis=(0, 1))
     if not np.all(np.isfinite(peak)):
         raise SingularInput("input matrix has non-finite entries")
@@ -385,12 +400,18 @@ def span_form(basis) -> np.ndarray:
     Q is polarised from c(B) = <B^3, B>/<B, B>, and Sym(B_i B_j B_k) =
     Sym(Q_ij B_k) is checked in integers.  Kept per basis.  Raises NotCubic
     when there is no such Q, ValueError when the basis is not integers."""
+    return span_class(basis)[0]
+
+
+def span_class(basis) -> tuple[np.ndarray, bool]:
+    """(span_form(basis), whether Y^2 = 0 on the span: B_i B_j + B_j B_i = 0
+    for all i, j, checked in integers and kept beside the form)."""
     B = np.asarray(basis, dtype=float)
-    return _span_form(B.shape, B.tobytes())
+    return _span_class(B.shape, B.tobytes())
 
 
 @lru_cache(maxsize=None)
-def _span_form(shape: tuple, data: bytes) -> np.ndarray:
+def _span_class(shape: tuple, data: bytes) -> tuple[np.ndarray, bool]:
     B = np.frombuffer(data).reshape(shape)
     Bi, k = B.astype(np.int64), len(B)
     if not np.array_equal(Bi, B):
@@ -410,7 +431,8 @@ def _span_form(shape: tuple, data: bytes) -> np.ndarray:
         raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
     out = dQ / d
     out.flags.writeable = False
-    return out
+    BB = np.einsum("aij,bjk->abik", Bi, Bi)
+    return out, not (BB + BB.transpose(1, 0, 2, 3)).any()
 
 
 # --- the exponential of a span ---------------------------------------------
@@ -424,16 +446,19 @@ def exp_span(t, basis: np.ndarray, radius: float | None = None) -> np.ndarray:
     a span with Y^3 = c Y for c = t^T Q t, Q = span_form(basis):
     I + f1(c) Y + f2(c) Y^2 with f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c for
     s = sqrt(c), sin for sinh when c < 0 (the hyperbolic Rodrigues formula).
-    On a span with Y^3 = 0, Q is 0, and exp Y is exactly I + Y + Y^2/2.
-    With radius, _clip first scales each Y down to norm radius, and its row
-    of t with it.  Zero gives exactly I.  Y is formed in the output, and
+    On a span with Y^3 = 0, Q is 0, and exp Y is exactly I + Y + Y^2/2, or
+    I + Y where Y^2 = 0 (span_class).  Y is one GEMM; on the program's spans
+    each entry is one exact product t_k (+-1), so einsum's bits.  With
+    radius, _clip first scales each Y down to norm radius, and its row of t
+    with it.  Zero gives exactly I.  Y is formed in the output, and
     overwritten BLOCK rows at a time.  Raises NotCubic as span_form does,
     SingularInput when a clip norm or exp Y is not finite in double
     precision."""
     t = np.asarray(t, dtype=float)
-    form = span_form(basis)
+    form = None if span_class(basis)[1] else span_form(basis)
+    n = basis.shape[-1]
     with np.errstate(over="ignore", invalid="ignore"):
-        out = np.einsum("cd,dij->cij", t, basis)
+        out = (t @ basis.reshape(len(basis), n * n)).reshape(len(t), n, n)
         if radius is not None:
             t = t * _clip(out, radius)[:, None]
         for i in range(0, len(t), BLOCK):
@@ -441,18 +466,22 @@ def exp_span(t, basis: np.ndarray, radius: float | None = None) -> np.ndarray:
     return out
 
 
-def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray) -> None:
+def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray | None) -> None:
     """exp Y of a stack Y (k, n, n) with coefficients t (k, d), written over
-    Y.  Where the largest entry m of Y (from _entry_max) leaves _UNSCALED,
-    U = Y / m and c comes from t / m, as exp Y = I + (m f1) U + (m^2 f2) U^2."""
-    if not Q.any():
+    Y; it is I + Y when Q is None, on a span with Y^2 = 0.  Where the largest
+    entry m of Y (from _entry_max) leaves _UNSCALED, U = Y / m and c comes
+    from t / m, as exp Y = I + (m f1) U + (m^2 f2) U^2."""
+    if Q is None:
+        Y += np.eye(Y.shape[-1])
+    elif not Q.any():
         # Y^3 = 0: the series stops, and needs no rescale
         Y2 = Y @ Y
         Y += np.eye(Y.shape[-1])
         Y += 0.5 * Y2
     else:
         m = _scales(_entry_max(Y))
-        U, tu = Y / m[:, None, None], t / m[:, None]
+        U, tu = (Y, t) if np.all(m == 1.0) else (Y / m[:, None, None],
+                                                   t / m[:, None])
         # t^T Q t, in the same order for a row in any stack
         cu = sum(Q[i, j] * tu[:, i] * tu[:, j] for i, j in zip(*np.nonzero(Q)))
         U2 = U @ U
@@ -467,11 +496,13 @@ def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray) -> None:
                       np.where(hyper, np.sinh(s), np.sin(s)) / su)
         g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
                       2.0 * half * half / su2)
-        # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
-        g2 = np.where(_entry_max(U2) > 0, g2, 0.0)
+        if not np.all(np.isfinite(g2)):
+            # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
+            g2 = np.where(_entry_max(U2) > 0, g2, 0.0)
         np.multiply(g1[:, None, None], U, out=Y)
         Y += np.eye(Y.shape[-1])
-        Y += g2[:, None, None] * U2
+        U2 *= g2[:, None, None]
+        Y += U2
     if not np.all(np.isfinite(Y)):
         raise SingularInput("exponential overflows double precision")
 
@@ -539,6 +570,10 @@ class Draw:
     def __len__(self) -> int:
         return len(self.t)
 
+    @property
+    def shape(self) -> tuple:       # of elements(), as iwasawa reads it
+        return (len(self.t),) + self.basis.shape[1:]
+
     def elements(self, rows: slice = slice(None)) -> np.ndarray:
         """The elements of rows, bit for bit those rows of the whole stack;
         raises SingularInput as exp_span does."""
@@ -561,11 +596,16 @@ def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
         raise ValueError("radius must be nonnegative")
     span_form(basis)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    t = np.concatenate([rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-                        for rng in rngs])
-    centers = np.concatenate([rng.integers(0, len(rz.z_reps), size=count)
-                              for rng in rngs])
+    t = _joined([rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
+                 for rng in rngs])
+    centers = _joined([rng.integers(0, len(rz.z_reps), size=count)
+                       for rng in rngs])
     return Draw(t, basis, radius, centers, rz.z_signs)
+
+
+def _joined(parts: list) -> np.ndarray:
+    """The per-stream arrays in turn; one stream's own array, uncopied."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> Draw:
@@ -579,7 +619,7 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
     nilpotent span (k, n, n), the c_k Gaussian with deviation radius / 2;
     seeds as in sample_span, the span checked before any draw."""
     span_form(basis)
-    return Draw(np.concatenate([np.random.default_rng(seed).normal(
+    return Draw(_joined([np.random.default_rng(seed).normal(
         0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds]), basis)
 
 

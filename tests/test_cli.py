@@ -158,6 +158,19 @@ def test_gk_past_double_range_exits_2_under_warnings_as_errors():
     assert "error: a_log or radii out of floating-point range" in out.stderr
 
 
+@pytest.mark.parametrize("radius", ["1e70", "1e308"])
+def test_gk_past_the_plain_range_exits_2_with_the_range_message(capsys, radius):
+    # iwasawa builds gk's unipotent draws in its own layout; a block past
+    # the plain range is built again from the draw and fails as it did
+    rc = main(["verify", "--preset", "sl3_so21", "--checks", "gk",
+               "--radius", radius])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.strip() == (
+        "error: a_log or radii out of floating-point range at a_log=2,1,-3, "
+        f"radii={float(radius):g}: matrix is numerically singular")
+
+
 # Y^3 and c of the per-draw exponential once underflowed at such a radius and
 # raised NotCubic; exp_span tests no draw and forms c from t / max|Y|.
 # The samples stay within 1e-80 of a center element, so they never reach

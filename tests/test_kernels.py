@@ -6,7 +6,8 @@ on the edge cases of each rewrite: ties between vertices, displacements of
 exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes,
 exp_span blocks that mix scaled and unscaled matrices, and draws over
 several streams.  A draw judged in chunks of any size must give the bits
-of the whole draw judged at once.
+of the whole draw judged at once, and iwasawa of a draw the bits of
+iwasawa of its elements.
 """
 from fractions import Fraction
 
@@ -16,9 +17,11 @@ import pytest
 from orbitcone import harness
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
                                _Coverage, _float_rows, _judge)
-from orbitcone.matrixgrp import (BLOCK, SingularInput, _entry_max,
-                                 _sum_squares, exp_span, h_pq, sample_H,
-                                 sample_span, sample_unipotent)
+from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, _entry_max,
+                                 _sum_squares, exp_span, h_pq, iwasawa,
+                                 root_matrix, sample_H, sample_span,
+                                 sample_unipotent, span_class)
+from orbitcone.parabolic import all_positive_systems
 from orbitcone.polyhedra import cone, gamma_aq, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -244,3 +247,66 @@ def test_a_draw_judged_in_chunks_gives_the_whole_stacks_bits(monkeypatch, rz,
     assert streamed[3], "no witness to compare"
     for got, ref in zip(streamed, want):
         assert np.array_equal(got, ref)
+
+
+# --- iwasawa of a draw -------------------------------------------------------
+
+def _counting_elements(monkeypatch) -> list:
+    """Patch Draw.elements to record the rows of every call."""
+    calls, elements = [], Draw.elements
+    def counted(draw, rows=slice(None)):
+        calls.append(rows)
+        return elements(draw, rows)
+    monkeypatch.setattr(Draw, "elements", counted)
+    return calls
+
+
+def test_iwasawa_of_a_draw_is_iwasawa_of_its_elements(monkeypatch, rz):
+    """On every gk pair (P, Q), a unipotent draw over the support of
+    N_Q cap bar-N_P, of 2 BLOCK + 3 rows, gives iwasawa's bits of its
+    elements; one on a span with Y^2 = 0 builds no element to get them."""
+    systems = all_positive_systems(rz.datum)
+    calls = _counting_elements(monkeypatch)
+    for pi, P in enumerate(systems):
+        for qi, Q in enumerate(systems):
+            support = sorted(Q.positive & P.negative)
+            if not support:
+                continue
+            basis = np.stack([root_matrix(rz.dim, a) for a in support])
+            draw = sample_unipotent(basis, 4.0, 2 * BLOCK + 3, [(92, pi, qi)])
+            want = iwasawa(rz, draw.elements(), P)
+            calls.clear()
+            got = iwasawa(rz, draw, P)
+            assert got.shape == want.shape == (2 * BLOCK + 3, rz.dim)
+            assert np.array_equal(got, want)
+            assert len(calls) == (0 if span_class(basis)[1] else 1)
+
+
+def test_iwasawa_of_a_draw_past_the_plain_range(monkeypatch, rz_sl3):
+    """A block whose R_kk^2 leaves [1e-120, 1e120], but whose |R_kk| stay
+    above 1e-250, is built again from the draw and takes the rescale pass;
+    the other blocks stay on the plain one.  A non-finite coefficient
+    raises the message of the elements' exponential."""
+    systems = all_positive_systems(rz_sl3.datum)
+    P = systems[0]
+    Q = next(Q for Q in systems if len(Q.positive & P.negative) == 2)
+    basis = np.stack([root_matrix(3, a) for a in sorted(Q.positive & P.negative)])
+    assert span_class(basis)[1]
+    t = sample_unipotent(basis, 4.0, 2 * BLOCK + 3, [93]).t
+    t[BLOCK:2 * BLOCK] *= 1e61
+    draw = Draw(t, basis)
+    want = iwasawa(rz_sl3, draw.elements(), P)
+    calls = _counting_elements(monkeypatch)
+    got = iwasawa(rz_sl3, draw, P)
+    assert np.array_equal(got, want) and np.all(np.isfinite(got))
+    assert calls == [slice(BLOCK, 2 * BLOCK)]
+    assert np.abs(got[BLOCK:2 * BLOCK]).max() > 60 * np.log(10.0)
+    assert np.abs(got[:BLOCK]).max() < 60 * np.log(10.0)
+    for bad in (np.inf, -np.inf, np.nan):
+        t_bad = t.copy()
+        t_bad[2 * BLOCK + 1, 1] = bad
+        with pytest.raises(SingularInput) as direct:
+            iwasawa(rz_sl3, Draw(t_bad, basis), P)
+        with pytest.raises(SingularInput) as built:
+            iwasawa(rz_sl3, Draw(t_bad, basis).elements(), P)
+        assert str(direct.value) == str(built.value)

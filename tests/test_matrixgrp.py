@@ -8,19 +8,21 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import h_x_coords, nph_basis
+from orbitcone.critical import (_centralizer_basis, h_x_coords, nph_basis,
+                                vanishing_patterns)
 from orbitcone.harness import _DEFAULT_A_LOG
 from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
                                  _clip, a_matrix, chamber_perm, ek_projection,
                                  exp_span, h_pq, iwasawa, realization,
                                  root_entry, root_matrix, sample_H, sample_span,
-                                 sample_unipotent, span_form)
+                                 sample_unipotent, span_class, span_form)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import iwasawa_by_matmul, iwasawa_exact
 from paper_claims import (NotInNP, NotUnipotent, default_z_q, exp_nilpotent,
                           factor_nilpotent, unipotent_log)
-from reference import contains, exp_h, sigma_grp, sl2_triple, span_form_exact
+from reference import (contains, exp_h, exp_span_dense, sigma_grp, sl2_triple,
+                       span_form_exact)
 
 
 def _np_vec(v) -> np.ndarray:
@@ -377,6 +379,80 @@ def test_span_form_agrees_with_the_fraction_form(rz):
         assert np.array_equal(span_form(B), exact)
 
 
+def _square_zero_by_brute_force(B: np.ndarray) -> bool:
+    """Y^2 = 0 for every Y = sum_k t_k B_k with t in {-1, 0, 1}^k, in
+    integers.  Each entry of Y^2 has degree at most 2 in each t_k, so it
+    vanishes on that grid only when it vanishes identically."""
+    Bi = B.astype(np.int64)
+    for t in itertools.product((-1, 0, 1), repeat=len(Bi)):
+        Y = np.tensordot(np.array(t, dtype=np.int64), Bi, 1)
+        if (Y @ Y).any():
+            return False
+    return True
+
+
+def _program_spans(rz: Realization) -> list[np.ndarray]:
+    """Every span the program exponentiates on rz: h, the centralizer of h
+    at each witness of each vanishing pattern, the nilpotent spans of
+    sample_NPH and gk, the probe rays of _h_probes, and the test spans
+    sl2_triple and the corner E_{0, n-1}."""
+    h = np.stack(rz.h_basis)
+    spans = [h] + _nilpotent_spans(rz) + [sl2_triple(rz.dim)]
+    corner = np.zeros((1, rz.dim, rz.dim))
+    corner[0, 0, -1] = 1.0
+    spans.append(corner)
+    for _, witnesses in vanishing_patterns(rz):
+        spans += [_centralizer_basis(rz, X) for X in witnesses]
+    for P in all_positive_systems(rz.datum):
+        for alpha in P.classification.minus_part:
+            E = root_matrix(rz.dim, alpha)
+            spans.append((E + rz.sigma_alg(E))[None])
+    return [B for B in spans if len(B)]
+
+
+def _random_cubic_spans(rng) -> list[np.ndarray]:
+    """Integer spans with Y^3 = 0, conjugated by a unimodular integer
+    matrix: inside the strictly upper triangular 3 x 3 matrices (Y^2 = 0
+    only on some), and inside the block E_{R x S} of rows R = {0, 1} and
+    columns S = {2, 3} in gl(4), where Y^2 = 0 always."""
+    spans = []
+    for n, mask in ((3, np.triu(np.ones((3, 3)), 1)),
+                    (4, np.pad(np.ones((2, 2)), ((0, 2), (2, 0))))):
+        for _ in range(20):
+            k = int(rng.integers(1, 4))
+            # sparse, so that some B_i^2 = 0 while some B_i B_j + B_j B_i is not
+            B = (rng.integers(-2, 3, size=(k, n, n)) * mask
+                 * (rng.random((k, n, n)) < 0.5))
+            L, U = (np.eye(n, dtype=np.int64)
+                    + tri(rng.integers(-2, 3, size=(n, n)), s)
+                    for tri, s in ((np.tril, -1), (np.triu, 1)))
+            g = L @ U                       # det 1, so g^-1 is an integer matrix
+            g_inv = np.rint(np.linalg.inv(g)).astype(np.int64)
+            assert np.array_equal(g @ g_inv, np.eye(n))
+            spans.append((g @ B.astype(np.int64) @ g_inv).astype(float))
+    return spans
+
+
+def test_span_class_finds_square_zero_spans_exactly(rz):
+    """span_class's Y^2 = 0 against Y^2 formed over a grid of integer t,
+    on random spans of both kinds and on every span the program builds.
+    The program's spans also have the support property that makes
+    exp_span's GEMM form of Y bit for bit einsum's: every position is
+    carried by at most one basis element, with entry +-1."""
+    spans = _random_cubic_spans(np.random.default_rng(90))
+    assert {span_class(B)[1] for B in spans} == {True, False}
+    assert any(not span_class(B)[1]
+               and all(not (b @ b).any() for b in B) for B in spans)
+    for B in spans + _program_spans(rz):
+        assert span_class(B)[1] == _square_zero_by_brute_force(B)
+        assert not span_class(B)[1] or not span_form(B).any()
+    for B in _program_spans(rz):
+        assert np.all((B != 0).sum(axis=0) <= 1)
+        assert set(np.unique(B)) <= {-1.0, 0.0, 1.0}
+        t = np.random.default_rng(91).normal(size=(50, len(B)))
+        assert np.array_equal(exp_span(t, B), exp_span_dense(t, B))
+
+
 def test_exp_h_inverse_is_exp_h_of_minus(rz):
     B = np.stack(rz.h_basis)
     for radius in (1.0, 4.0):
@@ -411,6 +487,30 @@ def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
             tracemalloc.stop()
     extra_output = 50_000 * 9 * 8
     assert peaks[1] - peaks[0] <= 1.25 * extra_output
+
+
+def _peak_slope(draw) -> float:
+    """Traced peak bytes per extra row of draw(count), from 25,000 to
+    100,000 rows."""
+    peaks = []
+    for count in (25_000, 100_000):
+        tracemalloc.start()
+        try:
+            draw(count)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / 75_000
+
+
+def test_a_single_stream_keeps_its_draw_uncopied(rz_sl3):
+    """sample_H keeps 24 bytes of t and 8 of center index per sample, and a
+    two-root sample_unipotent 16 of t; joining the streams' arrays copied
+    them once more (48 and 32 bytes)."""
+    roots = sorted(rz_sl3.base_parabolic.positive)[:2]
+    basis = np.stack([root_matrix(3, a) for a in roots])
+    assert _peak_slope(lambda c: sample_H(rz_sl3, 4.0, c, 0)) <= 36
+    assert _peak_slope(lambda c: sample_unipotent(basis, 4.0, c, [0])) <= 20
 
 
 @pytest.mark.filterwarnings("error")

@@ -8,6 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from orbitcone.matrixgrp import realization
+from orbitcone.parabolic import all_positive_systems
+
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "orbitcone"
 TESTS = ROOT / "tests"
@@ -204,3 +207,28 @@ def test_every_traced_layer_counts_on_every_workload():
     counts = {(k, c): v[c] for k, v in layers.items()
               for c in set(v) - {"self_s", "calls", "lp_calls"}}
     assert counts and all(counts.values()), counts
+
+
+def test_a_traced_gk_run_counts_every_projected_matrix():
+    # gk hands iwasawa its unipotent draws as Draw records, which the
+    # tracer counts through their shape: matrices is every matrix
+    # projected (two rank-one probes per root of a support, then the
+    # draw), not one per call
+    code = ("import json, orbitcone, tracer\n"
+            "t = tracer.Tracer()\n"
+            "t.install()\n"
+            "orbitcone.run(orbitcone.VerificationConfig(\n"
+            "    preset='sl3_so21', checks=frozenset({'gk'}), samples=3600))\n"
+            "print(json.dumps(t.summary()['matrixgrp.iwasawa']))\n")
+    path = [str(ROOT / "src"), str(ROOT / "perfbench")]
+    out = subprocess.run([sys.executable, "-c",
+                          f"import sys; sys.path[:0] = {path!r}\n" + code],
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    layer = json.loads(out.stdout.splitlines()[-1])
+    rz = realization("sl3_so21")
+    systems = all_positive_systems(rz.datum)
+    supports = [len(Q.positive & P.negative) for P in systems for Q in systems]
+    rows = 3600 // len(supports)
+    assert layer["calls"] == 2 * sum(map(bool, supports))
+    assert layer["matrices"] == sum(2 * k + rows for k in supports if k)
