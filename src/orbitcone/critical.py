@@ -7,9 +7,9 @@ models and is compared against it.
 
 The Hessian and critical-image layers take a SampleStack of samples X, an
 exact base point a_log and an explicit positive system P, and compute each
-part once per value of what it depends on.  The stack keeps what depends on
-X alone: X itself (built from its a_q coordinates), X in floats, G X, its
-tie pattern {(i, j) : X_i = X_j} and the signs of alpha(X).  The
+part once per value of what it depends on.  The stack keeps X on integer
+rows and what depends on X alone: X in floats, its tie pattern {(i, j) :
+X_i = X_j}, the signs of alpha(X), and the Fractions X and G X.  The
 centralizer basis of X in h and the predicted Hessian kernel depend on X
 only through its ties and are kept per tie pattern.  critical_value gives
 the levels of a stack at every w, and F its values at every x_w from one
@@ -119,7 +119,7 @@ def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
     [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
     its RREF and the basis, depends on X only through the pattern of ties
     X_i = X_j, and the basis is cached on that pattern."""
-    return _centralizer(rz, SampleStack(rz, (X,)).ties[0])
+    return _centralizer(rz, SampleStack.of(rz, (X,)).ties[0])
 
 
 def _centralizer_basis(rz: Realization, X) -> np.ndarray:
@@ -162,24 +162,44 @@ def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
 
 @dataclass(frozen=True, eq=False)
 class SampleStack:
-    """Exact samples X in a_q with what the Hessian layer reads of X alone,
-    each built on first use by the layer function that first needs it.
-    Given a basis, the samples are X = sum_k coords_k basis_k, each entry one
-    exact dot of the coordinates with a basis column."""
+    """Exact samples X in a_q as rows X_i = num[i] / den[i] of Python ints,
+    den[i] > 0, and what the Hessian layer reads of X alone, each built on
+    first use by the layer function that first needs it: floats, ties and
+    signs by array operations on num, the Fractions X and gram where read."""
     rz: Realization
-    coords: tuple[Vec, ...]
-    basis: tuple[Vec, ...] | None = None
+    num: np.ndarray     # (m, dim), dtype object
+    den: np.ndarray     # (m,), dtype object
+
+    @classmethod
+    def of(cls, rz: Realization, Xs) -> SampleStack:
+        """The stack of the samples Xs, rows of Fractions or ints."""
+        return cls.on_basis(rz, [[x.as_integer_ratio() for x in X] for X in Xs])
+
+    @classmethod
+    def on_basis(cls, rz: Realization, ratios, basis=None) -> SampleStack:
+        """X = sum_k (p_k / q_k) basis_k, q_k > 0, for the rows of pairs
+        (p_k, q_k) of ratios; X = (p_k / q_k)_k without a basis."""
+        pq = np.array(ratios, dtype=object).reshape(len(ratios), -1, 2)
+        if basis is not None:
+            # basis_k = B.num[k] / B.den[k]: B.den[k] joins q_k
+            B = cls.of(rz, basis)
+            pq[..., 1] *= B.den
+        den = np.lcm.reduce(pq[..., 1], axis=1)
+        num = pq[..., 0] * (den[:, None] // pq[..., 1])
+        return cls(rz, num if basis is None else num @ B.num, den)
+
+    def exact(self, i: int) -> Vec:
+        """Sample i as Fractions."""
+        return tuple(Fraction(n, self.den[i]) for n in self.num[i])
 
     @cached_property
     def X(self) -> tuple[Vec, ...]:
-        if self.basis is None:
-            return self.coords
-        cols = ex.transpose(self.basis)
-        return tuple(ex.mat_vec(cols, c) for c in self.coords)
+        return tuple(map(self.exact, range(len(self.den))))
 
     @cached_property
     def floats(self) -> np.ndarray:
-        return np.array(self.X, dtype=float).reshape(-1, self.rz.dim)
+        # the true division of Python ints rounds as float(Fraction) does
+        return (self.num / self.den[:, None]).astype(float)
 
     @cached_property
     def gram(self) -> tuple[Vec, ...]:
@@ -187,21 +207,21 @@ class SampleStack:
 
     @cached_property
     def ties(self) -> tuple[frozenset, ...]:
-        """The tie pattern {(i, j) : X_i = X_j} of each sample."""
-        r = range(self.rz.dim)
-        return tuple(frozenset((i, j) for i in r for j in r if X[i] == X[j])
-                     for X in self.X)
+        """The tie pattern {(i, j) : X_i = X_j} of each sample, from equal
+        numerators; one frozenset per distinct pattern."""
+        n = self.rz.dim
+        eq = (self.num[:, :, None] == self.num[:, None, :]).tobytes()
+        rows = [eq[k:k + n * n] for k in range(0, len(eq), n * n)]
+        sets = {r: frozenset(divmod(k, n) for k in range(n * n) if r[k])
+                for r in set(rows)}
+        return tuple(map(sets.__getitem__, rows))
 
     @cached_property
     def signs(self) -> dict[Vec, np.ndarray]:
         """sign alpha(X) per sample for every root alpha; exact."""
-        out: dict[Vec, np.ndarray] = {}
-        for alpha in self.rz.datum.roots:
-            if alpha not in out:
-                s = np.sign(np.array([ex.dot(alpha, X) for X in self.X],
-                                     dtype=object)).astype(int)
-                out[alpha], out[ex.neg(alpha)] = s, -s
-        return out
+        roots = tuple(self.rz.datum.roots)
+        s = np.sign(self.num @ SampleStack.of(self.rz, roots).num.T)
+        return {alpha: s[:, k].astype(int) for k, alpha in enumerate(roots)}
 
 
 # the predicted kernel per (realization, P, tie pattern); a dict, as a
@@ -218,10 +238,10 @@ def _predicted_kernels(rz: Realization, xs: SampleStack,
     P, ties)."""
     n = rz.dim * rz.dim
     out = []
-    for X, ties in zip(xs.X, xs.ties):
+    for i, ties in enumerate(xs.ties):
         key = (rz, P, ties)
         if key not in _KERNELS:
-            K = np.concatenate([_centralizer_basis(rz, X).reshape(-1, n),
+            K = np.concatenate([_centralizer_basis(rz, xs.exact(i)).reshape(-1, n),
                                 np.reshape(nph_basis(rz, P), (-1, n))])
             # (K B^T) v = 0 says sum_j v_j U_j is orthogonal to K for
             # <Y, Z> = kappa tr(Y Z^T), whose kappa leaves it alone; an
@@ -385,7 +405,7 @@ def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     tested by the signs of its factors, kept per sample and per Weyl point.
     a_log must be a regular point of a_q; ensure_regular checks it."""
     sx, sw = xs.signs, _WeylPoint(rz, P, a_log, w).signs
-    posdef = np.ones(len(xs.X), dtype=bool)
+    posdef = np.ones(len(xs.den), dtype=bool)
     for a in P.classification.plus_part:
         posdef &= sx[a] * sw[a] <= 0
     for a in P.classification.minus_part:

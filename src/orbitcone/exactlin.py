@@ -73,6 +73,22 @@ def dot(x: Sequence, y: Sequence) -> Fraction:
     return Fraction(n, d)
 
 
+def limit_denominator(x, max_den: int) -> tuple[int, int]:
+    """(p, q) of Fraction(x).limit_denominator(max_den), x a float or a
+    rational: CPython's continued-fraction steps and tie rule on ints."""
+    n, d = x.as_integer_ratio()
+    den, (p0, q0, p1, q1) = d, (0, 1, 1, 0)
+    # with den <= max_den the expansion ends, at d = 0, on p1 / q1 = x
+    while d and q0 + (a := n // d) * q1 <= max_den:
+        p0, q0, p1, q1, n, d = p1, q1, p0 + a * p1, q0 + a * q1, d, n - a * d
+    k = (max_den - q0) // q1
+    # the bounds are 1 / (q1 (q0 + k q1)) apart, p1 / q1 is d / (q1 den) from
+    # x: it wins unless the other bound is strictly nearer
+    if 2 * d * (q0 + k * q1) <= den:
+        return p1, q1
+    return p0 + k * p1, q0 + k * q1
+
+
 def mat_vec(m: Mat, x: Vec) -> Vec:
     return tuple(dot(row, x) for row in m)
 

@@ -120,8 +120,11 @@ class VerificationConfig:
                               f"choices: {sorted(_DEFAULT_A_LOG)}")
         dim = len(_DEFAULT_A_LOG[self.preset])
         for key in ("chamber", "a_log"):
-            if getattr(self, key) is not None and len(getattr(self, key)) != dim:
-                raise ConfigError(f"{key} needs {dim} coordinates on {self.preset}")
+            # canonical strings, as config_from_mapping gives, for the report
+            if (v := getattr(self, key)) is not None:
+                object.__setattr__(self, key, v := _rat_tuple(v))
+                if len(v) != dim:
+                    raise ConfigError(f"{key} needs {dim} coordinates on {self.preset}")
         if not _is_int(self.samples) or self.samples <= 0:
             raise ConfigError("sample count must be a positive integer")
         if not _is_int(self.seed) or self.seed < 0:
@@ -362,14 +365,16 @@ class Tally:
 
 
 def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
-           parts, a_log: ex.Vec) -> np.ndarray:
+           parts, a_log: ex.Vec, out: np.ndarray | None = None) -> np.ndarray:
     """Feed tally the points H(a h) of the elements h of parts in turn,
-    projected onto a_q at P and judged against region, and return them; a h
-    scales row i of h by exp(a_log)_i.  A stack of matrices is one chunk,
-    scaled in place; a Draw is built CHUNK rows at a time.  Every kernel
-    treats each row alone, so chunks change no bit."""
+    projected onto a_q at P and judged against region, and return them, in
+    the leading rows of out if given; a h scales row i of h by exp(a_log)_i.
+    A stack of matrices is one chunk, scaled in place; a Draw is built CHUNK
+    rows at a time.  Every kernel treats each row alone, so chunks change no
+    bit."""
     scale = np.exp(_float_rows([a_log], rz.dim)[0])[:, None]
-    vals = np.empty((sum(map(len, parts)), rz.dim))
+    count = sum(map(len, parts))
+    vals = np.empty((count, rz.dim)) if out is None else out[:count]
     done = 0
     for part in parts:
         chunks = ((part.elements(slice(i, i + CHUNK))
@@ -442,10 +447,13 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     cover = _Coverage(verts, gens)
     tally = Tally(cfg.tol, cover)
     history = []
-    collected = [_judge(rz, P, tally, om, [_h_probes(rz, P, cfg.radii)], a_exact)]
+    probes = _h_probes(rz, P, cfg.radii)
+    # the probes, then each radius' draw: one array of projections
+    vals = np.empty((len(probes) + len(cfg.radii) * cfg.samples, rz.dim))
+    _judge(rz, P, tally, om, [probes], a_exact, vals)
     for k, r in enumerate(cfg.radii):
-        collected.append(_judge(rz, P, tally, om, [sample_H(
-            rz, r, cfg.samples, _stream(cfg, "main", k))], a_exact))
+        _judge(rz, P, tally, om, [sample_H(rz, r, cfg.samples, _stream(
+            cfg, "main", k))], a_exact, vals[len(probes) + k * cfg.samples:])
         history.append({"radius": r,
                         "max_vertex_distance": float(cover.vdist.max()),
                         "max_generator_gap":
@@ -458,7 +466,7 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         vertex_distances=tuple(float(x) for x in cover.vdist),
         generator_gaps=tuple(float(x) for x in cover.gaps),
         detail={"radius_history": history, "coverage_thresholds": [VERTEX_TOL, GAP_TOL]},
-        samples=np.concatenate(collected, axis=0),
+        samples=vals,
         geometry={"vertices": verts.tolist(), "generators": gens.tolist()})
 
 
@@ -518,9 +526,9 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     a_exact = _require_regular(rz, cfg)
     rng = np.random.default_rng(_stream(cfg, "hessian"))
     aq = rz.datum.aq_basis
-    xs = SampleStack(rz, tuple(
-        tuple(Fraction(c).limit_denominator(40) for c in row)
-        for row in rng.normal(size=(cfg.samples, len(aq)))), aq)
+    xs = SampleStack.on_basis(rz, [
+        [ex.limit_denominator(c, 40) for c in row]
+        for row in rng.normal(size=(cfg.samples, len(aq))).tolist()], aq)
     kd = kernel_dim(rz, xs, P)
     ws = rz.small_weyl.elements
     per_w = []
@@ -539,7 +547,7 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     ok, rel, sig, posdef = (np.stack(a, axis=1) for a in zip(*per_w))
     worst_rel = max(0.0, *rel.ravel().tolist())
     witnesses = tuple(
-        ([str(c) for c in xs.X[i]], [[str(c) for c in row] for row in ws[k]],
+        ([str(c) for c in xs.exact(i)], [[str(c) for c in row] for row in ws[k]],
          float(rel[i, k]), sig[i, k].tolist(), int(kd[i]), bool(posdef[i, k]))
         for i, k in np.argwhere(~ok)[:MAX_WITNESSES])
     return CheckResult(name="hessian", passed=bool(ok.all()), count=ok.size,
@@ -562,7 +570,7 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
         ws, oms = zip(*sorted(omega_X(rz, a_exact, wits[0], P).items()))
         xws = np.stack([rz.weyl_reps[w] for w in ws])
-        xs = SampleStack(rz, wits)
+        xs = SampleStack.of(rz, wits)
         # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
         # preset U in h is 0 off the diagonal and the root positions, where
         # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call

@@ -4,6 +4,9 @@
 involution on the group and membership up to a slack.  ``h_x_coords_fresh``
 is the centralizer computation without the per-tie-pattern cache of
 ``critical.h_x_coords``; the tests require both to agree exactly.
+``FractionSampleStack`` is ``critical.SampleStack`` in Fraction arithmetic,
+every part read off the exact vectors X; the tests require the stack on
+integer rows to give the same parts.
 ``transversal_signature_lstsq`` builds the predicted Hessian kernel in
 h-coordinates, the nilpotent part by least squares, where
 ``critical.transversal_signature`` pairs flattened matrices; the tests
@@ -43,7 +46,9 @@ arithmetic, which reduces by a gcd after every product and sum; the tests
 require the integer kernels to return the same Fractions.
 """
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 from scipy.linalg import expm
@@ -206,6 +211,48 @@ def h_x_coords_fresh(rz, X):
         cols.append(tuple(br[i][j] for i in range(n) for j in range(n)))
     A = tuple(tuple(col[k] for col in cols) for k in range(n * n))
     return tuple(ex.nullspace(A))
+
+
+@dataclass(frozen=True, eq=False)
+class FractionSampleStack:
+    """The parts of critical.SampleStack in Fraction arithmetic: the samples
+    X = sum_k coords_k basis_k (X = coords without a basis), each entry one
+    exact dot of the coordinates with a basis column, and every part read
+    off the Fraction vectors."""
+    rz: object
+    coords: tuple
+    basis: tuple | None = None
+
+    @cached_property
+    def X(self):
+        if self.basis is None:
+            return self.coords
+        cols = ex.transpose(self.basis)
+        return tuple(ex.mat_vec(cols, c) for c in self.coords)
+
+    @cached_property
+    def floats(self):
+        return np.array(self.X, dtype=float).reshape(-1, self.rz.dim)
+
+    @cached_property
+    def gram(self):
+        return tuple(ex.mat_vec(self.rz.datum.gram, X) for X in self.X)
+
+    @cached_property
+    def ties(self):
+        r = range(self.rz.dim)
+        return tuple(frozenset((i, j) for i in r for j in r if X[i] == X[j])
+                     for X in self.X)
+
+    @cached_property
+    def signs(self):
+        out = {}
+        for alpha in self.rz.datum.roots:
+            if alpha not in out:
+                s = np.sign(np.array([ex.dot(alpha, X) for X in self.X],
+                                     dtype=object)).astype(int)
+                out[alpha], out[ex.neg(alpha)] = s, -s
+        return out
 
 
 def transversal_signature_lstsq(rz, form, X, P=None):
@@ -390,7 +437,7 @@ def critical_image_per_draw(rz, P, cfg):
                 nh = sample_NPH(rz, P, radius, n_per,
                                 [_stream(cfg, "critical_image", 2, *draw)])
                 tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
-                lv = critical_value(rz, a_exact, SampleStack(rz, (X,)),
+                lv = critical_value(rz, a_exact, SampleStack.of(rz, (X,)),
                                     [w])[0][0]
                 gX = ex.mat_vec(rz.datum.gram, X)
                 if min(ex.dot(gX, u) for u in om.vertices) != lv:

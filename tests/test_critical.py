@@ -41,7 +41,7 @@ def _a_log(rz):
 
 def _stack(rz, Xs):
     """The SampleStack of the samples Xs, made exact."""
-    return SampleStack(rz, tuple(tuple(Fraction(c) for c in X) for X in Xs))
+    return SampleStack.of(rz, Xs)
 
 
 class NotALocalMin(ValueError):
@@ -751,6 +751,56 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
                     == transversal_signature_per_call(rz, num, X, P)
     # the kernel shapes differ within the stack
     assert len(set(kernel_dim(rz, xs, rz.base_parabolic).tolist())) > 1
+
+
+def _same_parts(xs, ref):
+    """Whether a stack has the oracle's X, gram, ties, signs and floats."""
+    return (xs.X == ref.X and xs.gram == ref.gram and xs.ties == ref.ties
+            and np.array_equal(xs.floats, ref.floats)
+            and xs.signs.keys() == ref.signs.keys()
+            and all(np.array_equal(xs.signs[a], s) for a, s in ref.signs.items()))
+
+
+def test_the_integer_stack_equals_the_fraction_oracle(rz, monkeypatch):
+    """The hessian check's seed-0 draw with tied and zero coordinate rows,
+    over the a_q basis and over a basis with denominators, and exact samples
+    (generic, tied, zero, and past 2**53 in numerator or denominator) give
+    the parts of the Fraction stack; floats, ties and signs make no
+    Fraction."""
+    aq, n = rz.datum.aq_basis, rz.dim
+    cfg = VerificationConfig(preset=rz.name, checks=frozenset({"hessian"}))
+    rng = np.random.default_rng(harness._stream(cfg, "hessian"))
+    drawn = [[Fraction(c).limit_denominator(40) for c in row]
+             for row in rng.normal(size=(100, len(aq)))]
+    drawn += [[Fraction(0)] * len(aq), [Fraction(-5, 3)] * len(aq),
+              [Fraction(7, 4)] + [Fraction(0)] * (len(aq) - 1)]
+    # float(2**60 + 32 + k) / 3 rounds twice, to another float than the
+    # Fraction's; (2**60 + 1) / 3 and 2**60 / 3 are one float
+    big = 2 ** 60
+    huge = [tuple(Fraction(big + 32 + k, 3) for k in range(n)),
+            tuple(Fraction(big + k % 2, 3) for k in range(n)),
+            tuple(Fraction(-big * 5 + k, big + 1) for k in range(n))]
+    # a basis with denominators of its own
+    thirds = tuple(ex.scale(Fraction(1, k + 3), b) for k, b in enumerate(aq))
+    for rows, basis in ((drawn, aq), (drawn, thirds),
+                        (_mixed_stack(rz) + huge, None)):
+        xs = SampleStack.on_basis(
+            rz, [[c.as_integer_ratio() for c in row] for row in rows], basis)
+        made = []
+        new = Fraction.__new__
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__new__", staticmethod(
+                lambda cls, *a, **k: made.append(a) or new(cls, *a, **k)))
+            xs.floats, xs.ties, xs.signs
+        assert made == []
+        assert _same_parts(xs, reference.FractionSampleStack(
+            rz, tuple(map(tuple, rows)), basis))
+    # the last two huge rows tie in floats only
+    assert all(len(set(row)) == 1 for row in xs.floats[-2:])
+    r = range(n)
+    assert xs.ties[-2:] == (
+        frozenset((i, j) for i in r for j in r if i % 2 == j % 2),
+        frozenset((i, i) for i in r))
 
 
 def test_the_predictions_of_a_stack_equal_the_per_call_ones(rz):

@@ -3,7 +3,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orbitcone import critical, harness, matrixgrp, polyhedra, rootsys
@@ -197,6 +197,44 @@ def test_mat_inv_equals_the_fraction_oracle(m):
         _same(ex.mat_inv(m), want)
 
 
+def _limited(x, max_den=40):
+    f = Fraction(x).limit_denominator(max_den)
+    return f.numerator, f.denominator
+
+
+# exact midpoints of neighbouring fractions with denominators up to 40: the
+# ties of limit_denominator(40); no such midpoint is a float
+_FAREY = sorted({Fraction(p, q) for q in range(1, 41)
+                 for p in range(-2 * q, 2 * q + 1)})
+_MIDPOINTS = [(a + b) / 2 for a, b in zip(_FAREY, _FAREY[1:])]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                 st.floats(-60, 60)))
+@example(0.0).via("the sign of zero")
+@example(-0.0).via("the sign of zero")
+@example(5e-324).via("the least subnormal")
+@example(-2.225073858507201e-308).via("the largest subnormal")
+@example(1e15).via("an integer float")
+@example(-1e15 - 0.5).via("a half past 2**49")
+@example(1.7976931348623157e308).via("the largest float")
+def test_limit_denominator_equals_fractions(x):
+    assert ex.limit_denominator(x, 40) == _limited(x)
+
+
+def test_limit_denominator_on_ties_and_dyadics():
+    # every midpoint, exact and rounded to a float; dyadic values with
+    # denominators up to 32 are returned as they are
+    floats = [float(m) for m in _MIDPOINTS]
+    dyadic = [k / 2 ** j for j in range(6) for k in range(-99, 100)]
+    for x in _MIDPOINTS + floats + dyadic:
+        assert ex.limit_denominator(x, 40) == _limited(x), x
+    for x in dyadic:
+        assert ex.limit_denominator(x, 40) == x.as_integer_ratio()
+    assert ex.limit_denominator(Fraction(7, 11), 1) == _limited(Fraction(7, 11), 1)
+
+
 def test_the_kernels_reject_a_length_mismatch():
     x = (Fraction(1, 2), 3)
     for y in ((1,), (1, 2, 3)):
@@ -248,16 +286,14 @@ def test_every_report_path_gets_the_oracle_values(preset, kernel_calls,
     # polyhedra and exact levels at seed 0, and each SampleStack the checks
     # build, the seed-0 hessian draw among them, with all its parts
     stacks = []
-
-    def stack(*args):
-        stacks.append(critical.SampleStack(*args))
-        return stacks[-1]
-
-    monkeypatch.setattr(harness, "SampleStack", stack)
+    init = critical.SampleStack.__init__
+    monkeypatch.setattr(critical.SampleStack, "__init__",
+                        lambda xs, *args: stacks.append(xs) or init(xs, *args))
     checks = [c for c in harness.CHECKS if c != "kostant" or preset == "kostant_sl2"]
     for check in checks:
         harness.run(harness.VerificationConfig(preset=preset,
                                                checks=frozenset({check})))
-    for xs in stacks:
+    # signs builds a stack of the roots, which needs no parts of its own
+    for xs in list(stacks):
         xs.X, xs.gram, xs.signs
     assert stacks and all(kernel_calls[k] for k in KERNEL_ORACLES), kernel_calls

@@ -88,6 +88,30 @@ def test_config_from_mapping():
             config_from_mapping({"preset": "sl2_so11", **bad})
 
 
+def test_library_vectors_report_as_their_strings():
+    """chamber and a_log given as Fractions, ints or floats become the
+    canonical strings of config_from_mapping and the CLI, so that the report
+    has the same bytes; a vector that is not rational fails when the config
+    is made."""
+    base = {"preset": "sl3_so21", "samples": 10,
+            "checks": frozenset({"main", "no_line"})}
+    want = report_json(run(VerificationConfig(
+        **base, chamber=("3", "2", "1"), a_log=("2", "1/2", "-5/2"))))
+    for chamber, a_log in (((Fraction(3), Fraction(2), Fraction(1)),
+                            (Fraction(2), Fraction(1, 2), Fraction(-5, 2))),
+                           ((3, 2, 1), (2, Fraction(1, 2), -2.5))):
+        cfg = VerificationConfig(**base, chamber=chamber, a_log=a_log)
+        assert (cfg.chamber, cfg.a_log) == (("3", "2", "1"), ("2", "1/2", "-5/2"))
+        assert report_json(run(cfg)) == want
+    for a_log in ((Fraction(1), Fraction(-1)), (1, -1)):
+        assert report_json(run(VerificationConfig(
+            preset="sl2_so11", a_log=a_log, samples=10))) == report_json(
+            run(VerificationConfig(preset="sl2_so11", a_log=("1", "-1"),
+                                   samples=10)))
+    with pytest.raises(ConfigError, match="not a rational vector"):
+        VerificationConfig(preset="sl2_so11", a_log=("abc", "1"))
+
+
 @pytest.mark.parametrize("preset", PRESETS)
 def test_verify_main_all_presets(preset):
     cfg = VerificationConfig(preset=preset, samples=200, seed=1)
@@ -351,6 +375,39 @@ def test_checks_keep_their_recorded_reports(entry):
     # dumped, a float is its repr: -0.0 and 0.0 differ
     assert json.dumps(got, sort_keys=True) \
         == json.dumps(entry["result"], sort_keys=True)
+
+
+def test_main_judges_into_the_array_it_reports(monkeypatch):
+    """_judge writes the probes and each radius' draw into one array that
+    main allocates and reports, in that order, without a second copy."""
+    judged = []
+    judge = harness._judge
+    monkeypatch.setattr(harness, "_judge",
+                        lambda *a: judged.append(judge(*a)) or judged[-1])
+    r = run(VerificationConfig(preset="sl3_so21", samples=300,
+                               radii=(1.0, 4.0))).results[0]
+    assert [len(v) for v in judged[1:]] == [300, 300]
+    assert sum(map(len, judged)) == len(r.samples)
+    assert all(np.shares_memory(v, r.samples) for v in judged)
+    assert np.array_equal(np.concatenate(judged), r.samples)
+
+
+# The benchmark's hessian_all fingerprints at seed 0: count and the repr of
+# the worst relative error; a change to the rounding of the samples shows
+HESSIAN_FINGERPRINTS = {
+    "kostant_sl2": (200, "6.238212144722761e-08"),
+    "sl2_so11": (100, "8.871376263371638e-11"),
+    "sl3_so21": (200, "1.1309570464480115e-09"),
+    "group_sl2": (200, "6.356499600412647e-08"),
+}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_hessian_keeps_its_seed_0_fingerprint(preset):
+    r = run(VerificationConfig(preset=preset, checks=frozenset({"hessian"}),
+                               samples=100, tol=1e-7, seed=0)).results[0]
+    assert (r.count, r.passed, repr(r.detail["worst_relative_error"])) \
+        == (HESSIAN_FINGERPRINTS[preset][0], True, HESSIAN_FINGERPRINTS[preset][1])
 
 
 def test_main_keeps_at_most_100_bytes_per_sample():
