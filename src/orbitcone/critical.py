@@ -165,7 +165,7 @@ class SampleStack:
     """Exact samples X in a_q as rows X_i = num[i] / den[i] of Python ints,
     den[i] > 0, and what the Hessian layer reads of X alone, each built on
     first use by the layer function that first needs it: floats, ties and
-    signs by array operations on num, the Fractions X and gram where read."""
+    signs by array operations on num, the Fractions of X and G X where read."""
     rz: Realization
     num: np.ndarray     # (m, dim), dtype object
     den: np.ndarray     # (m,), dtype object
@@ -193,17 +193,16 @@ class SampleStack:
         return tuple(Fraction(n, self.den[i]) for n in self.num[i])
 
     @cached_property
-    def X(self) -> tuple[Vec, ...]:
-        return tuple(map(self.exact, range(len(self.den))))
-
-    @cached_property
     def floats(self) -> np.ndarray:
         # the true division of Python ints rounds as float(Fraction) does
         return (self.num / self.den[:, None]).astype(float)
 
     @cached_property
     def gram(self) -> tuple[Vec, ...]:
-        return tuple(ex.mat_vec(self.rz.datum.gram, X) for X in self.X)
+        """G X per sample, from the integer rows of G and X."""
+        G = SampleStack.of(self.rz, self.rz.datum.gram)
+        return tuple(tuple(map(Fraction, row, G.den * d))
+                     for row, d in zip(self.num @ G.num.T, self.den))
 
     @cached_property
     def ties(self) -> tuple[frozenset, ...]:

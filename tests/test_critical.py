@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -518,12 +519,14 @@ def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
             work[_name] = work.get(_name, 0) + 1
             return _real(*a, **k)
         monkeypatch.setattr(module, name, counted)
-    real_mat_vec = ex.mat_vec
+    # the rows of every G X a stack builds
+    gram_X = []
+    real_gram = SampleStack.gram.func
+    gram = cached_property(lambda xs: gram_X.extend(xs.den) or real_gram(xs))
+    gram.__set_name__(SampleStack, "gram")
+    monkeypatch.setattr(SampleStack, "gram", gram)
     for preset in ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2"):
         rz = realization(preset)
-        gram_X = []
-        monkeypatch.setattr(ex, "mat_vec", lambda M, v: (
-            M is rz.datum.gram and gram_X.append(v)) or real_mat_vec(M, v))
         counts = []
         for samples in (100, 2000):
             work.clear()
@@ -755,7 +758,8 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
 
 def _same_parts(xs, ref):
     """Whether a stack has the oracle's X, gram, ties, signs and floats."""
-    return (xs.X == ref.X and xs.gram == ref.gram and xs.ties == ref.ties
+    return (tuple(map(xs.exact, range(len(xs.den)))) == ref.X
+            and xs.gram == ref.gram and xs.ties == ref.ties
             and np.array_equal(xs.floats, ref.floats)
             and xs.signs.keys() == ref.signs.keys()
             and all(np.array_equal(xs.signs[a], s) for a, s in ref.signs.items()))
@@ -763,10 +767,11 @@ def _same_parts(xs, ref):
 
 def test_the_integer_stack_equals_the_fraction_oracle(rz, monkeypatch):
     """The hessian check's seed-0 draw with tied and zero coordinate rows,
-    over the a_q basis and over a basis with denominators, and exact samples
-    (generic, tied, zero, and past 2**53 in numerator or denominator) give
-    the parts of the Fraction stack; floats, ties and signs make no
-    Fraction."""
+    over the a_q basis and over a basis with denominators, also on a
+    realization whose Gram matrix and roots have denominators, and exact
+    samples (generic, tied, zero, and past 2**53 in numerator or
+    denominator) give the parts of the Fraction stack; floats, ties and
+    signs make no Fraction."""
     aq, n = rz.datum.aq_basis, rz.dim
     cfg = VerificationConfig(preset=rz.name, checks=frozenset({"hessian"}))
     rng = np.random.default_rng(harness._stream(cfg, "hessian"))
@@ -780,12 +785,19 @@ def test_the_integer_stack_equals_the_fraction_oracle(rz, monkeypatch):
     huge = [tuple(Fraction(big + 32 + k, 3) for k in range(n)),
             tuple(Fraction(big + k % 2, 3) for k in range(n)),
             tuple(Fraction(-big * 5 + k, big + 1) for k in range(n))]
-    # a basis with denominators of its own
+    # a basis, and a stand-in realization's Gram matrix and roots, with
+    # denominators of their own
     thirds = tuple(ex.scale(Fraction(1, k + 3), b) for k, b in enumerate(aq))
-    for rows, basis in ((drawn, aq), (drawn, thirds),
-                        (_mixed_stack(rz) + huge, None)):
+    odd = SimpleNamespace(dim=n, datum=SimpleNamespace(
+        gram=tuple(tuple(g / 7 + Fraction(i == j + 1, 2) for j, g in enumerate(row))
+                   for i, row in enumerate(rz.datum.gram)),
+        roots=frozenset(tuple(c / (k + 2) for k, c in enumerate(a))
+                        for a in rz.datum.roots)))
+    for real, rows, basis in ((rz, drawn, aq), (rz, drawn, thirds),
+                              (odd, drawn, thirds),
+                              (rz, _mixed_stack(rz) + huge, None)):
         xs = SampleStack.on_basis(
-            rz, [[c.as_integer_ratio() for c in row] for row in rows], basis)
+            real, [[c.as_integer_ratio() for c in row] for row in rows], basis)
         made = []
         new = Fraction.__new__
         with monkeypatch.context() as m:
@@ -794,7 +806,7 @@ def test_the_integer_stack_equals_the_fraction_oracle(rz, monkeypatch):
             xs.floats, xs.ties, xs.signs
         assert made == []
         assert _same_parts(xs, reference.FractionSampleStack(
-            rz, tuple(map(tuple, rows)), basis))
+            real, tuple(map(tuple, rows)), basis))
     # the last two huge rows tie in floats only
     assert all(len(set(row)) == 1 for row in xs.floats[-2:])
     r = range(n)

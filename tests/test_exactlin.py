@@ -217,7 +217,7 @@ _MIDPOINTS = [(a + b) / 2 for a, b in zip(_FAREY, _FAREY[1:])]
 @example(5e-324).via("the least subnormal")
 @example(-2.225073858507201e-308).via("the largest subnormal")
 @example(1e15).via("an integer float")
-@example(-1e15 - 0.5).via("a half past 2**49")
+@example(-1e15 - 0.5).via("a half-integer past 1e15")
 @example(1.7976931348623157e308).via("the largest float")
 def test_limit_denominator_equals_fractions(x):
     assert ex.limit_denominator(x, 40) == _limited(x)
@@ -225,14 +225,15 @@ def test_limit_denominator_equals_fractions(x):
 
 def test_limit_denominator_on_ties_and_dyadics():
     # every midpoint, exact and rounded to a float; dyadic values with
-    # denominators up to 32 are returned as they are
+    # denominators up to 32 are returned as they are; with max_den = 1 a
+    # half-integer lies midway between two bounds of one denominator
     floats = [float(m) for m in _MIDPOINTS]
     dyadic = [k / 2 ** j for j in range(6) for k in range(-99, 100)]
     for x in _MIDPOINTS + floats + dyadic:
         assert ex.limit_denominator(x, 40) == _limited(x), x
     for x in dyadic:
         assert ex.limit_denominator(x, 40) == x.as_integer_ratio()
-    assert ex.limit_denominator(Fraction(7, 11), 1) == _limited(Fraction(7, 11), 1)
+        assert ex.limit_denominator(x, 1) == _limited(x, 1), x
 
 
 def test_the_kernels_reject_a_length_mismatch():
@@ -293,7 +294,8 @@ def test_every_report_path_gets_the_oracle_values(preset, kernel_calls,
     for check in checks:
         harness.run(harness.VerificationConfig(preset=preset,
                                                checks=frozenset({check})))
-    # signs builds a stack of the roots, which needs no parts of its own
+    # signs and gram build stacks of the roots and of G, which need no parts
+    # of their own
     for xs in list(stacks):
-        xs.X, xs.gram, xs.signs
+        xs.gram, xs.signs, [xs.exact(i) for i in range(len(xs.den))]
     assert stacks and all(kernel_calls[k] for k in KERNEL_ORACLES), kernel_calls
