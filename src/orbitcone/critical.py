@@ -9,7 +9,8 @@ The Hessian and critical-image layers take a SampleStack of samples X, an
 exact base point a_log and an explicit positive system P, and compute each
 part once per value of what it depends on.  The stack keeps X on integer
 rows and what depends on X alone: X in floats, its tie pattern {(i, j) :
-X_i = X_j}, the signs of alpha(X), and the Fractions X and G X.  The
+X_i = X_j}, the signs of alpha(X) and G X, each from the integer rows; a
+sample's Fractions are built only where they are read.  The
 centralizer basis of X in h and the predicted Hessian kernel depend on X
 only through its ties and are kept per tie pattern.  critical_value gives
 the levels of a stack at every w, and F its values at every x_w from one
