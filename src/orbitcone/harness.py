@@ -4,14 +4,14 @@ Each check draws seeded samples on a preset realization, tests the predicted
 polyhedral geometry within a tolerance, and records coverage metrics plus the
 first few failing witnesses.  The sampling checks main, inclusion_cone and
 limits judge their draws h at a base point a through one function,
-``_judge``: it builds a draw's elements a chunk at a time, forms a h in
-place, projects it onto a_q at the explicit positive system P and feeds a
-``Tally``.  ``run`` is the one entry point: it runs the configured checks
-of the ``CHECKS`` registry in registry order.  The tolerance is a Euclidean
-distance: a projected point passes when it lies at most ``tol`` outside
-every facet hyperplane of the predicted set.  Reports serialize
-deterministically: identical configuration gives byte-identical JSON and
-CSV output, and no wall-clock time is recorded.
+``_judge``: it passes a draw a chunk at a time with a to ``h_pq``, which
+projects H(a h) onto a_q at the explicit positive system P from the
+draw's factors, and feeds a ``Tally``.  ``run`` is the one entry point: it
+runs the configured checks of the ``CHECKS`` registry in registry order.
+The tolerance is a Euclidean distance: a projected point passes when it
+lies at most ``tol`` outside every facet hyperplane of the predicted set.
+Reports serialize deterministically: identical configuration gives
+byte-identical JSON and CSV output, and no wall-clock time is recorded.
 """
 from __future__ import annotations
 
@@ -31,8 +31,8 @@ from .critical import (F, NotRegular, SampleStack, critical_value,
                        kernel_dim, omega_X, predicted_signature, sample_H_X,
                        sample_NPH, transversal_signature, vanishing_patterns)
 from .matrixgrp import (BLOCK, Draw, Realization, SingularInput, a_matrix,
-                        exp_span, h_pq, iwasawa, realization, root_matrix,
-                        sample_H, sample_unipotent)
+                        h_pq, iwasawa, realization, root_matrix, sample_H,
+                        sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
 from .polyhedra import (gamma_aq, gamma_cone, gk_cone, omega,
                         pointedness_certificate)
@@ -365,46 +365,45 @@ class Tally:
 
 
 def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
-           parts, a_log: ex.Vec, out: np.ndarray | None = None) -> np.ndarray:
-    """Feed tally the points H(a h) of the elements h of parts in turn,
-    projected onto a_q at P and judged against region, and return them, in
-    the leading rows of out if given; a h scales row i of h by exp(a_log)_i.
-    A stack of matrices is one chunk, scaled in place; a Draw is built CHUNK
-    rows at a time.  Every kernel treats each row alone, so chunks change no
-    bit."""
-    scale = np.exp(_float_rows([a_log], rz.dim)[0])[:, None]
-    count = sum(map(len, parts))
+           parts, out: np.ndarray | None = None) -> np.ndarray:
+    """Feed tally the points H(a h) of parts, pairs (a_log, Draw) of a base
+    point a = exp(a_log) and the draw of the elements h taken at it, in
+    turn, projected onto a_q at P and judged against region, and return
+    them, in the leading rows of out if given.  A draw goes to h_pq CHUNK
+    rows at a time, with its a_log; the kernel treats each row alone, so
+    chunks change no bit."""
+    count = sum(len(draw) for _, draw in parts)
     vals = np.empty((count, rz.dim)) if out is None else out[:count]
     done = 0
-    for part in parts:
-        chunks = ((part.elements(slice(i, i + CHUNK))
-                   for i in range(0, len(part), CHUNK))
-                  if isinstance(part, Draw) else [part])
-        for hs in chunks:
-            # past double range the product is not finite, and h_pq says so
-            with np.errstate(over="ignore", invalid="ignore"):
-                hs *= scale
-            chunk, done = vals[done:done + len(hs)], done + len(hs)
-            chunk[:] = h_pq(rz, hs, P)
-            tally.feed(region, chunk)
+    for a_log, draw in parts:
+        a = _float_rows([a_log], rz.dim)[0]
+        for i in range(0, len(draw), CHUNK):
+            chunk = draw.rows(slice(i, i + CHUNK))
+            judged, done = vals[done:done + len(chunk)], done + len(chunk)
+            judged[:] = h_pq(rz, chunk, P, a)
+            tally.feed(region, judged)
     return vals
 
 
-def _h_probes(rz: Realization, P: PositiveSystem, radii) -> np.ndarray:
-    """Deterministic probes: Weyl representatives, center components, and
-    rank-one rays from every vertex along every cone-generator root."""
+def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
+              ) -> list[tuple[ex.Vec, Draw]]:
+    """Deterministic probes, as _judge parts at the base point a_log: the
+    identity, and per Weyl representative x_w its center components z and
+    the rank-one rays exp(+-r U) along every cone-generator root.  x_w z is
+    orthogonal and H is left-K-invariant, so H(a x_w z exp(Y)) = H(a_w
+    exp(Y)) with a_w = x_w^-1 a x_w: a_log permuted, at which each probe is
+    a one-generator draw, and a center component Y = 0."""
     ts = np.array([[t] for r in radii for t in (r, -r)])
-    rays = [np.empty((0, rz.dim, rz.dim))]
-    for alpha in sorted(P.classification.minus_part):
-        E = root_matrix(rz.dim, alpha)
-        U = E + rz.sigma_alg(E)
-        rays.append(exp_span(ts, U[None]))
-    rays = np.concatenate(rays)
-    mats = [np.eye(rz.dim)[None]]
+    rays = [Draw(ts, (E + rz.sigma_alg(E))[None]) for E in (
+        root_matrix(rz.dim, alpha)
+        for alpha in sorted(P.classification.minus_part))]
+    def zero(count):
+        return Draw(np.zeros((count, 0)), np.zeros((0, rz.dim, rz.dim)))
+    parts = [(a_log, zero(1))]
     for xw in rz.weyl_reps.values():
-        mats.append(xw @ np.stack(rz.z_reps))
-        mats.append(xw @ rays)
-    return np.concatenate(mats)
+        a_w = tuple(a_log[i] for i in np.abs(xw).argmax(axis=0))
+        parts += [(a_w, zero(len(rz.z_reps)))] + [(a_w, ray) for ray in rays]
+    return parts
 
 
 def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:
@@ -447,13 +446,14 @@ def _check_main(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     cover = _Coverage(verts, gens)
     tally = Tally(cfg.tol, cover)
     history = []
-    probes = _h_probes(rz, P, cfg.radii)
+    probes = _h_probes(rz, P, cfg.radii, a_exact)
+    done = sum(len(draw) for _, draw in probes)
     # the probes, then each radius' draw: one array of projections
-    vals = np.empty((len(probes) + len(cfg.radii) * cfg.samples, rz.dim))
-    _judge(rz, P, tally, om, [probes], a_exact, vals)
+    vals = np.empty((done + len(cfg.radii) * cfg.samples, rz.dim))
+    _judge(rz, P, tally, om, probes, vals)
     for k, r in enumerate(cfg.radii):
-        _judge(rz, P, tally, om, [sample_H(rz, r, cfg.samples, _stream(
-            cfg, "main", k))], a_exact, vals[len(probes) + k * cfg.samples:])
+        _judge(rz, P, tally, om, [(a_exact, sample_H(rz, r, cfg.samples, _stream(
+            cfg, "main", k)))], vals[done + k * cfg.samples:])
         history.append({"radius": r,
                         "max_vertex_distance": float(cover.vdist.max()),
                         "max_generator_gap":
@@ -517,7 +517,7 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
     tally = Tally(cfg.tol)
     for k, r in enumerate(cfg.radii):
         hs = sample_H(rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k))
-        _judge(rz, P, tally, cone, [hs], ex.zeros(rz.dim))
+        _judge(rz, P, tally, cone, [(ex.zeros(rz.dim), hs)])
     return tally.result("inclusion_cone")
 
 
@@ -659,12 +659,11 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     tally = Tally(cfg.tol)
     gamma = gamma_cone(P)
     n_bulk = max(16, cfg.samples // 4)
-    probes = _h_probes(rz, P, cfg.radii[-1:])
     for idx, point in enumerate(steps + [a_exact]):
         om = omega(weyl_orbit(rz.small_weyl, point), gamma)
-        # _judge scales a stack in place: each step judges a copy of the probes
-        _judge(rz, P, tally, om, [probes.copy(), sample_H(
-            rz, cfg.radii[-1], n_bulk, _stream(cfg, "limits", idx))], point)
+        _judge(rz, P, tally, om, _h_probes(rz, P, cfg.radii[-1:], point) + [
+            (point, sample_H(rz, cfg.radii[-1], n_bulk,
+                             _stream(cfg, "limits", idx)))])
     return tally.result("limits", detail={"sequence_length": len(steps)})
 
 

@@ -6,16 +6,18 @@ realized block-diagonally in SL(4,R).  The Cartan involution is always
 Y -> -Y^T; the second involution is either Y -> -J Y^T J for a signature
 matrix J or conjugation by the block swap.
 
-The Iwasawa log is log|R_kk| of g = QR for the upper-triangular base
-system, from one vectorised Gram-Schmidt kernel that forms no Q and no
-off-diagonal R; every positive system is named explicitly and conjugated
-into the base system by an index permutation, the identity for the base
-system itself, applied in the kernel's one layout copy.
-Every sampled span is exponentiated by one closed form, ``exp_span``, with c
-in Y^3 = c Y from the span's form, which ``span_form`` checks once per span,
-and I + Y where ``span_class`` finds Y^2 = 0.  The samplers return a
-``Draw``, which builds the elements of any rows with the bits of the whole
-stack; ``iwasawa`` builds a draw on a Y^2 = 0 span in its kernel's layout.
+Every positive system is named explicitly and conjugated into the
+upper-triangular base system by an index permutation, the identity for the
+base system itself.  The samplers return a ``Draw``, the coefficients of
+its elements a z exp(Y); ``iwasawa`` takes the Iwasawa log of a draw from
+these factors, as prefix sums of positive Cauchy-Binet terms over one
+column of exp of wedge^k Y, and builds no element.  The Iwasawa log of a
+stack of matrices is log|R_kk| of g = QR, from one vectorised Gram-Schmidt
+kernel that forms no Q and no off-diagonal R.  Every sampled span is
+exponentiated by one closed form, ``exp_span``, with c in Y^3 = c Y from
+the span's form, which ``span_form`` checks once per span, and I + Y where
+``span_class`` finds Y^2 = 0; ``Draw.elements`` builds the elements of any
+rows with the bits of the whole stack.
 """
 from __future__ import annotations
 
@@ -308,38 +310,31 @@ def _scales(peak: np.ndarray) -> np.ndarray:
                     peak, 1.0)
 
 
-def iwasawa(rz: Realization, g, P: PositiveSystem) -> np.ndarray:
+def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
-    coordinates; accepts stacked input (..., n, n) or a Draw (the bits of its
-    elements).  P is required: g is conjugated into the base system by
-    chamber_perm(rz, P), the identity for rz.base_parabolic, and H is
-    log|diag R| of its QR, from the Gram-Schmidt kernel _log_r_block.  An
-    unclipped Draw of finite t and no centers on a span with Y^2 = 0 goes a
-    block at a time into the kernel's layout as I + Y, one GEMM with the
-    basis permuted to P; other Draws are built by elements().  Raises
-    SingularInput when g has non-finite entries or is numerically singular:
-    some |R_kk| < 1e-250, or |R_kk|^2 underflows to 0 in the kernel."""
-    direct = (isinstance(g, Draw) and g.radius is None and g.centers is None
-              and span_class(g.basis)[1] and np.isfinite(g.t).all())
-    if not direct:
-        g = g.elements() if isinstance(g, Draw) else np.asarray(g, dtype=float)
-    n, p = g.shape[-1], chamber_perm(rz, P)
-    flat = g if direct else g.reshape(-1, n, n)
-    stack = g.elements if direct else flat.__getitem__
+    coordinates; accepts stacked input (..., n, n) or a Draw.  P is
+    required: g is conjugated into the base system by chamber_perm(rz, P),
+    the identity for rz.base_parabolic.  H of a stack is log|diag R| of its
+    QR, from the Gram-Schmidt kernel _log_r_block.  H of a Draw is H of
+    exp(a_log) times its elements, from their factors (_iwasawa_factored);
+    a_log, a float vector, is read for a Draw only, and is 0 when None.
+    Raises SingularInput when g has non-finite entries or is numerically
+    singular: some |R_kk| < 1e-250, or |R_kk|^2 underflows to 0 in the
+    kernel; for a Draw, as _iwasawa_factored does."""
+    p = chamber_perm(rz, P)
+    if isinstance(g, Draw):
+        return _iwasawa_factored(g, p, a_log)
+    g = np.asarray(g, dtype=float)
+    n = g.shape[-1]
+    flat = g.reshape(-1, n, n)
     H = np.empty((len(flat), n))
-    if direct:      # M[j * n + i, d] = basis[d, p[i], p[j]]
-        M = g.basis.transpose(2, 1, 0)[p[:, None], p].reshape(n * n, len(g.basis))
     # the plain pass may overflow or divide 0 by 0; _log_r_block redoes or
     # rejects the blocks where it did
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         for start in range(0, len(flat), BLOCK):
             rows = slice(start, start + BLOCK)
-            if direct:
-                C = M @ g.t[rows].T
-                C[::n + 1] += 1.0           # the rows j * n + j: I
-            else:
-                C = flat[rows].transpose(2, 1, 0)[p[:, None], p]
-            _log_r_block(C.reshape(n, n, -1), p, H[rows], stack, rows)
+            C = flat[rows].transpose(2, 1, 0)[p[:, None], p]
+            _log_r_block(C, p, H[rows], flat.__getitem__, rows)
     return H.reshape(g.shape[:-1])
 
 
@@ -387,9 +382,10 @@ def _gram_schmidt(C: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
                 rest -= np.add.reduce(rest * q, axis=1, keepdims=True) * t
 
 
-def h_pq(rz: Realization, g, P: PositiveSystem) -> np.ndarray:
-    """Projection of the Iwasawa log onto a_q, ambient coordinates."""
-    return iwasawa(rz, g, P) @ rz.q_proj_np.T
+def h_pq(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
+    """Projection of the Iwasawa log onto a_q, ambient coordinates; a_log
+    as in iwasawa."""
+    return iwasawa(rz, g, P, a_log) @ rz.q_proj_np.T
 
 
 # --- the class of a span --------------------------------------------------
@@ -433,6 +429,138 @@ def _span_class(shape: tuple, data: bytes) -> tuple[np.ndarray, bool]:
     out.flags.writeable = False
     BB = np.einsum("aij,bjk->abik", Bi, Bi)
     return out, not (BB + BB.transpose(1, 0, 2, 3)).any()
+
+
+# --- the factored Iwasawa kernel --------------------------------------------
+
+@lru_cache(maxsize=None)
+def _wedge_terms(shape: tuple, data: bytes, J: tuple) -> tuple:
+    """Column e_J of exp(W), W = wedge^k Y for k = len(J), for every Y =
+    sum_a t_a basis[a] of an integer span, as fixed integer combinations of
+    the monomials (a,) for t_a and (a, b), a <= b, for t_a t_b: the terms
+    (coef, monomial) of c = t^T Q t, where W^3 = c W, and per k-subset I
+    whose entry is not 0 for every t, (I, I == J, the terms of (W e_J)_I
+    and of (W^2 e_J)_I).  W is the derivation that Y induces on wedge^k, in
+    the basis of sorted k-subsets; Q is span_form of its basis, which
+    checks the cubic in integers."""
+    B = np.frombuffer(data).reshape(shape).astype(np.int64)
+    subsets = list(itertools.combinations(range(shape[-1]), len(J)))
+    at = {I: i for i, I in enumerate(subsets)}
+    W = np.zeros((len(B), len(subsets), len(subsets)), np.int64)
+    for col, I in enumerate(subsets):
+        for pos, i in enumerate(I):
+            for r in range(shape[-1]):      # e_i -> B[:, r, i] e_r at pos
+                if r == i or r not in I:
+                    moved = I[:pos] + (r,) + I[pos + 1:]
+                    sign = (-1) ** sum(x > y for x, y in
+                                       itertools.combinations(moved, 2))
+                    W[:, at[tuple(sorted(moved))], col] += sign * B[:, r, i]
+    Q, lin = span_form(W.astype(float)), W[:, :, at[J]]     # lin: (a, I)
+    sq = np.einsum("aij,bj->abi", W, lin)                   # W_a W_b e_J
+    pairs = [(a, b) for a in range(len(B)) for b in range(a, len(B))]
+    def terms(coef):        # coef: per monomial, as (a,) and (a, b) list
+        return tuple((c, x) for c, x in zip(coef, [(a,) for a in range(len(B))]
+                                            + pairs) if c)
+    entries = tuple((I, I == J, terms([int(x) for x in lin[:, i]] + [
+        int(sq[a, b, i] + sq[b, a, i] if a < b else sq[a, a, i])
+        for a, b in pairs])) for i, I in enumerate(subsets))
+    return (terms([0] * len(B) + [Q[a, b] + Q[b, a] if a < b else Q[a, a]
+                                  for a, b in pairs]),
+            tuple(e for e in entries if e[1] or e[2]))
+
+
+class _Monomials(dict):
+    """The monomials of _wedge_terms on the rows T of coefficients, made on
+    first use: T[a] for (a,), T[a] * T[b] for (a, b)."""
+
+    def __init__(self, T):
+        super().__init__()
+        self.T = T
+
+    def __missing__(self, x):
+        row = self[x] = self.T[x[0]] if len(x) == 1 else self.T[x[0]] * self.T[x[1]]
+        return row
+
+
+def _combination(terms, rows):
+    """sum of coef * rows[x] over terms (coef, x), added in order, or None."""
+    acc = None
+    for coef, x in terms:
+        if acc is None:
+            acc = rows[x] * coef
+        elif coef == 1:
+            acc += rows[x]
+        elif coef == -1:
+            acc -= rows[x]
+        else:
+            acc += coef * rows[x]
+    return acc
+
+
+def _iwasawa_factored(draw: Draw, p: np.ndarray, a_log) -> np.ndarray:
+    """H of g = a z exp(Y) for every row of draw, a = exp(a_log), from the
+    factors.  With J = p[:k], the prefix sum S_k = H_p[0] + ... + H_p[k-1]
+    is 1/2 log D_k, D_k = det (g^T g)_JJ, which is by Cauchy-Binet the sum
+    over k-subsets I of e^(2 a_I) v_I^2, v = exp(W) e_J for W = wedge^k Y:
+    v = e_J + f1 W e_J + f2 W^2 e_J, from the integer terms of _wedge_terms
+    and _column_coefficients.  The signs of z square away, and S_n = sum
+    a_log as det exp Y = 1.  D_k adds positive terms, and its weights are
+    divided by the largest, so no term cancels and no weight overflows.  t
+    is clipped by the factors of Draw.elements (_clip_factors).  Every
+    operation runs along the rows, BLOCK rows at a time (a few dozen rows
+    of temporaries, which numpy allocates fastest at that length), so a row
+    gets the same bits in any chunk.  Raises SingularInput when some D_k
+    leaves double range: 'exponential overflows double precision' above it
+    or on non-finite t, 'matrix is numerically singular' below it."""
+    n, data = draw.basis.shape[-1], draw.basis.tobytes()
+    a = np.zeros(n) if a_log is None else np.asarray(a_log, dtype=float)
+    plan = []       # per k: the largest a_I, the Q terms, (weight, I == J, terms)
+    reads = {}      # per Q terms: the monomials that f1 and f2 of its c scale
+    for k in range(1, n):
+        qterms, entries = _wedge_terms(draw.basis.shape, data,
+                                       tuple(sorted(map(int, p[:k]))))
+        a_I = np.array([sum(a[i] for i in I) for I, *_ in entries])
+        top = a_I.max()
+        plan.append((top, qterms, [(w, on_J, terms) for w, (_, on_J, terms)
+                                   in zip(np.exp(2.0 * (a_I - top)), entries)
+                                   if w > 0.0]))
+        reads.setdefault(qterms, set()).update(
+            x for _, _, terms in plan[-1][2] for _, x in terms)
+    S = np.empty((n + 1, len(draw)))
+    S[0], S[n] = 0.0, a.sum()
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, len(draw), BLOCK):
+            rows = slice(start, start + BLOCK)
+            t = draw.t[rows]
+            T = [t[:, x] for x in range(len(draw.basis))]
+            if draw.radius is not None:
+                scale = _clip_factors(t, draw.basis, draw.radius)
+                T = [x * scale for x in T]
+            mono, scaled = _Monomials(T), {}    # scaled: per Q, f1 t_a, f2 t_a t_b
+            for k, (top, qterms, entries) in enumerate(plan, 1):
+                D = None
+                for w, on_J, terms in entries:
+                    if terms and qterms not in scaled:
+                        c = _combination(qterms, mono)
+                        f = (1.0, 0.5) if c is None else _column_coefficients(c)
+                        scaled[qterms] = {x: f[len(x) - 1] * mono[x]
+                                          for x in sorted(reads[qterms])}
+                    v = _combination(terms, scaled.get(qterms))
+                    v = np.zeros(len(t)) if v is None else v
+                    if on_J:
+                        v += 1.0
+                    v *= v
+                    if w != 1.0:
+                        v *= w
+                    D = v if D is None else np.add(D, v, out=D)
+                S[k, rows] = 0.5 * np.log(D) + top
+    if np.isnan(S).any() or (S == np.inf).any():
+        raise SingularInput("exponential overflows double precision")
+    if (S == -np.inf).any():
+        raise SingularInput("matrix is numerically singular")
+    H = np.empty((len(draw), n))
+    H[:, p] = (S[1:] - S[:-1]).T
+    return H
 
 
 # --- the exponential of a span ---------------------------------------------
@@ -507,6 +635,31 @@ def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray | None) -> None:
         raise SingularInput("exponential overflows double precision")
 
 
+def _column_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(f1, f2) of exp W = I + f1 W + f2 W^2 where W^3 = c W: sinh(s)/s and
+    2 sinh(s/2)^2/c for s = sqrt(c), sin for sinh where c < 0, the Taylor
+    series where |c| < _SERIES_C, as in exp_span; from sinh and cosh of s/2,
+    and from sin and cos on the rows where c < 0 alone: numpy takes about
+    ten times as long for them."""
+    s2 = np.abs(c)
+    h = 0.5 * np.sqrt(s2)
+    sh, ch = np.sinh(h), np.cosh(h)
+    compact = np.flatnonzero(c < 0.0)
+    if len(compact):
+        sh[compact], ch[compact] = np.sin(h[compact]), np.cos(h[compact])
+    f1 = sh * ch
+    f1 /= h
+    f2 = sh * sh
+    f2 /= s2
+    f2 += f2
+    small = np.flatnonzero(s2 < _SERIES_C)
+    if len(small):
+        cs = c[small]
+        f1[small] = 1.0 + cs / 6.0 + cs * cs / 120.0
+        f2[small] = 0.5 + cs / 24.0 + cs * cs / 720.0
+    return f1, f2
+
+
 def _entry_max(A: np.ndarray) -> np.ndarray:
     """max |A[k, i, j]| over (i, j) of a stack (k, n, n), from one copy of
     |A| with the n^2 entries as rows, so that the max runs along the stack:
@@ -521,7 +674,11 @@ def _sum_squares(A: np.ndarray) -> np.ndarray:
     to 128 entries (n <= 11; every preset has n <= 4): in turn below eight,
     else into eight running sums that are added as a tree before the rest
     follows in turn."""
-    S = np.square(A.reshape(len(A), -1).T, order="C")
+    return _add_rows(np.square(A.reshape(len(A), -1).T, order="C"))
+
+
+def _add_rows(S: np.ndarray) -> np.ndarray:
+    """The rows of S (k, m) added as _sum_squares adds the squares."""
     if len(S) < 8:
         total, rest = S[0], S[1:]
     else:
@@ -548,12 +705,47 @@ def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         for start in range(0, len(Y), BLOCK):
             norms[start:start + BLOCK] = _sum_squares(Y[start:start + BLOCK])
-    np.sqrt(norms, out=norms)
-    if not np.all(np.isfinite(norms)):
-        raise SingularInput("exponent overflows double precision")
-    scale = np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+    scale = _scale_to(norms, radius)
     Y *= scale[:, None, None]
     return scale
+
+
+def _scale_to(norms2: np.ndarray, radius: float) -> np.ndarray:
+    """radius / norm where the norm, the root of norms2 (taken in place),
+    exceeds radius, else 1; raises SingularInput when a norm is not
+    finite."""
+    norms = np.sqrt(norms2, out=norms2)
+    if not np.all(np.isfinite(norms)):
+        raise SingularInput("exponent overflows double precision")
+    return np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
+
+
+def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
+    """The factors by which exp_span clips the rows of t, from the squares
+    of the entries of each Y = sum_k t_k basis[k]: read from the columns of
+    t where each entry of Y is one +-t_k or 0 (_entry_columns), else from Y
+    formed as exp_span forms it."""
+    cols = _entry_columns(basis.shape, basis.tobytes())
+    if cols is None:
+        n = basis.shape[-1]
+        Y = t @ basis.reshape(len(basis), n * n)
+        return _clip(Y.reshape(len(t), n, n), radius)
+    squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
+    with np.errstate(over="ignore"):
+        for k in range(len(basis)):
+            np.square(t[:, k], out=squares[k])
+        return _scale_to(_add_rows(squares[cols]), radius)
+
+
+@lru_cache(maxsize=None)
+def _entry_columns(shape: tuple, data: bytes) -> np.ndarray | None:
+    """Per entry of Y, the index k of the one basis matrix that is +-1 there
+    and the others 0, or len(basis) where all are 0; None when some entry
+    is not of that form."""
+    B = np.abs(np.frombuffer(data).reshape(shape[0], shape[1] * shape[2]))
+    if not (np.isin(B, (0.0, 1.0)).all() and (B.sum(axis=0) <= 1).all()):
+        return None
+    return np.vstack([B, B.sum(axis=0) == 0]).argmax(axis=0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -571,8 +763,14 @@ class Draw:
         return len(self.t)
 
     @property
-    def shape(self) -> tuple:       # of elements(), as iwasawa reads it
+    def shape(self) -> tuple:       # of elements(): the matrices it stands for
         return (len(self.t),) + self.basis.shape[1:]
+
+    def rows(self, rows: slice) -> Draw:
+        """The draw of rows alone."""
+        return Draw(self.t[rows], self.basis, self.radius,
+                    None if self.centers is None else self.centers[rows],
+                    self.signs)
 
     def elements(self, rows: slice = slice(None)) -> np.ndarray:
         """The elements of rows, bit for bit those rows of the whole stack;

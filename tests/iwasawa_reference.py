@@ -5,13 +5,16 @@ chamber_perm gives all three factors at once.  The library computes only
 the Iwasawa log H, from R alone; the tests compare it with this reference
 and take the unipotent factor n from here.  iwasawa_exact gives H of the
 base system to 60 digits, for judging the accuracy of both.
+iwasawa_ideal gives H of the element that a Draw stands for, a z exp(Y)
+with Y formed from the float t, to 60 digits, for judging the factored
+kernel that never forms the element.
 """
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 
-from orbitcone.matrixgrp import chamber_perm
+from orbitcone.matrixgrp import _clip_factors, chamber_perm
 
 
 def iwasawa_by_matmul(rz, g, P):
@@ -66,3 +69,39 @@ def iwasawa_exact(g) -> np.ndarray:
                           for k in range(1, len(cols) + 1))]
             out.append([float((hi - lo) / 2) for lo, hi in zip(logs, logs[1:])])
     return np.array(out)
+
+
+def iwasawa_ideal(rz, draw, P, a_log=None, rows=None) -> np.ndarray:
+    """H of a z exp(Y) for the given rows of a Draw (all when None), a =
+    exp(a_log): Y = sum_k t_k basis[k] from the float t as the Draw clips
+    it, exp by mpmath's expm, and (log D_k - log D_{k-1}) / 2 with D_k the
+    leading k x k minor of x^T x, x the element conjugated by
+    chamber_perm(rz, P); every step at 60 digits, rounded at the end."""
+    with mpmath.workdps(60):
+        return np.array([[float(h) for h in H] for H in _ideal_logs(
+            rz, draw, P, a_log, rows)]).reshape(-1, rz.dim)
+
+
+def _ideal_logs(rz, draw, P, a_log, rows) -> list:
+    """iwasawa_ideal's rows as mpmath numbers, at the working precision."""
+    n, p = rz.dim, chamber_perm(rz, P)
+    a = np.zeros(n) if a_log is None else np.asarray(a_log, dtype=float)
+    t = draw.t if draw.radius is None else draw.t * _clip_factors(
+        draw.t, draw.basis, draw.radius)[:, None]
+    out = []
+    for i in range(len(t)) if rows is None else rows:
+        Y = mpmath.matrix(n, n)
+        for c, B in zip(t[i], draw.basis):
+            Y += mpmath.mpf(c) * mpmath.matrix(B.tolist())
+        g = mpmath.diag([mpmath.exp(mpmath.mpf(x)) for x in a]) * mpmath.expm(Y)
+        if draw.centers is not None:
+            g = mpmath.diag(draw.signs[draw.centers[i]].tolist()) * g
+        x = mpmath.matrix([[g[int(r), int(c)] for c in p] for r in p])
+        gram = x.T * x
+        logs = [mpmath.mpf(0)] + [mpmath.log(mpmath.det(gram[:k, :k]))
+                                  for k in range(1, n + 1)]
+        H = [None] * n
+        for k, lo, hi in zip(p, logs, logs[1:]):
+            H[k] = (hi - lo) / 2
+        out.append(H)
+    return out

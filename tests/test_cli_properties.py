@@ -41,7 +41,7 @@ def sometimes(usual, unusual):
 small = st.sampled_from([Fraction(k, d) for k in range(-4, 5) for d in (1, 2, 3)])
 coordinate = sometimes(small.map(str),
                        st.sampled_from(["25", "-25", "1e400", "-1e400", "nan", "1/0"]))
-radii = sometimes(st.lists(st.floats(0.05, 6.0), min_size=1, max_size=3)
+radii = sometimes(st.lists(st.floats(0.05, 20.0), min_size=1, max_size=3)
                   .map(lambda rs: sorted(set(rs))),
                   st.lists(st.sampled_from([1e300, 0.0, -1.0, math.nan, 2.0]),
                            min_size=1, max_size=2))

@@ -13,7 +13,7 @@ from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
                                report_json, report_svg, run)
-from orbitcone.matrixgrp import realization
+from orbitcone.matrixgrp import Draw, realization
 from orbitcone.polyhedra import cone, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -207,7 +207,9 @@ def test_singular_base_point():
 
 
 def test_forced_failure_collects_witnesses():
-    cfg = VerificationConfig(preset="sl2_so11", samples=200, tol=1e-300, seed=0)
+    # on sl3_so21 some projections round to just outside a facet; on
+    # sl2_so11 the factored kernel leaves none outside
+    cfg = VerificationConfig(preset="sl3_so21", samples=200, tol=1e-300, seed=0)
     rep = run(cfg)
     assert not rep.passed
     r = rep.results[0]
@@ -375,6 +377,20 @@ def test_checks_keep_their_recorded_reports(entry):
     # dumped, a float is its repr: -0.0 and 0.0 differ
     assert json.dumps(got, sort_keys=True) \
         == json.dumps(entry["result"], sort_keys=True)
+
+
+@pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
+def test_the_sampling_checks_build_no_element_of_a_draw(monkeypatch, preset):
+    """main, inclusion_cone, limits and gk take every draw, their probes
+    among them, from its factors: Draw.elements is never called."""
+    calls = []
+    elements = Draw.elements
+    monkeypatch.setattr(Draw, "elements",
+                        lambda *a: calls.append(a) or elements(*a))
+    r = run(VerificationConfig(preset=preset, samples=300, checks=frozenset(
+        {"main", "inclusion_cone", "limits", "gk"})))
+    assert r.passed and [c.count > 0 for c in r.results] == [True] * 4
+    assert calls == []
 
 
 def test_main_judges_into_the_array_it_reports(monkeypatch):

@@ -6,8 +6,9 @@ on the edge cases of each rewrite: ties between vertices, displacements of
 exactly MIN_DISPLACEMENT, a polyhedron with no facets, batched shapes,
 exp_span blocks that mix scaled and unscaled matrices, and draws over
 several streams.  A draw judged in chunks of any size must give the bits
-of the whole draw judged at once, and iwasawa of a draw the bits of
-iwasawa of its elements.
+of the whole draw judged at once.  iwasawa of a draw, which works from its
+factors, must stay within 1e-13 of the 60-digit H of the elements the draw
+stands for, on every preset up to radius 20, and build none of them.
 """
 from fractions import Fraction
 
@@ -16,15 +17,16 @@ import pytest
 
 from orbitcone import harness
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
-                               _Coverage, _float_rows, _judge)
+                               _Coverage, _float_rows, _h_probes, _judge)
 from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, _entry_max,
                                  _sum_squares, exp_span, h_pq, iwasawa,
-                                 root_matrix, sample_H, sample_span,
-                                 sample_unipotent, span_class)
+                                 realization, root_matrix, sample_H,
+                                 sample_span, sample_unipotent, span_class)
 from orbitcone.parabolic import all_positive_systems
 from orbitcone.polyhedra import cone, gamma_aq, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
+from iwasawa_reference import iwasawa_ideal
 from reference import (coverage_update_dense, exp_span_dense,
                        sample_span_dense, sl2_triple, slack_dense)
 
@@ -208,15 +210,15 @@ def test_a_draw_over_several_streams_is_their_draws_in_turn(rz):
 
 # --- a draw judged in chunks -------------------------------------------------
 
-def _judged(rz, part):
-    """_judge of part() against Omega of the main base point at twice and
+def _judged(rz, draw):
+    """_judge of draw against Omega of the main base point at twice and
     half that point, into one tally with coverage: each base point gives
     witnesses on two presets."""
     om = _main_omega(rz)
     tally = Tally(1e-7, _Coverage(_float_rows(om.vertices, rz.dim),
                                   _float_rows(om.generators, rz.dim)))
-    vals = [_judge(rz, rz.base_parabolic, tally, om, [part()],
-                   tuple(f * Fraction(c) for c in _DEFAULT_A_LOG[rz.name]))
+    vals = [_judge(rz, rz.base_parabolic, tally, om, [(
+        tuple(f * Fraction(c) for c in _DEFAULT_A_LOG[rz.name]), draw)])
             for f in (Fraction(2), Fraction(1, 2))]
     return (vals, tally.count, repr(tally.worst), tally.witnesses,
             tally.coverage.vdist, tally.coverage.gaps)
@@ -228,9 +230,9 @@ def test_a_draw_judged_in_chunks_gives_the_whole_stacks_bits(monkeypatch, rz,
                                                              chunk):
     """Draw.elements of any rows are those rows of the whole stack, and
     _judge fed the draw chunk rows at a time gives the projections, tally
-    and coverage of the whole stack judged at once.  The draw spans several
-    exp_span and iwasawa blocks; chunks of 1 and 7 rows judge a draw of 64
-    chunks and five rows, which keeps the test quick."""
+    and coverage of the whole draw judged as one chunk.  The draw spans
+    several exp_span and iwasawa blocks; chunks of 1 and 7 rows judge a
+    draw of 64 chunks and five rows, which keeps the test quick."""
     rows = min(4 * BLOCK + 5, 64 * (chunk or BLOCK) + 5)
     chunk = chunk or rows
     draw = sample_H(rz, 4.0, rows, seed=71)
@@ -242,8 +244,9 @@ def test_a_draw_judged_in_chunks_gives_the_whole_stacks_bits(monkeypatch, rz,
             assert np.array_equal(d.elements(slice(start, start + chunk)),
                                   whole[start:start + chunk])
     monkeypatch.setattr(harness, "CHUNK", chunk)
-    # a stack is judged as one chunk, and scaled in place: a new one per call
-    streamed, want = _judged(rz, lambda: draw), _judged(rz, draw.elements)
+    streamed = _judged(rz, draw)
+    monkeypatch.setattr(harness, "CHUNK", rows)
+    want = _judged(rz, draw)
     assert streamed[3], "no witness to compare"
     for got, ref in zip(streamed, want):
         assert np.array_equal(got, ref)
@@ -262,9 +265,11 @@ def _counting_elements(monkeypatch) -> list:
 
 
 def test_iwasawa_of_a_draw_is_iwasawa_of_its_elements(monkeypatch, rz):
-    """On every gk pair (P, Q), a unipotent draw over the support of
-    N_Q cap bar-N_P, of 2 BLOCK + 3 rows, gives iwasawa's bits of its
-    elements; one on a span with Y^2 = 0 builds no element to get them."""
+    """On every gk pair (P, Q), iwasawa of a unipotent draw over the support
+    of N_Q cap bar-N_P, of 2 BLOCK + 3 rows, is within 1e-13 of the
+    60-digit H of the elements exp(Y) that its first rows stand for, and
+    builds no element.  It does not give the bits of its rounded elements:
+    those lose digits that the factors keep."""
     systems = all_positive_systems(rz.datum)
     calls = _counting_elements(monkeypatch)
     for pi, P in enumerate(systems):
@@ -274,19 +279,38 @@ def test_iwasawa_of_a_draw_is_iwasawa_of_its_elements(monkeypatch, rz):
                 continue
             basis = np.stack([root_matrix(rz.dim, a) for a in support])
             draw = sample_unipotent(basis, 4.0, 2 * BLOCK + 3, [(92, pi, qi)])
-            want = iwasawa(rz, draw.elements(), P)
-            calls.clear()
             got = iwasawa(rz, draw, P)
-            assert got.shape == want.shape == (2 * BLOCK + 3, rz.dim)
-            assert np.array_equal(got, want)
-            assert len(calls) == (0 if span_class(basis)[1] else 1)
+            assert got.shape == (2 * BLOCK + 3, rz.dim)
+            want = iwasawa_ideal(rz, draw, P, rows=range(4))
+            assert np.abs(got[:4] - want).max() <= 1e-13
+    assert calls == []
+
+
+@pytest.mark.parametrize("preset", sorted(_DEFAULT_A_LOG))
+def test_iwasawa_of_draws_and_probes_is_the_ideal_elements_to_1e_13(preset):
+    """At radii 4, 12 and 20, on the base system and on one other, iwasawa
+    of main's draws at its base point, and of its probes at theirs, is
+    within 1e-13 of the 60-digit H of the ideal element a z exp(Y) with the
+    float t.  The probes at a Weyl vertex give that vertex exactly."""
+    rz = realization(preset)
+    a_log = tuple(Fraction(c) for c in _DEFAULT_A_LOG[preset])
+    radii = (4.0, 12.0, 20.0)
+    for P in {rz.base_parabolic, all_positive_systems(rz.datum)[-1]}:
+        parts = [(a_log, sample_H(rz, r, 10, seed=(94, k)))
+                 for k, r in enumerate(radii)] + _h_probes(rz, P, radii, a_log)
+        for point, draw in parts:
+            a = _float_rows([point], rz.dim)[0]
+            got = iwasawa(rz, draw, P, a)
+            assert np.abs(got - iwasawa_ideal(rz, draw, P, a)).max() <= 1e-13
+            if not len(draw.basis):
+                assert np.array_equal(got, np.broadcast_to(a, got.shape))
 
 
 def test_iwasawa_of_a_draw_past_the_plain_range(monkeypatch, rz_sl3):
-    """A block whose R_kk^2 leaves [1e-120, 1e120], but whose |R_kk| stay
-    above 1e-250, is built again from the draw and takes the rescale pass;
-    the other blocks stay on the plain one.  A non-finite coefficient
-    raises the message of the elements' exponential."""
+    """Coefficients of 1e61, whose elements leave the dense kernel's plain
+    range, give a finite H from the factors, and build no element.  A
+    non-finite coefficient raises the message of the elements'
+    exponential."""
     systems = all_positive_systems(rz_sl3.datum)
     P = systems[0]
     Q = next(Q for Q in systems if len(Q.positive & P.negative) == 2)
@@ -294,12 +318,9 @@ def test_iwasawa_of_a_draw_past_the_plain_range(monkeypatch, rz_sl3):
     assert span_class(basis)[1]
     t = sample_unipotent(basis, 4.0, 2 * BLOCK + 3, [93]).t
     t[BLOCK:2 * BLOCK] *= 1e61
-    draw = Draw(t, basis)
-    want = iwasawa(rz_sl3, draw.elements(), P)
     calls = _counting_elements(monkeypatch)
-    got = iwasawa(rz_sl3, draw, P)
-    assert np.array_equal(got, want) and np.all(np.isfinite(got))
-    assert calls == [slice(BLOCK, 2 * BLOCK)]
+    got = iwasawa(rz_sl3, Draw(t, basis), P)
+    assert np.all(np.isfinite(got)) and calls == []
     assert np.abs(got[BLOCK:2 * BLOCK]).max() > 60 * np.log(10.0)
     assert np.abs(got[:BLOCK]).max() < 60 * np.log(10.0)
     for bad in (np.inf, -np.inf, np.nan):

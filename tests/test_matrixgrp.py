@@ -12,9 +12,10 @@ from orbitcone.critical import (_centralizer_basis, h_x_coords, nph_basis,
                                 vanishing_patterns)
 from orbitcone.harness import _DEFAULT_A_LOG
 from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
-                                 _clip, a_matrix, chamber_perm, ek_projection,
-                                 exp_span, h_pq, iwasawa, realization,
-                                 root_entry, root_matrix, sample_H, sample_span,
+                                 _clip, _clip_factors, a_matrix, chamber_perm,
+                                 ek_projection, exp_span, h_pq, iwasawa,
+                                 realization, root_entry, root_matrix,
+                                 sample_H, sample_span,
                                  sample_unipotent, span_class, span_form)
 from orbitcone.parabolic import all_positive_systems
 
@@ -561,6 +562,27 @@ def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
         clipped = Y.copy()
         assert np.array_equal(_clip(clipped, radius), scale)
         assert np.array_equal(clipped, Y * scale[:, None, None])
+
+
+def test_the_factored_path_clips_as_exp_span_clips(rz):
+    """_clip_factors, which the factored Iwasawa kernel scales t by, gives
+    the bits of _clip of the Y that exp_span forms: from the columns of t
+    on every span the program draws with a radius (h, the centralizers of
+    h), and from Y on a span whose entries are not +-1."""
+    rng = np.random.default_rng(51)
+    bases = [np.stack(rz.h_basis), 2.0 * np.stack(rz.h_basis)] + [
+        _centralizer_basis(rz, wits[0])
+        for _, wits in vanishing_patterns(rz, per_pattern=2, seed=0)]
+    n = rz.dim
+    for basis in bases:
+        t = rng.normal(scale=3.0, size=(2 * BLOCK + 5, len(basis)))
+        t[:3] *= np.array([[0.0], [1e-80], [1e100]])
+        for radius in (2.0, 1e-90, 1e5):
+            Y = (t @ basis.reshape(len(basis), n * n)).reshape(len(t), n, n)
+            assert np.array_equal(_clip_factors(t, basis, radius),
+                                  _clip(Y, radius))
+    with pytest.raises(SingularInput):
+        _clip_factors(np.array([[np.inf]]), np.stack(rz.h_basis)[:1], 1.0)
 
 
 def test_center_signs_are_the_diagonals_of_the_center(rz):
