@@ -469,19 +469,6 @@ def _wedge_terms(shape: tuple, data: bytes, J: tuple) -> tuple:
             tuple(e for e in entries if e[1] or e[2]))
 
 
-class _Monomials(dict):
-    """The monomials of _wedge_terms on the rows T of coefficients, made on
-    first use: T[a] for (a,), T[a] * T[b] for (a, b)."""
-
-    def __init__(self, T):
-        super().__init__()
-        self.T = T
-
-    def __missing__(self, x):
-        row = self[x] = self.T[x[0]] if len(x) == 1 else self.T[x[0]] * self.T[x[1]]
-        return row
-
-
 def _combination(terms, rows):
     """sum of coef * rows[x] over terms (coef, x), added in order, or None."""
     acc = None
@@ -526,6 +513,8 @@ def _iwasawa_factored(draw: Draw, p: np.ndarray, a_log) -> np.ndarray:
                                    if w > 0.0]))
         reads.setdefault(qterms, set()).update(
             x for _, _, terms in plan[-1][2] for _, x in terms)
+    monomials = sorted(set().union(*reads.values(),
+                                   *({x for _, x in q} for q in reads)))
     S = np.empty((n + 1, len(draw)))
     S[0], S[n] = 0.0, a.sum()
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
@@ -536,7 +525,9 @@ def _iwasawa_factored(draw: Draw, p: np.ndarray, a_log) -> np.ndarray:
             if draw.radius is not None:
                 scale = _clip_factors(t, draw.basis, draw.radius)
                 T = [x * scale for x in T]
-            mono, scaled = _Monomials(T), {}    # scaled: per Q, f1 t_a, f2 t_a t_b
+            mono = {x: T[x[0]] if len(x) == 1 else T[x[0]] * T[x[1]]
+                    for x in monomials}
+            scaled = {}     # per Q terms: f1 t_a and f2 t_a t_b
             for k, (top, qterms, entries) in enumerate(plan, 1):
                 D = None
                 for w, on_J, terms in entries:
