@@ -105,13 +105,18 @@ def test_base_point_off_aq_exits_2(capsys, argv):
     ("sl3_so21", "--a-log=1000,1,-1001 --checks=limits"),
     ("sl2_so11", "--a-log=709.7,-709.7 --checks=limits"),
     ("kostant_sl2", "--a-log=1000,-1000 --checks=kostant"),
+    # exp(a_log) and h are finite, a h is not, and neither are the squares
+    # of h's entries that main and limits take a h from
+    ("sl2_so11", "--a-log=709,-709 --radius=400"),
+    ("sl2_so11", "--a-log=709,-709 --radius=400 --checks=limits"),
 ], ids=["a_log-overflow", "radius-overflow",
         "radius-overflow-kostant_sl2", "radius-overflow-sl3_so21",
         "radius-overflow-group_sl2", "radius-1e160-kostant_sl2",
         "radius-1e200-kostant_sl2", "radius-1e200-group_sl2",
         "exp-a_log-overflow-main", "exp-a_log-overflow-critical_image",
         "exp-a_log-overflow-hessian", "exp-a_log-overflow-limits",
-        "exp-a_log-overflow-limits-step", "exp-a_log-overflow-kostant"])
+        "exp-a_log-overflow-limits-step", "exp-a_log-overflow-kostant",
+        "a-h-overflow-main", "a-h-overflow-limits"])
 def test_input_past_double_range_exits_2(capsys, preset, flag):
     rc = main(["verify", "--preset", preset, *flag.split(), "--samples", "20"])
     captured = capsys.readouterr()
@@ -137,12 +142,17 @@ def test_base_point_at_the_edge_of_double_range_gives_a_verdict(capsys, flag,
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("check", ["critical_image", "hessian"])
-def test_a_range_error_names_the_base_point(capsys, check):
-    # exp(a_log) is finite and a h is not, in the checks that form a h; the
-    # message once named only the matrix that iwasawa rejected
+@pytest.mark.parametrize("check,radius", [
+    ("main", ["--radius=400"]), ("limits", ["--radius=400"]),
+    ("critical_image", []), ("hessian", [])],
+    ids=["main", "limits", "critical_image", "hessian"])
+def test_a_range_error_names_the_base_point(capsys, check, radius):
+    # exp(a_log) is finite and a h is not; critical_image and hessian form
+    # a h, main and limits take it from h's entries, whose squares leave
+    # double range at radius 400. The message once named only the matrix
+    # that iwasawa rejected
     rc = main(["verify", "--preset", "sl2_so11", "--a-log=709,-709",
-               "--checks", check, "--samples", "20"])
+               *radius, "--checks", check, "--samples", "20"])
     captured = capsys.readouterr()
     assert rc == 2
     assert "out of floating-point range at a_log=709,-709, radii=" in captured.err
