@@ -14,8 +14,9 @@ sample's Fractions are built only where they are read.  The
 centralizer basis of X in h and the predicted Hessian kernel depend on X
 only through its ties and are kept per tie pattern.  critical_value gives
 the levels of a stack at every w, and F its values at every x_w from one
-h_pq.  The exponential of numeric_hessian's stencil depends on the
-realization only.  The stencil's projected Iwasawa logs, analytic_hessian's
+h_pq, with a_log beside the x_w: no caller forms a x_w.  The exponential of
+numeric_hessian's stencil depends on the realization only.  The stencil's
+projected Iwasawa logs, with a_log beside x_w exp Z, analytic_hessian's
 transport and the signs of alpha(w^{-1} a_log) depend on (realization, P,
 a_log, w) and are kept in a _WeylPoint, made once for each; their pairing
 with the stack is one batched pass per w.  A positive system is equal to,
@@ -33,8 +34,9 @@ from scipy.linalg import expm
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .matrixgrp import (Realization, a_matrix, ek_projection, h_pq, root_matrix,
-                        sample_span, sample_unipotent)
+from .matrixgrp import (Draw, Realization, SingularInput, a_matrix,
+                        ek_projection, h_pq, root_matrix, sample_span,
+                        sample_unipotent)
 from .parabolic import PositiveSystem
 from .polyhedra import Polyhedron, gamma_aq, omega
 from .rootsys import weyl_group, weyl_orbit
@@ -81,9 +83,9 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 
 def F(rz: Realization, a_log, X, h, P: PositiveSystem) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over
-    h, and over X (m, n) for one stack h (k, n, n), giving shape (m, k)."""
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    return np.matmul(h_pq(rz, a @ np.asarray(h, dtype=float), P),
+    h, and over X (m, n) for one well-conditioned stack h (k, n, n), giving
+    shape (m, k); h goes to h_pq with a_log beside it."""
+    return np.matmul(h_pq(rz, h, P, np.asarray(a_log, dtype=float)),
                      _dual(rz, X)[..., None])[..., 0]
 
 
@@ -120,7 +122,8 @@ def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
     [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
     its RREF and the basis, depends on X only through the pattern of ties
     X_i = X_j, and the basis is cached on that pattern."""
-    return _centralizer(rz, SampleStack.of(rz, (X,)).ties[0])
+    return _centralizer(rz, frozenset((i, j) for i, x in enumerate(X)
+                                      for j, y in enumerate(X) if x == y))
 
 
 def _centralizer_basis(rz: Realization, X) -> np.ndarray:
@@ -300,27 +303,27 @@ class _WeylPoint:
     w: Mat
 
     @cached_property
-    def a(self) -> np.ndarray:
-        """diag(exp a_log)."""
-        return a_matrix(np.exp(np.asarray(self.a_log, dtype=float)))
-
-    @cached_property
     def stencil_values(self) -> np.ndarray:
-        """h_pq(a x_w exp Z, P) over the stencil of _stencil_exp; F there is
-        this times G X.  Shape (2 dh^2 4, dim)."""
+        """h_pq(a x_w exp Z, P) over the stencil of _stencil_exp, with a_log
+        beside x_w exp Z; F there is this times G X.  Shape (2 dh^2 4, dim)."""
         xw = self.rz.weyl_reps[self.w]
-        return h_pq(self.rz, self.a @ (xw @ _stencil_exp(self.rz)), self.P)
+        return h_pq(self.rz, xw @ _stencil_exp(self.rz), self.P,
+                    np.asarray(self.a_log, dtype=float))
 
     @cached_property
     def transport(self) -> np.ndarray:
         """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U, with
-        a_w = x_w^T a x_w; shape (dh, dim, dim)."""
+        a_w = x_w^T a x_w; shape (dh, dim, dim).  Raises SingularInput when
+        a_w U a_w^{-1} or the result leaves double range."""
         xw = self.rz.weyl_reps[self.w]
-        aw = xw.T @ self.a @ xw
+        aw = xw.T @ a_matrix(np.exp(np.asarray(self.a_log, dtype=float))) @ xw
         aw_inv = np.linalg.inv(aw)
-        V = ek_projection(self.rz, aw @ np.stack(self.rz.h_basis) @ aw_inv,
-                          self.P)
-        return aw @ V @ aw_inv
+        with np.errstate(over="ignore", invalid="ignore"):
+            conj = aw @ np.stack(self.rz.h_basis) @ aw_inv
+            out = aw @ ek_projection(self.rz, conj, self.P) @ aw_inv
+        if not (np.all(np.isfinite(conj)) and np.all(np.isfinite(out))):
+            raise SingularInput("transport overflows double precision")
+        return out
 
     @cached_property
     def signs(self) -> dict[Vec, int]:
@@ -443,17 +446,16 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
     return out
 
 
-def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> np.ndarray:
+def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> Draw:
     """Draw count elements z * exp(Y) per seed, Y in the centralizer of X in h."""
-    return sample_span(rz, _centralizer_basis(rz, X), radius, count,
-                       seeds).elements()
+    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seeds)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
-               seeds) -> np.ndarray:
+               seeds) -> Draw:
     """Draw count unipotent elements fixed by the involution per seed."""
     basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
-    return sample_unipotent(basis, radius, count, seeds).elements()
+    return sample_unipotent(basis, radius, count, seeds)
 
 
 # --- vanishing patterns -----------------------------------------------------

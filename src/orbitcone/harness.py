@@ -6,8 +6,12 @@ first few failing witnesses.  The sampling checks main, inclusion_cone and
 limits judge their draws h at a base point a through one function,
 ``_judge``: it passes a draw a chunk at a time with a to ``h_pq``, which
 projects H(a h) onto a_q at the explicit positive system P from the
-draw's factors, and feeds a ``Tally``.  ``run`` is the one entry point: it
-runs the configured checks of the ``CHECKS`` registry in registry order.
+draw's factors, and feeds a ``Tally``.  critical_image projects its draws
+z e^Y n from their factors too, at the base point a_w of each x_w, with n
+in N_P as the draw's right factor; kostant and gk pass stacks of
+well-conditioned matrices, kostant with a_log beside its rotations.  ``run``
+is the one entry point: it runs the configured checks of the ``CHECKS``
+registry in registry order.
 The tolerance is a Euclidean distance: a projected point passes when it
 lies at most ``tol`` outside every facet hyperplane of the predicted set.
 Reports serialize deterministically: identical configuration gives
@@ -18,7 +22,7 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 from typing import Mapping
@@ -30,7 +34,7 @@ from .critical import (F, NotRegular, SampleStack, critical_value,
                        ensure_in_aq, ensure_regular, hessian, is_regular,
                        kernel_dim, omega_X, predicted_signature, sample_H_X,
                        sample_NPH, transversal_signature, vanishing_patterns)
-from .matrixgrp import (BLOCK, Draw, Realization, SingularInput, a_matrix,
+from .matrixgrp import (BLOCK, Draw, Realization, SingularInput,
                         h_pq, iwasawa, realization, root_matrix, sample_H,
                         sample_unipotent)
 from .parabolic import PositiveSystem, all_positive_systems, from_chamber
@@ -482,8 +486,7 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     phi = np.linspace(0.0, np.pi / 2, 1000)
     c, s = np.cos(phi), np.sin(phi)
     ks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)   # rotations
-    a = a_matrix(np.exp(np.array([t1, t2])))
-    vals = h_pq(rz, a @ ks, P)[:, 0]
+    vals = h_pq(rz, ks, P, np.array([t1, t2]))[:, 0]
     closed = 0.5 * np.log(np.exp(2 * t1) * np.cos(phi) ** 2
                           + np.exp(2 * t2) * np.sin(phi) ** 2)
     dev = float(np.abs(vals - closed).max())
@@ -562,7 +565,7 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
                               seed=_stream(cfg, "critical_image", 0))
     n_per = max(8, cfg.samples // 50)
     radius = cfg.radii[-1]
-    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
+    a = _float_rows([a_exact], rz.dim)[0]
     tally = Tally(cfg.tol)
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
@@ -573,14 +576,20 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         xs = SampleStack.of(rz, wits)
         # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
         # preset U in h is 0 off the diagonal and the root positions, where
-        # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call
-        hx = sample_H_X(rz, wits[0], radius, n_per, [
-            _stream(cfg, "critical_image", 1, pi, xi, wi)
-            for xi in range(len(wits)) for wi in range(len(ws))]
-        ).reshape(len(wits), len(ws), n_per, rz.dim, rz.dim)
-        nh = sample_NPH(rz, P, radius, n_per, [_stream(cfg, "critical_image", 2, pi, *d)
-                                               for d in np.ndindex(hx.shape[:2])])
-        vals = h_pq(rz, (a @ xws)[:, None] @ hx @ nh.reshape(hx.shape), P)
+        # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call.
+        # Its rows run over (X, w, draw), and n in N_P is their right factor
+        blocks = list(np.ndindex(len(wits), len(ws)))
+        hxn = replace(sample_H_X(rz, wits[0], radius, n_per, [
+            _stream(cfg, "critical_image", 1, pi, *d) for d in blocks]),
+            right=sample_NPH(rz, P, radius, n_per, [
+                _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
+        # H(a x_w z e^Y n) = H(a_w z e^Y), a_w permuted as in _h_probes:
+        # one h_pq per w, on its rows
+        rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
+        vals = np.stack([h_pq(rz, hxn.rows(rows[:, wi].ravel()), P,
+                              a[np.abs(xw).argmax(axis=0)]).reshape(
+                                  len(wits), n_per, rz.dim)
+                         for wi, xw in enumerate(xws)], axis=1)
         # combinatorial layer: the critical value is the exact level of
         # <X, .> on the predicted image
         levels = critical_value(rz, a_exact, xs, ws)

@@ -9,11 +9,11 @@ matrix J or conjugation by the block swap.
 Every positive system is named explicitly and conjugated into the
 upper-triangular base system by an index permutation, the identity for the
 base system itself.  The samplers return a ``Draw``, the coefficients of
-its elements a z exp(Y); ``iwasawa`` takes the Iwasawa log of a draw from
-these factors, as prefix sums of positive Cauchy-Binet terms over one
-column of exp of wedge^k Y, and builds no element.  The Iwasawa log of a
-stack of matrices is log|R_kk| of g = QR, from one vectorised Gram-Schmidt
-kernel that forms no Q and no off-diagonal R.  Every sampled span is
+its elements a z exp(Y) n; ``iwasawa`` takes the Iwasawa log of a draw from
+these factors, and builds no element.  Its one kernel is a sum of positive
+Cauchy-Binet terms e^(2 a_I) m_I^2 per prefix of H: the minors m_I of a
+draw are entries of one column of exp of wedge^k Y, those of a stack of
+well-conditioned matrices come by Laplace expansion.  Every sampled span is
 exponentiated by one closed form, ``exp_span``, with c in Y^3 = c Y from
 the span's form, which ``span_form`` checks once per span, and I + Y where
 ``span_class`` finds Y^2 = 0; ``Draw.elements`` builds the elements of any
@@ -297,94 +297,99 @@ def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 BLOCK = 4096
 # a matrix whose largest entry lies outside this range is divided by it, so
 # that nothing underflows or overflows: by exp_span, which forms c from t
-# divided by it too, and by iwasawa in a block where some R_kk leaves it
+# divided by it too, and by iwasawa, on the n-th root for its n x n minors
 _UNSCALED = (1e-60, 1e60)
-# an R_kk below 1e-250 makes the input numerically singular
-_LOG_TINY = math.log(1e-250)
 
 
-def _scales(peak: np.ndarray) -> np.ndarray:
+def _scales(peak: np.ndarray, bounds: tuple = _UNSCALED) -> np.ndarray:
     """Per-matrix divisor: the largest entry |peak| where it is nonzero and
-    leaves _UNSCALED, 1 elsewhere."""
-    return np.where((peak < _UNSCALED[0]) & (peak > 0) | (peak > _UNSCALED[1]),
+    leaves bounds, 1 elsewhere."""
+    return np.where((peak < bounds[0]) & (peak > 0) | (peak > bounds[1]),
                     peak, 1.0)
 
 
 def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
-    """Iwasawa log H of g = k exp(H) n with n in N_P, in ambient diagonal
-    coordinates; accepts stacked input (..., n, n) or a Draw.  P is
-    required: g is conjugated into the base system by chamber_perm(rz, P),
-    the identity for rz.base_parabolic.  H of a stack is log|diag R| of its
-    QR, from the Gram-Schmidt kernel _log_r_block.  H of a Draw is H of
-    exp(a_log) times its elements, from their factors (_iwasawa_factored);
-    a_log, a float vector, is read for a Draw only, and is 0 when None.
-    Raises SingularInput when g has non-finite entries or is numerically
-    singular: some |R_kk| < 1e-250, or |R_kk|^2 underflows to 0 in the
-    kernel; for a Draw, as _iwasawa_factored does."""
+    """Iwasawa log H of exp(a_log) g = k exp(H) n with n in N_P, in ambient
+    diagonal coordinates, for a stack g (..., n, n) or a Draw; a_log is a
+    float vector, 0 when None.  With p = chamber_perm(rz, P) and J = p[:k],
+    S_k = H_p[0] + ... + H_p[k-1] is 1/2 log det (x^T x)_JJ, x = exp(a_log)
+    g: by Cauchy-Binet, of the sum over k-subsets I of e^(2 a_I) m_I^2, m_I
+    the minor of g on rows I and columns J (_prefix_logs).  The minors of a
+    Draw come from its factors, those of a stack by Laplace expansion, which
+    loses digits where they cancel: a stack is for well-conditioned g, and
+    sampled elements come as Draws.  Raises SingularInput when some sum
+    leaves double range: 'exponential overflows double precision' above,
+    'matrix is numerically singular' below, 'input matrix has non-finite
+    entries' on such a stack; ValueError when a Draw's right factor is not
+    in N_P."""
     p = chamber_perm(rz, P)
+    a = np.zeros(len(p)) if a_log is None else np.asarray(a_log, dtype=float)
     if isinstance(g, Draw):
-        return _iwasawa_factored(g, p, a_log)
+        return _prefix_logs(len(g), p, a, *_draw_minors(g, p))
     g = np.asarray(g, dtype=float)
-    n = g.shape[-1]
-    flat = g.reshape(-1, n, n)
-    H = np.empty((len(flat), n))
-    # the plain pass may overflow or divide 0 by 0; _log_r_block redoes or
-    # rejects the blocks where it did
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        for start in range(0, len(flat), BLOCK):
-            rows = slice(start, start + BLOCK)
-            C = flat[rows].transpose(2, 1, 0)[p[:, None], p]
-            _log_r_block(C, p, H[rows], flat.__getitem__, rows)
-    return H.reshape(g.shape[:-1])
-
-
-def _log_r_block(C: np.ndarray, p: np.ndarray, out: np.ndarray, stack, rows) -> None:
-    """log|R_kk| of the QR of each x = g[:, p][:, :, p] of a block g =
-    stack(rows) (m, n, n), from its layout C[j, i] = x[:, i, j], written into
-    out[:, p[k]], which maps it back to ambient coordinates.  The arithmetic
-    is the plain one while every R_kk lies in _UNSCALED.  Otherwise the block
-    is done again with each matrix of g whose largest entry leaves _UNSCALED
-    divided by that entry, as in exp_span."""
-    _gram_schmidt(C, p, out)
-    if _UNSCALED[0] ** 2 <= out.min() and out.max() <= _UNSCALED[1] ** 2:
-        np.log(out, out=out)
-        out *= 0.5
-        return
-    C = stack(rows).transpose(2, 1, 0)[p[:, None], p]
-    peak = np.abs(C).max(axis=(0, 1))
+    flat = g.reshape(-1, len(p), len(p))
+    # H(g) = H(g / s) + log s
+    peak = _entry_max(flat)
     if not np.all(np.isfinite(peak)):
         raise SingularInput("input matrix has non-finite entries")
-    m = _scales(peak)
-    C /= m
-    _gram_schmidt(C, p, out)
-    np.log(out, out=out)
-    out *= 0.5
-    out += np.log(m)[:, None]
-    if not out.min() >= _LOG_TINY:
-        raise SingularInput("matrix is numerically singular")
+    s = _scales(peak, tuple(b ** (1.0 / len(p)) for b in _UNSCALED))
+    H = _prefix_logs(len(flat), p, a, *_stack_minors(flat / s[:, None, None],
+                                                     p))
+    return (H + np.log(s)[:, None]).reshape(g.shape[:-1])
 
 
-def _gram_schmidt(C: np.ndarray, p: np.ndarray, out: np.ndarray) -> None:
-    """Modified Gram-Schmidt on the columns C[j] (rows i, matrices last) of
-    a stack (n, n, m), in place; writes |R_kk|^2 into out[:, p[k]].  Each
-    step is one array operation over the whole stack.  Each column is
-    projected off the later ones twice: one pass leaves rounding of order
-    eps |x| along it, which swamps R_kk on row-graded input such as a h with
-    a = exp(-25, 25).  The sums are ufunc reductions, which add in the same
-    order at every stack size (einsum does not on one matrix), so a matrix
-    gets the same bits alone and in a batch."""
-    for k in range(len(C)):
-        q = C[k]
-        ss = np.add.reduce(q * q, axis=0, out=out[:, p[k]])
-        if k + 1 < len(C):
-            rest, t = C[k + 1:], q / ss
-            for _ in range(2):
-                rest -= np.add.reduce(rest * q, axis=1, keepdims=True) * t
+def _prefix_logs(count: int, p: np.ndarray, a: np.ndarray, subsets,
+                 squares) -> np.ndarray:
+    """H of count rows from S_k = top + 1/2 log of the sum over I in
+    subsets[k-1] of e^(2 (a_I - top)) m_I^2, top the largest a_I; squares(
+    rows, live) yields per k the m_I^2 of BLOCK rows, in order, for the I
+    whose weight live[k-1] keeps.  Every operation runs along the rows, so
+    a row gets the same bits in any chunk."""
+    a_I = [a[np.array(subs)].sum(axis=1) for subs in subsets]
+    tops = [x.max() for x in a_I]
+    weights = [np.exp(2.0 * (x - top)) for x, top in zip(a_I, tops)]
+    live = [w > 0.0 for w in weights]
+    kept = [w[on].tolist() for w, on in zip(weights, live)]
+    S = np.zeros((len(p) + 1, count))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for start in range(0, count, BLOCK):
+            rows = slice(start, start + BLOCK)
+            for k, sqs in enumerate(squares(rows, live), 1):
+                D = None
+                for w, sq in zip(kept[k - 1], sqs):
+                    if w != 1.0:
+                        sq *= w
+                    D = sq if D is None else np.add(D, sq, out=D)
+                S[k, rows] = 0.5 * np.log(D) + tops[k - 1]
+    if not np.isfinite(S).all():
+        raise SingularInput("exponential overflows double precision"
+                            if np.isnan(S).any() or (S == np.inf).any()
+                            else "matrix is numerically singular")
+    H = np.empty((count, len(p)))
+    H[:, p] = (S[1:] - S[:-1]).T
+    return H
+
+
+def _stack_minors(flat: np.ndarray, p: np.ndarray):
+    """(subsets, squares) for _prefix_logs of a stack flat (m, n, n): per
+    k-subset I of rows, the minor on columns p[:k], up to the sign, by
+    Laplace expansion along column p[k-1] = G[k-1] of a block, G[c, i] the
+    entries (i, p[c]) of its matrices."""
+    subsets = [list(itertools.combinations(range(len(p)), k))
+               for k in range(1, len(p) + 1)]
+
+    def squares(rows, live):
+        G = np.ascontiguousarray(flat[rows][..., p].transpose(2, 1, 0))
+        minors = {(): 1.0}
+        for col, subs, keep in zip(G, subsets, live):
+            minors = {I: sum((-1) ** r * col[i] * minors[I[:r] + I[r + 1:]]
+                             for r, i in enumerate(I)) for I in subs}
+            yield (minors[I] * minors[I] for I, on in zip(subs, keep) if on)
+    return subsets, squares
 
 
 def h_pq(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
-    """Projection of the Iwasawa log onto a_q, ambient coordinates; a_log
-    as in iwasawa."""
+    """iwasawa(rz, g, P, a_log) projected onto a_q, ambient coordinates."""
     return iwasawa(rz, g, P, a_log) @ rz.q_proj_np.T
 
 
@@ -484,74 +489,60 @@ def _combination(terms, rows):
     return acc
 
 
-def _iwasawa_factored(draw: Draw, p: np.ndarray, a_log) -> np.ndarray:
-    """H of g = a z exp(Y) for every row of draw, a = exp(a_log), from the
-    factors.  With J = p[:k], the prefix sum S_k = H_p[0] + ... + H_p[k-1]
-    is 1/2 log D_k, D_k = det (g^T g)_JJ, which is by Cauchy-Binet the sum
-    over k-subsets I of e^(2 a_I) v_I^2, v = exp(W) e_J for W = wedge^k Y:
-    v = e_J + f1 W e_J + f2 W^2 e_J, from the integer terms of _wedge_terms
-    and _column_coefficients.  The signs of z square away, and S_n = sum
-    a_log as det exp Y = 1.  D_k adds positive terms, and its weights are
-    divided by the largest, so no term cancels and no weight overflows.  t
-    is clipped by the factors of Draw.elements (_clip_factors).  Every
-    operation runs along the rows, BLOCK rows at a time (a few dozen rows
-    of temporaries, which numpy allocates fastest at that length), so a row
-    gets the same bits in any chunk.  Raises SingularInput when some D_k
-    leaves double range: 'exponential overflows double precision' above it
-    or on non-finite t, 'matrix is numerically singular' below it."""
-    n, data = draw.basis.shape[-1], draw.basis.tobytes()
-    a = np.zeros(n) if a_log is None else np.asarray(a_log, dtype=float)
-    plan = []       # per k: the largest a_I, the Q terms, (weight, I == J, terms)
+def _draw_minors(draw: Draw, p: np.ndarray):
+    """(subsets, squares) for _prefix_logs of g = z exp(Y) n, the rows of
+    draw: m_I is entry I of exp(W) e_J = e_J + f1 W e_J + f2 W^2 e_J for
+    W = wedge^k Y, from _wedge_terms and _column_coefficients, with t
+    clipped as Draw.elements clips it.  z squares away; n leaves H alone,
+    and must be a draw on a span that _in_np accepts, with no n of its own."""
+    right = draw.right
+    if right is not None and not (right.right is None and _in_np(
+            right.basis.shape, right.basis.tobytes(), tuple(map(int, p)))):
+        raise ValueError("right factor of a draw is not in N_P")
+    plan = [_wedge_terms(draw.basis.shape, draw.basis.tobytes(),
+                         tuple(sorted(map(int, p[:k]))))
+            for k in range(1, len(p))]     # per k < n: Q terms, entries
     reads = {}      # per Q terms: the monomials that f1 and f2 of its c scale
-    for k in range(1, n):
-        qterms, entries = _wedge_terms(draw.basis.shape, data,
-                                       tuple(sorted(map(int, p[:k]))))
-        a_I = np.array([sum(a[i] for i in I) for I, *_ in entries])
-        top = a_I.max()
-        plan.append((top, qterms, [(w, on_J, terms) for w, (_, on_J, terms)
-                                   in zip(np.exp(2.0 * (a_I - top)), entries)
-                                   if w > 0.0]))
+    for qterms, entries in plan:
         reads.setdefault(qterms, set()).update(
-            x for _, _, terms in plan[-1][2] for _, x in terms)
+            x for _, _, terms in entries for _, x in terms)
     monomials = sorted(set().union(*reads.values(),
                                    *({x for _, x in q} for q in reads)))
-    S = np.empty((n + 1, len(draw)))
-    S[0], S[n] = 0.0, a.sum()
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        for start in range(0, len(draw), BLOCK):
-            rows = slice(start, start + BLOCK)
-            t = draw.t[rows]
-            T = [t[:, x] for x in range(len(draw.basis))]
-            if draw.radius is not None:
-                scale = _clip_factors(t, draw.basis, draw.radius)
-                T = [x * scale for x in T]
-            mono = {x: T[x[0]] if len(x) == 1 else T[x[0]] * T[x[1]]
-                    for x in monomials}
-            scaled = {}     # per Q terms: f1 t_a and f2 t_a t_b
-            for k, (top, qterms, entries) in enumerate(plan, 1):
-                D = None
-                for w, on_J, terms in entries:
-                    if terms and qterms not in scaled:
-                        c = _combination(qterms, mono)
-                        f = (1.0, 0.5) if c is None else _column_coefficients(c)
-                        scaled[qterms] = {x: f[len(x) - 1] * mono[x]
-                                          for x in sorted(reads[qterms])}
-                    v = _combination(terms, scaled.get(qterms))
-                    v = np.zeros(len(t)) if v is None else v
-                    if on_J:
-                        v += 1.0
-                    v *= v
-                    if w != 1.0:
-                        v *= w
-                    D = v if D is None else np.add(D, v, out=D)
-                S[k, rows] = 0.5 * np.log(D) + top
-    if np.isnan(S).any() or (S == np.inf).any():
-        raise SingularInput("exponential overflows double precision")
-    if (S == -np.inf).any():
-        raise SingularInput("matrix is numerically singular")
-    H = np.empty((len(draw), n))
-    H[:, p] = (S[1:] - S[:-1]).T
-    return H
+
+    def squares(rows, live):
+        t = draw.t[rows]
+        T = [t[:, x] for x in range(len(draw.basis))]
+        if draw.radius is not None:
+            scale = _clip_factors(t, draw.basis, draw.radius)
+            T = [x * scale for x in T]
+        mono = {x: T[x[0]] if len(x) == 1 else T[x[0]] * T[x[1]]
+                for x in monomials}
+        scaled = {}     # per Q terms: f1 t_a and f2 t_a t_b
+        for qterms, xs in reads.items():
+            c = _combination(qterms, mono)
+            f = (1.0, 0.5) if c is None else _column_coefficients(c)
+            scaled[qterms] = {x: f[len(x) - 1] * mono[x] for x in sorted(xs)}
+
+        def square(terms, values, on_J):
+            v = _combination(terms, values)
+            v = np.zeros(len(t)) if v is None else v
+            if on_J:
+                v += 1.0
+            return np.multiply(v, v, out=v)
+        for (qterms, entries), keep in zip(plan, live):
+            yield (square(terms, scaled[qterms], on_J)
+                   for (_, on_J, terms), on in zip(entries, keep) if on)
+        yield [np.ones(len(t))]     # det exp Y = 1: the spans lie in sl(n)
+    return ([[I for I, *_ in entries] for _, entries in plan]
+            + [[tuple(range(len(p)))]]), squares
+
+
+@lru_cache(maxsize=None)
+def _in_np(shape: tuple, data: bytes, p: tuple) -> bool:
+    """Whether exp of the span of a basis (k, n, n) lies in N_P: the basis is
+    strictly upper triangular after conjugation by p, compared exactly."""
+    B = np.frombuffer(data).reshape(shape)
+    return not np.tril(_conjugate(B, np.array(p))).any()
 
 
 # --- the exponential of a span ---------------------------------------------
@@ -658,18 +649,11 @@ def _entry_max(A: np.ndarray) -> np.ndarray:
     return np.abs(A.reshape(len(A), -1).T, order="C").max(axis=0)
 
 
-def _sum_squares(A: np.ndarray) -> np.ndarray:
-    """sum of A[k, i, j]^2 over (i, j) of a stack (k, n, n), bit for bit
-    np.sum(A * A, axis=(-2, -1)), from one copy of the squares with the n^2
-    entries as rows.  The rows are added as numpy's pairwise sum adds up
-    to 128 entries (n <= 11; every preset has n <= 4): in turn below eight,
+def _add_rows(S: np.ndarray) -> np.ndarray:
+    """The rows of S (k, m) added, bit for bit, as np.sum adds the k entries
+    of a matrix (k <= 128; every preset has k <= 16): in turn below eight,
     else into eight running sums that are added as a tree before the rest
     follows in turn."""
-    return _add_rows(np.square(A.reshape(len(A), -1).T, order="C"))
-
-
-def _add_rows(S: np.ndarray) -> np.ndarray:
-    """The rows of S (k, m) added as _sum_squares adds the squares."""
     if len(S) < 8:
         total, rest = S[0], S[1:]
     else:
@@ -690,12 +674,13 @@ def _add_rows(S: np.ndarray) -> np.ndarray:
 def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
     """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
     radius when it is longer, in place, and return the factors.  The norms
-    are summed by _sum_squares a block at a time.  Raises SingularInput
-    when a norm overflows double precision."""
+    are summed a block at a time.  Raises SingularInput when a norm
+    overflows double precision."""
     norms = np.empty(len(Y))
     with np.errstate(over="ignore"):
         for start in range(0, len(Y), BLOCK):
-            norms[start:start + BLOCK] = _sum_squares(Y[start:start + BLOCK])
+            norms[start:start + BLOCK] = np.sum(np.square(Y[start:start + BLOCK]),
+                                                axis=(-2, -1))
     scale = _scale_to(norms, radius)
     Y *= scale[:, None, None]
     return scale
@@ -741,14 +726,16 @@ def _entry_columns(shape: tuple, data: bytes) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """Sampled elements z exp(Y) as drawn: row i has Y = sum_k t[i, k]
-    basis[k], clipped to norm radius unless that is None, and z with the
-    row signs signs[centers[i]], or z = 1 when centers is None."""
+    """Sampled elements z exp(Y) n as drawn: row i has Y = sum_k t[i, k]
+    basis[k], clipped to norm radius unless that is None, z with the row
+    signs signs[centers[i]], or z = 1 when centers is None, and n the
+    element of row i of the Draw right, or n = 1 when that is None."""
     t: np.ndarray
     basis: np.ndarray
     radius: float | None = None
     centers: np.ndarray | None = None
     signs: np.ndarray | None = None
+    right: Draw | None = None
 
     def __len__(self) -> int:
         return len(self.t)
@@ -757,19 +744,20 @@ class Draw:
     def shape(self) -> tuple:       # of elements(): the matrices it stands for
         return (len(self.t),) + self.basis.shape[1:]
 
-    def rows(self, rows: slice) -> Draw:
-        """The draw of rows alone."""
+    def rows(self, rows) -> Draw:
+        """The draw of rows alone, a slice or an index array."""
         return Draw(self.t[rows], self.basis, self.radius,
                     None if self.centers is None else self.centers[rows],
-                    self.signs)
+                    self.signs,
+                    None if self.right is None else self.right.rows(rows))
 
-    def elements(self, rows: slice = slice(None)) -> np.ndarray:
+    def elements(self, rows=slice(None)) -> np.ndarray:
         """The elements of rows, bit for bit those rows of the whole stack;
         raises SingularInput as exp_span does."""
         E = exp_span(self.t[rows], self.basis, self.radius)
         if self.centers is not None:
             E *= self.signs[self.centers[rows]][:, :, None]
-        return E
+        return E if self.right is None else E @ self.right.elements(rows)
 
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,

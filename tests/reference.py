@@ -46,7 +46,7 @@ arithmetic, which reduces by a gcd after every product and sum; the tests
 require the integer kernels to return the same Fractions.
 """
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -386,8 +386,8 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     stencil = (signs[:, 0, None, None] * basis[:, None, None]
                + signs[:, 1, None, None] * basis[None, :, None])
     Z = np.multiply.outer(steps, stencil).reshape(-1, rz.dim, rz.dim)
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    vals = h_pq(rz, a @ (xw @ expm(Z)), P) @ _dual(rz, X)
+    vals = h_pq(rz, xw @ expm(Z), P, np.asarray(a_log, dtype=float)) \
+        @ _dual(rz, X)
     vals = vals.reshape(2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * steps[:, None, None] ** 2))
@@ -416,27 +416,30 @@ def critical_image_per_draw(rz, P, cfg):
     """harness._check_critical_image one draw at a time: per (witness X,
     Weyl element w), its own sample_H_X, sample_NPH, h_pq and Tally.feed on
     one stream each, one critical_value per (X, w), and F's value at every
-    x_w from one h_pq per X, contracted with the dual of X by a gemv."""
+    x_w from one h_pq per X, contracted with the dual of X by a gemv.  A
+    draw h = z e^Y n is projected at a_w = diag(x_w^T a x_w), with n as its
+    right factor: H(a x_w h) = H(a_w h)."""
     a_exact = _require_regular(rz, cfg)
     pats = vanishing_patterns(rz, per_pattern=10,
                               seed=_stream(cfg, "critical_image", 0))
     n_per = max(8, cfg.samples // 50)
     radius = cfg.radii[-1]
-    a = a_matrix(np.exp(_float_rows([a_exact], rz.dim)[0]))
+    a = _float_rows([a_exact], rz.dim)[0]
     tally = Tally(cfg.tol)
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
         oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
         xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
         for xi, X in enumerate(wits):
-            fvs = h_pq(rz, a @ xws, P) @ _dual(rz, _float_rows([X], rz.dim)[0])
+            fvs = h_pq(rz, xws, P, a) @ _dual(rz, _float_rows([X], rz.dim)[0])
             for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
                 draw = (pi, xi, wi)
                 hx = sample_H_X(rz, X, radius, n_per,
                                 [_stream(cfg, "critical_image", 1, *draw)])
                 nh = sample_NPH(rz, P, radius, n_per,
                                 [_stream(cfg, "critical_image", 2, *draw)])
-                tally.feed(om, h_pq(rz, a @ xw @ hx @ nh, P))
+                a_w = np.diagonal(xw.T @ a_matrix(a) @ xw)
+                tally.feed(om, h_pq(rz, replace(hx, right=nh), P, a_w))
                 lv = critical_value(rz, a_exact, SampleStack.of(rz, (X,)),
                                     [w])[0][0]
                 gX = ex.mat_vec(rz.datum.gram, X)

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from orbitcone.cli import main
+from orbitcone.harness import CHECK_NAMES
 
 
 def test_verify_pass(capsys):
@@ -125,13 +126,13 @@ def test_input_past_double_range_exits_2(capsys, preset, flag):
     assert "PASS" not in captured.out
 
 
-# exp(a_log) is finite, and the elements a h are not, but main and limits
-# take a h from its factors: they give a verdict
+# exp(a_log) is finite, and the elements a h are not, but main, limits and
+# critical_image take a h from its factors: they give a verdict
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("flag,check", [
     ("--a-log=709,-709", "main"), ("--a-log=709,-709", "limits"),
-    ("--a-log=-600,600", "main")],
-    ids=["709-main", "709-limits", "600-main"])
+    ("--a-log=-600,600", "main"), ("--a-log=709,-709", "critical_image")],
+    ids=["709-main", "709-limits", "600-main", "709-critical_image"])
 def test_base_point_at_the_edge_of_double_range_gives_a_verdict(capsys, flag,
                                                                 check):
     rc = main(["verify", "--preset", "sl2_so11", flag, "--checks", check,
@@ -144,18 +145,47 @@ def test_base_point_at_the_edge_of_double_range_gives_a_verdict(capsys, flag,
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("check,radius", [
     ("main", ["--radius=400"]), ("limits", ["--radius=400"]),
-    ("critical_image", []), ("hessian", [])],
+    ("critical_image", ["--radius=600"]), ("hessian", [])],
     ids=["main", "limits", "critical_image", "hessian"])
 def test_a_range_error_names_the_base_point(capsys, check, radius):
-    # exp(a_log) is finite and a h is not; critical_image and hessian form
-    # a h, main and limits take it from h's entries, whose squares leave
-    # double range at radius 400. The message once named only the matrix
-    # that iwasawa rejected
+    # exp(a_log) is finite and a h is not. main and limits take a h from
+    # factors whose squares leave double range at their probes of radius
+    # 400, critical_image at its draws of radius 600; hessian's transport
+    # a_w U a_w^-1 overflows. The message once named only the matrix that
+    # iwasawa rejected
     rc = main(["verify", "--preset", "sl2_so11", "--a-log=709,-709",
                *radius, "--checks", check, "--samples", "20"])
     captured = capsys.readouterr()
     assert rc == 2
     assert "out of floating-point range at a_log=709,-709, radii=" in captured.err
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("check", sorted(CHECK_NAMES))
+def test_every_check_at_the_edge_of_double_range_ends_with_a_message(capsys,
+                                                                    check):
+    # a verdict, or exit 2 with a message, under warnings as errors: never
+    # a traceback
+    rc = main(["verify", "--preset", "sl2_so11", "--a-log=709,-709",
+               "--checks", check, "--samples", "20"])
+    captured = capsys.readouterr()
+    if rc == 2:
+        assert captured.err.startswith("error: ") and "PASS" not in captured.out
+    else:
+        assert rc in (0, 1)
+        assert re.search(rf"^(PASS|FAIL) {check} count=\d+", captured.out, re.M)
+
+
+@pytest.mark.parametrize("preset", ["sl2_so11", "sl3_so21", "group_sl2"])
+def test_critical_image_passes_at_radius_20(capsys, preset):
+    # the dense kernel on the built elements a x_w z e^Y n lost their digits
+    # and failed all three at radius 20; the factors of a_w z e^Y keep them
+    rc = main(["verify", "--preset", preset, "--checks", "critical_image",
+               "--radius", "1,20"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out + captured.err
+    assert re.search(r"^PASS critical_image count=\d+ worst_slack=",
+                     captured.out, re.M)
 
 
 @pytest.mark.filterwarnings("error")

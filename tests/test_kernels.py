@@ -18,8 +18,8 @@ import pytest
 from orbitcone import harness
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
                                _Coverage, _float_rows, _h_probes, _judge)
-from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, _entry_max,
-                                 _sum_squares, exp_span, h_pq, iwasawa,
+from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, _add_rows,
+                                 _entry_max, exp_span, h_pq, iwasawa,
                                  realization, root_matrix, sample_H,
                                  sample_span, sample_unipotent, span_class)
 from orbitcone.parabolic import all_positive_systems
@@ -173,7 +173,8 @@ def test_stack_reductions_equal_numpy(n):
     A = (rng.normal(size=(BLOCK + 5, n, n))
          * rng.lognormal(0.0, 5.0, size=(BLOCK + 5, 1, 1)))
     A[:3] = 0.0
-    assert np.array_equal(_sum_squares(A), np.sum(A * A, axis=(-2, -1)))
+    assert np.array_equal(_add_rows(np.square(A.reshape(len(A), -1).T)),
+                          np.sum(A * A, axis=(-2, -1)))
     assert np.array_equal(_entry_max(A), np.abs(A).max(axis=(-2, -1)))
     A[5, 0, -1] = np.nan
     assert np.isnan(_entry_max(A)[5])

@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone.critical import (_centralizer_basis, h_x_coords, nph_basis,
-                                vanishing_patterns)
+from orbitcone.critical import (_centralizer_basis, _stencil_exp, h_x_coords,
+                                nph_basis, vanishing_patterns)
 from orbitcone.harness import _DEFAULT_A_LOG
 from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
                                  _clip, _clip_factors, a_matrix, chamber_perm,
@@ -19,7 +19,8 @@ from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
                                  sample_unipotent, span_class, span_form)
 from orbitcone.parabolic import all_positive_systems
 
-from iwasawa_reference import iwasawa_by_matmul, iwasawa_exact
+from iwasawa_reference import (iwasawa_by_matmul, iwasawa_exact,
+                               iwasawa_gram_schmidt)
 from paper_claims import (NotInNP, NotUnipotent, default_z_q, exp_nilpotent,
                           factor_nilpotent, unipotent_log)
 from reference import (contains, exp_h, exp_span_dense, sigma_grp, sl2_triple,
@@ -132,27 +133,29 @@ def test_iwasawa_equals_the_matmul_reference(rz):
 
 @pytest.mark.parametrize("preset", ["sl2_so11", "sl3_so21", "group_sl2"])
 def test_iwasawa_is_as_accurate_as_the_qr(preset):
-    """On the 40 worst-conditioned of 2,000 main-check draws a h: within
-    1e-13 of the exact H at radius 4, and no worse than LAPACK's QR at
-    radius 12, where conditioning costs both about five digits."""
+    """The Gram-Schmidt oracle, on the 40 worst-conditioned of 2,000
+    main-check elements a h: within 1e-13 of the exact H at radius 4, and no
+    worse than LAPACK's QR at radius 12, where conditioning costs both about
+    five digits.  The library takes such elements as Draws."""
     rz = realization(preset)
     a = a_matrix(np.exp([float(c) for c in _DEFAULT_A_LOG[preset]]))
     for radius in (4.0, 12.0):
         g = a @ sample_H(rz, radius, 2000, seed=60).elements()
         g = g[np.argsort(np.linalg.cond(g))[-40:]]
         exact = iwasawa_exact(g)
-        err = np.abs(iwasawa(rz, g, rz.base_parabolic) - exact).max()
+        err = np.abs(iwasawa_gram_schmidt(rz, g, rz.base_parabolic)
+                     - exact).max()
         err_qr = np.abs(iwasawa_by_matmul(rz, g, rz.base_parabolic)[1] - exact).max()
         assert err <= (1e-13 if radius == 4.0 else err_qr), (radius, err, err_qr)
 
 
 def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
     """a h with a = exp(-25, 25): R_22 ~ e^-25 / |h_21| lies far below
-    eps |a h|, and LAPACK's QR rounds it to 0.  Gram-Schmidt with a second
-    projection pass keeps it to working accuracy."""
+    eps |a h|, and LAPACK's QR rounds it to 0.  The Gram-Schmidt oracle,
+    with a second projection pass, keeps it to working accuracy."""
     a = a_matrix(np.exp([-25.0, 25.0]))
     g = a @ sample_H(rz_so11, 4.0, 200, seed=61).elements()
-    assert np.abs(iwasawa(rz_so11, g, rz_so11.base_parabolic)
+    assert np.abs(iwasawa_gram_schmidt(rz_so11, g, rz_so11.base_parabolic)
                   - iwasawa_exact(g)).max() <= 1e-12
 
 
@@ -167,16 +170,18 @@ def test_iwasawa_blocks_match_one_matrix_at_a_time(preset):
 
 @pytest.mark.filterwarnings("error")
 def test_iwasawa_is_scale_free(rz):
-    """H(s g) = H(g) + log s, also where s g leaves [1e-60, 1e60] and its
-    block is done again scaled; the plain matrices in that block keep
-    their bits."""
+    """H(s g) = H(g) + log s, also where s g leaves the range in which a
+    kernel takes it plainly: the Gram-Schmidt oracle does its block again
+    scaled, iwasawa divides each such matrix by its largest entry.  The
+    plain matrices in that block keep their bits."""
     rng = np.random.Generator(np.random.PCG64(63))
     g = expm(0.4 * rng.normal(size=(6, rz.dim, rz.dim)))
-    H = iwasawa(rz, g, rz.base_parabolic)
-    for s in (1e-200, 1e-70, 1e70, 1e200):
-        scaled = iwasawa(rz, np.concatenate([s * g, g]), rz.base_parabolic)
-        assert np.abs(scaled[:6] - (H + np.log(s))).max() <= 1e-13
-        assert np.array_equal(scaled[6:], H)
+    for kernel in (iwasawa_gram_schmidt, iwasawa):
+        H = kernel(rz, g, rz.base_parabolic)
+        for s in (1e-200, 1e-70, 1e70, 1e200):
+            scaled = kernel(rz, np.concatenate([s * g, g]), rz.base_parabolic)
+            assert np.abs(scaled[:6] - (H + np.log(s))).max() <= 1e-13
+            assert np.array_equal(scaled[6:], H)
 
 
 def test_iwasawa_rejects_bad_input(rz_sl3):
@@ -188,6 +193,67 @@ def test_iwasawa_rejects_bad_input(rz_sl3):
         for Q in (rz_sl3.base_parabolic, P):
             with pytest.raises(SingularInput):
                 iwasawa(rz_sl3, x, Q)
+
+
+def _dense_inputs(rz: Realization, P) -> list[np.ndarray]:
+    """Every stack that the program hands iwasawa: each x_w (F), the
+    rotations of the kostant check on a 2 x 2 preset, gk's probes I + s E
+    over the supports of its pairs (P, Q), and x_w exp Z over the Hessian
+    stencil."""
+    n = rz.dim
+    xws = np.stack(list(rz.weyl_reps.values()))
+    out = [xws, xws[:, None] @ _stencil_exp(rz)]
+    if n == 2:
+        phi = np.linspace(0.0, np.pi / 2, 1000)
+        c, s = np.cos(phi), np.sin(phi)
+        out.append(np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2))
+    for Q in all_positive_systems(rz.datum):
+        for alpha in sorted(Q.positive & P.negative):
+            out.append(np.eye(n) + root_matrix(n, alpha)
+                       * np.array([1.0, 3.0])[:, None, None])
+    return out
+
+
+@pytest.mark.parametrize("preset", sorted(_DEFAULT_A_LOG))
+def test_iwasawa_of_the_programs_stacks_is_exact_to_1e_14(preset):
+    """On every stack that the program passes, at the base system and one
+    other, at the default base point and at a = 1, the Laplace minors give
+    H within 1e-14 of its 60-digit value: their minors do not cancel."""
+    rz = realization(preset)
+    for P in (rz.base_parabolic, all_positive_systems(rz.datum)[-1]):
+        p = chamber_perm(rz, P)
+        for a_log in (np.array([float(c) for c in _DEFAULT_A_LOG[preset]]),
+                      None):
+            for g in _dense_inputs(rz, P):
+                g = g.reshape(-1, rz.dim, rz.dim)
+                want = np.empty(g.shape[:-1])
+                want[:, p] = iwasawa_exact(
+                    g[:, p][:, :, p], None if a_log is None else a_log[p])
+                assert np.abs(iwasawa(rz, g, P, a_log) - want).max() <= 1e-14
+
+
+def test_a_right_factor_in_n_p_leaves_h_alone(rz):
+    """H(a z e^Y n) = H(a z e^Y) for n = exp of a span in n_P, the bits of
+    the draw without it, and H of the built elements to 1e-10; a right
+    factor outside N_P, or one with a right factor of its own, raises
+    ValueError."""
+    a_log = np.array([float(c) for c in _DEFAULT_A_LOG[rz.name]])
+    for P in all_positive_systems(rz.datum):
+        draw = sample_H(rz, 1.0, 50, seed=64)
+        inside = np.stack([root_matrix(rz.dim, alpha)
+                           for alpha in sorted(P.positive)])
+        with_n = replace(draw, right=sample_unipotent(inside, 1.0, 50, [65]))
+        H = iwasawa(rz, with_n, P, a_log)
+        assert np.array_equal(H, iwasawa(rz, draw, P, a_log))
+        g = a_matrix(np.exp(a_log)) @ with_n.elements()
+        assert not np.allclose(g, a_matrix(np.exp(a_log)) @ draw.elements())
+        assert np.abs(H - iwasawa_by_matmul(rz, g, P)[1]).max() <= 1e-10
+        outside = replace(draw, right=sample_unipotent(
+            np.swapaxes(inside, 1, 2), 1.0, 50, [65]))
+        nested = replace(draw, right=replace(with_n.right, right=outside.right))
+        for bad in (outside, nested):
+            with pytest.raises(ValueError, match="not in N_P"):
+                iwasawa(rz, bad, P, a_log)
 
 
 def _nilpotent_spans(rz: Realization) -> list[np.ndarray]:
