@@ -13,11 +13,10 @@ its elements a z exp(Y) n; ``iwasawa`` takes the Iwasawa log of a draw from
 these factors, and builds no element.  Its one kernel is a sum of positive
 Cauchy-Binet terms e^(2 a_I) m_I^2 per prefix of H: the minors m_I of a
 draw are entries of one column of exp of wedge^k Y, those of a stack of
-well-conditioned matrices come by Laplace expansion.  Every sampled span is
-exponentiated by one closed form, ``exp_span``, with c in Y^3 = c Y from
-the span's form, which ``span_form`` checks once per span, and I + Y where
-``span_class`` finds Y^2 = 0; ``Draw.elements`` builds the elements of any
-rows with the bits of the whole stack.
+well-conditioned matrices come by Laplace expansion.  That column is
+e_J + f1 W e_J + f2 W^2 e_J for W = wedge^k Y, with f1 and f2 of c in
+W^3 = c W (``_column_coefficients``) and c from the quadratic form that
+``span_form`` checks once per span.
 """
 from __future__ import annotations
 
@@ -292,16 +291,16 @@ def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 # --- Iwasawa decomposition -------------------------------------------------
 
-# iwasawa and exp_span work through their input this many matrices at a
-# time, so that their temporaries stay a few blocks in size whatever the batch
+# iwasawa works through its input this many matrices at a time, so that its
+# temporaries stay a few blocks in size whatever the batch
 BLOCK = 4096
-# a matrix whose largest entry lies outside this range is divided by it, so
-# that nothing underflows or overflows: by exp_span, which forms c from t
-# divided by it too, and by iwasawa, on the n-th root for its n x n minors
+# iwasawa divides a stack's matrix by its largest entry where that leaves
+# the n-th root of this range, so that no n x n minor underflows or
+# overflows
 _UNSCALED = (1e-60, 1e60)
 
 
-def _scales(peak: np.ndarray, bounds: tuple = _UNSCALED) -> np.ndarray:
+def _scales(peak: np.ndarray, bounds: tuple) -> np.ndarray:
     """Per-matrix divisor: the largest entry |peak| where it is nonzero and
     leaves bounds, 1 elsewhere."""
     return np.where((peak < bounds[0]) & (peak > 0) | (peak > bounds[1]),
@@ -320,8 +319,9 @@ def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     sampled elements come as Draws.  Raises SingularInput when some sum
     leaves double range: 'exponential overflows double precision' above,
     'matrix is numerically singular' below, 'input matrix has non-finite
-    entries' on such a stack; ValueError when a Draw's right factor is not
-    in N_P."""
+    entries' on such a stack, 'exponent overflows double precision' when a
+    Draw's clip norm does; ValueError when a Draw's right factor is not in
+    N_P."""
     p = chamber_perm(rz, P)
     a = np.zeros(len(p)) if a_log is None else np.asarray(a_log, dtype=float)
     if isinstance(g, Draw):
@@ -401,18 +401,12 @@ def span_form(basis) -> np.ndarray:
     Q is polarised from c(B) = <B^3, B>/<B, B>, and Sym(B_i B_j B_k) =
     Sym(Q_ij B_k) is checked in integers.  Kept per basis.  Raises NotCubic
     when there is no such Q, ValueError when the basis is not integers."""
-    return span_class(basis)[0]
-
-
-def span_class(basis) -> tuple[np.ndarray, bool]:
-    """(span_form(basis), whether Y^2 = 0 on the span: B_i B_j + B_j B_i = 0
-    for all i, j, checked in integers and kept beside the form)."""
     B = np.asarray(basis, dtype=float)
-    return _span_class(B.shape, B.tobytes())
+    return _span_form(B.shape, B.tobytes())
 
 
 @lru_cache(maxsize=None)
-def _span_class(shape: tuple, data: bytes) -> tuple[np.ndarray, bool]:
+def _span_form(shape: tuple, data: bytes) -> np.ndarray:
     B = np.frombuffer(data).reshape(shape)
     Bi, k = B.astype(np.int64), len(B)
     if not np.array_equal(Bi, B):
@@ -432,8 +426,7 @@ def _span_class(shape: tuple, data: bytes) -> tuple[np.ndarray, bool]:
         raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
     out = dQ / d
     out.flags.writeable = False
-    BB = np.einsum("aij,bjk->abik", Bi, Bi)
-    return out, not (BB + BB.transpose(1, 0, 2, 3)).any()
+    return out
 
 
 # --- the factored Iwasawa kernel --------------------------------------------
@@ -493,8 +486,9 @@ def _draw_minors(draw: Draw, p: np.ndarray):
     """(subsets, squares) for _prefix_logs of g = z exp(Y) n, the rows of
     draw: m_I is entry I of exp(W) e_J = e_J + f1 W e_J + f2 W^2 e_J for
     W = wedge^k Y, from _wedge_terms and _column_coefficients, with t
-    clipped as Draw.elements clips it.  z squares away; n leaves H alone,
-    and must be a draw on a span that _in_np accepts, with no n of its own."""
+    clipped to norm radius by _clip_factors.  z squares away; n leaves H
+    alone, and must be a draw on a span that _in_np accepts, with no n of
+    its own."""
     right = draw.right
     if right is not None and not (right.right is None and _in_np(
             right.basis.shape, right.basis.tobytes(), tuple(map(int, p)))):
@@ -545,84 +539,18 @@ def _in_np(shape: tuple, data: bytes, p: tuple) -> bool:
     return not np.tril(_conjugate(B, np.array(p))).any()
 
 
-# --- the exponential of a span ---------------------------------------------
+# --- the column coefficients and stack reductions -------------------------
 
 # below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
 _SERIES_C = 1e-6
 
 
-def exp_span(t, basis: np.ndarray, radius: float | None = None) -> np.ndarray:
-    """exp Y for Y = sum_k t[:, k] basis[k], one per row of t (count, k), on
-    a span with Y^3 = c Y for c = t^T Q t, Q = span_form(basis):
-    I + f1(c) Y + f2(c) Y^2 with f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c for
-    s = sqrt(c), sin for sinh when c < 0 (the hyperbolic Rodrigues formula).
-    On a span with Y^3 = 0, Q is 0, and exp Y is exactly I + Y + Y^2/2, or
-    I + Y where Y^2 = 0 (span_class).  Y is one GEMM; on the program's spans
-    each entry is one exact product t_k (+-1), so einsum's bits.  With
-    radius, _clip first scales each Y down to norm radius, and its row of t
-    with it.  Zero gives exactly I.  Y is formed in the output, and
-    overwritten BLOCK rows at a time.  Raises NotCubic as span_form does,
-    SingularInput when a clip norm or exp Y is not finite in double
-    precision."""
-    t = np.asarray(t, dtype=float)
-    form = None if span_class(basis)[1] else span_form(basis)
-    n = basis.shape[-1]
-    with np.errstate(over="ignore", invalid="ignore"):
-        out = (t @ basis.reshape(len(basis), n * n)).reshape(len(t), n, n)
-        if radius is not None:
-            t = t * _clip(out, radius)[:, None]
-        for i in range(0, len(t), BLOCK):
-            _exp_block(out[i:i + BLOCK], t[i:i + BLOCK], form)
-    return out
-
-
-def _exp_block(Y: np.ndarray, t: np.ndarray, Q: np.ndarray | None) -> None:
-    """exp Y of a stack Y (k, n, n) with coefficients t (k, d), written over
-    Y; it is I + Y when Q is None, on a span with Y^2 = 0.  Where the largest
-    entry m of Y (from _entry_max) leaves _UNSCALED, U = Y / m and c comes
-    from t / m, as exp Y = I + (m f1) U + (m^2 f2) U^2."""
-    if Q is None:
-        Y += np.eye(Y.shape[-1])
-    elif not Q.any():
-        # Y^3 = 0: the series stops, and needs no rescale
-        Y2 = Y @ Y
-        Y += np.eye(Y.shape[-1])
-        Y += 0.5 * Y2
-    else:
-        m = _scales(_entry_max(Y))
-        U, tu = (Y, t) if np.all(m == 1.0) else (Y / m[:, None, None],
-                                                   t / m[:, None])
-        # t^T Q t, in the same order for a row in any stack
-        cu = sum(Q[i, j] * tu[:, i] * tu[:, j] for i, j in zip(*np.nonzero(Q)))
-        U2 = U @ U
-        c = cu * m * m
-        small = np.abs(c) < _SERIES_C
-        su2 = np.where(small, 1.0, np.abs(cu))      # s^2 / m^2; 1 where unused
-        su = np.sqrt(su2)
-        s = su * m
-        hyper = c > 0
-        half = np.where(hyper, np.sinh(s / 2), np.sin(s / 2))
-        g1 = np.where(small, (1.0 + c / 6.0 + c * c / 120.0) * m,
-                      np.where(hyper, np.sinh(s), np.sin(s)) / su)
-        g2 = np.where(small, (0.5 + c / 24.0 + c * c / 720.0) * (m * m),
-                      2.0 * half * half / su2)
-        if not np.all(np.isfinite(g2)):
-            # m^2 f2 overflows for huge N with N^2 = 0, and inf * 0 is nan
-            g2 = np.where(_entry_max(U2) > 0, g2, 0.0)
-        np.multiply(g1[:, None, None], U, out=Y)
-        Y += np.eye(Y.shape[-1])
-        U2 *= g2[:, None, None]
-        Y += U2
-    if not np.all(np.isfinite(Y)):
-        raise SingularInput("exponential overflows double precision")
-
-
 def _column_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(f1, f2) of exp W = I + f1 W + f2 W^2 where W^3 = c W: sinh(s)/s and
     2 sinh(s/2)^2/c for s = sqrt(c), sin for sinh where c < 0, the Taylor
-    series where |c| < _SERIES_C, as in exp_span; from sinh and cosh of s/2,
-    and from sin and cos on the rows where c < 0 alone: numpy takes about
-    ten times as long for them."""
+    series where |c| < _SERIES_C (the hyperbolic Rodrigues formula); from
+    sinh and cosh of s/2, and from sin and cos on the rows where c < 0
+    alone: numpy takes about ten times as long for them."""
     s2 = np.abs(c)
     h = 0.5 * np.sqrt(s2)
     sh, ch = np.sinh(h), np.cosh(h)
@@ -671,21 +599,6 @@ def _add_rows(S: np.ndarray) -> np.ndarray:
 
 # --- sampling --------------------------------------------------------------
 
-def _clip(Y: np.ndarray, radius: float) -> np.ndarray:
-    """Scale each matrix of the stack Y (k, n, n) down to Frobenius norm
-    radius when it is longer, in place, and return the factors.  The norms
-    are summed a block at a time.  Raises SingularInput when a norm
-    overflows double precision."""
-    norms = np.empty(len(Y))
-    with np.errstate(over="ignore"):
-        for start in range(0, len(Y), BLOCK):
-            norms[start:start + BLOCK] = np.sum(np.square(Y[start:start + BLOCK]),
-                                                axis=(-2, -1))
-    scale = _scale_to(norms, radius)
-    Y *= scale[:, None, None]
-    return scale
-
-
 def _scale_to(norms2: np.ndarray, radius: float) -> np.ndarray:
     """radius / norm where the norm, the root of norms2 (taken in place),
     exceeds radius, else 1; raises SingularInput when a norm is not
@@ -697,17 +610,17 @@ def _scale_to(norms2: np.ndarray, radius: float) -> np.ndarray:
 
 
 def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
-    """The factors by which exp_span clips the rows of t, from the squares
-    of the entries of each Y = sum_k t_k basis[k]: read from the columns of
-    t where each entry of Y is one +-t_k or 0 (_entry_columns), else from Y
-    formed as exp_span forms it."""
+    """The factors that scale each Y = sum_k t_k basis[k] of the rows of t
+    down to Frobenius norm radius where it is longer, from the squares of
+    its entries added as np.sum adds them: read from the columns of t where
+    each entry of Y is one +-t_k or 0 (_entry_columns), else from Y formed
+    by one GEMM."""
     cols = _entry_columns(basis.shape, basis.tobytes())
-    if cols is None:
-        n = basis.shape[-1]
-        Y = t @ basis.reshape(len(basis), n * n)
-        return _clip(Y.reshape(len(t), n, n), radius)
-    squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
     with np.errstate(over="ignore"):
+        if cols is None:
+            Y = t @ basis.reshape(len(basis), -1)
+            return _scale_to(np.sum(np.square(Y), axis=-1), radius)
+        squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
         for k in range(len(basis)):
             np.square(t[:, k], out=squares[k])
         return _scale_to(_add_rows(squares[cols]), radius)
@@ -726,10 +639,11 @@ def _entry_columns(shape: tuple, data: bytes) -> np.ndarray | None:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """Sampled elements z exp(Y) n as drawn: row i has Y = sum_k t[i, k]
-    basis[k], clipped to norm radius unless that is None, z with the row
-    signs signs[centers[i]], or z = 1 when centers is None, and n the
-    element of row i of the Draw right, or n = 1 when that is None."""
+    """Sampled elements z exp(Y) n as drawn, kept as their factors: row i
+    has Y = sum_k t[i, k] basis[k], clipped to norm radius unless that is
+    None, z with the row signs signs[centers[i]], or z = 1 when centers is
+    None, and n the element of row i of the Draw right, or n = 1 when that
+    is None.  iwasawa reads a draw from these factors alone."""
     t: np.ndarray
     basis: np.ndarray
     radius: float | None = None
@@ -741,7 +655,7 @@ class Draw:
         return len(self.t)
 
     @property
-    def shape(self) -> tuple:       # of elements(): the matrices it stands for
+    def shape(self) -> tuple:       # of the stack of matrices it stands for
         return (len(self.t),) + self.basis.shape[1:]
 
     def rows(self, rows) -> Draw:
@@ -750,14 +664,6 @@ class Draw:
                     None if self.centers is None else self.centers[rows],
                     self.signs,
                     None if self.right is None else self.right.rows(rows))
-
-    def elements(self, rows=slice(None)) -> np.ndarray:
-        """The elements of rows, bit for bit those rows of the whole stack;
-        raises SingularInput as exp_span does."""
-        E = exp_span(self.t[rows], self.basis, self.radius)
-        if self.centers is not None:
-            E *= self.signs[self.centers[rows]][:, :, None]
-        return E if self.right is None else E @ self.right.elements(rows)
 
 
 def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,

@@ -68,7 +68,7 @@ def _log_r_block(C, p, out, stack, rows) -> None:
     out[:, p[k]], which maps it back to ambient coordinates.  The arithmetic
     is the plain one while every R_kk lies in _UNSCALED.  Otherwise the block
     is done again with each matrix of g whose largest entry leaves _UNSCALED
-    divided by that entry, as in exp_span."""
+    divided by that entry."""
     _gram_schmidt(C, p, out)
     if _UNSCALED[0] ** 2 <= out.min() and out.max() <= _UNSCALED[1] ** 2:
         np.log(out, out=out)
@@ -78,7 +78,7 @@ def _log_r_block(C, p, out, stack, rows) -> None:
     peak = np.abs(C).max(axis=(0, 1))
     if not np.all(np.isfinite(peak)):
         raise SingularInput("input matrix has non-finite entries")
-    m = _scales(peak)
+    m = _scales(peak, _UNSCALED)
     C /= m
     _gram_schmidt(C, p, out)
     np.log(out, out=out)

@@ -5,7 +5,7 @@ factorization of N_P as N_+ (N_P intersect H) with its unipotent log and
 splitting element.  ``feasible`` is the exact LP feasibility they and the
 membership oracle of the tests rest on.  ``exp_nilpotent``, the finite
 exponential series, is the factorization's exponential; the tests hold
-``matrixgrp.exp_span`` on nilpotent spans to its bits."""
+``reference.exp_span_dense`` on nilpotent spans to its bits."""
 import math
 from fractions import Fraction
 from typing import Sequence

@@ -30,16 +30,22 @@ the batched layer to give the same kernel dimensions, signatures and
 predictions.  ``critical_image_per_draw`` is the critical_image check
 with one sample_H_X, sample_NPH, h_pq and level per draw; the tests
 require the check, which batches per vanishing pattern, to give the same
-report.  ``slack_dense``,
-``coverage_update_dense``, ``exp_span_dense`` and ``sample_span_dense``
-are the per-sample kernels in their dense forms, with reductions over the
-short trailing axes and the center component and base point as matrix
-products; the tests require the kernels to equal them bit for bit.
-``exp_h`` is the exponential of one element at a time, with c and the
-class test read per matrix from Y^3, and ``span_form_exact`` the class
-test of a span over Fractions; the tests hold ``matrixgrp.exp_span`` and
-``matrixgrp.span_form`` to them; ``sl2_triple`` is a span with square-zero
-elements and a nonzero form on every n.  ``dot_fraction``,
+report.  ``slack_dense`` and ``coverage_update_dense`` are the per-sample
+kernels in their dense forms, with reductions over the short trailing
+axes; the tests require the kernels to equal them bit for bit.
+``exp_span_dense`` is the exponential of a span by the hyperbolic
+Rodrigues formula, which the package never forms: it takes each sampled
+point from its factors.  ``draw_elements`` builds from it the elements
+z exp(Y) n that the rows of a Draw stand for; the tests hold both to
+scipy's ``expm`` and hand the built elements to the oracles that take
+matrices.  ``sample_span_dense`` draws as ``matrixgrp.sample_span`` does,
+Y then z from one stream, and builds its elements with z as a matrix
+product; the tests require ``draw_elements`` of the sampler's draw to
+equal it bit for bit, which pins the order of the stream.
+``span_form_exact`` is the class test of a
+span over Fractions; the tests hold ``matrixgrp.span_form`` to it.
+``sl2_triple`` is a span with square-zero elements and a nonzero form on
+every n.  ``dot_fraction``,
 ``combination_fraction``, ``rref_fraction``, ``nullspace_fraction`` and
 ``mat_inv_fraction`` are the exact kernels of ``exactlin`` in Fraction
 arithmetic, which reduces by a gcd after every product and sum; the tests
@@ -60,8 +66,9 @@ from orbitcone.critical import (FD_STEP, SV_TOL, SampleStack, _dual,
                                 sample_NPH, vanishing_patterns)
 from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
                                _require_regular, _stream)
-from orbitcone.matrixgrp import (NotCubic, SingularInput, _scales, _SERIES_C,
-                                 a_matrix, ek_projection, h_pq, span_form)
+from orbitcone.matrixgrp import (_UNSCALED, NotCubic, SingularInput, _scales,
+                                 _SERIES_C, a_matrix, ek_projection, h_pq,
+                                 span_form)
 from orbitcone.polyhedra import _free_lp
 
 
@@ -486,8 +493,8 @@ def coverage_update_dense(cover, vals):
 
 
 def _rodrigues_dense(U, cu, m):
-    """I + (m f1) U + (m^2 f2) U^2 for c = cu m^2: the closed form of
-    matrixgrp._exp_block once c is known, with the zero test of U^2 over the
+    """I + (m f1) U + (m^2 f2) U^2 for c = cu m^2, with f1 and f2 of c as in
+    matrixgrp._column_coefficients, and f2 taken as 0 where U^2 = 0 over the
     two matrix axes.  Call under np.errstate(over="ignore",
     invalid="ignore")."""
     U2 = U @ U
@@ -515,49 +522,48 @@ def _finite(out):
     return out
 
 
-def exp_h(Y):
-    """exp Y for a stack (..., n, n) of matrices with Y^3 = c Y, with c read
-    per matrix as <U^3, U>/<U, U> for U = Y / max|Y|: the per-draw form of
-    matrixgrp.exp_span, which reads c from the span's form instead.  Raises
-    NotCubic when |U^3 - c U| is not negligible against |U|^3,
-    SingularInput when Y or exp Y is not finite in double precision."""
-    Y = np.asarray(Y, dtype=float)
-    if not np.all(np.isfinite(Y)):
-        raise SingularInput("exponent has non-finite entries")
-    n = Y.shape[-1]
-    flat = Y.reshape(-1, n, n)
-    peak = np.abs(flat).max(axis=(-2, -1))
-    m = _scales(peak)
-    with np.errstate(over="ignore", invalid="ignore"):
-        U = flat / m[:, None, None]
-        U3 = U @ U @ U
-        uu = np.einsum("kij,kij->k", U, U)
-        cu = np.einsum("kij,kij->k", U3, U) / np.where(uu > 0, uu, 1.0)
-        resid = np.abs(U3 - cu[:, None, None] * U).max(axis=(-2, -1))
-        if np.any(resid > 1e-10 * (peak / m) ** 3):
-            raise NotCubic("exponent does not satisfy Y^3 = c Y")
-        return _finite(_rodrigues_dense(U, cu, m)).reshape(Y.shape)
-
-
 def exp_span_dense(t, basis, radius=None):
-    """matrixgrp.exp_span in one block, with the clip norm from np.sum and
-    maxima over the two matrix axes."""
+    """exp Y for Y = sum_k t[:, k] basis[k], one per row of t (count, k), on
+    a span with Y^3 = c Y for c = t^T Q t, Q = span_form(basis):
+    I + f1(c) Y + f2(c) Y^2 with f1 = sinh(s)/s and f2 = 2 sinh(s/2)^2/c for
+    s = sqrt(c), sin for sinh when c < 0, and exactly I + Y + Y^2/2 where
+    Q = 0.  With radius, each Y longer than radius is first scaled down to
+    that Frobenius norm, the squares added by np.sum, and its row of t with
+    it.  Where the largest entry m of Y leaves _UNSCALED, Y / m and t / m
+    give c.  Raises NotCubic as span_form does, SingularInput when exp Y is
+    not finite in double precision."""
     t = np.array(t, dtype=float)
     Q = span_form(basis)
     n = basis.shape[-1]
-    Y = np.einsum("cd,dij->cij", t, basis)
     if radius is not None:
-        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        scale = np.where(plain > radius, radius / np.maximum(plain, 1e-300), 1.0)
-        Y *= scale[:, None, None]
-        t *= scale[:, None]
+        t *= clip_factors_dense(t, basis, radius)[:, None]
+    Y = np.einsum("cd,dij->cij", t, basis)
     with np.errstate(over="ignore", invalid="ignore"):
         if not Q.any():
             return _finite(np.eye(n) + Y + 0.5 * (Y @ Y))
-        m = _scales(np.abs(Y).max(axis=(-2, -1)))
+        m = _scales(np.abs(Y).max(axis=(-2, -1)), _UNSCALED)
         tu = t / m[:, None]
         cu = sum(Q[i, j] * tu[:, i] * tu[:, j] for i, j in zip(*np.nonzero(Q)))
         return _finite(_rodrigues_dense(Y / m[:, None, None], cu, m))
+
+
+def clip_factors_dense(t, basis, radius):
+    """radius / |Y| for each Y = sum_k t[:, k] basis[k] whose Frobenius
+    norm |Y|, the squares added by np.sum over the two matrix axes, exceeds
+    radius, else 1."""
+    Y = np.einsum("cd,dij->cij", t, basis)
+    plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+    return np.where(plain > radius, radius / np.maximum(plain, 1e-300), 1.0)
+
+
+def draw_elements(draw, rows=slice(None)) -> np.ndarray:
+    """The elements z exp(Y) n of the given rows of a Draw: exp_span_dense
+    of the rows, their center signs as row signs, and the elements of the
+    same rows of the right factor multiplied on the right."""
+    E = exp_span_dense(draw.t[rows], draw.basis, draw.radius)
+    if draw.centers is not None:
+        E *= draw.signs[draw.centers[rows]][:, :, None]
+    return E if draw.right is None else E @ draw_elements(draw.right, rows)
 
 
 def sample_span_dense(rz, basis, radius, count, seed):

@@ -248,7 +248,8 @@ def test_main_passes_at_large_radii(capsys, preset, radius):
 
 
 # Y^3 and c of the per-draw exponential once underflowed at such a radius and
-# raised NotCubic; exp_span tests no draw and forms c from t / max|Y|.
+# raised NotCubic; iwasawa reads c of each wedge^k Y from the span's form
+# and t, and forms no Y.
 # The samples stay within 1e-80 of a center element, so they never reach
 # the generators of Gamma(P) on sl2_so11 and sl3_so21: there main fails the
 # coverage test with no witness, as it did with scipy's expm.

@@ -22,7 +22,7 @@ from orbitcone.rootsys import weyl_orbit
 import reference
 from iwasawa_reference import iwasawa_by_matmul
 from reference import (analytic_hessian_fresh, critical_image_per_draw,
-                       h_x_coords_fresh,
+                       draw_elements, h_x_coords_fresh,
                        kernel_dim_per_call, numeric_hessian_fresh,
                        predicted_signature_per_call, sigma_grp,
                        signature_per_call, transversal_signature_lstsq,
@@ -132,7 +132,7 @@ def test_reps_are_critical_points(rz):
 def test_grad_matches_finite_differences(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
-    hs = sample_H(rz, 0.8, 4, seed=11).elements()
+    hs = draw_elements(sample_H(rz, 0.8, 4, seed=11))
     basis = np.stack(rz.h_basis)
     P = rz.base_parabolic
     g = grad_F(rz, a_log, X, hs)
@@ -293,21 +293,23 @@ def test_omega_X_wall_sl3(rz_sl3):
 def test_sample_H_X_centralizes(rz):
     X = _a_log(rz)
     Xm = a_matrix(np.array([float(c) for c in X]))
-    hs = sample_H_X(rz, X, 1.0, 16, seeds=[4]).elements()
+    hs = draw_elements(sample_H_X(rz, X, 1.0, 16, seeds=[4]))
     assert np.abs(hs @ Xm - Xm @ hs).max() < 1e-9
     assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-9
-    assert np.array_equal(hs, sample_H_X(rz, X, 1.0, 16, seeds=[4]).elements())
+    assert np.array_equal(hs, draw_elements(sample_H_X(rz, X, 1.0, 16,
+                                                       seeds=[4])))
 
 
 @pytest.mark.parametrize("radius", [0.0, 1.5, 4.0])
 def test_sample_H_X_at_zero_is_sample_H(rz, radius):
     # the centralizer of 0 is all of H, drawn from the same stream
-    hs = sample_H_X(rz, ex.zeros(rz.dim), radius, 64, seeds=[11]).elements()
-    assert np.array_equal(hs, sample_H(rz, radius, 64, seed=11).elements())
+    hs = draw_elements(sample_H_X(rz, ex.zeros(rz.dim), radius, 64,
+                                  seeds=[11]))
+    assert np.array_equal(hs, draw_elements(sample_H(rz, radius, 64, seed=11)))
 
 
 def test_sample_NPH_shape(rz):
-    ns = sample_NPH(rz, rz.base_parabolic, 1.0, 8, [6]).elements()
+    ns = draw_elements(sample_NPH(rz, rz.base_parabolic, 1.0, 8, [6]))
     assert ns.shape == (8, rz.dim, rz.dim)
     assert np.abs(sigma_grp(rz, ns) - ns).max() < 1e-10
     if rz.name != "group_sl2":

@@ -13,7 +13,7 @@ from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
                                report_json, report_svg, run)
-from orbitcone.matrixgrp import Draw, realization
+from orbitcone.matrixgrp import realization
 from orbitcone.polyhedra import cone, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -379,20 +379,6 @@ def test_checks_keep_their_recorded_reports(entry):
         == json.dumps(entry["result"], sort_keys=True)
 
 
-@pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
-def test_the_sampling_checks_build_no_element_of_a_draw(monkeypatch, preset):
-    """main, inclusion_cone, limits and gk take every draw, their probes
-    among them, from its factors: Draw.elements is never called."""
-    calls = []
-    elements = Draw.elements
-    monkeypatch.setattr(Draw, "elements",
-                        lambda *a: calls.append(a) or elements(*a))
-    r = run(VerificationConfig(preset=preset, samples=300, checks=frozenset(
-        {"main", "inclusion_cone", "limits", "gk"})))
-    assert r.passed and [c.count > 0 for c in r.results] == [True] * 4
-    assert calls == []
-
-
 def test_main_judges_into_the_array_it_reports(monkeypatch):
     """_judge writes the probes and each radius' draw into one array that
     main allocates and reports, in that order, without a second copy."""
@@ -427,7 +413,7 @@ def test_hessian_keeps_its_seed_0_fingerprint(preset):
 
 
 def test_main_keeps_at_most_100_bytes_per_sample():
-    """main builds and judges its draws a chunk of elements at a time, and
+    """main judges its draws from their factors a chunk at a time, and
     keeps per sample only the draw's coefficients and center index and the
     projection: its peak grows by about 66 bytes per sample, where a whole
     (count, n, n) stack of elements made it grow by 206."""

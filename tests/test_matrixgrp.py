@@ -8,23 +8,24 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
+from orbitcone import matrixgrp
 from orbitcone.critical import (_centralizer_basis, _stencil_exp, h_x_coords,
-                                nph_basis, vanishing_patterns)
+                                nph_basis, sample_NPH, vanishing_patterns)
 from orbitcone.harness import _DEFAULT_A_LOG
 from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
-                                 _clip, _clip_factors, a_matrix, chamber_perm,
-                                 ek_projection, exp_span, h_pq, iwasawa,
+                                 _clip_factors, _entry_columns, a_matrix,
+                                 chamber_perm, ek_projection, h_pq, iwasawa,
                                  realization, root_entry, root_matrix,
-                                 sample_H, sample_span,
-                                 sample_unipotent, span_class, span_form)
+                                 sample_H, sample_span, sample_unipotent,
+                                 span_form)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import (iwasawa_by_matmul, iwasawa_exact,
                                iwasawa_gram_schmidt)
 from paper_claims import (NotInNP, NotUnipotent, default_z_q, exp_nilpotent,
                           factor_nilpotent, unipotent_log)
-from reference import (contains, exp_h, exp_span_dense, sigma_grp, sl2_triple,
-                       span_form_exact)
+from reference import (clip_factors_dense, contains, draw_elements,
+                       exp_span_dense, sigma_grp, sl2_triple, span_form_exact)
 
 
 def _np_vec(v) -> np.ndarray:
@@ -140,7 +141,7 @@ def test_iwasawa_is_as_accurate_as_the_qr(preset):
     rz = realization(preset)
     a = a_matrix(np.exp([float(c) for c in _DEFAULT_A_LOG[preset]]))
     for radius in (4.0, 12.0):
-        g = a @ sample_H(rz, radius, 2000, seed=60).elements()
+        g = a @ draw_elements(sample_H(rz, radius, 2000, seed=60))
         g = g[np.argsort(np.linalg.cond(g))[-40:]]
         exact = iwasawa_exact(g)
         err = np.abs(iwasawa_gram_schmidt(rz, g, rz.base_parabolic)
@@ -154,7 +155,7 @@ def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
     eps |a h|, and LAPACK's QR rounds it to 0.  The Gram-Schmidt oracle,
     with a second projection pass, keeps it to working accuracy."""
     a = a_matrix(np.exp([-25.0, 25.0]))
-    g = a @ sample_H(rz_so11, 4.0, 200, seed=61).elements()
+    g = a @ draw_elements(sample_H(rz_so11, 4.0, 200, seed=61))
     assert np.abs(iwasawa_gram_schmidt(rz_so11, g, rz_so11.base_parabolic)
                   - iwasawa_exact(g)).max() <= 1e-12
 
@@ -162,7 +163,7 @@ def test_iwasawa_keeps_r22_on_row_graded_input(rz_so11):
 @pytest.mark.parametrize("preset", ["sl3_so21", "group_sl2"])
 def test_iwasawa_blocks_match_one_matrix_at_a_time(preset):
     rz = realization(preset)
-    g = sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62).elements()
+    g = draw_elements(sample_H(rz, 3.0, 2 * BLOCK + 3, seed=62))
     for P in (rz.base_parabolic, all_positive_systems(rz.datum)[-1]):
         batch = iwasawa(rz, g, P)
         assert np.array_equal(batch, np.stack([iwasawa(rz, x, P) for x in g]))
@@ -245,8 +246,9 @@ def test_a_right_factor_in_n_p_leaves_h_alone(rz):
         with_n = replace(draw, right=sample_unipotent(inside, 1.0, 50, [65]))
         H = iwasawa(rz, with_n, P, a_log)
         assert np.array_equal(H, iwasawa(rz, draw, P, a_log))
-        g = a_matrix(np.exp(a_log)) @ with_n.elements()
-        assert not np.allclose(g, a_matrix(np.exp(a_log)) @ draw.elements())
+        g = a_matrix(np.exp(a_log)) @ draw_elements(with_n)
+        assert not np.allclose(g, a_matrix(np.exp(a_log))
+                               @ draw_elements(draw))
         assert np.abs(H - iwasawa_by_matmul(rz, g, P)[1]).max() <= 1e-10
         outside = replace(draw, right=sample_unipotent(
             np.swapaxes(inside, 1, 2), 1.0, 50, [65]))
@@ -280,9 +282,9 @@ def test_exp_nilpotent_matches_expm_on_triangular_batches():
 
 
 def test_exp_nilpotent_matches_expm_on_the_checked_supports(rz):
-    """On the spans sample_unipotent draws from, exp_span is bit for bit the
-    series I + N + N^2/2 + ..., and within 1e-14 of expm, at the scales the
-    checks use and far outside them."""
+    """On the spans sample_unipotent draws from, exp_span_dense, the tests'
+    exponential, is bit for bit the series I + N + N^2/2 + ..., and within
+    1e-14 of expm, at the scales the checks use and far outside them."""
     rng = np.random.Generator(np.random.PCG64(41))
     spans = _nilpotent_spans(rz)
     assert spans
@@ -290,11 +292,11 @@ def test_exp_nilpotent_matches_expm_on_the_checked_supports(rz):
         assert not span_form(B).any()
         t = rng.normal(0.0, 2.0, size=(100, len(B)))
         N = _combine(t, B)
-        E = exp_span(t, B)
+        E = exp_span_dense(t, B)
         assert np.array_equal(E, exp_nilpotent(N))
         assert np.abs(E - expm(N)).max() < 1e-14
         for scale in (1e-80, 1e80):
-            assert np.array_equal(exp_span(scale * t, B),
+            assert np.array_equal(exp_span_dense(scale * t, B),
                                   exp_nilpotent(scale * N))
 
 
@@ -330,17 +332,9 @@ def test_exp_h_matches_expm_on_h(rz, radius):
     B = np.stack(rz.h_basis)
     t = _h_coefficients(rz, radius, 300, seed=43)
     Y = _combine(t, B)
-    assert _relative_deviation(exp_span(t, B), expm(Y)) <= 1e-11
-    assert _relative_deviation(exp_span(t[:1], B)[0], expm(Y[0])) <= 1e-11
-
-
-def test_exp_h_matches_the_per_draw_form(rz):
-    """c from the span's form against c read from Y^3 matrix by matrix."""
-    B = np.stack(rz.h_basis)
-    for k, radius in enumerate((0.5, 2.0, 4.0, 8.0)):
-        t = _h_coefficients(rz, radius, 2000, seed=52 + k)
-        assert _relative_deviation(exp_span(t, B),
-                                   exp_h(_combine(t, B))) <= 1e-14
+    assert _relative_deviation(exp_span_dense(t, B), expm(Y)) <= 1e-11
+    assert _relative_deviation(exp_span_dense(t[:1], B)[0],
+                               expm(Y[0])) <= 1e-11
 
 
 def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
@@ -348,14 +342,16 @@ def test_exp_h_is_exact_on_zero_and_agrees_with_exp_nilpotent():
         B = np.stack(realization(name).h_basis)
         n = B.shape[-1]
         eye = np.broadcast_to(np.eye(n), (5, n, n))
-        assert np.array_equal(exp_span(np.zeros((5, len(B))), B), eye)
-        assert np.array_equal(exp_span(np.zeros((5, len(B))), B, 1.0), eye)
-        assert exp_span(np.zeros((0, len(B))), B).shape == (0, n, n)
-        assert np.array_equal(exp_span(np.zeros((5, 0)), np.zeros((0, n, n))), eye)
+        assert np.array_equal(exp_span_dense(np.zeros((5, len(B))), B), eye)
+        assert np.array_equal(exp_span_dense(np.zeros((5, len(B))), B, 1.0),
+                              eye)
+        assert exp_span_dense(np.zeros((0, len(B))), B).shape == (0, n, n)
+        assert np.array_equal(exp_span_dense(np.zeros((5, 0)),
+                                             np.zeros((0, n, n))), eye)
     # the strictly upper triangular span of sl(3) has Y^3 = 0
     upper = np.eye(9)[[1, 2, 5]].reshape(3, 3, 3)      # E_01, E_02, E_12
     t = np.random.default_rng(44).normal(size=(100, 3))
-    assert np.array_equal(exp_span(t, upper),
+    assert np.array_equal(exp_span_dense(t, upper),
                           exp_nilpotent(_combine(t, upper)))
 
 
@@ -379,10 +375,11 @@ def test_exp_h_on_compact_light_like_and_near_zero_c(rz_sl3, rz_group,
         B = np.stack(rz.h_basis)
         t = np.array([t])
         Y = _combine(t, B)[0]
-        assert _relative_deviation(exp_span(t, B)[0], expm(Y)) <= 1e-14, label
+        assert _relative_deviation(exp_span_dense(t, B)[0],
+                                   expm(Y)) <= 1e-14, label
         if label.startswith("c = 0"):
             # Y^3 = 0, so exp Y = I + Y + Y^2/2 with no rounding
-            assert np.array_equal(exp_span(t, B)[0],
+            assert np.array_equal(exp_span_dense(t, B)[0],
                                   np.eye(len(Y)) + Y + Y @ Y / 2), label
 
 
@@ -397,7 +394,7 @@ def test_exp_h_of_a_huge_square_zero_matrix_is_one_plus_it():
                                                 [0.0, -1e200, 0.0],
                                                 [0.0, 0.0, 0.0]]))):
             N = _combine(t, B)
-            assert np.array_equal(exp_span(t, B), np.eye(n) + N)
+            assert np.array_equal(exp_span_dense(t, B), np.eye(n) + N)
 
 
 def test_exp_h_rejects_matrices_outside_the_class():
@@ -411,7 +408,7 @@ def test_exp_h_rejects_matrices_outside_the_class():
         with pytest.raises(NotCubic):
             span_form_exact(B)
         with pytest.raises(NotCubic):
-            exp_span(np.ones((1, len(B))), B)
+            exp_span_dense(np.ones((1, len(B))), B)
     # each element alone is of the class; their span is not
     assert span_form(diagonal[:1]).tolist() == [[1.0]]
     with pytest.raises(ValueError, match="integer"):
@@ -446,114 +443,24 @@ def test_span_form_agrees_with_the_fraction_form(rz):
         assert np.array_equal(span_form(B), exact)
 
 
-def _square_zero_by_brute_force(B: np.ndarray) -> bool:
-    """Y^2 = 0 for every Y = sum_k t_k B_k with t in {-1, 0, 1}^k, in
-    integers.  Each entry of Y^2 has degree at most 2 in each t_k, so it
-    vanishes on that grid only when it vanishes identically."""
-    Bi = B.astype(np.int64)
-    for t in itertools.product((-1, 0, 1), repeat=len(Bi)):
-        Y = np.tensordot(np.array(t, dtype=np.int64), Bi, 1)
-        if (Y @ Y).any():
-            return False
-    return True
-
-
-def _program_spans(rz: Realization) -> list[np.ndarray]:
-    """Every span the program exponentiates on rz: h, the centralizer of h
-    at each witness of each vanishing pattern, the nilpotent spans of
-    sample_NPH and gk, the probe rays of _h_probes, and the test spans
-    sl2_triple and the corner E_{0, n-1}."""
-    h = np.stack(rz.h_basis)
-    spans = [h] + _nilpotent_spans(rz) + [sl2_triple(rz.dim)]
-    corner = np.zeros((1, rz.dim, rz.dim))
-    corner[0, 0, -1] = 1.0
-    spans.append(corner)
-    for _, witnesses in vanishing_patterns(rz):
-        spans += [_centralizer_basis(rz, X) for X in witnesses]
-    for P in all_positive_systems(rz.datum):
-        for alpha in P.classification.minus_part:
-            E = root_matrix(rz.dim, alpha)
-            spans.append((E + rz.sigma_alg(E))[None])
-    return [B for B in spans if len(B)]
-
-
-def _random_cubic_spans(rng) -> list[np.ndarray]:
-    """Integer spans with Y^3 = 0, conjugated by a unimodular integer
-    matrix: inside the strictly upper triangular 3 x 3 matrices (Y^2 = 0
-    only on some), and inside the block E_{R x S} of rows R = {0, 1} and
-    columns S = {2, 3} in gl(4), where Y^2 = 0 always."""
-    spans = []
-    for n, mask in ((3, np.triu(np.ones((3, 3)), 1)),
-                    (4, np.pad(np.ones((2, 2)), ((0, 2), (2, 0))))):
-        for _ in range(20):
-            k = int(rng.integers(1, 4))
-            # sparse, so that some B_i^2 = 0 while some B_i B_j + B_j B_i is not
-            B = (rng.integers(-2, 3, size=(k, n, n)) * mask
-                 * (rng.random((k, n, n)) < 0.5))
-            L, U = (np.eye(n, dtype=np.int64)
-                    + tri(rng.integers(-2, 3, size=(n, n)), s)
-                    for tri, s in ((np.tril, -1), (np.triu, 1)))
-            g = L @ U                       # det 1, so g^-1 is an integer matrix
-            g_inv = np.rint(np.linalg.inv(g)).astype(np.int64)
-            assert np.array_equal(g @ g_inv, np.eye(n))
-            spans.append((g @ B.astype(np.int64) @ g_inv).astype(float))
-    return spans
-
-
-def test_span_class_finds_square_zero_spans_exactly(rz):
-    """span_class's Y^2 = 0 against Y^2 formed over a grid of integer t,
-    on random spans of both kinds and on every span the program builds.
-    The program's spans also have the support property that makes
-    exp_span's GEMM form of Y bit for bit einsum's: every position is
-    carried by at most one basis element, with entry +-1."""
-    spans = _random_cubic_spans(np.random.default_rng(90))
-    assert {span_class(B)[1] for B in spans} == {True, False}
-    assert any(not span_class(B)[1]
-               and all(not (b @ b).any() for b in B) for B in spans)
-    for B in spans + _program_spans(rz):
-        assert span_class(B)[1] == _square_zero_by_brute_force(B)
-        assert not span_class(B)[1] or not span_form(B).any()
-    for B in _program_spans(rz):
-        assert np.all((B != 0).sum(axis=0) <= 1)
-        assert set(np.unique(B)) <= {-1.0, 0.0, 1.0}
-        t = np.random.default_rng(91).normal(size=(50, len(B)))
-        assert np.array_equal(exp_span(t, B), exp_span_dense(t, B))
-
-
 def test_exp_h_inverse_is_exp_h_of_minus(rz):
     B = np.stack(rz.h_basis)
     for radius in (1.0, 4.0):
         t = _h_coefficients(rz, radius, 200, seed=46)
-        prod = exp_span(t, B) @ exp_span(-t, B)
+        prod = exp_span_dense(t, B) @ exp_span_dense(-t, B)
         bound = 1e-14 * np.exp(2.0 * radius)
         assert np.abs(prod - np.eye(rz.dim)).max() <= bound
 
 
 def test_exp_h_blocks_match_one_matrix_at_a_time(rz_sl3):
+    """exp_span_dense gives a row alone the bits it has in a stack, so
+    draw_elements builds any rows of a draw as the whole draw has them."""
     B = np.stack(rz_sl3.h_basis)
     t = _h_coefficients(rz_sl3, 3.0, 2 * BLOCK + 1, seed=47)
     for radius in (None, 2.0):
-        batch = exp_span(t, B, radius)
+        batch = exp_span_dense(t, B, radius)
         assert np.array_equal(batch, np.concatenate(
-            [exp_span(t[i:i + 1], B, radius) for i in range(len(t))]))
-
-
-def test_exp_h_memory_grows_by_the_output_only(rz_sl3):
-    """Y is formed in the output and the temporaries live one block at a
-    time: the peak of twice the batch exceeds the smaller peak by the extra
-    output, not by a few copies."""
-    B = np.stack(rz_sl3.h_basis)
-    t = _h_coefficients(rz_sl3, 4.0, 100_000, seed=48)
-    peaks = []
-    for k in (50_000, 100_000):
-        tracemalloc.start()
-        try:
-            exp_span(t[:k], B)
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
-    extra_output = 50_000 * 9 * 8
-    assert peaks[1] - peaks[0] <= 1.25 * extra_output
+            [exp_span_dense(t[i:i + 1], B, radius) for i in range(len(t))]))
 
 
 def _peak_slope(draw) -> float:
@@ -588,7 +495,7 @@ def test_exp_h_is_scale_free_far_below_one(rz):
     mixed = np.random.default_rng(51).normal(size=(20, len(B)))
     for scale in (1e-59, 1e-61, 1e-80, 1e-120, 1e-160, 1e-200, 1e-300):
         for t in (scale * np.eye(len(B)), scale * mixed):
-            E = exp_span(t, B)
+            E = exp_span_dense(t, B)
             Y = _combine(t, B)
             assert _relative_deviation(E, expm(Y)) <= 1e-15, scale
             assert np.abs(E - np.eye(rz.dim)).max() <= 4.0 * scale
@@ -602,51 +509,61 @@ def test_exp_h_raises_singular_input_outside_double_range(rz):
         t = np.zeros((2, len(B)))
         t[1, 0] = bad
         with pytest.raises(SingularInput):
-            exp_span(t, B)
+            exp_span_dense(t, B)
     # a hyperbolic element: a finite exponent, an exponential past double range
     for k in np.nonzero(np.diagonal(Q) > 0)[0]:
         unit = np.eye(len(B))[k]
-        assert np.all(np.isfinite(exp_span(700.0 * unit[None], B)))
+        assert np.all(np.isfinite(exp_span_dense(700.0 * unit[None], B)))
         for big in (720.0, 1e100, 1e200, 1e300):
             with pytest.raises(SingularInput):
-                exp_span(np.stack([unit, big * unit]), B)
+                exp_span_dense(np.stack([unit, big * unit]), B)
     # a compact element: a rotation at every finite scale
     for k in np.nonzero(np.diagonal(Q) < 0)[0]:
         unit = np.eye(len(B))[k]
         for big in (1e70, 1e100, 1e154, 1e300):
-            E = exp_span(big * unit[None], B)[0]
+            E = exp_span_dense(big * unit[None], B)[0]
             assert np.abs(E @ E.T - np.eye(rz.dim)).max() <= 1e-15
 
 
 def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
+    """_clip_factors scales each Y to radius / |Y| where it is longer, the
+    plain norm, from the columns of t on h and from Y on 2 h."""
     lengths = np.array([0.5, 3.0, 1e-80, 40.0, 1e100])
-    Y = _combine(_h_coefficients(rz, 1.0, len(lengths), seed=50),
-                 np.stack(rz.h_basis)) * lengths[:, None, None]
-    for radius in (2.0, 1e-90, 1e120):
-        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-        scale = np.where(plain > radius, radius / plain, 1.0)
-        clipped = Y.copy()
-        assert np.array_equal(_clip(clipped, radius), scale)
-        assert np.array_equal(clipped, Y * scale[:, None, None])
+    t = _h_coefficients(rz, 1.0, len(lengths), seed=50) * lengths[:, None]
+    for basis in (np.stack(rz.h_basis), 2.0 * np.stack(rz.h_basis)):
+        Y = _combine(t, basis)
+        for radius in (2.0, 1e-90, 1e120):
+            plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+            scale = np.where(plain > radius, radius / plain, 1.0)
+            assert np.array_equal(_clip_factors(t, basis, radius), scale)
 
 
-def test_the_factored_path_clips_as_exp_span_clips(rz):
+def _radius_spans(rz: Realization) -> list[np.ndarray]:
+    """The spans the program draws from with a radius: h and the
+    centralizer of h at each witness of each vanishing pattern."""
+    spans = {B.tobytes(): B for B in [np.stack(rz.h_basis)] + [
+        _centralizer_basis(rz, X) for _, wits in vanishing_patterns(rz)
+        for X in wits] if len(B)}
+    return list(spans.values())
+
+
+def test_the_factored_path_clips_as_exp_span_clips(monkeypatch, rz):
     """_clip_factors, which the factored Iwasawa kernel scales t by, gives
-    the bits of _clip of the Y that exp_span forms: from the columns of t
-    on every span the program draws with a radius (h, the centralizers of
-    h), and from Y on a span whose entries are not +-1."""
+    the bits of exp_span_dense's clip on both of its paths: from the
+    columns of t, and from Y formed by one GEMM, the path of a span whose
+    entries are not single +-t_k.  On every span the program draws with a
+    radius, all of which take the column path, and on sl2_triple."""
     rng = np.random.default_rng(51)
-    bases = [np.stack(rz.h_basis), 2.0 * np.stack(rz.h_basis)] + [
-        _centralizer_basis(rz, wits[0])
-        for _, wits in vanishing_patterns(rz, per_pattern=2, seed=0)]
-    n = rz.dim
-    for basis in bases:
+    for basis in _radius_spans(rz) + [sl2_triple(rz.dim)]:
+        assert _entry_columns(basis.shape, basis.tobytes()) is not None
         t = rng.normal(scale=3.0, size=(2 * BLOCK + 5, len(basis)))
         t[:3] *= np.array([[0.0], [1e-80], [1e100]])
         for radius in (2.0, 1e-90, 1e5):
-            Y = (t @ basis.reshape(len(basis), n * n)).reshape(len(t), n, n)
-            assert np.array_equal(_clip_factors(t, basis, radius),
-                                  _clip(Y, radius))
+            with monkeypatch.context() as m:
+                m.setattr(matrixgrp, "_entry_columns", lambda *_: None)
+                gemm = _clip_factors(t, basis, radius)
+            assert np.array_equal(_clip_factors(t, basis, radius), gemm)
+            assert np.array_equal(gemm, clip_factors_dense(t, basis, radius))
     with pytest.raises(SingularInput):
         _clip_factors(np.array([[np.inf]]), np.stack(rz.h_basis)[:1], 1.0)
 
@@ -672,8 +589,8 @@ def test_sample_H_past_double_range_raises(rz):
     """A norm that overflowed once clipped every draw to zero, so that all
     samples were central and the main check passed vacuously."""
     for radius in (1e160, 1e200, 1e300):
-        with pytest.raises(SingularInput):
-            sample_H(rz, radius, 8, seed=3).elements()
+        with pytest.raises(SingularInput, match="exponent overflows"):
+            iwasawa(rz, sample_H(rz, radius, 8, seed=3), rz.base_parabolic)
 
 
 def test_exp_nilpotent_inverts_unipotent_log(rz_sl3):
@@ -692,11 +609,42 @@ def test_h_pq_is_projected_H(rz_group):
 
 
 def test_sample_H_lands_in_H(rz):
-    hs = sample_H(rz, 1.5, 64, seed=2).elements()
+    hs = draw_elements(sample_H(rz, 1.5, 64, seed=2))
     assert hs.shape == (64, rz.dim, rz.dim)
     assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-8
-    assert np.array_equal(hs, sample_H(rz, 1.5, 64, seed=2).elements())
-    assert not np.array_equal(hs, sample_H(rz, 1.5, 64, seed=3).elements())
+    assert np.array_equal(hs, draw_elements(sample_H(rz, 1.5, 64, seed=2)))
+    assert not np.array_equal(hs, draw_elements(sample_H(rz, 1.5, 64, seed=3)))
+
+
+def _sampled_draws(rz: Realization) -> list:
+    """A draw from every span the samplers draw from: at radius 4 on h and
+    on the centralizers of h, without a radius on the sigma-fixed nilpotent
+    radicals and the gk supports, and a draw on h with the nph draw of the
+    base system as its right factor, as critical_image pairs them."""
+    draws = [sample_span(rz, B, 4.0, 50, [(80, k)])
+             for k, B in enumerate(_radius_spans(rz))]
+    draws += [sample_unipotent(B, 4.0, 50, [(81, k)])
+              for k, B in enumerate(_nilpotent_spans(rz))]
+    return draws + [replace(draws[0], right=sample_NPH(
+        rz, rz.base_parabolic, 4.0, 50, [82]))]
+
+
+def test_draw_elements_is_expm_of_the_clipped_draw(rz):
+    """reference.draw_elements, with which the tests build the elements of
+    a draw, against scipy's expm of each Y clipped to norm radius, times z
+    and n, on every span the samplers draw from."""
+    def expm_of(draw):
+        Y = _combine(draw.t, draw.basis)
+        if draw.radius is not None:
+            norm = np.linalg.norm(Y, axis=(-2, -1))
+            Y *= np.minimum(1.0, draw.radius / np.maximum(norm, 1e-300)
+                            )[:, None, None]
+        E = expm(Y)
+        if draw.centers is not None:
+            E = a_matrix(draw.signs[draw.centers]) @ E
+        return E if draw.right is None else E @ expm_of(draw.right)
+    for draw in _sampled_draws(rz):
+        assert _relative_deviation(draw_elements(draw), expm_of(draw)) <= 1e-13
 
 
 def test_unipotent_log_round_trip(rz_sl3):

@@ -73,7 +73,11 @@ def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
     """Definitions that no module reads outside their own body and no
     __all__ lists.  A method or field is read only as an attribute, so a
     local of the same name does not read it.  A keyword argument is not a
-    read, so building an object does not count as reading its fields."""
+    read, so building an object does not count as reading its fields.
+    Reads are matched by name alone, so a method counts as read wherever
+    any attribute of its name is: WeylGroup.elements, read all over the
+    package, once hid an unread Draw.elements.  test_every_function_runs
+    catches such a method by what a run calls."""
     reads = {False: Counter(), True: Counter()}
     for tree in trees.values():
         for member, counter in reads.items():
@@ -166,6 +170,85 @@ def test_the_scan_finds_an_unread_field():
                      "    counter: int = 0\n\n\n"
                      "c = C(read=1, built=2)\nprint(c.read, C.counter)\n")
     assert _unread_definitions({"m": tree}) == ["m: built"]
+
+
+# Functions that no run of the program calls, each with the reader that
+# keeps it
+UNCALLED = {
+    "matrixgrp.Draw.shape": "the benchmark's tracer counts the matrices of "
+                            "a Draw through it",
+    "polyhedra.Polyhedron.contains_exact": "one of PAPER_CLAIMS",
+}
+
+
+def _functions(trees: dict[str, ast.Module]) -> dict[tuple[str, int], str]:
+    """Every function and method, nested ones too, keyed by its file and
+    the first line of its code object (its first decorator, if any), as
+    module.qualified.name."""
+    out = {}
+
+    def walk(node, path, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([child.lineno]
+                            + [d.lineno for d in child.decorator_list])
+                out[path, first] = prefix + child.name
+                walk(child, path, prefix + child.name + ".")
+            elif isinstance(child, ast.ClassDef):
+                walk(child, path, prefix + child.name + ".")
+            else:
+                walk(child, path, prefix)
+    for module, tree in trees.items():
+        walk(tree, str(SRC / f"{module}.py"), module + ".")
+    return out
+
+
+# reports of every check on every preset in every format, extremize from a
+# chamber that walks, and verify from a chamber at a regular base point,
+# with the (file, first line) of every package function that runs
+_RUN_EVERYTHING = """
+import contextlib, io, json, os, sys, tempfile
+called = set()
+def profile(frame, event, arg):
+    if event == "call" and frame.f_code.co_filename.startswith(SRC):
+        called.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+from orbitcone.cli import main
+from orbitcone.harness import CHECK_NAMES
+from orbitcone.matrixgrp import PRESETS
+codes = []
+with tempfile.TemporaryDirectory() as out, \
+        contextlib.redirect_stdout(io.StringIO()):
+    for preset in PRESETS:
+        checks = ",".join(sorted(c for c in CHECK_NAMES
+                                 if c != "kostant" or preset == "kostant_sl2"))
+        for fmt in ("json", "csv", "svg"):
+            codes.append(main(["report", "--preset", preset, "--checks",
+                               checks, "--samples", "20", "--format", fmt,
+                               "--out", os.path.join(out, f"{preset}.{fmt}")]))
+    chamber = "--chamber=-1,1,1/97,-1/97"
+    codes.append(main(["extremize", "--preset", "group_sl2", chamber]))
+    codes.append(main(["verify", "--preset", "group_sl2", chamber,
+                       "--a-log=2,-2,-2,2", "--radius=1,4",
+                       "--samples", "20"]))
+sys.setprofile(None)
+print(json.dumps([codes, sorted(called)]))
+"""
+
+
+def test_every_function_runs():
+    code = (f"import sys; sys.path[:0] = {[str(ROOT / 'src')]!r}\n"
+            f"SRC = {str(SRC)!r}\n" + _RUN_EVERYTHING)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    codes, called = json.loads(out.stdout.splitlines()[-1])
+    assert 2 not in codes, out.stderr
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(SRC.glob("*.py"))}
+    called = {tuple(key) for key in called}
+    uncalled = {name for key, name in _functions(trees).items()
+                if key not in called}
+    assert uncalled == set(UNCALLED), sorted(uncalled)
 
 
 def test_every_traced_layer_is_present():
