@@ -273,7 +273,6 @@ def kernel_dim(rz: Realization, xs: SampleStack, P: PositiveSystem
 @dataclass(frozen=True, eq=False)
 class HessianReport:
     """The Hessians at x_w of a stack of m samples."""
-    w: Mat
     numeric_form: np.ndarray     # (m, dh, dh)
     analytic_form: np.ndarray    # (m, dh, dh)
     signature: np.ndarray        # (m, 3): n_plus, n_zero, n_minus
@@ -367,7 +366,7 @@ def hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     a regular point of a_q; ensure_regular checks it, and the caller does so
     once."""
     num = numeric_hessian(rz, a_log, xs, w, P)
-    return HessianReport(w=w, numeric_form=num, signature=_signature(num, num),
+    return HessianReport(numeric_form=num, signature=_signature(num, num),
                          analytic_form=analytic_hessian(rz, a_log, xs, w, P))
 
 

@@ -2,14 +2,14 @@
 
 Each check draws seeded samples on a preset realization, tests the predicted
 polyhedral geometry within a tolerance, and records coverage metrics plus the
-first few failing witnesses.  The sampling checks main, inclusion_cone and
-limits judge their draws h at a base point a through one function,
-``_judge``: it passes a draw a chunk at a time with a to ``h_pq``, which
-projects H(a h) onto a_q at the explicit positive system P from the
-draw's factors, and feeds a ``Tally``.  critical_image projects its draws
-z e^Y n from their factors too, at the base point a_w of each x_w, with n
-in N_P as the draw's right factor; kostant and gk pass stacks of
-well-conditioned matrices, kostant with a_log beside its rotations.  ``run``
+first few failing witnesses.  The sampling checks main, inclusion_cone,
+limits and critical_image judge their draws h at a base point a through one
+function, ``_judge``: it passes a draw a chunk at a time with a to ``h_pq``,
+which projects H(a h) onto a_q at the explicit positive system P from the
+draw's factors, and feeds a ``Tally``.  critical_image judges the draws
+z e^Y n of each x_w at a_w, with n in N_P as the draw's right factor.  gk
+projects each pair's probes and draw as one Draw onto a, where its cones
+live; kostant passes a stack of rotations, with a_log beside them.  ``run``
 is the one entry point: it runs the configured checks of the ``CHECKS``
 registry in registry order.
 The tolerance is a Euclidean distance: a projected point passes when it
@@ -405,9 +405,14 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
         return Draw(np.zeros((count, 0)), np.zeros((0, rz.dim, rz.dim)))
     parts = [(a_log, zero(1))]
     for xw in rz.weyl_reps.values():
-        a_w = tuple(a_log[i] for i in np.abs(xw).argmax(axis=0))
+        a_w = _weyl_base(a_log, xw)
         parts += [(a_w, zero(len(rz.z_reps)))] + [(a_w, ray) for ray in rays]
     return parts
+
+
+def _weyl_base(a_log: ex.Vec, xw: np.ndarray) -> ex.Vec:
+    """The diagonal of a_w = x_w^-1 a x_w: a_log permuted, exact."""
+    return tuple(a_log[i] for i in np.abs(xw).argmax(axis=0))
 
 
 def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:
@@ -485,10 +490,10 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     t1, t2 = float(a_exact[0]), float(a_exact[1])
     phi = np.linspace(0.0, np.pi / 2, 1000)
     c, s = np.cos(phi), np.sin(phi)
+    c[-1], s[-1] = 0.0, 1.0     # x_w: e^(2 (t1 - t2)) lifts cos(pi/2) = 6e-17
     ks = np.stack([c, -s, s, c], axis=-1).reshape(-1, 2, 2)   # rotations
     vals = h_pq(rz, ks, P, np.array([t1, t2]))[:, 0]
-    closed = 0.5 * np.log(np.exp(2 * t1) * np.cos(phi) ** 2
-                          + np.exp(2 * t2) * np.sin(phi) ** 2)
+    closed = 0.5 * np.log(np.exp(2 * t1) * c ** 2 + np.exp(2 * t2) * s ** 2)
     dev = float(np.abs(vals - closed).max())
     end_dev = max(abs(float(vals[0]) - t1), abs(float(vals[-1]) - t2))
     lo, hi = min(t1, t2), max(t1, t2)
@@ -518,9 +523,9 @@ def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
                           cfg: VerificationConfig) -> CheckResult:
     cone = gamma_aq(sorted(P.classification.sigmatheta_part), rz.datum)
     tally = Tally(cfg.tol)
-    for k, r in enumerate(cfg.radii):
-        hs = sample_H(rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k))
-        _judge(rz, P, tally, cone, [(ex.zeros(rz.dim), hs)])
+    _judge(rz, P, tally, cone, [(ex.zeros(rz.dim), sample_H(
+        rz, r, cfg.samples, _stream(cfg, "inclusion_cone", k)))
+        for k, r in enumerate(cfg.radii)])
     return tally.result("inclusion_cone")
 
 
@@ -565,7 +570,6 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
                               seed=_stream(cfg, "critical_image", 0))
     n_per = max(8, cfg.samples // 50)
     radius = cfg.radii[-1]
-    a = _float_rows([a_exact], rz.dim)[0]
     tally = Tally(cfg.tol)
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
@@ -583,26 +587,21 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
             _stream(cfg, "critical_image", 1, pi, *d) for d in blocks]),
             right=sample_NPH(rz, P, radius, n_per, [
                 _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
-        # H(a x_w z e^Y n) = H(a_w z e^Y), a_w permuted as in _h_probes:
-        # one h_pq per w, on its rows
+        # H(a x_w z e^Y n) = H(a_w z e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
-        vals = np.stack([h_pq(rz, hxn.rows(rows[:, wi].ravel()), P,
-                              a[np.abs(xw).argmax(axis=0)]).reshape(
-                                  len(wits), n_per, rz.dim)
-                         for wi, xw in enumerate(xws)], axis=1)
+        for wi, (xw, om) in enumerate(zip(xws, oms)):
+            _judge(rz, P, tally, om, [(_weyl_base(a_exact, xw),
+                                       hxn.rows(rows[:, wi].ravel()))])
         # combinatorial layer: the critical value is the exact level of
         # <X, .> on the predicted image
         levels = critical_value(rz, a_exact, xs, ws)
         fvs = F(rz, a_exact, xs.floats, xws, P)
-        for gX, x_vals, x_levels, x_fvs in zip(xs.gram, vals, levels, fvs):
-            for om, v, lv, fv in zip(oms, x_vals, x_levels, x_fvs):
-                tally.feed(om, v)
-                if min(ex.dot(gX, u) for u in om.vertices) != lv:
-                    exact_fail += 1
-                if any(ex.dot(gX, g) < 0 for g in om.generators):
-                    exact_fail += 1
-                if abs(float(fv) - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
-                    exact_fail += 1
+        for gX, x_levels, x_fvs in zip(xs.gram, levels, fvs):
+            for om, lv, fv in zip(oms, x_levels, x_fvs):
+                exact_fail += sum((
+                    min(ex.dot(gX, u) for u in om.vertices) != lv,
+                    any(ex.dot(gX, g) < 0 for g in om.generators),
+                    abs(float(fv) - float(lv)) > 1e-8 * max(1.0, abs(float(lv)))))
     return tally.result("critical_image", exact_fail == 0,
                         detail={"patterns": len(pats),
                                 "exact_level_failures": exact_fail})
@@ -614,12 +613,13 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
     systems = all_positive_systems(rz.datum)
     tally = Tally(cfg.tol)
     origin = np.zeros((1, rz.dim))
-    s = np.array([1.0, 3.0])            # the rank-one probes are 1 + s E
+    s = np.array([1.0, 3.0])            # the rank-one probes are exp(s E)
     closed_dev = 0.0
     gap_fail = 0
-    # H(1 + s E_alpha) = log(1 + s^2) / 2 H_{-alpha}, exact in the embedded A1
-    h_neg = {alpha: [float(c) for c in coroot(ex.neg(alpha), rz.datum.gram)]
-             for alpha in rz.datum.roots}
+    # H(exp(s E_alpha)) = log(1 + s^2) / 2 H_{-alpha}, exact in the embedded A1
+    want = {alpha: np.outer(0.5 * np.log(1 + s * s), [
+        float(c) for c in coroot(ex.neg(alpha), rz.datum.gram)])
+        for alpha in rz.datum.roots}
     for pi, P in enumerate(systems):
         for qi, Q in enumerate(systems):
             support = sorted(Q.positive & P.negative)
@@ -631,18 +631,17 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
                 tally.feed(cone, origin)        # H(1) = 0 exactly
                 continue
             basis = np.stack([root_matrix(rz.dim, alpha) for alpha in support])
-            # rank-one probes hit each generator direction exactly; E^2 = 0
-            probes = iwasawa(rz, np.eye(rz.dim) + basis[:, None] * s[:, None, None], P)
-            tally.feed(cone, probes.reshape(-1, rz.dim))
             n = max(1, cfg.samples // max(1, len(systems) ** 2))
             draw = sample_unipotent(basis, cfg.radii[-1], n,
                                     [_stream(cfg, "gk", pi, qi)])
-            tally.feed(cone, iwasawa(rz, draw, P))
+            # rank-one probes first; they hit each generator direction exactly
+            probes = np.kron(np.eye(len(basis)), s[:, None])
+            vals = iwasawa(rz, replace(draw, t=np.vstack([probes, draw.t])), P)
+            tally.feed(cone, vals)
             if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
                 gap_fail += 1
-            want = 0.5 * np.log(1 + s * s)[:, None] * np.array(
-                [h_neg[alpha] for alpha in support])[:, None]
-            closed_dev = max(closed_dev, float(np.abs(probes - want).max()))
+            err = vals[:len(probes)] - np.vstack([want[a] for a in support])
+            closed_dev = max(closed_dev, float(np.abs(err).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,
                         detail={"closed_form_deviation": closed_dev,
                                 "pairs": len(systems) ** 2,

@@ -612,28 +612,25 @@ def _scale_to(norms2: np.ndarray, radius: float) -> np.ndarray:
 def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
     """The factors that scale each Y = sum_k t_k basis[k] of the rows of t
     down to Frobenius norm radius where it is longer, from the squares of
-    its entries added as np.sum adds them: read from the columns of t where
-    each entry of Y is one +-t_k or 0 (_entry_columns), else from Y formed
-    by one GEMM."""
+    its entries added as np.sum adds them, read from the columns of t
+    (_entry_columns)."""
     cols = _entry_columns(basis.shape, basis.tobytes())
+    squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
     with np.errstate(over="ignore"):
-        if cols is None:
-            Y = t @ basis.reshape(len(basis), -1)
-            return _scale_to(np.sum(np.square(Y), axis=-1), radius)
-        squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
         for k in range(len(basis)):
             np.square(t[:, k], out=squares[k])
         return _scale_to(_add_rows(squares[cols]), radius)
 
 
 @lru_cache(maxsize=None)
-def _entry_columns(shape: tuple, data: bytes) -> np.ndarray | None:
+def _entry_columns(shape: tuple, data: bytes) -> np.ndarray:
     """Per entry of Y, the index k of the one basis matrix that is +-1 there
-    and the others 0, or len(basis) where all are 0; None when some entry
-    is not of that form."""
+    and the others 0, or len(basis) where all are 0.  Raises ValueError
+    when some entry is not of that form: every span drawn with a radius
+    has that form."""
     B = np.abs(np.frombuffer(data).reshape(shape[0], shape[1] * shape[2]))
     if not (np.isin(B, (0.0, 1.0)).all() and (B.sum(axis=0) <= 1).all()):
-        return None
+        raise ValueError("a span entry is not a single +-t_k")
     return np.vstack([B, B.sum(axis=0) == 0]).argmax(axis=0)
 
 

@@ -420,12 +420,12 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
 
 
 def critical_image_per_draw(rz, P, cfg):
-    """harness._check_critical_image one draw at a time: per (witness X,
-    Weyl element w), its own sample_H_X, sample_NPH, h_pq and Tally.feed on
-    one stream each, one critical_value per (X, w), and F's value at every
-    x_w from one h_pq per X, contracted with the dual of X by a gemv.  A
-    draw h = z e^Y n is projected at a_w = diag(x_w^T a x_w), with n as its
-    right factor: H(a x_w h) = H(a_w h)."""
+    """harness._check_critical_image one draw at a time: per (Weyl element
+    w, witness X), in that order, its own sample_H_X, sample_NPH, h_pq and
+    Tally.feed on one stream each, one critical_value per (X, w), and F's
+    value at every x_w from one h_pq per X, contracted with the dual of X
+    by a gemv.  A draw h = z e^Y n is projected at a_w = diag(x_w^T a x_w),
+    with n as its right factor: H(a x_w h) = H(a_w h)."""
     a_exact = _require_regular(rz, cfg)
     pats = vanishing_patterns(rz, per_pattern=10,
                               seed=_stream(cfg, "critical_image", 0))
@@ -437,9 +437,10 @@ def critical_image_per_draw(rz, P, cfg):
     for pi, (S, wits) in enumerate(pats):
         oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
         xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
-        for xi, X in enumerate(wits):
-            fvs = h_pq(rz, xws, P, a) @ _dual(rz, _float_rows([X], rz.dim)[0])
-            for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
+        fvs = [h_pq(rz, xws, P, a) @ _dual(rz, _float_rows([X], rz.dim)[0])
+               for X in wits]
+        for wi, ((w, om), xw) in enumerate(zip(oms, xws)):
+            for xi, X in enumerate(wits):
                 draw = (pi, xi, wi)
                 hx = sample_H_X(rz, X, radius, n_per,
                                 [_stream(cfg, "critical_image", 1, *draw)])
@@ -454,7 +455,7 @@ def critical_image_per_draw(rz, P, cfg):
                     exact_fail += 1
                 if any(ex.dot(gX, g) < 0 for g in om.generators):
                     exact_fail += 1
-                fv = float(fvs[wi])
+                fv = float(fvs[xi][wi])
                 if abs(fv - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
                     exact_fail += 1
     return tally.result("critical_image", exact_fail == 0,

@@ -142,6 +142,18 @@ def test_base_point_at_the_edge_of_double_range_gives_a_verdict(capsys, flag,
     assert re.search(rf"^PASS {check} count=\d+ worst_slack=", captured.out, re.M)
 
 
+# the last rotation was built from the float cos(pi/2) = 6.1e-17, which the
+# weight e^(2 (t1 - t2)) lifted: at 20,-20 the endpoint was off by 2.67
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("flag", ["--a-log=20,-20", "--a-log=100,-100"])
+def test_kostant_passes_at_large_base_points(capsys, flag):
+    rc = main(["verify", "--preset", "kostant_sl2", flag, "--checks",
+               "kostant"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out + captured.err
+    assert re.search(r"^PASS kostant count=1000 ", captured.out, re.M)
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("check,radius", [
     ("main", ["--radius=400"]), ("limits", ["--radius=400"]),

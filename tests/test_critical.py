@@ -510,6 +510,33 @@ def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
     _same_report(got, want)
 
 
+def test_faults_on_several_weyl_elements_keep_the_oracle_witnesses(
+        monkeypatch):
+    # Omega_X of every Weyl element whose Omega_X has generators loses them.
+    # At 100 samples a block has 8 draws, so the first ten witnesses span
+    # two blocks: on sl3_so21, where two w are faulted, they come from two
+    # Weyl elements, in the (w, X) order of the check and of the oracle
+    real = critical.omega_X
+    faulted = set()
+
+    def vertices_alone(rz, a_log, X, P):
+        out = real(rz, a_log, X, P)
+        for w, om in out.items():
+            if om.generators:
+                out[w] = polyhedra.Polyhedron(om.vertices)
+                faulted.add(w)
+        return out
+    _patch(monkeypatch, "omega_X", vertices_alone)
+    # per preset: the faulted Weyl elements and the witnesses
+    for preset, ws, wits in (("kostant_sl2", 0, 0), ("sl2_so11", 1, 8),
+                             ("sl3_so21", 2, 10), ("group_sl2", 0, 0)):
+        faulted.clear()
+        got, want = _critical_image_reports(preset=preset, samples=100)
+        assert (len(faulted), len(got.witnesses)) == (ws, wits), preset
+        assert got.passed == (not wits)
+        _same_report(got, want)
+
+
 def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
     # per pattern: one sample_H_X, as its witnesses share one tie pattern,
     # one sample_NPH, and an Iwasawa call per Weyl element (its draws) and

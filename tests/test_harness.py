@@ -13,7 +13,7 @@ from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
                                report_json, report_svg, run)
-from orbitcone.matrixgrp import realization
+from orbitcone.matrixgrp import Draw, realization
 from orbitcone.polyhedra import cone, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -392,6 +392,29 @@ def test_main_judges_into_the_array_it_reports(monkeypatch):
     assert sum(map(len, judged)) == len(r.samples)
     assert all(np.shares_memory(v, r.samples) for v in judged)
     assert np.array_equal(np.concatenate(judged), r.samples)
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_the_sampling_checks_project_draws_alone(monkeypatch, preset):
+    """main, inclusion_cone, limits, gk and critical_image hand iwasawa and
+    h_pq a Draw on every call, probes included: no point of theirs goes
+    through the dense path of a stack."""
+    given = []
+    for name in ("iwasawa", "h_pq"):
+        monkeypatch.setattr(harness, name, lambda rz, g, *a, _real=getattr(
+            harness, name): given.append(type(g)) or _real(rz, g, *a))
+    assert run(VerificationConfig(preset=preset, samples=100, checks=frozenset(
+        {"main", "inclusion_cone", "limits", "gk", "critical_image"}))).passed
+    assert given and set(given) == {Draw}
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_gk_meets_its_closed_form_exactly(preset):
+    # the probes exp(s E) = 1 + s E are rows of the pair's draw; their H
+    # equals log(1 + s^2) / 2 H_{-alpha} to the last bit
+    r = run(VerificationConfig(preset=preset, samples=300,
+                               checks=frozenset({"gk"}))).results[0]
+    assert r.passed and r.detail["closed_form_deviation"] == 0.0
 
 
 # The benchmark's hessian_all fingerprints at seed 0: count and the repr of

@@ -8,16 +8,14 @@ import pytest
 from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
-from orbitcone import matrixgrp
 from orbitcone.critical import (_centralizer_basis, _stencil_exp, h_x_coords,
                                 nph_basis, sample_NPH, vanishing_patterns)
 from orbitcone.harness import _DEFAULT_A_LOG
 from orbitcone.matrixgrp import (BLOCK, NotCubic, Realization, SingularInput,
-                                 _clip_factors, _entry_columns, a_matrix,
-                                 chamber_perm, ek_projection, h_pq, iwasawa,
-                                 realization, root_entry, root_matrix,
-                                 sample_H, sample_span, sample_unipotent,
-                                 span_form)
+                                 _clip_factors, a_matrix, chamber_perm,
+                                 ek_projection, h_pq, iwasawa, realization,
+                                 root_entry, root_matrix, sample_H,
+                                 sample_span, sample_unipotent, span_form)
 from orbitcone.parabolic import all_positive_systems
 
 from iwasawa_reference import (iwasawa_by_matmul, iwasawa_exact,
@@ -527,15 +525,18 @@ def test_exp_h_raises_singular_input_outside_double_range(rz):
 
 def test_clip_keeps_the_plain_norm_at_normal_radii(rz):
     """_clip_factors scales each Y to radius / |Y| where it is longer, the
-    plain norm, from the columns of t on h and from Y on 2 h."""
+    plain norm, from the columns of t on h; 2 h, whose entries are not
+    single +-t_k, is refused."""
     lengths = np.array([0.5, 3.0, 1e-80, 40.0, 1e100])
     t = _h_coefficients(rz, 1.0, len(lengths), seed=50) * lengths[:, None]
-    for basis in (np.stack(rz.h_basis), 2.0 * np.stack(rz.h_basis)):
-        Y = _combine(t, basis)
-        for radius in (2.0, 1e-90, 1e120):
-            plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
-            scale = np.where(plain > radius, radius / plain, 1.0)
-            assert np.array_equal(_clip_factors(t, basis, radius), scale)
+    basis = np.stack(rz.h_basis)
+    Y = _combine(t, basis)
+    for radius in (2.0, 1e-90, 1e120):
+        plain = np.sqrt(np.sum(Y * Y, axis=(-2, -1)))
+        scale = np.where(plain > radius, radius / plain, 1.0)
+        assert np.array_equal(_clip_factors(t, basis, radius), scale)
+    with pytest.raises(ValueError, match="single"):
+        _clip_factors(t, 2.0 * basis, 2.0)
 
 
 def _radius_spans(rz: Realization) -> list[np.ndarray]:
@@ -547,23 +548,17 @@ def _radius_spans(rz: Realization) -> list[np.ndarray]:
     return list(spans.values())
 
 
-def test_the_factored_path_clips_as_exp_span_clips(monkeypatch, rz):
+def test_the_factored_path_clips_as_exp_span_clips(rz):
     """_clip_factors, which the factored Iwasawa kernel scales t by, gives
-    the bits of exp_span_dense's clip on both of its paths: from the
-    columns of t, and from Y formed by one GEMM, the path of a span whose
-    entries are not single +-t_k.  On every span the program draws with a
-    radius, all of which take the column path, and on sl2_triple."""
+    the bits of exp_span_dense's clip from the columns of t, on every span
+    the program draws with a radius and on sl2_triple."""
     rng = np.random.default_rng(51)
     for basis in _radius_spans(rz) + [sl2_triple(rz.dim)]:
-        assert _entry_columns(basis.shape, basis.tobytes()) is not None
         t = rng.normal(scale=3.0, size=(2 * BLOCK + 5, len(basis)))
         t[:3] *= np.array([[0.0], [1e-80], [1e100]])
         for radius in (2.0, 1e-90, 1e5):
-            with monkeypatch.context() as m:
-                m.setattr(matrixgrp, "_entry_columns", lambda *_: None)
-                gemm = _clip_factors(t, basis, radius)
-            assert np.array_equal(_clip_factors(t, basis, radius), gemm)
-            assert np.array_equal(gemm, clip_factors_dense(t, basis, radius))
+            assert np.array_equal(_clip_factors(t, basis, radius),
+                                  clip_factors_dense(t, basis, radius))
     with pytest.raises(SingularInput):
         _clip_factors(np.array([[np.inf]]), np.stack(rz.h_basis)[:1], 1.0)
 

@@ -293,10 +293,10 @@ def test_every_traced_layer_counts_on_every_workload():
 
 
 def test_a_traced_gk_run_counts_every_projected_matrix():
-    # gk hands iwasawa its unipotent draws as Draw records, which the
-    # tracer counts through their shape: matrices is every matrix
-    # projected (two rank-one probes per root of a support, then the
-    # draw), not one per call
+    # gk hands iwasawa one Draw per pair with a support, its rank-one
+    # probes as the leading rows, which the tracer counts through its
+    # shape: matrices is every matrix projected (two probes per root of a
+    # support, then the draw), not one per call
     code = ("import json, orbitcone, tracer\n"
             "t = tracer.Tracer()\n"
             "t.install()\n"
@@ -313,5 +313,5 @@ def test_a_traced_gk_run_counts_every_projected_matrix():
     systems = all_positive_systems(rz.datum)
     supports = [len(Q.positive & P.negative) for P in systems for Q in systems]
     rows = 3600 // len(supports)
-    assert layer["calls"] == 2 * sum(map(bool, supports))
+    assert layer["calls"] == sum(map(bool, supports))
     assert layer["matrices"] == sum(2 * k + rows for k in supports if k)
