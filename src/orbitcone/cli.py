@@ -15,7 +15,11 @@ from .matrixgrp import realization
 from .parabolic import h_extremize, is_h_extreme, is_q_extreme
 
 
-def _split(s: str) -> tuple[str, ...]:
+def _split(s: str | None) -> tuple[str, ...] | None:
+    """The comma separated items of a flag, None when it is not given: an
+    empty value is an empty tuple, which validation rejects."""
+    if s is None:
+        return None
     return tuple(p.strip() for p in s.split(",") if p.strip())
 
 
@@ -75,10 +79,10 @@ def _build_config(ns: argparse.Namespace, forced_checks: str | None = None):
     return config_from_mapping(
         _load_config_file(ns.config),
         preset=ns.preset,
-        chamber=_split(ns.chamber) if ns.chamber else None,
-        a_log=_split(ns.a_log) if ns.a_log else None,
+        chamber=_split(ns.chamber),
+        a_log=_split(ns.a_log),
         samples=ns.samples,
-        radii=_split(ns.radius) if ns.radius else None,
+        radii=_split(ns.radius),
         tol=ns.tol,
         seed=ns.seed,
         out=ns.out,
@@ -130,7 +134,7 @@ def _fmt_root(alpha) -> str:
 def _cmd_extremize(ns: argparse.Namespace) -> int:
     cfg = config_from_mapping(
         {"preset": ns.preset},
-        chamber=_split(ns.chamber) if ns.chamber else None)
+        chamber=_split(ns.chamber))
     rz = realization(cfg.preset)
     P = cfg.positive_system(rz)
     Q, trace = h_extremize(P)

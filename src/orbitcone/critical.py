@@ -446,8 +446,8 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
 
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> Draw:
-    """Draw count elements z * exp(Y) per seed, Y in the centralizer of X in h."""
-    return sample_span(rz, _centralizer_basis(rz, X), radius, count, seeds)
+    """Draw count elements exp(Y) per seed, Y in the centralizer of X in h."""
+    return sample_span(_centralizer_basis(rz, X), radius, count, seeds)
 
 
 def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,

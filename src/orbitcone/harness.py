@@ -7,7 +7,7 @@ limits and critical_image judge their draws h at a base point a through one
 function, ``_judge``: it passes a draw a chunk at a time with a to ``h_pq``,
 which projects H(a h) onto a_q at the explicit positive system P from the
 draw's factors, and feeds a ``Tally``.  critical_image judges the draws
-z e^Y n of each x_w at a_w, with n in N_P as the draw's right factor.  gk
+e^Y n of each x_w at a_w, with n in N_P as the draw's right factor.  gk
 projects each pair's probes and draw as one Draw onto a, where its cones
 live; kostant passes a stack of rotations, with a_log beside them.  ``run``
 is the one entry point: it runs the configured checks of the ``CHECKS``
@@ -393,10 +393,11 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
               ) -> list[tuple[ex.Vec, Draw]]:
     """Deterministic probes, as _judge parts at the base point a_log: the
     identity, and per Weyl representative x_w its center components z and
-    the rank-one rays exp(+-r U) along every cone-generator root.  x_w z is
-    orthogonal and H is left-K-invariant, so H(a x_w z exp(Y)) = H(a_w
-    exp(Y)) with a_w = x_w^-1 a x_w: a_log permuted, at which each probe is
-    a one-generator draw, and a center component Y = 0."""
+    the rank-one rays exp(+-r U) along every cone-generator root.  x_w is
+    orthogonal and H is left-K-invariant, so H(a x_w exp(Y)) = H(a_w
+    exp(Y)) with a_w = x_w^-1 a x_w: a_log permuted, at which each ray is a
+    one-generator draw.  Each z is a diagonal sign matrix, so H(a x_w z) =
+    a_w: one row of the span 0 per z."""
     ts = np.array([[t] for r in radii for t in (r, -r)])
     rays = [Draw(ts, (E + rz.sigma_alg(E))[None]) for E in (
         root_matrix(rz.dim, alpha)
@@ -587,7 +588,7 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
             _stream(cfg, "critical_image", 1, pi, *d) for d in blocks]),
             right=sample_NPH(rz, P, radius, n_per, [
                 _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
-        # H(a x_w z e^Y n) = H(a_w z e^Y): each w judges its rows at a_w
+        # H(a x_w e^Y n) = H(a_w e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
         for wi, (xw, om) in enumerate(zip(xws, oms)):
             _judge(rz, P, tally, om, [(_weyl_base(a_exact, xw),

@@ -9,8 +9,11 @@ matrix J or conjugation by the block swap.
 Every positive system is named explicitly and conjugated into the
 upper-triangular base system by an index permutation, the identity for the
 base system itself.  The samplers return a ``Draw``, the coefficients of
-its elements a z exp(Y) n; ``iwasawa`` takes the Iwasawa log of a draw from
-these factors, and builds no element.  Its one kernel is a sum of positive
+its elements exp(Y) n.  The elements a z exp(Y) n of the theorem also
+carry a center component z of H; on every preset z is a diagonal sign
+matrix in K that commutes with a, so H(a z exp(Y) n) = H(a exp(Y) n), and
+no draw holds z.  ``iwasawa`` takes the Iwasawa log of a draw from its
+factors, and builds no element.  Its one kernel is a sum of positive
 Cauchy-Binet terms e^(2 a_I) m_I^2 per prefix of H: the minors m_I of a
 draw are entries of one column of exp of wedge^k Y, those of a stack of
 well-conditioned matrices come by Laplace expansion.  That column is
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property, lru_cache
 
@@ -96,19 +99,6 @@ class Realization:
         if missing:
             raise RuntimeError("Weyl representatives do not cover the reflection group")
         return reps
-
-    @cached_property
-    def z_signs(self) -> np.ndarray:
-        """The diagonals of the center components, one row each: z Y scales
-        row i of Y by z_ii.  Raises ValueError when some z is not a
-        diagonal sign matrix, as that product would then be wrong."""
-        zs = np.stack(self.z_reps)
-        signs = np.diagonal(zs, axis1=-2, axis2=-1).copy()
-        if not (np.array_equal(zs, a_matrix(signs))
-                and np.all(np.abs(signs) == 1.0)):
-            raise ValueError(f"{self.name}: a center component is not a "
-                             "diagonal sign matrix")
-        return signs
 
     @cached_property
     def q_proj_np(self) -> np.ndarray:
@@ -329,7 +319,7 @@ def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     g = np.asarray(g, dtype=float)
     flat = g.reshape(-1, len(p), len(p))
     # H(g) = H(g / s) + log s
-    peak = _entry_max(flat)
+    peak = np.abs(flat).max(axis=(1, 2))
     if not np.all(np.isfinite(peak)):
         raise SingularInput("input matrix has non-finite entries")
     s = _scales(peak, tuple(b ** (1.0 / len(p)) for b in _UNSCALED))
@@ -483,12 +473,11 @@ def _combination(terms, rows):
 
 
 def _draw_minors(draw: Draw, p: np.ndarray):
-    """(subsets, squares) for _prefix_logs of g = z exp(Y) n, the rows of
+    """(subsets, squares) for _prefix_logs of g = exp(Y) n, the rows of
     draw: m_I is entry I of exp(W) e_J = e_J + f1 W e_J + f2 W^2 e_J for
     W = wedge^k Y, from _wedge_terms and _column_coefficients, with t
-    clipped to norm radius by _clip_factors.  z squares away; n leaves H
-    alone, and must be a draw on a span that _in_np accepts, with no n of
-    its own."""
+    clipped to norm radius by _clip_factors.  n leaves H alone, and must be
+    a draw on a span that _in_np accepts, with no n of its own."""
     right = draw.right
     if right is not None and not (right.right is None and _in_np(
             right.basis.shape, right.basis.tobytes(), tuple(map(int, p)))):
@@ -539,7 +528,7 @@ def _in_np(shape: tuple, data: bytes, p: tuple) -> bool:
     return not np.tril(_conjugate(B, np.array(p))).any()
 
 
-# --- the column coefficients and stack reductions -------------------------
+# --- the column coefficients -----------------------------------------------
 
 # below this |c|, f1 and f2 are their Taylor series to c^2 (error < c^3/5040)
 _SERIES_C = 1e-6
@@ -570,56 +559,22 @@ def _column_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return f1, f2
 
 
-def _entry_max(A: np.ndarray) -> np.ndarray:
-    """max |A[k, i, j]| over (i, j) of a stack (k, n, n), from one copy of
-    |A| with the n^2 entries as rows, so that the max runs along the stack:
-    over the two short axes, np.max pays per matrix.  NaN propagates."""
-    return np.abs(A.reshape(len(A), -1).T, order="C").max(axis=0)
-
-
-def _add_rows(S: np.ndarray) -> np.ndarray:
-    """The rows of S (k, m) added, bit for bit, as np.sum adds the k entries
-    of a matrix (k <= 128; every preset has k <= 16): in turn below eight,
-    else into eight running sums that are added as a tree before the rest
-    follows in turn."""
-    if len(S) < 8:
-        total, rest = S[0], S[1:]
-    else:
-        top = len(S) - len(S) % 8
-        r = S[:8]
-        for j in range(8, top, 8):
-            r = r + S[j:j + 8]
-        r = r[0::2] + r[1::2]           # r0 + r1, r2 + r3, r4 + r5, r6 + r7
-        r = r[0::2] + r[1::2]
-        total, rest = r[0] + r[1], S[top:]
-    for x in rest:
-        total += x
-    return total
-
-
 # --- sampling --------------------------------------------------------------
 
-def _scale_to(norms2: np.ndarray, radius: float) -> np.ndarray:
-    """radius / norm where the norm, the root of norms2 (taken in place),
-    exceeds radius, else 1; raises SingularInput when a norm is not
-    finite."""
-    norms = np.sqrt(norms2, out=norms2)
+def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
+    """radius / norm for each Y = sum_k t_k basis[k] of the rows of t whose
+    Frobenius norm exceeds radius, else 1: the squares of its entries, read
+    from the columns of t (_entry_columns), added by np.sum along the rows
+    of one C-ordered (rows, n^2) array, as it adds the entries of Y.  Raises
+    SingularInput when a norm is not finite."""
+    cols = _entry_columns(basis.shape, basis.tobytes())
+    squares = np.zeros((len(t), len(basis) + 1))    # t_k^2, and a column of 0
+    with np.errstate(over="ignore"):
+        np.square(t, out=squares[:, :-1])
+        norms = np.sqrt(np.sum(squares.take(cols, axis=1), axis=1))
     if not np.all(np.isfinite(norms)):
         raise SingularInput("exponent overflows double precision")
     return np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
-
-
-def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
-    """The factors that scale each Y = sum_k t_k basis[k] of the rows of t
-    down to Frobenius norm radius where it is longer, from the squares of
-    its entries added as np.sum adds them, read from the columns of t
-    (_entry_columns)."""
-    cols = _entry_columns(basis.shape, basis.tobytes())
-    squares = np.zeros((len(basis) + 1, len(t)))   # t_k^2, and a row of 0
-    with np.errstate(over="ignore"):
-        for k in range(len(basis)):
-            np.square(t[:, k], out=squares[k])
-        return _scale_to(_add_rows(squares[cols]), radius)
 
 
 @lru_cache(maxsize=None)
@@ -636,16 +591,15 @@ def _entry_columns(shape: tuple, data: bytes) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class Draw:
-    """Sampled elements z exp(Y) n as drawn, kept as their factors: row i
-    has Y = sum_k t[i, k] basis[k], clipped to norm radius unless that is
-    None, z with the row signs signs[centers[i]], or z = 1 when centers is
-    None, and n the element of row i of the Draw right, or n = 1 when that
-    is None.  iwasawa reads a draw from these factors alone."""
+    """Sampled elements exp(Y) n as drawn, kept as their factors: row i has
+    Y = sum_k t[i, k] basis[k], clipped to norm radius unless that is None,
+    and n the element of row i of the Draw right, or n = 1 when that is
+    None.  iwasawa reads a draw from these factors alone.  A draw of h
+    stands for a z exp(Y) n for every center component z of H as well:
+    each z is a diagonal sign matrix, so H(a z exp(Y) n) = H(a exp(Y) n)."""
     t: np.ndarray
     basis: np.ndarray
     radius: float | None = None
-    centers: np.ndarray | None = None
-    signs: np.ndarray | None = None
     right: Draw | None = None
 
     def __len__(self) -> int:
@@ -658,49 +612,36 @@ class Draw:
     def rows(self, rows) -> Draw:
         """The draw of rows alone, a slice or an index array."""
         return Draw(self.t[rows], self.basis, self.radius,
-                    None if self.centers is None else self.centers[rows],
-                    self.signs,
                     None if self.right is None else self.right.rows(rows))
 
 
-def sample_span(rz: Realization, basis: np.ndarray, radius: float, count: int,
-                seeds) -> Draw:
-    """Draw count elements z * exp(Y) per seed, in seed order: Y Gaussian in
-    the span of basis (k, n, n) clipped to |Y| <= radius, z a uniform center
-    component, applied as the row signs rz.z_signs; each stream draws Y,
-    then z, after span_form checks the span.  No Gaussian is drawn when the
-    span is zero.  A seed is anything np.random.default_rng takes; an int
-    gives the stream of PCG64(seed).  Raises NotCubic when the span has no
-    form, ValueError when a center component is not a diagonal sign matrix."""
+def sample_span(basis: np.ndarray, radius: float, count: int, seeds) -> Draw:
+    """Draw count elements exp(Y) per seed, in seed order: Y Gaussian in the
+    span of basis (k, n, n), each coefficient with deviation radius / 2, and
+    clipped to |Y| <= radius; span_form checks the span before any draw,
+    and no Gaussian is drawn when the span is zero.  A seed is anything
+    np.random.default_rng takes; an int gives the stream of PCG64(seed).
+    Raises NotCubic when the span has no form."""
     if radius < 0:
         raise ValueError("radius must be nonnegative")
     span_form(basis)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
-    t = _joined([rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-                 for rng in rngs])
-    centers = _joined([rng.integers(0, len(rz.z_reps), size=count)
-                       for rng in rngs])
-    return Draw(t, basis, radius, centers, rz.z_signs)
-
-
-def _joined(parts: list) -> np.ndarray:
-    """The per-stream arrays in turn; one stream's own array, uncopied."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
+    parts = [np.random.default_rng(seed).normal(
+        0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds]
+    # one stream's array is kept uncopied
+    return Draw(parts[0] if len(parts) == 1 else np.concatenate(parts), basis,
+                radius)
 
 
 def sample_H(rz: Realization, radius: float, count: int, seed) -> Draw:
-    """Draw count elements z * exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
-    return sample_span(rz, np.stack(rz.h_basis), radius, count, [seed])
+    """Draw count elements exp(Y), Y Gaussian in h clipped to |Y| <= radius."""
+    return sample_span(np.stack(rz.h_basis), radius, count, [seed])
 
 
 def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
                      ) -> Draw:
-    """Draw count elements exp(Y) per seed, Y = sum_k c_k basis[k] over a
-    nilpotent span (k, n, n), the c_k Gaussian with deviation radius / 2;
-    seeds as in sample_span, the span checked before any draw."""
-    span_form(basis)
-    return Draw(_joined([np.random.default_rng(seed).normal(
-        0.0, radius / 2.0, size=(count, len(basis))) for seed in seeds]), basis)
+    """sample_span's draw of a nilpotent span without its clip: the
+    coefficients with deviation radius / 2, and Y unbounded."""
+    return replace(sample_span(basis, radius, count, seeds), radius=None)
 
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------

@@ -8,9 +8,9 @@ Gram-Schmidt kernel that the library once ran on stacks, kept as a second
 oracle that holds its digits on ill-conditioned input.  iwasawa_exact
 gives H of the base system to 60 digits, for judging the accuracy of all
 three.
-iwasawa_ideal gives H of the element that a Draw stands for, a z exp(Y)
-with Y formed from the float t, to 60 digits, for judging the factored
-kernel that never forms the element.
+iwasawa_ideal gives H of the element that a Draw stands for, a z exp(Y) n
+with Y formed from the float t and z any center component, to 60 digits,
+for judging the factored kernel that never forms the element.
 """
 import math
 from fractions import Fraction
@@ -147,31 +147,37 @@ def iwasawa_exact(g, a_log=None) -> np.ndarray:
     return np.array(out)
 
 
-def iwasawa_ideal(rz, draw, P, a_log=None, rows=None) -> np.ndarray:
-    """H of a z exp(Y) for the given rows of a Draw (all when None), a =
-    exp(a_log): Y = sum_k t_k basis[k] from the float t as the Draw clips
-    it, exp by mpmath's expm, and (log D_k - log D_{k-1}) / 2 with D_k the
-    leading k x k minor of x^T x, x the element conjugated by
-    chamber_perm(rz, P); every step at 60 digits, rounded at the end."""
+def iwasawa_ideal(rz, draw, P, a_log=None, rows=None, z=None) -> np.ndarray:
+    """H of a z exp(Y) n for the given rows of a Draw (all when None), a =
+    exp(a_log), z a center component (1 when None) and n the element of the
+    row of the draw's right factor (1 when it has none): each Y = sum_k t_k
+    basis[k] from the float t as its Draw clips it, exp by mpmath's expm,
+    and (log D_k - log D_{k-1}) / 2 with D_k the leading k x k minor of
+    x^T x, x the element conjugated by chamber_perm(rz, P); every step at
+    60 digits, rounded at the end."""
     with mpmath.workdps(60):
         return np.array([[float(h) for h in H] for H in _ideal_logs(
-            rz, draw, P, a_log, rows)]).reshape(-1, rz.dim)
+            rz, draw, P, a_log, rows, z)]).reshape(-1, rz.dim)
 
 
-def _ideal_logs(rz, draw, P, a_log, rows) -> list:
+def _ideal_logs(rz, draw, P, a_log, rows, z) -> list:
     """iwasawa_ideal's rows as mpmath numbers, at the working precision."""
     n, p = rz.dim, chamber_perm(rz, P)
     a = np.zeros(n) if a_log is None else np.asarray(a_log, dtype=float)
-    t = draw.t if draw.radius is None else draw.t * _clip_factors(
-        draw.t, draw.basis, draw.radius)[:, None]
+    left = mpmath.diag([mpmath.exp(mpmath.mpf(x)) for x in a])
+    if z is not None:
+        left = left * mpmath.matrix(np.asarray(z).tolist())
+    draws = [draw] if draw.right is None else [draw, draw.right]
+    ts = [d.t if d.radius is None else d.t * _clip_factors(
+        d.t, d.basis, d.radius)[:, None] for d in draws]
     out = []
-    for i in range(len(t)) if rows is None else rows:
-        Y = mpmath.matrix(n, n)
-        for c, B in zip(t[i], draw.basis):
-            Y += mpmath.mpf(c) * mpmath.matrix(B.tolist())
-        g = mpmath.diag([mpmath.exp(mpmath.mpf(x)) for x in a]) * mpmath.expm(Y)
-        if draw.centers is not None:
-            g = mpmath.diag(draw.signs[draw.centers[i]].tolist()) * g
+    for i in range(len(draw)) if rows is None else rows:
+        g = left
+        for d, t in zip(draws, ts):
+            Y = mpmath.matrix(n, n)
+            for c, B in zip(t[i], d.basis):
+                Y += mpmath.mpf(c) * mpmath.matrix(B.tolist())
+            g = g * mpmath.expm(Y)
         x = mpmath.matrix([[g[int(r), int(c)] for c in p] for r in p])
         gram = x.T * x
         logs = [mpmath.mpf(0)] + [mpmath.log(mpmath.det(gram[:k, :k]))

@@ -36,12 +36,11 @@ axes; the tests require the kernels to equal them bit for bit.
 ``exp_span_dense`` is the exponential of a span by the hyperbolic
 Rodrigues formula, which the package never forms: it takes each sampled
 point from its factors.  ``draw_elements`` builds from it the elements
-z exp(Y) n that the rows of a Draw stand for; the tests hold both to
+exp(Y) n that the rows of a Draw stand for; the tests hold both to
 scipy's ``expm`` and hand the built elements to the oracles that take
-matrices.  ``sample_span_dense`` draws as ``matrixgrp.sample_span`` does,
-Y then z from one stream, and builds its elements with z as a matrix
-product; the tests require ``draw_elements`` of the sampler's draw to
-equal it bit for bit, which pins the order of the stream.
+matrices.  ``sample_span_dense`` draws as ``matrixgrp.sample_span`` does
+and builds its elements; the tests require ``draw_elements`` of the
+sampler's draw to equal it bit for bit, which pins the stream.
 ``span_form_exact`` is the class test of a
 span over Fractions; the tests hold ``matrixgrp.span_form`` to it.
 ``sl2_triple`` is a span with square-zero elements and a nonzero form on
@@ -424,7 +423,7 @@ def critical_image_per_draw(rz, P, cfg):
     w, witness X), in that order, its own sample_H_X, sample_NPH, h_pq and
     Tally.feed on one stream each, one critical_value per (X, w), and F's
     value at every x_w from one h_pq per X, contracted with the dual of X
-    by a gemv.  A draw h = z e^Y n is projected at a_w = diag(x_w^T a x_w),
+    by a gemv.  A draw h = e^Y n is projected at a_w = diag(x_w^T a x_w),
     with n as its right factor: H(a x_w h) = H(a_w h)."""
     a_exact = _require_regular(rz, cfg)
     pats = vanishing_patterns(rz, per_pattern=10,
@@ -558,23 +557,18 @@ def clip_factors_dense(t, basis, radius):
 
 
 def draw_elements(draw, rows=slice(None)) -> np.ndarray:
-    """The elements z exp(Y) n of the given rows of a Draw: exp_span_dense
-    of the rows, their center signs as row signs, and the elements of the
-    same rows of the right factor multiplied on the right."""
+    """The elements exp(Y) n of the given rows of a Draw: exp_span_dense of
+    the rows, and the elements of the same rows of the right factor
+    multiplied on the right."""
     E = exp_span_dense(draw.t[rows], draw.basis, draw.radius)
-    if draw.centers is not None:
-        E *= draw.signs[draw.centers[rows]][:, :, None]
     return E if draw.right is None else E @ draw_elements(draw.right, rows)
 
 
-def sample_span_dense(rz, basis, radius, count, seed):
-    """matrixgrp.sample_span with exp_span_dense and the center component as
-    the matrix product z @ exp(Y)."""
+def sample_span_dense(basis, radius, count, seed):
+    """matrixgrp.sample_span with exp_span_dense."""
     rng = np.random.default_rng(seed)
     coef = rng.normal(0.0, radius / 2.0, size=(count, len(basis)))
-    E = exp_span_dense(coef, basis, radius)
-    zs = np.stack(rz.z_reps)[rng.integers(0, len(rz.z_reps), size=count)]
-    return zs @ E
+    return exp_span_dense(coef, basis, radius)
 
 
 def sl2_triple(n: int) -> np.ndarray:

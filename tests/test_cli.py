@@ -76,6 +76,20 @@ def test_bad_input_exits_2(tmp_path, capsys, flags, config):
     assert "PASS" not in captured.out
 
 
+@pytest.mark.parametrize("flag,message", [
+    ("--a-log=", "a_log needs 2 coordinates"),
+    ("--chamber=", "chamber needs 2 coordinates"),
+    ("--radius=", "radii must be finite and positive"),
+], ids=["a_log", "chamber", "radius"])
+def test_an_empty_flag_exits_2_with_its_message(capsys, flag, message):
+    # an empty value once counted as a flag left out, and ran on the default
+    rc = main(["verify", "--preset", "sl2_so11", "--samples", "20", flag])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert f"error: {message}" in captured.err
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("argv", [
     ["--preset", "sl3_so21", "--a-log", "3,1,-3"],
     ["--preset", "sl2_so11", "--a-log", "2,1"],
@@ -190,8 +204,8 @@ def test_every_check_at_the_edge_of_double_range_ends_with_a_message(capsys,
 
 @pytest.mark.parametrize("preset", ["sl2_so11", "sl3_so21", "group_sl2"])
 def test_critical_image_passes_at_radius_20(capsys, preset):
-    # the dense kernel on the built elements a x_w z e^Y n lost their digits
-    # and failed all three at radius 20; the factors of a_w z e^Y keep them
+    # the dense kernel on the built elements a x_w e^Y n lost their digits
+    # and failed all three at radius 20; the factors of a_w e^Y keep them
     rc = main(["verify", "--preset", preset, "--checks", "critical_image",
                "--radius", "1,20"])
     captured = capsys.readouterr()

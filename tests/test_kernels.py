@@ -1,15 +1,16 @@
 """The per-sample float kernels against their dense forms in reference.py.
 
-Polyhedron.slack, _Coverage.update, the stack reductions and the draws of
-sample_span must give the same bits as the dense forms, on every preset
+Polyhedron.slack, _Coverage.update and the draws of sample_span must give
+the same bits as the dense forms, on every preset
 and on the edge cases of each rewrite: ties between vertices,
 displacements of exactly MIN_DISPLACEMENT, a polyhedron with no facets,
 batched shapes, and draws over several streams.  A draw judged in chunks
 of any size must give the bits of the whole draw judged at once.  iwasawa
 of a draw, which works from its factors, must stay within 1e-13 of the
 60-digit H of the elements the draw stands for, on every preset up to
-radius 20.
+radius 20, with any center component of H in front.
 """
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -18,10 +19,9 @@ import pytest
 from orbitcone import harness
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
                                _Coverage, _float_rows, _h_probes, _judge)
-from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, _add_rows,
-                                 _entry_max, h_pq, iwasawa, realization,
-                                 root_matrix, sample_H, sample_span,
-                                 sample_unipotent)
+from orbitcone.matrixgrp import (BLOCK, Draw, SingularInput, h_pq, iwasawa,
+                                 realization, root_matrix, sample_H,
+                                 sample_span, sample_unipotent)
 from orbitcone.parabolic import all_positive_systems
 from orbitcone.polyhedra import cone, gamma_aq, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
@@ -127,33 +127,17 @@ def test_coverage_keeps_displacements_of_exactly_min_displacement():
     assert list(cover.vdist) == [np.nextafter(h, 0.0)]
 
 
-# --- stack reductions ------------------------------------------------------
-
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 11])
-def test_stack_reductions_equal_numpy(n):
-    rng = np.random.default_rng(67 + n)
-    A = (rng.normal(size=(BLOCK + 5, n, n))
-         * rng.lognormal(0.0, 5.0, size=(BLOCK + 5, 1, 1)))
-    A[:3] = 0.0
-    assert np.array_equal(_add_rows(np.square(A.reshape(len(A), -1).T)),
-                          np.sum(A * A, axis=(-2, -1)))
-    assert np.array_equal(_entry_max(A), np.abs(A).max(axis=(-2, -1)))
-    A[5, 0, -1] = np.nan
-    assert np.isnan(_entry_max(A)[5])
-
-
-# --- the center component of sample_span ------------------------------------
+# --- the draws of sample_span ------------------------------------------------
 
 @pytest.mark.parametrize("seed", [0, 68])
 def test_sample_span_equals_the_dense_product(rz, seed):
     basis = np.stack(rz.h_basis)
     for radius, count in ((0.5, 7), (4.0, 2 * BLOCK + 3)):
-        got = draw_elements(sample_span(rz, basis, radius, count, [seed]))
-        assert np.array_equal(got, sample_span_dense(rz, basis, radius, count, seed))
+        got = draw_elements(sample_span(basis, radius, count, [seed]))
+        assert np.array_equal(got, sample_span_dense(basis, radius, count, seed))
     empty = np.zeros((0, rz.dim, rz.dim))
-    assert np.array_equal(
-        draw_elements(sample_span(rz, empty, 1.0, 9, [seed])),
-        sample_span_dense(rz, empty, 1.0, 9, seed))
+    assert np.array_equal(draw_elements(sample_span(empty, 1.0, 9, [seed])),
+                          sample_span_dense(empty, 1.0, 9, seed))
 
 
 def test_a_draw_over_several_streams_is_their_draws_in_turn(rz):
@@ -162,8 +146,8 @@ def test_a_draw_over_several_streams_is_their_draws_in_turn(rz):
     seeds = [np.random.SeedSequence(69, spawn_key=(k,)) for k in range(3)]
     basis = np.stack(rz.h_basis)
     for radius, count in ((0.5, 7), (4.0, BLOCK + 3)):
-        want = [sample_span_dense(rz, basis, radius, count, s) for s in seeds]
-        got = draw_elements(sample_span(rz, basis, radius, count, seeds))
+        want = [sample_span_dense(basis, radius, count, s) for s in seeds]
+        got = draw_elements(sample_span(basis, radius, count, seeds))
         assert np.array_equal(got, np.concatenate(want))
     nilpotent = np.zeros((1, rz.dim, rz.dim))
     nilpotent[0, 0, -1] = 1.0
@@ -234,7 +218,7 @@ def test_iwasawa_of_a_draw_is_iwasawa_of_its_elements(rz):
 def test_iwasawa_of_draws_and_probes_is_the_ideal_elements_to_1e_13(preset):
     """At radii 4, 12 and 20, on the base system and on one other, iwasawa
     of main's draws at its base point, and of its probes at theirs, is
-    within 1e-13 of the 60-digit H of the ideal element a z exp(Y) with the
+    within 1e-13 of the 60-digit H of the ideal element a exp(Y) with the
     float t.  The probes at a Weyl vertex give that vertex exactly."""
     rz = realization(preset)
     a_log = tuple(Fraction(c) for c in _DEFAULT_A_LOG[preset])
@@ -248,6 +232,29 @@ def test_iwasawa_of_draws_and_probes_is_the_ideal_elements_to_1e_13(preset):
             assert np.abs(got - iwasawa_ideal(rz, draw, P, a)).max() <= 1e-13
             if not len(draw.basis):
                 assert np.array_equal(got, np.broadcast_to(a, got.shape))
+
+
+@pytest.mark.parametrize("preset", sorted(_DEFAULT_A_LOG))
+def test_a_center_component_leaves_iwasawa_of_a_draw_alone(preset):
+    """H(a z exp(Y) n) = H(a exp(Y) n) for every center component z, which
+    is why no draw holds z: on the base system and on one other, iwasawa of
+    draws of h at radii 4 and 12 with a right factor n in N_P is within
+    1e-13 of the 60-digit H of a z exp(Y) n, each z taking its share of
+    the rows."""
+    rz = realization(preset)
+    a = np.array([float(c) for c in _DEFAULT_A_LOG[preset]])
+    rows = 60
+    for P in {rz.base_parabolic, all_positive_systems(rz.datum)[-1]}:
+        inside = np.stack([root_matrix(rz.dim, alpha)
+                           for alpha in sorted(P.positive)])
+        for k, radius in enumerate((4.0, 12.0)):
+            draw = replace(sample_H(rz, radius, rows, seed=(95, k)),
+                           right=sample_unipotent(inside, 4.0, rows, [(96, k)]))
+            got = iwasawa(rz, draw, P, a)
+            for j, z in enumerate(rz.z_reps):
+                mine = range(j, rows, len(rz.z_reps))
+                want = iwasawa_ideal(rz, draw, P, a, mine, z)
+                assert np.abs(got[mine] - want).max() <= 1e-13
 
 
 def test_iwasawa_of_a_draw_past_the_plain_range(rz_sl3):
