@@ -39,7 +39,7 @@ from .matrixgrp import (Draw, Realization, SingularInput, a_matrix,
                         sample_unipotent)
 from .parabolic import PositiveSystem
 from .polyhedra import Polyhedron, gamma_aq, omega
-from .rootsys import weyl_group, weyl_orbit
+from .rootsys import WeylGroup, weyl_orbit
 
 SV_TOL = 1e-7
 FD_STEP = 2e-3      # finite-difference step of numeric_hessian
@@ -97,15 +97,16 @@ def _dual(rz: Realization, X) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
-    """w^{-1} a_log, exact; once per realization, base point and w."""
+def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
+    """w^{-1} a_log, exact; once per realization, base point and w.  For
+    a_log in a_q it is the log of x_w^T a x_w, at which a x_w h is judged."""
     return ex.mat_vec(rz.small_weyl.inverse(w), a_log)
 
 
 def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
                    ) -> list[list[Fraction]]:
     """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per w."""
-    wlns = [_weyl_image(rz, a_log, w) for w in ws]
+    wlns = [weyl_image(rz, a_log, w) for w in ws]
     return [[ex.dot(gX, wln) for wln in wlns] for gX in xs.gram]
 
 
@@ -238,10 +239,10 @@ def _predicted_kernels(rz: Realization, xs: SampleStack,
     (centralizer of X in h) + (sigma-fixed nilpotent part), with T a basis
     over the h-basis of its complement for the theta-twisted inner product.
     X enters only through its ties, so each is built once per (realization,
-    P, ties)."""
+    P, ties), and read once per tie pattern of xs."""
     n = rz.dim * rz.dim
-    out = []
-    for i, ties in enumerate(xs.ties):
+    kernels = {}
+    for ties, i in {t: i for i, t in enumerate(xs.ties)}.items():
         key = (rz, P, ties)
         if key not in _KERNELS:
             K = np.concatenate([_centralizer_basis(rz, xs.exact(i)).reshape(-1, n),
@@ -252,8 +253,8 @@ def _predicted_kernels(rz: Realization, xs: SampleStack,
             _, sv, vt = np.linalg.svd(K @ np.reshape(rz.h_basis, (-1, n)).T)
             _KERNELS[key] = (_rank(np.linalg.svd(K, compute_uv=False)),
                              vt[_rank(sv):].T)
-        out.append(_KERNELS[key])
-    return out
+        kernels[ties] = _KERNELS[key]
+    return list(map(kernels.__getitem__, xs.ties))
 
 
 def _rank(sv: np.ndarray) -> int:
@@ -314,8 +315,8 @@ class _WeylPoint:
         """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U, with
         a_w = x_w^T a x_w; shape (dh, dim, dim).  Raises SingularInput when
         a_w U a_w^{-1} or the result leaves double range."""
-        xw = self.rz.weyl_reps[self.w]
-        aw = xw.T @ a_matrix(np.exp(np.asarray(self.a_log, dtype=float))) @ xw
+        wln = weyl_image(self.rz, self.a_log, self.w)
+        aw = a_matrix(np.exp(np.asarray(wln, dtype=float)))
         aw_inv = np.linalg.inv(aw)
         with np.errstate(over="ignore", invalid="ignore"):
             conj = aw @ np.stack(self.rz.h_basis) @ aw_inv
@@ -327,7 +328,7 @@ class _WeylPoint:
     @cached_property
     def signs(self) -> dict[Vec, int]:
         """sign alpha(w^{-1} a_log) for every root alpha; exact."""
-        wln = _weyl_image(self.rz, self.a_log, self.w)
+        wln = weyl_image(self.rz, self.a_log, self.w)
         return {a: np.sign(ex.dot(a, wln)) for a in self.rz.datum.roots}
 
 
@@ -432,17 +433,14 @@ def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
 def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
             ) -> dict[Mat, Polyhedron]:
     """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone;
-    a_log and X exact."""
-    d = rz.datum
+    a_log and X exact.  W_X is the stabiliser of X in the small Weyl group:
+    the reflections in the plus roots vanishing on X (Chevalley's lemma)."""
     cut = sorted(a for a in P.classification.minus_part if ex.dot(a, X) == 0)
-    gam = gamma_aq(cut, d)
-    vanishing = frozenset(lam for lam in rz.restricted.plus_set
-                          if ex.dot(lam, X) == 0)
-    W_X = weyl_group(vanishing, d.gram)
-    out = {}
-    for w in rz.small_weyl.elements:
-        out[w] = omega(weyl_orbit(W_X, _weyl_image(rz, a_log, w)), gam)
-    return out
+    gam = gamma_aq(cut, rz.datum)
+    W_X = WeylGroup(tuple(w for w in rz.small_weyl.elements
+                          if ex.mat_vec(w, X) == X))
+    return {w: omega(weyl_orbit(W_X, weyl_image(rz, a_log, w)), gam)
+            for w in rz.small_weyl.elements}
 
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> Draw:

@@ -33,7 +33,8 @@ from . import exactlin as ex
 from .critical import (F, NotRegular, SampleStack, critical_value,
                        ensure_in_aq, ensure_regular, hessian, is_regular,
                        kernel_dim, omega_X, predicted_signature, sample_H_X,
-                       sample_NPH, transversal_signature, vanishing_patterns)
+                       sample_NPH, transversal_signature, vanishing_patterns,
+                       weyl_image)
 from .matrixgrp import (BLOCK, Draw, Realization, SingularInput,
                         h_pq, iwasawa, realization, root_matrix, sample_H,
                         sample_unipotent)
@@ -137,6 +138,10 @@ class VerificationConfig:
             raise ConfigError("radii must be finite and positive")
         if any(b <= a for a, b in zip(self.radii, self.radii[1:])):
             raise ConfigError("radii must be strictly increasing")
+        # a run draws a row per sample and radius: numpy sizes an array in
+        # bytes by np.intp, and no array of a check holds 2^8 bytes a row
+        if self.samples * len(self.radii) > np.iinfo(np.intp).max >> 8:
+            raise ConfigError(f"sample count {self.samples} is past numpy's index range")
         if not _is_finite_positive(self.tol):
             raise ConfigError("tolerance must be finite and positive")
         bad = self.checks - CHECK_NAMES
@@ -395,9 +400,9 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
     identity, and per Weyl representative x_w its center components z and
     the rank-one rays exp(+-r U) along every cone-generator root.  x_w is
     orthogonal and H is left-K-invariant, so H(a x_w exp(Y)) = H(a_w
-    exp(Y)) with a_w = x_w^-1 a x_w: a_log permuted, at which each ray is a
-    one-generator draw.  Each z is a diagonal sign matrix, so H(a x_w z) =
-    a_w: one row of the span 0 per z."""
+    exp(Y)) with a_w = x_w^-1 a x_w, whose log is weyl_image, at which each
+    ray is a one-generator draw.  Each z is a diagonal sign matrix, so
+    H(a x_w z) = a_w: one row of the span 0 per z."""
     ts = np.array([[t] for r in radii for t in (r, -r)])
     rays = [Draw(ts, (E + rz.sigma_alg(E))[None]) for E in (
         root_matrix(rz.dim, alpha)
@@ -405,15 +410,10 @@ def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
     def zero(count):
         return Draw(np.zeros((count, 0)), np.zeros((0, rz.dim, rz.dim)))
     parts = [(a_log, zero(1))]
-    for xw in rz.weyl_reps.values():
-        a_w = _weyl_base(a_log, xw)
+    for w in rz.weyl_reps:
+        a_w = weyl_image(rz, a_log, w)
         parts += [(a_w, zero(len(rz.z_reps)))] + [(a_w, ray) for ray in rays]
     return parts
-
-
-def _weyl_base(a_log: ex.Vec, xw: np.ndarray) -> ex.Vec:
-    """The diagonal of a_w = x_w^-1 a x_w: a_log permuted, exact."""
-    return tuple(a_log[i] for i in np.abs(xw).argmax(axis=0))
 
 
 def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:
@@ -577,7 +577,6 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         # omega_X reads X only through the roots vanishing on it; for X in
         # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
         ws, oms = zip(*sorted(omega_X(rz, a_exact, wits[0], P).items()))
-        xws = np.stack([rz.weyl_reps[w] for w in ws])
         xs = SampleStack.of(rz, wits)
         # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
         # preset U in h is 0 off the diagonal and the root positions, where
@@ -590,13 +589,14 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
                 _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
         # H(a x_w e^Y n) = H(a_w e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
-        for wi, (xw, om) in enumerate(zip(xws, oms)):
-            _judge(rz, P, tally, om, [(_weyl_base(a_exact, xw),
+        for wi, (w, om) in enumerate(zip(ws, oms)):
+            _judge(rz, P, tally, om, [(weyl_image(rz, a_exact, w),
                                        hxn.rows(rows[:, wi].ravel()))])
         # combinatorial layer: the critical value is the exact level of
         # <X, .> on the predicted image
         levels = critical_value(rz, a_exact, xs, ws)
-        fvs = F(rz, a_exact, xs.floats, xws, P)
+        fvs = F(rz, a_exact, xs.floats,
+                np.stack([rz.weyl_reps[w] for w in ws]), P)
         for gX, x_levels, x_fvs in zip(xs.gram, levels, fvs):
             for om, lv, fv in zip(oms, x_levels, x_fvs):
                 exact_fail += sum((
@@ -707,6 +707,8 @@ def run(cfg: VerificationConfig) -> Report:
         a_log = ",".join(cfg.a_log or _DEFAULT_A_LOG[cfg.preset])
         raise ConfigError(f"{RANGE_ERROR} at a_log={a_log}, radii="
                           f"{','.join(map(str, cfg.radii))}: {e}") from e
+    except MemoryError as e:
+        raise ConfigError(f"sample count {cfg.samples}: {e}") from e
     return Report(config=cfg.to_dict(), results=results)
 
 

@@ -34,8 +34,8 @@ import numpy as np
 from . import exactlin as ex
 from .exactlin import Mat, Vec
 from .parabolic import PositiveSystem, from_chamber
-from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
-                      restricted_roots, weyl_group)
+from .rootsys import (SymmetricPairDatum, WeylGroup, build_pair_datum,
+                      reflection_matrix, restricted_roots)
 
 class SingularInput(ValueError):
     pass
@@ -75,29 +75,25 @@ class Realization:
         return restricted_roots(self.datum)
 
     @cached_property
-    def small_weyl(self):
-        """Reflection group of the restricted roots carrying a plus space."""
-        gens = frozenset(self.restricted.plus_set)
-        return weyl_group(gens if gens else frozenset(), self.datum.gram)
+    def small_weyl(self) -> WeylGroup:
+        """The reflection group of the restricted roots carrying a plus
+        space, as the sorted keys of weyl_reps, which closes it."""
+        return WeylGroup(tuple(sorted(self.weyl_reps)))
 
     @cached_property
     def weyl_reps(self) -> dict[Mat, np.ndarray]:
-        n = self.dim
-        ident = ex.identity(n)
-        reps = {ident: np.eye(n)}
-        frontier = [ident]
+        """The one closure of the small Weyl group: every product w of the
+        generators, with its representative x_w in K."""
+        ident = ex.identity(self.dim)
+        reps, frontier = {ident: np.eye(self.dim)}, [ident]
         while frontier:
             nxt = []
             for w in frontier:
                 for gen, gen_rep in self.weyl_gen_reps:
-                    prod = ex.mat_mul(gen, w)
-                    if prod not in reps:
+                    if (prod := ex.mat_mul(gen, w)) not in reps:
                         reps[prod] = gen_rep @ reps[w]
                         nxt.append(prod)
             frontier = nxt
-        missing = [w for w in self.small_weyl.elements if w not in reps]
-        if missing:
-            raise RuntimeError("Weyl representatives do not cover the reflection group")
         return reps
 
     @cached_property

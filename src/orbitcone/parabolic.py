@@ -7,6 +7,7 @@ system to an h-extreme one.
 """
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -14,7 +15,7 @@ from functools import cached_property
 from . import exactlin as ex
 from .exactlin import Vec
 from .rootsys import (Mult, Root, SymmetricPairDatum, covector_action,
-                      indivisible, reflection_matrix, weyl_group)
+                      indivisible, reflection_matrix)
 
 
 class NoSimpleRootFound(RuntimeError):
@@ -189,12 +190,15 @@ def h_extremize(P: PositiveSystem) -> tuple[PositiveSystem, tuple[Root, ...]]:
 
 
 def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
-    """Every positive system, enumerated via the Weyl action on a base one."""
-    base = _default_base(datum)
-    W = weyl_group(datum.roots, datum.gram)
+    """Every positive system: the images of a base one under the coordinate
+    permutations that keep the root set, which include the Weyl group, as
+    every root is e_i - e_j, and keep a."""
+    base = _default_base(datum).chamber_vector
     # dict.fromkeys keeps the first system of each set of positive roots
-    systems = dict.fromkeys(from_chamber(datum, ex.mat_vec(w, base.chamber_vector))
-                            for w in W.elements)
+    systems = dict.fromkeys(
+        from_chamber(datum, tuple(base[i] for i in p))
+        for p in itertools.permutations(range(len(base)))
+        if frozenset(tuple(a[i] for i in p) for a in datum.roots) == datum.roots)
     return sorted(systems, key=PositiveSystem.key)
 
 

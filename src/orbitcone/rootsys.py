@@ -3,7 +3,8 @@
 Roots and vectors live in a shared ambient rational coordinate frame; the
 bilinear form on a is given by an exact Gram matrix.  theta is always -id on
 a, so sigma together with the per-root eigenspace dimensions carries all the
-involution data.  Everything here is exact and immutable.
+involution data.  Everything here is exact and immutable.  No group is
+closed here: ``matrixgrp.Realization.weyl_reps`` closes the Weyl group.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ class BadMultiplicity(ValueError):
     pass
 
 
-class ClosureTooLarge(RuntimeError):
-    pass
-
-
 class MissingMultiplicity(KeyError):
     """A sigma-theta-fixed root was used without its +/- dimensions."""
 
@@ -44,9 +41,6 @@ Root = Vec
 # (dim g_alpha, dim g_{alpha,+}, dim g_{alpha,-}); the last two are None
 # exactly when sigma*theta does not fix alpha
 Mult = tuple[int, int | None, int | None]
-
-# largest Weyl group weyl_group closes before it raises ClosureTooLarge
-WEYL_ORDER_CAP = 4096
 
 
 def covector_action(m: Mat, alpha: Root) -> Root:
@@ -213,7 +207,6 @@ def restricted_roots(datum: SymmetricPairDatum) -> RestrictedRootDatum:
 
 @dataclass(frozen=True)
 class WeylGroup:
-    generators: tuple[Mat, ...]
     elements: tuple[Mat, ...]
 
     @cached_property
@@ -246,34 +239,6 @@ def reflection_matrix(alpha: Root, gram: Mat) -> Mat:
     n = len(gram)
     return tuple(tuple((Fraction(1) if i == j else Fraction(0)) - h_alpha[i] * alpha[j]
                        for j in range(n)) for i in range(n))
-
-
-def weyl_group(root_set: Iterable[Root], gram: Mat) -> WeylGroup:
-    roots = sorted({ex.vec(r) for r in root_set})
-    gens = []
-    seen_dirs = set()
-    for alpha in roots:
-        key = ex.unit_lead(alpha)
-        if key in seen_dirs:
-            continue
-        seen_dirs.add(key)
-        gens.append(reflection_matrix(alpha, gram))
-    ident = ex.identity(len(gram))
-    elements = {ident}
-    frontier = [ident]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                ws = ex.mat_mul(s, w)
-                if ws not in elements:
-                    if len(elements) >= WEYL_ORDER_CAP:
-                        raise ClosureTooLarge(
-                            f"Weyl closure exceeded cap {WEYL_ORDER_CAP}")
-                    elements.add(ws)
-                    nxt.append(ws)
-        frontier = nxt
-    return WeylGroup(generators=tuple(gens), elements=tuple(sorted(elements)))
 
 
 def weyl_orbit(w_group: WeylGroup, point: Vec) -> frozenset[Vec]:

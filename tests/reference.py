@@ -1,7 +1,11 @@
 """Helpers that only the tests read, and uncached references for the library.
 
 ``sigma_grp`` and ``contains`` state properties the tests check: the
-involution on the group and membership up to a slack.  ``h_x_coords_fresh``
+involution on the group and membership up to a slack.  ``weyl_group`` is
+the reflection group of a set of roots, closed from its reflection
+matrices; the tests require the one closure of the package,
+``Realization.weyl_reps``, and what it feeds (the small Weyl group, the
+stabilisers W_X and the positive systems) to agree with it.  ``h_x_coords_fresh``
 is the centralizer computation without the per-tie-pattern cache of
 ``critical.h_x_coords``; the tests require both to agree exactly.
 ``FractionSampleStack`` is ``critical.SampleStack`` in Fraction arithmetic,
@@ -69,6 +73,7 @@ from orbitcone.matrixgrp import (_UNSCALED, NotCubic, SingularInput, _scales,
                                  _SERIES_C, a_matrix, ek_projection, h_pq,
                                  span_form)
 from orbitcone.polyhedra import _free_lp
+from orbitcone.rootsys import WeylGroup, reflection_matrix
 
 
 def sigma_grp(rz, g):
@@ -76,6 +81,20 @@ def sigma_grp(rz, g):
     if rz.kind == "J":
         return rz.inv_np @ np.swapaxes(np.linalg.inv(g), -1, -2) @ rz.inv_np
     return rz.inv_np @ g @ rz.inv_np
+
+
+def weyl_group(root_set, gram) -> WeylGroup:
+    """The group generated by the reflections in root_set, one per root
+    direction, closed breadth first; its elements sorted."""
+    gens = {ex.unit_lead(a): reflection_matrix(a, gram)
+            for a in sorted(set(map(ex.vec, root_set)))}
+    ident = ex.identity(len(gram))
+    elements, frontier = {ident}, [ident]
+    while frontier:
+        frontier = [w for w in {ex.mat_mul(s, w) for w in frontier
+                                for s in gens.values()} if w not in elements]
+        elements.update(frontier)
+    return WeylGroup(tuple(sorted(elements)))
 
 
 def contains(region, x, tol: float = 1e-7) -> bool:

@@ -51,6 +51,22 @@ def test_bad_samples(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("check", ["main", "hessian"])
+@pytest.mark.parametrize("samples", ["100000000000000", "100000000000000000000"],
+                         ids=["1e14", "1e20"])
+def test_an_oversized_sample_count_exits_2_naming_it(capsys, check, samples):
+    # exit 1 is a verdict.  10^14 samples need more than a 47-bit address
+    # space, so numpy's allocation fails at once, whatever the overcommit
+    # setting; 10^20 rows are past what numpy indexes, and fail validation
+    rc = main(["verify", "--preset", "sl2_so11", "--checks", check,
+               "--samples", samples])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert re.search(f"error: sample count {samples}(?![0-9])", captured.err)
+    assert "Traceback" not in captured.err + captured.out
+    assert "PASS" not in captured.out
+
+
 @pytest.mark.parametrize("flags,config", [
     (["--tol", "nan", "--checks", "inclusion_cone"], None),
     (["--tol", "inf"], None),

@@ -26,7 +26,7 @@ from reference import (analytic_hessian_fresh, critical_image_per_draw,
                        kernel_dim_per_call, numeric_hessian_fresh,
                        predicted_signature_per_call, sigma_grp,
                        signature_per_call, transversal_signature_lstsq,
-                       transversal_signature_per_call)
+                       transversal_signature_per_call, weyl_group)
 
 A_LOGS = {
     "kostant_sl2": (1, -1),
@@ -382,6 +382,41 @@ def test_omega_X_depends_only_on_the_vanishing_pattern(rz):
             for w, om in out.items():
                 assert om.vertices == first[w].vertices
                 assert om.generators == first[w].generators
+
+
+def test_the_stabiliser_of_X_is_the_closure_of_its_vanishing_plus_roots(rz):
+    # Chevalley's lemma, on which omega_X takes W_X as the stabiliser of X
+    # in the small Weyl group, at every witness of every pattern
+    a_log = ensure_regular(rz, _a_log(rz))
+    for S, wits in vanishing_patterns(rz):
+        for X in wits:
+            W_X = weyl_group([lam for lam in rz.restricted.plus_set
+                              if ex.dot(lam, X) == 0], rz.datum.gram)
+            assert W_X.elements == tuple(w for w in rz.small_weyl.elements
+                                         if ex.mat_vec(w, X) == X)
+            for w, om in omega_X(rz, a_log, X, rz.base_parabolic).items():
+                assert set(om.vertices) == weyl_orbit(
+                    W_X, critical.weyl_image(rz, a_log, w))
+
+
+def test_weyl_image_is_the_diagonal_of_the_conjugated_base_point(rz, monkeypatch):
+    # the checks judge a x_w h at the base point weyl_image(rz, a_log, w),
+    # for H(a x_w h) = H(a_w h) with a_w = x_w^T a x_w; limits reads it at
+    # the default base point and at every step of its sequence, all in a_q
+    seen = set()
+    monkeypatch.setattr(harness, "weyl_image", lambda rz_, a_log, w: seen.add(
+        a_log) or critical.weyl_image(rz_, a_log, w))
+    report = run(VerificationConfig(preset=rz.name, samples=20,
+                                    checks=frozenset({"limits"})))
+    assert _a_log(rz) in seen
+    assert len(seen) == report.results[0].detail["sequence_length"] + 1
+    for a_log in seen:
+        for w, xw in rz.weyl_reps.items():
+            assert np.isin(xw, (-1.0, 0.0, 1.0)).all()
+            x = xw.astype(int).tolist()
+            assert critical.weyl_image(rz, a_log, w) == tuple(
+                sum(x[i][c] ** 2 * a_log[i] for i in range(rz.dim))
+                for c in range(rz.dim))
 
 
 def test_critical_image_builds_one_hrep_per_pattern_and_weyl_element(monkeypatch):

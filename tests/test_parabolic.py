@@ -6,9 +6,12 @@ from orbitcone import critical
 from orbitcone import exactlin as ex
 from orbitcone.harness import VerificationConfig
 from orbitcone.matrixgrp import chamber_perm, realization
-from orbitcone.parabolic import (all_positive_systems, from_chamber,
+from orbitcone.parabolic import (PositiveSystem, _default_base,
+                                 all_positive_systems, from_chamber,
                                  h_extremize, is_h_extreme, is_q_extreme,
                                  reflect_system, sigma_classification)
+
+from reference import weyl_group
 
 SYSTEM_COUNTS = {"kostant_sl2": 2, "sl2_so11": 2, "sl3_so21": 6, "group_sl2": 4}
 
@@ -18,6 +21,21 @@ def test_all_positive_systems_count(rz):
     assert len(systems) == SYSTEM_COUNTS[rz.name]
     keys = {P.key() for P in systems}
     assert len(keys) == len(systems)
+
+
+def test_all_positive_systems_match_the_weyl_closure(rz):
+    # the images of the base chamber vector under the full Weyl group,
+    # closed from its reflections, the first of each system kept: the same
+    # systems, in the same order, with the same chamber vectors
+    d = rz.datum
+    base = _default_base(d).chamber_vector
+    closure = dict.fromkeys(from_chamber(d, ex.mat_vec(w, base))
+                            for w in weyl_group(d.roots, d.gram).elements)
+    systems = all_positive_systems(d)
+    want = sorted(closure, key=PositiveSystem.key)
+    assert [P.positive for P in systems] == [P.positive for P in want]
+    assert [P.chamber_vector for P in systems] == [
+        P.chamber_vector for P in want]
 
 
 def test_a_positive_system_is_its_positive_roots(rz_sl3):

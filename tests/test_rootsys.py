@@ -5,7 +5,8 @@ import pytest
 from orbitcone import exactlin as ex
 from orbitcone.rootsys import (BadMultiplicity, NotAnInvolution,
                                build_pair_datum, covector_action, indivisible,
-                               reflection_matrix, weyl_group, weyl_orbit)
+                               reflection_matrix, weyl_orbit)
+from reference import weyl_group
 
 A_DIMS = {"kostant_sl2": 1, "sl2_so11": 1, "sl3_so21": 2, "group_sl2": 2}
 AQ_DIMS = {"kostant_sl2": 1, "sl2_so11": 1, "sl3_so21": 2, "group_sl2": 1}
@@ -82,6 +83,13 @@ def test_restricted_known_facts(rz):
 
 def test_small_weyl_order(rz):
     assert len(rz.small_weyl.elements) == SMALL_ORDERS[rz.name]
+
+
+def test_small_weyl_is_the_closure_of_the_plus_roots(rz):
+    # weyl_reps closes the group from the generator representatives; the
+    # reflections in the restricted roots with a plus space close the same
+    oracle = weyl_group(rz.restricted.plus_set, rz.datum.gram)
+    assert rz.small_weyl.elements == oracle.elements
 
 
 def test_reflection_matrix_props(rz_sl3):

@@ -117,6 +117,30 @@ def test_the_scan_finds_an_unused_import():
     assert _unused_imports(tree) == ["line 2: b", "line 1: os"]
 
 
+def _private_imports(tree: ast.Module) -> list[str]:
+    """Names with a leading underscore that a module imports from a module
+    of the package, relatively or as orbitcone.*."""
+    return [f"line {node.lineno}: {a.name}" for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            and (node.level or (node.module or "").startswith("orbitcone"))
+            for a in node.names if a.name.startswith("_")]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_a_private_name(path):
+    # what one module of the package reads of another is public, as the
+    # Weyl image that critical and harness share is
+    assert _private_imports(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_finds_a_private_import():
+    tree = ast.parse("from __future__ import annotations\n"
+                     "from numpy import _pytesttester\n"
+                     "from . import _a, b\nfrom .c import d, _e\n"
+                     "from orbitcone.f import _g\n")
+    assert _private_imports(tree) == ["line 3: _a", "line 4: _e", "line 5: _g"]
+
+
 def _defaulted_p(tree: ast.Module) -> list[str]:
     """Functions with a parameter named P that has a default."""
     out = []
