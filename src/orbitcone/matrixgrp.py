@@ -27,7 +27,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -559,30 +559,60 @@ def _column_coefficients(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _clip_factors(t: np.ndarray, basis: np.ndarray, radius: float) -> np.ndarray:
     """radius / norm for each Y = sum_k t_k basis[k] of the rows of t whose
-    Frobenius norm exceeds radius, else 1: the squares of its entries, read
-    from the columns of t (_entry_columns), added by np.sum along the rows
-    of one C-ordered (rows, n^2) array, as it adds the entries of Y.  Raises
-    SingularInput when a norm is not finite."""
-    cols = _entry_columns(basis.shape, basis.tobytes())
-    squares = np.zeros((len(t), len(basis) + 1))    # t_k^2, and a column of 0
+    Frobenius norm exceeds radius, else 1: the columns of t squared once,
+    added column by column along _entry_columns' program, the order in
+    which np.sum adds the entries of Y.  A span with no nonzero entry has
+    norm 0.  Raises SingularInput when a norm is not finite."""
+    program = _entry_columns(basis.shape, basis.tobytes())
+    stack = []      # per partial sum: its column, and if this call made it
     with np.errstate(over="ignore"):
-        np.square(t, out=squares[:, :-1])
-        norms = np.sqrt(np.sum(squares.take(cols, axis=1), axis=1))
+        squares = [np.square(column) for column in t.T]
+        for k in program:
+            if k is not None:
+                stack.append((squares[k], False))
+                continue
+            (b, made_b), (a, made_a) = stack.pop(), stack.pop()
+            stack.append((np.add(a, b, out=a if made_a else
+                                 b if made_b else None), True))
+        del squares
+        norms = np.sqrt(stack.pop()[0] if stack else np.zeros(len(t)))
     if not np.all(np.isfinite(norms)):
         raise SingularInput("exponent overflows double precision")
     return np.where(norms > radius, radius / np.maximum(norms, 1e-300), 1.0)
 
 
 @lru_cache(maxsize=None)
-def _entry_columns(shape: tuple, data: bytes) -> np.ndarray:
-    """Per entry of Y, the index k of the one basis matrix that is +-1 there
-    and the others 0, or len(basis) where all are 0.  Raises ValueError
-    when some entry is not of that form: every span drawn with a radius
-    has that form."""
+def _entry_columns(shape: tuple, data: bytes) -> tuple:
+    """How np.sum adds the squared entries of Y = sum_k t_k basis[k], each
+    one +-t_k or 0 on the whole span, as _pairwise_program over t's columns.
+    Raises ValueError when some entry is not of that form: every span drawn
+    with a radius has that form."""
     B = np.abs(np.frombuffer(data).reshape(shape[0], shape[1] * shape[2]))
     if not (np.isin(B, (0.0, 1.0)).all() and (B.sum(axis=0) <= 1).all()):
         raise ValueError("a span entry is not a single +-t_k")
-    return np.vstack([B, B.sum(axis=0) == 0]).argmax(axis=0)
+    return tuple(_pairwise_program([np.flatnonzero(e).tolist() for e in B.T]))
+
+
+def _pairwise_program(leaves: list) -> list:
+    """numpy's pairwise sum of leaves (Higham 2002, sec. 4.2) as a postfix
+    program, a leaf [k] pushing t_k^2 and None adding the top two; a leaf []
+    is an entry 0 and drops out, since x + 0 = x for a square x."""
+    if len(leaves) > 128:     # halves whose first has a multiple of 8
+        half = len(leaves) // 16 * 8
+        return _join(_pairwise_program(leaves[:half]),
+                     _pairwise_program(leaves[half:]))
+    if len(leaves) < 8:
+        return reduce(_join, leaves, [])
+    body = len(leaves) // 8 * 8
+    r = [reduce(_join, leaves[j:body:8]) for j in range(8)]
+    while len(r) > 1:       # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+        r = [_join(a, b) for a, b in zip(r[::2], r[1::2])]
+    return reduce(_join, leaves[body:], r[0])
+
+
+def _join(a: list, b: list) -> list:
+    """The program of a + b, or of the one of them that is not empty."""
+    return a + b + [None] if a and b else a or b
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,4 @@
+import gc
 import inspect
 import json
 import tracemalloc
@@ -13,7 +14,8 @@ from orbitcone.harness import (CHECK_NAMES, CHECKS, ConfigError, IoError,
                                Report, Tally, VerificationConfig,
                                config_from_mapping, emit_report, report_csv,
                                report_json, report_svg, run)
-from orbitcone.matrixgrp import Draw, realization
+from orbitcone.matrixgrp import (BLOCK, Draw, iwasawa, realization,
+                                 sample_H)
 from orbitcone.polyhedra import cone, gamma_cone, omega
 from orbitcone.rootsys import weyl_orbit
 
@@ -452,3 +454,21 @@ def test_main_keeps_at_most_52_bytes_per_sample():
         finally:
             tracemalloc.stop()
     assert (peaks[1] - peaks[0]) / 75_000 <= 52, peaks
+
+
+@pytest.mark.parametrize("preset", PRESETS)
+def test_a_clip_leaves_no_cyclic_garbage(preset):
+    """iwasawa of a draw clipped to a radius, over several blocks, and a
+    main run leave no reference cycle for the collector: a clip whose sum
+    was a recursive closure kept each block's squares alive until it ran."""
+    rz = realization(preset)
+    gc.collect()
+    gc.disable()
+    try:
+        iwasawa(rz, sample_H(rz, 4.0, 3 * BLOCK + 1, seed=53),
+                rz.base_parabolic)
+        run(VerificationConfig(preset=preset, samples=20_000))
+        garbage = gc.collect()
+    finally:
+        gc.enable()
+    assert garbage == 0

@@ -554,16 +554,45 @@ def _radius_spans(rz: Realization) -> list[np.ndarray]:
 def test_the_factored_path_clips_as_exp_span_clips(rz):
     """_clip_factors, which the factored Iwasawa kernel scales t by, gives
     the bits of exp_span_dense's clip from the columns of t, on every span
-    the program draws with a radius and on sl2_triple."""
+    the program draws with a radius and on sl2_triple: at row counts about
+    np.sum's eight accumulators and about BLOCK, and at coefficient scales
+    up to where a norm overflows, which raises."""
     rng = np.random.default_rng(51)
     for basis in _radius_spans(rz) + [sl2_triple(rz.dim)]:
-        t = rng.normal(scale=3.0, size=(2 * BLOCK + 5, len(basis)))
-        t[:3] *= np.array([[0.0], [1e-80], [1e100]])
-        for radius in (2.0, 1e-90, 1e5):
-            assert np.array_equal(_clip_factors(t, basis, radius),
-                                  clip_factors_dense(t, basis, radius))
+        mixed = rng.normal(scale=3.0, size=(2 * BLOCK + 5, len(basis)))
+        mixed[:3] *= np.array([[0.0], [1e-80], [1e100]])
+        counts = (1, 2, 7, 8, 9, 17, BLOCK - 1, BLOCK, BLOCK + 1)
+        scales = (1.0, 1e-160, 1e100, 1e154, 1e160)
+        for t in [mixed] + [s * rng.normal(scale=3.0, size=(c, len(basis)))
+                            for c in counts for s in scales]:
+            Y = _combine(t, basis)
+            with np.errstate(over="ignore"):
+                finite = np.isfinite(np.sum(Y * Y, axis=(-2, -1))).all()
+            for radius in (2.0, 1e-90, 1e5):
+                if not finite:
+                    with pytest.raises(SingularInput, match="exponent over"):
+                        _clip_factors(t, basis, radius)
+                    continue
+                assert np.array_equal(_clip_factors(t, basis, radius),
+                                      clip_factors_dense(t, basis, radius))
     with pytest.raises(SingularInput):
         _clip_factors(np.array([[np.inf]]), np.stack(rz.h_basis)[:1], 1.0)
+
+
+def test_the_clip_keeps_at_most_56_bytes_per_row(rz_sl3):
+    """_clip_factors adds the squares of t's columns one column at a time:
+    its peak on BLOCK rows of sl3_so21 is about 41 bytes per row, where
+    adding a (rows, n^2) gather of them with np.sum took 112."""
+    basis = np.stack(rz_sl3.h_basis)
+    t = _h_coefficients(rz_sl3, 8.0, BLOCK, seed=52)
+    _clip_factors(t, basis, 4.0)
+    tracemalloc.start()
+    try:
+        _clip_factors(t, basis, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 56 * BLOCK, peak
 
 
 def test_center_signs_are_the_diagonals_of_the_center(rz):
