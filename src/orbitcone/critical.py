@@ -39,7 +39,7 @@ from .matrixgrp import (Draw, Realization, SingularInput, a_matrix,
                         sample_unipotent)
 from .parabolic import PositiveSystem
 from .polyhedra import Polyhedron, gamma_aq, omega
-from .rootsys import WeylGroup, weyl_orbit
+from .rootsys import weyl_orbit
 
 SV_TOL = 1e-7
 FD_STEP = 2e-3      # finite-difference step of numeric_hessian
@@ -100,7 +100,7 @@ def _dual(rz: Realization, X) -> np.ndarray:
 def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
     """w^{-1} a_log, exact; once per realization, base point and w.  For
     a_log in a_q it is the log of x_w^T a x_w, at which a x_w h is judged."""
-    return ex.mat_vec(rz.small_weyl.inverse(w), a_log)
+    return ex.mat_vec(ex.mat_inv(w), a_log)
 
 
 def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
@@ -320,7 +320,7 @@ class _WeylPoint:
         aw_inv = np.linalg.inv(aw)
         with np.errstate(over="ignore", invalid="ignore"):
             conj = aw @ np.stack(self.rz.h_basis) @ aw_inv
-            out = aw @ ek_projection(self.rz, conj, self.P) @ aw_inv
+            out = aw @ ek_projection(conj, self.P) @ aw_inv
         if not (np.all(np.isfinite(conj)) and np.all(np.isfinite(out))):
             raise SingularInput("transport overflows double precision")
         return out
@@ -437,10 +437,9 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
     the reflections in the plus roots vanishing on X (Chevalley's lemma)."""
     cut = sorted(a for a in P.classification.minus_part if ex.dot(a, X) == 0)
     gam = gamma_aq(cut, rz.datum)
-    W_X = WeylGroup(tuple(w for w in rz.small_weyl.elements
-                          if ex.mat_vec(w, X) == X))
+    W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, X) == X)
     return {w: omega(weyl_orbit(W_X, weyl_image(rz, a_log, w)), gam)
-            for w in rz.small_weyl.elements}
+            for w in rz.small_weyl}
 
 
 def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> Draw:

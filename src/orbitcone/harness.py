@@ -539,7 +539,7 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         [ex.limit_denominator(c, 40) for c in row]
         for row in rng.normal(size=(cfg.samples, len(aq))).tolist()], aq)
     kd = kernel_dim(rz, xs, P)
-    ws = rz.small_weyl.elements
+    ws = rz.small_weyl
     per_w = []
     for w in ws:
         rep = hessian(rz, a_exact, xs, w, P)

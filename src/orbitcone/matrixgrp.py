@@ -6,9 +6,9 @@ realized block-diagonally in SL(4,R).  The Cartan involution is always
 Y -> -Y^T; the second involution is either Y -> -J Y^T J for a signature
 matrix J or conjugation by the block swap.
 
-Every positive system is named explicitly and conjugated into the
-upper-triangular base system by an index permutation, the identity for the
-base system itself.  The samplers return a ``Draw``, the coefficients of
+Every positive system P is named explicitly and conjugated into the
+upper-triangular base system by its index permutation P.perm, the identity
+on the base system.  The samplers return a ``Draw``, the coefficients of
 its elements exp(Y) n.  The elements a z exp(Y) n of the theorem also
 carry a center component z of H; on every preset z is a diagonal sign
 matrix in K that commutes with a, so H(a z exp(Y) n) = H(a exp(Y) n), and
@@ -33,9 +33,9 @@ import numpy as np
 
 from . import exactlin as ex
 from .exactlin import Mat, Vec
-from .parabolic import PositiveSystem, from_chamber
-from .rootsys import (SymmetricPairDatum, WeylGroup, build_pair_datum,
-                      reflection_matrix, restricted_roots)
+from .parabolic import PositiveSystem, base_system
+from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
+                      restricted_roots)
 
 class SingularInput(ValueError):
     pass
@@ -67,18 +67,17 @@ class Realization:
 
     @cached_property
     def base_parabolic(self) -> PositiveSystem:
-        cham = tuple(Fraction(self.dim - i) for i in range(self.dim))
-        return from_chamber(self.datum, cham)
+        return base_system(self.datum)
 
     @cached_property
     def restricted(self):
         return restricted_roots(self.datum)
 
     @cached_property
-    def small_weyl(self) -> WeylGroup:
+    def small_weyl(self) -> tuple[Mat, ...]:
         """The reflection group of the restricted roots carrying a plus
-        space, as the sorted keys of weyl_reps, which closes it."""
-        return WeylGroup(tuple(sorted(self.weyl_reps)))
+        space: the sorted keys of weyl_reps, which closes it."""
+        return tuple(sorted(self.weyl_reps))
 
     @cached_property
     def weyl_reps(self) -> dict[Mat, np.ndarray]:
@@ -253,29 +252,12 @@ def realization(name: str) -> Realization:
     return PRESETS[name]()
 
 
-# --- permutation bookkeeping -----------------------------------------------
+# --- Iwasawa decomposition -------------------------------------------------
 
-@lru_cache(maxsize=None)
-def chamber_perm(rz: Realization, P: PositiveSystem) -> np.ndarray:
-    """Index permutation p such that the permutation matrix w with
-    w[p[c], c] = 1 maps Sigma(base) onto Sigma(P); the identity when P is
-    the base system, under which every conjugation is an exact copy."""
-    base_pos = rz.base_parabolic.positive
-    for perm in itertools.permutations(range(rz.dim)):
-        moved = frozenset(tuple(a[perm.index(r)] for r in range(rz.dim))
-                          for a in base_pos)
-        if moved == P.positive:
-            return np.array(perm)
-    raise ValueError("positive system is not a coordinate permutation of "
-                     "the base")
-
-
-def _conjugate(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+def _conjugate(x: np.ndarray, p) -> np.ndarray:
     """w^T x w for the permutation matrix w with w[p[c], c] = 1; batched."""
     return x[..., p, :][..., :, p]
 
-
-# --- Iwasawa decomposition -------------------------------------------------
 
 # iwasawa works through its input this many matrices at a time, so that its
 # temporaries stay a few blocks in size whatever the batch
@@ -296,7 +278,7 @@ def _scales(peak: np.ndarray, bounds: tuple) -> np.ndarray:
 def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     """Iwasawa log H of exp(a_log) g = k exp(H) n with n in N_P, in ambient
     diagonal coordinates, for a stack g (..., n, n) or a Draw; a_log is a
-    float vector, 0 when None.  With p = chamber_perm(rz, P) and J = p[:k],
+    float vector, 0 when None.  With p = P.perm and J = p[:k],
     S_k = H_p[0] + ... + H_p[k-1] is 1/2 log det (x^T x)_JJ, x = exp(a_log)
     g: by Cauchy-Binet, of the sum over k-subsets I of e^(2 a_I) m_I^2, m_I
     the minor of g on rows I and columns J (_prefix_logs).  The minors of a
@@ -308,7 +290,7 @@ def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     entries' on such a stack, 'exponent overflows double precision' when a
     Draw's clip norm does; ValueError when a Draw's right factor is not in
     N_P."""
-    p = chamber_perm(rz, P)
+    p = P.perm
     a = np.zeros(len(p)) if a_log is None else np.asarray(a_log, dtype=float)
     if isinstance(g, Draw):
         return _prefix_logs(len(g), p, a, *_draw_minors(g, p))
@@ -324,7 +306,7 @@ def iwasawa(rz: Realization, g, P: PositiveSystem, a_log=None) -> np.ndarray:
     return (H + np.log(s)[:, None]).reshape(g.shape[:-1])
 
 
-def _prefix_logs(count: int, p: np.ndarray, a: np.ndarray, subsets,
+def _prefix_logs(count: int, p: tuple, a: np.ndarray, subsets,
                  squares) -> np.ndarray:
     """H of count rows from S_k = top + 1/2 log of the sum over I in
     subsets[k-1] of e^(2 (a_I - top)) m_I^2, top the largest a_I; squares(
@@ -356,7 +338,7 @@ def _prefix_logs(count: int, p: np.ndarray, a: np.ndarray, subsets,
     return H
 
 
-def _stack_minors(flat: np.ndarray, p: np.ndarray):
+def _stack_minors(flat: np.ndarray, p: tuple):
     """(subsets, squares) for _prefix_logs of a stack flat (m, n, n): per
     k-subset I of rows, the minor on columns p[:k], up to the sign, by
     Laplace expansion along column p[k-1] = G[k-1] of a block, G[c, i] the
@@ -468,7 +450,7 @@ def _combination(terms, rows):
     return acc
 
 
-def _draw_minors(draw: Draw, p: np.ndarray):
+def _draw_minors(draw: Draw, p: tuple):
     """(subsets, squares) for _prefix_logs of g = exp(Y) n, the rows of
     draw: m_I is entry I of exp(W) e_J = e_J + f1 W e_J + f2 W^2 e_J for
     W = wedge^k Y, from _wedge_terms and _column_coefficients, with t
@@ -476,10 +458,10 @@ def _draw_minors(draw: Draw, p: np.ndarray):
     a draw on a span that _in_np accepts, with no n of its own."""
     right = draw.right
     if right is not None and not (right.right is None and _in_np(
-            right.basis.shape, right.basis.tobytes(), tuple(map(int, p)))):
+            right.basis.shape, right.basis.tobytes(), p)):
         raise ValueError("right factor of a draw is not in N_P")
     plan = [_wedge_terms(draw.basis.shape, draw.basis.tobytes(),
-                         tuple(sorted(map(int, p[:k]))))
+                         tuple(sorted(p[:k])))
             for k in range(1, len(p))]     # per k < n: Q terms, entries
     reads = {}      # per Q terms: the monomials that f1 and f2 of its c scale
     for qterms, entries in plan:
@@ -521,7 +503,7 @@ def _in_np(shape: tuple, data: bytes, p: tuple) -> bool:
     """Whether exp of the span of a basis (k, n, n) lies in N_P: the basis is
     strictly upper triangular after conjugation by p, compared exactly."""
     B = np.frombuffer(data).reshape(shape)
-    return not np.tril(_conjugate(B, np.array(p))).any()
+    return not np.tril(_conjugate(B, p)).any()
 
 
 # --- the column coefficients -----------------------------------------------
@@ -672,8 +654,8 @@ def sample_unipotent(basis: np.ndarray, radius: float, count: int, seeds
 
 # --- Lie-algebra projections used by the Hessian layer ---------------------
 
-def ek_projection(rz: Realization, V, P: PositiveSystem) -> np.ndarray:
+def ek_projection(V, P: PositiveSystem) -> np.ndarray:
     """Component in k of the decomposition g = k + a + n_P; batched."""
-    perm = chamber_perm(rz, P)
+    perm = P.perm
     low = np.tril(_conjugate(np.asarray(V, dtype=float), perm), -1)
     return _conjugate(low - np.swapaxes(low, -1, -2), np.argsort(perm))

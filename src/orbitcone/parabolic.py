@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 from . import exactlin as ex
@@ -97,6 +96,23 @@ class PositiveSystem:
             out.append(OrbitClass(root=root, in_sigma_part=root in sigma_part,
                                   in_aq_star=d.in_aq_star(root), mult=mult))
         return tuple(out)
+
+    @cached_property
+    def perm(self) -> tuple[int, ...]:
+        """The first permutation p, in itertools.permutations order, that
+        moves each base root e_i - e_j to the root e_p[i] - e_p[j] of P, and
+        so keeps the root set: w with w[p[c], c] = 1 maps Sigma(base) onto
+        Sigma(P).  The identity on the base system."""
+        n = len(self.datum.gram)
+        # a -> (a[p[0]], ..., a[p[n-1]]) takes e_p[i] - e_p[j] to e_i - e_j;
+        # p moves the base system onto P when it takes P to roots that are
+        # positive on the base chamber (n, ..., 1): that is half the roots
+        for p in itertools.permutations(range(n)):
+            back = (tuple(a[i] for i in p) for a in self.positive)
+            if all(b in self.datum.roots and ex.dot(b, range(n, 0, -1)) > 0
+                   for b in back):
+                return p
+        raise ValueError("positive system is not a permutation of the base")
 
     def simple_roots(self) -> frozenset[Root]:
         indiv = indivisible(self.positive)
@@ -189,30 +205,19 @@ def h_extremize(P: PositiveSystem) -> tuple[PositiveSystem, tuple[Root, ...]]:
     return current, tuple(trace)
 
 
+def base_system(datum: SymmetricPairDatum) -> PositiveSystem:
+    """The upper-triangular system, of the chamber vector (n, ..., 1)."""
+    return from_chamber(datum, range(len(datum.gram), 0, -1))
+
+
 def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
-    """Every positive system: the images of a base one under the coordinate
-    permutations that keep the root set, which include the Weyl group, as
-    every root is e_i - e_j, and keep a."""
-    base = _default_base(datum).chamber_vector
+    """Every positive system, its chamber vector the image of the base one
+    (n, ..., 1) under a permutation that keeps the root set; these include
+    the Weyl group, as every root is e_i - e_j."""
+    base = base_system(datum).chamber_vector
     # dict.fromkeys keeps the first system of each set of positive roots
     systems = dict.fromkeys(
         from_chamber(datum, tuple(base[i] for i in p))
         for p in itertools.permutations(range(len(base)))
         if frozenset(tuple(a[i] for i in p) for a in datum.roots) == datum.roots)
     return sorted(systems, key=PositiveSystem.key)
-
-
-def _default_base(datum: SymmetricPairDatum) -> PositiveSystem:
-    # deterministic regular vector: separate roots by a generic combination
-    for trial in _generic_vectors(datum):
-        if all(ex.dot(a, trial) != 0 for a in datum.roots):
-            return from_chamber(datum, trial)
-    raise ValueError("no regular vector found")
-
-
-def _generic_vectors(datum: SymmetricPairDatum):
-    basis = datum.a_basis
-    n, dim = len(basis), len(basis[0])
-    yield ex.combination([Fraction(1, 97 ** i) for i in range(n)], basis, dim)
-    for k in range(2, 50):
-        yield ex.combination([Fraction(1, k ** i + i) for i in range(n)], basis, dim)

@@ -4,7 +4,8 @@ Roots and vectors live in a shared ambient rational coordinate frame; the
 bilinear form on a is given by an exact Gram matrix.  theta is always -id on
 a, so sigma together with the per-root eigenspace dimensions carries all the
 involution data.  Everything here is exact and immutable.  No group is
-closed here: ``matrixgrp.Realization.weyl_reps`` closes the Weyl group.
+closed or held here: ``matrixgrp.Realization.weyl_reps`` closes the Weyl
+group, and a group is a tuple of its matrices.
 """
 from __future__ import annotations
 
@@ -205,19 +206,6 @@ def restricted_roots(datum: SymmetricPairDatum) -> RestrictedRootDatum:
     return RestrictedRootDatum(roots_q=table, plus_set=plus, minus_set=minus)
 
 
-@dataclass(frozen=True)
-class WeylGroup:
-    elements: tuple[Mat, ...]
-
-    @cached_property
-    def _inverses(self) -> dict[Mat, Mat]:
-        return {w: ex.mat_inv(w) for w in self.elements}
-
-    def inverse(self, w: Mat) -> Mat:
-        """w^{-1} for an element w of the group, read from a table."""
-        return self._inverses[w]
-
-
 def coroot(alpha: Root, gram: Mat) -> Vec:
     """H_alpha: alpha(H_alpha) = 2, and H_alpha is B-orthogonal to ker alpha."""
     alpha = ex.vec(alpha)
@@ -241,9 +229,9 @@ def reflection_matrix(alpha: Root, gram: Mat) -> Mat:
                        for j in range(n)) for i in range(n))
 
 
-def weyl_orbit(w_group: WeylGroup, point: Vec) -> frozenset[Vec]:
+def weyl_orbit(ws: Iterable[Mat], point: Vec) -> frozenset[Vec]:
     point = ex.vec(point)
-    return frozenset(ex.mat_vec(w, point) for w in w_group.elements)
+    return frozenset(ex.mat_vec(w, point) for w in ws)
 
 
 def indivisible(root_set: Iterable[Root]) -> frozenset[Root]:

@@ -1,7 +1,7 @@
 """Reference K A N_P factorization used by several test files.
 
-One full QR of the input conjugated by the permutation matrix of
-chamber_perm gives all three factors at once.  The library computes only
+One full QR of the input conjugated by the permutation matrix of P.perm
+gives all three factors at once.  The library computes only
 the Iwasawa log H; the tests compare it with this reference and take the
 unipotent factor n from here.  iwasawa_gram_schmidt is the vectorised
 Gram-Schmidt kernel that the library once ran on stacks, kept as a second
@@ -19,7 +19,7 @@ import mpmath
 import numpy as np
 
 from orbitcone.matrixgrp import (BLOCK, _UNSCALED, SingularInput, _clip_factors,
-                                 _scales, chamber_perm)
+                                 _scales)
 
 # an R_kk below 1e-250 makes the input numerically singular
 _LOG_TINY = math.log(1e-250)
@@ -31,7 +31,7 @@ def iwasawa_by_matmul(rz, g, P):
     g = np.asarray(g, dtype=float)
     single = g.ndim == 2
     G = g[None] if single else g
-    w = np.eye(rz.dim)[:, chamber_perm(rz, P)]
+    w = np.eye(rz.dim)[:, np.array(P.perm)]
     q, r = np.linalg.qr(w.T @ G @ w)
     s = np.sign(np.diagonal(r, axis1=-2, axis2=-1))
     q = q * s[..., None, :]
@@ -44,10 +44,10 @@ def iwasawa_by_matmul(rz, g, P):
 
 def iwasawa_gram_schmidt(rz, g, P) -> np.ndarray:
     """H of a stack g (..., n, n) as log|diag R| of its QR after conjugation
-    by chamber_perm(rz, P), from the Gram-Schmidt kernel _log_r_block, a
+    by P.perm, from the Gram-Schmidt kernel _log_r_block, a
     block of BLOCK matrices at a time.  Raises SingularInput when g has
     non-finite entries or some |R_kk| < 1e-250."""
-    p = chamber_perm(rz, P)
+    p = np.array(P.perm)
     g = np.asarray(g, dtype=float)
     n = g.shape[-1]
     flat = g.reshape(-1, n, n)
@@ -153,7 +153,7 @@ def iwasawa_ideal(rz, draw, P, a_log=None, rows=None, z=None) -> np.ndarray:
     row of the draw's right factor (1 when it has none): each Y = sum_k t_k
     basis[k] from the float t as its Draw clips it, exp by mpmath's expm,
     and (log D_k - log D_{k-1}) / 2 with D_k the leading k x k minor of
-    x^T x, x the element conjugated by chamber_perm(rz, P); every step at
+    x^T x, x the element conjugated by P.perm; every step at
     60 digits, rounded at the end."""
     with mpmath.workdps(60):
         return np.array([[float(h) for h in H] for H in _ideal_logs(
@@ -162,7 +162,7 @@ def iwasawa_ideal(rz, draw, P, a_log=None, rows=None, z=None) -> np.ndarray:
 
 def _ideal_logs(rz, draw, P, a_log, rows, z) -> list:
     """iwasawa_ideal's rows as mpmath numbers, at the working precision."""
-    n, p = rz.dim, chamber_perm(rz, P)
+    n, p = rz.dim, np.array(P.perm)
     a = np.zeros(n) if a_log is None else np.asarray(a_log, dtype=float)
     left = mpmath.diag([mpmath.exp(mpmath.mpf(x)) for x in a])
     if z is not None:

@@ -73,7 +73,7 @@ from orbitcone.matrixgrp import (_UNSCALED, NotCubic, SingularInput, _scales,
                                  _SERIES_C, a_matrix, ek_projection, h_pq,
                                  span_form)
 from orbitcone.polyhedra import _free_lp
-from orbitcone.rootsys import WeylGroup, reflection_matrix
+from orbitcone.rootsys import reflection_matrix
 
 
 def sigma_grp(rz, g):
@@ -83,7 +83,7 @@ def sigma_grp(rz, g):
     return rz.inv_np @ g @ rz.inv_np
 
 
-def weyl_group(root_set, gram) -> WeylGroup:
+def weyl_group(root_set, gram) -> tuple:
     """The group generated by the reflections in root_set, one per root
     direction, closed breadth first; its elements sorted."""
     gens = {ex.unit_lead(a): reflection_matrix(a, gram)
@@ -94,7 +94,7 @@ def weyl_group(root_set, gram) -> WeylGroup:
         frontier = [w for w in {ex.mat_mul(s, w) for w in frontier
                                 for s in gens.values()} if w not in elements]
         elements.update(frontier)
-    return WeylGroup(tuple(sorted(elements)))
+    return tuple(sorted(elements))
 
 
 def contains(region, x, tol: float = 1e-7) -> bool:
@@ -357,7 +357,7 @@ def predicted_signature_per_call(rz, a_log, X, w, P=None):
     products alpha(X) alpha(w^{-1} a_log) of exact Fractions."""
     P = P if P is not None else rz.base_parabolic
     X = _exact_vec(X)
-    wln = ex.mat_vec(rz.small_weyl.inverse(w), _exact_vec(a_log))
+    wln = ex.mat_vec(ex.mat_inv(w), _exact_vec(a_log))
     parts = P.classification
     posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
               and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
@@ -430,7 +430,7 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     Xm = a_matrix(np.asarray(X, dtype=float))
     basis = np.stack(rz.h_basis)
     V = aw @ basis @ aw_inv
-    V = ek_projection(rz, V, P)
+    V = ek_projection(V, P)
     V = aw @ V @ aw_inv
     V = Xm @ V - V @ Xm
     LV = -rz.pi_h(V)

@@ -73,7 +73,7 @@ def local_min_halfspace_check(rz, a_log, X, w) -> bool:
     orbit = weyl_orbit(rz.small_weyl, a_exact)
     om = omega(orbit, gamma_aq(sorted(P.classification.minus_part), rz.datum))
     gX = ex.mat_vec(rz.datum.gram, X)
-    level = ex.dot(gX, ex.mat_vec(rz.small_weyl.inverse(w), a_exact))
+    level = ex.dot(gX, ex.mat_vec(ex.mat_inv(w), a_exact))
     if any(ex.dot(gX, u) < level for u in om.vertices):
         return False
     if any(ex.dot(gX, g) < 0 for g in om.generators):
@@ -83,7 +83,7 @@ def local_min_halfspace_check(rz, a_log, X, w) -> bool:
 
 def _identity_w(rz):
     eye = ex.identity(rz.dim)
-    return next(w for w in rz.small_weyl.elements if w == eye)
+    return next(w for w in rz.small_weyl if w == eye)
 
 
 def test_ensure_regular(rz):
@@ -120,7 +120,7 @@ def test_reps_are_critical_points(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
     ensure_regular(rz, a_log)
-    ws = rz.small_weyl.elements
+    ws = rz.small_weyl
     for w, level in zip(ws, critical_value(rz, a_log, _stack(rz, [X]), ws)[0]):
         xw = rz.weyl_reps[w]
         val = float(level)
@@ -163,7 +163,7 @@ def test_hessian_agreement_and_kernel(rz):
     Xs = [_random_exact_X(rz, rng) for _ in range(3)]
     xs, P = _stack(rz, Xs), rz.base_parabolic
     kd = kernel_dim(rz, xs, P)
-    for w in rz.small_weyl.elements:
+    for w in rz.small_weyl:
         rep = hessian(rz, a_log, xs, w, P)
         scale = np.maximum(np.abs(rep.analytic_form), 1.0)
         rel = np.abs(rep.numeric_form - rep.analytic_form) / scale
@@ -183,7 +183,7 @@ def test_predicted_certificates_cover_transversal(rz):
     a_log = _a_log(rz)
     X = _a_log(rz)
     xs, P = _stack(rz, [X]), rz.base_parabolic
-    for w in rz.small_weyl.elements:
+    for w in rz.small_weyl:
         _, certs = predicted_signature_per_call(rz, a_log, X, w)
         total = sum(c["transversal_dim"] for c in certs)
         assert total == len(rz.h_basis) - kernel_dim(rz, xs, P)[0]
@@ -215,7 +215,7 @@ def test_kostant_hessian_closed_form(rz_kostant):
     for x in (1.5, -0.8):
         X = (Fraction(x).limit_denominator(10),
              -Fraction(x).limit_denominator(10))
-        for w in rz_kostant.small_weyl.elements:
+        for w in rz_kostant.small_weyl:
             sign = 1.0 if w == eye else -1.0
             expected = 8.0 * x * (np.exp(-4.0 * sign * t) - 1.0)
             xs, P = _stack(rz_kostant, [X]), rz_kostant.base_parabolic
@@ -272,7 +272,7 @@ def test_omega_X_generic_is_singleton(rz):
     X = a_log
     out = omega_X(rz, a_log, X, rz.base_parabolic)
     for w, om in out.items():
-        wln = ex.mat_vec(rz.small_weyl.inverse(w), a_log)
+        wln = ex.mat_vec(ex.mat_inv(w), a_log)
         assert om.vertices == (wln,)
         assert om.generators == ()
 
@@ -392,8 +392,8 @@ def test_the_stabiliser_of_X_is_the_closure_of_its_vanishing_plus_roots(rz):
         for X in wits:
             W_X = weyl_group([lam for lam in rz.restricted.plus_set
                               if ex.dot(lam, X) == 0], rz.datum.gram)
-            assert W_X.elements == tuple(w for w in rz.small_weyl.elements
-                                         if ex.mat_vec(w, X) == X)
+            assert W_X == tuple(w for w in rz.small_weyl
+                                if ex.mat_vec(w, X) == X)
             for w, om in omega_X(rz, a_log, X, rz.base_parabolic).items():
                 assert set(om.vertices) == weyl_orbit(
                     W_X, critical.weyl_image(rz, a_log, w))
@@ -607,7 +607,7 @@ def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
         assert ties == len(pats), preset
         assert counts[0] == counts[1] == {
             "sample_H_X": len(pats), "sample_NPH": len(pats),
-            "iwasawa": (len(rz.small_weyl.elements) + 1) * len(pats),
+            "iwasawa": (len(rz.small_weyl) + 1) * len(pats),
             "gram_X": sum(len(wits) for _, wits in pats)}, preset
 
 
@@ -635,7 +635,7 @@ def test_transversal_signature_matches_reference(rz):
             if S]
     Xs = [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]
     xs, P = _stack(rz, Xs), rz.base_parabolic
-    for w in rz.small_weyl.elements:
+    for w in rz.small_weyl:
         rep = hessian(rz, a_log, xs, w, P)
         got = transversal_signature(rz, rep, xs, P)
         for i, X in enumerate(Xs):
@@ -666,7 +666,7 @@ def test_hessians_equal_the_fresh_reference(rz):
     rng = np.random.Generator(np.random.PCG64(31))
     Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [ex.zeros(rz.dim)]
     for P in _systems(rz):
-        for w in rz.small_weyl.elements:
+        for w in rz.small_weyl:
             _assert_fresh(rz, a_log, Xs, w, P)
 
 
@@ -675,7 +675,7 @@ def test_fresh_hessians_default_to_the_base_system(rz):
     a_log = _a_log(rz)
     X = _random_exact_X(rz, np.random.Generator(np.random.PCG64(38)))
     base = rz.base_parabolic
-    for w in rz.small_weyl.elements:
+    for w in rz.small_weyl:
         for fresh in (numeric_hessian_fresh, analytic_hessian_fresh):
             assert np.array_equal(fresh(rz, a_log, X, w),
                                   fresh(rz, a_log, X, w, base))
@@ -700,7 +700,7 @@ def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
     order = [cases["kostant_sl2"][0], cases["sl2_so11"][0]] + \
         cases["kostant_sl2"][1:] + cases["sl2_so11"][1:] + cases["sl3_so21"]
     for rz, a_log, P, X in order:
-        for w in rz.small_weyl.elements:
+        for w in rz.small_weyl:
             _assert_fresh(rz, a_log, [X], w, P)
             got = predicted_signature(rz, a_log, _stack(rz, [X]), w, P)
             with monkeypatch.context() as m:
@@ -754,7 +754,7 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
                         lambda *a: h_pq_calls.append(a) or real_h_pq(*a))
     for name in A_LOGS:
         rz = realization(name)
-        n_w = len(rz.small_weyl.elements)
+        n_w = len(rz.small_weyl)
         n_expm = len(expm_calls)
         a1 = _a_log(rz)
         chambers = [None] + [tuple(str(c) for c in Q.chamber_vector)
@@ -776,7 +776,7 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
                     assert svds == 2 * patterns, (name, chamber, samples)
                     if samples == 5:
                         made = len(h_pq_calls) - n_h_pq
-                        assert 1 <= made <= len(rz.small_weyl.elements), \
+                        assert 1 <= made <= len(rz.small_weyl), \
                             (name, chamber)
                 assert len(h_pq_calls) - n_h_pq == made, (name, chamber)
                 assert calls[50] == calls[5] == {
@@ -805,7 +805,7 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
     for P in _systems(rz):
         kd = kernel_dim(rz, xs, P)
         assert kd.tolist() == [kernel_dim_per_call(rz, X, P) for X in Xs]
-        for w in rz.small_weyl.elements:
+        for w in rz.small_weyl:
             rep = hessian(rz, a_log, xs, w, P)
             tsig = transversal_signature(rz, rep, xs, P)
             for i, X in enumerate(Xs):
@@ -885,7 +885,7 @@ def test_the_predictions_of_a_stack_equal_the_per_call_ones(rz):
     a_log = _a_log(rz)
     Xs = _mixed_stack(rz)
     for P in parabolic.all_positive_systems(rz.datum):
-        for w in rz.small_weyl.elements:
+        for w in rz.small_weyl:
             posdef, certified = predicted_signature(rz, a_log, _stack(rz, Xs),
                                                     w, P)
             for i, X in enumerate(Xs):
@@ -902,7 +902,7 @@ def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
     real = critical.predicted_signature
     for name in ("kostant_sl2", "sl3_so21", "group_sl2"):
         rz = realization(name)
-        w_bad = rz.small_weyl.elements[-1]
+        w_bad = rz.small_weyl[-1]
 
         def flipped(rz_, a_log, xs, w, P):
             posdef, certified = real(rz_, a_log, xs, w, P)

@@ -1,3 +1,4 @@
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -5,15 +6,26 @@ import pytest
 from orbitcone import critical
 from orbitcone import exactlin as ex
 from orbitcone.harness import VerificationConfig
-from orbitcone.matrixgrp import chamber_perm, realization
-from orbitcone.parabolic import (PositiveSystem, _default_base,
-                                 all_positive_systems, from_chamber,
-                                 h_extremize, is_h_extreme, is_q_extreme,
-                                 reflect_system, sigma_classification)
+from orbitcone.matrixgrp import realization
+from orbitcone.parabolic import (PositiveSystem, all_positive_systems,
+                                 base_system, from_chamber, h_extremize,
+                                 is_h_extreme, is_q_extreme, reflect_system,
+                                 sigma_classification)
 
 from reference import weyl_group
 
 SYSTEM_COUNTS = {"kostant_sl2": 2, "sl2_so11": 2, "sl3_so21": 6, "group_sl2": 4}
+# P.perm of each system of all_positive_systems, keyed by its chamber
+# vector, a permutation of (n, ..., 1); another choice of permutation would
+# move the low bits of every iwasawa on group_sl2
+PERMS = {
+    "kostant_sl2": {"12": (1, 0), "21": (0, 1)},
+    "sl2_so11": {"12": (1, 0), "21": (0, 1)},
+    "sl3_so21": {"123": (2, 1, 0), "132": (1, 2, 0), "213": (2, 0, 1),
+                 "231": (1, 0, 2), "312": (0, 2, 1), "321": (0, 1, 2)},
+    "group_sl2": {"3412": (1, 0, 3, 2), "3421": (1, 0, 2, 3),
+                  "4312": (0, 1, 3, 2), "4321": (0, 1, 2, 3)},
+}
 
 
 def test_all_positive_systems_count(rz):
@@ -28,9 +40,9 @@ def test_all_positive_systems_match_the_weyl_closure(rz):
     # closed from its reflections, the first of each system kept: the same
     # systems, in the same order, with the same chamber vectors
     d = rz.datum
-    base = _default_base(d).chamber_vector
+    base = base_system(d).chamber_vector
     closure = dict.fromkeys(from_chamber(d, ex.mat_vec(w, base))
-                            for w in weyl_group(d.roots, d.gram).elements)
+                            for w in weyl_group(d.roots, d.gram))
     systems = all_positive_systems(d)
     want = sorted(closure, key=PositiveSystem.key)
     assert [P.positive for P in systems] == [P.positive for P in want]
@@ -46,15 +58,44 @@ def test_a_positive_system_is_its_positive_roots(rz_sl3):
                            chamber=("5", "2", "1")).positive_system(rz_sl3)
     assert P is not base and P.chamber_vector != base.chamber_vector
     assert P == base and hash(P) == hash(base)
-    assert chamber_perm(rz_sl3, P) is chamber_perm(rz_sl3, base)
+    assert P.perm == base.perm
     a_log = (Fraction(2), Fraction(1), Fraction(-3))
-    for w in rz_sl3.small_weyl.elements:
+    for w in rz_sl3.small_weyl:
         assert critical._WeylPoint(rz_sl3, P, a_log, w) \
             is critical._WeylPoint(rz_sl3, base, a_log, w)
     others = [Q for Q in all_positive_systems(rz_sl3.datum)
               if Q.positive != base.positive]
     assert others and all(Q != base for Q in others)
     assert len(set(others)) == len(others)
+
+
+def _moved(alpha, p):
+    """The root e_p[i] - e_p[j] for alpha = e_i - e_j."""
+    out = [Fraction(0)] * len(p)
+    for i, c in enumerate(alpha):
+        out[p[i]] = c
+    return tuple(out)
+
+
+def test_the_permutation_of_each_positive_system_is_pinned(rz):
+    d, n = rz.datum, rz.dim
+    assert {"".join(str(c) for c in P.chamber_vector): P.perm
+            for P in all_positive_systems(d)} == PERMS[rz.name]
+    assert rz.base_parabolic.perm == tuple(range(n))
+    keeping = [p for p in itertools.permutations(range(n))
+               if {_moved(a, p) for a in d.roots} == d.roots]
+    # distinct entries, so off every wall e_i - e_j
+    systems = [from_chamber(d, c)
+               for c in itertools.permutations((7, 3, -2, -5)[:n])]
+    for P in list(systems):
+        for alpha in h_extremize(P)[1]:
+            P = reflect_system(P, alpha)
+            systems.append(P)
+    base = rz.base_parabolic.positive
+    for P in systems:
+        assert {_moved(a, P.perm) for a in base} == P.positive
+        assert all({_moved(a, p) for a in base} != P.positive
+                   for p in keeping[:keeping.index(P.perm)])
 
 
 def test_equal_positive_roots_of_two_data_are_two_systems():

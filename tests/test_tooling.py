@@ -75,8 +75,8 @@ def _unread_definitions(trees: dict[str, ast.Module]) -> list[str]:
     local of the same name does not read it.  A keyword argument is not a
     read, so building an object does not count as reading its fields.
     Reads are matched by name alone, so a method counts as read wherever
-    any attribute of its name is: WeylGroup.elements, read all over the
-    package, once hid an unread Draw.elements.  test_every_function_runs
+    any attribute of its name is: SymmetricPairDatum.gram, read all over
+    the package, would hide an unread SampleStack.gram.  test_every_function_runs
     catches such a method by what a run calls."""
     reads = {False: Counter(), True: Counter()}
     for tree in trees.values():
