@@ -25,6 +25,7 @@ and hashed as, its positive roots, so the memos key by P itself.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -105,17 +106,15 @@ def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
 
 def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
                    ) -> list[list[Fraction]]:
-    """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per w."""
-    wlns = [weyl_image(rz, a_log, w) for w in ws]
-    return [[ex.dot(gX, wln) for wln in wlns] for gX in xs.gram]
+    """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per
+    w, on integer rows: one Fraction per level."""
+    (num, den), (wlns, d) = xs.gram, ex.integer_rows([
+        weyl_image(rz, a_log, w) for w in ws])
+    return [[Fraction(v, d * e) for v in row] for row, e in zip(
+        (num @ np.array(wlns, dtype=object).T).tolist(), den.tolist())]
 
 
 # --- subspaces of h --------------------------------------------------------
-
-def _h_basis_exact(rz: Realization) -> tuple[Mat, ...]:
-    """The h-basis as Fractions; Fraction(float) is exact."""
-    return tuple(ex.mat(b) for b in rz.h_basis)
-
 
 def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
     """Coordinates (over the h-basis) of a basis of the centralizer of X in h.
@@ -136,11 +135,11 @@ def _centralizer_basis(rz: Realization, X) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def _centralizer(rz: Realization, ties: frozenset) -> tuple[Vec, ...]:
-    n = rz.dim
-    basis = _h_basis_exact(rz)
-    A = tuple(tuple(Fraction(0) if (i, j) in ties else U[i][j] for U in basis)
-              for i in range(n) for j in range(n))
-    return tuple(ex.nullspace(A))
+    # the h-basis as integer rows: its floats are read exactly
+    n, basis = rz.dim, [U.tolist() for U in rz.h_basis]
+    return tuple(ex.nullspace(ex.integer_rows(
+        [[0 if (i, j) in ties else U[i][j] for U in basis]
+         for i in range(n) for j in range(n)])[0]))
 
 
 def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
@@ -169,8 +168,9 @@ def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
 class SampleStack:
     """Exact samples X in a_q as rows X_i = num[i] / den[i] of Python ints,
     den[i] > 0, and what the Hessian layer reads of X alone, each built on
-    first use by the layer function that first needs it: floats, ties and
-    signs by array operations on num, the Fractions of X and G X where read."""
+    first use by the layer function that first needs it: floats, ties,
+    signs and the integer rows of G X by array operations on num, the
+    Fractions of X where read."""
     rz: Realization
     num: np.ndarray     # (m, dim), dtype object
     den: np.ndarray     # (m,), dtype object
@@ -203,11 +203,11 @@ class SampleStack:
         return (self.num / self.den[:, None]).astype(float)
 
     @cached_property
-    def gram(self) -> tuple[Vec, ...]:
-        """G X per sample, from the integer rows of G and X."""
-        G = SampleStack.of(self.rz, self.rz.datum.gram)
-        return tuple(tuple(map(Fraction, row, G.den * d))
-                     for row, d in zip(self.num @ G.num.T, self.den))
+    def gram(self) -> tuple[np.ndarray, np.ndarray]:
+        """G X per sample as integer rows over one denominator each, (num,
+        den) with G X_i = num[i] / den[i], from the integer rows of G and X."""
+        G, d = ex.integer_rows(self.rz.datum.gram)
+        return self.num @ np.array(G, dtype=object).T, self.den * d
 
     @cached_property
     def ties(self) -> tuple[frozenset, ...]:
@@ -435,9 +435,10 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
     """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone;
     a_log and X exact.  W_X is the stabiliser of X in the small Weyl group:
     the reflections in the plus roots vanishing on X (Chevalley's lemma)."""
-    cut = sorted(a for a in P.classification.minus_part if ex.dot(a, X) == 0)
+    (x,), _ = ex.integer_rows([X])      # X on an integer row
+    cut = sorted(a for a in P.classification.minus_part if ex.dot(a, x) == 0)
     gam = gamma_aq(cut, rz.datum)
-    W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, X) == X)
+    W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, x) == tuple(x))
     return {w: omega(weyl_orbit(W_X, weyl_image(rz, a_log, w)), gam)
             for w in rz.small_weyl}
 
@@ -474,20 +475,27 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
                 if S == frozenset(pos):
                     out.append((S, (ex.zeros(rz.dim),)))
                 continue
-            lam_rows = {lam: tuple(ex.dot(lam, b) for b in aq) for lam in pos if lam not in S}
-            if any(all(ex.dot(row, nv) == 0 for nv in null) for row in lam_rows.values()):
+            # null = N / e and aq = A / f: t = sum_k (p_k / q_k) null_k is
+            # X = sum_k c_k NA_k / (q e f), c_k = p_k q / q_k and NA = N A
+            N, e = ex.integer_rows(null)
+            A, f = ex.integer_rows(aq)
+            NA = [[ex.int_dot(row, col) for col in zip(*A)] for row in N]
+            lam_rows = [[ex.int_dot(ex.integer_row([ex.dot(lam, b) for b in aq]),
+                                    row) for row in N] for lam in pos if lam not in S]
+            if any(not any(row) for row in lam_rows):
                 continue
             wits = []
             attempts = 0
             while len(wits) < per_pattern and attempts < per_pattern * 50:
                 attempts += 1
-                cs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                pq = [(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
                       for _ in null]
-                t = ex.combination(cs, null, len(aq))
-                Xv = ex.combination(t, aq, rz.dim)
-                if any(ex.dot(row, t) == 0 for row in lam_rows.values()):
+                q = math.lcm(*(b for _, b in pq))
+                c = [a * (q // b) for a, b in pq]
+                if any(ex.int_dot(c, row) == 0 for row in lam_rows):
                     continue
-                wits.append(Xv)
+                wits.append(tuple(Fraction(x, q * e * f) for x in map(
+                    ex.int_dot, itertools.repeat(c), zip(*NA))))
             if len(wits) == per_pattern:
                 out.append((S, tuple(wits)))
     return out

@@ -9,6 +9,7 @@ partial sum.  The values are those of Fraction arithmetic."""
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -16,8 +17,8 @@ Vec = tuple[Fraction, ...]
 Mat = tuple[Vec, ...]
 
 
-def vec(xs: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in xs)
+def vec(xs: Iterable) -> Vec:        # keeps an entry that is a Fraction
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
 def mat(rows: Iterable[Iterable]) -> Mat:
@@ -73,6 +74,10 @@ def dot(x: Sequence, y: Sequence) -> Fraction:
     return Fraction(n, d)
 
 
+def int_dot(x: Sequence[int], y: Sequence[int]) -> int:
+    return sum(map(operator.mul, x, y))
+
+
 def limit_denominator(x, max_den: int) -> tuple[int, int]:
     """(p, q) of Fraction(x).limit_denominator(max_den), x a float or a
     rational: CPython's continued-fraction steps and tie rule on ints."""
@@ -110,11 +115,11 @@ def is_zero(x: Vec) -> bool:
     return all(a == 0 for a in x)
 
 
-def unit_lead(x: Sequence[Fraction]) -> Vec:
+def unit_lead(x: Sequence) -> Vec:
     """x divided by the absolute value of its first nonzero entry: equal for
     x and every positive multiple of it.  x must be nonzero."""
-    s = Fraction(1) / abs(next(a for a in x if a != 0))
-    return tuple(s * a for a in x)
+    lead = abs(next(a for a in x if a != 0))
+    return tuple(Fraction(a, lead) for a in x)
 
 
 def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
@@ -128,17 +133,25 @@ def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
             T[i] = [x - f * y for x, y in zip(T[i], T[r])]
 
 
-def _primitive(row: list[int]) -> list[int]:
+def primitive(row: list[int]) -> list[int]:
     """row divided by the gcd of its entries (unchanged when all are 0)."""
     g = math.gcd(*row)
     return row if g <= 1 else [x // g for x in row]
 
 
-def _integer_row(row: Sequence) -> list[int]:
+def integer_row(row: Sequence) -> list[int]:
     """A rational row times the lcm of its denominators, made primitive."""
     ratios = [x.as_integer_ratio() for x in row]
     m = math.lcm(*(d for _, d in ratios))
-    return _primitive([n * (m // d) for n, d in ratios])
+    return primitive([n * (m // d) for n, d in ratios])
+
+
+def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """(N, d) with rows = N / d: integer rows over the least common
+    denominator d > 0 of all their entries."""
+    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
+    d = math.lcm(*(q for row in ratios for _, q in row))
+    return [[p * (d // q) for p, q in row] for row in ratios], d
 
 
 def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
@@ -147,7 +160,7 @@ def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
     Gauss-Jordan elimination on integer rows, each a nonzero multiple of
     the row Fraction elimination would hold: the same pivots, and (the
     form being unique) the same rows once divided by their pivots."""
-    rows = [_integer_row(r) for r in m]
+    rows = [integer_row(r) for r in m]
     if not rows:
         return [], []
     ncols = len(rows[0])
@@ -162,7 +175,7 @@ def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
         for i, row in enumerate(rows):
             f = row[c]
             if i != r and f != 0:
-                rows[i] = _primitive([p * x - f * y for x, y in zip(row, prow)])
+                rows[i] = primitive([p * x - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):

@@ -593,16 +593,18 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
             _judge(rz, P, tally, om, [(weyl_image(rz, a_exact, w),
                                        hxn.rows(rows[:, wi].ravel()))])
         # combinatorial layer: the critical value is the exact level of
-        # <X, .> on the predicted image
+        # <X, .> on the predicted image, tested on integer rows
         levels = critical_value(rz, a_exact, xs, ws)
         fvs = F(rz, a_exact, xs.floats,
                 np.stack([rz.weyl_reps[w] for w in ws]), P)
-        for gX, x_levels, x_fvs in zip(xs.gram, levels, fvs):
-            for om, lv, fv in zip(oms, x_levels, x_fvs):
+        for wi, om in enumerate(oms):
+            (V, d), (G, _) = map(ex.integer_rows, (om.vertices, om.generators))
+            for x, e, lvs, x_fvs in zip(*xs.gram, levels, fvs):
+                lv, low = lvs[wi], min(ex.int_dot(x, u) for u in V)
                 exact_fail += sum((
-                    min(ex.dot(gX, u) for u in om.vertices) != lv,
-                    any(ex.dot(gX, g) < 0 for g in om.generators),
-                    abs(float(fv) - float(lv)) > 1e-8 * max(1.0, abs(float(lv)))))
+                    low * lv.denominator != lv.numerator * e * d,
+                    any(ex.int_dot(x, g) < 0 for g in G),
+                    abs(float(x_fvs[wi]) - float(lv)) > 1e-8 * max(1.0, abs(float(lv)))))
     return tally.result("critical_image", exact_fail == 0,
                         detail={"patterns": len(pats),
                                 "exact_level_failures": exact_fail})

@@ -5,8 +5,9 @@ a cone is the polyhedron with the single vertex 0.  The H-representation
 is enumerated once per object straight from V and G, and memoized: the
 implicit equalities of the set's affine hull, and one row per facet, whose
 normal lies in the hull's direction space.  Each row is found from a
-vertex and the vertices and generators it is tight on, by exact row
-reduction, so every kept row is a facet and no filter runs afterwards.
+vertex and the vertices and generators it is tight on, as an integer
+cross product, so every kept row is a facet and no filter runs
+afterwards; Fractions are made only for the rows kept.
 Membership is decided on the H-representation, exactly or by Euclidean
 facet slacks; pointedness by exact LP feasibility, the one LP left.
 """
@@ -30,10 +31,13 @@ Ineq = tuple[Vec, Fraction]     # (a, r) meaning a.x >= r
 
 # --- facets by enumeration ---------------------------------------------------
 
-def _unit_row(a: Vec, r: Fraction) -> Ineq:
-    # a != 0, so the lead that scales the row comes from a
-    key = ex.unit_lead(a + (r,))
-    return key[:-1], key[-1]
+def _det(m: list[list[int]]) -> int:
+    """Determinant of a small integer matrix by Laplace expansion down to
+    2 x 2; 1 for no rows."""
+    if len(m) < 3:
+        return m[0][0] * m[1][1] - m[0][1] * m[1][0] if m[1:] else m[0][0] if m else 1
+    return sum((-1) ** j * x * _det([r[:j] + r[j + 1:] for r in m[1:]])
+               for j, x in enumerate(m[0]) if x)
 
 
 def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
@@ -41,36 +45,34 @@ def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
     unit_lead.  The implicit equalities are e.x = e.v_0, each as two rows,
     for e in a basis E of the vectors orthogonal to every v - v_0 and every
     g; P spans d = n - |E| dimensions.  A facet is a valid row a.x >= a.v_b
-    at a vertex v_b that is tight on d - 1 independent vectors among the
-    v - v_b and g: a is the one normal they leave orthogonal to E, so it
-    lies in the direction space of P's affine hull.  Every such row is a
-    facet and every facet has one (Ziegler, Lectures on Polytopes, 2.1)."""
+    at a vertex v_b that is tight on d - 1 independent vectors S among the
+    v - v_b and g: a is the cross product (signed minors) of the n - 1 rows
+    E and S, 0 when they are dependent, so it lies in the direction space
+    of P's affine hull.  Every such row is a facet and every facet has one
+    (Ziegler, Lectures on Polytopes, 2.1).  V is over one denominator and
+    every other row primitive, so only kept rows make Fractions."""
     n = len(V[0])
-    # the nullspace of no rows comes back empty, not as all of Q^n: v_0 - v_0
-    # and the zero row below keep the rows nonempty, for a lone point (E is
-    # every e_i) and for d = n = 1 (S and E are empty)
-    zero = ex.zeros(n)
-    E = ex.nullspace([ex.sub(v, V[0]) for v in V] + list(G))
-    rows = set()
+    Vi, den = ex.integer_rows(V)
+    Gi = [tuple(ex.integer_row(g)) for g in G]
+    # v_0 - v_0 keeps the rows nonempty for a lone point (E is every e_i)
+    E = [ex.integer_row(e) for e in ex.nullspace(list(dict.fromkeys(
+        [tuple(x - y for x, y in zip(v, Vi[0])) for v in Vi] + Gi)))]
+    rows = {}       # primitive normal a: a.v over den, v a vertex on its plane
     for e in E:
-        r = ex.dot(e, V[0])
-        rows |= {_unit_row(e, r), _unit_row(ex.neg(e), -r)}
-    d = n - len(E)
-    for vb in V if d else ():       # a point has no facets
-        spans = [ex.sub(v, vb) for v in V] + list(G)
-        spans = [c for c in dict.fromkeys(spans) if not ex.is_zero(c)]
-        for S in itertools.combinations(spans, d - 1):
-            normal = ex.nullspace([zero, *E, *S])
-            if len(normal) != 1:
-                continue
-            a, = normal
-            r = ex.dot(a, vb)
-            s = [ex.dot(a, v) - r for v in V] + [ex.dot(a, g) for g in G]
-            if min(s) >= 0:
-                rows.add(_unit_row(a, r))
-            elif max(s) <= 0:
-                rows.add(_unit_row(ex.neg(a), -r))
-    return sorted(rows)
+        rows[tuple(e)], rows[tuple(-x for x in e)] = (r := ex.int_dot(e, Vi[0])), -r
+    for vb in Vi if n > len(E) else ():     # a point has no facets
+        # one row per direction: parallel rows leave no normal
+        spans = [c for c in dict.fromkeys([tuple(ex.primitive(
+            [x - y for x, y in zip(v, vb)])) for v in Vi] + Gi) if any(c)]
+        for S in itertools.combinations(spans, n - len(E) - 1):
+            a = [_det([[int(i == j) for i in range(n)], *E, *S]) for j in range(n)]
+            s = [ex.int_dot(a, c) for c in spans]
+            if any(a) and (min(s) >= 0 or max(s) <= 0):
+                a = ex.primitive([x if min(s) >= 0 else -x for x in a])
+                rows[tuple(a)] = ex.int_dot(a, vb)
+    # a.x >= r / den is unit_lead of (den a, r): a != 0 holds the lead
+    return sorted((row[:-1], row[-1]) for row in (
+        ex.unit_lead([den * x for x in a] + [r]) for a, r in rows.items()))
 
 
 # --- polyhedra -------------------------------------------------------------
@@ -157,7 +159,7 @@ def pointedness_certificate(c: Polyhedron) -> Vec | None:
     """An exact functional xi with xi.g > 0 for every nonzero generator of
     the cone c, or None when c is not pointed: by Gordan's alternative, xi
     exists exactly when no nonzero nonnegative combination of generators
-    is 0."""
+    is 0.  Raises RuntimeError when the LP's xi fails that test."""
     gens = [g for g in c.generators if not ex.is_zero(g)]
     n = c.ambient
     if not gens:
@@ -166,7 +168,9 @@ def pointedness_certificate(c: Polyhedron) -> Vec | None:
     st, xi, _ = _free_lp([(g, Fraction(1)) for g in gens], n)
     if st != ex.OPTIMAL:
         return None
-    assert all(ex.dot(xi, g) > 0 for g in gens)
+    if not all(ex.dot(xi, g) > 0 for g in gens):
+        raise RuntimeError("the LP's functional is not positive on every "
+                           "generator")
     return xi
 
 
@@ -192,8 +196,8 @@ def gamma_cone(P: PositiveSystem) -> Polyhedron:
 
 def omega(w_orbit, gamma: Polyhedron) -> Polyhedron:
     """conv(w_orbit) + gamma, for the orbit as points, such as
-    rootsys.weyl_orbit gives."""
-    return Polyhedron(tuple(set(map(ex.vec, w_orbit))), gamma.generators)
+    rootsys.weyl_orbit gives; Polyhedron makes each vertex exact once."""
+    return Polyhedron(tuple(set(map(tuple, w_orbit))), gamma.generators)
 
 
 def gk_cone(P: PositiveSystem, Q: PositiveSystem) -> Polyhedron:

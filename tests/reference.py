@@ -47,6 +47,12 @@ and builds its elements; the tests require ``draw_elements`` of the
 sampler's draw to equal it bit for bit, which pins the stream.
 ``span_form_exact`` is the class test of a
 span over Fractions; the tests hold ``matrixgrp.span_form`` to it.
+``span_form_sym`` is span_form with its cubic checked on the 5-index
+Sym(B_i B_j B_k) tensor, ``wedge_terms_loops`` is ``matrixgrp._wedge_terms``
+with the wedge derivation built by loops over the subsets, and
+``project_polyhedron_nullspace`` is ``polyhedra.project_polyhedron`` with
+one Fraction nullspace per candidate normal; the tests require the
+integer forms to give the same forms, terms and H-representations.
 ``sl2_triple`` is a span with square-zero elements and a nonzero form on
 every n.  ``dot_fraction``,
 ``combination_fraction``, ``rref_fraction``, ``nullspace_fraction`` and
@@ -55,6 +61,7 @@ arithmetic, which reduces by a gcd after every product and sum; the tests
 require the integer kernels to return the same Fractions.
 """
 import itertools
+import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
@@ -64,7 +71,7 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import (FD_STEP, SV_TOL, SampleStack, _dual,
-                                _exact_vec, _h_basis_exact, critical_value,
+                                _exact_vec, critical_value,
                                 h_x_coords, nph_basis, omega_X, sample_H_X,
                                 sample_NPH, vanishing_patterns)
 from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
@@ -222,6 +229,11 @@ def lp_project(eqs, ineqs, n_keep: int) -> list:
         else:
             i += 1
     return sorted((tuple(a[:n_keep]), r) for a, r in rows)
+
+
+def _h_basis_exact(rz):
+    """The h-basis as Fractions; Fraction(float) is exact."""
+    return tuple(ex.mat(b) for b in rz.h_basis)
 
 
 def h_x_coords_fresh(rz, X):
@@ -681,3 +693,92 @@ def mat_inv_fraction(m):
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
+
+
+def span_form_sym(basis):
+    """matrixgrp.span_form as it was checked before the lattice: Q polarised
+    from c(B) = <B^3, B>/<B, B> at each B_i + B_j, and Sym(B_i B_j B_k) =
+    Sym(Q_ij B_k) tested on the 5-index int64 tensor of every ordered
+    triple.  Returns Q in floats, as span_form does; raises as it does."""
+    B = np.asarray(basis, dtype=float)
+    Bi, k = B.astype(np.int64), len(B)
+    if not np.array_equal(Bi, B):
+        raise ValueError("span basis is not integer-valued")
+
+    def c(b):               # c(b) when b^3 = c(b) b; c(2b) = 4 c(b)
+        norm = int(np.sum(b * b))
+        return Fraction(int(np.sum(b @ b @ b * b)), norm) if norm else Fraction(0)
+
+    Q = np.array([[(c(bi + bj) - c(bi) - c(bj)) / 2 for bj in Bi] for bi in Bi],
+                 dtype=object).reshape(k, k)
+    d = math.lcm(*(q.denominator for q in Q.flat))
+    dQ = (Q * d).astype(np.int64)
+    resid = (d * np.einsum("aij,bjk,ckl->abcil", Bi, Bi, Bi)
+             - np.einsum("ab,cil->abcil", dQ, Bi))
+    if sum(resid.transpose(*p, 3, 4) for p in itertools.permutations(range(3))).any():
+        raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
+    return dQ / d
+
+
+def wedge_terms_loops(basis, J):
+    """matrixgrp._wedge_terms with W = wedge^k Y built entry by entry, by
+    loops over the k-subsets, and Q from span_form_sym."""
+    B = np.asarray(basis, dtype=float).astype(np.int64)
+    n = B.shape[-1]
+    subsets = list(itertools.combinations(range(n), len(J)))
+    at = {I: i for i, I in enumerate(subsets)}
+    W = np.zeros((len(B), len(subsets), len(subsets)), np.int64)
+    for col, I in enumerate(subsets):
+        for pos, i in enumerate(I):
+            for r in range(n):      # e_i -> B[:, r, i] e_r at pos
+                if r == i or r not in I:
+                    moved = I[:pos] + (r,) + I[pos + 1:]
+                    sign = (-1) ** sum(x > y for x, y in
+                                       itertools.combinations(moved, 2))
+                    W[:, at[tuple(sorted(moved))], col] += sign * B[:, r, i]
+    Q, lin = span_form_sym(W.astype(float)), W[:, :, at[J]]
+    sq = np.einsum("aij,bj->abi", W, lin)
+    pairs = [(a, b) for a in range(len(B)) for b in range(a, len(B))]
+
+    def terms(coef):
+        return tuple((c, x) for c, x in zip(coef, [(a,) for a in range(len(B))]
+                                            + pairs) if c)
+    entries = tuple((I, I == J, terms([int(x) for x in lin[:, i]] + [
+        int(sq[a, b, i] + sq[b, a, i] if a < b else sq[a, a, i])
+        for a, b in pairs])) for i, I in enumerate(subsets))
+    return (terms([0] * len(B) + [Q[a, b] + Q[b, a] if a < b else Q[a, a]
+                                  for a, b in pairs]),
+            tuple(e for e in entries if e[1] or e[2]))
+
+
+def project_polyhedron_nullspace(V, G):
+    """polyhedra.project_polyhedron on Fraction rows: E and each candidate
+    normal a nullspace by exact row reduction, a normal kept when the
+    nullspace of E and d - 1 spans is one line, every sign test a dot of
+    Fractions, and each row scaled by unit_lead."""
+    def unit_row(a, r):
+        key = ex.unit_lead(a + (r,))
+        return key[:-1], key[-1]
+    n = len(V[0])
+    zero = ex.zeros(n)
+    E = ex.nullspace([ex.sub(v, V[0]) for v in V] + list(G))
+    rows = set()
+    for e in E:
+        r = ex.dot(e, V[0])
+        rows |= {unit_row(e, r), unit_row(ex.neg(e), -r)}
+    d = n - len(E)
+    for vb in V if d else ():
+        spans = [ex.sub(v, vb) for v in V] + list(G)
+        spans = [c for c in dict.fromkeys(spans) if not ex.is_zero(c)]
+        for S in itertools.combinations(spans, d - 1):
+            normal = ex.nullspace([zero, *E, *S])
+            if len(normal) != 1:
+                continue
+            a, = normal
+            r = ex.dot(a, vb)
+            s = [ex.dot(a, v) - r for v in V] + [ex.dot(a, g) for g in G]
+            if min(s) >= 0:
+                rows.add(unit_row(a, r))
+            elif max(s) <= 0:
+                rows.add(unit_row(ex.neg(a), -r))
+    return sorted(rows)

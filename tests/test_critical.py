@@ -821,9 +821,13 @@ def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
 
 
 def _same_parts(xs, ref):
-    """Whether a stack has the oracle's X, gram, ties, signs and floats."""
+    """Whether a stack has the oracle's X, gram, ties, signs and floats;
+    G X comes as integer rows over one denominator each."""
+    gx, gd = xs.gram
     return (tuple(map(xs.exact, range(len(xs.den)))) == ref.X
-            and xs.gram == ref.gram and xs.ties == ref.ties
+            and tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(
+                gx.tolist(), gd.tolist())) == ref.gram
+            and xs.ties == ref.ties
             and np.array_equal(xs.floats, ref.floats)
             and xs.signs.keys() == ref.signs.keys()
             and all(np.array_equal(xs.signs[a], s) for a, s in ref.signs.items()))

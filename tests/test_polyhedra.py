@@ -1,5 +1,8 @@
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -86,6 +89,27 @@ def test_oracle_sanity():
     assert oracle_proper(px, [e1, e2]) is False  # e1 in ker, nonzero
     py = ((Fraction(1), Fraction(1)),)
     assert oracle_proper(py, [e1, e2]) is True
+
+
+def test_a_certificate_that_fails_its_test_raises_under_python_O():
+    # the check of the LP's functional is a raise, which python -O keeps:
+    # an LP that returns xi = 0 for the cone of e1 and e2 must not pass
+    code = ("import sys\n"
+            "from orbitcone import exactlin as ex, polyhedra\n"
+            "assert False  # stripped under -O\n"
+            "ex.lp_solve = lambda A, b, c: (ex.OPTIMAL, ex.zeros(6), None)\n"
+            "try:\n"
+            "    polyhedra.pointedness_certificate(\n"
+            "        polyhedra.cone([(1, 0), (0, 1)], 2))\n"
+            "except RuntimeError as e:\n"
+            "    print(sys.flags.optimize, e)\n")
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-O", "-c",
+                          f"import sys; sys.path[:0] = {[str(src)]!r}\n"
+                          + code], capture_output=True, text=True,
+                         timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.startswith("1 the LP's functional is not positive")
 
 
 def test_predicates_match_oracle():
