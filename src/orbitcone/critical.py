@@ -99,9 +99,10 @@ def _dual(rz: Realization, X) -> np.ndarray:
 
 @lru_cache(maxsize=None)
 def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
-    """w^{-1} a_log, exact; once per realization, base point and w.  For
-    a_log in a_q it is the log of x_w^T a x_w, at which a x_w h is judged."""
-    return ex.mat_vec(ex.mat_inv(w), a_log)
+    """w^{-1} a_log, exact, as the solution of w y = a_log; once per
+    realization, base point and w.  For a_log in a_q it is the log of
+    x_w^T a x_w, at which a x_w h is judged."""
+    return tuple(row[-1] for row in ex.rref([r + (x,) for r, x in zip(w, a_log)])[0])
 
 
 def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
@@ -137,9 +138,9 @@ def _centralizer_basis(rz: Realization, X) -> np.ndarray:
 def _centralizer(rz: Realization, ties: frozenset) -> tuple[Vec, ...]:
     # the h-basis as integer rows: its floats are read exactly
     n, basis = rz.dim, [U.tolist() for U in rz.h_basis]
-    return tuple(ex.nullspace(ex.integer_rows(
+    return tuple(ex.nullspace(list(dict.fromkeys(map(tuple, ex.integer_rows(
         [[0 if (i, j) in ties else U[i][j] for U in basis]
-         for i in range(n) for j in range(n)])[0]))
+         for i in range(n) for j in range(n)])[0])))))
 
 
 def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
@@ -432,9 +433,10 @@ def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
 
 def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
             ) -> dict[Mat, Polyhedron]:
-    """Per Weyl element: hull of the X-centralizer orbit plus the X-cut cone;
-    a_log and X exact.  W_X is the stabiliser of X in the small Weyl group:
-    the reflections in the plus roots vanishing on X (Chevalley's lemma)."""
+    """Per Weyl element, in the order of rz.small_weyl: hull of the
+    X-centralizer orbit plus the X-cut cone; a_log and X exact.  W_X is
+    the stabiliser of X in the small Weyl group: the reflections in the
+    plus roots vanishing on X (Chevalley's lemma)."""
     (x,), _ = ex.integer_rows([X])      # X on an integer row
     cut = sorted(a for a in P.classification.minus_part if ex.dot(a, x) == 0)
     gam = gamma_aq(cut, rz.datum)

@@ -139,19 +139,17 @@ def primitive(row: list[int]) -> list[int]:
     return row if g <= 1 else [x // g for x in row]
 
 
-def integer_row(row: Sequence) -> list[int]:
-    """A rational row times the lcm of its denominators, made primitive."""
-    ratios = [x.as_integer_ratio() for x in row]
-    m = math.lcm(*(d for _, d in ratios))
-    return primitive([n * (m // d) for n, d in ratios])
-
-
 def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
     """(N, d) with rows = N / d: integer rows over the least common
     denominator d > 0 of all their entries."""
     ratios = [[x.as_integer_ratio() for x in row] for row in rows]
     d = math.lcm(*(q for row in ratios for _, q in row))
     return [[p * (d // q) for p, q in row] for row in ratios], d
+
+
+def integer_row(row: Sequence) -> list[int]:
+    """The primitive integer row on the ray of a rational row."""
+    return primitive(integer_rows([row])[0][0])
 
 
 def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:

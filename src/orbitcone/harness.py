@@ -573,10 +573,18 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
     radius = cfg.radii[-1]
     tally = Tally(cfg.tol)
     exact_fail = 0
+    # omega_X keys its images by the small Weyl group, in its order
+    ws = rz.small_weyl
+    xws, a_ws = np.stack([rz.weyl_reps[w] for w in ws]), [
+        weyl_image(rz, a_exact, w) for w in ws]
+    # F at the x_w is linear in X over one stack for every pattern: one
+    # call over all the witnesses, read in pattern order
+    fvs = iter(F(rz, a_exact, SampleStack.of(
+        rz, [X for _, wits in pats for X in wits]).floats, xws, P))
     for pi, (S, wits) in enumerate(pats):
         # omega_X reads X only through the roots vanishing on it; for X in
         # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
-        ws, oms = zip(*sorted(omega_X(rz, a_exact, wits[0], P).items()))
+        oms = list(omega_X(rz, a_exact, wits[0], P).values())
         xs = SampleStack.of(rz, wits)
         # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
         # preset U in h is 0 off the diagonal and the root positions, where
@@ -589,22 +597,21 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
                 _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
         # H(a x_w e^Y n) = H(a_w e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
-        for wi, (w, om) in enumerate(zip(ws, oms)):
-            _judge(rz, P, tally, om, [(weyl_image(rz, a_exact, w),
-                                       hxn.rows(rows[:, wi].ravel()))])
+        for wi, (a_w, om) in enumerate(zip(a_ws, oms)):
+            _judge(rz, P, tally, om, [(a_w, hxn.rows(rows[:, wi].ravel()))])
         # combinatorial layer: the critical value is the exact level of
         # <X, .> on the predicted image, tested on integer rows
         levels = critical_value(rz, a_exact, xs, ws)
-        fvs = F(rz, a_exact, xs.floats,
-                np.stack([rz.weyl_reps[w] for w in ws]), P)
-        for wi, om in enumerate(oms):
-            (V, d), (G, _) = map(ex.integer_rows, (om.vertices, om.generators))
-            for x, e, lvs, x_fvs in zip(*xs.gram, levels, fvs):
-                lv, low = lvs[wi], min(ex.int_dot(x, u) for u in V)
+        exact = [(*ex.integer_rows(om.vertices), ex.integer_rows(om.generators)[0])
+                 for om in oms]
+        for x, e, lvs, x_fvs in zip(*xs.gram, levels, fvs):
+            for (V, d, G), lv, fv in zip(exact, lvs, x_fvs):
+                low = min(ex.int_dot(x, u) for u in V)
+                flv = lv.numerator / lv.denominator     # float(lv)
                 exact_fail += sum((
                     low * lv.denominator != lv.numerator * e * d,
                     any(ex.int_dot(x, g) < 0 for g in G),
-                    abs(float(x_fvs[wi]) - float(lv)) > 1e-8 * max(1.0, abs(float(lv)))))
+                    abs(float(fv) - flv) > 1e-8 * max(1.0, abs(flv))))
     return tally.result("critical_image", exact_fail == 0,
                         detail={"patterns": len(pats),
                                 "exact_level_failures": exact_fail})

@@ -381,7 +381,7 @@ def span_form(basis) -> np.ndarray:
 def _span_form(shape: tuple, data: bytes) -> np.ndarray:
     B = np.frombuffer(data).reshape(shape)
     Bi, k = B.astype(np.int64), len(B)
-    if not np.array_equal(Bi, B):
+    if not (Bi == B).all():
         raise ValueError("span basis is not integer-valued")
     i, j, t = _span_tables(k)
     Y = Bi[i] + Bi[j]               # c(2 B_a) = 4 c(B_a)
@@ -408,9 +408,11 @@ def _span_form(shape: tuple, data: bytes) -> np.ndarray:
 def _span_tables(k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The pairs a <= b of range(k) as the arrays of the a and of the b,
     and the t in N^k with sum 3 as rows."""
-    t = [np.bincount(c, minlength=k) for c in
-         itertools.combinations_with_replacement(range(k), 3)]
-    return *np.triu_indices(k), np.array(t or np.zeros((0, k)), np.int64)
+    pairs, points = (list(itertools.combinations_with_replacement(range(k), m))
+                     for m in (2, 3))
+    return *np.array(pairs, np.intp).reshape(-1, 2).T, np.array(
+        [[c.count(a) for a in range(k)] for c in points], np.int64
+    ).reshape(len(points), k)
 
 
 # --- the factored Iwasawa kernel --------------------------------------------
@@ -525,8 +527,8 @@ def _draw_minors(draw: Draw, p: tuple):
 def _in_np(shape: tuple, data: bytes, p: tuple) -> bool:
     """Whether exp of the span of a basis (k, n, n) lies in N_P: the basis is
     strictly upper triangular after conjugation by p, compared exactly."""
-    B = np.frombuffer(data).reshape(shape)
-    return not np.tril(_conjugate(B, p)).any()
+    B, n = _conjugate(np.frombuffer(data).reshape(shape), p), shape[-1]
+    return not B[:, np.arange(n)[:, None] >= np.arange(n)].any()
 
 
 # --- the column coefficients -----------------------------------------------

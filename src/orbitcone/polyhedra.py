@@ -14,6 +14,7 @@ facet slacks; pointedness by exact LP feasibility, the one LP left.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
@@ -70,9 +71,12 @@ def project_polyhedron(V: Sequence[Vec], G: Sequence[Vec]) -> list[Ineq]:
             if any(a) and (min(s) >= 0 or max(s) <= 0):
                 a = ex.primitive([x if min(s) >= 0 else -x for x in a])
                 rows[tuple(a)] = ex.int_dot(a, vb)
-    # a.x >= r / den is unit_lead of (den a, r): a != 0 holds the lead
-    return sorted((row[:-1], row[-1]) for row in (
-        ex.unit_lead([den * x for x in a] + [r]) for a, r in rows.items()))
+    # a.x >= r / den is unit_lead of (den a, r), a != 0 holding the lead;
+    # sorted as its Fractions sort, on integers over one denominator m
+    rows = [[den * x for x in a] + [r] for a, r in rows.items()]
+    m = math.lcm(*(abs(next(filter(None, row))) for row in rows))
+    rows.sort(key=lambda row: [x * (m // abs(next(filter(None, row)))) for x in row])
+    return [(row[:-1], row[-1]) for row in map(ex.unit_lead, rows)]
 
 
 # --- polyhedra -------------------------------------------------------------
@@ -110,9 +114,10 @@ class Polyhedron:
 
     @cached_property
     def _unit_rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        A = np.array([[float(c) for c in a] for a, _ in self.hrep]
-                     ).reshape(-1, self.ambient)
-        b = np.array([float(r) for _, r in self.hrep])
+        # n / d of ints rounds as float(Fraction) does
+        A = np.array([[c.numerator / c.denominator for c in a]
+                      for a, _ in self.hrep]).reshape(-1, self.ambient)
+        b = np.array([r.numerator / r.denominator for _, r in self.hrep])
         return A, b, np.linalg.norm(A, axis=1)
 
     def slack(self, x):

@@ -574,8 +574,8 @@ def test_faults_on_several_weyl_elements_keep_the_oracle_witnesses(
 
 def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
     # per pattern: one sample_H_X, as its witnesses share one tie pattern,
-    # one sample_NPH, and an Iwasawa call per Weyl element (its draws) and
-    # one for F; G X once per X
+    # one sample_NPH, and an Iwasawa call per Weyl element (its draws);
+    # one for F over every witness; G X once per X
     work = {}
     for name, module in (("sample_H_X", harness), ("sample_NPH", harness),
                          ("iwasawa", matrixgrp)):
@@ -607,7 +607,7 @@ def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
         assert ties == len(pats), preset
         assert counts[0] == counts[1] == {
             "sample_H_X": len(pats), "sample_NPH": len(pats),
-            "iwasawa": (len(rz.small_weyl) + 1) * len(pats),
+            "iwasawa": len(rz.small_weyl) * len(pats) + 1,
             "gram_X": sum(len(wits) for _, wits in pats)}, preset
 
 
