@@ -437,7 +437,7 @@ def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
     X-centralizer orbit plus the X-cut cone; a_log and X exact.  W_X is
     the stabiliser of X in the small Weyl group: the reflections in the
     plus roots vanishing on X (Chevalley's lemma)."""
-    (x,), _ = ex.integer_rows([X])      # X on an integer row
+    (x,), _ = ex.integer_rows([X])
     cut = sorted(a for a in P.classification.minus_part if ex.dot(a, x) == 0)
     gam = gamma_aq(cut, rz.datum)
     W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, x) == tuple(x))
