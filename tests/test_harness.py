@@ -27,7 +27,9 @@ PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")
 # on every preset at seeds 0 and 5, on sl3_so21 with chamber 3,2,1 and at
 # tol 1e-18, where every check keeps witnesses, and of hessian on the four
 # base systems, recorded from the checks' own runs before they shared one
-# judging path.  gk's closed-form deviation is left out: it is bounded.
+# judging path; and the default report of every other check on every preset
+# where it runs, at seeds 0 and 5.  gk's closed-form deviation is left out:
+# it is bounded.
 RECORDED_REPORTS = json.loads(
     (Path(__file__).parent / "recorded_reports.json").read_text())
 
@@ -379,6 +381,21 @@ def test_checks_keep_their_recorded_reports(entry):
     # dumped, a float is its repr: -0.0 and 0.0 differ
     assert json.dumps(got, sort_keys=True) \
         == json.dumps(entry["result"], sort_keys=True)
+
+
+@pytest.mark.parametrize("check", CHECKS)
+def test_every_check_has_its_default_reports_recorded(check):
+    """A check's default report at seeds 0 and 5 is recorded on every preset
+    where the check runs; where none is recorded, the check must refuse the
+    preset."""
+    recorded = {(e["case"]["preset"], e["case"]["seed"]) for e in RECORDED_REPORTS
+                if e["check"] == check and set(e["case"]) == {"preset", "seed"}}
+    for preset in PRESETS:
+        for seed in (0, 5):
+            if (preset, seed) not in recorded:
+                with pytest.raises(ConfigError):
+                    run(VerificationConfig(preset=preset, seed=seed,
+                                           checks=frozenset({check})))
 
 
 def test_main_judges_into_the_array_it_reports(monkeypatch):
