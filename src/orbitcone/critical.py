@@ -13,14 +13,15 @@ X_i = X_j}, the signs of alpha(X) and G X, each from the integer rows; a
 sample's Fractions are built only where they are read.  The
 centralizer basis of X in h and the predicted Hessian kernel depend on X
 only through its ties and are kept per tie pattern.  critical_value gives
-the levels of a stack at every w, and F its values at every x_w from one
-h_pq, with a_log beside the x_w: no caller forms a x_w.  The exponential of
-numeric_hessian's stencil depends on the realization only.  The stencil's
-projected Iwasawa logs, with a_log beside x_w exp Z, analytic_hessian's
-transport and the signs of alpha(w^{-1} a_log) depend on (realization, P,
-a_log, w) and are kept in a _WeylPoint, made once for each; their pairing
-with the stack is one batched pass per w.  A positive system is equal to,
-and hashed as, its positive roots, so the memos key by P itself.
+the levels of a stack at every w.  x_w lies in K and normalises a, so
+H(a x_w h) = H(a_w h), log a_w = weyl_image(rz, a_log, w): F and its
+Hessians at x_w are taken at a_w.  The exponential of numeric_hessian's
+stencil depends on the realization only.  The stencil's projected Iwasawa
+logs, with a_w beside exp Z, analytic_hessian's transport and the signs
+of alpha(w^{-1} a_log) depend on (realization, P, a_w) and are kept in a
+_WeylPoint, made once for each; their pairing with the stack is one
+batched pass per w.  A positive system is equal to, and hashed as, its
+positive roots, so the memos key by P itself.
 """
 from __future__ import annotations
 
@@ -84,8 +85,8 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 
 def F(rz: Realization, a_log, X, h, P: PositiveSystem) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over
-    h, and over X (m, n) for one well-conditioned stack h (k, n, n), giving
-    shape (m, k); h goes to h_pq with a_log beside it."""
+    h, and over X (m, n) for h a well-conditioned stack (k, n, n) or a Draw
+    of k rows, giving shape (m, k); h goes to h_pq with a_log beside it."""
     return np.matmul(h_pq(rz, h, P, np.asarray(a_log, dtype=float)),
                      _dual(rz, X)[..., None])[..., 0]
 
@@ -101,7 +102,7 @@ def _dual(rz: Realization, X) -> np.ndarray:
 def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
     """w^{-1} a_log, exact, as the solution of w y = a_log; once per
     realization, base point and w.  For a_log in a_q it is the log of
-    x_w^T a x_w, at which a x_w h is judged."""
+    a_w = x_w^T a x_w, at which a x_w h is judged."""
     return tuple(row[-1] for row in ex.rref([r + (x,) for r, x in zip(w, a_log)])[0])
 
 
@@ -296,28 +297,25 @@ def _stencil_exp(rz: Realization) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _WeylPoint:
     """The parts of F and its Hessians at x_w that do not depend on X, for
-    one realization, positive system, exact base point and Weyl element,
+    one realization, positive system and a_w_log = weyl_image(rz, a_log, w),
     made once for each by the lru_cache; each part is built on first use."""
     rz: Realization
     P: PositiveSystem
-    a_log: Vec
-    w: Mat
+    a_w_log: Vec
 
     @cached_property
     def stencil_values(self) -> np.ndarray:
-        """h_pq(a x_w exp Z, P) over the stencil of _stencil_exp, with a_log
-        beside x_w exp Z; F there is this times G X.  Shape (2 dh^2 4, dim)."""
-        xw = self.rz.weyl_reps[self.w]
-        return h_pq(self.rz, xw @ _stencil_exp(self.rz), self.P,
-                    np.asarray(self.a_log, dtype=float))
+        """h_pq(a_w exp Z, P) over the stencil of _stencil_exp, with a_w_log
+        beside exp Z; F there is this times G X.  Shape (2 dh^2 4, dim)."""
+        return h_pq(self.rz, _stencil_exp(self.rz), self.P,
+                    np.asarray(self.a_w_log, dtype=float))
 
     @cached_property
     def transport(self) -> np.ndarray:
-        """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U, with
-        a_w = x_w^T a x_w; shape (dh, dim, dim).  Raises SingularInput when
-        a_w U a_w^{-1} or the result leaves double range."""
-        wln = weyl_image(self.rz, self.a_log, self.w)
-        aw = a_matrix(np.exp(np.asarray(wln, dtype=float)))
+        """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U; shape (dh,
+        dim, dim).  Raises SingularInput when a_w U a_w^{-1} or the result
+        leaves double range."""
+        aw = a_matrix(np.exp(np.asarray(self.a_w_log, dtype=float)))
         aw_inv = np.linalg.inv(aw)
         with np.errstate(over="ignore", invalid="ignore"):
             conj = aw @ np.stack(self.rz.h_basis) @ aw_inv
@@ -329,16 +327,15 @@ class _WeylPoint:
     @cached_property
     def signs(self) -> dict[Vec, int]:
         """sign alpha(w^{-1} a_log) for every root alpha; exact."""
-        wln = weyl_image(self.rz, self.a_log, self.w)
-        return {a: np.sign(ex.dot(a, wln)) for a in self.rz.datum.roots}
+        return {a: np.sign(ex.dot(a, self.a_w_log)) for a in self.rz.datum.roots}
 
 
 def analytic_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
                      P: PositiveSystem) -> np.ndarray:
     """Forms <U_i, L_w U_j>, one per sample, with L_w assembled from the
-    transport operator of (realization, P, a_log, w); only the commutator
+    transport operator of (realization, P, a_w); only the commutator
     with the stacked diagonal X and one einsum are per stack."""
-    V = _WeylPoint(rz, P, a_log, w).transport
+    V = _WeylPoint(rz, P, weyl_image(rz, a_log, w)).transport
     Xm = a_matrix(xs.floats)[:, None]
     LV = -rz.pi_h(Xm @ V - V @ Xm)
     return rz.kappa * np.einsum("iab,mjab->mij", np.stack(rz.h_basis), LV)
@@ -349,13 +346,12 @@ def numeric_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
     FD_STEP / 2, Richardson-extrapolated, one per sample.  F is linear in X:
     the projected Iwasawa logs of the stencil, kept per (realization, P,
-    a_log, w), times the stacked G X.  A stacked matmul makes one
-    matrix-vector product per sample; one gemm over the stack would round
-    differently."""
+    a_w), times the stacked G X.  A stacked matmul makes one matrix-vector
+    product per sample; one gemm over the stack would round differently."""
     dh = len(rz.h_basis)
     D = _dual(rz, xs.floats)
-    vals = np.matmul(_WeylPoint(rz, P, a_log, w).stencil_values[None],
-                     D[:, :, None]).reshape(len(D), 2, dh, dh, 4)
+    stencil = _WeylPoint(rz, P, weyl_image(rz, a_log, w)).stencil_values
+    vals = np.matmul(stencil[None], D[:, :, None]).reshape(len(D), 2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * _STEPS[:, None, None] ** 2))
     out = (4.0 * d[:, 1] - d[:, 0]) / 3.0
@@ -408,7 +404,7 @@ def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     certificate is positive.  A product alpha(X) alpha(w^{-1} a_log) is
     tested by the signs of its factors, kept per sample and per Weyl point.
     a_log must be a regular point of a_q; ensure_regular checks it."""
-    sx, sw = xs.signs, _WeylPoint(rz, P, a_log, w).signs
+    sx, sw = xs.signs, _WeylPoint(rz, P, weyl_image(rz, a_log, w)).signs
     posdef = np.ones(len(xs.den), dtype=bool)
     for a in P.classification.plus_part:
         posdef &= sx[a] * sw[a] <= 0

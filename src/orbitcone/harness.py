@@ -7,11 +7,11 @@ limits and critical_image judge their draws h at a base point a through one
 function, ``_judge``: it passes a draw a chunk at a time with a to ``h_pq``,
 which projects H(a h) onto a_q at the explicit positive system P from the
 draw's factors, and feeds a ``Tally``.  critical_image judges the draws
-e^Y n of each x_w at a_w, with n in N_P as the draw's right factor.  gk
-projects each pair's probes and draw as one Draw onto a, where its cones
-live; kostant passes a stack of rotations, with a_log beside them.  ``run``
-is the one entry point: it runs the configured checks of the ``CHECKS``
-registry in registry order.
+e^Y n of each x_w, and F at x_w, at a_w, with n in N_P as the draw's right
+factor.  gk projects each pair's probes and draw as one Draw onto a, where
+its cones live; kostant passes a stack of rotations, with a_log beside
+them.  ``run`` is the one entry point: it runs the configured checks of
+the ``CHECKS`` registry in registry order.
 The tolerance is a Euclidean distance: a projected point passes when it
 lies at most ``tol`` outside every facet hyperplane of the predicted set.
 Reports serialize deterministically: identical configuration gives
@@ -397,23 +397,26 @@ def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
 def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
               ) -> list[tuple[ex.Vec, Draw]]:
     """Deterministic probes, as _judge parts at the base point a_log: the
-    identity, and per Weyl representative x_w its center components z and
-    the rank-one rays exp(+-r U) along every cone-generator root.  x_w is
-    orthogonal and H is left-K-invariant, so H(a x_w exp(Y)) = H(a_w
-    exp(Y)) with a_w = x_w^-1 a x_w, whose log is weyl_image, at which each
-    ray is a one-generator draw.  Each z is a diagonal sign matrix, so
-    H(a x_w z) = a_w: one row of the span 0 per z."""
+    identity, and per w of rz.weyl_reps, in its closure order, the center
+    components z and the rank-one rays exp(+-r U) along every cone-generator
+    root at x_w.  x_w is orthogonal and H is left-K-invariant, so H(a x_w
+    exp(Y)) = H(a_w exp(Y)) with a_w = x_w^-1 a x_w, whose log is
+    weyl_image, at which each ray is a one-generator draw.  Each z is a
+    diagonal sign matrix, so H(a x_w z) = a_w: one row of _zero per z."""
     ts = np.array([[t] for r in radii for t in (r, -r)])
     rays = [Draw(ts, (E + rz.sigma_alg(E))[None]) for E in (
         root_matrix(rz.dim, alpha)
         for alpha in sorted(P.classification.minus_part))]
-    def zero(count):
-        return Draw(np.zeros((count, 0)), np.zeros((0, rz.dim, rz.dim)))
-    parts = [(a_log, zero(1))]
+    parts = [(a_log, _zero(rz, 1))]
     for w in rz.weyl_reps:
         a_w = weyl_image(rz, a_log, w)
-        parts += [(a_w, zero(len(rz.z_reps)))] + [(a_w, ray) for ray in rays]
+        parts += [(a_w, _zero(rz, len(rz.z_reps)))] + [(a_w, ray) for ray in rays]
     return parts
+
+
+def _zero(rz: Realization, count: int) -> Draw:
+    """count rows of the identity, as a draw on the span 0."""
+    return Draw(np.zeros((count, 0)), np.zeros((0, rz.dim, rz.dim)))
 
 
 def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSequence:
@@ -575,12 +578,12 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
     exact_fail = 0
     # omega_X keys its images by the small Weyl group, in its order
     ws = rz.small_weyl
-    xws, a_ws = np.stack([rz.weyl_reps[w] for w in ws]), [
-        weyl_image(rz, a_exact, w) for w in ws]
-    # F at the x_w is linear in X over one stack for every pattern: one
-    # call over all the witnesses, read in pattern order
-    fvs = iter(F(rz, a_exact, SampleStack.of(
-        rz, [X for _, wits in pats for X in wits]).floats, xws, P))
+    a_ws = [weyl_image(rz, a_exact, w) for w in ws]
+    # F at x_w is F at the identity with a_w beside it, and linear in X:
+    # one call per w over all the witnesses, read in pattern order
+    Xs = SampleStack.of(rz, [X for _, wits in pats for X in wits]).floats
+    fvs = iter(np.concatenate([F(rz, a_w, Xs, _zero(rz, 1), P)
+                               for a_w in a_ws], axis=1))
     for pi, (S, wits) in enumerate(pats):
         # omega_X reads X only through the roots vanishing on it; for X in
         # a_q, alpha(X) = (alpha|a_q)(X), so S fixes them: one Omega_X per S
@@ -589,12 +592,13 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         # sample_H_X reads X through [X, U]_ij = (X_i - X_j) U_ij; on every
         # preset U in h is 0 off the diagonal and the root positions, where
         # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call.
-        # Its rows run over (X, w, draw), and n in N_P is their right factor
+        # Its rows run over (X, w, draw), and n in N_P is their right
+        # factor: H(g n) = H(g), so one stream draws every n
         blocks = list(np.ndindex(len(wits), len(ws)))
         hxn = replace(sample_H_X(rz, wits[0], radius, n_per, [
             _stream(cfg, "critical_image", 1, pi, *d) for d in blocks]),
-            right=sample_NPH(rz, P, radius, n_per, [
-                _stream(cfg, "critical_image", 2, pi, *d) for d in blocks]))
+            right=sample_NPH(rz, P, radius, n_per * len(blocks), [
+                _stream(cfg, "critical_image", 2, pi)]))
         # H(a x_w e^Y n) = H(a_w e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
         for wi, (a_w, om) in enumerate(zip(a_ws, oms)):

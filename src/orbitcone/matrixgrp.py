@@ -55,7 +55,7 @@ class Realization:
     inv_np: np.ndarray
     h_basis: tuple[np.ndarray, ...]
     z_reps: tuple[np.ndarray, ...]
-    weyl_gen_reps: tuple[tuple[Mat, np.ndarray], ...]
+    weyl_gens: tuple[Mat, ...]       # generators of the small Weyl group
 
     def sigma_alg(self, Y: np.ndarray) -> np.ndarray:
         if self.kind == "J":
@@ -76,24 +76,20 @@ class Realization:
     @cached_property
     def small_weyl(self) -> tuple[Mat, ...]:
         """The reflection group of the restricted roots carrying a plus
-        space: the sorted keys of weyl_reps, which closes it."""
+        space: weyl_reps, which closes it, sorted."""
         return tuple(sorted(self.weyl_reps))
 
     @cached_property
-    def weyl_reps(self) -> dict[Mat, np.ndarray]:
+    def weyl_reps(self) -> tuple[Mat, ...]:
         """The one closure of the small Weyl group: every product w of the
-        generators, with its representative x_w in K."""
-        ident = ex.identity(self.dim)
-        reps, frontier = {ident: np.eye(self.dim)}, [ident]
-        while frontier:
-            nxt = []
-            for w in frontier:
-                for gen, gen_rep in self.weyl_gen_reps:
-                    if (prod := ex.mat_mul(gen, w)) not in reps:
-                        reps[prod] = gen_rep @ reps[w]
-                        nxt.append(prod)
-            frontier = nxt
-        return reps
+        generators, breadth first from the identity with the generators in
+        order.  The probes follow this order."""
+        reps = [ex.identity(self.dim)]
+        for w in reps:          # a queue: the list grows as it is read
+            for gen in self.weyl_gens:
+                if (prod := ex.mat_mul(gen, w)) not in reps:
+                    reps.append(prod)
+        return tuple(reps)
 
     @cached_property
     def q_proj_np(self) -> np.ndarray:
@@ -156,10 +152,6 @@ def _pair_datum(roots, kappa: int, sigma_on_a: Mat, mult) -> SymmetricPairDatum:
                             sigma_on_a, mult)
 
 
-def _rot90():
-    return np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 def _build_kostant_sl2() -> Realization:
     roots = _gl_roots(2)
     sig = _diag_frac([-1, -1])
@@ -172,7 +164,7 @@ def _build_kostant_sl2() -> Realization:
         kind="J", inv_np=np.eye(2),
         h_basis=(np.array([[0.0, -1.0], [1.0, 0.0]]),),
         z_reps=(np.eye(2), -np.eye(2)),
-        weyl_gen_reps=((gen, _rot90()),))
+        weyl_gens=(gen,))
 
 
 def _build_sl2_so11() -> Realization:
@@ -185,7 +177,7 @@ def _build_sl2_so11() -> Realization:
         kind="J", inv_np=np.diag([1.0, -1.0]),
         h_basis=(np.array([[0.0, 1.0], [1.0, 0.0]]),),
         z_reps=(np.eye(2), -np.eye(2)),
-        weyl_gen_reps=())
+        weyl_gens=())
 
 
 def _build_sl3_so21() -> Realization:
@@ -198,7 +190,6 @@ def _build_sl3_so21() -> Realization:
     datum = _pair_datum(roots, 6, sig, mult)
     lam = next(r for r in roots if r[0] == 1 and r[1] == -1)
     gen = reflection_matrix(lam, datum.gram)
-    s12 = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]])
     zs = (np.diag([1.0, 1.0, 1.0]), np.diag([-1.0, -1.0, 1.0]),
           np.diag([-1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0]))
     return Realization(
@@ -208,7 +199,7 @@ def _build_sl3_so21() -> Realization:
                  np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]),
                  np.array([[0.0, 0.0, 0.0], [0.0, 0.0, 1.0], [0.0, 1.0, 0.0]])),
         z_reps=zs,
-        weyl_gen_reps=((gen, s12),))
+        weyl_gens=(gen,))
 
 
 def _build_group_sl2() -> Realization:
@@ -220,9 +211,6 @@ def _build_group_sl2() -> Realization:
     rest = restricted_roots(datum)
     lam = max(rest.plus_set)
     gen = reflection_matrix(lam, datum.gram)
-    rot2 = np.zeros((4, 4))
-    rot2[:2, :2] = _rot90()
-    rot2[2:, 2:] = _rot90()
     S = np.zeros((4, 4))
     S[:2, 2:] = np.eye(2)
     S[2:, :2] = np.eye(2)
@@ -234,7 +222,7 @@ def _build_group_sl2() -> Realization:
         kind="S", inv_np=S,
         h_basis=(np.diag([1.0, -1.0, 1.0, -1.0]), e, f),
         z_reps=(np.eye(4), -np.eye(4)),
-        weyl_gen_reps=((gen, rot2),))
+        weyl_gens=(gen,))
 
 
 PRESETS = {

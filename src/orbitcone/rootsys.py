@@ -5,7 +5,7 @@ bilinear form on a is given by an exact Gram matrix.  theta is always -id on
 a, so sigma together with the per-root eigenspace dimensions carries all the
 involution data.  Everything here is exact and immutable.  No group is
 closed or held here: ``matrixgrp.Realization.weyl_reps`` closes the Weyl
-group, and a group is a tuple of its matrices.
+group from its exact generators, and a group is a tuple of its matrices.
 """
 from __future__ import annotations
 

@@ -5,7 +5,11 @@ involution on the group and membership up to a slack.  ``weyl_group`` is
 the reflection group of a set of roots, closed from its reflection
 matrices; the tests require the one closure of the package,
 ``Realization.weyl_reps``, and what it feeds (the small Weyl group, the
-stabilisers W_X and the positive systems) to agree with it.  ``h_x_coords_fresh``
+stabilisers W_X and the positive systems) to agree with it.  ``weyl_rep``
+is a representative x_w in K of w, closed from one matrix per generator of
+``Realization.weyl_gens`` in the package's closure order; the package
+takes every point a x_w h at the Weyl image a_w instead, and the tests
+hold the two forms to each other.  ``h_x_coords_fresh``
 is the centralizer computation without the per-tie-pattern cache of
 ``critical.h_x_coords``; the tests require both to agree exactly.
 ``FractionSampleStack`` is ``critical.SampleStack`` in Fraction arithmetic,
@@ -64,7 +68,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -102,6 +106,32 @@ def weyl_group(root_set, gram) -> tuple:
                                 for s in gens.values()} if w not in elements]
         elements.update(frontier)
     return tuple(sorted(elements))
+
+
+_ROT90 = np.array([[0.0, -1.0], [1.0, 0.0]])
+# per preset, the representative in K of each of its Weyl generators
+_WEYL_GEN_REPS = {
+    "kostant_sl2": (_ROT90,),
+    "sl2_so11": (),
+    "sl3_so21": (np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, -1.0]]),),
+    "group_sl2": (np.kron(np.eye(2), _ROT90),),
+}
+
+
+def weyl_rep(rz, w) -> np.ndarray:
+    """x_w in K with x_w^T a x_w = exp(w^{-1} log a): the product of the
+    generator representatives along the first word of w in the closure
+    order of rz.weyl_reps."""
+    return _weyl_reps(rz)[w]
+
+
+@lru_cache(maxsize=None)
+def _weyl_reps(rz) -> dict:
+    reps = {ex.identity(rz.dim): np.eye(rz.dim)}
+    for w in rz.weyl_reps:
+        for gen, x in zip(rz.weyl_gens, _WEYL_GEN_REPS[rz.name], strict=True):
+            reps.setdefault(ex.mat_mul(gen, w), x @ reps[w])
+    return reps
 
 
 def contains(region, x, tol: float = 1e-7) -> bool:
@@ -414,7 +444,7 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     FD_STEP / 2, Richardson-extrapolated; both stencils go through one expm
     and one h_pq call, contracted with the dual of X by a gemv."""
     P = P if P is not None else rz.base_parabolic
-    xw = rz.weyl_reps[w]
+    xw = weyl_rep(rz, w)
     basis = np.stack(rz.h_basis)
     dh = len(basis)
     signs = np.array([(1, 1), (1, -1), (-1, 1), (-1, -1)], dtype=float)
@@ -435,7 +465,7 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
 def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
     P = P if P is not None else rz.base_parabolic
-    xw = rz.weyl_reps[w]
+    xw = weyl_rep(rz, w)
     a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
     aw = xw.T @ a @ xw
     aw_inv = np.linalg.inv(aw)
@@ -466,7 +496,7 @@ def critical_image_per_draw(rz, P, cfg):
     exact_fail = 0
     for pi, (S, wits) in enumerate(pats):
         oms = sorted(omega_X(rz, a_exact, wits[0], P).items())
-        xws = np.stack([rz.weyl_reps[w] for w, _ in oms])
+        xws = np.stack([weyl_rep(rz, w) for w, _ in oms])
         fvs = [h_pq(rz, xws, P, a) @ _dual(rz, _float_rows([X], rz.dim)[0])
                for X in wits]
         for wi, ((w, om), xw) in enumerate(zip(oms, xws)):

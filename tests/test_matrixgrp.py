@@ -23,7 +23,8 @@ from iwasawa_reference import (iwasawa_by_matmul, iwasawa_exact,
 from paper_claims import (NotInNP, NotUnipotent, default_z_q, exp_nilpotent,
                           factor_nilpotent, unipotent_log)
 from reference import (clip_factors_dense, contains, draw_elements,
-                       exp_span_dense, sigma_grp, sl2_triple, span_form_exact)
+                       exp_span_dense, sigma_grp, sl2_triple, span_form_exact,
+                       weyl_rep)
 
 
 def _np_vec(v) -> np.ndarray:
@@ -56,7 +57,8 @@ def validate_realization(rz: Realization) -> dict[str, float]:
                       - sig_a @ _np_vec(v)).max()) for v in rz.datum.a_basis),
         default=0.0)
     werr = 0.0
-    for w, xw in rz.weyl_reps.items():
+    for w in rz.weyl_reps:
+        xw = weyl_rep(rz, w)
         werr = max(werr, float(np.abs(xw.T @ xw - np.eye(n)).max()))
         werr = max(werr, float(np.abs(sigma_grp(rz, xw) - xw).max()))
         wf = _np_mat(w)
@@ -198,13 +200,13 @@ def test_iwasawa_rejects_bad_input(rz_sl3):
 
 
 def _dense_inputs(rz: Realization, P) -> list[np.ndarray]:
-    """Every stack that the program hands iwasawa: each x_w (F), the
-    rotations of the kostant check on a 2 x 2 preset, gk's probes I + s E
-    over the supports of its pairs (P, Q), and x_w exp Z over the Hessian
-    stencil."""
+    """Every stack that the program and its oracles hand iwasawa: the
+    Hessian stencil exp Z, each x_w and x_w exp Z (the oracles' F and
+    stencil), the rotations of the kostant check on a 2 x 2 preset, and
+    gk's probes I + s E over the supports of its pairs (P, Q)."""
     n = rz.dim
-    xws = np.stack(list(rz.weyl_reps.values()))
-    out = [xws, xws[:, None] @ _stencil_exp(rz)]
+    xws = np.stack([weyl_rep(rz, w) for w in rz.weyl_reps])
+    out = [_stencil_exp(rz), xws, xws[:, None] @ _stencil_exp(rz)]
     if n == 2:
         phi = np.linspace(0.0, np.pi / 2, 1000)
         c, s = np.cos(phi), np.sin(phi)
@@ -760,7 +762,7 @@ def test_ek_projection_properties(rz_sl3):
 def test_weyl_rep_lookup(rz_sl3):
     assert set(rz_sl3.weyl_reps) == set(rz_sl3.small_weyl)
     for w in rz_sl3.small_weyl:
-        xw = rz_sl3.weyl_reps[w]
+        xw = weyl_rep(rz_sl3, w)
         assert np.abs(xw.T @ xw - np.eye(3)).max() < 1e-12
 
 

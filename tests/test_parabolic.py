@@ -61,8 +61,9 @@ def test_a_positive_system_is_its_positive_roots(rz_sl3):
     assert P.perm == base.perm
     a_log = (Fraction(2), Fraction(1), Fraction(-3))
     for w in rz_sl3.small_weyl:
-        assert critical._WeylPoint(rz_sl3, P, a_log, w) \
-            is critical._WeylPoint(rz_sl3, base, a_log, w)
+        a_w = critical.weyl_image(rz_sl3, a_log, w)
+        assert critical._WeylPoint(rz_sl3, P, a_w) \
+            is critical._WeylPoint(rz_sl3, base, a_w)
     others = [Q for Q in all_positive_systems(rz_sl3.datum)
               if Q.positive != base.positive]
     assert others and all(Q != base for Q in others)

@@ -86,7 +86,7 @@ def test_small_weyl_order(rz):
 
 
 def test_small_weyl_is_the_closure_of_the_plus_roots(rz):
-    # weyl_reps closes the group from the generator representatives; the
+    # weyl_reps closes the group from the exact generators weyl_gens; the
     # reflections in the restricted roots with a plus space close the same
     oracle = weyl_group(rz.restricted.plus_set, rz.datum.gram)
     assert rz.small_weyl == oracle
