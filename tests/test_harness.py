@@ -28,8 +28,10 @@ PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")
 # tol 1e-18, where every check keeps witnesses, and of hessian on the four
 # base systems, recorded from the checks' own runs before they shared one
 # judging path; and the default report of every other check on every preset
-# where it runs, at seeds 0 and 5.  gk's closed-form deviation is left out:
-# it is bounded.
+# where it runs, at seeds 0 and 5; and the seed-0 reports of main, no_line,
+# inclusion_cone, critical_image and limits at every non-base positive
+# system of the four presets, named by its chamber.  gk's closed-form
+# deviation is left out: it is bounded.
 RECORDED_REPORTS = json.loads(
     (Path(__file__).parent / "recorded_reports.json").read_text())
 
