@@ -9,6 +9,7 @@ import argparse
 import json
 import sys
 
+from . import exactlin as ex
 from .harness import (ConfigError, IoError, Report, config_from_mapping,
                       emit_report, run)
 from .matrixgrp import realization
@@ -128,7 +129,7 @@ def main(argv=None) -> int:
 
 
 def _fmt_root(alpha) -> str:
-    return "(" + ",".join(str(c) for c in alpha) + ")"
+    return "(" + ",".join(ex.strs(alpha)) + ")"
 
 
 def _cmd_extremize(ns: argparse.Namespace) -> int:

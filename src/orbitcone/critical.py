@@ -9,8 +9,7 @@ The Hessian and critical-image layers take a SampleStack of samples X, an
 exact base point a_log and an explicit positive system P, and compute each
 part once per value of what it depends on.  The stack keeps X on integer
 rows and what depends on X alone: X in floats, its tie pattern {(i, j) :
-X_i = X_j}, the signs of alpha(X) and G X, each from the integer rows; a
-sample's Fractions are built only where they are read.  The
+X_i = X_j}, the signs of alpha(X) and G X, each from the integer rows.  The
 centralizer basis of X in h and the predicted Hessian kernel depend on X
 only through its ties and are kept per tie pattern.  critical_value gives
 the levels of a stack at every w.  x_w lies in K and normalises a, so
@@ -28,14 +27,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
 
 import numpy as np
 from scipy.linalg import expm
 
 from . import exactlin as ex
-from .exactlin import Mat, Vec
+from .exactlin import Exact
 from .matrixgrp import (Draw, Realization, SingularInput, a_matrix,
                         ek_projection, h_pq, root_matrix, sample_span,
                         sample_unipotent)
@@ -55,26 +53,21 @@ class NotRegular(ValueError):
     pass
 
 
-def _exact_vec(v) -> Vec:
-    return tuple(Fraction(str(x)) if not isinstance(x, Fraction) else x for x in v)
-
-
-def is_regular(rz: Realization, v: Vec) -> bool:
+def is_regular(rz: Realization, v: Exact) -> bool:
     """No restricted root vanishes on v."""
-    return all(ex.dot(lam, v) != 0 for lam in rz.restricted.roots_q)
+    return all(ex.int_dot(lam.num, v.num) != 0 for lam in rz.restricted.roots_q)
 
 
-def ensure_in_aq(rz: Realization, a_log) -> Vec:
-    """a_log as an exact vector; ValueError unless it lies in a_q =
-    span(aq_basis), which pr_q alone does not decide off a = span(roots)."""
-    a_log = _exact_vec(a_log)
-    aq = rz.datum.aq_basis
-    if len(ex.rref(aq + (a_log,))[0]) != len(aq):
+def ensure_in_aq(rz: Realization, a_log: Exact) -> Exact:
+    """a_log; ValueError unless it lies in a_q = span(aq_basis), which pr_q
+    alone does not decide off a = span(roots)."""
+    aq = [b.num for b in rz.datum.aq_basis]
+    if len(ex.rref(aq + [a_log.num])[0]) != len(aq):
         raise ValueError("base point must lie in a_q")
     return a_log
 
 
-def ensure_regular(rz: Realization, a_log) -> Vec:
+def ensure_regular(rz: Realization, a_log: Exact) -> Exact:
     a_log = ensure_in_aq(rz, a_log)
     if not is_regular(rz, a_log):
         raise NotRegular("a restricted root vanishes on the base point")
@@ -83,49 +76,50 @@ def ensure_regular(rz: Realization, a_log) -> Vec:
 
 # --- scalar functional -----------------------------------------------------
 
-def F(rz: Realization, a_log, X, h, P: PositiveSystem) -> np.ndarray:
+def F(rz: Realization, a_log: Exact, X, h, P: PositiveSystem) -> np.ndarray:
     """<X, a_q-projection of the Iwasawa log of exp(a_log) h>; batched over
     h, and over X (m, n) for h a well-conditioned stack (k, n, n) or a Draw
     of k rows, giving shape (m, k); h goes to h_pq with a_log beside it."""
-    return np.matmul(h_pq(rz, h, P, np.asarray(a_log, dtype=float)),
+    return np.matmul(h_pq(rz, h, P, ex.floats(a_log)),
                      _dual(rz, X)[..., None])[..., 0]
 
 
 def _dual(rz: Realization, X) -> np.ndarray:
     """G X in floats, batched over X: F is the projected Iwasawa log times
     this vector.  A stacked matmul makes one G x per X."""
-    G = np.array([[float(x) for x in row] for row in rz.datum.gram])
-    return np.matmul(G, np.asarray(X, dtype=float)[..., None])[..., 0]
+    return np.matmul(ex.floats(rz.datum.gram),
+                     np.asarray(X, dtype=float)[..., None])[..., 0]
 
 
 @lru_cache(maxsize=None)
-def weyl_image(rz: Realization, a_log: Vec, w: Mat) -> Vec:
-    """w^{-1} a_log, exact, as the solution of w y = a_log; once per
-    realization, base point and w.  For a_log in a_q it is the log of
-    a_w = x_w^T a x_w, at which a x_w h is judged."""
-    return tuple(row[-1] for row in ex.rref([r + (x,) for r, x in zip(w, a_log)])[0])
+def weyl_image(rz: Realization, a_log: Exact, w: Exact) -> Exact:
+    """w^{-1} a_log, exact; once per realization, base point and w.  For
+    a_log in a_q it is the log of a_w = x_w^T a x_w, at which a x_w h is
+    judged."""
+    return ex.mat_vec(ex.mat_inv(w), a_log)
 
 
-def critical_value(rz: Realization, a_log: Vec, xs: SampleStack, ws
-                   ) -> list[list[Fraction]]:
-    """<X, w^{-1} a_log> in the exact layer; a row per sample X, a column per
-    w, on integer rows: one Fraction per level."""
-    (num, den), (wlns, d) = xs.gram, ex.integer_rows([
+def critical_value(rz: Realization, a_log: Exact, xs: SampleStack, ws
+                   ) -> list[Exact]:
+    """<X, w^{-1} a_log> in the exact layer, on integer rows: per sample X,
+    the levels at every w."""
+    (num, den), (wlns, d) = xs.gram, ex.common([
         weyl_image(rz, a_log, w) for w in ws])
-    return [[Fraction(v, d * e) for v in row] for row, e in zip(
+    return [Exact(tuple(row), d * e) for row, e in zip(
         (num @ np.array(wlns, dtype=object).T).tolist(), den.tolist())]
 
 
 # --- subspaces of h --------------------------------------------------------
 
-def h_x_coords(rz: Realization, X) -> tuple[Vec, ...]:
-    """Coordinates (over the h-basis) of a basis of the centralizer of X in h.
+def h_x_coords(rz: Realization, X: Exact) -> tuple[tuple[int, ...], ...]:
+    """Coordinates (over the h-basis) of a basis of the centralizer of X in
+    h, as primitive integer rows.
 
     [X, U][i, j] = (X_i - X_j) U[i, j]: the row space of the system, hence
     its RREF and the basis, depends on X only through the pattern of ties
     X_i = X_j, and the basis is cached on that pattern."""
-    return _centralizer(rz, frozenset((i, j) for i, x in enumerate(X)
-                                      for j, y in enumerate(X) if x == y))
+    return _centralizer(rz, frozenset((i, j) for i, x in enumerate(X.num)
+                                      for j, y in enumerate(X.num) if x == y))
 
 
 def _centralizer_basis(rz: Realization, X) -> np.ndarray:
@@ -136,12 +130,12 @@ def _centralizer_basis(rz: Realization, X) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _centralizer(rz: Realization, ties: frozenset) -> tuple[Vec, ...]:
+def _centralizer(rz: Realization, ties: frozenset) -> tuple[tuple[int, ...], ...]:
     # the h-basis as integer rows: its floats are read exactly
     n, basis = rz.dim, [U.tolist() for U in rz.h_basis]
-    return tuple(ex.nullspace(list(dict.fromkeys(map(tuple, ex.integer_rows(
-        [[0 if (i, j) in ties else U[i][j] for U in basis]
-         for i in range(n) for j in range(n)])[0])))))
+    return tuple(ex.nullspace(list(dict.fromkeys(
+        ex.exact([0 if (i, j) in ties else U[i][j] for U in basis]).num
+        for i in range(n) for j in range(n)))))
 
 
 def nph_basis(rz: Realization, P: PositiveSystem) -> tuple[np.ndarray, ...]:
@@ -171,45 +165,44 @@ class SampleStack:
     """Exact samples X in a_q as rows X_i = num[i] / den[i] of Python ints,
     den[i] > 0, and what the Hessian layer reads of X alone, each built on
     first use by the layer function that first needs it: floats, ties,
-    signs and the integer rows of G X by array operations on num, the
-    Fractions of X where read."""
+    signs and the integer rows of G X by array operations on num."""
     rz: Realization
     num: np.ndarray     # (m, dim), dtype object
     den: np.ndarray     # (m,), dtype object
 
     @classmethod
     def of(cls, rz: Realization, Xs) -> SampleStack:
-        """The stack of the samples Xs, rows of Fractions or ints."""
-        return cls.on_basis(rz, [[x.as_integer_ratio() for x in X] for X in Xs])
+        """The stack of the exact samples Xs."""
+        return cls(rz, np.array([X.num for X in Xs], dtype=object).reshape(len(Xs), -1),
+                   np.array([X.den for X in Xs], dtype=object))
 
     @classmethod
-    def on_basis(cls, rz: Realization, ratios, basis=None) -> SampleStack:
+    def on_basis(cls, rz: Realization, ratios, basis) -> SampleStack:
         """X = sum_k (p_k / q_k) basis_k, q_k > 0, for the rows of pairs
-        (p_k, q_k) of ratios; X = (p_k / q_k)_k without a basis."""
+        (p_k, q_k) of ratios."""
         pq = np.array(ratios, dtype=object).reshape(len(ratios), -1, 2)
-        if basis is not None:
-            # basis_k = B.num[k] / B.den[k]: B.den[k] joins q_k
-            B = cls.of(rz, basis)
-            pq[..., 1] *= B.den
+        # basis_k = B.num[k] / B.den[k]: B.den[k] joins q_k
+        B = cls.of(rz, basis)
+        pq[..., 1] *= B.den
         den = np.lcm.reduce(pq[..., 1], axis=1)
         num = pq[..., 0] * (den[:, None] // pq[..., 1])
-        return cls(rz, num if basis is None else num @ B.num, den)
+        return cls(rz, num @ B.num, den)
 
-    def exact(self, i: int) -> Vec:
-        """Sample i as Fractions."""
-        return tuple(Fraction(n, self.den[i]) for n in self.num[i])
+    def exact(self, i: int) -> Exact:
+        """Sample i."""
+        return Exact(tuple(self.num[i]), self.den[i])
 
     @cached_property
     def floats(self) -> np.ndarray:
-        # the true division of Python ints rounds as float(Fraction) does
+        # the true division of Python ints rounds correctly
         return (self.num / self.den[:, None]).astype(float)
 
     @cached_property
     def gram(self) -> tuple[np.ndarray, np.ndarray]:
         """G X per sample as integer rows over one denominator each, (num,
         den) with G X_i = num[i] / den[i], from the integer rows of G and X."""
-        G, d = ex.integer_rows(self.rz.datum.gram)
-        return self.num @ np.array(G, dtype=object).T, self.den * d
+        G = self.rz.datum.gram
+        return self.num @ np.array(G.num, dtype=object).T, self.den * G.den
 
     @cached_property
     def ties(self) -> tuple[frozenset, ...]:
@@ -223,7 +216,7 @@ class SampleStack:
         return tuple(map(sets.__getitem__, rows))
 
     @cached_property
-    def signs(self) -> dict[Vec, np.ndarray]:
+    def signs(self) -> dict[Exact, np.ndarray]:
         """sign alpha(X) per sample for every root alpha; exact."""
         roots = tuple(self.rz.datum.roots)
         s = np.sign(self.num @ SampleStack.of(self.rz, roots).num.T)
@@ -301,21 +294,20 @@ class _WeylPoint:
     made once for each by the lru_cache; each part is built on first use."""
     rz: Realization
     P: PositiveSystem
-    a_w_log: Vec
+    a_w_log: Exact
 
     @cached_property
     def stencil_values(self) -> np.ndarray:
         """h_pq(a_w exp Z, P) over the stencil of _stencil_exp, with a_w_log
         beside exp Z; F there is this times G X.  Shape (2 dh^2 4, dim)."""
-        return h_pq(self.rz, _stencil_exp(self.rz), self.P,
-                    np.asarray(self.a_w_log, dtype=float))
+        return h_pq(self.rz, _stencil_exp(self.rz), self.P, ex.floats(self.a_w_log))
 
     @cached_property
     def transport(self) -> np.ndarray:
         """a_w ek(a_w U a_w^{-1}) a_w^{-1} over the h-basis U; shape (dh,
         dim, dim).  Raises SingularInput when a_w U a_w^{-1} or the result
         leaves double range."""
-        aw = a_matrix(np.exp(np.asarray(self.a_w_log, dtype=float)))
+        aw = a_matrix(np.exp(ex.floats(self.a_w_log)))
         aw_inv = np.linalg.inv(aw)
         with np.errstate(over="ignore", invalid="ignore"):
             conj = aw @ np.stack(self.rz.h_basis) @ aw_inv
@@ -325,12 +317,13 @@ class _WeylPoint:
         return out
 
     @cached_property
-    def signs(self) -> dict[Vec, int]:
+    def signs(self) -> dict[Exact, int]:
         """sign alpha(w^{-1} a_log) for every root alpha; exact."""
-        return {a: np.sign(ex.dot(a, self.a_w_log)) for a in self.rz.datum.roots}
+        return {a: np.sign(ex.int_dot(a.num, self.a_w_log.num))
+                for a in self.rz.datum.roots}
 
 
-def analytic_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+def analytic_hessian(rz: Realization, a_log: Exact, xs: SampleStack, w: Exact,
                      P: PositiveSystem) -> np.ndarray:
     """Forms <U_i, L_w U_j>, one per sample, with L_w assembled from the
     transport operator of (realization, P, a_w); only the commutator
@@ -341,7 +334,7 @@ def analytic_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     return rz.kappa * np.einsum("iab,mjab->mij", np.stack(rz.h_basis), LV)
 
 
-def numeric_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+def numeric_hessian(rz: Realization, a_log: Exact, xs: SampleStack, w: Exact,
                     P: PositiveSystem) -> np.ndarray:
     """Cross-stencil second differences of F at x_w at steps FD_STEP and
     FD_STEP / 2, Richardson-extrapolated, one per sample.  F is linear in X:
@@ -358,7 +351,7 @@ def numeric_hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
     return 0.5 * (out + np.swapaxes(out, 1, 2))
 
 
-def hessian(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+def hessian(rz: Realization, a_log: Exact, xs: SampleStack, w: Exact,
             P: PositiveSystem) -> HessianReport:
     """Numeric and analytic Hessians of F at x_w, per sample.  a_log must be
     a regular point of a_q; ensure_regular checks it, and the caller does so
@@ -398,7 +391,7 @@ def transversal_signature(rz: Realization, report: HessianReport,
 
 # --- predicted signature ----------------------------------------------------
 
-def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
+def predicted_signature(rz: Realization, a_log: Exact, xs: SampleStack, w: Exact,
                         P: PositiveSystem):
     """Per sample, the exact positivity prediction and whether every orbit
     certificate is positive.  A product alpha(X) alpha(w^{-1} a_log) is
@@ -427,16 +420,16 @@ def predicted_signature(rz: Realization, a_log: Vec, xs: SampleStack, w: Mat,
 
 # --- the predicted critical image ------------------------------------------
 
-def omega_X(rz: Realization, a_log: Vec, X: Vec, P: PositiveSystem
-            ) -> dict[Mat, Polyhedron]:
+def omega_X(rz: Realization, a_log: Exact, X: Exact, P: PositiveSystem
+            ) -> dict[Exact, Polyhedron]:
     """Per Weyl element, in the order of rz.small_weyl: hull of the
     X-centralizer orbit plus the X-cut cone; a_log and X exact.  W_X is
     the stabiliser of X in the small Weyl group: the reflections in the
     plus roots vanishing on X (Chevalley's lemma)."""
-    (x,), _ = ex.integer_rows([X])
-    cut = sorted(a for a in P.classification.minus_part if ex.dot(a, x) == 0)
+    cut = sorted(a for a in P.classification.minus_part
+                 if ex.int_dot(a.num, X.num) == 0)
     gam = gamma_aq(cut, rz.datum)
-    W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, x) == tuple(x))
+    W_X = tuple(w for w in rz.small_weyl if ex.mat_vec(w, X) == X)
     return {w: omega(weyl_orbit(W_X, weyl_image(rz, a_log, w)), gam)
             for w in rz.small_weyl}
 
@@ -456,30 +449,29 @@ def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
 # --- vanishing patterns -----------------------------------------------------
 
 def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
-                       ) -> list[tuple[frozenset, tuple[Vec, ...]]]:
+                       ) -> list[tuple[frozenset, tuple[Exact, ...]]]:
     """Realizable zero-sets of restricted roots, with exact witnesses in a_q."""
-    d = rz.datum
     pos = sorted({lam for lam in rz.restricted.roots_q
                   if lam > ex.neg(lam)})
-    aq = d.aq_basis
+    # aq = A / f; lam(aq_k) is on_aq[lam][k] over a positive denominator
+    A, f = ex.common(rz.datum.aq_basis)
+    on_aq = {lam: [ex.int_dot(lam.num, b) for b in A] for lam in pos}
     rng = np.random.default_rng(seed)
     out = []
     for r in range(len(pos) + 1):
         for s_tuple in itertools.combinations(pos, r):
             S = frozenset(s_tuple)
-            rows = tuple(tuple(ex.dot(lam, b) for b in aq) for lam in sorted(S))
-            null = ex.nullspace(rows) if rows else ex.identity(len(aq))
-            if not null:
+            rows = [on_aq[lam] for lam in sorted(S)]
+            N = ex.nullspace(rows) if rows else ex.identity(len(A)).num
+            if not N:
                 if S == frozenset(pos):
                     out.append((S, (ex.zeros(rz.dim),)))
                 continue
-            # null = N / e and aq = A / f: t = sum_k (p_k / q_k) null_k is
-            # X = sum_k c_k NA_k / (q e f), c_k = p_k q / q_k and NA = N A
-            N, e = ex.integer_rows(null)
-            A, f = ex.integer_rows(aq)
+            # t = sum_k (p_k / q_k) N_k is X = sum_k c_k NA_k / (q f), c_k =
+            # p_k q / q_k and NA = N A
             NA = [[ex.int_dot(row, col) for col in zip(*A)] for row in N]
-            lam_rows = [[ex.int_dot(ex.integer_row([ex.dot(lam, b) for b in aq]),
-                                    row) for row in N] for lam in pos if lam not in S]
+            lam_rows = [[ex.int_dot(on_aq[lam], row) for row in N]
+                        for lam in pos if lam not in S]
             if any(not any(row) for row in lam_rows):
                 continue
             wits = []
@@ -487,13 +479,13 @@ def vanishing_patterns(rz: Realization, per_pattern: int = 10, seed=0
             while len(wits) < per_pattern and attempts < per_pattern * 50:
                 attempts += 1
                 pq = [(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
-                      for _ in null]
+                      for _ in N]
                 q = math.lcm(*(b for _, b in pq))
                 c = [a * (q // b) for a, b in pq]
                 if any(ex.int_dot(c, row) == 0 for row in lam_rows):
                     continue
-                wits.append(tuple(Fraction(x, q * e * f) for x in map(
-                    ex.int_dot, itertools.repeat(c), zip(*NA))))
+                wits.append(Exact(tuple(map(
+                    ex.int_dot, itertools.repeat(c), zip(*NA))), q * f))
             if len(wits) == per_pattern:
                 out.append((S, tuple(wits)))
     return out

@@ -1,81 +1,127 @@
-"""Exact rational linear algebra: vectors and matrices as tuples of Fractions,
-Gauss-Jordan kernels and inverses, and a small Bland-rule simplex for
-feasibility/optimization of {Ax = b, x >= 0}.  Internal support module.
+"""Exact rational linear algebra on integer rows.  Internal support module.
 
-The kernels ``dot``, ``combination`` and ``rref`` compute on Python
-integers inside and build one normalised Fraction per entry they return,
-so they reduce by a gcd once per result, not after every product and
-partial sum.  The values are those of Fraction arithmetic."""
+An exact vector or matrix is an ``Exact``: a tuple of Python ints (a
+vector) or of int tuples (a matrix) over one positive denominator, in
+lowest terms, so that equal values are equal objects with equal hashes.
+Exacts order by value, entry by entry, and a float of one is n / d of ints,
+correctly rounded.  A direction (a basis vector of a subspace, a facet
+normal) is a primitive integer row.  ``rref`` and ``nullspace`` reduce
+integer rows fraction-free, by Bareiss elimination (Math. Comp. 22, 1968),
+and return primitive integer rows.  A small Bland-rule simplex decides
+{Ax = b, x >= 0}; its tableau holds rationals of the fractions module,
+made from the Exact rows on entry and read back on exit."""
 from __future__ import annotations
 
 import math
 import operator
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-Vec = tuple[Fraction, ...]
-Mat = tuple[Vec, ...]
+import numpy as np
 
 
-def vec(xs: Iterable) -> Vec:        # keeps an entry that is a Fraction
-    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
+def _scaled(num: tuple, k: int, g: int = 1) -> tuple:
+    """num times k over g, entry by entry; g divides every k num[i]."""
+    return tuple(_scaled(x, k, g) if type(x) is tuple else x * k // g for x in num)
 
 
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
+@dataclass(init=False, eq=False)
+class Exact:
+    """num / den: num a tuple of ints, or of int tuples for a matrix, den > 0
+    and gcd(den, every entry) = 1."""
+    __slots__ = ("num", "den")
+    num: tuple
+    den: int
+
+    def __init__(self, num: tuple, den: int = 1):
+        entries = (num if not num or type(num[0]) is not tuple
+                   else [x for row in num for x in row])
+        g = math.gcd(den, *entries)
+        if den < 0:
+            g = -g
+        self.num, self.den = (num, den) if g == 1 else (_scaled(num, 1, g), den // g)
+
+    def __eq__(self, other):
+        return (isinstance(other, Exact) and self.den == other.den
+                and self.num == other.num)
+
+    def __hash__(self):
+        return hash((self.num, self.den))
+
+    def __lt__(self, other: Exact) -> bool:
+        return _scaled(self.num, other.den) < _scaled(other.num, self.den)
 
 
-def zeros(n: int) -> Vec:
-    return (Fraction(0),) * n
+def exact(xs) -> Exact:
+    """xs as an Exact: an Exact as it is, else a vector of rationals (ints,
+    fractions or floats, each read exactly) or a matrix of rows of them."""
+    if isinstance(xs, Exact):
+        return xs
+    xs = list(xs)
+    if xs and not hasattr(xs[0], "as_integer_ratio"):
+        rows, den = common([exact(r) for r in xs])
+        return Exact(tuple(map(tuple, rows)), den)
+    ratios = [x.as_integer_ratio() for x in xs]
+    den = math.lcm(*(q for _, q in ratios))
+    return Exact(tuple(p * (den // q) for p, q in ratios), den)
 
 
-def identity(n: int) -> Mat:
-    return tuple(tuple(Fraction(1) if i == j else Fraction(0) for j in range(n))
-                 for i in range(n))
+def common(xs: Sequence[Exact]) -> tuple[list[tuple[int, ...]], int]:
+    """(N, d) with x_i = N[i] / d: the vectors xs as integer rows over their
+    least common denominator d."""
+    d = math.lcm(*(x.den for x in xs))
+    return [_scaled(x.num, d // x.den) for x in xs], d
 
 
-def add(x: Vec, y: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
+def floats(x: Exact) -> np.ndarray:
+    # the true division of Python ints rounds correctly
+    return (np.array(x.num, dtype=object) / x.den).astype(float)
 
 
-def sub(x: Vec, y: Vec) -> Vec:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
+def strs(x: Exact) -> list:
+    """The entries of an exact vector, or the rows of a matrix, as strings of
+    rationals in lowest terms: 'n', or 'n/d' with d > 1."""
+    if x.num and type(x.num[0]) is tuple:
+        return [strs(Exact(row, x.den)) for row in x.num]
+    gs = [math.gcd(n, x.den) for n in x.num]
+    return [str(n // g) if g == x.den else f"{n // g}/{x.den // g}"
+            for n, g in zip(x.num, gs)]
 
 
-def scale(c, x: Vec) -> Vec:
-    c = Fraction(c)
-    return tuple(c * a for a in x)
+def zeros(n: int) -> Exact:
+    return Exact((0,) * n)
 
 
-def neg(x: Vec) -> Vec:
-    return tuple(-a for a in x)
+def identity(n: int) -> Exact:
+    return Exact(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)))
 
 
-def combination(coeffs: Sequence, vecs: Sequence[Vec], n: int) -> Vec:
-    """sum_k coeffs[k] * vecs[k] in Q^n, exactly, as one dot of the
-    coefficients with each column; zeros(n) over no vectors.
-    Raises ValueError when the lengths do not match."""
-    cols = tuple(zip(*vecs, strict=True)) if vecs else ((),) * n
-    if len(cols) != n:
-        raise ValueError(f"vectors of length {len(cols)}, expected {n}")
-    return tuple(dot(coeffs, col) for col in cols)
+def add(x: Exact, y: Exact) -> Exact:
+    return Exact(tuple(a * y.den + b * x.den
+                       for a, b in zip(x.num, y.num, strict=True)), x.den * y.den)
 
 
-def dot(x: Sequence, y: Sequence) -> Fraction:
-    """sum_k x_k y_k of rationals (Fractions or ints), exactly.  Raises
-    ValueError when the lengths do not match."""
-    n, d = 0, 1                     # the partial sum is n / d, unreduced
-    for a, b in zip(x, y, strict=True):
-        an, ad = a.as_integer_ratio()
-        bn, bd = b.as_integer_ratio()
-        e = ad * bd
-        n = n * e + an * bn * d
-        d *= e
-    return Fraction(n, d)
+def neg(x: Exact) -> Exact:
+    return Exact(tuple(-a for a in x.num), x.den)
 
 
 def int_dot(x: Sequence[int], y: Sequence[int]) -> int:
     return sum(map(operator.mul, x, y))
+
+
+def transpose(m: Exact) -> Exact:
+    return Exact(tuple(zip(*m.num)), m.den)
+
+
+def mat_vec(m: Exact, x: Exact) -> Exact:
+    return Exact(tuple(int_dot(row, x.num) for row in m.num), m.den * x.den)
+
+
+def mat_mul(a: Exact, b: Exact) -> Exact:
+    cols = tuple(zip(*b.num))
+    return Exact(tuple(tuple(int_dot(row, col) for col in cols) for row in a.num),
+                 a.den * b.den)
 
 
 def limit_denominator(x, max_den: int) -> tuple[int, int]:
@@ -94,118 +140,63 @@ def limit_denominator(x, max_den: int) -> tuple[int, int]:
     return p0 + k * p1, q0 + k * q1
 
 
-def mat_vec(m: Mat, x: Vec) -> Vec:
-    return tuple(dot(row, x) for row in m)
-
-
-def mat_mul(a: Mat, b: Mat) -> Mat:
-    bt = transpose(b)
-    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in a)
-
-
-def transpose(m: Mat) -> Mat:
-    return tuple(zip(*m)) if m else ()
-
-
-def mat_sub(a: Mat, b: Mat) -> Mat:
-    return tuple(sub(ra, rb) for ra, rb in zip(a, b, strict=True))
-
-
-def is_zero(x: Vec) -> bool:
-    return all(a == 0 for a in x)
-
-
-def unit_lead(x: Sequence) -> Vec:
-    """x divided by the absolute value of its first nonzero entry: equal for
-    x and every positive multiple of it.  x must be nonzero."""
-    lead = abs(next(a for a in x if a != 0))
-    return tuple(Fraction(a, lead) for a in x)
-
-
-def _pivot(T: list[list[Fraction]], r: int, c: int) -> None:
-    """One Gauss-Jordan step: scale row r to T[r][c] = 1 and clear column c
-    from every other row."""
-    inv = Fraction(1) / T[r][c]
-    T[r] = [x * inv for x in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-
-
-def primitive(row: list[int]) -> list[int]:
+def primitive(row: Sequence[int]) -> tuple[int, ...]:
     """row divided by the gcd of its entries (unchanged when all are 0)."""
     g = math.gcd(*row)
-    return row if g <= 1 else [x // g for x in row]
+    return tuple(row) if g <= 1 else tuple(x // g for x in row)
 
 
-def integer_rows(rows: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """(N, d) with rows = N / d: integer rows over the least common
-    denominator d > 0 of all their entries."""
-    ratios = [[x.as_integer_ratio() for x in row] for row in rows]
-    d = math.lcm(*(q for row in ratios for _, q in row))
-    return [[p * (d // q) for p, q in row] for row in ratios], d
-
-
-def integer_row(row: Sequence) -> list[int]:
-    """The primitive integer row on the ray of a rational row."""
-    return primitive(integer_rows([row])[0][0])
-
-
-def rref(m: Sequence[Vec]) -> tuple[list[Vec], list[int]]:
-    """Reduced row echelon form; returns (rows, pivot column indices).
-
-    Gauss-Jordan elimination on integer rows, each a nonzero multiple of
-    the row Fraction elimination would hold: the same pivots, and (the
-    form being unique) the same rows once divided by their pivots."""
-    rows = [integer_row(r) for r in m]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+def rref(m: Sequence[Sequence[int]]) -> tuple[list[tuple[int, ...]], list[int]]:
+    """Reduced row echelon form of integer rows: (its nonzero rows, each a
+    primitive integer row with a positive pivot, pivot columns).  Gauss-Jordan
+    elimination, fraction-free: after each step every pivot is the same D,
+    and each entry a minor of m, so every division by the previous pivot is
+    exact."""
+    rows = [list(r) for r in m]
+    pivots, prev = [], 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
         prow, p = rows[r], rows[r][c]
         for i, row in enumerate(rows):
-            f = row[c]
-            if i != r and f != 0:
-                rows[i] = primitive([p * x - f * y for x, y in zip(row, prow)])
+            if i != r:
+                f = row[c]
+                rows[i] = [(p * x - f * y) // prev for x, y in zip(row, prow)]
         pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return [tuple(Fraction(x, row[c]) for x in row)
-            for row, c in zip(rows, pivots)], pivots
+        prev = p
+    return [primitive([x if prev > 0 else -x for x in row])
+            for row in rows[:len(pivots)]], pivots
 
 
-def nullspace(m: Sequence[Vec]) -> list[Vec]:
-    """Basis of {x : m x = 0}."""
-    if not m:
-        return []
-    ncols = len(m[0])
+def nullspace(m: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Basis of {x : m x = 0} for integer rows m, one primitive integer row
+    per free column f, positive at f and 0 at every other free column."""
     rows, pivots = rref(m)
-    free = [c for c in range(ncols) if c not in pivots]
+    d, n = math.lcm(*(row[p] for row, p in zip(rows, pivots))), len(m[0]) if m else 0
     basis = []
-    for f in free:
-        x = [Fraction(0)] * ncols
-        x[f] = Fraction(1)
-        for r, p in zip(rows, pivots):
-            x[p] = -r[f]
-        basis.append(tuple(x))
+    for f in (c for c in range(n) if c not in pivots):
+        x = [0] * n
+        x[f] = d
+        for row, p in zip(rows, pivots):
+            x[p] = -row[f] * (d // row[p])
+        basis.append(primitive(x))
     return basis
 
 
-def mat_inv(m: Mat) -> Mat:
-    n = len(m)
-    aug = [list(m[i]) + list(identity(n)[i]) for i in range(n)]
-    rows, pivots = rref(aug)
+def mat_inv(m: Exact) -> Exact:
+    """The inverse of a square matrix; ValueError when it is singular."""
+    n = len(m.num)
+    rows, pivots = rref([row + tuple(m.den * int(i == j) for j in range(n))
+                         for i, row in enumerate(m.num)])
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
-    return tuple(tuple(row[n:]) for row in rows)
+    # row i of the inverse is rows[i][n:] / rows[i][i]
+    d = math.lcm(*(row[i] for i, row in enumerate(rows)))
+    return Exact(tuple(tuple(x * (d // row[i]) for x in row[n:])
+                       for i, row in enumerate(rows)), d)
 
 
 # --- simplex ---------------------------------------------------------------
@@ -213,7 +204,18 @@ def mat_inv(m: Mat) -> Mat:
 OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
 
 
-def _simplex_core(T: list[list[Fraction]], basis: list[int], ncols: int) -> str:
+def _pivot(T: list[list], r: int, c: int) -> None:
+    """One Gauss-Jordan step: scale row r to T[r][c] = 1 and clear column c
+    from every other row."""
+    inv = 1 / T[r][c]
+    T[r] = [x * inv for x in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][c] != 0:
+            f = T[i][c]
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
+
+
+def _simplex_core(T: list[list], basis: list[int], ncols: int) -> str:
     # maximizes the objective stored in the last tableau row; Bland's rule
     while True:
         obj = T[-1]
@@ -232,24 +234,28 @@ def _simplex_core(T: list[list[Fraction]], basis: list[int], ncols: int) -> str:
         basis[r] = c
 
 
-def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
-    """max c.x subject to A x = b, x >= 0, exactly.
+def _rationals(x: Exact) -> list:
+    return [Fraction(n, x.den) for n in x.num]
 
-    Returns (status, x, value); x and value are None when infeasible, and
-    value is None when unbounded.  Pass c=None for pure feasibility.
+
+def lp_solve(A: Iterable[Exact], b: Exact, c: Exact | None = None):
+    """max c.x subject to A x = b, x >= 0, exactly, for the rows A.
+
+    Returns (status, x, value); x is an Exact and value a rational of the
+    fractions module, both None when infeasible, and value is None when
+    unbounded.  Pass c=None for pure feasibility.
     """
-    m, n = len(A), (len(A[0]) if A else (len(c) if c else 0))
-    A = [list(r) for r in A]
-    b = list(b)
+    A = [_rationals(row) for row in A]
+    b = _rationals(b)
+    m, n = len(A), (len(A[0]) if A else (len(c.num) if c else 0))
     for i in range(m):
         if b[i] < 0:
             A[i] = [-x for x in A[i]]
             b[i] = -b[i]
     # phase 1: maximize -sum(artificials); invariant: last row holds reduced
     # costs and, in its final entry, the current objective value
-    T = [A[i] + [Fraction(1) if j == i else Fraction(0) for j in range(m)] + [b[i]]
-         for i in range(m)]
-    obj = [Fraction(0)] * n + [Fraction(1)] * m + [Fraction(0)]
+    T = [A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]] for i in range(m)]
+    obj = [0] * n + [1] * m + [0]
     for i in range(m):
         obj = [x - y for x, y in zip(obj, T[i])]
     T.append(obj)
@@ -267,10 +273,10 @@ def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
     keep = [i for i in range(m) if basis[i] < n]
     T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
-    status, value = OPTIMAL, Fraction(0)
+    status, value = OPTIMAL, 0
     if c is not None:
         # phase 2
-        obj = [-Fraction(ci) for ci in c] + [Fraction(0)]
+        obj = [-x for x in _rationals(c)] + [0]
         for i, bi in enumerate(basis):
             if obj[bi] != 0:
                 f = obj[bi]
@@ -278,8 +284,7 @@ def lp_solve(A: Sequence[Vec], b: Vec, c: Vec | None = None):
         T.append(obj)
         status = _simplex_core(T, basis, n)
         value = T[-1][-1] if status == OPTIMAL else None
-    x = [Fraction(0)] * n
+    x = [0] * n
     for i, bi in enumerate(basis):
         x[bi] = T[i][-1]
-    return status, tuple(x), value
-
+    return status, exact(x), value

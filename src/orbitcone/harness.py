@@ -152,9 +152,9 @@ class VerificationConfig:
         if self.format not in FORMATS:
             raise ConfigError(f"format must be one of {FORMATS}")
 
-    def a_log_exact(self) -> tuple[Fraction, ...]:
+    def a_log_exact(self) -> ex.Exact:
         src = self.a_log if self.a_log is not None else _DEFAULT_A_LOG[self.preset]
-        return tuple(Fraction(s) for s in src)
+        return ex.exact(Fraction(s) for s in src)
 
     def positive_system(self, rz: Realization) -> PositiveSystem:
         if self.chamber is None:
@@ -288,7 +288,7 @@ class Report:
 # --- shared numeric helpers -------------------------------------------------
 
 def _float_rows(vs, n: int) -> np.ndarray:
-    return np.array([[float(c) for c in v] for v in vs]).reshape(-1, n)
+    return np.array([ex.floats(v) for v in vs]).reshape(-1, n)
 
 
 class _Coverage:
@@ -385,7 +385,7 @@ def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
     vals = np.empty((count, rz.dim)) if out is None else out[:count]
     done = 0
     for a_log, draw in parts:
-        a = _float_rows([a_log], rz.dim)[0]
+        a = ex.floats(a_log)
         for i in range(0, len(draw), CHUNK):
             chunk = draw.rows(slice(i, i + CHUNK))
             judged, done = vals[done:done + len(chunk)], done + len(chunk)
@@ -394,8 +394,8 @@ def _judge(rz: Realization, P: PositiveSystem, tally: Tally, region,
     return vals
 
 
-def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Vec
-              ) -> list[tuple[ex.Vec, Draw]]:
+def _h_probes(rz: Realization, P: PositiveSystem, radii, a_log: ex.Exact
+              ) -> list[tuple[ex.Exact, Draw]]:
     """Deterministic probes, as _judge parts at the base point a_log: the
     identity, and per w of rz.weyl_reps, in its closure order, the center
     components z and the rank-one rays exp(+-r U) along every cone-generator
@@ -431,12 +431,12 @@ def _stream(cfg: VerificationConfig, check: str, *draw: int) -> np.random.SeedSe
 #
 # Every check has the signature fn(rz, P, cfg) -> CheckResult.
 
-def _require_finite_exp(*points: ex.Vec) -> None:
+def _require_finite_exp(*points: ex.Exact) -> None:
     """OverflowError, which run reports with the base point, unless exp of
     every coordinate of every base point is a finite double: a larger one
     would reach the checks as inf, with a numpy warning."""
-    for x in itertools.chain(*points):
-        math.exp(float(x))
+    for x in itertools.chain(*map(ex.floats, points)):
+        math.exp(x)
 
 
 def _require_regular(rz: Realization, cfg: VerificationConfig):
@@ -491,7 +491,7 @@ def _check_kostant(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         raise ConfigError("kostant projects onto the base system; it takes "
                           "no chamber")
     a_exact = _require_regular(rz, cfg)
-    t1, t2 = float(a_exact[0]), float(a_exact[1])
+    t1, t2 = ex.floats(a_exact).tolist()
     phi = np.linspace(0.0, np.pi / 2, 1000)
     c, s = np.cos(phi), np.sin(phi)
     c[-1], s[-1] = 0.0, 1.0     # x_w: e^(2 (t1 - t2)) lifts cos(pi/2) = 6e-17
@@ -520,7 +520,7 @@ def _check_no_line(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         name="no_line", passed=pointed,
         count=len(gamma.generators),
         detail={"pointed": pointed, "contains_line": not pointed,
-                "certificate": [str(c) for c in cert] if cert is not None else None})
+                "certificate": ex.strs(cert) if cert is not None else None})
 
 
 def _check_inclusion_cone(rz: Realization, P: PositiveSystem,
@@ -559,7 +559,7 @@ def _check_hessian(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
     ok, rel, sig, posdef = (np.stack(a, axis=1) for a in zip(*per_w))
     worst_rel = max(0.0, *rel.ravel().tolist())
     witnesses = tuple(
-        ([str(c) for c in xs.exact(i)], [[str(c) for c in row] for row in ws[k]],
+        (ex.strs(xs.exact(i)), ex.strs(ws[k]),
          float(rel[i, k]), sig[i, k].tolist(), int(kd[i]), bool(posdef[i, k]))
         for i, k in np.argwhere(~ok)[:MAX_WITNESSES])
     return CheckResult(name="hessian", passed=bool(ok.all()), count=ok.size,
@@ -606,14 +606,14 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         # combinatorial layer: the critical value is the exact level of
         # <X, .> on the predicted image, tested on integer rows
         levels = critical_value(rz, a_exact, xs, ws)
-        exact = [(*ex.integer_rows(om.vertices), ex.integer_rows(om.generators)[0])
+        exact = [(*ex.common(om.vertices), [g.num for g in om.generators])
                  for om in oms]
         for x, e, lvs, x_fvs in zip(*xs.gram, levels, fvs):
-            for (V, d, G), lv, fv in zip(exact, lvs, x_fvs):
+            for (V, d, G), lv, fv in zip(exact, lvs.num, x_fvs):
                 low = min(ex.int_dot(x, u) for u in V)
-                flv = lv.numerator / lv.denominator     # float(lv)
+                flv = lv / lvs.den
                 exact_fail += sum((
-                    low * lv.denominator != lv.numerator * e * d,
+                    low * lvs.den != lv * e * d,
                     any(ex.int_dot(x, g) < 0 for g in G),
                     abs(float(fv) - flv) > 1e-8 * max(1.0, abs(flv))))
     return tally.result("critical_image", exact_fail == 0,
@@ -631,9 +631,8 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
     closed_dev = 0.0
     gap_fail = 0
     # H(exp(s E_alpha)) = log(1 + s^2) / 2 H_{-alpha}, exact in the embedded A1
-    want = {alpha: np.outer(0.5 * np.log(1 + s * s), [
-        float(c) for c in coroot(ex.neg(alpha), rz.datum.gram)])
-        for alpha in rz.datum.roots}
+    want = {alpha: np.outer(0.5 * np.log(1 + s * s), ex.floats(
+        coroot(ex.neg(alpha), rz.datum.gram))) for alpha in rz.datum.roots}
     for pi, P in enumerate(systems):
         for qi, Q in enumerate(systems):
             support = sorted(Q.positive & P.negative)
@@ -668,14 +667,15 @@ def _check_limits(rz: Realization, P: PositiveSystem, cfg: VerificationConfig
         a_exact = ensure_in_aq(rz, cfg.a_log_exact())
     except ValueError as e:
         raise ConfigError(str(e)) from e
-    # a regular rational direction in a_q
-    aq = rz.datum.aq_basis
-    dirs = (ex.combination([Fraction(p + k + 1, p) for k in range(len(aq))], aq, rz.dim)
-            for p in (97, 991, 9973))
+    # a regular rational direction in a_q: sum_k ((p + k + 1) / p) aq_k,
+    # aq = A / f
+    A, f = ex.common(rz.datum.aq_basis)
+    dirs = (ex.Exact(tuple(ex.int_dot(range(p + 1, p + 1 + len(A)), col)
+                           for col in zip(*A)), p * f) for p in (97, 991, 9973))
     dirv = next((d for d in dirs if is_regular(rz, d)), None)
     if dirv is None:
         raise ConfigError("no regular direction found")
-    steps = [aj for aj in (ex.add(a_exact, ex.scale(Fraction(1, 4 ** j), dirv))
+    steps = [aj for aj in (ex.add(a_exact, ex.Exact(dirv.num, dirv.den * 4 ** j))
                            for j in range(1, 5)) if is_regular(rz, aj)]
     _require_finite_exp(a_exact, *steps)
     tally = Tally(cfg.tol)

@@ -26,13 +26,12 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
 from . import exactlin as ex
-from .exactlin import Mat, Vec
+from .exactlin import Exact
 from .parabolic import PositiveSystem, base_system
 from .rootsys import (SymmetricPairDatum, build_pair_datum, reflection_matrix,
                       restricted_roots)
@@ -55,7 +54,7 @@ class Realization:
     inv_np: np.ndarray
     h_basis: tuple[np.ndarray, ...]
     z_reps: tuple[np.ndarray, ...]
-    weyl_gens: tuple[Mat, ...]       # generators of the small Weyl group
+    weyl_gens: tuple[Exact, ...]     # generators of the small Weyl group
 
     def sigma_alg(self, Y: np.ndarray) -> np.ndarray:
         if self.kind == "J":
@@ -74,13 +73,13 @@ class Realization:
         return restricted_roots(self.datum)
 
     @cached_property
-    def small_weyl(self) -> tuple[Mat, ...]:
+    def small_weyl(self) -> tuple[Exact, ...]:
         """The reflection group of the restricted roots carrying a plus
         space: weyl_reps, which closes it, sorted."""
         return tuple(sorted(self.weyl_reps))
 
     @cached_property
-    def weyl_reps(self) -> tuple[Mat, ...]:
+    def weyl_reps(self) -> tuple[Exact, ...]:
         """The one closure of the small Weyl group: every product w of the
         generators, breadth first from the identity with the generators in
         order.  The probes follow this order."""
@@ -93,7 +92,7 @@ class Realization:
 
     @cached_property
     def q_proj_np(self) -> np.ndarray:
-        return np.array([[float(x) for x in row] for row in self.datum.q_projector])
+        return ex.floats(self.datum.q_projector)
 
 
 def a_matrix(v) -> np.ndarray:
@@ -105,22 +104,22 @@ def a_matrix(v) -> np.ndarray:
     return out
 
 
-def root_entry(alpha: Vec) -> tuple[int, int]:
+def root_entry(alpha: Exact) -> tuple[int, int]:
     """Matrix position (i, j) of the root space for alpha = e_i - e_j."""
     i = j = None
-    for k, c in enumerate(alpha):
+    for k, c in enumerate(alpha.num):
         if c == 1:
             i = k
         elif c == -1:
             j = k
         elif c != 0:
             raise ValueError("root is not of the form e_i - e_j")
-    if i is None or j is None:
+    if i is None or j is None or alpha.den != 1:
         raise ValueError("root is not of the form e_i - e_j")
     return i, j
 
 
-def root_matrix(n: int, alpha: Vec) -> np.ndarray:
+def root_matrix(n: int, alpha: Exact) -> np.ndarray:
     """Unit matrix spanning the root space of alpha = e_i - e_j."""
     E = np.zeros((n, n))
     E[root_entry(alpha)] = 1.0
@@ -129,32 +128,26 @@ def root_matrix(n: int, alpha: Vec) -> np.ndarray:
 
 # --- preset registry -------------------------------------------------------
 
-def _diag_frac(vals) -> Mat:
+def _diag(vals) -> Exact:
     n = len(vals)
-    return tuple(tuple(Fraction(vals[i]) if i == j else Fraction(0)
-                       for j in range(n)) for i in range(n))
+    return Exact(tuple(tuple(vals[i] * (i == j) for j in range(n)) for i in range(n)))
 
 
 def _gl_roots(n, pairs=None):
-    out = []
     rng = pairs if pairs is not None else [(i, j) for i in range(n) for j in range(n) if i != j]
-    for i, j in rng:
-        v = [Fraction(0)] * n
-        v[i], v[j] = Fraction(1), Fraction(-1)
-        out.append(tuple(v))
-    return out
+    return [Exact(tuple((k == i) - (k == j) for k in range(n))) for i, j in rng]
 
 
-def _pair_datum(roots, kappa: int, sigma_on_a: Mat, mult) -> SymmetricPairDatum:
+def _pair_datum(roots, kappa: int, sigma_on_a: Exact, mult) -> SymmetricPairDatum:
     """The datum with Gram matrix kappa * I: B(Y, Z) = kappa tr(YZ) on the
     diagonal matrices."""
-    return build_pair_datum(roots, _diag_frac([kappa] * len(roots[0])),
+    return build_pair_datum(roots, _diag([kappa] * len(roots[0].num)),
                             sigma_on_a, mult)
 
 
 def _build_kostant_sl2() -> Realization:
     roots = _gl_roots(2)
-    sig = _diag_frac([-1, -1])
+    sig = _diag([-1, -1])
     mult = {r: (1, 1, 0) for r in roots}
     datum = _pair_datum(roots, 4, sig, mult)
     lam = roots[0]
@@ -169,7 +162,7 @@ def _build_kostant_sl2() -> Realization:
 
 def _build_sl2_so11() -> Realization:
     roots = _gl_roots(2)
-    sig = _diag_frac([-1, -1])
+    sig = _diag([-1, -1])
     mult = {r: (1, 0, 1) for r in roots}
     datum = _pair_datum(roots, 4, sig, mult)
     return Realization(
@@ -182,13 +175,13 @@ def _build_sl2_so11() -> Realization:
 
 def _build_sl3_so21() -> Realization:
     roots = _gl_roots(3)
-    sig = _diag_frac([-1, -1, -1])
+    sig = _diag([-1, -1, -1])
     mult = {}
     for r in roots:
-        fixed_pair = r[2] == 0           # +-(e1 - e2) stays inside so(2) x so(1)
+        fixed_pair = r.num[2] == 0       # +-(e1 - e2) stays inside so(2) x so(1)
         mult[r] = (1, 1, 0) if fixed_pair else (1, 0, 1)
     datum = _pair_datum(roots, 6, sig, mult)
-    lam = next(r for r in roots if r[0] == 1 and r[1] == -1)
+    lam = next(r for r in roots if r.num[:2] == (1, -1))
     gen = reflection_matrix(lam, datum.gram)
     zs = (np.diag([1.0, 1.0, 1.0]), np.diag([-1.0, -1.0, 1.0]),
           np.diag([-1.0, 1.0, -1.0]), np.diag([1.0, -1.0, -1.0]))
@@ -204,8 +197,8 @@ def _build_sl3_so21() -> Realization:
 
 def _build_group_sl2() -> Realization:
     roots = _gl_roots(4, pairs=[(0, 1), (1, 0), (2, 3), (3, 2)])
-    swap = tuple(tuple(Fraction(1) if (i + 2) % 4 == j else Fraction(0)
-                       for j in range(4)) for i in range(4))
+    swap = Exact(tuple(tuple(int((i + 2) % 4 == j) for j in range(4))
+                       for i in range(4)))
     mult = {r: (1, None, None) for r in roots}
     datum = _pair_datum(roots, 4, swap, mult)
     rest = restricted_roots(datum)

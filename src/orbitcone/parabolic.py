@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from . import exactlin as ex
-from .exactlin import Vec
+from .exactlin import Exact
 from .rootsys import (Mult, Root, SymmetricPairDatum, covector_action,
                       indivisible, reflection_matrix)
 
@@ -47,7 +47,7 @@ class PositiveSystem:
     which keeps it.  The chamber vector only certifies the set."""
     datum: SymmetricPairDatum
     positive: frozenset[Root]
-    chamber_vector: Vec
+    chamber_vector: Exact
 
     def __eq__(self, other):
         return self is other or (isinstance(other, PositiveSystem)
@@ -59,7 +59,7 @@ class PositiveSystem:
 
     def __post_init__(self):
         for alpha in self.positive:
-            if ex.dot(alpha, self.chamber_vector) <= 0:
+            if ex.int_dot(alpha.num, self.chamber_vector.num) <= 0:
                 raise ValueError(f"chamber vector not positive on {alpha}")
         if len(self.positive) * 2 != len(self.datum.roots):
             raise ValueError("positive set is not half the roots")
@@ -103,13 +103,13 @@ class PositiveSystem:
         moves each base root e_i - e_j to the root e_p[i] - e_p[j] of P, and
         so keeps the root set: w with w[p[c], c] = 1 maps Sigma(base) onto
         Sigma(P).  The identity on the base system."""
-        n = len(self.datum.gram)
+        n = len(self.datum.gram.num)
         # a -> (a[p[0]], ..., a[p[n-1]]) takes e_p[i] - e_p[j] to e_i - e_j;
         # p moves the base system onto P when it takes P to roots that are
         # positive on the base chamber (n, ..., 1): that is half the roots
         for p in itertools.permutations(range(n)):
-            back = (tuple(a[i] for i in p) for a in self.positive)
-            if all(b in self.datum.roots and ex.dot(b, range(n, 0, -1)) > 0
+            back = (_permuted(a, p) for a in self.positive)
+            if all(b in self.datum.roots and ex.int_dot(b.num, range(n, 0, -1)) > 0
                    for b in back):
                 return p
         raise ValueError("positive system is not a permutation of the base")
@@ -123,10 +123,15 @@ class PositiveSystem:
         return tuple(sorted(self.positive))
 
 
-def from_chamber(datum: SymmetricPairDatum, chamber: Vec) -> PositiveSystem:
-    chamber = ex.vec(chamber)
-    pos = frozenset(a for a in datum.roots if ex.dot(a, chamber) > 0)
-    if any(ex.dot(a, chamber) == 0 for a in datum.roots):
+def _permuted(x: Exact, p) -> Exact:
+    """(x[p[0]], ..., x[p[n-1]])."""
+    return Exact(tuple(x.num[i] for i in p), x.den)
+
+
+def from_chamber(datum: SymmetricPairDatum, chamber) -> PositiveSystem:
+    chamber = ex.exact(chamber)
+    pos = frozenset(a for a in datum.roots if ex.int_dot(a.num, chamber.num) > 0)
+    if any(ex.int_dot(a.num, chamber.num) == 0 for a in datum.roots):
         raise ValueError("chamber vector is on a wall")
     return PositiveSystem(datum, pos, chamber)
 
@@ -207,7 +212,7 @@ def h_extremize(P: PositiveSystem) -> tuple[PositiveSystem, tuple[Root, ...]]:
 
 def base_system(datum: SymmetricPairDatum) -> PositiveSystem:
     """The upper-triangular system, of the chamber vector (n, ..., 1)."""
-    return from_chamber(datum, range(len(datum.gram), 0, -1))
+    return from_chamber(datum, range(len(datum.gram.num), 0, -1))
 
 
 def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
@@ -217,7 +222,7 @@ def all_positive_systems(datum: SymmetricPairDatum) -> list[PositiveSystem]:
     base = base_system(datum).chamber_vector
     # dict.fromkeys keeps the first system of each set of positive roots
     systems = dict.fromkeys(
-        from_chamber(datum, tuple(base[i] for i in p))
-        for p in itertools.permutations(range(len(base)))
-        if frozenset(tuple(a[i] for i in p) for a in datum.roots) == datum.roots)
+        from_chamber(datum, _permuted(base, p))
+        for p in itertools.permutations(range(len(base.num)))
+        if frozenset(_permuted(a, p) for a in datum.roots) == datum.roots)
     return sorted(systems, key=PositiveSystem.key)

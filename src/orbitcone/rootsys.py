@@ -1,21 +1,21 @@
 """Restricted root systems with two commuting involutions.
 
-Roots and vectors live in a shared ambient rational coordinate frame; the
-bilinear form on a is given by an exact Gram matrix.  theta is always -id on
-a, so sigma together with the per-root eigenspace dimensions carries all the
-involution data.  Everything here is exact and immutable.  No group is
-closed or held here: ``matrixgrp.Realization.weyl_reps`` closes the Weyl
-group from its exact generators, and a group is a tuple of its matrices.
+Roots and vectors live in a shared ambient rational coordinate frame, as
+exactlin.Exact vectors; the bilinear form on a is given by an exact Gram
+matrix.  theta is always -id on a, so sigma together with the per-root
+eigenspace dimensions carries all the involution data.  Everything here is
+exact and immutable.  No group is closed or held here:
+``matrixgrp.Realization.weyl_reps`` closes the Weyl group from its exact
+generators, and a group is a tuple of its matrices.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Mapping
 
 from . import exactlin as ex
-from .exactlin import Mat, Vec
+from .exactlin import Exact
 
 
 class NotAnInvolution(ValueError):
@@ -38,44 +38,45 @@ class ZeroRoot(ValueError):
     pass
 
 
-Root = Vec
+Root = Exact
 # (dim g_alpha, dim g_{alpha,+}, dim g_{alpha,-}); the last two are None
 # exactly when sigma*theta does not fix alpha
 Mult = tuple[int, int | None, int | None]
 
 
-def covector_action(m: Mat, alpha: Root) -> Root:
+def covector_action(m: Exact, alpha: Root) -> Root:
     """The covector H -> alpha(m H); for an involution m this is m.alpha."""
     return ex.mat_vec(ex.transpose(m), alpha)
+
+
+def _with_identity(m: Exact, s: int, t: int) -> Exact:
+    """s m + t I."""
+    return Exact(tuple(tuple(s * x + t * m.den * (i == j) for j, x in enumerate(row))
+                       for i, row in enumerate(m.num)), m.den)
 
 
 @dataclass(frozen=True)
 class SymmetricPairDatum:
     roots: frozenset[Root]
-    gram: Mat
-    sigma_on_a: Mat
+    gram: Exact
+    sigma_on_a: Exact
     mult_table: Mapping[Root, Mult]
-    q_projector: Mat = field(init=False)
-    a_basis: tuple[Vec, ...] = field(init=False)
-    ah_basis: tuple[Vec, ...] = field(init=False)
-    aq_basis: tuple[Vec, ...] = field(init=False)
+    q_projector: Exact = field(init=False)
+    a_basis: tuple[Exact, ...] = field(init=False)
+    ah_basis: tuple[Exact, ...] = field(init=False)
+    aq_basis: tuple[Exact, ...] = field(init=False)
 
     def __post_init__(self):
-        n = len(self.gram)
-        ident = ex.identity(n)
-        prq = tuple(tuple((i - s) / 2 for i, s in zip(ri, rs))
-                    for ri, rs in zip(ident, self.sigma_on_a))
-        object.__setattr__(self, "q_projector", prq)
-        a_rows, _ = ex.rref(sorted(self.roots))
-        object.__setattr__(self, "a_basis", tuple(a_rows))
-        sig = self.sigma_on_a
-        minus = ex.mat_sub(sig, ident)
-        plus = tuple(ex.add(r, i) for r, i in zip(sig, ident))
+        prq = _with_identity(self.sigma_on_a, -1, 1)        # 2 pr_q = I - sigma
+        object.__setattr__(self, "q_projector", Exact(prq.num, 2 * prq.den))
+        rows, pivots = ex.rref([a.num for a in sorted(self.roots)])
+        object.__setattr__(self, "a_basis", tuple(
+            Exact(row, row[p]) for row, p in zip(rows, pivots)))
         # a_h = fix(sigma|_a), a_q = fix(-sigma|_a), intersected with a
-        ah = [v for v in _subspace_kernel(minus, self.a_basis)]
-        aq = [v for v in _subspace_kernel(plus, self.a_basis)]
-        object.__setattr__(self, "ah_basis", tuple(ah))
-        object.__setattr__(self, "aq_basis", tuple(aq))
+        object.__setattr__(self, "ah_basis", _subspace_kernel(
+            _with_identity(self.sigma_on_a, 1, -1), self.a_basis))
+        object.__setattr__(self, "aq_basis", _subspace_kernel(
+            _with_identity(self.sigma_on_a, 1, 1), self.a_basis))
 
     @cached_property
     def _sigma_table(self) -> dict[Root, Root]:
@@ -112,26 +113,26 @@ class SymmetricPairDatum:
         """alpha|_{a_q} as a covector (composition with pr_q)."""
         return covector_action(self.q_projector, alpha)
 
-    def pr_q(self, v: Vec) -> Vec:
+    def pr_q(self, v: Exact) -> Exact:
         return ex.mat_vec(self.q_projector, v)
 
 
-def _subspace_kernel(m: Mat, basis: Iterable[Vec]) -> list[Vec]:
-    """Basis of {v in span(basis) : m v = 0}."""
-    basis = list(basis)
-    if not basis:
-        return []
-    cols = ex.transpose(tuple(basis))          # coords -> ambient
-    comp = ex.mat_mul(m, cols)                  # m restricted to the span
-    return [ex.mat_vec(ex.transpose(tuple(basis)), c) for c in ex.nullspace(comp)]
+def _subspace_kernel(m: Exact, basis: tuple[Exact, ...]) -> tuple[Exact, ...]:
+    """Basis of {v in span(basis) : m v = 0}: B^T c for the kernel vectors c
+    of m B^T, B the rows of the basis over one denominator."""
+    B, d = ex.common(basis)
+    comp = [[ex.int_dot(row, b) for b in B] for row in m.num]
+    return tuple(Exact(tuple(ex.int_dot(col, c) for col in zip(*B)), d)
+                 for c in ex.nullspace(comp))
 
 
-def build_pair_datum(roots: Iterable[Root], gram: Mat, sigma_on_a: Mat,
-                     mult_table: Mapping[Root, Mult]) -> SymmetricPairDatum:
-    roots = frozenset(ex.vec(r) for r in roots)
-    gram = ex.mat(gram)
-    sigma_on_a = ex.mat(sigma_on_a)
-    n = len(gram)
+def build_pair_datum(roots: Iterable, gram, sigma_on_a,
+                     mult_table: Mapping) -> SymmetricPairDatum:
+    roots = frozenset(map(ex.exact, roots))
+    mult_table = {ex.exact(alpha): m for alpha, m in mult_table.items()}
+    gram = ex.exact(gram)
+    sigma_on_a = ex.exact(sigma_on_a)
+    n = len(gram.num)
     if ex.mat_mul(sigma_on_a, sigma_on_a) != ex.identity(n):
         raise NotAnInvolution("sigma_on_a squared is not the identity")
     # sigma must preserve B (it is the differential of an isometry)
@@ -139,7 +140,7 @@ def build_pair_datum(roots: Iterable[Root], gram: Mat, sigma_on_a: Mat,
     if gs != gram:
         raise NotAnInvolution("sigma_on_a does not preserve the Gram matrix")
     for alpha in roots:
-        if ex.is_zero(alpha):
+        if not any(alpha.num):
             raise RootSetNotSigmaStable("zero root")
         if ex.neg(alpha) not in roots:
             raise RootSetNotSigmaStable(f"negative of {alpha} missing")
@@ -157,7 +158,7 @@ def build_pair_datum(roots: Iterable[Root], gram: Mat, sigma_on_a: Mat,
         if p is not None:
             if p < 0 or m < 0 or p + m != d:
                 raise BadMultiplicity(f"+/- dims inconsistent at {alpha}")
-        table[ex.vec(alpha)] = (d, p, m)
+        table[alpha] = (d, p, m)
     datum = SymmetricPairDatum(roots=roots, gram=gram, sigma_on_a=sigma_on_a,
                                mult_table=table)
     for alpha in roots:
@@ -178,7 +179,7 @@ def restricted_roots(datum: SymmetricPairDatum) -> RestrictedRootDatum:
     acc: dict[Root, list[int]] = {}
     for alpha in datum.roots:
         lam = datum.restrict(alpha)
-        if ex.is_zero(lam):
+        if not any(lam.num):
             continue
         d, p, m = datum.mult_table[alpha]
         if datum.is_sigmatheta_fixed(alpha):
@@ -206,35 +207,36 @@ def restricted_roots(datum: SymmetricPairDatum) -> RestrictedRootDatum:
     return RestrictedRootDatum(roots_q=table, plus_set=plus, minus_set=minus)
 
 
-def coroot(alpha: Root, gram: Mat) -> Vec:
-    """H_alpha: alpha(H_alpha) = 2, and H_alpha is B-orthogonal to ker alpha."""
-    alpha = ex.vec(alpha)
-    if ex.is_zero(alpha):
+def coroot(alpha, gram) -> Exact:
+    """H_alpha: alpha(H_alpha) = 2, and H_alpha is B-orthogonal to ker alpha:
+    2 G^{-1} alpha / alpha(G^{-1} alpha)."""
+    alpha = ex.exact(alpha)
+    if not any(alpha.num):
         raise ZeroRoot("coroot of the zero functional")
-    dual = ex.mat_vec(_gram_inverse(ex.mat(gram)), alpha)  # B(dual, .) = alpha
-    return ex.scale(Fraction(2) / ex.dot(alpha, dual), dual)
+    dual = ex.mat_vec(_gram_inverse(ex.exact(gram)), alpha)  # B(dual, .) = alpha
+    return Exact(tuple(2 * alpha.den * x for x in dual.num),
+                 ex.int_dot(alpha.num, dual.num))
 
 
 @lru_cache(maxsize=None)
-def _gram_inverse(gram: Mat) -> Mat:
+def _gram_inverse(gram: Exact) -> Exact:
     """The inverse of a Gram matrix, once per matrix."""
     return ex.mat_inv(gram)
 
 
-def reflection_matrix(alpha: Root, gram: Mat) -> Mat:
+def reflection_matrix(alpha, gram) -> Exact:
     """s_alpha on a: H -> H - alpha(H) H_alpha."""
-    h_alpha = coroot(alpha, gram)
-    n = len(gram)
-    return tuple(tuple((Fraction(1) if i == j else Fraction(0)) - h_alpha[i] * alpha[j]
-                       for j in range(n)) for i in range(n))
+    alpha, h = ex.exact(alpha), coroot(alpha, gram)
+    return _with_identity(Exact(tuple(tuple(x * y for y in alpha.num) for x in h.num),
+                                h.den * alpha.den), -1, 1)
 
 
-def weyl_orbit(ws: Iterable[Mat], point: Vec) -> frozenset[Vec]:
-    point = ex.vec(point)
+def weyl_orbit(ws: Iterable[Exact], point) -> frozenset[Exact]:
+    point = ex.exact(point)
     return frozenset(ex.mat_vec(w, point) for w in ws)
 
 
 def indivisible(root_set: Iterable[Root]) -> frozenset[Root]:
     """Roots alpha with alpha/2 not in the set."""
     rs = frozenset(root_set)
-    return frozenset(a for a in rs if ex.scale(Fraction(1, 2), a) not in rs)
+    return frozenset(a for a in rs if Exact(a.num, 2 * a.den) not in rs)

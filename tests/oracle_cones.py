@@ -9,7 +9,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from orbitcone import exactlin as ex
+import reference as fx
 from orbitcone.polyhedra import cone
 
 
@@ -69,17 +69,17 @@ def _extreme_rays(cols):
 
 
 def oracle_pointed(gens):
-    gens = [g for g in gens if not ex.is_zero(g)]
+    gens = [fx.vec(g) for g in gens if not fx.is_zero(g)]
     if not gens:
         return True
     return not _extreme_rays([list(g) for g in gens])
 
 
 def oracle_proper(p, gens):
-    gens = [g for g in gens if not ex.is_zero(g)]
+    gens = [fx.vec(g) for g in gens if not fx.is_zero(g)]
     if not gens:
         return True
-    pg = [list(ex.mat_vec(p, g)) for g in gens]
+    pg = [list(fx.mat_vec(p, g)) for g in gens]
     for nu in _extreme_rays(pg):
         x = [sum(nu[j] * gens[j][i] for j in range(len(gens)))
              for i in range(len(gens[0]))]
@@ -98,7 +98,7 @@ def random_cones(count, seed=0):
         for _ in range(m):
             g = tuple(Fraction(rng.randint(-3, 3)) for _ in range(n))
             gens.append(g)
-        if all(ex.is_zero(g) for g in gens):
+        if all(fx.is_zero(g) for g in gens):
             gens[0] = tuple([Fraction(1)] + [Fraction(0)] * (n - 1))
         out.append(cone(gens, n))
     return out

@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
+import reference as fx
 from orbitcone import exactlin as ex
-from orbitcone.exactlin import Mat, Vec
 from orbitcone.matrixgrp import Realization, root_entry, root_matrix
 from orbitcone.parabolic import PositiveSystem, is_q_extreme
 from orbitcone.polyhedra import Polyhedron, cone
@@ -32,19 +32,25 @@ class NotUnipotent(ValueError):
     pass
 
 
-def feasible(A: Sequence[Vec], b: Vec) -> bool:
+def _lp_solve(A: Sequence, b, c=None):
+    """exactlin.lp_solve of rows of rationals."""
+    return ex.lp_solve([ex.exact(row) for row in A], ex.exact(b),
+                       None if c is None else ex.exact(c))
+
+
+def feasible(A: Sequence, b) -> bool:
     """Exact feasibility of {A x = b, x >= 0}."""
-    return ex.lp_solve(A, b, None)[0] == ex.OPTIMAL
+    return _lp_solve(A, b)[0] == ex.OPTIMAL
 
 
-def proper_on_cone(p: Mat, c: Polyhedron) -> bool:
+def proper_on_cone(p, c: Polyhedron) -> bool:
     """ker p meets the cone c only at 0."""
-    gens = [g for g in c.generators if not ex.is_zero(g)]
+    gens = [fx.vec(g) for g in c.generators if not fx.is_zero(g)]
     if not gens:
         return True
-    p = ex.mat(p)
+    p = fx.mat(p)
     n, m = len(gens[0]), len(gens)
-    pg = [ex.mat_vec(p, g) for g in gens]
+    pg = [fx.mat_vec(p, g) for g in gens]
     # K = {nu >= 0, sum nu = 1, (p g) nu = 0}; proper iff G nu = 0 on all of K
     A = [tuple(v[i] for v in pg) for i in range(len(pg[0]))]
     A.append(tuple([Fraction(1)] * m))
@@ -54,7 +60,7 @@ def proper_on_cone(p: Mat, c: Polyhedron) -> bool:
     for i in range(n):
         c = tuple(g[i] for g in gens)
         for sign in (1, -1):
-            status, _, val = ex.lp_solve(A, b, ex.scale(sign, c))
+            status, _, val = _lp_solve(A, b, fx.scale(sign, c))
             if status == ex.OPTIMAL and val > 0:
                 return False
     return True
@@ -68,9 +74,9 @@ def upsilon_cone(P: PositiveSystem) -> Polyhedron:
     d = P.datum
     rest = restricted_roots(d)
     delta_plus = {d.restrict(a) for a in P.classification.sigmatheta_part}
-    delta_plus.discard(ex.zeros(len(d.gram)))
+    delta_plus.discard(ex.zeros(len(d.gram.num)))
     delta_minus = sorted(lam for lam in delta_plus if lam in rest.minus_set)
-    return cone([coroot(lam, d.gram) for lam in delta_minus], len(d.gram))
+    return cone([coroot(lam, d.gram) for lam in delta_minus], len(d.gram.num))
 
 
 # --- unipotent factorizations ----------------------------------------------
@@ -116,27 +122,27 @@ def _support_mask(rz: Realization, alphas) -> np.ndarray:
     return mask
 
 
-def default_z_q(rz: Realization, P: PositiveSystem | None = None) -> Vec:
+def default_z_q(rz: Realization, P: PositiveSystem | None = None) -> ex.Exact:
     """Exact element of a_q, positive on Sigma(P, sigma-theta) and regular."""
     P = P if P is not None else rz.base_parabolic
     d = rz.datum
     pos = sorted(P.positive)
     st_part = P.classification.sigmatheta_part
     for prime in (97, 991, 9973, 99991):
-        z_p = ex.combination([Fraction(prime + k, prime) for k in range(len(pos))],
+        z_p = fx.combination([Fraction(prime + k, prime) for k in range(len(pos))],
                              pos, rz.dim)
-        if any(ex.dot(a, z_p) <= 0 for a in pos):
+        if any(fx.dot(a, z_p) <= 0 for a in pos):
             continue
-        z_q = ex.sub(z_p, ex.mat_vec(d.sigma_on_a, z_p))
-        if any(ex.dot(a, z_q) <= 0 for a in st_part):
+        z_q = fx.sub(z_p, fx.mat_vec(d.sigma_on_a, z_p))
+        if any(fx.dot(a, z_q) <= 0 for a in st_part):
             continue
-        if any(ex.dot(a, z_q) == 0 and not d.in_ah_star(a) for a in d.roots):
+        if any(fx.dot(a, z_q) == 0 and not d.in_ah_star(a) for a in d.roots):
             continue
-        return z_q
+        return ex.exact(z_q)
     raise ArithmeticError("no valid splitting element found")
 
 
-def _split_ops(rz: Realization, P: PositiveSystem, z_q: Vec):
+def _split_ops(rz: Realization, P: PositiveSystem, z_q):
     """Linear maps (flattened) sending supported log matrices to (u, v) parts."""
     n = rz.dim
     U_op = np.zeros((n * n, n * n))
@@ -145,7 +151,7 @@ def _split_ops(rz: Realization, P: PositiveSystem, z_q: Vec):
         i, j = root_entry(alpha)
         col = i * n + j
         E = root_matrix(n, alpha)
-        sgn = ex.dot(alpha, z_q)
+        sgn = fx.dot(alpha, z_q)
         if sgn > 0:
             U_op[col, col] = 1.0
         elif sgn == 0:

@@ -58,11 +58,18 @@ with the wedge derivation built by loops over the subsets, and
 one Fraction nullspace per candidate normal; the tests require the
 integer forms to give the same forms, terms and H-representations.
 ``sl2_triple`` is a span with square-zero elements and a nonzero form on
-every n.  ``dot_fraction``,
-``combination_fraction``, ``rref_fraction``, ``nullspace_fraction`` and
+every n.  The Fraction algebra (``vec``, ``mat``, ``dot``, ``add``,
+``combination``, ``mat_vec``, ``mat_mul``, ``unit_lead`` and the rest) is
+the vector algebra the package kept in Fractions before every exact object
+became an ``exactlin.Exact``; each function takes Exacts and rationals
+alike and returns Fractions, so that the tests state what they expect in
+Fractions.  ``hrep_pairs`` reads a Polyhedron's H-representation as pairs
+(a, r) of Fractions, and ``exact_vec`` reads a base point given as floats
+or strings.  ``rref_fraction``, ``nullspace_fraction`` and
 ``mat_inv_fraction`` are the exact kernels of ``exactlin`` in Fraction
-arithmetic, which reduces by a gcd after every product and sum; the tests
-require the integer kernels to return the same Fractions.
+arithmetic, the rows with pivot 1 and the kernel vectors with 1 at their
+free column; the tests require the fraction-free kernels to return the
+same rationals.
 """
 import itertools
 import math
@@ -75,7 +82,7 @@ from scipy.linalg import expm
 
 from orbitcone import exactlin as ex
 from orbitcone.critical import (FD_STEP, SV_TOL, SampleStack, _dual,
-                                _exact_vec, critical_value,
+                                critical_value,
                                 h_x_coords, nph_basis, omega_X, sample_H_X,
                                 sample_NPH, vanishing_patterns)
 from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
@@ -83,7 +90,6 @@ from orbitcone.harness import (MIN_DISPLACEMENT, Tally, _float_rows,
 from orbitcone.matrixgrp import (_UNSCALED, NotCubic, SingularInput, _scales,
                                  _SERIES_C, a_matrix, ek_projection, h_pq,
                                  span_form)
-from orbitcone.polyhedra import _free_lp
 from orbitcone.rootsys import reflection_matrix
 
 
@@ -97,9 +103,9 @@ def sigma_grp(rz, g):
 def weyl_group(root_set, gram) -> tuple:
     """The group generated by the reflections in root_set, one per root
     direction, closed breadth first; its elements sorted."""
-    gens = {ex.unit_lead(a): reflection_matrix(a, gram)
-            for a in sorted(set(map(ex.vec, root_set)))}
-    ident = ex.identity(len(gram))
+    gens = {unit_lead(a): reflection_matrix(a, gram)
+            for a in sorted(set(map(ex.exact, root_set)))}
+    ident = ex.identity(len(ex.exact(gram).num))
     elements, frontier = {ident}, [ident]
     while frontier:
         frontier = [w for w in {ex.mat_mul(s, w) for w in frontier
@@ -150,7 +156,7 @@ def _prune(rows):
                 raise ValueError("projection produced an infeasible row")
             continue
         # a != 0, so the lead that scales the row comes from a
-        key = ex.unit_lead(tuple(a) + (r,))
+        key = unit_lead(tuple(a) + (r,))
         if key not in seen:
             seen.add(key)
             out.append((list(key[:-1]), key[-1]))
@@ -217,8 +223,8 @@ def _lift(V, G):
     """(eqs, ineqs) of {(x, lambda, mu) : x = V^T lambda + G^T mu,
     sum lambda = 1, lambda, mu >= 0}, whose projection onto x is
     conv(V) + cone(G)."""
-    n = len(V[0])
-    cols = list(V) + list(G)
+    cols = [vec(c) for c in list(V) + list(G)]
+    n = len(cols[0])
     nvar = n + len(cols)
     eqs = []
     for i in range(n):
@@ -239,10 +245,23 @@ def _lift(V, G):
     return eqs, ineqs
 
 
+def _free_lp(rows, n: int, c):
+    """exactlin.lp_solve of max c.x subject to a[:n].x >= r for the pairs
+    (a, r) of rows, x free, in the standard form x = u - v, u, v >= 0, one
+    surplus per row; x comes back as u - v."""
+    m = len(rows)
+    A = [tuple(a[:n]) + neg(a[:n]) + tuple(-Fraction(t == k) for t in range(m))
+         for k, (a, _) in enumerate(rows)]
+    c = tuple(c) + neg(c) + zeros(m)
+    status, x, val = ex.lp_solve(list(map(ex.exact, A)), ex.exact(r for _, r in rows),
+                                 ex.exact(c))
+    return status, (None if x is None else sub(vec(x)[:n], vec(x)[n:2 * n])), val
+
+
 def _implied(row, others, n: int) -> bool:
     a_i, r_i = row
     # min a_i.x subject to the others, as max of -a_i.x
-    status, _, val = _free_lp(others, n, ex.neg(a_i[:n]))
+    status, _, val = _free_lp(others, n, neg(a_i[:n]))
     return status == ex.OPTIMAL and -val >= r_i
 
 
@@ -263,21 +282,21 @@ def lp_project(eqs, ineqs, n_keep: int) -> list:
 
 def _h_basis_exact(rz):
     """The h-basis as Fractions; Fraction(float) is exact."""
-    return tuple(ex.mat(b) for b in rz.h_basis)
+    return tuple(mat(b) for b in rz.h_basis)
 
 
 def h_x_coords_fresh(rz, X):
     """Coordinates (over the h-basis) of a basis of the centralizer of X in
     h, from the nullspace of [X, U] over the h-basis U, computed anew."""
-    X = _exact_vec(X)
+    X = vec(exact_vec(X))
     n = rz.dim
     Xm = tuple(tuple(X[i] if i == j else Fraction(0) for j in range(n)) for i in range(n))
     cols = []
     for U in _h_basis_exact(rz):
-        br = ex.mat_sub(ex.mat_mul(Xm, U), ex.mat_mul(U, Xm))
+        br = mat_sub(mat_mul(Xm, U), mat_mul(U, Xm))
         cols.append(tuple(br[i][j] for i in range(n) for j in range(n)))
     A = tuple(tuple(col[k] for col in cols) for k in range(n * n))
-    return tuple(ex.nullspace(A))
+    return tuple(nullspace_fraction(A))
 
 
 @dataclass(frozen=True, eq=False)
@@ -294,8 +313,8 @@ class FractionSampleStack:
     def X(self):
         if self.basis is None:
             return self.coords
-        cols = ex.transpose(self.basis)
-        return tuple(ex.mat_vec(cols, c) for c in self.coords)
+        cols = transpose(self.basis)
+        return tuple(mat_vec(cols, c) for c in self.coords)
 
     @cached_property
     def floats(self):
@@ -303,7 +322,7 @@ class FractionSampleStack:
 
     @cached_property
     def gram(self):
-        return tuple(ex.mat_vec(self.rz.datum.gram, X) for X in self.X)
+        return tuple(mat_vec(self.rz.datum.gram, X) for X in self.X)
 
     @cached_property
     def ties(self):
@@ -316,7 +335,7 @@ class FractionSampleStack:
         out = {}
         for alpha in self.rz.datum.roots:
             if alpha not in out:
-                s = np.sign(np.array([ex.dot(alpha, X) for X in self.X],
+                s = np.sign(np.array([dot(alpha, X) for X in self.X],
                                      dtype=object)).astype(int)
                 out[alpha], out[ex.neg(alpha)] = s, -s
         return out
@@ -330,7 +349,8 @@ def transversal_signature_lstsq(rz, form, X, P=None):
     dh = len(rz.h_basis)
     gram_h = np.array([[rz.kappa * np.trace(bi @ bj.T) for bj in rz.h_basis]
                        for bi in rz.h_basis])
-    kern = [np.array([float(c) for c in coords]) for coords in h_x_coords(rz, X)]
+    kern = [np.array([float(c) for c in coords])
+            for coords in h_x_coords(rz, exact_vec(X))]
     B = np.stack([b.reshape(-1) for b in rz.h_basis]).T
     for V in nph_basis(rz, P):
         sol = np.linalg.lstsq(B, V.reshape(-1), rcond=None)[0]
@@ -356,7 +376,7 @@ def _predicted_kernel_per_call(rz, X, P=None):
     part), as rows of flattened matrices; shape (k, dim * dim)."""
     P = P if P is not None else rz.base_parabolic
     vecs = [np.asarray(sum(float(c) * b for c, b in zip(coords, rz.h_basis))
-                       ).reshape(-1) for coords in h_x_coords(rz, X)]
+                       ).reshape(-1) for coords in h_x_coords(rz, exact_vec(X))]
     vecs += [B.reshape(-1) for B in nph_basis(rz, P)]
     return np.stack(vecs) if vecs else np.zeros((0, rz.dim * rz.dim))
 
@@ -398,18 +418,18 @@ def predicted_signature_per_call(rz, a_log, X, w, P=None):
     """Exact positivity prediction plus per-orbit certificates, from the
     products alpha(X) alpha(w^{-1} a_log) of exact Fractions."""
     P = P if P is not None else rz.base_parabolic
-    X = _exact_vec(X)
-    wln = ex.mat_vec(ex.mat_inv(w), _exact_vec(a_log))
+    X = exact_vec(X)
+    wln = mat_vec(mat_inv_fraction(w), exact_vec(a_log))
     parts = P.classification
-    posdef = (all(ex.dot(a, X) * ex.dot(a, wln) <= 0 for a in parts.plus_part)
-              and all(ex.dot(a, X) >= 0 for a in parts.minus_part))
+    posdef = (all(dot(a, X) * dot(a, wln) <= 0 for a in parts.plus_part)
+              and all(dot(a, X) >= 0 for a in parts.minus_part))
     certs = []
     for cls in P.orbit_classes:
         alpha = cls.root
-        aX = ex.dot(alpha, X)
-        awl = ex.dot(alpha, wln)
+        aX = dot(alpha, X)
+        awl = dot(alpha, wln)
         dim_full, mp, mm = cls.mult
-        entry = {"root": [str(c) for c in alpha],
+        entry = {"root": [str(c) for c in vec(alpha)],
                  "alpha_X": str(aX), "alpha_w_log_a": str(awl)}
         decay = float(np.exp(-2.0 * float(awl)))
         # the eigenvalue pair of a class outside Sigma(P, sigma) (cases b.2)
@@ -453,8 +473,8 @@ def numeric_hessian_fresh(rz, a_log, X, w, P=None):
     stencil = (signs[:, 0, None, None] * basis[:, None, None]
                + signs[:, 1, None, None] * basis[None, :, None])
     Z = np.multiply.outer(steps, stencil).reshape(-1, rz.dim, rz.dim)
-    vals = h_pq(rz, xw @ expm(Z), P, np.asarray(a_log, dtype=float)) \
-        @ _dual(rz, X)
+    vals = h_pq(rz, xw @ expm(Z), P, np.asarray(vec(a_log), dtype=float)) \
+        @ _dual(rz, np.asarray(vec(X), dtype=float))
     vals = vals.reshape(2, dh, dh, 4)
     d = ((vals[..., 0] - vals[..., 1] - vals[..., 2] + vals[..., 3])
          / (4 * steps[:, None, None] ** 2))
@@ -466,10 +486,10 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
     """Form <U_i, L_w U_j> with L_w assembled from the transport operator."""
     P = P if P is not None else rz.base_parabolic
     xw = weyl_rep(rz, w)
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
+    a = a_matrix(np.exp(np.asarray(vec(a_log), dtype=float)))
     aw = xw.T @ a @ xw
     aw_inv = np.linalg.inv(aw)
-    Xm = a_matrix(np.asarray(X, dtype=float))
+    Xm = a_matrix(np.asarray(vec(X), dtype=float))
     basis = np.stack(rz.h_basis)
     V = aw @ basis @ aw_inv
     V = ek_projection(V, P)
@@ -508,12 +528,12 @@ def critical_image_per_draw(rz, P, cfg):
                                 [_stream(cfg, "critical_image", 2, *draw)])
                 a_w = np.diagonal(xw.T @ a_matrix(a) @ xw)
                 tally.feed(om, h_pq(rz, replace(hx, right=nh), P, a_w))
-                lv = critical_value(rz, a_exact, SampleStack.of(rz, (X,)),
-                                    [w])[0][0]
-                gX = ex.mat_vec(rz.datum.gram, X)
-                if min(ex.dot(gX, u) for u in om.vertices) != lv:
+                lv = vec(critical_value(rz, a_exact, SampleStack.of(rz, (X,)),
+                                        [w])[0])[0]
+                gX = mat_vec(rz.datum.gram, X)
+                if min(dot(gX, u) for u in om.vertices) != lv:
                     exact_fail += 1
-                if any(ex.dot(gX, g) < 0 for g in om.generators):
+                if any(dot(gX, g) < 0 for g in om.generators):
                     exact_fail += 1
                 fv = float(fvs[xi][wi])
                 if abs(fv - float(lv)) > 1e-8 * max(1.0, abs(float(lv))):
@@ -646,44 +666,141 @@ def span_form_exact(basis):
     on the coefficient of each monomial t_i t_j t_k, a sum over the distinct
     orderings of (i, j, k).  Returns Q as rows of Fractions; raises NotCubic
     when the span has no form."""
-    B = [ex.mat(b) for b in basis]
+    B = [mat(b) for b in basis]
 
-    def add(x, y):
-        return tuple(ex.add(rx, ry) for rx, ry in zip(x, y))
+    def add_rows(x, y):
+        return tuple(add(rx, ry) for rx, ry in zip(x, y))
 
     def cube_factor(b):
-        norm = sum(ex.dot(r, r) for r in b)
-        cube = ex.mat_mul(b, ex.mat_mul(b, b))
-        return sum(map(ex.dot, cube, b)) / norm if norm else Fraction(0)
+        norm = sum(dot(r, r) for r in b)
+        cube = mat_mul(b, mat_mul(b, b))
+        return sum(map(dot, cube, b)) / norm if norm else Fraction(0)
 
     c = [cube_factor(b) for b in B]
-    Q = [[c[i] if i == j else (cube_factor(add(B[i], B[j])) - c[i] - c[j]) / 2
+    Q = [[c[i] if i == j else (cube_factor(add_rows(B[i], B[j])) - c[i] - c[j]) / 2
           for j in range(len(B))] for i in range(len(B))]
     for triple in itertools.combinations_with_replacement(range(len(B)), 3):
-        total = tuple(ex.zeros(len(row)) for row in B[0])
+        total = tuple(zeros(len(row)) for row in B[0])
         for a, b, d in set(itertools.permutations(triple)):
-            total = add(total, ex.mat_sub(
-                ex.mat_mul(B[a], ex.mat_mul(B[b], B[d])),
-                tuple(ex.scale(Q[a][b], row) for row in B[d])))
-        if any(not ex.is_zero(row) for row in total):
+            total = add_rows(total, mat_sub(
+                mat_mul(B[a], mat_mul(B[b], B[d])),
+                tuple(scale(Q[a][b], row) for row in B[d])))
+        if any(not is_zero(row) for row in total):
             raise NotCubic("span does not satisfy Y^3 = c Y with c quadratic")
     return Q
 
 
-def dot_fraction(x, y):
-    return sum((a * b for a, b in zip(x, y, strict=True)), Fraction(0))
+# --- Fraction algebra: the oracles of exactlin's integer rows ------------------
+
+def vec(xs) -> tuple:
+    """xs as a tuple of Fractions: an exactlin.Exact vector by its values,
+    a sequence of rationals (Fraction(float) is exact) entry by entry."""
+    if isinstance(xs, ex.Exact):
+        return tuple(Fraction(n, xs.den) for n in xs.num)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in xs)
 
 
-def combination_fraction(coeffs, vecs, n):
-    out = ex.zeros(n)
+def mat(rows) -> tuple:
+    """rows as a tuple of Fraction rows; an exactlin.Exact matrix by its
+    values."""
+    if isinstance(rows, ex.Exact):
+        return tuple(vec(ex.Exact(row, rows.den)) for row in rows.num)
+    return tuple(vec(r) for r in rows)
+
+
+def zeros(n: int) -> tuple:
+    return (Fraction(0),) * n
+
+
+def identity(n: int) -> tuple:
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
+
+
+def add(x, y) -> tuple:
+    return tuple(a + b for a, b in zip(vec(x), vec(y), strict=True))
+
+
+def sub(x, y) -> tuple:
+    return tuple(a - b for a, b in zip(vec(x), vec(y), strict=True))
+
+
+def scale(c, x) -> tuple:
+    c = Fraction(c)
+    return tuple(c * a for a in vec(x))
+
+
+def neg(x) -> tuple:
+    return tuple(-a for a in vec(x))
+
+
+def is_zero(x) -> bool:
+    return all(a == 0 for a in vec(x))
+
+
+def dot(x, y) -> Fraction:
+    """sum_k x_k y_k in Fractions; ValueError when the lengths differ."""
+    return sum((a * b for a, b in zip(vec(x), vec(y), strict=True)), Fraction(0))
+
+
+def combination(coeffs, vecs, n: int) -> tuple:
+    """sum_k coeffs[k] vecs[k] in Q^n; ValueError when the lengths differ."""
+    out = zeros(n)
     for c, v in zip(coeffs, vecs, strict=True):
-        out = ex.add(out, ex.scale(c, v))
+        out = add(out, scale(c, v))
     return out
+
+
+def mat_vec(m, x) -> tuple:
+    return tuple(dot(row, x) for row in mat(m))
+
+
+def transpose(m) -> tuple:
+    return tuple(zip(*mat(m)))
+
+
+def mat_mul(a, b) -> tuple:
+    bt = transpose(b)
+    return tuple(tuple(dot(ra, cb) for cb in bt) for ra in mat(a))
+
+
+def mat_sub(a, b) -> tuple:
+    return tuple(sub(ra, rb) for ra, rb in zip(mat(a), mat(b), strict=True))
+
+
+def unit_lead(x) -> tuple:
+    """x divided by the absolute value of its first nonzero entry."""
+    x = vec(x)
+    lead = abs(next(a for a in x if a != 0))
+    return tuple(a / lead for a in x)
+
+
+def hrep_pairs(rows) -> list:
+    """Rows (a, r) of an H-representation, a.x >= r, as pairs of Fractions."""
+    return [(row[:-1], row[-1]) for row in map(vec, rows)]
+
+
+def exact_vec(v) -> ex.Exact:
+    """v as an exact vector, each entry not a Fraction read from its str:
+    a float by its shortest repr, a string as written."""
+    if isinstance(v, ex.Exact):
+        return v
+    return ex.exact(Fraction(str(x)) if not isinstance(x, Fraction) else x for x in v)
+
+
+def _pivot(T, r: int, c: int) -> None:
+    """One Gauss-Jordan step in Fractions: scale row r to T[r][c] = 1 and
+    clear column c from every other row."""
+    inv = Fraction(1) / T[r][c]
+    T[r] = [x * inv for x in T[r]]
+    for i in range(len(T)):
+        if i != r and T[i][c] != 0:
+            f = T[i][c]
+            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
 
 
 def rref_fraction(m):
     """Gauss-Jordan elimination in Fractions: (rows, pivot columns)."""
-    rows = [list(r) for r in m]
+    rows = [list(vec(r)) for r in m]
     if not rows:
         return [], []
     pivots = []
@@ -693,7 +810,7 @@ def rref_fraction(m):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        ex._pivot(rows, r, c)
+        _pivot(rows, r, c)
         pivots.append(c)
         r += 1
         if r == len(rows):
@@ -702,6 +819,7 @@ def rref_fraction(m):
 
 
 def nullspace_fraction(m):
+    """Basis of {x : m x = 0} in Fractions, 1 at its free column."""
     if not m:
         return []
     ncols = len(m[0])
@@ -717,6 +835,7 @@ def nullspace_fraction(m):
 
 
 def mat_inv_fraction(m):
+    m = mat(m)
     n = len(m)
     rows, pivots = rref_fraction([list(r) + [Fraction(int(i == j)) for j in range(n)]
                                   for i, r in enumerate(m)])
@@ -787,28 +906,29 @@ def project_polyhedron_nullspace(V, G):
     nullspace of E and d - 1 spans is one line, every sign test a dot of
     Fractions, and each row scaled by unit_lead."""
     def unit_row(a, r):
-        key = ex.unit_lead(a + (r,))
+        key = unit_lead(a + (r,))
         return key[:-1], key[-1]
+    V, G = [vec(v) for v in V], [vec(g) for g in G]
     n = len(V[0])
-    zero = ex.zeros(n)
-    E = ex.nullspace([ex.sub(v, V[0]) for v in V] + list(G))
+    zero = zeros(n)
+    E = nullspace_fraction([sub(v, V[0]) for v in V] + list(G))
     rows = set()
     for e in E:
-        r = ex.dot(e, V[0])
-        rows |= {unit_row(e, r), unit_row(ex.neg(e), -r)}
+        r = dot(e, V[0])
+        rows |= {unit_row(e, r), unit_row(neg(e), -r)}
     d = n - len(E)
     for vb in V if d else ():
-        spans = [ex.sub(v, vb) for v in V] + list(G)
-        spans = [c for c in dict.fromkeys(spans) if not ex.is_zero(c)]
+        spans = [sub(v, vb) for v in V] + list(G)
+        spans = [c for c in dict.fromkeys(spans) if not is_zero(c)]
         for S in itertools.combinations(spans, d - 1):
-            normal = ex.nullspace([zero, *E, *S])
+            normal = nullspace_fraction([zero, *E, *S])
             if len(normal) != 1:
                 continue
             a, = normal
-            r = ex.dot(a, vb)
-            s = [ex.dot(a, v) - r for v in V] + [ex.dot(a, g) for g in G]
+            r = dot(a, vb)
+            s = [dot(a, v) - r for v in V] + [dot(a, g) for g in G]
             if min(s) >= 0:
                 rows.add(unit_row(a, r))
             elif max(s) <= 0:
-                rows.add(unit_row(ex.neg(a), -r))
+                rows.add(unit_row(neg(a), -r))
     return sorted(rows)

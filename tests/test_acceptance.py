@@ -9,7 +9,6 @@ import time
 import numpy as np
 from scipy.linalg import expm
 
-from orbitcone import exactlin as ex
 from orbitcone.harness import VerificationConfig, run
 from orbitcone.matrixgrp import iwasawa, realization, root_entry
 from orbitcone.parabolic import (all_positive_systems, h_extremize,
@@ -19,6 +18,7 @@ from orbitcone.polyhedra import gamma_cone, pointedness_certificate
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
 from paper_claims import factor_nilpotent, proper_on_cone, upsilon_cone
+import reference as fx
 from reference import sigma_grp
 
 PRESETS = ("kostant_sl2", "sl2_so11", "sl3_so21", "group_sl2")
@@ -235,8 +235,8 @@ def test_10_cone_predicates_match_exhaustive_enumeration():
         cert = pointedness_certificate(cone)
         if want:
             ok &= cert is not None
-            ok &= all(ex.dot(cert, g) > 0 for g in cone.generators
-                      if not ex.is_zero(g))
+            ok &= all(fx.dot(cert, g) > 0 for g in cone.generators
+                      if not fx.is_zero(g))
         else:
             ok &= cert is None
         n = cone.ambient

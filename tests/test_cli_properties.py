@@ -22,6 +22,8 @@ from orbitcone.cli import main
 from orbitcone.harness import CHECKS, _DEFAULT_A_LOG
 from orbitcone.matrixgrp import realization
 
+import reference as fx
+
 RESULT = re.compile(r"(PASS|FAIL) (\w+) count=(\d+)(?: worst_slack=(\S+))?$")
 # the checks that sample the orbit through the base point
 BASE_POINT_CHECKS = {"main", "kostant", "hessian", "critical_image", "limits"}
@@ -55,7 +57,7 @@ def vectors(preset: str):
     dim = len(_DEFAULT_A_LOG.get(preset, "xy"))
     if preset not in _DEFAULT_A_LOG:
         return st.lists(coordinate, min_size=dim, max_size=dim)
-    aq = realization(preset).datum.aq_basis
+    aq = [fx.vec(b) for b in realization(preset).datum.aq_basis]
     scale = sometimes(st.just(1), st.sampled_from([25, 10 ** 400]))
     inside = st.tuples(st.lists(small, min_size=len(aq), max_size=len(aq)), scale).map(
         lambda cs: [str(cs[1] * sum(c * b[i] for c, b in zip(cs[0], aq)))
@@ -114,7 +116,7 @@ def _base_point(flags: dict, config) -> list | None:
 
 
 def _in_aq(preset: str, point: list) -> bool:
-    aq = np.array([[float(c) for c in v] for v in realization(preset).datum.aq_basis])
+    aq = np.array([fx.vec(v) for v in realization(preset).datum.aq_basis], dtype=float)
     both = np.vstack([aq, [float(c) for c in point]])
     return np.linalg.matrix_rank(both) == np.linalg.matrix_rank(aq)
 

@@ -20,6 +20,7 @@ from orbitcone.polyhedra import gamma_aq, omega
 from orbitcone.rootsys import weyl_orbit
 
 import reference
+import reference as fx
 from iwasawa_reference import iwasawa_by_matmul
 from reference import (analytic_hessian_fresh, critical_image_per_draw,
                        draw_elements, h_x_coords_fresh,
@@ -37,12 +38,12 @@ A_LOGS = {
 
 
 def _a_log(rz):
-    return tuple(Fraction(c) for c in A_LOGS[rz.name])
+    return ex.exact(A_LOGS[rz.name])
 
 
 def _stack(rz, Xs):
     """The SampleStack of the samples Xs, made exact."""
-    return SampleStack.of(rz, Xs)
+    return SampleStack.of(rz, [ex.exact(X) for X in Xs])
 
 
 class NotALocalMin(ValueError):
@@ -52,8 +53,8 @@ class NotALocalMin(ValueError):
 def grad_F(rz, a_log, X, h) -> np.ndarray:
     """Components B(U_i, Ad(n^{-1})X) over the h-basis, n the unipotent part
     for the base system."""
-    a = a_matrix(np.exp(np.asarray(a_log, dtype=float)))
-    Xm = a_matrix(np.asarray(X, dtype=float))
+    a = a_matrix(np.exp(np.asarray(fx.vec(a_log), dtype=float)))
+    Xm = a_matrix(np.asarray(fx.vec(X), dtype=float))
     _, _, nn = iwasawa_by_matmul(rz, a @ np.asarray(h, dtype=float),
                                  rz.base_parabolic)
     adX = np.linalg.inv(nn) @ Xm @ nn
@@ -65,18 +66,18 @@ def local_min_halfspace_check(rz, a_log, X, w) -> bool:
     """All of the predicted image sits on the upper side of the level plane,
     for the base system."""
     P = rz.base_parabolic
-    a_exact = tuple(Fraction(c) for c in a_log)
-    X = tuple(Fraction(c) for c in X)
+    a_exact = ex.exact(a_log)
+    X = ex.exact(X)
     posdef, _ = predicted_signature(rz, a_exact, _stack(rz, [X]), w, P)
     if not posdef[0]:
         raise NotALocalMin("a transversal direction has negative curvature")
     orbit = weyl_orbit(rz.small_weyl, a_exact)
     om = omega(orbit, gamma_aq(sorted(P.classification.minus_part), rz.datum))
-    gX = ex.mat_vec(rz.datum.gram, X)
-    level = ex.dot(gX, ex.mat_vec(ex.mat_inv(w), a_exact))
-    if any(ex.dot(gX, u) < level for u in om.vertices):
+    gX = fx.mat_vec(rz.datum.gram, X)
+    level = fx.dot(gX, fx.mat_vec(ex.mat_inv(w), a_exact))
+    if any(fx.dot(gX, u) < level for u in om.vertices):
         return False
-    if any(ex.dot(gX, g) < 0 for g in om.generators):
+    if any(fx.dot(gX, g) < 0 for g in om.generators):
         return False
     return True
 
@@ -88,23 +89,23 @@ def _identity_w(rz):
 
 def test_ensure_regular(rz):
     a = ensure_regular(rz, _a_log(rz))
-    assert all(isinstance(c, Fraction) for c in a)
+    assert isinstance(a, ex.Exact)
 
 
 def test_ensure_regular_rejects_wall(rz_sl3):
     with pytest.raises(NotRegular):
-        ensure_regular(rz_sl3, (1, 1, -2))
+        ensure_regular(rz_sl3, ex.exact((1, 1, -2)))
 
 
 def test_ensure_regular_rejects_off_aq(rz_group):
     # sigma-fixed direction, projects to zero
     with pytest.raises(ValueError):
-        ensure_regular(rz_group, (1, -1, 1, -1))
+        ensure_regular(rz_group, ex.exact((1, -1, 1, -1)))
 
 
 def test_ensure_in_aq_accepts_every_default_base_point(rz):
-    a = critical.ensure_in_aq(rz, harness._DEFAULT_A_LOG[rz.name])
-    assert a == tuple(Fraction(c) for c in harness._DEFAULT_A_LOG[rz.name])
+    a = critical.ensure_in_aq(rz, VerificationConfig(preset=rz.name).a_log_exact())
+    assert fx.vec(a) == tuple(Fraction(c) for c in harness._DEFAULT_A_LOG[rz.name])
 
 
 def test_ensure_in_aq_rejects_a_point_off_the_span_of_the_roots(rz):
@@ -112,8 +113,8 @@ def test_ensure_in_aq_rejects_a_point_off_the_span_of_the_roots(rz):
     # root sum reaches it: it is off a, hence off a_q
     ones = (1,) * rz.dim
     with pytest.raises(ValueError, match="base point must lie in a_q"):
-        critical.ensure_in_aq(rz, ex.add(ex.vec(harness._DEFAULT_A_LOG[rz.name]),
-                                         ex.vec(ones)))
+        critical.ensure_in_aq(rz, ex.exact(fx.add(
+            fx.vec(harness._DEFAULT_A_LOG[rz.name]), fx.vec(ones))))
 
 
 def test_reps_are_critical_points(rz):
@@ -121,10 +122,10 @@ def test_reps_are_critical_points(rz):
     X = _a_log(rz)
     ensure_regular(rz, a_log)
     ws = rz.small_weyl
-    for w, level in zip(ws, critical_value(rz, a_log, _stack(rz, [X]), ws)[0]):
+    for w, level in zip(ws, fx.vec(critical_value(rz, a_log, _stack(rz, [X]), ws)[0])):
         xw = weyl_rep(rz, w)
         val = float(level)
-        assert abs(float(F(rz, a_log, X, xw, rz.base_parabolic)) - val) < 1e-9
+        assert abs(float(F(rz, a_log, fx.vec(X), xw, rz.base_parabolic)) - val) < 1e-9
         g = grad_F(rz, a_log, X, xw)
         assert np.abs(g).max() < 1e-8
 
@@ -146,7 +147,7 @@ def test_weyl_points_at_a_w_equal_the_x_w_form(rz):
     the last bit at the default base point."""
     X = _stack(rz, [X for _, wits in vanishing_patterns(rz) for X in wits]).floats
     for a in [_a_log(rz)] + _PARITY_POINTS[rz.name]:
-        a_log = ensure_regular(rz, a)
+        a_log = ensure_regular(rz, fx.exact_vec(a))
         for P in parabolic.all_positive_systems(rz.datum):
             for w in rz.small_weyl:
                 xw, a_w = weyl_rep(rz, w), critical.weyl_image(rz, a_log, w)
@@ -155,7 +156,7 @@ def test_weyl_points_at_a_w_equal_the_x_w_form(rz):
                          F(rz, a_log, X, xw[None], P)),
                         (critical._WeylPoint(rz, P, a_w).stencil_values,
                          matrixgrp.h_pq(rz, xw @ critical._stencil_exp(rz), P,
-                                        np.asarray(a_log, dtype=float)))):
+                                        ex.floats(a_log)))):
                     if a_log == _a_log(rz):
                         assert np.array_equal(at_a_w, at_x_w)
                     assert np.abs(at_a_w - at_x_w).max() <= 1e-14
@@ -168,6 +169,7 @@ def test_grad_matches_finite_differences(rz):
     basis = np.stack(rz.h_basis)
     P = rz.base_parabolic
     g = grad_F(rz, a_log, X, hs)
+    X = fx.vec(X)
 
     def fd(eps):
         plus = F(rz, a_log, X, hs[:, None] @ expm(eps * basis)[None, :], P)
@@ -183,9 +185,9 @@ def test_grad_matches_finite_differences(rz):
 def _random_exact_X(rz, rng):
     coef = [Fraction(int(rng.integers(-3, 4)), int(rng.integers(1, 4)))
             for _ in rz.datum.aq_basis]
-    X = ex.zeros(rz.dim)
+    X = fx.zeros(rz.dim)
     for c, b in zip(coef, rz.datum.aq_basis):
-        X = ex.add(X, ex.scale(c, b))
+        X = fx.add(X, fx.scale(c, b))
     return X
 
 
@@ -229,9 +231,9 @@ def test_predicted_certificates_cover_transversal(rz):
 def test_so11_hessian_closed_form(rz_so11):
     w = _identity_w(rz_so11)
     for t in (0.3, 1.0):
-        a_log = (Fraction(t).limit_denominator(10),
-                 -Fraction(t).limit_denominator(10))
-        tf = float(a_log[0])
+        a_log = ex.exact((Fraction(t).limit_denominator(10),
+                          -Fraction(t).limit_denominator(10)))
+        tf = float(fx.vec(a_log)[0])
         expected = 8.0 * (1.0 + np.exp(-4.0 * tf))
         rep = hessian(rz_so11, a_log, _stack(rz_so11, [(1, -1)]), w,
                       rz_so11.base_parabolic)
@@ -243,7 +245,7 @@ def test_so11_hessian_closed_form(rz_so11):
 def test_kostant_hessian_closed_form(rz_kostant):
     eye = ex.identity(2)
     t = 0.7
-    a_log = (Fraction(7, 10), Fraction(-7, 10))
+    a_log = ex.exact((Fraction(7, 10), Fraction(-7, 10)))
     for x in (1.5, -0.8):
         X = (Fraction(x).limit_denominator(10),
              -Fraction(x).limit_denominator(10))
@@ -260,7 +262,7 @@ def test_kostant_hessian_closed_form(rz_kostant):
 
 
 def test_kernel_dims_frozen(rz):
-    zero = ex.zeros(rz.dim)
+    zero = fx.zeros(rz.dim)
     expected = {
         "kostant_sl2": [((1, -1), 0), (zero, 1)],
         "sl2_so11": [((1, -1), 0), (zero, 1)],
@@ -310,21 +312,21 @@ def test_omega_X_generic_is_singleton(rz):
 
 
 def test_omega_X_wall_sl3(rz_sl3):
-    a_log = ensure_regular(rz_sl3, (2, 1, -3))
-    X = tuple(Fraction(c) for c in (1, 1, -2))
+    a_log = ensure_regular(rz_sl3, ex.exact((2, 1, -3)))
+    X = ex.exact((1, 1, -2))
     out = omega_X(rz_sl3, a_log, X, rz_sl3.base_parabolic)
-    gX = ex.mat_vec(rz_sl3.datum.gram, X)
+    gX = fx.mat_vec(rz_sl3.datum.gram, X)
     for w, om in out.items():
         assert 1 <= len(om.vertices) <= 2
         assert om.generators == ()
-        level = min(ex.dot(gX, u) for u in om.vertices)
-        assert level == critical_value(rz_sl3, a_log, _stack(rz_sl3, [X]),
-                                       [w])[0][0]
+        level = min(fx.dot(gX, u) for u in om.vertices)
+        assert level == fx.vec(critical_value(rz_sl3, a_log, _stack(rz_sl3, [X]),
+                                              [w])[0])[0]
 
 
 def test_sample_H_X_centralizes(rz):
     X = _a_log(rz)
-    Xm = a_matrix(np.array([float(c) for c in X]))
+    Xm = a_matrix(ex.floats(X))
     hs = draw_elements(sample_H_X(rz, X, 1.0, 16, seeds=[4]))
     assert np.abs(hs @ Xm - Xm @ hs).max() < 1e-9
     assert np.abs(sigma_grp(rz, hs) - hs).max() < 1e-9
@@ -365,9 +367,9 @@ def test_vanishing_patterns(rz):
             assert rz.datum.pr_q(X) == X
             for lam in pos:
                 if lam in S:
-                    assert ex.dot(lam, X) == 0
+                    assert fx.dot(lam, X) == 0
                 else:
-                    assert ex.dot(lam, X) != 0
+                    assert fx.dot(lam, X) != 0
     assert frozenset() in seen
     assert frozenset(pos) in seen
 
@@ -392,13 +394,13 @@ def test_h_x_coords_matches_a_fresh_computation(rz):
     generic = tuple(Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
                     for _ in range(n))
     tied = (generic[0],) + generic[:-1]
-    for X in (generic, tied, ex.zeros(n)):
-        assert h_x_coords(rz, X) == h_x_coords_fresh(rz, X)
+    for X in (generic, tied, fx.zeros(n)):
+        assert h_x_coords(rz, ex.exact(X)) == h_x_coords_fresh(rz, X)
 
 
 def test_h_x_coords_is_cached_per_tie_pattern(rz):
-    X1 = tuple(Fraction(k + 1, 3) for k in range(rz.dim))
-    X2 = tuple(Fraction(-2 * (k + 1)) for k in range(rz.dim))
+    X1 = ex.exact(Fraction(k + 1, 3) for k in range(rz.dim))
+    X2 = ex.exact(Fraction(-2 * (k + 1)) for k in range(rz.dim))
     assert h_x_coords(rz, X1) is h_x_coords(rz, X2)
     assert h_x_coords(rz, X2) == h_x_coords_fresh(rz, X2)
 
@@ -423,7 +425,7 @@ def test_the_stabiliser_of_X_is_the_closure_of_its_vanishing_plus_roots(rz):
     for S, wits in vanishing_patterns(rz):
         for X in wits:
             W_X = weyl_group([lam for lam in rz.restricted.plus_set
-                              if ex.dot(lam, X) == 0], rz.datum.gram)
+                              if fx.dot(lam, X) == 0], rz.datum.gram)
             assert W_X == tuple(w for w in rz.small_weyl
                                 if ex.mat_vec(w, X) == X)
             for w, om in omega_X(rz, a_log, X, rz.base_parabolic).items():
@@ -447,8 +449,8 @@ def test_weyl_image_is_the_diagonal_of_the_conjugated_base_point(rz, monkeypatch
             xw = weyl_rep(rz, w)
             assert np.isin(xw, (-1.0, 0.0, 1.0)).all()
             x = xw.astype(int).tolist()
-            assert critical.weyl_image(rz, a_log, w) == tuple(
-                sum(x[i][c] ** 2 * a_log[i] for i in range(rz.dim))
+            assert fx.vec(critical.weyl_image(rz, a_log, w)) == tuple(
+                sum(x[i][c] ** 2 * fx.vec(a_log)[i] for i in range(rz.dim))
                 for c in range(rz.dim))
 
 
@@ -570,7 +572,8 @@ def test_a_failing_critical_image_check_keeps_its_witnesses(monkeypatch):
     monkeypatch.undo()
     real_value = critical.critical_value
     _patch(monkeypatch, "critical_value", lambda *a: [
-        [lv + 1 for lv in row] for row in real_value(*a)])
+        ex.Exact(tuple(lv + row.den for lv in row.num), row.den)
+        for row in real_value(*a)])
     got, want = _critical_image_reports(preset="sl2_so11")
     assert not got.passed
     draws = got.count // max(8, 2000 // 50)
@@ -638,7 +641,7 @@ def test_critical_image_work_depends_on_patterns_and_ties_only(monkeypatch):
         pats = vanishing_patterns(rz, per_pattern=10,
                                   seed=harness._stream(cfg, "critical_image", 0))
         ties = sum(len({frozenset((i, j) for i in range(rz.dim)
-                                  for j in range(rz.dim) if X[i] == X[j])
+                                  for j in range(rz.dim) if X.num[i] == X.num[j])
                         for X in wits}) for _, wits in pats)
         assert ties == len(pats), preset
         assert counts[0] == counts[1] == {
@@ -670,7 +673,7 @@ def test_transversal_signature_matches_reference(rz):
     rng = np.random.Generator(np.random.PCG64(13))
     tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=5)
             if S]
-    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + tied + [ex.zeros(rz.dim)]
+    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + tied + [fx.zeros(rz.dim)]
     xs, P = _stack(rz, Xs), rz.base_parabolic
     for w in rz.small_weyl:
         rep = hessian(rz, a_log, xs, w, P)
@@ -701,7 +704,7 @@ def test_hessians_equal_the_fresh_reference(rz):
     # bit for bit, the forms computed anew with one expm and one F per call
     a_log = _a_log(rz)
     rng = np.random.Generator(np.random.PCG64(31))
-    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [ex.zeros(rz.dim)]
+    Xs = [_random_exact_X(rz, rng) for _ in range(3)] + [fx.zeros(rz.dim)]
     for P in _systems(rz):
         for w in rz.small_weyl:
             _assert_fresh(rz, a_log, Xs, w, P)
@@ -729,7 +732,7 @@ def test_hessian_memos_keep_presets_base_points_and_chambers_apart(monkeypatch):
     for name in ("kostant_sl2", "sl2_so11", "sl3_so21"):
         rz = realization(name)
         a1 = _a_log(rz)
-        a2 = tuple(c / 2 for c in a1)
+        a2 = ex.Exact(a1.num, 2 * a1.den)
         P1, P2 = _systems(rz)[:2]
         X = _random_exact_X(rz, rng)
         cases[name] = [(rz, a, P, X) for a, P in
@@ -794,16 +797,16 @@ def test_hessian_check_does_per_sample_only_what_depends_on_the_sample(
         n_w = len(rz.small_weyl)
         n_expm = len(expm_calls)
         a1 = _a_log(rz)
-        chambers = [None] + [tuple(str(c) for c in Q.chamber_vector)
+        chambers = [None] + [tuple(ex.strs(Q.chamber_vector))
                              for Q in _systems(rz)[1:]]
-        for a_log in (a1, tuple(c / 2 for c in a1)):
+        for a_log in (a1, ex.Exact(a1.num, 2 * a1.den)):
             for chamber in chambers:
                 n_h_pq = len(h_pq_calls)
                 calls = {}
                 for samples in (5, 50):
                     cfg = VerificationConfig(
                         preset=name, samples=samples,
-                        a_log=tuple(str(c) for c in a_log),
+                        a_log=tuple(ex.strs(a_log)),
                         chamber=chamber, checks=frozenset({"hessian"}))
                     # a non-base chamber may FAIL on the finite-difference
                     # step (ROADMAP item 8); the counts are what is checked
@@ -828,7 +831,7 @@ def _mixed_stack(rz):
     tied = [wits[0] for S, wits in vanishing_patterns(rz, per_pattern=1, seed=7)
             if S]
     return [_random_exact_X(rz, rng) for _ in range(3)] + tied \
-        + [ex.zeros(rz.dim)]
+        + [fx.zeros(rz.dim)]
 
 
 def test_a_stack_of_mixed_tie_patterns_equals_the_per_call_layer(rz):
@@ -861,7 +864,7 @@ def _same_parts(xs, ref):
     """Whether a stack has the oracle's X, gram, ties, signs and floats;
     G X comes as integer rows over one denominator each."""
     gx, gd = xs.gram
-    return (tuple(map(xs.exact, range(len(xs.den)))) == ref.X
+    return (tuple(fx.vec(xs.exact(i)) for i in range(len(xs.den))) == ref.X
             and tuple(tuple(Fraction(x, d) for x in row) for row, d in zip(
                 gx.tolist(), gd.tolist())) == ref.gram
             and xs.ties == ref.ties
@@ -892,17 +895,20 @@ def test_the_integer_stack_equals_the_fraction_oracle(rz, monkeypatch):
             tuple(Fraction(-big * 5 + k, big + 1) for k in range(n))]
     # a basis, and a stand-in realization's Gram matrix and roots, with
     # denominators of their own
-    thirds = tuple(ex.scale(Fraction(1, k + 3), b) for k, b in enumerate(aq))
+    thirds = tuple(fx.scale(Fraction(1, k + 3), b) for k, b in enumerate(aq))
+    thirds = tuple(map(ex.exact, thirds))
     odd = SimpleNamespace(dim=n, datum=SimpleNamespace(
-        gram=tuple(tuple(g / 7 + Fraction(i == j + 1, 2) for j, g in enumerate(row))
-                   for i, row in enumerate(rz.datum.gram)),
-        roots=frozenset(tuple(c / (k + 2) for k, c in enumerate(a))
+        gram=ex.exact(tuple(g / 7 + Fraction(i == j + 1, 2) for j, g in enumerate(row))
+                      for i, row in enumerate(fx.mat(rz.datum.gram))),
+        roots=frozenset(ex.exact(c / (k + 2) for k, c in enumerate(fx.vec(a)))
                         for a in rz.datum.roots)))
     for real, rows, basis in ((rz, drawn, aq), (rz, drawn, thirds),
                               (odd, drawn, thirds),
                               (rz, _mixed_stack(rz) + huge, None)):
-        xs = SampleStack.on_basis(
-            real, [[c.as_integer_ratio() for c in row] for row in rows], basis)
+        rows = [fx.vec(row) for row in rows]
+        xs = (SampleStack.of(real, list(map(ex.exact, rows))) if basis is None
+              else SampleStack.on_basis(
+                  real, [[c.as_integer_ratio() for c in row] for row in rows], basis))
         made = []
         new = Fraction.__new__
         with monkeypatch.context() as m:
@@ -960,7 +966,7 @@ def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
         assert len(r.witnesses) == harness.MAX_WITNESSES
         json.dumps(r.to_dict())
         for X, w, rel, sig, kd, posdef in r.witnesses:
-            assert w == [[str(c) for c in row] for row in w_bad]
+            assert w == [[str(c) for c in row] for row in fx.mat(w_bad)]
             X = tuple(Fraction(c) for c in X)
             P = rz.base_parabolic
             num = numeric_hessian_fresh(rz, _a_log(rz), X, w_bad, P)
@@ -974,7 +980,7 @@ def test_a_failing_hessian_check_reports_its_witnesses(monkeypatch):
         # the witnesses are the first samples drawn, in draw order
         rng = np.random.default_rng(harness._stream(cfg, "hessian"))
         aq = rz.datum.aq_basis
-        drawn = [ex.combination([Fraction(c).limit_denominator(40)
+        drawn = [fx.combination([Fraction(c).limit_denominator(40)
                                  for c in rng.normal(size=len(aq))], aq, rz.dim)
                  for _ in range(harness.MAX_WITNESSES)]
         assert [w[0] for w in r.witnesses] \

@@ -10,6 +10,7 @@ from orbitcone import critical, harness, matrixgrp, polyhedra, rootsys
 from orbitcone import exactlin as ex
 
 import reference
+import reference as fx
 from paper_claims import feasible
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -24,56 +25,63 @@ def mat_strat(rows, cols):
 
 
 def test_basic_ops():
-    x = ex.vec([1, 2, 3])
-    y = ex.vec([Fraction(1, 2), 0, -1])
-    assert ex.add(x, y) == (Fraction(3, 2), Fraction(2), Fraction(2))
-    assert ex.sub(x, x) == ex.zeros(3)
-    assert ex.scale(Fraction(2), y) == (Fraction(1), 0, -2)
-    assert ex.dot(x, y) == Fraction(1, 2) - 3
-    assert ex.neg(y) == (Fraction(-1, 2), 0, 1)
-    assert ex.is_zero(ex.zeros(4))
-    assert not ex.is_zero(x)
+    x = ex.exact([1, 2, 3])
+    y = ex.exact([Fraction(1, 2), 0, -1])
+    assert fx.vec(ex.add(x, y)) == (Fraction(3, 2), Fraction(2), Fraction(2))
+    assert ex.add(x, ex.neg(x)) == ex.zeros(3)
+    assert fx.vec(ex.neg(y)) == (Fraction(-1, 2), 0, 1)
+    assert ex.Exact((2, 4), 6) == ex.Exact((1, 2), 3) == ex.Exact((-1, -2), -3)
+    assert hash(ex.Exact((2, 4), 6)) == hash(ex.Exact((1, 2), 3))
+    assert ex.strs(y) == ["1/2", "0", "-1"]
+    assert not any(ex.zeros(4).num) and any(x.num)
 
 
 def test_combination():
-    x = ex.vec([1, 2, 3])
-    y = ex.vec([Fraction(1, 2), 0, -1])
-    assert ex.combination((2, Fraction(-1, 3)), (x, y), 3) \
-        == ex.add(ex.scale(2, x), ex.scale(Fraction(-1, 3), y))
-    assert ex.combination((), (), 4) == ex.zeros(4)
+    # integer rows over the least common denominator, and the order by value
+    x = ex.exact([1, 2, 3])
+    y = ex.exact([Fraction(1, 2), 0, Fraction(-1, 3)])
+    assert ex.common([x, y]) == ([(6, 12, 18), (3, 0, -2)], 6)
+    assert ex.common([]) == ([], 1)
+    assert sorted([x, y]) == [y, x] and y < x and x > y
+    assert ex.exact([Fraction(1, 3), 5]) < ex.exact([Fraction(1, 2), -9])
     with pytest.raises(ValueError):
-        ex.combination((1, 2), (x,), 3)
-    with pytest.raises(ValueError):
-        ex.combination((1,), (x,), 2)
+        ex.add(x, ex.exact([1, 2]))
 
 
 def test_identity_and_mat_ops():
     i3 = ex.identity(3)
-    m = ex.mat([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
+    m = ex.exact([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
     assert ex.mat_mul(m, i3) == m
-    assert ex.mat_vec(m, (1, 1, 1)) == (3, 1, 1)
+    assert ex.mat_vec(m, ex.exact((1, 1, 1))) == ex.exact((3, 1, 1))
     assert ex.transpose(ex.transpose(m)) == m
-    assert ex.mat_sub(m, m) == ex.mat([[0] * 3] * 3)
+    assert fx.mat(ex.transpose(m)) == fx.transpose(m)
+    assert ex.strs(ex.exact([[Fraction(1, 2), 1], [0, -2]])) == [["1/2", "1"], ["0", "-2"]]
+
+
+def _integer_rows(m):
+    """Each row of a rational matrix scaled to integers."""
+    return [ex.exact(row).num for row in m]
 
 
 @settings(max_examples=60, deadline=None)
 @given(mat_strat(3, 4))
 def test_nullspace_annihilates(m):
-    for v in ex.nullspace(m):
-        assert ex.mat_vec(m, v) == ex.zeros(3)
-        assert not ex.is_zero(v)
+    for v in ex.nullspace(_integer_rows(m)):
+        assert fx.mat_vec(m, v) == fx.zeros(3)
+        assert any(v)
 
 
 @settings(max_examples=60, deadline=None)
 @given(mat_strat(3, 4))
 def test_rank_nullity(m):
-    assert len(ex.rref(m)[0]) + len(ex.nullspace(m)) == 4
+    rows = _integer_rows(m)
+    assert len(ex.rref(rows)[0]) + len(ex.nullspace(rows)) == 4
 
 
 @settings(max_examples=40, deadline=None)
 @given(vec_strat(3), st.fractions(min_value=1, max_value=3, max_denominator=2))
 def test_mat_inv(shear, d):
-    m = ex.mat([[d, shear[0], shear[1]], [0, 1, shear[2]], [0, 0, 1]])
+    m = ex.exact([[d, shear[0], shear[1]], [0, 1, shear[2]], [0, 0, 1]])
     inv = ex.mat_inv(m)
     assert ex.mat_mul(m, inv) == ex.identity(3)
     assert ex.mat_mul(inv, m) == ex.identity(3)
@@ -81,14 +89,15 @@ def test_mat_inv(shear, d):
 
 def test_mat_inv_singular():
     with pytest.raises(ValueError):
-        ex.mat_inv(ex.mat([[1, 1], [1, 1]]))
+        ex.mat_inv(ex.exact([[1, 1], [1, 1]]))
 
 
 def test_rref_pivots():
     rows, piv = ex.rref([(0, 2, 4), (1, 1, 1), (1, 3, 5)])
     assert len(rows) == len(piv) == 2
+    assert rows == [(1, 0, -1), (0, 1, 2)]
     for r, p in zip(rows, piv):
-        assert r[p] == 1
+        assert r[p] > 0 and ex.primitive(r) == r
 
 
 @settings(max_examples=60, deadline=None)
@@ -96,7 +105,7 @@ def test_rref_pivots():
        st.tuples(*([st.fractions(min_value=0, max_value=3, max_denominator=4)] * 5)))
 def test_feasible_on_constructed_solutions(a, x0):
     # b = A x0 with x0 >= 0 is feasible by construction
-    b = ex.mat_vec(a, x0)
+    b = fx.mat_vec(a, x0)
     assert feasible(a, b)
 
 
@@ -106,54 +115,72 @@ def test_feasible_negative():
     assert feasible(((Fraction(1),),), (Fraction(2),))
 
 
+def _lp_solve(a, b, c):
+    return ex.lp_solve([ex.exact(row) for row in a], ex.exact(b), ex.exact(c))
+
+
 @settings(max_examples=40, deadline=None)
 @given(mat_strat(2, 4), st.tuples(*([fracs] * 4)))
 def test_lp_solve_optimal_is_feasible(a, c):
     x0 = (Fraction(1), Fraction(2), Fraction(0), Fraction(1))
-    b = ex.mat_vec(a, x0)
-    status, x, val = ex.lp_solve(a, b, c)
+    b = fx.mat_vec(a, x0)
+    status, x, val = _lp_solve(a, b, c)
     assert status in (ex.OPTIMAL, ex.UNBOUNDED)
     if status == ex.OPTIMAL:
-        assert ex.mat_vec(a, x) == b
-        assert all(t >= 0 for t in x)
-        assert ex.dot(c, x) == val
+        assert fx.mat_vec(a, x) == b
+        assert all(t >= 0 for t in fx.vec(x))
+        assert fx.dot(c, x) == val
         # x0 is feasible, so the maximum dominates it
-        assert val >= ex.dot(c, x0)
+        assert val >= fx.dot(c, x0)
 
 
 def test_lp_solve_orientation():
     # maximize x subject to x <= 3 (x + s = 3)
     a = ((Fraction(1), Fraction(1)),)
     b = (Fraction(3),)
-    status, x, val = ex.lp_solve(a, b, (Fraction(1), Fraction(0)))
+    status, x, val = _lp_solve(a, b, (Fraction(1), Fraction(0)))
     assert status == ex.OPTIMAL
-    assert val == 3 and x[0] == 3
+    assert val == 3 and fx.vec(x)[0] == 3
 
 
-# --- the integer kernels against their Fraction oracles ---------------------
+# --- the fraction-free kernels against their Fraction oracles ----------------
 
-# ints, and Fractions with denominators up to 10^6, of either sign
+# ints, ints past 2^64, and Fractions with denominators up to 10^6, of
+# either sign
 entries = st.one_of(st.just(0), st.integers(-9, 9),
+                    st.integers(2 ** 64, 2 ** 70).map(lambda k: k * (-1) ** k),
                     st.fractions(min_value=-1000, max_value=1000,
                                  max_denominator=10 ** 6))
 
 
 @st.composite
-def rational_matrices(draw, max_rows=5, max_cols=6, square=False):
-    """Matrices with some rows zeroed, some rows repeated (as they are and
-    as multiples) and some columns zeroed."""
-    nrows = draw(st.integers(1, max_rows))
+def rational_matrices(draw, max_rows=5, max_cols=6, square=False, empty=False):
+    """Matrices with some rows zeroed, some rows repeated (as they are, as
+    multiples and as sums of two rows), some columns zeroed, now and then
+    every row zeroed, and, with empty, now and then no rows at all."""
+    nrows = draw(st.integers(0 if empty else 1, max_rows))
+    if nrows == 0:
+        return ()
     ncols = nrows if square else draw(st.integers(1, max_cols))
     rows = [draw(st.lists(entries, min_size=ncols, max_size=ncols))
             for _ in range(nrows)]
     for i in draw(st.lists(st.integers(0, nrows - 1), max_size=2)):
         rows[i] = [0] * ncols
-    for i, c in draw(st.lists(st.tuples(st.integers(0, nrows - 1), entries),
-                              max_size=0 if square else 2)):
-        rows.append(list(rows[i]) if c == 0 else [c * x for x in rows[i]])
+    for i, j, c in draw(st.lists(st.tuples(st.integers(0, nrows - 1),
+                                           st.integers(0, nrows - 1), entries),
+                                 max_size=2)):
+        # a row of the others' span: a multiple, or the sum of two rows
+        row = [c * x for x in rows[i]] if c != 0 else [
+            x + y for x, y in zip(rows[i], rows[j])]
+        if square:
+            rows[(i + 1) % nrows] = row
+        else:
+            rows.append(row)
     for j in draw(st.lists(st.integers(0, ncols - 1), max_size=2)):
         for row in rows:
             row[j] = 0
+    if draw(st.integers(0, 9)) == 0:
+        rows = [[0] * ncols for _ in rows]
     return tuple(tuple(row) for row in rows)
 
 
@@ -166,35 +193,66 @@ def _same(got, want):
 @given(st.integers(0, 6).flatmap(
     lambda n: st.tuples(*[st.lists(entries, min_size=n, max_size=n)] * 2)))
 def test_dot_equals_the_fraction_oracle(xy):
-    x, y = xy
-    _same(ex.dot(x, y), reference.dot_fraction(x, y))
+    # a dot of exact vectors is the int_dot of their integer rows over the
+    # product of their denominators
+    x, y = map(ex.exact, xy)
+    assert Fraction(ex.int_dot(x.num, y.num), x.den * y.den) == reference.dot(*xy)
 
 
 @settings(max_examples=60, deadline=None)
 @given(rational_matrices(), st.lists(entries, min_size=7, max_size=7))
 def test_combination_equals_the_fraction_oracle(m, coeffs):
+    # sum_k c_k m_k is M^T c
     cs = coeffs[:len(m)]
-    _same(ex.combination(cs, m, len(m[0])),
-          reference.combination_fraction(cs, m, len(m[0])))
+    got = ex.mat_vec(ex.transpose(ex.exact(m)), ex.exact(cs))
+    assert fx.vec(got) == reference.combination(cs, m, len(m[0]))
+
+
+def _rref_rationals(rows, pivots):
+    """Each row of a fraction-free reduced form over its pivot."""
+    return [tuple(Fraction(x, row[p]) for x in row) for row, p in zip(rows, pivots)]
+
+
+def _check_rref(m, got):
+    rows, pivots = got
+    want_rows, want_pivots = reference.rref_fraction(m)
+    assert pivots == want_pivots
+    assert _rref_rationals(rows, pivots) == want_rows
+    assert all(type(row) is tuple and ex.primitive(row) == row and row[p] > 0
+               for row, p in zip(rows, pivots))
+
+
+def _check_nullspace(m, got):
+    free = [c for c in range(len(m[0]) if m else 0)
+            if c not in reference.rref_fraction(m)[1]]
+    assert len(got) == len(free)
+    assert [tuple(Fraction(x, v[f]) for x in v) for v, f in zip(got, free)] \
+        == reference.nullspace_fraction(m)
+    assert all(type(v) is tuple and ex.primitive(v) == v and v[f] > 0
+               for v, f in zip(got, free))
+
+
+def _check_mat_inv(m, got):
+    assert fx.mat(got) == reference.mat_inv_fraction(m)
 
 
 @settings(max_examples=100, deadline=None)
-@given(rational_matrices())
+@given(rational_matrices(empty=True))
 def test_rref_and_nullspace_equal_the_fraction_oracles(m):
-    _same(ex.rref(m), reference.rref_fraction(m))
-    _same(ex.nullspace(m), reference.nullspace_fraction(m))
+    _check_rref(m, ex.rref(_integer_rows(m)))
+    _check_nullspace(m, ex.nullspace(_integer_rows(m)))
 
 
 @settings(max_examples=60, deadline=None)
-@given(rational_matrices(max_rows=4, square=True))
+@given(rational_matrices(max_rows=4, square=True, empty=True))
 def test_mat_inv_equals_the_fraction_oracle(m):
     try:
-        want = reference.mat_inv_fraction(m)
+        reference.mat_inv_fraction(m)
     except ValueError:
         with pytest.raises(ValueError, match="singular"):
-            ex.mat_inv(m)
+            ex.mat_inv(ex.exact(m))
     else:
-        _same(ex.mat_inv(m), want)
+        _check_mat_inv(m, ex.mat_inv(ex.exact(m)))
 
 
 def _limited(x, max_den=40):
@@ -237,21 +295,20 @@ def test_limit_denominator_on_ties_and_dyadics():
 
 
 def test_the_kernels_reject_a_length_mismatch():
-    x = (Fraction(1, 2), 3)
+    x = ex.exact((Fraction(1, 2), 3))
     for y in ((1,), (1, 2, 3)):
         with pytest.raises(ValueError):
-            ex.dot(x, y)
-    with pytest.raises(ValueError):
-        ex.combination((1, 2), (x, (1,)), 2)
+            ex.add(x, ex.exact(y))
     _same(ex.rref([]), ([], []))
     _same(ex.nullspace([]), [])
 
 
 # --- the same values on every report path ------------------------------------
 
-KERNEL_ORACLES = {"dot": reference.dot_fraction,
-                  "combination": reference.combination_fraction,
-                  "rref": reference.rref_fraction}
+# each kernel's check of its result against the Fraction oracle, on the
+# rationals its integer arguments stand for
+KERNEL_ORACLES = {"rref": _check_rref, "nullspace": _check_nullspace,
+                  "mat_inv": lambda m, got: _check_mat_inv(fx.mat(m), got)}
 
 
 @pytest.fixture
@@ -261,10 +318,10 @@ def kernel_calls(monkeypatch):
     by an empty one, so that the report paths are computed anew."""
     calls = Counter()
 
-    def checked(name, kernel, oracle):
-        def call(*args):
-            got = kernel(*args)
-            _same(got, oracle(*args))
+    def checked(name, kernel, check):
+        def call(m):
+            got = kernel(m)
+            check(m, got)
             calls[name] += 1
             return got
         return call

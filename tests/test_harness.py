@@ -168,7 +168,7 @@ def test_tally_and_contains_share_the_tolerance_unit():
     rz = realization("sl3_so21")
     a_log = tuple(Fraction(c) for c in (2, 1, -3))
     om = omega(weyl_orbit(rz.small_weyl, a_log), gamma_cone(rz.base_parabolic))
-    assert ((1, 1, 1), 0) in om.hrep
+    assert exactlin.exact((1, 1, 1, 0)) in om.hrep
     x = np.array([2.5, 2.5, -5.0]) - 0.4e-7
     assert x.sum() == pytest.approx(-1.2e-7, rel=1e-6)
     assert om.slack(x) == pytest.approx(-1.2e-7 / np.sqrt(3), rel=1e-6)

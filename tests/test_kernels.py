@@ -16,6 +16,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from orbitcone import exactlin as ex
 from orbitcone import harness
 from orbitcone.harness import (_DEFAULT_A_LOG, MIN_DISPLACEMENT, Tally,
                                _Coverage, _float_rows, _h_probes, _judge)
@@ -32,7 +33,7 @@ from reference import (coverage_update_dense, draw_elements,
 
 
 def _main_omega(rz):
-    a_log = tuple(Fraction(c) for c in _DEFAULT_A_LOG[rz.name])
+    a_log = ex.exact(Fraction(c) for c in _DEFAULT_A_LOG[rz.name])
     return omega(weyl_orbit(rz.small_weyl, a_log), gamma_cone(rz.base_parabolic))
 
 
@@ -166,7 +167,7 @@ def _judged(rz, draw):
     tally = Tally(1e-7, _Coverage(_float_rows(om.vertices, rz.dim),
                                   _float_rows(om.generators, rz.dim)))
     vals = [_judge(rz, rz.base_parabolic, tally, om, [(
-        tuple(f * Fraction(c) for c in _DEFAULT_A_LOG[rz.name]), draw)])
+        ex.exact(f * Fraction(c) for c in _DEFAULT_A_LOG[rz.name]), draw)])
             for f in (Fraction(2), Fraction(1, 2))]
     return (vals, tally.count, repr(tally.worst), tally.witnesses,
             tally.coverage.vdist, tally.coverage.gaps)
@@ -221,7 +222,7 @@ def test_iwasawa_of_draws_and_probes_is_the_ideal_elements_to_1e_13(preset):
     within 1e-13 of the 60-digit H of the ideal element a exp(Y) with the
     float t.  The probes at a Weyl vertex give that vertex exactly."""
     rz = realization(preset)
-    a_log = tuple(Fraction(c) for c in _DEFAULT_A_LOG[preset])
+    a_log = ex.exact(Fraction(c) for c in _DEFAULT_A_LOG[preset])
     radii = (4.0, 12.0, 20.0)
     for P in {rz.base_parabolic, all_positive_systems(rz.datum)[-1]}:
         parts = [(a_log, sample_H(rz, r, 10, seed=(94, k)))

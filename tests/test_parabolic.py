@@ -12,6 +12,7 @@ from orbitcone.parabolic import (PositiveSystem, all_positive_systems,
                                  is_h_extreme, is_q_extreme, reflect_system,
                                  sigma_classification)
 
+import reference as fx
 from reference import weyl_group
 
 SYSTEM_COUNTS = {"kostant_sl2": 2, "sl2_so11": 2, "sl3_so21": 6, "group_sl2": 4}
@@ -59,7 +60,7 @@ def test_a_positive_system_is_its_positive_roots(rz_sl3):
     assert P is not base and P.chamber_vector != base.chamber_vector
     assert P == base and hash(P) == hash(base)
     assert P.perm == base.perm
-    a_log = (Fraction(2), Fraction(1), Fraction(-3))
+    a_log = ex.exact((Fraction(2), Fraction(1), Fraction(-3)))
     for w in rz_sl3.small_weyl:
         a_w = critical.weyl_image(rz_sl3, a_log, w)
         assert critical._WeylPoint(rz_sl3, P, a_w) \
@@ -72,15 +73,15 @@ def test_a_positive_system_is_its_positive_roots(rz_sl3):
 
 def _moved(alpha, p):
     """The root e_p[i] - e_p[j] for alpha = e_i - e_j."""
-    out = [Fraction(0)] * len(p)
-    for i, c in enumerate(alpha):
+    out = [0] * len(p)
+    for i, c in enumerate(alpha.num):
         out[p[i]] = c
-    return tuple(out)
+    return ex.Exact(tuple(out), alpha.den)
 
 
 def test_the_permutation_of_each_positive_system_is_pinned(rz):
     d, n = rz.datum, rz.dim
-    assert {"".join(str(c) for c in P.chamber_vector): P.perm
+    assert {"".join(str(c) for c in fx.vec(P.chamber_vector)): P.perm
             for P in all_positive_systems(d)} == PERMS[rz.name]
     assert rz.base_parabolic.perm == tuple(range(n))
     keeping = [p for p in itertools.permutations(range(n))
@@ -118,8 +119,7 @@ def test_opposite_and_simple_roots(rz_sl3):
     assert Pb.positive == P.negative
     assert Pb.negative == P.positive
     simples = P.simple_roots()
-    assert simples == frozenset({(Fraction(1), Fraction(-1), Fraction(0)),
-                                 (Fraction(0), Fraction(1), Fraction(-1))})
+    assert simples == frozenset({ex.exact((1, -1, 0)), ex.exact((0, 1, -1))})
 
 
 def test_classification_partition(rz):
@@ -158,9 +158,7 @@ def test_plus_minus_membership_rules(rz):
 def test_known_sl3_sets(rz_sl3):
     P = rz_sl3.base_parabolic
     cls = sigma_classification(P)
-    a12 = (Fraction(1), Fraction(-1), Fraction(0))
-    a13 = (Fraction(1), Fraction(0), Fraction(-1))
-    a23 = (Fraction(0), Fraction(1), Fraction(-1))
+    a12, a13, a23 = map(ex.exact, [(1, -1, 0), (1, 0, -1), (0, 1, -1)])
     assert cls.sigma_part == frozenset()
     assert cls.sigmatheta_part == frozenset({a12, a13, a23})
     plus, minus = cls.plus_part, cls.minus_part

@@ -19,6 +19,7 @@ from orbitcone.rootsys import ZeroRoot, coroot, weyl_orbit
 
 from oracle_cones import oracle_pointed, oracle_proper, random_cones
 from paper_claims import NotQExtreme, feasible, proper_on_cone, upsilon_cone
+import reference as fx
 from reference import _eliminate, _lift, contains, lp_project
 
 
@@ -26,11 +27,13 @@ from reference import _eliminate, _lift, contains, lp_project
 
 def lp_member(vertices, generators, x) -> bool:
     """Exact LP route: x = V^T lambda + G^T mu, sum lambda = 1, lambda, mu >= 0."""
-    cols = list(vertices) + [g for g in generators if not ex.is_zero(g)]
+    x = fx.vec(x)
+    cols = [fx.vec(c) for c in list(vertices)
+            + [g for g in generators if not fx.is_zero(g)]]
     A = [tuple(c[i] for c in cols) for i in range(len(x))]
     A.append(tuple([Fraction(1)] * len(vertices)
                    + [Fraction(0)] * (len(cols) - len(vertices))))
-    return feasible(tuple(A), tuple(ex.vec(x)) + (Fraction(1),))
+    return feasible(tuple(A), x + (Fraction(1),))
 
 
 def contains_lp_float(obj: Polyhedron, x, tol: float = 1e-7) -> bool:
@@ -38,8 +41,8 @@ def contains_lp_float(obj: Polyhedron, x, tol: float = 1e-7) -> bool:
     infinity-norm residual budget, via scipy."""
     from scipy.optimize import linprog
     x = np.asarray(x, dtype=float)
-    V = np.array([[float(c) for c in v] for v in obj.vertices])
-    G = [g for g in obj.generators if not ex.is_zero(g)]
+    V = np.array([[float(c) for c in fx.vec(v)] for v in obj.vertices])
+    G = [fx.vec(g) for g in obj.generators if not fx.is_zero(g)]
     G = np.array([[float(c) for c in g] for g in G]) if G else np.zeros((0, len(x)))
     n = len(x)
     nv, ng = len(V), len(G)
@@ -69,7 +72,7 @@ def contains_lp_float(obj: Polyhedron, x, tol: float = 1e-7) -> bool:
 def cone_hrep_reference(c: Polyhedron) -> list:
     """LP-pass rows of the cone c projected from its own lift
     {(x, nu) : x = G^T nu, nu >= 0}, with no vertex variable."""
-    gens = [g for g in c.generators if not ex.is_zero(g)]
+    gens = [fx.vec(g) for g in c.generators if not fx.is_zero(g)]
     n, m = c.ambient, len(gens)
     eqs = [([Fraction(int(j == i)) for j in range(n)] + [-g[i] for g in gens],
             Fraction(0)) for i in range(n)]
@@ -119,8 +122,8 @@ def test_predicates_match_oracle():
         if want:
             assert cert is not None
             for g in c.generators:
-                if not ex.is_zero(g):
-                    assert ex.dot(cert, g) > 0
+                if not fx.is_zero(g):
+                    assert fx.dot(cert, g) > 0
         else:
             assert cert is None
 
@@ -142,11 +145,11 @@ def test_coroot_normalization():
                  for i in range(3))
     alpha = (Fraction(1), Fraction(0), Fraction(-1))
     h_alpha = coroot(alpha, gram)
-    assert ex.dot(alpha, h_alpha) == 2
-    for v in ex.nullspace([alpha]):
-        assert ex.dot(h_alpha, ex.mat_vec(gram, v)) == 0
+    assert fx.dot(alpha, h_alpha) == 2
+    for v in ex.nullspace([ex.exact(alpha).num]):
+        assert fx.dot(h_alpha, fx.mat_vec(gram, v)) == 0
     with pytest.raises(ZeroRoot):
-        coroot(ex.zeros(3), gram)
+        coroot(fx.zeros(3), gram)
 
 
 def test_cone_membership_exact_vs_float():
@@ -161,7 +164,7 @@ def test_cone_membership_exact_vs_float():
 
 def test_empty_cone_is_origin():
     c = cone((), 3)
-    assert c.contains_exact(ex.zeros(3))
+    assert c.contains_exact(fx.zeros(3))
     assert not c.contains_exact((Fraction(1), Fraction(0), Fraction(0)))
     assert pointedness_certificate(c) == ex.zeros(3)
 
@@ -171,14 +174,14 @@ def test_random_cone_hrep_agrees_with_lp():
     rng = random.Random(17)
     for c in random_cones(12, seed=6):
         n = c.ambient
-        origin = (ex.zeros(n),)
+        origin = (fx.zeros(n),)
         for _ in range(8):
             x = tuple(Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                       for _ in range(n))
             assert c.contains_exact(x) == lp_member(origin, c.generators, x)
-        combo = ex.zeros(n)
+        combo = fx.zeros(n)
         for g in c.generators:
-            combo = ex.add(combo, ex.scale(Fraction(rng.randint(0, 3)), g))
+            combo = fx.add(combo, fx.scale(Fraction(rng.randint(0, 3)), g))
         assert c.contains_exact(combo)
         assert lp_member(origin, c.generators, combo)
 
@@ -192,10 +195,10 @@ def test_cone_hrep_is_the_vertex_zero_hrep(rz):
     cones = ([gamma_cone(P) for P in systems]
              + [gk_cone(P, Q) for P in systems for Q in systems]
              + [cone((), rz.dim)])
-    origin = (ex.zeros(rz.dim),)
+    origin = (fx.zeros(rz.dim),)
     for c in cones:
         assert Polyhedron(origin, c.generators).hrep == c.hrep
-        assert _within_hull(c.hrep, origin, c.generators) == _lp_pass_within_hull(
+        assert _within_hull(fx.hrep_pairs(c.hrep), origin, c.generators) == _lp_pass_within_hull(
             cone_hrep_reference(c), origin, c.generators)
 
 
@@ -203,8 +206,8 @@ def test_cone_hrep_is_the_vertex_zero_hrep(rz):
 
 def _is_equality(row, V, G) -> bool:
     a, r = row
-    return (all(ex.dot(a, v) == r for v in V)
-            and all(ex.dot(a, g) == 0 for g in G))
+    return (all(fx.dot(a, v) == r for v in V)
+            and all(fx.dot(a, g) == 0 for g in G))
 
 
 def _within_hull(rows, V, G):
@@ -212,7 +215,7 @@ def _within_hull(rows, V, G):
     vectors (a, r), the other rows in order): rows of conv(V) + cone(G)
     compared with their equalities up to span."""
     eqs = [tuple(a) + (r,) for a, r in rows if _is_equality((a, r), V, G)]
-    return ex.rref(eqs)[0], [row for row in rows if not _is_equality(row, V, G)]
+    return fx.rref_fraction(eqs)[0], [row for row in rows if not _is_equality(row, V, G)]
 
 
 def _lp_pass_within_hull(rows, V, G):
@@ -222,22 +225,23 @@ def _lp_pass_within_hull(rows, V, G):
     sorted.  A full-dimensional set keeps its rows as they are."""
     eqs, facets = _within_hull(rows, V, G)
     B = [e[:-1] for e in eqs]
-    gram_inv = ex.mat_inv(tuple(tuple(ex.dot(b, c) for c in B) for b in B))
+    gram_inv = fx.mat_inv_fraction(tuple(tuple(fx.dot(b, c) for c in B) for b in B))
     mapped = set()
     for a, r in facets:
-        coef = ex.mat_vec(gram_inv, tuple(ex.dot(b, a) for b in B))
-        row = ex.unit_lead(ex.sub(tuple(a) + (r,),
-                                  ex.combination(coef, eqs, len(a) + 1)))
+        coef = fx.mat_vec(gram_inv, tuple(fx.dot(b, a) for b in B))
+        row = fx.unit_lead(fx.sub(tuple(a) + (r,),
+                                  fx.combination(coef, eqs, len(a) + 1)))
         mapped.add((row[:-1], row[-1]))
     return eqs, sorted(mapped)
 
 
 def _same_as_lp_pass(V, G):
     # zero generators reach the enumeration; the LP pass gets them filtered
-    V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G]
-    nonzero = [g for g in G if not ex.is_zero(g)]
+    V, G = [fx.vec(v) for v in V], [fx.vec(g) for g in G]
+    nonzero = [g for g in G if not fx.is_zero(g)]
     want = _lp_pass_within_hull(lp_project(*_lift(V, nonzero), len(V[0])), V, G)
-    return _within_hull(project_polyhedron(V, G), V, G) == want
+    got = project_polyhedron(list(map(ex.exact, V)), list(map(ex.exact, G)))
+    return _within_hull(fx.hrep_pairs(got), V, G) == want
 
 
 def _hulls_plus_cones(count, seed):
@@ -274,7 +278,7 @@ def test_facets_match_the_lp_pass_on_the_presets(rz, monkeypatch):
     run(cfg)
     monkeypatch.undo()
     a = cfg.a_log_exact()
-    origin = (ex.zeros(rz.dim),)
+    origin = (fx.zeros(rz.dim),)
     for P in all_positive_systems(rz.datum):
         om = omega(weyl_orbit(rz.small_weyl, a), gamma_cone(P))
         sets += [(origin, om.generators), (om.vertices, om.generators)]
@@ -286,7 +290,7 @@ def test_facets_match_the_lp_pass_on_the_presets(rz, monkeypatch):
 def test_facets_match_the_lp_pass_on_random_sets():
     # random cones, and random hulls plus cones, a third of them lower-dimensional
     for c in random_cones(75, seed=11):
-        assert _same_as_lp_pass((ex.zeros(c.ambient),), c.generators)
+        assert _same_as_lp_pass((fx.zeros(c.ambient),), c.generators)
     for V, G in _hulls_plus_cones(150, seed=12):
         assert _same_as_lp_pass(V, G), (V, G)
 
@@ -306,8 +310,9 @@ def test_facets_match_the_lp_pass_on_edge_sets():
         ([(0, 1, 2)], (), None),
     ]
     for V, G, rows in cases:
-        V, G = [ex.vec(v) for v in V], [ex.vec(g) for g in G]
-        got = project_polyhedron(V, G)
+        V, G = [fx.vec(v) for v in V], [fx.vec(g) for g in G]
+        got = fx.hrep_pairs(project_polyhedron(list(map(ex.exact, V)),
+                                               list(map(ex.exact, G))))
         assert rows is None or got == rows, (V, G, got)
         assert _same_as_lp_pass(V, G), (V, G)
         if len(V) == 1 and not G:
@@ -324,11 +329,11 @@ def test_a_polyhedron_needs_a_vertex():
 def test_facets_of_a_set_with_346_eliminated_rows():
     # 5 vertices and 3 rays in Q^3 leave 346 Fourier-Motzkin rows, too many
     # for the LP pass; 9 of them are facets
-    V = [ex.vec(v) for v in ((-2, -2, 0), (1, 3, 0), (-3, -2, 3), (2, 2, -1),
+    V = [fx.vec(v) for v in ((-2, -2, 0), (1, 3, 0), (-3, -2, 3), (2, 2, -1),
                              (-2, 1, 2))]
-    G = [ex.vec(g) for g in ((-2, 3, -3), (-3, -1, -1), (2, -3, -1))]
+    G = [fx.vec(g) for g in ((-2, 3, -3), (-3, -1, -1), (2, -3, -1))]
     assert len(_eliminate(*_lift(V, G), 3)) == 346
-    hrep = project_polyhedron(V, G)
+    hrep = project_polyhedron(list(map(ex.exact, V)), list(map(ex.exact, G)))
     assert len(hrep) == 9
     s = Polyhedron(V, G)
     assert s.hrep == tuple(hrep)
@@ -339,7 +344,7 @@ def test_facets_of_a_set_with_346_eliminated_rows():
         assert s.contains_exact(x) == lp_member(V, G, x)
     for v in V:
         for g in G:
-            assert s.contains_exact(ex.add(v, ex.scale(Fraction(1, 2), g)))
+            assert s.contains_exact(fx.add(v, fx.scale(Fraction(1, 2), g)))
 
 
 def test_slack_is_euclidean_distance():
@@ -363,19 +368,19 @@ def test_slack_is_the_distance_within_the_affine_hull(preset, a_log):
     # at tol 0.9 delta records it; the relative interior point is the mean
     # of the facet's vertices plus the sum of its generators
     rz = realization(preset)
-    om = omega(weyl_orbit(rz.small_weyl, ex.vec(a_log)),
+    om = omega(weyl_orbit(rz.small_weyl, fx.vec(a_log)),
                gamma_cone(rz.base_parabolic))
     delta = 1e-7
-    facets = [row for row in om.hrep
+    facets = [row for row in fx.hrep_pairs(om.hrep)
               if not _is_equality(row, om.vertices, om.generators)]
     assert len(om.hrep) > len(facets) > 0
     for a, r in facets:
-        tight = [v for v in om.vertices if ex.dot(a, v) == r]
-        inner = ex.scale(Fraction(1, len(tight)),
-                         ex.combination([1] * len(tight), tight, rz.dim))
+        tight = [v for v in om.vertices if fx.dot(a, v) == r]
+        inner = fx.scale(Fraction(1, len(tight)),
+                         fx.combination([1] * len(tight), tight, rz.dim))
         for g in om.generators:
-            if ex.dot(a, g) == 0:
-                inner = ex.add(inner, g)
+            if fx.dot(a, g) == 0:
+                inner = fx.add(inner, g)
         unit = np.array([float(c) for c in a])
         unit /= np.linalg.norm(unit)
         x = np.array([float(c) for c in inner]) - delta * unit
@@ -394,13 +399,13 @@ def test_polyhedral_set_membership(rz_sl3):
     for v in om.vertices:
         assert contains(om, v, tol=0)
         for g in om.generators:
-            shifted = ex.add(v, ex.scale(Fraction(3), g))
+            shifted = fx.add(v, fx.scale(Fraction(3), g))
             assert contains(om, shifted, tol=0)
             assert contains_lp_float(om, [float(x) for x in shifted])
-    mid = ex.scale(Fraction(1, 2), ex.add(om.vertices[0], om.vertices[1]))
+    mid = fx.scale(Fraction(1, 2), fx.add(om.vertices[0], om.vertices[1]))
     assert contains(om, mid, tol=0)
     # moving against the cone direction exits the set
-    up = ex.add(mid, (Fraction(0), Fraction(0), Fraction(10)))
+    up = fx.add(mid, (Fraction(0), Fraction(0), Fraction(10)))
     assert not contains(om, up, tol=0)
     assert not contains_lp_float(om, [float(x) for x in up])
     # the H-representation against the exact LP on the V-representation
@@ -408,7 +413,7 @@ def test_polyhedral_set_membership(rz_sl3):
     for _ in range(20):
         x = tuple(Fraction(rng.randint(-12, 12), rng.randint(1, 2))
                   for _ in range(3))
-        x = rz_sl3.datum.pr_q(x) if rng.random() < 0.5 else x
+        x = rz_sl3.datum.pr_q(ex.exact(x)) if rng.random() < 0.5 else x
         assert om.contains_exact(x) == lp_member(om.vertices, om.generators, x)
 
 
@@ -476,7 +481,7 @@ def test_coroot_inverts_each_gram_matrix_once(monkeypatch):
     mat_inv = ex.mat_inv
     monkeypatch.setattr(ex, "mat_inv", lambda m: calls.append(m) or mat_inv(m))
     datum = realization("sl3_so21").datum
-    as_lists = [list(row) for row in datum.gram]
+    as_lists = [list(row) for row in fx.mat(datum.gram)]
     for alpha in sorted(datum.roots):
         assert coroot(alpha, as_lists) == coroot(alpha, datum.gram)
     assert calls == [datum.gram]

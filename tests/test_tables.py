@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from orbitcone import critical, harness, matrixgrp, polyhedra, rootsys
+from orbitcone import exactlin as ex
 from orbitcone.harness import _DEFAULT_A_LOG, VerificationConfig, run
 from orbitcone.matrixgrp import NotCubic, realization, root_matrix
 from orbitcone.parabolic import all_positive_systems
@@ -81,7 +82,7 @@ def test_every_table_and_hrep_equals_its_oracle(built):
     # every preset's spans, wedge^k of each, and H-reps in dimensions 2-4
     assert {shape[-1] for shape, _ in built["span"]} >= {2, 3, 4, 6}
     assert {len(J) for *_, J in built["wedge"]} == {1, 2, 3}
-    assert {len(V[0]) for V, _ in built["hrep"]} == {2, 3, 4}
+    assert {len(V[0].num) for V, _ in built["hrep"]} == {2, 3, 4}
     for shape, data in built["span"]:
         got = SPAN_FORM(shape, data)
         want = reference.span_form_sym(np.frombuffer(data).reshape(shape))
@@ -94,7 +95,7 @@ def test_every_table_and_hrep_equals_its_oracle(built):
         # same order, of the same types
         assert repr(got) == repr(want), (shape, J)
     for V, G in built["hrep"]:
-        assert polyhedra.project_polyhedron(V, G) \
+        assert reference.hrep_pairs(polyhedra.project_polyhedron(V, G)) \
             == reference.project_polyhedron_nullspace(V, G), (V, G)
 
 
@@ -103,9 +104,9 @@ def _cubic_bases(rng):
     nilpotent spans of root matrices, sl2 triples, each in a random
     unimodular change of basis and conjugated by a random permutation."""
     spans = [np.stack(realization(p).h_basis) for p in PRESETS]
-    spans += [np.stack([root_matrix(3, (1, -1, 0)), root_matrix(3, (0, 1, -1))]),
-              np.stack([root_matrix(4, (1, 0, -1, 0)),
-                        root_matrix(4, (0, 1, 0, -1))]),
+    spans += [np.stack([root_matrix(3, ex.exact(a)) for a in ((1, -1, 0), (0, 1, -1))]),
+              np.stack([root_matrix(4, ex.exact(a))
+                        for a in ((1, 0, -1, 0), (0, 1, 0, -1))]),
               sl2_triple(2), sl2_triple(3)]
     for B in spans:
         k, n = len(B), B.shape[-1]

@@ -141,6 +141,59 @@ def test_the_scan_finds_a_private_import():
     assert _private_imports(tree) == ["line 3: _a", "line 4: _e", "line 5: _g"]
 
 
+# Where the package may name Fraction: where a config value is parsed, and
+# the simplex tableau, which holds its rationals as Fractions between entry
+# and exit.  Every other exact object is an exactlin.Exact.
+FRACTION_READERS = {
+    "harness": {"<import>", "_rat_tuple", "VerificationConfig.a_log_exact",
+                "VerificationConfig.positive_system"},
+    "exactlin": {"<import>", "_rationals", "lp_solve"},
+}
+
+
+def _fraction_reads(tree: ast.Module) -> list[str]:
+    """Where a module names Fraction, in order: '<import>' for an import of
+    it, the qualified name of each top-level function or method whose body
+    names it, and '<module>' for any other top-level statement that does."""
+    def names(node):
+        return any(isinstance(n, ast.Name) and n.id == "Fraction"
+                   or isinstance(n, ast.Attribute) and n.attr == "Fraction"
+                   for n in ast.walk(node))
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if any(a.name.split(".")[-1] == "Fraction" for a in node.names):
+                out.append("<import>")
+        elif isinstance(node, ast.FunctionDef):
+            out += [node.name] if names(node) else []
+        elif isinstance(node, ast.ClassDef):
+            out += [f"{node.name}.{item.name}" for item in node.body
+                    if isinstance(item, ast.FunctionDef) and names(item)]
+            if any(names(item) for item in node.body
+                   if not isinstance(item, ast.FunctionDef)):
+                out.append("<module>")
+        elif names(node):
+            out.append("<module>")
+    return out
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_fraction_only_where_config_is_parsed_and_in_the_simplex(path):
+    reads = _fraction_reads(ast.parse(path.read_text()))
+    assert set(reads) <= FRACTION_READERS.get(path.stem, set()), reads
+
+
+def test_the_scan_finds_a_fraction():
+    tree = ast.parse("from fractions import Fraction\nimport fractions\n\n\n"
+                     "def f(x):\n    return Fraction(x)\n\n\n"
+                     "def g(x):\n    return x\n\n\n"
+                     "class C:\n    one = fractions.Fraction(1)\n\n"
+                     "    def h(self):\n        return [Fraction(2)]\n\n\n"
+                     "k = {Fraction: 3}\n")
+    assert _fraction_reads(tree) == ["<import>", "f", "C.h", "<module>",
+                                     "<module>"]
+
+
 def _defaulted_p(tree: ast.Module) -> list[str]:
     """Functions with a parameter named P that has a default."""
     out = []
