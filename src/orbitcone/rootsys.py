@@ -224,9 +224,9 @@ def _gram_inverse(gram: Exact) -> Exact:
     return ex.mat_inv(gram)
 
 
-def reflection_matrix(alpha, gram) -> Exact:
+def reflection_matrix(alpha: Root, gram: Exact) -> Exact:
     """s_alpha on a: H -> H - alpha(H) H_alpha."""
-    alpha, h = ex.exact(alpha), coroot(alpha, gram)
+    h = coroot(alpha, gram)
     return _with_identity(Exact(tuple(tuple(x * y for y in alpha.num) for x in h.num),
                                 h.den * alpha.den), -1, 1)
 
