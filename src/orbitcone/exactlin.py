@@ -74,6 +74,14 @@ def common(xs: Sequence[Exact]) -> tuple[list[tuple[int, ...]], int]:
     return [_scaled(x.num, d // x.den) for x in xs], d
 
 
+def ordered(xs: Iterable[Exact]) -> list[Exact]:
+    """sorted(xs), keyed once by the integer rows over the common
+    denominator: no products per comparison, as in Exact.__lt__."""
+    xs = list(xs)
+    keys = common(xs)[0]
+    return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
+
+
 def floats(x: Exact) -> np.ndarray:
     # the true division of Python ints rounds correctly
     return (np.array(x.num, dtype=object) / x.den).astype(float)

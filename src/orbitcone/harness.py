@@ -71,7 +71,8 @@ VERTEX_TOL, GAP_TOL = 1e-2, 0.05
 MAX_WITNESSES = 10
 MIN_DISPLACEMENT = 0.5
 
-# a Draw's rows per _judge chunk: _Coverage.update costs per call and vertex
+# a Draw's rows per _judge chunk: an unsettled _Coverage.update costs per
+# call and vertex; a settled one, as main's probes leave it, returns at once
 CHUNK = 4 * BLOCK
 
 
@@ -297,7 +298,9 @@ class _Coverage:
     points, so that every reduction runs along the points.  The nearest
     vertex is kept by a running strict <, so the first of equally near
     vertices wins, as in np.argmin.  Each generator takes one arccos, of its
-    largest cosine: arccos decreases."""
+    largest cosine: arccos decreases.  vdist and gaps are running minima of
+    numbers >= 0, so once every entry reads 0 no row can move them, and
+    update returns at once; NaN never reads 0."""
 
     def __init__(self, verts: np.ndarray, gens: np.ndarray):
         self.verts = verts
@@ -306,6 +309,8 @@ class _Coverage:
         self.gaps = np.full(len(gens), np.inf)
 
     def update(self, vals: np.ndarray) -> None:
+        if not (self.vdist.any() or self.gaps.any()):
+            return
         rows = vals.T.copy()
         dist, tmp = np.empty(len(vals)), np.empty(len(vals))
         near = np.full(len(vals), np.inf)
@@ -637,9 +642,6 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
         for qi, Q in enumerate(systems):
             support = sorted(Q.positive & P.negative)
             cone = gk_cone(P, Q)
-            gens = _float_rows(cone.generators, rz.dim)
-            # generator gaps are measured from the cone's single vertex 0
-            tally.coverage = _Coverage(origin, gens)
             if not support:
                 tally.feed(cone, origin)        # H(1) = 0 exactly
                 continue
@@ -651,8 +653,13 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             probes = np.kron(np.eye(len(basis)), s[:, None])
             vals = iwasawa(rz, replace(draw, t=np.vstack([probes, draw.t])), P)
             tally.feed(cone, vals)
-            if len(gens) and tally.coverage.gaps.max() > GAP_TOL:
-                gap_fail += 1
+            # gaps, from the cone's single vertex 0, only shrink: the draw is
+            # read only for a gap that the probes leave above GAP_TOL
+            cover = _Coverage(origin, _float_rows(cone.generators, rz.dim))
+            for rows in np.split(vals, [len(probes)]):
+                if cover.gaps.max(initial=0.0) > GAP_TOL:
+                    cover.update(rows)
+            gap_fail += bool(cover.gaps.max(initial=0.0) > GAP_TOL)
             err = vals[:len(probes)] - np.vstack([want[a] for a in support])
             closed_dev = max(closed_dev, float(np.abs(err).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,

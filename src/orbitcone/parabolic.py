@@ -67,8 +67,9 @@ class PositiveSystem:
             if ex.neg(alpha) in self.positive:
                 raise ValueError("positive set contains an opposite pair")
 
-    @property
+    @cached_property
     def negative(self) -> frozenset[Root]:
+        """-Sigma(P), computed once."""
         return frozenset(ex.neg(a) for a in self.positive)
 
     @cached_property

@@ -32,9 +32,13 @@ from reference import (coverage_update_dense, draw_elements,
                        sample_span_dense, slack_dense)
 
 
+def _main_a_log(rz):
+    return ex.exact(Fraction(c) for c in _DEFAULT_A_LOG[rz.name])
+
+
 def _main_omega(rz):
-    a_log = ex.exact(Fraction(c) for c in _DEFAULT_A_LOG[rz.name])
-    return omega(weyl_orbit(rz.small_weyl, a_log), gamma_cone(rz.base_parabolic))
+    return omega(weyl_orbit(rz.small_weyl, _main_a_log(rz)),
+                 gamma_cone(rz.base_parabolic))
 
 
 def _main_points(rz, count: int, seed: int) -> np.ndarray:
@@ -101,6 +105,15 @@ def test_coverage_update_equals_the_dense_form(rz):
         for vals in (near_vertices[:7], _main_points(rz, 400, seed=64),
                      near_vertices):
             _feed_both(cover, dense, vals)
+    # main's probes put a point on every vertex and one on every generator
+    # ray from a vertex: every distance and gap reads 0, and stays 0
+    P = rz.base_parabolic
+    probes = _judge(rz, P, Tally(1e-7), om,
+                    _h_probes(rz, P, (1.0, 4.0), _main_a_log(rz)))
+    cover, dense = _both(verts, gens)
+    for vals in (probes, near_vertices, _main_points(rz, 400, seed=64)):
+        _feed_both(cover, dense, vals)
+        assert not (cover.vdist.any() or cover.gaps.any())
 
 
 @pytest.mark.parametrize("order", [1, -1])
@@ -126,6 +139,80 @@ def test_coverage_keeps_displacements_of_exactly_min_displacement():
     _feed_both(cover, dense, vals)
     assert list(cover.gaps) == [0.0, np.pi / 2]
     assert list(cover.vdist) == [np.nextafter(h, 0.0)]
+
+
+class _Watched(np.ndarray):
+    """Rows handed to _Coverage.update: counts every ufunc run on them, and
+    runs it on plain views."""
+    ufuncs = 0
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kw):
+        _Watched.ufuncs += 1
+
+        def plain(xs):
+            return tuple(x.view(np.ndarray) if isinstance(x, _Watched) else x
+                         for x in xs)
+        if out is not None:
+            kw["out"] = plain(out)
+        return getattr(ufunc, method)(*plain(inputs), **kw)
+
+
+@pytest.mark.parametrize("seed", [0, 5])
+def test_no_drawn_row_of_main_reaches_a_settled_coverage(monkeypatch, rz,
+                                                         seed):
+    """At each preset's default base point main's probes settle the
+    coverage, every distance and gap at 0, and update then computes
+    nothing: only probe rows reach a ufunc in it."""
+    reached = []
+    update = _Coverage.update
+
+    def watched(cover, vals):
+        before = _Watched.ufuncs
+        update(cover, vals.view(_Watched))
+        if _Watched.ufuncs > before:
+            reached.append(len(vals))
+
+    monkeypatch.setattr(_Coverage, "update", watched)
+    cfg = harness.VerificationConfig(preset=rz.name, seed=seed)
+    P = rz.base_parabolic
+    r = harness._check_main(rz, P, cfg)
+    probes = sum(len(draw) for _, draw in
+                 _h_probes(rz, P, cfg.radii, cfg.a_log_exact()))
+    assert r.count == probes + len(cfg.radii) * cfg.samples
+    assert 0 < sum(reached) <= probes
+    assert not (any(r.vertex_distances) or any(r.generator_gaps))
+
+
+@pytest.mark.parametrize("gap_tol", [None, 1e-12], ids=["default", "1e-12"])
+def test_gk_gap_failures_equal_the_dense_count_over_every_row(monkeypatch, rz,
+                                                             gap_tol):
+    """gk reads a pair's draw only for a gap that its probes leave above
+    GAP_TOL.  generator_gap_failures and the verdict equal a count of the
+    dense form over every row of each pair.  At GAP_TOL 1e-12 the probes,
+    whose gaps reach 1.49e-8, leave gaps open and the draws are read."""
+    if gap_tol is not None:
+        monkeypatch.setattr(harness, "GAP_TOL", gap_tol)
+    fed, updates = [], []
+    feed, update = Tally.feed, _Coverage.update
+    monkeypatch.setattr(Tally, "feed", lambda tally, region, vals: fed.append(
+        (region, vals.copy())) or feed(tally, region, vals))
+    monkeypatch.setattr(_Coverage, "update", lambda cover, vals: updates.append(
+        len(vals)) or update(cover, vals))
+    r = harness._check_gk(rz, rz.base_parabolic, harness.VerificationConfig(
+        preset=rz.name, checks=frozenset({"gk"})))
+    assert len(fed) == r.detail["pairs"]
+    fails = 0
+    for cone, vals in fed:
+        dense = _Coverage(np.zeros((1, rz.dim)),
+                          _float_rows(cone.generators, rz.dim))
+        coverage_update_dense(dense, vals)
+        fails += bool(dense.gaps.max(initial=0.0) > harness.GAP_TOL)
+    assert r.detail["generator_gap_failures"] == fails
+    assert r.passed == (fails == 0 and not r.witnesses
+                        and r.detail["closed_form_deviation"] <= 1e-12)
+    # a pair with a support feeds its probes and draw; one without, H(1)
+    supported = sum(len(vals) > 1 for _, vals in fed)
+    assert len(updates) == supported * (1 if gap_tol is None else 2)
 
 
 # --- the draws of sample_span ------------------------------------------------
