@@ -50,6 +50,8 @@ class Exact:
         return hash((self.num, self.den))
 
     def __lt__(self, other: Exact) -> bool:
+        if self.den == other.den:       # no products: the rows compare as they are
+            return self.num < other.num
         return _scaled(self.num, other.den) < _scaled(other.num, self.den)
 
 
@@ -72,14 +74,6 @@ def common(xs: Sequence[Exact]) -> tuple[list[tuple[int, ...]], int]:
     least common denominator d."""
     d = math.lcm(*(x.den for x in xs))
     return [_scaled(x.num, d // x.den) for x in xs], d
-
-
-def ordered(xs: Iterable[Exact]) -> list[Exact]:
-    """sorted(xs), keyed once by the integer rows over the common
-    denominator: no products per comparison, as in Exact.__lt__."""
-    xs = list(xs)
-    keys = common(xs)[0]
-    return [xs[i] for i in sorted(range(len(xs)), key=keys.__getitem__)]
 
 
 def floats(x: Exact) -> np.ndarray:

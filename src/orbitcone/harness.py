@@ -656,10 +656,10 @@ def _check_gk(rz: Realization, _: PositiveSystem, cfg: VerificationConfig
             # gaps, from the cone's single vertex 0, only shrink: the draw is
             # read only for a gap that the probes leave above GAP_TOL
             cover = _Coverage(origin, _float_rows(cone.generators, rz.dim))
-            for rows in np.split(vals, [len(probes)]):
-                if cover.gaps.max(initial=0.0) > GAP_TOL:
-                    cover.update(rows)
-            gap_fail += bool(cover.gaps.max(initial=0.0) > GAP_TOL)
+            cover.update(vals[:len(probes)])
+            if cover.gaps.max() > GAP_TOL:
+                cover.update(vals[len(probes):])
+                gap_fail += bool(cover.gaps.max() > GAP_TOL)
             err = vals[:len(probes)] - np.vstack([want[a] for a in support])
             closed_dev = max(closed_dev, float(np.abs(err).max()))
     return tally.result("gk", gap_fail == 0 and closed_dev <= 1e-12,

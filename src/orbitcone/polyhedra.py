@@ -70,7 +70,7 @@ def project_polyhedron(V: Sequence[Exact], G: Sequence[Exact]) -> list[Exact]:
                 rows[a] = ex.int_dot(a, vb)
     # a.x >= r / den is (den a, r) over the absolute value of its lead, the
     # lead of a != 0
-    return ex.ordered(Exact(row, abs(next(filter(None, row)))) for row in (
+    return sorted(Exact(row, abs(next(filter(None, row)))) for row in (
         tuple(den * x for x in a) + (r,) for a, r in rows.items()))
 
 
@@ -92,7 +92,7 @@ class Polyhedron:
     generators: tuple[Exact, ...] = ()
 
     def __post_init__(self):
-        vertices = tuple(ex.ordered(map(ex.exact, self.vertices)))
+        vertices = tuple(sorted(map(ex.exact, self.vertices)))
         if not vertices:
             raise ValueError("a polyhedron needs at least one vertex")
         object.__setattr__(self, "vertices", vertices)

@@ -48,6 +48,19 @@ def test_combination():
         ex.add(x, ex.exact([1, 2]))
 
 
+small = st.sampled_from([Fraction(k, d) for k in (-2, -1, 0, 1, 2) for d in (1, 2, 3)])
+
+
+@given(st.one_of(st.lists(st.tuples(small, small)), st.lists(vec_strat(3)),
+                 st.lists(mat_strat(2, 2))))
+def test_sorted_exacts_follow_the_fraction_order(xs):
+    # Exact.__lt__, on equal and on unequal denominators, orders by value
+    # entry by entry; sorted is stable, so equal values keep their places
+    exacts = [ex.exact(x) for x in xs]
+    assert (sorted(range(len(xs)), key=exacts.__getitem__)
+            == sorted(range(len(xs)), key=xs.__getitem__))
+
+
 def test_identity_and_mat_ops():
     i3 = ex.identity(3)
     m = ex.exact([[1, 2, 0], [0, 1, 0], [0, 0, 1]])
