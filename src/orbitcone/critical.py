@@ -35,8 +35,7 @@ from scipy.linalg import expm
 from . import exactlin as ex
 from .exactlin import Exact
 from .matrixgrp import (Draw, Realization, SingularInput, a_matrix,
-                        ek_projection, h_pq, root_matrix, sample_span,
-                        sample_unipotent)
+                        ek_projection, h_pq, root_matrix, sample_span)
 from .parabolic import PositiveSystem
 from .polyhedra import Polyhedron, gamma_aq, omega
 from .rootsys import weyl_orbit
@@ -439,11 +438,12 @@ def sample_H_X(rz: Realization, X, radius: float, count: int, seeds) -> Draw:
     return sample_span(_centralizer_basis(rz, X), radius, count, seeds)
 
 
-def sample_NPH(rz: Realization, P: PositiveSystem, radius: float, count: int,
-               seeds) -> Draw:
-    """Draw count unipotent elements fixed by the involution per seed."""
+def sample_NPH(rz: Realization, P: PositiveSystem, count: int) -> Draw:
+    """count rows n = 1 on the span of N_P fixed by the involution: as
+    H(g n) = H(g), iwasawa reads of a right factor n only its span, which
+    it checks lies in N_P."""
     basis = np.array(nph_basis(rz, P)).reshape(-1, rz.dim, rz.dim)
-    return sample_unipotent(basis, radius, count, seeds)
+    return Draw(np.zeros((count, len(basis))), basis)
 
 
 # --- vanishing patterns -----------------------------------------------------

@@ -7,16 +7,15 @@ Exacts order by value, entry by entry, and a float of one is n / d of ints,
 correctly rounded.  A direction (a basis vector of a subspace, a facet
 normal) is a primitive integer row.  ``rref`` and ``nullspace`` reduce
 integer rows fraction-free, by Bareiss elimination (Math. Comp. 22, 1968),
-and return primitive integer rows.  A small Bland-rule simplex decides
-{Ax = b, x >= 0}; its tableau holds rationals of the fractions module,
-made from the Exact rows on entry and read back on exit."""
+and return primitive integer rows.  ``lp_solve`` decides {Ax = b, x >= 0}
+by phase 1 of the simplex method on integer rows, updated fraction-free
+the same way."""
 from __future__ import annotations
 
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -127,8 +126,9 @@ def mat_mul(a: Exact, b: Exact) -> Exact:
 
 
 def limit_denominator(x, max_den: int) -> tuple[int, int]:
-    """(p, q) of Fraction(x).limit_denominator(max_den), x a float or a
-    rational: CPython's continued-fraction steps and tie rule on ints."""
+    """(p, q) that the fractions module's limit_denominator(max_den) gives
+    for x, a float or a rational: CPython's continued-fraction steps and
+    tie rule on ints."""
     n, d = x.as_integer_ratio()
     den, (p0, q0, p1, q1) = d, (0, 1, 1, 0)
     # with den <= max_den the expansion ends, at d = 0, on p1 / q1 = x
@@ -203,90 +203,50 @@ def mat_inv(m: Exact) -> Exact:
 
 # --- simplex ---------------------------------------------------------------
 
-OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+def lp_solve(A: Sequence[Exact], b: Exact) -> Exact | None:
+    """A point x >= 0 with A x = b for the rows A, or None when there is
+    none: phase 1 of the simplex method with Bland's rule (Math. Oper. Res.
+    2, 1977), on integer rows.
 
-
-def _pivot(T: list[list], r: int, c: int) -> None:
-    """One Gauss-Jordan step: scale row r to T[r][c] = 1 and clear column c
-    from every other row."""
-    inv = 1 / T[r][c]
-    T[r] = [x * inv for x in T[r]]
-    for i in range(len(T)):
-        if i != r and T[i][c] != 0:
-            f = T[i][c]
-            T[i] = [x - f * y for x, y in zip(T[i], T[r])]
-
-
-def _simplex_core(T: list[list], basis: list[int], ncols: int) -> str:
-    # maximizes the objective stored in the last tableau row; Bland's rule
-    while True:
-        obj = T[-1]
-        c = next((j for j in range(ncols) if obj[j] < 0), None)
-        if c is None:
-            return OPTIMAL
-        best, r = None, None
-        for i in range(len(T) - 1):
-            if T[i][c] > 0:
-                ratio = T[i][-1] / T[i][c]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
-                    best, r = ratio, i
-        if r is None:
-            return UNBOUNDED
-        _pivot(T, r, c)
-        basis[r] = c
-
-
-def _rationals(x: Exact) -> list:
-    return [Fraction(n, x.den) for n in x.num]
-
-
-def lp_solve(A: Iterable[Exact], b: Exact, c: Exact | None = None):
-    """max c.x subject to A x = b, x >= 0, exactly, for the rows A.
-
-    Returns (status, x, value); x is an Exact and value a rational of the
-    fractions module, both None when infeasible, and value is None when
-    unbounded.  Pass c=None for pure feasibility.
-    """
-    A = [_rationals(row) for row in A]
-    b = _rationals(b)
-    m, n = len(A), (len(A[0]) if A else (len(c.num) if c else 0))
-    for i in range(m):
-        if b[i] < 0:
-            A[i] = [-x for x in A[i]]
-            b[i] = -b[i]
-    # phase 1: maximize -sum(artificials); invariant: last row holds reduced
-    # costs and, in its final entry, the current objective value
-    T = [A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]] for i in range(m)]
-    obj = [0] * n + [1] * m + [0]
-    for i in range(m):
-        obj = [x - y for x, y in zip(obj, T[i])]
+    Row i is scaled by s_i = A_i.den b.den, and negated where b_i < 0, and
+    its artificial variable has the column e_i; the objective weighs that
+    artificial by L / s_i, L = lcm of the s_i, so that it is L times the sum
+    of the unscaled artificials.  Pivots update the tableau as rref does,
+    so every entry is D times its rational value, D > 0 the determinant of
+    the basis, and ratios compare by cross-multiplication."""
+    if not A:
+        return Exact(())
+    m, n = len(A), len(A[0].num)
+    T = []
+    for i, (row, b_i) in enumerate(zip(A, b.num)):
+        sign = -1 if b_i < 0 else 1
+        T.append([sign * b.den * a for a in row.num]
+                 + [int(j == i) for j in range(m)] + [sign * row.den * b_i])
+    L = math.lcm(*(r.den * b.den for r in A))
+    w = [L // (r.den * b.den) for r in A]
+    # reduced costs of the artificials' basis, its objective value last
+    obj = [-int_dot(w, col) for col in zip(*T)]
+    obj[n:n + m] = [0] * m
     T.append(obj)
-    basis = [n + i for i in range(m)]
-    _simplex_core(T, basis, n + m)
-    if T[-1][-1] != 0:
-        return INFEASIBLE, None, None
-    # drive artificials out of the basis where possible, then drop them
-    for i in range(m):
-        if basis[i] >= n:
-            cidx = next((j for j in range(n) if T[i][j] != 0), None)
-            if cidx is not None:
-                _pivot(T, i, cidx)
-                basis[i] = cidx
-    keep = [i for i in range(m) if basis[i] < n]
-    T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
-    basis = [basis[i] for i in keep]
-    status, value = OPTIMAL, 0
-    if c is not None:
-        # phase 2
-        obj = [-x for x in _rationals(c)] + [0]
-        for i, bi in enumerate(basis):
-            if obj[bi] != 0:
-                f = obj[bi]
-                obj = [x - f * y for x, y in zip(obj, T[i])]
-        T.append(obj)
-        status = _simplex_core(T, basis, n)
-        value = T[-1][-1] if status == OPTIMAL else None
+    basis, D = list(range(n, n + m)), 1
+    while (c := next((j for j in range(n + m) if T[-1][j] < 0),
+                     None)) is not None:
+        # the sum of the artificials is bounded below, so some row leaves
+        r = None
+        for i in range(m):
+            if T[i][c] > 0 and (r is None or (
+                    k := T[i][-1] * T[r][c] - T[r][-1] * T[i][c]) < 0
+                    or k == 0 and basis[i] < basis[r]):
+                r = i
+        prow, p = T[r], T[r][c]
+        T = [row if i == r else [(p * x - row[c] * y) // D
+                                 for x, y in zip(row, prow)]
+             for i, row in enumerate(T)]
+        basis[r], D = c, p
+    if T[-1][-1]:
+        return None
     x = [0] * n
-    for i, bi in enumerate(basis):
-        x[bi] = T[i][-1]
-    return status, exact(x), value
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = T[i][-1]
+    return Exact(tuple(x), D)

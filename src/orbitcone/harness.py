@@ -598,12 +598,11 @@ def _check_critical_image(rz: Realization, P: PositiveSystem,
         # preset U in h is 0 off the diagonal and the root positions, where
         # X_i - X_j = alpha(X), so S fixes it as it fixes Omega_X: one call.
         # Its rows run over (X, w, draw), and n in N_P is their right
-        # factor: H(g n) = H(g), so one stream draws every n
+        # factor: H(g n) = H(g), so every n is 1
         blocks = list(np.ndindex(len(wits), len(ws)))
         hxn = replace(sample_H_X(rz, wits[0], radius, n_per, [
             _stream(cfg, "critical_image", 1, pi, *d) for d in blocks]),
-            right=sample_NPH(rz, P, radius, n_per * len(blocks), [
-                _stream(cfg, "critical_image", 2, pi)]))
+            right=sample_NPH(rz, P, n_per * len(blocks)))
         # H(a x_w e^Y n) = H(a_w e^Y): each w judges its rows at a_w
         rows = np.arange(len(hxn)).reshape(len(wits), len(ws), n_per)
         for wi, (a_w, om) in enumerate(zip(a_ws, oms)):

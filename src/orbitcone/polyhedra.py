@@ -152,10 +152,10 @@ def pointedness_certificate(c: Polyhedron) -> Exact | None:
     # find xi with xi.g >= 1 for all g: feasibility of g.u - g.v - s_g = 1
     # for xi = u - v, with u, v and one surplus s_g per generator >= 0
     m = len(gens)
-    st, x, _ = ex.lp_solve([Exact(g.num + tuple(-a for a in g.num) + tuple(
+    x = ex.lp_solve([Exact(g.num + tuple(-a for a in g.num) + tuple(
         -g.den * (t == k) for t in range(m)), g.den) for k, g in enumerate(gens)],
-        Exact((1,) * m), None)
-    if st != ex.OPTIMAL:
+        Exact((1,) * m))
+    if x is None:
         return None
     xi = Exact(tuple(u - v for u, v in zip(x.num[:n], x.num[n:2 * n])), x.den)
     if not all(ex.int_dot(xi.num, g.num) > 0 for g in gens):

@@ -2,8 +2,10 @@
 reads: the properness of a projection on a cone, the restricted-coroot
 cone Upsilon(P), which equals Gamma(P) on q-extreme systems, and the
 factorization of N_P as N_+ (N_P intersect H) with its unipotent log and
-splitting element.  ``feasible`` is the exact LP feasibility they and the
-membership oracle of the tests rest on.  ``exp_nilpotent``, the finite
+splitting element.  ``feasible`` is the exact LP feasibility, by
+``exactlin.lp_solve``, that they and the membership oracle of the tests
+rest on; ``proper_on_cone`` optimises with the Fraction simplex of
+``reference``.  ``exp_nilpotent``, the finite
 exponential series, is the factorization's exponential; the tests hold
 ``reference.exp_span_dense`` on nilpotent spans to its bits."""
 import math
@@ -32,15 +34,9 @@ class NotUnipotent(ValueError):
     pass
 
 
-def _lp_solve(A: Sequence, b, c=None):
-    """exactlin.lp_solve of rows of rationals."""
-    return ex.lp_solve([ex.exact(row) for row in A], ex.exact(b),
-                       None if c is None else ex.exact(c))
-
-
 def feasible(A: Sequence, b) -> bool:
-    """Exact feasibility of {A x = b, x >= 0}."""
-    return _lp_solve(A, b)[0] == ex.OPTIMAL
+    """Exact feasibility of {A x = b, x >= 0}, rows of rationals."""
+    return ex.lp_solve([ex.exact(row) for row in A], ex.exact(b)) is not None
 
 
 def proper_on_cone(p, c: Polyhedron) -> bool:
@@ -60,8 +56,8 @@ def proper_on_cone(p, c: Polyhedron) -> bool:
     for i in range(n):
         c = tuple(g[i] for g in gens)
         for sign in (1, -1):
-            status, _, val = _lp_solve(A, b, fx.scale(sign, c))
-            if status == ex.OPTIMAL and val > 0:
+            status, _, val = fx.lp_solve_fraction(A, b, fx.scale(sign, c))
+            if status == fx.OPTIMAL and val > 0:
                 return False
     return True
 

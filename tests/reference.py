@@ -69,7 +69,10 @@ or strings.  ``rref_fraction``, ``nullspace_fraction`` and
 ``mat_inv_fraction`` are the exact kernels of ``exactlin`` in Fraction
 arithmetic, the rows with pivot 1 and the kernel vectors with 1 at their
 free column; the tests require the fraction-free kernels to return the
-same rationals.
+same rationals.  ``lp_solve_fraction`` is the two-phase simplex in
+Fractions, with an objective; the tests require ``exactlin.lp_solve``, its
+phase 1 on integer rows, to return the same point, and ``lp_project`` and
+``paper_claims.proper_on_cone`` optimise with it.
 """
 import itertools
 import math
@@ -246,15 +249,14 @@ def _lift(V, G):
 
 
 def _free_lp(rows, n: int, c):
-    """exactlin.lp_solve of max c.x subject to a[:n].x >= r for the pairs
+    """lp_solve_fraction of max c.x subject to a[:n].x >= r for the pairs
     (a, r) of rows, x free, in the standard form x = u - v, u, v >= 0, one
     surplus per row; x comes back as u - v."""
     m = len(rows)
     A = [tuple(a[:n]) + neg(a[:n]) + tuple(-Fraction(t == k) for t in range(m))
          for k, (a, _) in enumerate(rows)]
     c = tuple(c) + neg(c) + zeros(m)
-    status, x, val = ex.lp_solve(list(map(ex.exact, A)), ex.exact(r for _, r in rows),
-                                 ex.exact(c))
+    status, x, val = lp_solve_fraction(A, [r for _, r in rows], c)
     return status, (None if x is None else sub(vec(x)[:n], vec(x)[n:2 * n])), val
 
 
@@ -262,7 +264,7 @@ def _implied(row, others, n: int) -> bool:
     a_i, r_i = row
     # min a_i.x subject to the others, as max of -a_i.x
     status, _, val = _free_lp(others, n, neg(a_i[:n]))
-    return status == ex.OPTIMAL and -val >= r_i
+    return status == OPTIMAL and -val >= r_i
 
 
 def lp_project(eqs, ineqs, n_keep: int) -> list:
@@ -501,8 +503,8 @@ def analytic_hessian_fresh(rz, a_log, X, w, P=None):
 
 def critical_image_per_draw(rz, P, cfg):
     """harness._check_critical_image one draw at a time: per (Weyl element
-    w, witness X), in that order, its own sample_H_X, sample_NPH, h_pq and
-    Tally.feed on one stream each, one critical_value per (X, w), and F's
+    w, witness X), in that order, its own sample_H_X on one stream, its own
+    sample_NPH, h_pq and Tally.feed, one critical_value per (X, w), and F's
     value at every x_w from one h_pq per X, contracted with the dual of X
     by a gemv.  A draw h = e^Y n is projected at a_w = diag(x_w^T a x_w),
     with n as its right factor: H(a x_w h) = H(a_w h)."""
@@ -524,8 +526,7 @@ def critical_image_per_draw(rz, P, cfg):
                 draw = (pi, xi, wi)
                 hx = sample_H_X(rz, X, radius, n_per,
                                 [_stream(cfg, "critical_image", 1, *draw)])
-                nh = sample_NPH(rz, P, radius, n_per,
-                                [_stream(cfg, "critical_image", 2, *draw)])
+                nh = sample_NPH(rz, P, n_per)
                 a_w = np.diagonal(xw.T @ a_matrix(a) @ xw)
                 tally.feed(om, h_pq(rz, replace(hx, right=nh), P, a_w))
                 lv = vec(critical_value(rz, a_exact, SampleStack.of(rz, (X,)),
@@ -842,6 +843,85 @@ def mat_inv_fraction(m):
     if pivots[:n] != list(range(n)):
         raise ValueError("singular matrix")
     return tuple(tuple(row[n:]) for row in rows)
+
+
+# --- the two-phase simplex in Fractions: the LP oracle ----------------------
+
+OPTIMAL, INFEASIBLE, UNBOUNDED = "optimal", "infeasible", "unbounded"
+
+
+def _simplex_core(T: list[list], basis: list[int], ncols: int) -> str:
+    # maximizes the objective stored in the last tableau row; Bland's rule
+    while True:
+        obj = T[-1]
+        c = next((j for j in range(ncols) if obj[j] < 0), None)
+        if c is None:
+            return OPTIMAL
+        best, r = None, None
+        for i in range(len(T) - 1):
+            if T[i][c] > 0:
+                ratio = T[i][-1] / T[i][c]
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[r]):
+                    best, r = ratio, i
+        if r is None:
+            return UNBOUNDED
+        _pivot(T, r, c)
+        basis[r] = c
+
+
+def lp_solve_fraction(A, b, c=None):
+    """max c.x subject to A x = b, x >= 0, exactly, for the rows A (Exacts
+    or rationals): the two-phase simplex with Bland's rule in Fractions.
+    At c=None it is phase 1 alone, which exactlin.lp_solve runs on integer
+    rows.
+
+    Returns (status, x, value); x is an Exact and value a Fraction, both
+    None when infeasible, and value is None when unbounded.  Pass c=None
+    for pure feasibility.
+    """
+    A = [list(vec(row)) for row in A]
+    b = list(vec(b))
+    m, n = len(A), (len(A[0]) if A else (len(vec(c)) if c is not None else 0))
+    for i in range(m):
+        if b[i] < 0:
+            A[i] = [-x for x in A[i]]
+            b[i] = -b[i]
+    # phase 1: maximize -sum(artificials); invariant: last row holds reduced
+    # costs and, in its final entry, the current objective value
+    T = [A[i] + [Fraction(int(j == i)) for j in range(m)] + [b[i]] for i in range(m)]
+    obj = [0] * n + [1] * m + [0]
+    for i in range(m):
+        obj = [x - y for x, y in zip(obj, T[i])]
+    T.append(obj)
+    basis = [n + i for i in range(m)]
+    _simplex_core(T, basis, n + m)
+    if T[-1][-1] != 0:
+        return INFEASIBLE, None, None
+    # drive artificials out of the basis where possible, then drop them
+    for i in range(m):
+        if basis[i] >= n:
+            cidx = next((j for j in range(n) if T[i][j] != 0), None)
+            if cidx is not None:
+                _pivot(T, i, cidx)
+                basis[i] = cidx
+    keep = [i for i in range(m) if basis[i] < n]
+    T = [[T[i][j] for j in range(n)] + [T[i][-1]] for i in keep]
+    basis = [basis[i] for i in keep]
+    status, value = OPTIMAL, 0
+    if c is not None:
+        # phase 2
+        obj = [-x for x in vec(c)] + [0]
+        for i, bi in enumerate(basis):
+            if obj[bi] != 0:
+                f = obj[bi]
+                obj = [x - f * y for x, y in zip(obj, T[i])]
+        T.append(obj)
+        status = _simplex_core(T, basis, n)
+        value = T[-1][-1] if status == OPTIMAL else None
+    x = [0] * n
+    for i, bi in enumerate(basis):
+        x[bi] = T[i][-1]
+    return status, ex.exact(x), value
 
 
 def span_form_sym(basis):

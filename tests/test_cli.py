@@ -231,6 +231,18 @@ def test_critical_image_passes_at_radius_20(capsys, preset):
 
 
 @pytest.mark.filterwarnings("error")
+def test_main_passes_at_radius_20(capsys):
+    # the QR of the built elements a h lost every digit at radius 20 and
+    # FAILed with worst_slack -1.8; the Cauchy-Binet kernel reads H off the
+    # factors of each draw
+    rc = main(["verify", "--preset", "sl3_so21", "--radius", "20",
+               "--samples", "2000"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.out + captured.err
+    assert re.search(r"^PASS main count=\d+ worst_slack=", captured.out, re.M)
+
+
+@pytest.mark.filterwarnings("error")
 def test_row_graded_base_point_passes(capsys):
     # exp(-25, 25) h is regular; the Iwasawa QR once rounded its R_22 to 0
     rc = main(["verify", "--preset", "sl2_so11", "--a-log=-25,25", "--samples", "200"])

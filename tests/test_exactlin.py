@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from orbitcone import critical, harness, matrixgrp, polyhedra, rootsys
 from orbitcone import exactlin as ex
+from orbitcone.parabolic import all_positive_systems
 
 import reference
 import reference as fx
+from oracle_cones import random_cones
 from paper_claims import feasible
 
 fracs = st.fractions(min_value=-5, max_value=5, max_denominator=6)
@@ -128,18 +130,14 @@ def test_feasible_negative():
     assert feasible(((Fraction(1),),), (Fraction(2),))
 
 
-def _lp_solve(a, b, c):
-    return ex.lp_solve([ex.exact(row) for row in a], ex.exact(b), ex.exact(c))
-
-
 @settings(max_examples=40, deadline=None)
 @given(mat_strat(2, 4), st.tuples(*([fracs] * 4)))
 def test_lp_solve_optimal_is_feasible(a, c):
     x0 = (Fraction(1), Fraction(2), Fraction(0), Fraction(1))
     b = fx.mat_vec(a, x0)
-    status, x, val = _lp_solve(a, b, c)
-    assert status in (ex.OPTIMAL, ex.UNBOUNDED)
-    if status == ex.OPTIMAL:
+    status, x, val = reference.lp_solve_fraction(a, b, c)
+    assert status in (reference.OPTIMAL, reference.UNBOUNDED)
+    if status == reference.OPTIMAL:
         assert fx.mat_vec(a, x) == b
         assert all(t >= 0 for t in fx.vec(x))
         assert fx.dot(c, x) == val
@@ -151,8 +149,8 @@ def test_lp_solve_orientation():
     # maximize x subject to x <= 3 (x + s = 3)
     a = ((Fraction(1), Fraction(1)),)
     b = (Fraction(3),)
-    status, x, val = _lp_solve(a, b, (Fraction(1), Fraction(0)))
-    assert status == ex.OPTIMAL
+    status, x, val = reference.lp_solve_fraction(a, b, (Fraction(1), Fraction(0)))
+    assert status == reference.OPTIMAL
     assert val == 3 and fx.vec(x)[0] == 3
 
 
@@ -219,6 +217,64 @@ def test_combination_equals_the_fraction_oracle(m, coeffs):
     cs = coeffs[:len(m)]
     got = ex.mat_vec(ex.transpose(ex.exact(m)), ex.exact(cs))
     assert fx.vec(got) == reference.combination(cs, m, len(m[0]))
+
+
+def _lp_is_the_oracle(A, b):
+    """lp_solve returns the point of the two-phase Fraction simplex at
+    c=None, and None exactly when that reports infeasible."""
+    A, b = [ex.exact(row) for row in A], ex.exact(b)
+    status, want, _ = reference.lp_solve_fraction(A, b)
+    got = ex.lp_solve(A, b)
+    assert (got is None) == (status == reference.INFEASIBLE)
+    assert got == want
+
+
+@st.composite
+def lp_systems(draw):
+    """(A, b) with large or small entries of either sign: b drawn, mostly
+    infeasible, or b = A x0 for an x0 >= 0.  Small entries give degenerate
+    systems, where Bland's ties and the objective's weights pick the point."""
+    A = draw(st.one_of(rational_matrices(max_rows=4), st.tuples(
+        st.integers(1, 5), st.integers(1, 7)).flatmap(lambda mn: st.lists(
+            st.lists(small, min_size=mn[1], max_size=mn[1]),
+            min_size=mn[0], max_size=mn[0]))))
+    pool = st.one_of(small, entries)
+    if draw(st.booleans()):
+        return A, draw(st.lists(pool, min_size=len(A), max_size=len(A)))
+    return A, fx.mat_vec(A, draw(st.lists(pool.map(abs), min_size=len(A[0]),
+                                          max_size=len(A[0]))))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lp_systems())
+# a tie that Bland's rule breaks by the smaller basic index, and a system
+# whose point moves if the objective weighs the scaled artificials alike
+@example(([fx.vec((2, 0, -1, 0, "1/2")), fx.vec((-1, -1, "-1/3", -1, 0)),
+           fx.vec((1, -1, 2, "2/3", 1))], fx.vec((1, "-1/2", "7/3"))))
+@example(([fx.vec((1, 2, 0)), fx.vec(("-2/3", "-2/3", 1))],
+          fx.vec(("2/3", "5/9"))))
+def test_lp_solve_is_the_fraction_simplex(system):
+    _lp_is_the_oracle(*system)
+
+
+def test_lp_solve_is_the_fraction_simplex_on_every_pointedness_system(monkeypatch):
+    # the LP of pointedness_certificate on every Gamma(P) and gk cone of
+    # the presets and on the random cones of the cone oracle
+    systems = []
+    real = ex.lp_solve
+    monkeypatch.setattr(ex, "lp_solve",
+                        lambda A, b: systems.append((A, b)) or real(A, b))
+    cones = set(random_cones(200, seed=3))
+    for preset in matrixgrp.PRESETS:
+        Ps = all_positive_systems(matrixgrp.realization(preset).datum)
+        cones.update(map(polyhedra.gamma_cone, Ps))
+        cones.update(polyhedra.gk_cone(P, Q) for P in Ps for Q in Ps)
+    for c in cones:
+        polyhedra.pointedness_certificate(c)
+    monkeypatch.undo()
+    assert len(systems) == 230
+    for A, b in systems:
+        _lp_is_the_oracle(A, b)
 
 
 def _rref_rationals(rows, pivots):

@@ -318,7 +318,7 @@ def _recorded_streams(monkeypatch, cfg):
     samplers the checks call, one per stream of a sampler that takes a
     sequence of seeds, and ("rng", seed) for a check's own generator."""
     seen = []
-    for name in ("sample_H", "sample_H_X", "sample_NPH", "sample_unipotent",
+    for name in ("sample_H", "sample_H_X", "sample_unipotent",
                  "vanishing_patterns"):
         real = getattr(harness, name)
 
@@ -343,7 +343,7 @@ def test_every_draw_has_its_own_stream(monkeypatch, preset):
     cfg = VerificationConfig(preset=preset, samples=10, seed=3,
                              checks=CHECK_NAMES - {"kostant"})
     seen = _recorded_streams(monkeypatch, cfg)
-    assert {name for name, _ in seen} >= {"sample_H", "sample_H_X", "sample_NPH",
+    assert {name for name, _ in seen} >= {"sample_H", "sample_H_X",
                                           "sample_unipotent", "vanishing_patterns",
                                           "rng"}
     assert all(isinstance(s, np.random.SeedSequence) for _, s in seen)

@@ -263,9 +263,9 @@ def test_a_right_factor_in_n_p_leaves_h_alone(rz):
 
 
 def _nilpotent_spans(rz: Realization) -> list[np.ndarray]:
-    """The spans sample_unipotent draws from: the sigma-fixed nilpotent
-    radicals of sample_NPH and the N_Q cap bar-N_P supports of the gk
-    check, over every pair of positive systems."""
+    """The nilpotent spans of the package: the sigma-fixed nilpotent
+    radicals of sample_NPH and the N_Q cap bar-N_P supports that the gk
+    check draws from, over every pair of positive systems."""
     systems = all_positive_systems(rz.datum)
     bases = [nph_basis(rz, P) for P in systems]
     bases += [[root_matrix(rz.dim, a) for a in sorted(Q.positive & P.negative)]
@@ -643,14 +643,15 @@ def test_sample_H_lands_in_H(rz):
 def _sampled_draws(rz: Realization) -> list:
     """A draw from every span the samplers draw from: at radius 4 on h and
     on the centralizers of h, without a radius on the sigma-fixed nilpotent
-    radicals and the gk supports, and a draw on h with the nph draw of the
-    base system as its right factor, as critical_image pairs them."""
+    radicals and the gk supports, and a draw on h with sample_NPH's rows
+    n = 1 of the base system as its right factor, as critical_image pairs
+    them."""
     draws = [sample_span(B, 4.0, 50, [(80, k)])
              for k, B in enumerate(_radius_spans(rz))]
     draws += [sample_unipotent(B, 4.0, 50, [(81, k)])
               for k, B in enumerate(_nilpotent_spans(rz))]
     return draws + [replace(draws[0], right=sample_NPH(
-        rz, rz.base_parabolic, 4.0, 50, [82]))]
+        rz, rz.base_parabolic, 50))]
 
 
 def test_draw_elements_is_expm_of_the_clipped_draw(rz):

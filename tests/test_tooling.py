@@ -141,13 +141,11 @@ def test_the_scan_finds_a_private_import():
     assert _private_imports(tree) == ["line 3: _a", "line 4: _e", "line 5: _g"]
 
 
-# Where the package may name Fraction: where a config value is parsed, and
-# the simplex tableau, which holds its rationals as Fractions between entry
-# and exit.  Every other exact object is an exactlin.Exact.
+# Where the package may name Fraction: where a config value is parsed.
+# Every other exact object is an exactlin.Exact.
 FRACTION_READERS = {
     "harness": {"<import>", "_rat_tuple", "VerificationConfig.a_log_exact",
                 "VerificationConfig.positive_system"},
-    "exactlin": {"<import>", "_rationals", "lp_solve"},
 }
 
 
